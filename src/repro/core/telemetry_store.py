@@ -84,13 +84,27 @@ class TelemetryStore:
     # -- ingestion (collector subscriber) ----------------------------------
 
     def update(self, report: ProbeReport) -> None:
+        """One walk over the report's directed links.  Link ``i`` joins
+        ``path[i] -> path[i + 1]``: its latency was measured at the ingress
+        of ``path[i + 1]`` (record ``i``; the receiving host for the last
+        link) and its queue depth at the egress of ``path[i]`` (record
+        ``i - 1``; the source host stamps none)."""
         now = self.sim.now
         path = report.path_nodes()
         self.topology.observe_path(path)
+        node_seen = self._node_seen
         for node in path:
-            self._node_seen[node] = now
-        for u, v, latency in report.link_latencies():
-            state = self._state(u, v)
+            node_seen[node] = now
+        links = self._links
+        window = self.qdepth_window
+        records = report.records
+        hops = len(records)
+        for i in range(hops + 1):
+            key = (path[i], path[i + 1])
+            state = links.get(key)
+            if state is None:
+                state = links[key] = LinkState()
+            latency = records[i].link_latency if i < hops else report.final_link_latency
             if latency is not None:
                 state.latency = latency
                 if state.latency_ewma is None:
@@ -101,24 +115,16 @@ class TelemetryStore:
                     )
                 state.latency_updated_at = now
                 state.samples += 1
-        for sw, downstream, _port, qdepth in report.port_observations():
-            state = self._state(sw, downstream)
-            readings = state.qdepth_readings
-            while readings and now - readings[0][0] > self.qdepth_window:
-                readings.popleft()
-            while readings and readings[-1][1] <= qdepth:
-                readings.pop()
-            readings.append((now, qdepth))
-            state.qdepth_updated_at = now
+            if i:
+                qdepth = records[i - 1].max_qdepth
+                readings = state.qdepth_readings
+                while readings and now - readings[0][0] > window:
+                    readings.popleft()
+                while readings and readings[-1][1] <= qdepth:
+                    readings.pop()
+                readings.append((now, qdepth))
+                state.qdepth_updated_at = now
         self.reports_processed += 1
-
-    def _state(self, u: TelemetryNodeId, v: TelemetryNodeId) -> LinkState:
-        key = (u, v)
-        state = self._links.get(key)
-        if state is None:
-            state = LinkState()
-            self._links[key] = state
-        return state
 
     # -- queries -------------------------------------------------------------
 

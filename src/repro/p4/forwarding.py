@@ -9,6 +9,7 @@ extends ordinary forwarding.
 from __future__ import annotations
 
 from repro.p4.pipeline import P4Program, PipelineContext
+from repro.simnet.packet import FLAG_PROBE
 
 __all__ = ["PlainForwardingProgram", "FORWARD_TABLE"]
 
@@ -47,15 +48,19 @@ class PlainForwardingProgram(P4Program):
 
     # -- fast path ----------------------------------------------------------
 
-    def _compile_ingress(self):
+    def _compile_ingress(self, probe_stamp=None):
         """The forwarding decision as one closure: TTL check + exact-match
         lookup with the table's own hit/miss counters, no context object.
         Captures the table's entry dict by reference, so control-plane
-        ``set_entry`` updates are visible immediately."""
+        ``set_entry`` updates are visible immediately.  ``probe_stamp`` is
+        a subclass's probe-only ingress work, run before routing as its
+        staged ``ingress`` does before calling up."""
         table = self.forward_table
         entries = table._entries
 
         def fast_ingress(packet) -> int:
+            if probe_stamp is not None and packet.flags & FLAG_PROBE:
+                probe_stamp(packet)
             if packet.ttl <= 1:
                 return -1
             entry = entries.get(packet.dst_addr)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import PacketError
 
@@ -54,10 +54,13 @@ __all__ = [
 
 PROBE_MAGIC = b"NT"
 PROBE_VERSION = 1
-_HEADER_FMT = "!2sBB"
-_RECORD_FMT = "!HBHiq"
-PROBE_HEADER_SIZE = struct.calcsize(_HEADER_FMT)   # 4
-HOP_RECORD_SIZE = struct.calcsize(_RECORD_FMT)     # 17
+_HEADER = struct.Struct("!2sBB")
+_RECORD = struct.Struct("!HBHiq")
+PROBE_HEADER_SIZE = _HEADER.size   # 4
+HOP_RECORD_SIZE = _RECORD.size     # 17
+# Every valid probe header, indexed by its hop_count byte: validating a
+# header is one comparison, re-stamping the count is one lookup.
+_HEADERS = tuple(_HEADER.pack(PROBE_MAGIC, PROBE_VERSION, n) for n in range(256))
 
 # Sentinel for "no upstream latency measurement" (first INT hop).
 NO_LATENCY = -(2**31)
@@ -91,33 +94,55 @@ def encode_probe_header(hop_count: int = 0) -> bytes:
     """Initial probe payload (written by the probe sender, no hops yet)."""
     if not 0 <= hop_count <= 0xFF:
         raise PacketError(f"hop_count {hop_count} out of range")
-    return struct.pack(_HEADER_FMT, PROBE_MAGIC, PROBE_VERSION, hop_count)
+    return _HEADERS[hop_count]
 
 
-def encode_hop_record(record: IntHopRecord) -> bytes:
-    """Serialize one hop record with saturating clamps, as a width-limited
-    P4 header field would."""
-    qdepth = min(record.max_qdepth, _MAX_QDEPTH)
-    if record.link_latency is None:
+def _pack_record(
+    switch_id: int,
+    egress_port: int,
+    max_qdepth: int,
+    link_latency: Optional[float],
+    egress_ts: float,
+) -> bytes:
+    """One wire record with saturating clamps, as a width-limited P4 header
+    field would."""
+    if max_qdepth > _MAX_QDEPTH:
+        max_qdepth = _MAX_QDEPTH
+    if link_latency is None:
         latency_us = NO_LATENCY
     else:
-        latency_us = int(round(record.link_latency * 1e6))
-        latency_us = max(_I32_MIN, min(_I32_MAX, latency_us))
-    ts_us = int(round(record.egress_ts * 1e6))
-    return struct.pack(
-        _RECORD_FMT, record.switch_id, record.egress_port, qdepth, latency_us, ts_us
+        latency_us = int(round(link_latency * 1e6))
+        if latency_us < _I32_MIN:
+            latency_us = _I32_MIN
+        elif latency_us > _I32_MAX:
+            latency_us = _I32_MAX
+    return _RECORD.pack(
+        switch_id, egress_port, max_qdepth, latency_us, int(round(egress_ts * 1e6))
     )
 
 
-def _parse_header(payload: bytes) -> Tuple[int, int]:
+def encode_hop_record(record: IntHopRecord) -> bytes:
+    """Serialize one hop record."""
+    return _pack_record(
+        record.switch_id,
+        record.egress_port,
+        record.max_qdepth,
+        record.link_latency,
+        record.egress_ts,
+    )
+
+
+def _hop_count(payload: bytes) -> int:
+    """Validate the probe header; return the hop count it declares."""
     if len(payload) < PROBE_HEADER_SIZE:
         raise PacketError(f"probe payload truncated: {len(payload)}B < header")
-    magic, version, hop_count = struct.unpack_from(_HEADER_FMT, payload, 0)
-    if magic != PROBE_MAGIC:
-        raise PacketError(f"bad probe magic {magic!r}")
-    if version != PROBE_VERSION:
+    hop_count = payload[3]
+    if payload[:PROBE_HEADER_SIZE] != _HEADERS[hop_count]:
+        magic, version, _ = _HEADER.unpack_from(payload, 0)
+        if magic != PROBE_MAGIC:
+            raise PacketError(f"bad probe magic {magic!r}")
         raise PacketError(f"unsupported probe version {version}")
-    return version, hop_count
+    return hop_count
 
 
 def append_hop_record(payload: bytes, record: IntHopRecord) -> bytes:
@@ -150,57 +175,38 @@ def append_hop_fields(
         raise PacketError(f"egress_port {egress_port} out of range")
     if max_qdepth < 0:
         raise PacketError(f"max_qdepth {max_qdepth} negative")
-    _, hop_count = _parse_header(payload)
+    hop_count = _hop_count(payload)
     if hop_count >= 0xFF:
         raise PacketError("INT stack full (255 hops)")
-    expected = PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE
-    if len(payload) != expected:
+    if len(payload) != PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE:
         raise PacketError(
             f"probe payload length {len(payload)} inconsistent with hop_count={hop_count}"
         )
-    if link_latency is None:
-        latency_us = NO_LATENCY
-    else:
-        latency_us = int(round(link_latency * 1e6))
-        latency_us = max(_I32_MIN, min(_I32_MAX, latency_us))
-    return (
-        struct.pack(_HEADER_FMT, PROBE_MAGIC, PROBE_VERSION, hop_count + 1)
-        + payload[PROBE_HEADER_SIZE:]
-        + struct.pack(
-            _RECORD_FMT,
-            switch_id,
-            egress_port,
-            min(max_qdepth, _MAX_QDEPTH),
-            latency_us,
-            int(round(egress_ts * 1e6)),
-        )
-    )
+    return b"".join((
+        _HEADERS[hop_count + 1],
+        payload[PROBE_HEADER_SIZE:],
+        _pack_record(switch_id, egress_port, max_qdepth, link_latency, egress_ts),
+    ))
 
 
 def decode_probe_payload(payload: bytes) -> List[IntHopRecord]:
     """Decode the full INT stack, in path order (collector side)."""
-    _, hop_count = _parse_header(payload)
+    hop_count = _hop_count(payload)
     expected = PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE
     if len(payload) != expected:
         raise PacketError(
             f"probe payload length {len(payload)} != expected {expected} "
             f"for hop_count={hop_count}"
         )
-    records: List[IntHopRecord] = []
-    offset = PROBE_HEADER_SIZE
-    for _ in range(hop_count):
-        switch_id, port, qdepth, latency_us, ts_us = struct.unpack_from(
-            _RECORD_FMT, payload, offset
+    return [
+        IntHopRecord(
+            switch_id,
+            port,
+            qdepth,
+            None if latency_us == NO_LATENCY else latency_us / 1e6,
+            ts_us / 1e6,
         )
-        offset += HOP_RECORD_SIZE
-        latency = None if latency_us == NO_LATENCY else latency_us / 1e6
-        records.append(
-            IntHopRecord(
-                switch_id=switch_id,
-                egress_port=port,
-                max_qdepth=qdepth,
-                link_latency=latency,
-                egress_ts=ts_us / 1e6,
-            )
+        for switch_id, port, qdepth, latency_us, ts_us in _RECORD.iter_unpack(
+            payload[PROBE_HEADER_SIZE:]
         )
-    return records
+    ]

@@ -27,6 +27,7 @@ from repro.errors import DataPlaneError, PacketError
 from repro.p4.forwarding import PlainForwardingProgram
 from repro.p4.headers import append_hop_fields
 from repro.p4.pipeline import P4Program, PipelineContext
+from repro.simnet.packet import FLAG_PROBE, HEADER_OVERHEAD
 
 __all__ = ["IntTelemetryProgram", "MAX_QDEPTH_REGISTER"]
 
@@ -75,10 +76,12 @@ class IntTelemetryProgram(PlainForwardingProgram):
     # -- fast path -------------------------------------------------------------
 
     def compile(self):
-        """Data packets only: ingress is plain routing (the ``int_stamp``
-        latency measurement is probe-only) and egress is the per-port
-        max-depth register fold.  Both are emitted as context-free closures;
-        probes keep the staged oracle path."""
+        """Both packet classes as context-free closures.  Data packets:
+        plain routing at ingress, the per-port max-depth register fold at
+        egress.  Probes: the ``int_stamp`` latency measurement before
+        routing, and the collect-and-reset + hop-record append at egress.
+        Each mirrors the staged stage bodies effect for effect (counters,
+        clock reads, register accesses, packet mutations)."""
         cls = type(self)
         if (
             cls.process_ingress is not P4Program.process_ingress
@@ -91,19 +94,62 @@ class IntTelemetryProgram(PlainForwardingProgram):
             return None
         if self._qdepth_reg is None:
             raise DataPlaneError("INT program compiled before bind()")
+        assert self.switch is not None
         reg = self._qdepth_reg
         values = reg._values  # reset() wipes in place, so identity is stable
+        sim = self.switch.sim
+        clock_read = self.switch.clock.read
+        switch_id = self.switch.switch_id
+
+        def int_stamp(packet) -> None:
+            if packet.last_egress_ts is not None:
+                prof = sim.profiler
+                if prof is None:
+                    packet.int_link_latency = clock_read() - packet.last_egress_ts
+                else:
+                    prof.phase_begin("int_stamp")
+                    packet.int_link_latency = clock_read() - packet.last_egress_ts
+                    prof.phase_end()
 
         def fast_egress(packet, port_index: int, enq_depth: int) -> None:
-            # Mirrors the staged egress for a data packet exactly:
-            # data_packets_observed += 1 and reg.max_update(port, enq_depth),
-            # counter semantics included.
-            self.data_packets_observed += 1
+            if not packet.flags & FLAG_PROBE:
+                # reg.max_update(port, enq_depth), counter semantics included.
+                self.data_packets_observed += 1
+                reg.writes += 1
+                if enq_depth > values[port_index]:
+                    values[port_index] = enq_depth
+                return
+            self.probes_processed += 1
+            # reg.read_and_reset(port), bounds check and counters included.
+            if not 0 <= port_index < reg.size:
+                reg._check(port_index)
+            reg.reads += 1
             reg.writes += 1
-            if enq_depth > values[port_index]:
-                values[port_index] = enq_depth
+            qdepth = values[port_index]
+            values[port_index] = reg.initial
+            egress_ts = clock_read()
+            payload = packet.payload
+            if payload is None:
+                raise DataPlaneError(
+                    f"probe packet #{packet.packet_id} has no payload to extend"
+                )
+            try:
+                payload = append_hop_fields(
+                    payload, switch_id, port_index, qdepth,
+                    packet.int_link_latency, egress_ts,
+                )
+            except PacketError:
+                self.malformed_probes += 1
+                reg.max_update(port_index, qdepth)
+                return
+            packet.payload = payload
+            wire_size = HEADER_OVERHEAD + len(payload)
+            if wire_size > packet.size_bytes:
+                packet.size_bytes = wire_size
+            packet.int_link_latency = None
+            packet.last_egress_ts = egress_ts
 
-        return self._compile_ingress(), fast_egress
+        return self._compile_ingress(int_stamp), fast_egress
 
     # -- egress ---------------------------------------------------------------
 
@@ -151,8 +197,6 @@ class IntTelemetryProgram(PlainForwardingProgram):
         # packets), so growing the INT stack does not change the wire size
         # unless the stack outgrows the padding.
         packet.payload = new_payload
-        from repro.simnet.packet import HEADER_OVERHEAD  # local import: avoid cycle
-
         packet.size_bytes = max(packet.size_bytes, HEADER_OVERHEAD + len(new_payload))
         packet.int_link_latency = None
         packet.last_egress_ts = egress_ts

@@ -106,8 +106,8 @@ class P4Program:
         """Fold the pipeline into precompiled per-packet-class closures.
 
         Returns ``(fast_ingress, fast_egress)`` or ``None``.  The closures
-        cover the common **data packet** (non-probe) hop with zero
-        :class:`PipelineContext` allocations:
+        cover every packet class the program handles — data packets and
+        probes alike — with zero :class:`PipelineContext` allocations:
 
         * ``fast_ingress(packet) -> int`` — parser + ingress control folded
           together; returns the egress port index or ``-1`` for drop.
@@ -115,11 +115,11 @@ class P4Program:
           egress + deparser folded together.
 
         Implementations must preserve every externally observable effect of
-        the staged path (table hit/miss counters, register write counters,
-        packet mutations) and must return ``None`` whenever any stage has
-        been overridden by a subclass they do not know about — the staged
-        context path then remains the oracle.  Probes and other exotic
-        packet classes always take the staged path.
+        the staged path (table hit/miss counters, register read/write
+        counters, clock reads, packet mutations, probe-only profiler phases)
+        and must return ``None`` whenever any stage has been overridden by a
+        subclass they do not know about — the staged context path then
+        remains the oracle, as it does under ``REPRO_SLOWPATH=1``.
 
         The base program has no ingress control, so it has no fast path.
         """

@@ -23,7 +23,7 @@ from repro.errors import DataPlaneError
 from repro.simnet.engine import Simulator
 from repro.simnet.nic import Port
 from repro.simnet.node import Clock, Node
-from repro.simnet.packet import FLAG_PROBE, Packet
+from repro.simnet.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.p4.pipeline import P4Program
@@ -74,11 +74,11 @@ class Switch(Node):
     # -- data path ----------------------------------------------------------
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
-        # Compiled fast path for the common data-packet hop: the program's
-        # parser + ingress control folded into one closure, zero context
-        # allocations.  Probes and uncompiled programs take the staged path.
+        # Compiled fast path: the program's parser + ingress control folded
+        # into one closure, zero context allocations.  Uncompiled programs
+        # take the staged path.
         fast = self._fast_ingress
-        if fast is not None and not packet.flags & FLAG_PROBE:
+        if fast is not None:
             prof = self.sim.profiler
             if prof is None:
                 self.packets_received += 1
@@ -114,6 +114,9 @@ class Switch(Node):
             # protocol would, so the self-measured cost stays honest.
             phases = prof.phases
             self.packets_received += 1
+            # Root the closure's own scope (a probe's int_stamp) under the
+            # pipeline path.
+            prof._path = _PH_PIPELINE
             egress_port = fast(packet)
             if egress_port < 0:
                 entry = phases.get(_PH_PIPELINE)
@@ -181,7 +184,7 @@ class Switch(Node):
 
     def on_egress(self, packet: Packet, out_port: Port, enq_depth: int) -> None:
         fast = self._fast_egress
-        if fast is not None and not packet.flags & FLAG_PROBE:
+        if fast is not None:
             fast(packet, out_port.port_index, enq_depth)
             return
         assert self.program is not None

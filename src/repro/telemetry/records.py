@@ -48,10 +48,11 @@ class ProbeReport:
     def path_nodes(self) -> List[TelemetryNodeId]:
         """The inferred path: src host, each switch in stack order, dst host
         (Section III-B's ordering-based topology inference)."""
-        nodes: List[TelemetryNodeId] = [host_node(self.probe_src)]
-        nodes.extend(switch_node(r.switch_id) for r in self.records)
-        nodes.append(host_node(self.probe_dst))
-        return nodes
+        return [
+            host_node(self.probe_src),
+            *[switch_node(r.switch_id) for r in self.records],
+            host_node(self.probe_dst),
+        ]
 
     def link_latencies(self) -> List[Tuple[TelemetryNodeId, TelemetryNodeId, Optional[float]]]:
         """Per-link latency measurements along the path, ``(upstream,

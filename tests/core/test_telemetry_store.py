@@ -107,3 +107,112 @@ class TestTopologyIntegration:
         store.update(_report())
         # h10->s1 (latency only) and s1->h20 (latency + qdepth).
         assert store.known_link_count() == 2
+
+
+class _Now:
+    """Stand-in for the simulator: the store only ever reads ``sim.now``."""
+
+    now = 0.0
+
+
+def _reference_update(links, node_seen, report, now, window):
+    """``TelemetryStore.update`` written the long way round, from the three
+    views a :class:`ProbeReport` offers."""
+    from repro.core.telemetry_store import EWMA_ALPHA, LinkState
+
+    for node in report.path_nodes():
+        node_seen[node] = now
+    for u, v, latency in report.link_latencies():
+        state = links.setdefault((u, v), LinkState())
+        if latency is not None:
+            state.latency = latency
+            if state.latency_ewma is None:
+                state.latency_ewma = latency
+            else:
+                state.latency_ewma = EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * state.latency_ewma
+            state.latency_updated_at = now
+            state.samples += 1
+    for sw, downstream, _port, qdepth in report.port_observations():
+        state = links.setdefault((sw, downstream), LinkState())
+        readings = state.qdepth_readings
+        while readings and now - readings[0][0] > window:
+            readings.popleft()
+        while readings and readings[-1][1] <= qdepth:
+            readings.pop()
+        readings.append((now, qdepth))
+        state.qdepth_updated_at = now
+
+
+def _recorded_reports():
+    """(ingest time, report) pairs from one simulated second of mesh probing
+    on the Fig. 4 network under CBR cross-traffic, plus the shapes a real
+    capture never contains."""
+    from repro.core.scheduler import NetworkAwareScheduler
+    from repro.experiments.fig4_topology import build_fig4_network
+    from repro.simnet.engine import Simulator
+    from repro.simnet.flows import UdpCbrFlow, UdpSink
+    from repro.simnet.random import run_streams
+    from repro.telemetry.probe import ProbeResponder, ProbeSender
+    from repro.units import mbps
+
+    sim = Simulator()
+    topo = build_fig4_network(sim, run_streams(7))
+    net = topo.network
+    scheduler = NetworkAwareScheduler(
+        net.host(topo.scheduler_name),
+        [net.address_of(n) for n in topo.worker_names],
+        link_capacity_bps=topo.fabric_rate_bps,
+        default_link_delay=topo.link_delay,
+    )
+    recorded = []
+    scheduler.collector.subscribe(lambda report: recorded.append((sim.now, report)))
+    addrs = [net.address_of(n) for n in topo.node_names]
+    for name in topo.node_names:
+        host = net.host(name)
+        if name == topo.scheduler_name:
+            ProbeResponder(host, collector=scheduler.collector)
+        else:
+            ProbeResponder(host, collector_addr=topo.scheduler_addr)
+        targets = [a for a in addrs if a != host.addr]
+        ProbeSender(host, targets, interval=0.05, probe_size=256).start()
+    # Enough cross-traffic to put non-zero depths in the registers.
+    first, last = topo.worker_names[0], topo.worker_names[-1]
+    UdpSink(net.host(last))
+    UdpCbrFlow(net.host(first), net.address_of(last), mbps(18), burstiness="cbr").start()
+    sim.run(until=1.0)
+    assert len(recorded) > 500
+    assert any(r.max_qdepth for _t, rep in recorded for r in rep.records)
+
+    def hop(switch_id, qdepth, latency):
+        return IntHopRecord(switch_id, 1, qdepth, latency, 0.0)
+
+    end = recorded[-1][0]
+    extras = [
+        # A path that crosses the same directed link twice.
+        ProbeReport(1, 2, 1, 0.0, 0.0, [hop(3, 5, None), hop(4, 9, 0.01), hop(3, 2, 0.02),
+                                        hop(4, 7, 0.03)], 0.011),
+        # No switch at all, and no last-hop measurement.
+        ProbeReport(1, 2, 2, 0.0, 0.0, [], None),
+        # Long after the window: every earlier reading on s3->s4 is evicted.
+        ProbeReport(1, 2, 3, 0.0, 0.0, [hop(3, 1, None), hop(4, 0, 0.012)], 0.010),
+    ]
+    return recorded + [(end + 0.01 * (i + 1) ** 3, rep) for i, rep in enumerate(extras)]
+
+
+class TestUpdateMatchesReference:
+    def test_single_pass_update_equals_three_view_reference(self):
+        clock = _Now()
+        store = TelemetryStore(clock, staleness=2.0, qdepth_window=0.05)
+        links, node_seen = {}, {}
+        for now, report in _recorded_reports():
+            clock.now = now
+            store.update(report)
+            _reference_update(links, node_seen, report, now, store.qdepth_window)
+            # Dict equality ignores order; the lists pin insertion order.
+            assert store._links == links
+            assert list(store._links) == list(links)
+            assert store._node_seen == node_seen
+            assert list(store._node_seen) == list(node_seen)
+        assert store.reports_processed > 500
+        assert set(store.topology.graph.edges) == set(links)
+        assert any(len(s.qdepth_readings) > 1 for s in links.values())

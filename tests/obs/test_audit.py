@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.estimators import BandwidthEstimator, DelayEstimator
 from repro.core.ranking import explain_bandwidth, explain_delay
-from repro.core.telemetry_store import TelemetryStore
+from repro.core.telemetry_store import LinkState, TelemetryStore
 from repro.obs.audit import (
     DecisionAudit,
     NetworkGroundTruth,
@@ -69,7 +69,7 @@ def _seeded_store(sim, path, qdepths=None, latency=0.010):
     store = TelemetryStore(sim)
     store.topology.observe_path(path)
     for u, v in zip(path, path[1:]):
-        state = store._state(u, v)
+        state = store._links.setdefault((u, v), LinkState())
         state.latency_ewma = latency
         state.latency_updated_at = sim.now
         if qdepths and (u, v) in qdepths:

@@ -115,3 +115,52 @@ class TestProfilingDeterminism:
         tm = memory["tracemalloc"]
         assert tm is not None and tm["top"]
         assert all({"site", "size_kb", "count"} <= set(s) for s in tm["top"])
+
+
+class TestCompiledProbePhases:
+    """Probes run through the compiled closures by default; a profiled run
+    must still account them under the oracle's probe-only phases, and the
+    attribution floors must hold where probes are most of the traffic."""
+
+    @staticmethod
+    def _profiled(monkeypatch, slowpath):
+        from repro.edge.task import SizeClass
+
+        if slowpath:
+            monkeypatch.setenv("REPRO_SLOWPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        spec = RunSpec.from_config(ExperimentConfig(
+            scale=SMOKE_SCALE, seed=5, size_class=SizeClass.VS, probing_interval=0.02,
+        ))
+        runner = Runner(jobs=1, profile=True)
+        [result] = runner.run([spec])
+        return result, runner.profile_summary()
+
+    @staticmethod
+    def _phase_count(summary, suffix):
+        return sum(
+            stats["count"] for path, stats in summary["phases"].items()
+            if path.endswith(suffix)
+        )
+
+    def test_probe_phase_counts_equal_the_oracles(self, monkeypatch):
+        fast, fast_summary = self._profiled(monkeypatch, slowpath=False)
+        slow, slow_summary = self._profiled(monkeypatch, slowpath=True)
+        assert (fast.payload_json() == slow.payload_json()) is True
+        stamp = "Switch.on_ingress;p4_pipeline;int_stamp"
+        assert fast_summary["phases"][stamp]["count"] > 10_000
+        assert fast_summary["phases"][stamp]["count"] == slow_summary["phases"][stamp]["count"]
+        # A probe's egress stage nests under whichever handler dequeued it
+        # (coalescing moves a handful between parents); the total is fixed.
+        egress = self._phase_count(fast_summary, ";egress_stage")
+        assert egress > 10_000
+        assert egress == self._phase_count(slow_summary, ";egress_stage")
+
+        coverage = fast_summary["phase_coverage"]
+        by_wall = sorted(
+            fast_summary["by_type"].items(), key=lambda kv: kv[1]["wall_s"], reverse=True
+        )
+        for name, _stats in by_wall[:3]:
+            assert 0.90 <= coverage.get(name, 0.0) <= 1.05, (name, coverage)
+        assert fast_summary["overhead"]["fraction_of_wall"] < 0.40

@@ -10,9 +10,18 @@ build time, so flipping it between serial in-process runs is enough.
 
 import pytest
 
+from repro.edge.task import SizeClass
+from repro.experiments import harness
+from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
+from repro.faults import FaultEvent, FaultPlan
+from repro.faults.plan import REGISTER_WIPE
+from repro.p4.headers import HOP_RECORD_SIZE, encode_probe_header
+from repro.p4.int_program import MAX_QDEPTH_REGISTER
 from repro.p4.per_packet_int import PerPacketIntProgram
-from repro.runner import Runner
+from repro.runner import Runner, RunSpec
 from repro.runner.bench import bench_grid_specs
+from repro.simnet.addressing import PORT_PROBE, PROTO_UDP
+from repro.simnet.packet import FLAG_PROBE
 
 pytestmark = pytest.mark.slow
 
@@ -50,6 +59,147 @@ class TestSlowpathEquivalence:
         assert switch._fast_ingress is not None
         assert switch._fast_egress is not None
         assert net.host("h1").ports[0]._coalesce is True
+
+        # ... and the closures take probes too: with the staged entry points
+        # booby-trapped, a probe still crosses the switch fully stamped.
+        def staged(*_args):
+            raise AssertionError("probe fell back to the staged pipeline")
+
+        monkeypatch.setattr(switch.program, "process_ingress", staged)
+        monkeypatch.setattr(switch.program, "process_egress", staged)
+        probe = net.host("h1").new_packet(
+            net.address_of("h2"), dst_port=PORT_PROBE, size_bytes=256,
+            payload=encode_probe_header(0), flags=FLAG_PROBE,
+        )
+        probe.last_egress_ts = 0.0
+        switch.on_ingress(probe, switch.ports[0])
+        assert switch.program.probes_processed == 1
+        assert len(probe.payload) == len(encode_probe_header(0)) + HOP_RECORD_SIZE
+        assert probe.int_link_latency is None and probe.last_egress_ts is not None
+
+
+def _probe_dense_spec(label, **changes):
+    """Class VS under mesh probing every 20 ms: probes are most packets."""
+    config = ExperimentConfig(
+        scale=SMOKE_SCALE, seed=5, size_class=SizeClass.VS, policy="aware",
+        probing_interval=0.02, probe_layout="mesh", **changes,
+    )
+    return RunSpec.from_config(config, obs_run={"cell": label})
+
+
+# Probe-flagged datagrams no INT switch can extend: bad magic, shorter than
+# the header, truncated mid-record, and a hop_count the length contradicts.
+_MALFORMED_PAYLOADS = (
+    b"XX\x01\x00",
+    b"NT",
+    encode_probe_header(2) + bytes(HOP_RECORD_SIZE + 5),
+    encode_probe_header(0) + bytes(HOP_RECORD_SIZE),
+)
+
+
+def _inject_malformed_probes(sim, topo):
+    net = topo.network
+    src = net.host(topo.worker_names[0])
+    dst = net.address_of(topo.worker_names[-1])
+
+    def send(payload):
+        src.send(src.new_packet(
+            dst, protocol=PROTO_UDP, dst_port=PORT_PROBE, size_bytes=256,
+            payload=payload, flags=FLAG_PROBE, message=src.clock.read(),
+        ))
+
+    for i in range(12):
+        sim.schedule(1.1 + 0.25 * i, send, _MALFORMED_PAYLOADS[i % 4])
+
+
+_BUILD_FIG4 = harness.build_fig4_network
+
+
+def _run_cell(monkeypatch, spec, *, slowpath, inject=None):
+    """One in-process run; returns the result and every switch's data-plane
+    counters (captured from the network the harness built)."""
+    built = []
+
+    def build(sim, streams):
+        topo = _BUILD_FIG4(sim, streams)
+        built.append(topo)
+        if inject is not None:
+            inject(sim, topo)
+        return topo
+
+    monkeypatch.setattr(harness, "build_fig4_network", build)
+    if slowpath:
+        monkeypatch.setenv("REPRO_SLOWPATH", "1")
+    else:
+        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+    [result] = Runner(jobs=1).run([spec])
+    [topo] = built
+    counters = {}
+    for name, switch in sorted(topo.network.switches.items()):
+        assert (switch._fast_ingress is None) == slowpath
+        program = switch.program
+        reg = program.register(MAX_QDEPTH_REGISTER)
+        counters[name] = {
+            "reads": reg.reads, "writes": reg.writes, "resets": reg.resets,
+            "values": reg.snapshot(),
+            "probes_processed": program.probes_processed,
+            "malformed_probes": program.malformed_probes,
+            "data_packets_observed": program.data_packets_observed,
+            "table_hits": program.forward_table.hits,
+            "table_misses": program.forward_table.misses,
+            "forwarded": switch.packets_forwarded,
+            "dropped": switch.packets_dropped_pipeline,
+        }
+    return result, counters
+
+
+class TestProbeLifecycleEquivalence:
+    """The compiled probe closures (int_stamp at ingress, collect-and-reset +
+    hop append at egress) against the staged oracle, where probes dominate
+    and where they go wrong."""
+
+    def _assert_equivalent(self, monkeypatch, spec, inject=None):
+        fast, fast_counters = _run_cell(monkeypatch, spec, slowpath=False, inject=inject)
+        slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True, inject=inject)
+        # Booleans, not ``==`` inside the assert: pytest's diff of two
+        # multi-megabyte strings takes minutes.
+        same_payload = fast.payload_json() == slow.payload_json()
+        same_export = fast.obs_records() == slow.obs_records()
+        assert same_payload and same_export and fast.obs_records()
+        assert fast_counters == slow_counters
+        return fast, fast_counters
+
+    def test_probe_dense_cell(self, monkeypatch):
+        fast, counters = self._assert_equivalent(
+            monkeypatch, _probe_dense_spec("probe-dense")
+        )
+        probes = sum(c["probes_processed"] for c in counters.values())
+        data = sum(c["data_packets_observed"] for c in counters.values())
+        assert probes > data / 4  # probe-dense, not the usual ~7 %
+        assert sum(c["malformed_probes"] for c in counters.values()) == 0
+
+    def test_register_wipe_and_malformed_probes_cell(self, monkeypatch):
+        plan = FaultPlan(
+            name="wipe-under-probe-storm",
+            events=(
+                FaultEvent(time=1.5, kind=REGISTER_WIPE, target="*"),
+                FaultEvent(time=2.5, kind=REGISTER_WIPE, target="*"),
+            ),
+        )
+        fast, counters = self._assert_equivalent(
+            monkeypatch,
+            _probe_dense_spec("probe-faulted", fault_plan=plan),
+            inject=_inject_malformed_probes,
+        )
+        assert all(c["resets"] == 2 for c in counters.values())
+        # Every injected datagram is refused at each switch hop it crosses
+        # (register value restored) and again at the collector.
+        assert sum(c["malformed_probes"] for c in counters.values()) >= 12
+        [refused] = [
+            r["value"] for r in fast.obs_records()
+            if r.get("name") == "probe_reports_malformed_total"
+        ]
+        assert refused == 12
 
 
 class TestCompileRefusals:
