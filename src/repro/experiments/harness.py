@@ -331,11 +331,8 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
         if getattr(obs, "trace", None) is not None:
             # Per-hop INT stamping spans reuse PacketTracer hop events over
             # exactly the trace-sampled probes.
-            from repro.simnet.trace import PacketTracer
-
-            obs.trace.packet_tracer = PacketTracer(
-                list(net.hosts.values()) + list(net.switches.values()),
-                predicate=obs.trace.probe_predicate(),
+            obs.trace.trace_packets(
+                list(net.hosts.values()) + list(net.switches.values())
             )
 
     worker_names = topo.worker_names

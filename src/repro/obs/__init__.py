@@ -127,6 +127,10 @@ class Observability:
         # exact totals always live in the metrics registry.
         self.probe_sample = probe_sample
         self._probe_tick = 0
+        # The per-probe counters, looked up in the registry (which sorts and
+        # stringifies the labels on every call) at first use and kept.
+        self._probes_sent: Dict[int, Counter] = {}
+        self._probe_reports: Optional[Counter] = None
         self.queue_threshold_fraction = queue_threshold_fraction
         self.ground_truth: Optional[NetworkGroundTruth] = None
         # Periodic sampling is opt-in like tracing: None unless a
@@ -211,35 +215,37 @@ class Observability:
             list(network.hosts.values()) + list(network.switches.values()),
             key=lambda n: n.name,
         )
-        queues = [
-            (f"{node.name}[{port.port_index}]", port.queue)
-            for node in nodes
-            for port in node.ports
+        # Every series' recorder is resolved here, once, not per point.
+        queues = []
+        for node in nodes:
+            for port in node.ports:
+                label = f"{node.name}[{port.port_index}]"
+                queues.append((
+                    port.queue,
+                    ts.recorder("queue_depth", queue=label),
+                    ts.recorder("queue_depth_frac", queue=label),
+                ))
+        directions = [
+            (link, direction, rate,
+             ts.recorder("link_utilization", link=link.name, direction=direction))
+            for link in (network.links[name] for name in sorted(network.links))
+            for direction, rate in (("a", link.rate_ab_bps), ("b", link.rate_ba_bps))
         ]
-        links = [network.links[name] for name in sorted(network.links)]
-        prev_bytes: Dict[Any, int] = {}
+        prev_bytes = [0] * len(directions)   # carried as of the previous tick
 
         def sample_network(store: TimeSeriesStore, now: float) -> None:
-            for label, queue in queues:
-                store.record("queue_depth", now, queue.depth, queue=label)
-                store.record(
-                    "queue_depth_frac", now,
-                    queue.depth / queue.capacity if queue.capacity else 0.0,
-                    queue=label,
+            for queue, record_depth, record_frac in queues:
+                record_depth(now, queue.depth)
+                record_frac(
+                    now, queue.depth / queue.capacity if queue.capacity else 0.0
                 )
-            for link in links:
-                for direction, rate in (
-                    ("a", link.rate_ab_bps), ("b", link.rate_ba_bps)
-                ):
-                    carried = link.bytes_carried[direction]
-                    key = (link.name, direction)
-                    delta = carried - prev_bytes.get(key, 0)
-                    prev_bytes[key] = carried
-                    store.record(
-                        "link_utilization", now,
-                        (delta * 8.0) / (rate * store.interval),
-                        link=link.name, direction=direction,
-                    )
+            for i, (link, direction, rate, record) in enumerate(directions):
+                carried = link.bytes_carried[direction]
+                record(
+                    now,
+                    ((carried - prev_bytes[i]) * 8.0) / (rate * store.interval),
+                )
+                prev_bytes[i] = carried
 
         ts.register(sample_network)
 
@@ -259,24 +265,38 @@ class Observability:
             return
 
         if servers:
-            ordered = [(name, servers[name]) for name in sorted(servers)]
+            ordered = [
+                (
+                    servers[name],
+                    ts.recorder("server_running", server=name),
+                    ts.recorder("server_queued", server=name),
+                )
+                for name in sorted(servers)
+            ]
 
             def sample_servers(s: TimeSeriesStore, now: float) -> None:
-                for name, server in ordered:
-                    s.record("server_running", now, server.running, server=name)
-                    s.record("server_queued", now, len(server.queued), server=name)
+                for server, record_running, record_queued in ordered:
+                    record_running(now, server.running)
+                    record_queued(now, len(server.queued))
 
             ts.register(sample_servers)
 
         if store is not None:
 
+            # Nodes appear as probes reveal them: recorder per node, made
+            # at its first sighting.
+            age_recorders: Dict[Any, Any] = {}
+
             def sample_staleness(s: TimeSeriesStore, now: float) -> None:
                 for node in store.seen_nodes():
                     age = store.node_age(node)
                     if age is not None:
-                        s.record(
-                            "telemetry_node_age", now, age, node=node_label(node)
-                        )
+                        record = age_recorders.get(node)
+                        if record is None:
+                            record = age_recorders[node] = s.recorder(
+                                "telemetry_node_age", node=node_label(node)
+                            )
+                        record(now, age)
 
             ts.register(sample_staleness)
 
@@ -392,12 +412,22 @@ class Observability:
         return self._probe_tick % self.probe_sample == 0
 
     def probe_sent(self, *, src: int, dst: int, seq: int) -> None:
-        self.metrics.counter("probes_sent_total", src=src).inc()
+        counter = self._probes_sent.get(src)
+        if counter is None:
+            counter = self._probes_sent[src] = self.metrics.counter(
+                "probes_sent_total", src=src
+            )
+        counter.inc()
         if self._probe_sampled():
             self.events.probe_sent(src=src, dst=dst, seq=seq, sampled=self.probe_sample)
 
     def probe_received(self, *, src: int, dst: int, seq: int, hops: int) -> None:
-        self.metrics.counter("probe_reports_ingested_total").inc()
+        counter = self._probe_reports
+        if counter is None:
+            counter = self._probe_reports = self.metrics.counter(
+                "probe_reports_ingested_total"
+            )
+        counter.inc()
         if self._probe_sampled():
             self.events.probe_received(
                 src=src, dst=dst, seq=seq, hops=hops, sampled=self.probe_sample

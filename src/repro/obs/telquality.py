@@ -104,11 +104,10 @@ class TelemetryQuality:
         # Live stampings: directed port -> observation ledger entry.
         self._observed: Dict[DirectedPort, Dict[str, Any]] = {}
         self._names: Dict[Tuple[str, int], Optional[str]] = {}
-        # Per-(switch, register) refresh tracking: the age recorded at each
-        # ingest is the gap since that register's previous refresh.
-        self._last_refresh: Dict[Tuple[str, str], float] = {}
-        self._refresh_counts: Dict[Tuple[str, str], int] = {}
-        self._refresh_ages: Dict[Tuple[str, str], QuantileDigest] = {}
+        # Per-(switch, register) refresh tracking, one record each:
+        # [last refresh time, refresh count, digest of the gaps between
+        # consecutive refreshes (None until the second one)].
+        self._registers: Dict[Tuple[str, str], List[Any]] = {}
         # Telemetry age of every consulted hop, at decision time.
         self.decision_age = QuantileDigest()
         # Attribution samples: (decision time, est - truth, max hop age).
@@ -162,48 +161,53 @@ class TelemetryQuality:
 
     def report_ingested(self, report: Any) -> None:
         """Stamp one decoded probe into the coverage ledger and refresh the
-        per-(switch, register) freshness digests."""
+        per-(switch, register) freshness digests: one pass over the INT
+        stack, record *i* standing for switch *i*, its egress toward the
+        next path element and the link it arrived over."""
         if self._network is None:
             return
         now = report.collected_at
-        src = self._node_name(("host", report.probe_src))
-        dst = self._node_name(("host", report.probe_dst))
-        for sw, downstream, _port, _qdepth in report.port_observations():
-            u = self._node_name(sw)
-            v = self._node_name(downstream)
-            if u is None or v is None:
+        name = self._node_name
+        src = name(("host", report.probe_src))
+        dst = name(("host", report.probe_dst))
+        pair = (src, dst) if src is not None and dst is not None else None
+        records = report.records
+        names = [name(("sw", rec.switch_id)) for rec in records]
+        names.append(dst)
+        observed = self._observed
+        for rec, u, v in zip(records, names, names[1:]):
+            if u is None:
                 continue
-            entry = self._observed.get((u, v))
-            if entry is None:
-                entry = {"count": 0, "first": now, "last": now, "pairs": set()}
-                self._observed[(u, v)] = entry
-            entry["count"] += 1
-            entry["last"] = now
-            if src is not None and dst is not None:
-                entry["pairs"].add((src, dst))
-            # The qdepth register lives at the switch the record was
-            # appended by (collect-and-reset at its egress).
-            self._touch(u, "qdepth", now)
-        for _u, v_node, latency in report.link_latencies():
+            if v is not None:
+                entry = observed.get((u, v))
+                if entry is None:
+                    entry = {"count": 0, "first": now, "last": now, "pairs": set()}
+                    observed[(u, v)] = entry
+                entry["count"] += 1
+                entry["last"] = now
+                if pair is not None:
+                    entry["pairs"].add(pair)
+                # The qdepth register lives at the switch the record was
+                # appended by (collect-and-reset at its egress).
+                self._touch(u, "qdepth", now)
             # Link latency is measured at the downstream switch's ingress;
             # the final (switch -> host) reading has no switch register.
-            if latency is None or v_node[0] != "sw":
-                continue
-            v = self._node_name(v_node)
-            if v is not None:
-                self._touch(v, "latency", now)
+            if rec.link_latency is not None:
+                self._touch(u, "latency", now)
 
     def _touch(self, node: str, register: str, now: float) -> None:
         key = (node, register)
-        last = self._last_refresh.get(key)
-        self._last_refresh[key] = now
-        self._refresh_counts[key] = self._refresh_counts.get(key, 0) + 1
-        if last is not None:
-            digest = self._refresh_ages.get(key)
-            if digest is None:
-                digest = QuantileDigest()
-                self._refresh_ages[key] = digest
-            digest.add(now - last)
+        state = self._registers.get(key)
+        if state is None:
+            self._registers[key] = [now, 1, None]
+            return
+        age = now - state[0]
+        state[0] = now
+        state[1] += 1
+        digest = state[2]
+        if digest is None:
+            digest = state[2] = QuantileDigest()
+        digest.add(age)
 
     # -- decision-side hook --------------------------------------------------
 
@@ -319,14 +323,14 @@ class TelemetryQuality:
 
     def _freshness_section(self) -> Dict[str, Any]:
         registers = []
-        for key in sorted(self._refresh_counts):
+        for key in sorted(self._registers):
             node, register = key
-            digest = self._refresh_ages.get(key)
+            _last, refreshes, digest = self._registers[key]
             registers.append(
                 {
                     "node": node,
                     "register": register,
-                    "refreshes": self._refresh_counts[key],
+                    "refreshes": refreshes,
                     "age": digest.to_dict() if digest is not None else None,
                 }
             )
@@ -434,7 +438,7 @@ class TelemetryQuality:
                 1 for port in self._observed if port in self._all_ports
             ),
             "ports_total": len(self._all_ports),
-            "registers": len(self._refresh_counts),
+            "registers": len(self._registers),
             "decisions": self.decisions_seen,
             "samples": len(self._samples),
         }

@@ -19,6 +19,7 @@ sequence, so serial / parallel / cached runs export identical series.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Series", "TimeSeriesStore", "DEFAULT_CAPACITY"]
@@ -122,10 +123,19 @@ class TimeSeriesStore:
     def record(self, name: str, now: float, value: float, **labels: Any) -> None:
         """Record one point on the ``(name, labels)`` series (creating it on
         first use) and expose the value to this tick's health evaluation."""
-        key = (name, _labels_key(labels))
+        self._record((name, _labels_key(labels)), now, value)
+
+    def recorder(self, name: str, **labels: Any) -> Callable[[float, float], None]:
+        """``record`` bound to one series: a ``fn(now, value)`` whose label
+        key is sorted and stringified here, once, instead of at every point.
+        For samplers that feed the same series each tick; the series itself
+        is still created by its first point."""
+        return partial(self._record, (name, _labels_key(labels)))
+
+    def _record(self, key: Tuple[str, LabelsKey], now: float, value: float) -> None:
         series = self._series.get(key)
         if series is None:
-            series = Series(name, key[1], self.capacity)
+            series = Series(key[0], key[1], self.capacity)
             self._series[key] = series
         series.offer(now, value)
         self.last_values[key] = float(value)

@@ -29,9 +29,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.simnet.trace import PacketTracer
 
 __all__ = [
+    "SampledProbeTracer",
     "Span",
     "SpanTracer",
     "SEGMENT_NAMES",
@@ -64,6 +67,21 @@ def _finite(value: Any) -> Any:
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+class SampledProbeTracer(PacketTracer):
+    """Hop events of every ``sample``-th probe, by sequence number — the
+    probes :meth:`SpanTracer.wants_probe` selects.  A probe-class observer
+    whose sampling test runs inline in the hook, ahead of any further call:
+    all but one in ``sample`` of the probe hops it is offered end there."""
+
+    def __init__(self, nodes: Iterable[Any], sample: int) -> None:
+        self.sample = sample
+        super().__init__(nodes, probes_only=True)
+
+    def record(self, node: Any, kind: str, packet: Any, enq_depth=None) -> None:
+        if (packet.seq - 1) % self.sample == 0:
+            super().record(node, kind, packet, enq_depth)
 
 
 @dataclass(frozen=True)
@@ -128,8 +146,8 @@ class SpanTracer:
         self._decisions: Dict[int, Dict[str, Any]] = {}    # request_id -> staged
         self._server_events: Dict[int, List[Tuple[str, float, int]]] = {}
         self._probes: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
-        # PacketTracer over the probe-sampled packets, attached by the
-        # harness; supplies the per-hop INT stamping events.
+        # PacketTracer over the probe-sampled packets (see trace_packets);
+        # supplies the per-hop INT stamping events.
         self.packet_tracer: Optional[Any] = None
         self._assembled = False
 
@@ -146,10 +164,10 @@ class SpanTracer:
         so the very first probe of a run is always traced)."""
         return (seq - 1) % self.probe_sample == 0
 
-    def probe_predicate(self) -> Callable[[Any], bool]:
-        """PacketTracer predicate matching exactly the sampled probes."""
-        sample = self.probe_sample
-        return lambda packet: packet.is_probe and (packet.seq - 1) % sample == 0
+    def trace_packets(self, nodes: Iterable[Any]) -> None:
+        """Attach a packet tracer over exactly the sampled probes to
+        ``nodes``; its hop events become the probe traces' hop spans."""
+        self.packet_tracer = SampledProbeTracer(nodes, self.probe_sample)
 
     def probe_sent(self, *, src: int, dst: int, seq: int, packet_id: int) -> None:
         self._probes[(src, dst, seq)] = {

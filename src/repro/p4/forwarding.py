@@ -85,6 +85,9 @@ class PlainForwardingProgram(P4Program):
             or cls.ingress is not PlainForwardingProgram.ingress
             or cls.egress is not P4Program.egress
             or cls.deparse is not P4Program.deparse
+            # No probe branch to bind an observer's hook into: an observed
+            # plain switch runs the staged path.
+            or (self.switch is not None and self.switch.observer is not None)
         ):
             return None
 

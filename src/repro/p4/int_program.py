@@ -81,7 +81,12 @@ class IntTelemetryProgram(PlainForwardingProgram):
         egress.  Probes: the ``int_stamp`` latency measurement before
         routing, and the collect-and-reset + hop-record append at egress.
         Each mirrors the staged stage bodies effect for effect (counters,
-        clock reads, register accesses, packet mutations)."""
+        clock reads, register accesses, packet mutations).
+
+        The switch's packet observer, if any, is bound here too.  One that
+        matches only probes gets its hook inside the two probe branches, so
+        a data packet runs exactly the unobserved closures' bytecode; one
+        that matches every packet gets both closures prefixed with it."""
         cls = type(self)
         if (
             cls.process_ingress is not P4Program.process_ingress
@@ -97,11 +102,21 @@ class IntTelemetryProgram(PlainForwardingProgram):
         assert self.switch is not None
         reg = self._qdepth_reg
         values = reg._values  # reset() wipes in place, so identity is stable
-        sim = self.switch.sim
-        clock_read = self.switch.clock.read
-        switch_id = self.switch.switch_id
+        switch = self.switch
+        sim = switch.sim
+        clock_read = switch.clock.read
+        switch_id = switch.switch_id
+        observer = switch.observer
+        observe_all = observe_probe = None
+        if observer is not None:
+            if observer.probes_only:
+                observe_probe = observer.record
+            else:
+                observe_all = observer.record
 
         def int_stamp(packet) -> None:
+            if observe_probe is not None:
+                observe_probe(switch, "ingress", packet)
             if packet.last_egress_ts is not None:
                 prof = sim.profiler
                 if prof is None:
@@ -119,6 +134,8 @@ class IntTelemetryProgram(PlainForwardingProgram):
                 if enq_depth > values[port_index]:
                     values[port_index] = enq_depth
                 return
+            if observe_probe is not None:
+                observe_probe(switch, "egress", packet, enq_depth)
             self.probes_processed += 1
             # reg.read_and_reset(port), bounds check and counters included.
             if not 0 <= port_index < reg.size:
@@ -149,7 +166,19 @@ class IntTelemetryProgram(PlainForwardingProgram):
             packet.int_link_latency = None
             packet.last_egress_ts = egress_ts
 
-        return self._compile_ingress(int_stamp), fast_egress
+        fast_ingress = self._compile_ingress(int_stamp)
+        if observe_all is None:
+            return fast_ingress, fast_egress
+
+        def observed_ingress(packet) -> int:
+            observe_all(switch, "ingress", packet)
+            return fast_ingress(packet)
+
+        def observed_egress(packet, port_index: int, enq_depth: int) -> None:
+            observe_all(switch, "egress", packet, enq_depth)
+            fast_egress(packet, port_index, enq_depth)
+
+        return observed_ingress, observed_egress
 
     # -- egress ---------------------------------------------------------------
 

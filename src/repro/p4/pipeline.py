@@ -121,6 +121,12 @@ class P4Program:
         subclass they do not know about — the staged context path then
         remains the oracle, as it does under ``REPRO_SLOWPATH=1``.
 
+        The switch calls no observer hook around compiled closures: an
+        implementation either binds ``self.switch.observer``'s ``record``
+        into the closures it returns (the switch recompiles whenever the
+        slot changes) or returns ``None`` while an observer is attached,
+        leaving the staged path, which tests the slot itself.
+
         The base program has no ingress control, so it has no fast path.
         """
         return None

@@ -112,10 +112,20 @@ class Host(Node):
         pushed out of a network device' (Section III-A)."""
         # Direct flag test (not the is_probe property): this runs for every
         # frame leaving a host, probe or not.
+        observer = self.observer
+        if observer is not None and (
+            packet.flags & FLAG_PROBE or not observer.probes_only
+        ):
+            observer.record(self, "egress", packet, enq_depth)
         if packet.flags & FLAG_PROBE and packet.last_egress_ts is None:
             packet.last_egress_ts = self.clock.read()
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
+        observer = self.observer
+        if observer is not None and (
+            packet.flags & FLAG_PROBE or not observer.probes_only
+        ):
+            observer.record(self, "ingress", packet)
         self.packets_received += 1
         prof = self.sim.profiler
         if prof is None:

@@ -66,6 +66,8 @@ class Link:
         self.bytes_carried = {"a": 0, "b": 0}
         # Observability: {"a": Counter, "b": Counter} installed by
         # Observability.attach_network; None (one check per packet) otherwise.
+        # The carrying port updates them in place — Counter.inc's own add,
+        # sign check and sim-time stamp without its three calls per frame.
         self.obs_counters: Optional[dict] = None
         # -- fault-injection state (repro.faults) --------------------------
         # `impaired` is the single hot-path flag the Port checks per packet:
@@ -181,8 +183,13 @@ class Link:
     def record_carried(self, port: "Port", nbytes: int) -> None:
         key = "a" if port is self.port_a else "b"
         self.bytes_carried[key] += nbytes
-        if self.obs_counters is not None:
-            self.obs_counters[key].inc(nbytes)
+        counters = self.obs_counters
+        if counters is not None:
+            if nbytes < 0:
+                raise ValueError(f"link {self.name}: negative frame size")
+            counter = counters[key]
+            counter.value += nbytes
+            counter.updated_at = port.node.sim.now
 
     def utilization(self, port: "Port", window: float) -> float:
         """Average utilization of the ``port``-outbound direction over a

@@ -14,14 +14,15 @@ A :class:`Port` implements the store-and-forward path of one interface:
 
 **Transmit coalescing.**  A queue of N back-to-back frames normally costs N
 ``_tx_complete`` events.  When semantics provably cannot differ — no service
-jitter on the node, no observability/fault/trace hooks, no queue-threshold
-callback, an unimpaired link, and no probe frames (whose egress stage is
-time-sensitive) — the port instead computes every frame's start time up
-front, schedules all deliveries plus **one** batch-completion event, and
-dequeues frames lazily at their logical start times so queue depth stays
-exactly what the one-event-per-frame path would have observed.  Every gate
-failure falls back to the per-frame path; ``REPRO_SLOWPATH=1`` disables
-coalescing outright (the oracle path for the equivalence suite).
+jitter on the node, no observability hub or fault injector on the simulator,
+no packet observer on the sending or the receiving node, no queue-threshold
+callback, an unimpaired and undegraded link, and no probe frames (whose
+egress stage is time-sensitive) — the port instead computes every frame's
+start time up front, schedules all deliveries plus **one** batch-completion
+event, and dequeues frames lazily at their logical start times so queue
+depth stays exactly what the one-event-per-frame path would have observed.
+Every gate failure falls back to the per-frame path; ``REPRO_SLOWPATH=1``
+disables coalescing outright (the oracle path for the equivalence suite).
 """
 
 from __future__ import annotations
@@ -272,16 +273,21 @@ class Port:
             key = self._dir_key
             if key is None:
                 key = self._dir_key = "a" if self is link.port_a else "b"
-            link.bytes_carried[key] += packet.size_bytes
-            if link.obs_counters is not None:
-                link.obs_counters[key].inc(packet.size_bytes)
+            nbytes = packet.size_bytes
+            link.bytes_carried[key] += nbytes
+            counters = link.obs_counters
+            if counters is not None:
+                if nbytes < 0:
+                    raise ValueError(f"link {link.name}: negative frame size")
+                counter = counters[key]
+                counter.value += nbytes
+                counter.updated_at = self._sim.now
             peer_node = self._peer_node
             if peer_node is None:
                 peer = self._peer = link.peer_of(self)
                 peer_node = self._peer_node = peer.node
-            # on_ingress is resolved per delivery (never cached): packet
-            # tracers wrap it in the instance dict at run time.  extra_delay
-            # is 0.0 unless a fault degraded the link (x + 0.0 is exact).
+            # extra_delay is 0.0 unless a fault degraded the link (x + 0.0
+            # is exact).
             self._sim.post(
                 link.propagation_delay + link.extra_delay,
                 peer_node.on_ingress, packet, self._peer,
@@ -312,17 +318,19 @@ class Port:
             or link.impaired
             or link.rate_factor != 1.0
             or link.extra_delay != 0.0
-            or "on_egress" in node.__dict__
+            # A packet observer stamps each egress event with the frame's
+            # own start instant, which a batch runs ahead of.
+            or node.observer is not None
         ):
             return False
         peer = self._peer
         if peer is None:
             peer = self._peer = link.peer_of(self)
         peer_node = peer.node
-        if "on_ingress" in peer_node.__dict__:
-            # A tracer monkey-wrapped the receiver: deliveries must flow
-            # through the wrapped attribute resolved per event, and early
-            # scheduling would also reorder its records.
+        if peer_node.observer is not None:
+            # Deliveries scheduled a batch ahead tie-break differently
+            # against same-instant events, which would reorder the
+            # receiver's records.
             return False
         items = self.queue._items
         # Batch the probe-free prefix: a probe's egress stage reads clocks

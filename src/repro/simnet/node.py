@@ -10,7 +10,7 @@ different clocks inherit exactly the error the paper describes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.errors import TopologyError
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 from repro.simnet.nic import Port
-from repro.simnet.packet import Packet
+from repro.simnet.packet import FLAG_PROBE, Packet
 from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY
 
 __all__ = ["Clock", "Node"]
@@ -95,6 +95,22 @@ class Node:
         # per-call scalar draws — generator state advances identically.
         self._service_buf: List[float] = []
         self._service_idx: int = 0
+        # The packet observer watching this node (a PacketTracer), or None.
+        # A declared slot the data path tests, rather than handlers wrapped
+        # onto the instance: the methods stay the class's own, and nothing
+        # has to look into the instance dict to learn a node is observed
+        # (see DESIGN.md section 7, "Observed path").
+        self.observer: Optional[Any] = None
+
+    def set_observer(self, observer: Optional[Any]) -> None:
+        """Attach the node's packet observer, or detach it with ``None``.
+
+        An observer declares ``probes_only`` (it matches nothing but probe
+        packets, so data packets need not be offered) and takes hop events
+        through ``record(node, kind, packet, enq_depth=None)``."""
+        if observer is not None and self.observer is not None:
+            raise TopologyError(f"{self.name}: a packet observer is already attached")
+        self.observer = observer
 
     def set_service_jitter(self, jitter: float, rng: np.random.Generator) -> None:
         if not 0.0 <= jitter < 1.0:
@@ -147,7 +163,18 @@ class Node:
         """Called as ``packet`` leaves ``out_port``'s queue.  Default: no-op
         (plain hosts have no programmable egress stage)."""
 
+    def _observe(self, kind: str, packet: Packet, enq_depth: Optional[int] = None) -> None:
+        """Offer one hop event to the attached observer.  For the paths where
+        a call per packet is affordable (drops, the staged pipeline); the hot
+        handlers inline the same test."""
+        observer = self.observer
+        if observer is not None and (
+            packet.flags & FLAG_PROBE or not observer.probes_only
+        ):
+            observer.record(self, kind, packet, enq_depth)
+
     def on_packet_dropped(self, packet: Packet, port: Port) -> None:
+        self._observe("drop", packet)
         self.packets_dropped += 1
         obs = self.sim.obs
         if obs:

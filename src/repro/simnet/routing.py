@@ -12,6 +12,7 @@ routing graph except as path endpoints.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, TYPE_CHECKING
 
 import networkx as nx
@@ -37,24 +38,14 @@ def shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
         return [src]
     # Prune other hosts so they cannot be used as transit.
     keep = {n for n, d in g.nodes(data=True) if d.get("kind") != "host"} | {src, dst}
-    sub = g.subgraph(keep)
-    try:
-        # Tie-break deterministically: Dijkstra over neighbors in sorted order.
-        dist, paths = nx.single_source_dijkstra(sub, src, weight="delay")
-    except nx.NetworkXNoPath:  # pragma: no cover - defensive
-        raise RoutingError(f"no path from {src!r} to {dst!r}") from None
-    if dst not in paths:
-        raise RoutingError(f"no path from {src!r} to {dst!r}")
-    # networkx Dijkstra's tie-breaking depends on heap order; normalize by
-    # recomputing with an explicit lexicographic secondary criterion.
-    return _lexicographic_shortest_path(sub, src, dst)
+    # networkx's own Dijkstra tie-breaks by heap order; ours carries an
+    # explicit lexicographic secondary criterion.
+    return _lexicographic_shortest_path(g.subgraph(keep), src, dst)
 
 
 def _lexicographic_shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
     """Dijkstra where among equal-cost paths the lexicographically smallest
     node sequence wins.  O(E log V) with tuple-compared labels."""
-    import heapq
-
     best: Dict[str, tuple] = {}
     heap: list = [((0.0, (src,)), src)]
     while heap:
@@ -72,19 +63,44 @@ def _lexicographic_shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
     raise RoutingError(f"no path from {src!r} to {dst!r}")
 
 
+def _lexicographic_paths_from(g: nx.Graph, src: str) -> Dict[str, tuple]:
+    """Every node's :func:`shortest_path` from switch ``src`` in one
+    exhaustive search: the same ``(cost, path)`` labels, costs summed in
+    path order, so each result is the per-pair search's to the bit.  Hosts
+    are settled but never expanded — they end paths, never carry them."""
+    kinds = g.nodes
+    best: Dict[str, tuple] = {}
+    heap: list = [(0.0, (src,), src)]
+    while heap:
+        cost, path, u = heapq.heappop(heap)
+        if u in best:
+            continue
+        best[u] = path
+        if kinds[u].get("kind") == "host":
+            continue
+        for v, edge in g[u].items():
+            if v not in best:
+                heapq.heappush(heap, (cost + float(edge["delay"]), path + (v,), v))
+    return best
+
+
 def compute_routes(network: "Network") -> Dict[str, Dict[str, str]]:
     """For every switch, the next-hop node toward every host destination.
 
-    Returns ``{switch_name: {dst_host_name: next_hop_name}}``.
+    Returns ``{switch_name: {dst_host_name: next_hop_name}}`` — for each
+    pair the second node of :func:`shortest_path`, found by one search per
+    switch rather than one per pair.
     """
     g = network.graph()
-    routes: Dict[str, Dict[str, str]] = {sw: {} for sw in network.switches}
-    for dst in network.hosts:
-        for sw in network.switches:
-            path = shortest_path(g, sw, dst)
-            if len(path) < 2:
-                raise RoutingError(f"degenerate path from {sw!r} to {dst!r}")
-            routes[sw][dst] = path[1]
+    routes: Dict[str, Dict[str, str]] = {}
+    for sw in network.switches:
+        paths = _lexicographic_paths_from(g, sw)
+        table = routes[sw] = {}
+        for dst in network.hosts:
+            path = paths.get(dst)
+            if path is None:
+                raise RoutingError(f"no path from {sw!r} to {dst!r}")
+            table[dst] = path[1]
     return routes
 
 

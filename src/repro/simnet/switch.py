@@ -66,17 +66,31 @@ class Switch(Node):
             raise DataPlaneError(f"switch {self.name} already has a program")
         self.program = program
         program.bind(self)
+        self._compile()
+
+    def set_observer(self, observer) -> None:
+        super().set_observer(observer)
+        if self.program is not None:
+            self._compile()
+
+    def _compile(self) -> None:
+        """(Re)build the compiled closures: at bind time, and whenever the
+        observer slot changes — ``compile`` binds the observer's hook as a
+        closure local, so an unobserved switch's closures never test for
+        one."""
+        assert self.program is not None
+        compiled = None
         if os.environ.get("REPRO_SLOWPATH", "") != "1":
-            compiled = program.compile()
-            if compiled is not None:
-                self._fast_ingress, self._fast_egress = compiled
+            compiled = self.program.compile()
+        self._fast_ingress, self._fast_egress = compiled or (None, None)
 
     # -- data path ----------------------------------------------------------
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         # Compiled fast path: the program's parser + ingress control folded
-        # into one closure, zero context allocations.  Uncompiled programs
-        # take the staged path.
+        # into one closure, zero context allocations — and, when the switch
+        # is observed, the observer's hook, which compile() bound into it.
+        # Uncompiled programs take the staged path.
         fast = self._fast_ingress
         if fast is not None:
             prof = self.sim.profiler
@@ -160,6 +174,7 @@ class Switch(Node):
         # program), enqueue covers the egress-port send.  phase_first
         # backdates p4_pipeline to the handler's start, so the entry
         # bookkeeping is attributed rather than lost.
+        self._observe("ingress", packet)
         prof = self.sim.profiler
         if prof is not None:
             prof.phase_first("p4_pipeline")
@@ -187,5 +202,6 @@ class Switch(Node):
         if fast is not None:
             fast(packet, out_port.port_index, enq_depth)
             return
+        self._observe("egress", packet, enq_depth)
         assert self.program is not None
         self.program.process_egress(packet, out_port.port_index, enq_depth)

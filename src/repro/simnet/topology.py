@@ -73,8 +73,13 @@ class Network:
         self.links: Dict[str, Link] = {}
         # (node_name, neighbor_name) -> egress port index on node_name.
         self._port_toward: Dict[Tuple[str, str], int] = {}
+        self._switch_ids: Dict[int, Switch] = {}
         self._next_switch_id = 1
         self._finalized = False
+        # Static once finalized, so computed once: the topology graph and
+        # every shortest path asked for so far.
+        self._graph: Optional[nx.Graph] = None
+        self._paths: Dict[Tuple[str, str], List[str]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -105,6 +110,7 @@ class Network:
         switch = Switch(
             self.sim, name, addr, switch_id=self._next_switch_id, clock=self._make_clock(name)
         )
+        self._switch_ids[switch.switch_id] = switch
         self._next_switch_id += 1
         if self.switch_service_jitter > 0:
             switch.set_service_jitter(
@@ -223,16 +229,21 @@ class Network:
             ) from None
 
     def switch_by_id(self, switch_id: int) -> Switch:
-        for sw in self.switches.values():
-            if sw.switch_id == switch_id:
-                return sw
-        raise TopologyError(f"no switch with id {switch_id}")
+        try:
+            return self._switch_ids[switch_id]
+        except KeyError:
+            raise TopologyError(f"no switch with id {switch_id}") from None
 
     # -- graph views ---------------------------------------------------------
 
     def graph(self) -> nx.Graph:
         """Undirected graph of the physical topology; edges carry the link
-        object, rate, and propagation delay."""
+        object, rate, and propagation delay.  Built from the live wiring on
+        every call until the network is finalized; after that the topology
+        is immutable and one shared graph is returned — read it, do not
+        mutate it."""
+        if self._graph is not None:
+            return self._graph
         g = nx.Graph()
         for name in list(self.hosts) + list(self.switches):
             g.add_node(name, kind="host" if name in self.hosts else "switch")
@@ -245,14 +256,22 @@ class Network:
                 rate_bps=link.rate_bps,
                 delay=link.propagation_delay,
             )
+        if self._finalized:
+            self._graph = g
         return g
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Ground-truth shortest path by propagation delay (the route the
-        static control plane installs)."""
+        static control plane installs).  Memoised once the network is
+        finalized; the returned list is the caller's to mutate."""
         from repro.simnet.routing import shortest_path
 
-        return shortest_path(self.graph(), src, dst)
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = shortest_path(self.graph(), src, dst)
+            if self._finalized:
+                self._paths[(src, dst)] = path
+        return list(path)
 
     # -- finalization ----------------------------------------------------------
 

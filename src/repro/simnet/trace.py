@@ -5,15 +5,18 @@ A :class:`PacketTracer` hooks a set of nodes and records hop events
 experiments ("why did this transfer stall?"), for validating routing in
 tests, and by the trace-driven analysis helpers.
 
-The hooks wrap ``on_ingress``/``on_egress``/``on_packet_dropped`` of the
-node instances, so tracing can be attached to a live network without
-touching the classes; :meth:`PacketTracer.detach` restores the originals.
+A tracer occupies the observer slot of each node it watches
+(:meth:`~repro.simnet.node.Node.set_observer`); the node's data path offers
+it hop events — hosts, the staged pipeline and the drop handler by testing
+the slot, a switch on compiled closures through a hook ``compile`` binds
+into them.  No handler is wrapped or replaced, so tracing attaches to a
+live network and :meth:`PacketTracer.detach` simply empties the slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
@@ -46,60 +49,44 @@ def probe_predicate(packet: Packet) -> bool:
 
 
 class PacketTracer:
-    """Records matching packets' hop events across the attached nodes."""
+    """Records matching packets' hop events across the attached nodes.
+
+    ``probes_only`` declares the packet class the tracer can match: when
+    set, nodes offer it probe packets only (``predicate`` then sees nothing
+    else), which keeps the hook out of the data-packet path entirely.
+    """
 
     def __init__(
         self,
         nodes: Iterable[Node],
         *,
         predicate: Optional[Callable[[Packet], bool]] = None,
+        probes_only: bool = False,
         max_events: int = 100_000,
     ) -> None:
-        self.predicate = predicate if predicate is not None else (lambda p: True)
+        self.predicate = predicate
+        self.probes_only = probes_only
         self.max_events = max_events
         self.events: List[HopEvent] = []
         self.truncated = False
-        self._originals: Dict[Node, tuple] = {}
+        self._nodes: List[Node] = []
         for node in nodes:
-            self._attach(node)
-
-    # -- wiring -----------------------------------------------------------
-
-    def _attach(self, node: Node) -> None:
-        orig_ingress = node.on_ingress
-        orig_egress = node.on_egress
-        orig_drop = node.on_packet_dropped
-        self._originals[node] = (orig_ingress, orig_egress, orig_drop)
-        tracer = self
-
-        def traced_ingress(packet, port, _orig=orig_ingress, _node=node):
-            tracer._record(_node, "ingress", packet)
-            _orig(packet, port)
-
-        def traced_egress(packet, port, enq_depth, _orig=orig_egress, _node=node):
-            tracer._record(_node, "egress", packet, enq_depth)
-            _orig(packet, port, enq_depth)
-
-        def traced_drop(packet, port, _orig=orig_drop, _node=node):
-            tracer._record(_node, "drop", packet)
-            _orig(packet, port)
-
-        node.on_ingress = traced_ingress
-        node.on_egress = traced_egress
-        node.on_packet_dropped = traced_drop
+            node.set_observer(self)
+            self._nodes.append(node)
 
     def detach(self) -> None:
-        """Restore the original handlers on every attached node."""
-        for node, (ingress, egress, drop) in self._originals.items():
-            node.on_ingress = ingress
-            node.on_egress = egress
-            node.on_packet_dropped = drop
-        self._originals.clear()
+        """Stop observing every attached node."""
+        for node in self._nodes:
+            node.set_observer(None)
+        self._nodes.clear()
 
     # -- recording ----------------------------------------------------------
 
-    def _record(self, node: Node, kind: str, packet: Packet, enq_depth=None) -> None:
-        if not self.predicate(packet):
+    def record(self, node: Node, kind: str, packet: Packet, enq_depth=None) -> None:
+        """The observer hook: one packet seen at ``node`` (``kind`` is
+        ``"ingress"``, ``"egress"`` or ``"drop"``)."""
+        predicate = self.predicate
+        if predicate is not None and not predicate(packet):
             return
         if self.truncated:
             return

@@ -5,14 +5,20 @@ import math
 
 import pytest
 
+from repro.experiments.fig4_topology import build_fig4_network
 from repro.obs.events import EventLog
+from repro.obs.quantiles import QuantileDigest
 from repro.obs.telquality import (
     AGE_BIN_EDGES,
     TelemetryQuality,
     render_telemetry_report,
 )
+from repro.p4.headers import IntHopRecord
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
+from repro.telemetry.collector import IntCollector
+from repro.telemetry.probe import ProbeResponder, ProbeSender
+from repro.telemetry.records import ProbeReport
 
 
 @pytest.fixture
@@ -28,32 +34,21 @@ def star3(sim):
     return net
 
 
-class _StubReport:
-    """Just the surface TelemetryQuality reads from a decoded probe."""
-
-    def __init__(self, net, src, dst, observations, latencies, collected_at):
-        self.probe_src = net.hosts[src].addr
-        self.probe_dst = net.hosts[dst].addr
-        self.collected_at = collected_at
-        self._observations = observations
-        self._latencies = latencies
-
-    def port_observations(self):
-        return list(self._observations)
-
-    def link_latencies(self):
-        return list(self._latencies)
-
-
 def _report(net, src, dst, at):
     """A probe src -> s1 -> dst: one qdepth stamping and one latency."""
-    sw = ("sw", net.switches["s1"].switch_id)
-    src_node = ("host", net.hosts[src].addr)
-    dst_node = ("host", net.hosts[dst].addr)
-    return _StubReport(
-        net, src, dst,
-        observations=[(sw, dst_node, 0, 3)],
-        latencies=[(src_node, sw, 0.002), (sw, dst_node, 0.001)],
+    return ProbeReport(
+        probe_src=net.hosts[src].addr,
+        probe_dst=net.hosts[dst].addr,
+        seq=1,
+        sent_at=at,
+        received_at=at,
+        records=[
+            IntHopRecord(
+                switch_id=net.switches["s1"].switch_id, egress_port=0,
+                max_qdepth=3, link_latency=0.002, egress_ts=at,
+            )
+        ],
+        final_link_latency=0.001,
         collected_at=at,
     )
 
@@ -209,6 +204,119 @@ class TestAttribution:
         events.fault_injected(fault="server_down", target="node3", time=2.0)
         section = tq._attribution_section(events)
         assert section["fault_windows"]["in"]["count"] == 1
+
+
+class _ThreeViewIngest:
+    """The ingest as it was first written: three passes per report over
+    ``port_observations()`` / ``link_latencies()`` and one dict per
+    freshness quantity.  The reference the single-pass body is pinned to."""
+
+    def __init__(self, tq):
+        self.name = tq._node_name
+        self.observed = {}
+        self.last_refresh = {}
+        self.refresh_counts = {}
+        self.refresh_ages = {}
+
+    def report_ingested(self, report):
+        now = report.collected_at
+        src = self.name(("host", report.probe_src))
+        dst = self.name(("host", report.probe_dst))
+        for sw, downstream, _port, _qdepth in report.port_observations():
+            u, v = self.name(sw), self.name(downstream)
+            if u is None or v is None:
+                continue
+            entry = self.observed.setdefault(
+                (u, v), {"count": 0, "first": now, "last": now, "pairs": set()}
+            )
+            entry["count"] += 1
+            entry["last"] = now
+            if src is not None and dst is not None:
+                entry["pairs"].add((src, dst))
+            self.touch(u, "qdepth", now)
+        for _u, v_node, latency in report.link_latencies():
+            if latency is None or v_node[0] != "sw":
+                continue
+            v = self.name(v_node)
+            if v is not None:
+                self.touch(v, "latency", now)
+
+    def touch(self, node, register, now):
+        key = (node, register)
+        last = self.last_refresh.get(key)
+        self.last_refresh[key] = now
+        self.refresh_counts[key] = self.refresh_counts.get(key, 0) + 1
+        if last is not None:
+            self.refresh_ages.setdefault(key, QuantileDigest()).add(now - last)
+
+
+class TestSinglePassIngest:
+    def _mesh_reports(self, sim):
+        """One second of mesh probing on the Fig. 4 network, as ingested."""
+        topo = build_fig4_network(sim, RandomStreams(7))
+        net = topo.network
+        collector = IntCollector(net.host(topo.scheduler_name))
+        reports = []
+        collector.subscribe(reports.append)
+        addrs = [net.address_of(n) for n in topo.node_names]
+        for name in topo.node_names:
+            host = net.host(name)
+            if name == topo.scheduler_name:
+                ProbeResponder(host, collector=collector)
+            else:
+                ProbeResponder(host, collector_addr=topo.scheduler_addr)
+            ProbeSender(
+                host, [a for a in addrs if a != host.addr],
+                interval=0.1, probe_size=256,
+            ).start()
+        sim.run(until=1.0)
+        return net, reports
+
+    def test_matches_three_view_formulation(self, sim):
+        net, reports = self._mesh_reports(sim)
+        assert len(reports) > 300
+        assert {len(r.records) for r in reports} >= {3, 4, 5}
+        a, b = reports[0].probe_src, reports[0].probe_dst
+        hop = reports[0].records[0]
+
+        def shaped(at, records, final=0.001, src=a, dst=b):
+            return ProbeReport(
+                probe_src=src, probe_dst=dst, seq=1, sent_at=at, received_at=at,
+                records=records, final_link_latency=final, collected_at=at,
+            )
+
+        def record(switch_id, latency):
+            return IntHopRecord(
+                switch_id=switch_id, egress_port=hop.egress_port,
+                max_qdepth=2, link_latency=latency, egress_ts=0.0,
+            )
+
+        reports += [
+            shaped(1.10, [], final=None),                        # zero-hop
+            shaped(1.11, [record(hop.switch_id, None)]),         # no latency
+            shaped(1.12, [record(hop.switch_id, 0.01), record(99, 0.01)]),
+            shaped(1.13, [record(99, 0.01), record(hop.switch_id, 0.01)]),
+            shaped(1.14, [record(hop.switch_id, 0.01)] * 2),     # revisit
+            shaped(1.15, [record(hop.switch_id, 0.01)], src=12345),  # unknown host
+        ]
+
+        tq = TelemetryQuality()
+        tq.attach_network(net)
+        reference = _ThreeViewIngest(tq)
+        for report in reports:
+            tq.report_ingested(report)
+            reference.report_ingested(report)
+
+        assert tq._observed == reference.observed
+        assert any(entry["pairs"] for entry in tq._observed.values())
+        assert set(tq._registers) == set(reference.refresh_counts)
+        for key, (last, refreshes, digest) in tq._registers.items():
+            assert last == reference.last_refresh[key]
+            assert refreshes == reference.refresh_counts[key]
+            expected = reference.refresh_ages.get(key)
+            assert (digest is None) == (expected is None)
+            if digest is not None:
+                assert digest.to_dict() == expected.to_dict()
 
 
 class TestSnapshot:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,18 +180,22 @@ class TestProbeAssembly:
         assert tracer.wants_probe(1)
         assert not tracer.wants_probe(2)
         assert tracer.wants_probe(26)
-        pred = tracer.probe_predicate()
+        # The packet tracer it attaches samples the same probes (the nodes
+        # offer a probes_only observer nothing but probes).
+        tracer.trace_packets([])
+        packets = tracer.packet_tracer
+        assert packets.probes_only
 
-        class P:
-            is_probe = True
-            seq = 26
+        class Node:
+            name = "s01"
+            sim = SimpleNamespace(now=0.5)
 
-        assert pred(P())
-        P.seq = 27
-        assert not pred(P())
-        P.is_probe = False
-        P.seq = 26
-        assert not pred(P())
+        def probe(seq):
+            return SimpleNamespace(packet_id=seq, flow_id=0, seq=seq, size_bytes=256)
+
+        for seq in (1, 2, 26, 27):
+            packets.record(Node, "ingress", probe(seq))
+        assert [e.seq for e in packets.events] == [1, 26]
 
 
 class TestOverflow:

@@ -202,6 +202,45 @@ class TestProbeLifecycleEquivalence:
         assert refused == 12
 
 
+class TestObservedEquivalence:
+    """Every collection flag on: the observers ride the compiled closures
+    (hooks bound into the probe branches) on one side and the staged
+    pipeline's slot tests on the other, and must export the same bytes."""
+
+    def test_full_flag_cell(self, monkeypatch):
+        config = ExperimentConfig(
+            scale=SMOKE_SCALE, seed=5, size_class=SizeClass.S, policy="aware",
+        )
+        spec = RunSpec.from_config(config, obs_run={"cell": "full-flag"}).instrumented(
+            trace=True, sample_interval=0.1, telquality=True, whatif=True,
+        )
+        topos = []
+
+        def keep(_sim, topo):
+            topos.append(topo)
+
+        fast, fast_counters = _run_cell(monkeypatch, spec, slowpath=False, inject=keep)
+        slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True, inject=keep)
+        # Booleans, not ``==`` inside the assert (see above).
+        same_payload = fast.payload_json() == slow.payload_json()
+        same_export = fast.obs_records() == slow.obs_records()
+        same_spans = fast.trace_records() == slow.trace_records()
+        assert same_payload and same_export and same_spans
+        assert fast_counters == slow_counters
+        kinds = {r["kind"] for r in fast.obs_records()}
+        assert {"timeseries", "telquality", "whatif"} <= kinds
+        hops = [r for r in fast.trace_records() if r["name"] == "hop"]
+        assert {h["attributes"]["node"][0] for h in hops} == {"n", "s"}  # hosts + switches
+        # Guard against comparing wrap to wrap: the tracer is attached on
+        # both sides, and no node's handler is anything but its class's.
+        for topo in topos:
+            net = topo.network
+            for node in [*net.hosts.values(), *net.switches.values()]:
+                assert node.observer is not None
+                assert node.on_ingress.__func__ is type(node).on_ingress
+                assert node.on_egress.__func__ is type(node).on_egress
+
+
 class TestCompileRefusals:
     def test_per_packet_int_stays_on_oracle_path(self):
         """PerPacketIntProgram overrides ingress/egress; compile() must
@@ -216,3 +255,38 @@ class TestCompileRefusals:
                 super().egress(ctx)
 
         assert Exotic().compile() is None
+
+    def test_observed_plain_forwarding_runs_staged_until_detached(self, monkeypatch):
+        """Plain forwarding has no probe branch to bind an observer's hook
+        into, so it refuses to compile while one is attached (the staged
+        path tests the slot); the INT program keeps its closures."""
+        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        from repro.p4.forwarding import PlainForwardingProgram
+        from repro.simnet.engine import Simulator
+        from repro.simnet.random import RandomStreams
+        from repro.simnet.topology import Network
+        from repro.simnet.trace import PacketTracer
+        from repro.units import mbps, ms
+
+        for factory, compiled_while_observed in (
+            (PlainForwardingProgram, False), (None, True),
+        ):
+            sim = Simulator()
+            net = Network(sim, RandomStreams(0), program_factory=factory)
+            net.add_host("h1")
+            net.add_host("h2")
+            net.add_switch("s01")
+            net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+            net.attach_host("h2", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+            net.finalize()
+            switch = net.switch("s01")
+            assert switch._fast_ingress is not None
+            tracer = PacketTracer([switch])
+            assert (switch._fast_ingress is not None) == compiled_while_observed
+            net.host("h2").bind(PROTO_UDP, 9, lambda p: None)
+            h1 = net.host("h1")
+            h1.send(h1.new_packet(net.address_of("h2"), dst_port=9))
+            sim.run()
+            assert [e.kind for e in tracer.events] == ["ingress", "egress"]
+            tracer.detach()
+            assert switch._fast_ingress is not None

@@ -102,3 +102,18 @@ def test_weighted_paths_prefer_lower_delay(sim):
     net.finalize()
     path = shortest_path(net.graph(), "h1", "h2")
     assert path == ["h1", "s01", "s02", "s03", "h2"]
+
+
+def test_fig4_route_table_equals_per_pair_reference(sim):
+    """The per-switch search installs exactly the per-pair shortest paths
+    on the experiment topology (12 switches x 8 hosts)."""
+    from repro.experiments.fig4_topology import build_fig4_network
+
+    net = build_fig4_network(sim, RandomStreams(0)).network
+    g = net.graph()
+    routes = compute_routes(net)
+    assert len(routes) == 12 and all(len(table) == 8 for table in routes.values())
+    assert routes == {
+        sw: {dst: shortest_path(g, sw, dst)[1] for dst in net.hosts}
+        for sw in net.switches
+    }

@@ -152,3 +152,27 @@ class TestLookups:
 
     def test_shortest_path(self, sim, line3):
         assert line3.shortest_path("h1", "h2") == ["h1", "s01", "s02", "h2"]
+
+    def test_shortest_path_memo_hands_out_fresh_lists(self, sim, line3):
+        path = line3.shortest_path("h1", "h2")
+        path.reverse()
+        path.append("scribble")
+        assert line3.shortest_path("h1", "h2") == ["h1", "s01", "s02", "h2"]
+        assert line3.graph() is line3.graph()
+
+    def test_shortest_path_follows_live_wiring_before_finalize(self, sim, streams):
+        net = Network(sim, streams)
+        for name in ("h1", "h2"):
+            net.add_host(name)
+        for name in ("s01", "s02", "s03"):
+            net.add_switch(name)
+        net.connect("h1", "s01", rate_bps=mbps(20), delay=ms(10))
+        net.connect("s01", "s02", rate_bps=mbps(20), delay=ms(10))
+        net.connect("s02", "s03", rate_bps=mbps(20), delay=ms(10))
+        net.connect("s03", "h2", rate_bps=mbps(20), delay=ms(10))
+        assert net.shortest_path("h1", "h2") == ["h1", "s01", "s02", "s03", "h2"]
+        # A shortcut wired afterwards is seen: nothing was cached yet.
+        net.connect("s01", "s03", rate_bps=mbps(20), delay=ms(10))
+        assert net.shortest_path("h1", "h2") == ["h1", "s01", "s03", "h2"]
+        net.finalize()
+        assert net.shortest_path("h1", "h2") == ["h1", "s01", "s03", "h2"]

@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.errors import TopologyError
+from repro.obs.tracing import SampledProbeTracer
 from repro.simnet.addressing import PROTO_UDP
-from repro.simnet.flows import UdpCbrFlow, UdpSink
+from repro.simnet.engine import Simulator
+from repro.simnet.flows import UdpCbrFlow, UdpSink, reset_flow_ids
 from repro.simnet.monitor import QueueSampler, link_utilizations
+from repro.simnet.packet import reset_packet_ids
+from repro.simnet.random import RandomStreams
+from repro.simnet.topology import Network
 from repro.simnet.trace import PacketTracer, flow_predicate, probe_predicate
+from repro.telemetry.collector import IntCollector
+from repro.telemetry.probe import ProbeResponder, ProbeSender
 from repro.units import mbps, ms, transmission_time
 
 
@@ -72,24 +80,35 @@ class TestPacketTracer:
         originals = [
             (n.on_ingress, n.on_egress, n.on_packet_dropped) for n in nodes
         ]
-        tracer = PacketTracer(nodes)
-        # While attached, every hook has been wrapped.  (Bound methods are
-        # compared with ==, which checks __self__ and __func__.)
-        for node, (ingress, egress, dropped) in zip(nodes, originals):
-            assert node.on_ingress != ingress
-            assert node.on_egress != egress
-            assert node.on_packet_dropped != dropped
-        tracer.detach()
-        # Detach restores the pre-attach callables.
-        for node, (ingress, egress, dropped) in zip(nodes, originals):
-            assert node.on_ingress == ingress
-            assert node.on_egress == egress
-            assert node.on_packet_dropped == dropped
         net.host("h2").bind(PROTO_UDP, 9, lambda p: None)
         h1 = net.host("h1")
+        tracer = PacketTracer(nodes)
+        # Attaching wraps nothing — the handlers stay the class's own (bound
+        # methods compare with ==, which checks __self__ and __func__) — yet
+        # a packet's hops are recorded while the tracer is attached ...
+        for node, handlers in zip(nodes, originals):
+            assert (node.on_ingress, node.on_egress, node.on_packet_dropped) == handlers
+            assert node.on_ingress.__func__ is type(node).on_ingress
+        first = h1.new_packet(net.address_of("h2"), dst_port=9)
+        h1.send(first)
+        sim.run()
+        assert tracer.path_of(first.packet_id) == ["s01", "s02", "h2"]
+        recorded = len(tracer)
+        tracer.detach()
+        # ... and none after detach, which leaves every handler as it was.
+        for node, handlers in zip(nodes, originals):
+            assert (node.on_ingress, node.on_egress, node.on_packet_dropped) == handlers
+            assert node.observer is None
         h1.send(h1.new_packet(net.address_of("h2"), dst_port=9))
         sim.run()
-        assert len(tracer) == 0  # nothing recorded after detach
+        assert len(tracer) == recorded
+
+    def test_one_observer_per_node(self, sim, line3):
+        first = PacketTracer([line3.switch("s01")])
+        with pytest.raises(TopologyError):
+            PacketTracer([line3.switch("s01")])
+        first.detach()
+        PacketTracer([line3.switch("s01")])
 
     def test_truncation_cap(self, sim, line3):
         net = line3
@@ -127,9 +146,6 @@ class TestPacketTracer:
         assert warnings[0]["max_events"] == 3
 
     def test_probe_predicate(self, sim, line3):
-        from repro.telemetry.collector import IntCollector
-        from repro.telemetry.probe import ProbeResponder, ProbeSender
-
         net = line3
         collector = IntCollector(net.host("h3"))
         ProbeResponder(net.host("h3"), collector=collector)
@@ -140,6 +156,85 @@ class TestPacketTracer:
         sim.run(until=1.0)
         assert len(tracer) > 0
         assert all(e.kind in ("ingress", "egress") for e in tracer.events)
+
+
+def _congested_probe_run(make_tracer, *, staged=False):
+    """h1 probes h3 every 5 ms across s01 -> s02 while a 30 Mb/s CBR flow
+    h1 -> h2 overruns s01's 6-frame, 20 Mb/s egress queue on the shared
+    middle link, so probes are tail-dropped mid-path.  Returns the tracer
+    ``make_tracer(nodes)`` built, after the run."""
+    reset_packet_ids()
+    reset_flow_ids()
+    sim = Simulator()
+    net = Network(sim, RandomStreams(99))
+    for name in ("h1", "h2", "h3"):
+        net.add_host(name)
+    for name in ("s01", "s02"):
+        net.add_switch(name)
+    net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+    net.connect("s01", "s02", rate_bps=mbps(20), delay=ms(10), queue_capacity=6)
+    net.attach_host("h2", "s02", fabric_rate_bps=mbps(20), delay=ms(10))
+    net.attach_host("h3", "s02", fabric_rate_bps=mbps(20), delay=ms(10))
+    net.finalize()
+    assert all((sw._fast_ingress is None) == staged for sw in net.switches.values())
+    collector = IntCollector(net.host("h3"))
+    ProbeResponder(net.host("h3"), collector=collector)
+    ProbeSender(net.host("h1"), [net.address_of("h3")], interval=0.005).start()
+    UdpSink(net.host("h2"))
+    UdpCbrFlow(
+        net.host("h1"), net.address_of("h2"), mbps(30), burstiness="cbr"
+    ).run_for(1.0)
+    tracer = make_tracer(list(net.hosts.values()) + list(net.switches.values()))
+    sim.run(until=1.0)
+    assert collector.reports_ingested > 0
+    return tracer
+
+
+class TestProbeClassTracer:
+    """A tracer that declares ``probes_only`` is offered probes alone — by
+    the compiled closures' probe branches, or by the slot tests of hosts,
+    the staged pipeline and the drop handler — and must record exactly what
+    an all-packet tracer filtered down to probes records."""
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["compiled", "staged"])
+    def test_same_events_as_filtered_all_packet_tracer(self, monkeypatch, staged):
+        if staged:
+            monkeypatch.setenv("REPRO_SLOWPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        filtered = _congested_probe_run(
+            lambda nodes: PacketTracer(nodes, predicate=probe_predicate),
+            staged=staged,
+        )
+        declared = _congested_probe_run(
+            lambda nodes: PacketTracer(nodes, probes_only=True), staged=staged
+        )
+        assert declared.events == filtered.events
+        kinds = {(e.node, e.kind) for e in declared.events}
+        # Every hook site fired: host egress/ingress, switch ingress/egress
+        # on both switches, and the mid-path tail drop.
+        assert kinds >= {
+            ("h1", "egress"), ("s01", "ingress"), ("s01", "egress"), ("s01", "drop"),
+            ("s02", "ingress"), ("s02", "egress"), ("h3", "ingress"),
+        }
+
+    def test_same_truncation_point(self):
+        filtered = _congested_probe_run(
+            lambda nodes: PacketTracer(nodes, predicate=probe_predicate, max_events=40)
+        )
+        declared = _congested_probe_run(
+            lambda nodes: PacketTracer(nodes, probes_only=True, max_events=40)
+        )
+        assert declared.truncated and len(declared) == 41
+        assert declared.events == filtered.events
+
+    def test_sampled_probe_tracer_keeps_every_nth_probe(self):
+        everything = _congested_probe_run(
+            lambda nodes: PacketTracer(nodes, probes_only=True)
+        )
+        sampled = _congested_probe_run(lambda nodes: SampledProbeTracer(nodes, 5))
+        assert sampled.events == [e for e in everything.events if (e.seq - 1) % 5 == 0]
+        assert 0 < len(sampled) < len(everything)
 
 
 class TestQueueSampler:

@@ -200,6 +200,32 @@ class TestCoalescingGates:
         assert switch_port.node.service_jitter > 0
         assert switch_port._try_coalesce() is False
 
+    @pytest.mark.parametrize("observed", ["h1", "s01"], ids=["sender", "receiver"])
+    def test_packet_observer_closes_the_gate_until_detached(
+        self, sim, quiet_network_factory, observed
+    ):
+        """A tracer on either end of the link keeps the per-frame path (its
+        records carry per-frame instants and order); detaching it leaves no
+        trace on the node, so the host port batches again."""
+        from repro.simnet.trace import PacketTracer
+
+        net = quiet_network_factory()
+        net.add_host("h1")
+        net.add_host("h2")
+        net.add_switch("s01")
+        net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+        net.attach_host("h2", "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+        net.finalize()
+        h1 = net.host("h1")
+        tracer = PacketTracer([net.node(observed)])
+        for _ in range(3):  # one in service, two queued
+            h1.send(h1.new_packet(net.address_of("h2"), dst_port=5))
+        uplink = h1.ports[0]
+        assert uplink.backlog == 2
+        assert uplink._try_coalesce() is False
+        tracer.detach()
+        assert uplink._try_coalesce() is True
+
     def test_probe_frames_end_the_batch(self, sim, quiet_network_factory):
         """A probe's egress stage reads clocks at its dequeue instant, so a
         batch must stop at the first probe in the queue."""
