@@ -67,16 +67,15 @@ class SnmpScheduler(SchedulerService):
 
     def _path_delay(self, path: List[str]) -> float:
         total = 0.0
-        g = self.network.graph()
+        adjacency = self.network.adjacency
         for u, v in zip(path, path[1:]):
-            total += float(g.edges[u, v]["delay"])
+            total += adjacency[u][v]
             if u in self.network.switches:
                 total += self.full_utilization_penalty * self.poller.utilization(u, v)
         return total
 
     def _path_bandwidth(self, path: List[str]) -> float:
         avail = float("inf")
-        g = self.network.graph()
         for u, v in zip(path, path[1:]):
             if u not in self.network.switches:
                 continue  # host injection is not the bottleneck

@@ -71,7 +71,7 @@ _MAX_PORT = 0xFF
 _I32_MIN, _I32_MAX = -(2**31) + 1, 2**31 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntHopRecord:
     """Decoded per-hop INT metadata (times in seconds, as floats)."""
 

@@ -13,16 +13,16 @@ routing graph except as path endpoints.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, TYPE_CHECKING
-
-import networkx as nx
+from typing import Container, Dict, List, Mapping, TYPE_CHECKING
 
 from repro.errors import RoutingError
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.simnet.topology import Network
 
-__all__ = ["shortest_path", "compute_routes", "install_all_routes"]
+__all__ = ["shortest_path", "shortest_paths_from", "compute_routes", "install_all_routes"]
 
 
 def _routing_weight(g: nx.Graph, u: str, v: str) -> float:
@@ -31,7 +31,9 @@ def _routing_weight(g: nx.Graph, u: str, v: str) -> float:
 
 def shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
     """Delay-weighted shortest path with lexicographic tie-breaking, never
-    transiting a host node."""
+    transiting a host node.  The per-pair definition over
+    :meth:`Network.graph`: nothing on the run path calls it, the tests hold
+    :func:`shortest_paths_from` to it."""
     if src not in g or dst not in g:
         raise RoutingError(f"unknown endpoint in ({src!r}, {dst!r})")
     if src == dst:
@@ -63,12 +65,14 @@ def _lexicographic_shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
     raise RoutingError(f"no path from {src!r} to {dst!r}")
 
 
-def _lexicographic_paths_from(g: nx.Graph, src: str) -> Dict[str, tuple]:
-    """Every node's :func:`shortest_path` from switch ``src`` in one
-    exhaustive search: the same ``(cost, path)`` labels, costs summed in
-    path order, so each result is the per-pair search's to the bit.  Hosts
-    are settled but never expanded — they end paths, never carry them."""
-    kinds = g.nodes
+def shortest_paths_from(
+    adjacency: Mapping[str, Mapping[str, float]], hosts: Container[str], src: str
+) -> Dict[str, tuple]:
+    """Every node's :func:`shortest_path` from ``src`` in one exhaustive
+    search over ``{name: {neighbor: delay}}``: the same ``(cost, path)``
+    labels, costs summed in path order, so each result is the per-pair
+    search's to the bit.  Hosts other than ``src`` are settled but never
+    expanded — they end paths, never carry them."""
     best: Dict[str, tuple] = {}
     heap: list = [(0.0, (src,), src)]
     while heap:
@@ -76,11 +80,11 @@ def _lexicographic_paths_from(g: nx.Graph, src: str) -> Dict[str, tuple]:
         if u in best:
             continue
         best[u] = path
-        if kinds[u].get("kind") == "host":
+        if u in hosts and u != src:
             continue
-        for v, edge in g[u].items():
+        for v, delay in adjacency[u].items():
             if v not in best:
-                heapq.heappush(heap, (cost + float(edge["delay"]), path + (v,), v))
+                heapq.heappush(heap, (cost + delay, path + (v,), v))
     return best
 
 
@@ -91,10 +95,9 @@ def compute_routes(network: "Network") -> Dict[str, Dict[str, str]]:
     pair the second node of :func:`shortest_path`, found by one search per
     switch rather than one per pair.
     """
-    g = network.graph()
     routes: Dict[str, Dict[str, str]] = {}
     for sw in network.switches:
-        paths = _lexicographic_paths_from(g, sw)
+        paths = shortest_paths_from(network.adjacency, network.hosts, sw)
         table = routes[sw] = {}
         for dst in network.hosts:
             path = paths.get(dst)

@@ -20,11 +20,9 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-import networkx as nx
-
-from repro.errors import TopologyError
+from repro.errors import RoutingError, TopologyError
 from repro.simnet.addressing import AddressBook
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
@@ -32,7 +30,11 @@ from repro.simnet.link import Link
 from repro.simnet.node import Clock, Node
 from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY
 from repro.simnet.random import RandomStreams
+from repro.simnet.routing import install_all_routes, shortest_paths_from
 from repro.simnet.switch import Switch
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["Network"]
 
@@ -71,15 +73,18 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[str, Link] = {}
+        # name -> {neighbor: propagation delay}: what routing and the
+        # connectivity check read.  Filled by connect(); do not mutate.
+        self.adjacency: Dict[str, Dict[str, float]] = {}
         # (node_name, neighbor_name) -> egress port index on node_name.
         self._port_toward: Dict[Tuple[str, str], int] = {}
         self._switch_ids: Dict[int, Switch] = {}
         self._next_switch_id = 1
         self._finalized = False
-        # Static once finalized, so computed once: the topology graph and
-        # every shortest path asked for so far.
+        # Static once finalized, so computed once: the networkx view and
+        # the shortest-path tree of every source asked about so far.
         self._graph: Optional[nx.Graph] = None
-        self._paths: Dict[Tuple[str, str], List[str]] = {}
+        self._paths: Dict[str, Dict[str, tuple]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -102,6 +107,7 @@ class Network:
         addr = self.addresses.register(name)
         host = Host(self.sim, name, addr, clock=self._make_clock(name))
         self.hosts[name] = host
+        self.adjacency[name] = {}
         return host
 
     def add_switch(self, name: str) -> Switch:
@@ -117,6 +123,7 @@ class Network:
                 self.switch_service_jitter, self.streams.get(f"service/{name}")
             )
         self.switches[name] = switch
+        self.adjacency[name] = {}
         return switch
 
     def connect(
@@ -159,6 +166,7 @@ class Network:
         self.links[link_name] = link
         self._port_toward[(name_a, name_b)] = port_a.port_index
         self._port_toward[(name_b, name_a)] = port_b.port_index
+        self.adjacency[name_a][name_b] = self.adjacency[name_b][name_a] = float(delay)
         return link
 
     def attach_host(
@@ -237,13 +245,17 @@ class Network:
     # -- graph views ---------------------------------------------------------
 
     def graph(self) -> nx.Graph:
-        """Undirected graph of the physical topology; edges carry the link
-        object, rate, and propagation delay.  Built from the live wiring on
-        every call until the network is finalized; after that the topology
-        is immutable and one shared graph is returned — read it, do not
-        mutate it."""
+        """Undirected networkx graph of the physical topology; edges carry
+        the link object, rate, and propagation delay.  For analysis and as
+        the reference :func:`routing.shortest_path` searches — the run path
+        reads :attr:`adjacency`, so this is the one place that needs
+        networkx.  Built from the live wiring on every call until the
+        network is finalized; after that the topology is immutable and one
+        shared graph is returned — read it, do not mutate it."""
         if self._graph is not None:
             return self._graph
+        import networkx as nx
+
         g = nx.Graph()
         for name in list(self.hosts) + list(self.switches):
             g.add_node(name, kind="host" if name in self.hosts else "switch")
@@ -262,16 +274,19 @@ class Network:
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Ground-truth shortest path by propagation delay (the route the
-        static control plane installs).  Memoised once the network is
-        finalized; the returned list is the caller's to mutate."""
-        from repro.simnet.routing import shortest_path
-
-        path = self._paths.get((src, dst))
-        if path is None:
-            path = shortest_path(self.graph(), src, dst)
+        static control plane installs), read from ``src``'s shortest-path
+        tree — memoised once the network is finalized; the returned list is
+        the caller's to mutate."""
+        if src not in self.adjacency or dst not in self.adjacency:
+            raise RoutingError(f"unknown endpoint in ({src!r}, {dst!r})")
+        tree = self._paths.get(src)
+        if tree is None:
+            tree = shortest_paths_from(self.adjacency, self.hosts, src)
             if self._finalized:
-                self._paths[(src, dst)] = path
-        return list(path)
+                self._paths[src] = tree
+        if dst not in tree:
+            raise RoutingError(f"no path from {src!r} to {dst!r}")
+        return list(tree[dst])
 
     # -- finalization ----------------------------------------------------------
 
@@ -284,13 +299,17 @@ class Network:
                 raise TopologyError(
                     f"host {name!r} must be single-homed, has {len(host.ports)} links"
                 )
-        g = self.graph()
-        if len(g) > 1 and not nx.is_connected(g):
+        stack = list(self.adjacency)[:1]
+        reached = set(stack)
+        while stack:
+            for name in self.adjacency[stack.pop()]:
+                if name not in reached:
+                    reached.add(name)
+                    stack.append(name)
+        if len(reached) < len(self.adjacency):
             raise TopologyError("topology is not connected")
         for switch in self.switches.values():
             switch.bind_program(self.program_factory())
-        from repro.simnet.routing import install_all_routes
-
         install_all_routes(self)
         self._finalized = True
 

@@ -22,7 +22,7 @@ def host_node(addr: int) -> TelemetryNodeId:
     return ("host", addr)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeReport:
     """One fully-decoded probe: the INT stack plus endpoint measurements.
 

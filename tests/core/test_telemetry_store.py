@@ -214,5 +214,5 @@ class TestUpdateMatchesReference:
             assert store._node_seen == node_seen
             assert list(store._node_seen) == list(node_seen)
         assert store.reports_processed > 500
-        assert set(store.topology.graph.edges) == set(links)
+        assert store.topology.edges() == set(links)
         assert any(len(s.qdepth_readings) > 1 for s in links.values())

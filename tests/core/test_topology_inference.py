@@ -94,3 +94,22 @@ def test_reachable_hosts_respects_direction():
     topo = InferredTopology()
     topo.observe_path([H(1), S(1), H(2)])  # only h1 -> h2 direction known
     assert topo.reachable_hosts(H(2)) == []
+
+
+def test_learning_a_shortcut_replaces_the_cached_answer():
+    """The version moves only when a node or edge is new, and a move drops
+    every cached tree."""
+    topo = InferredTopology()
+    topo.observe_path([H(1), S(1), S(2), S(3), H(2)])
+    assert topo.path(H(1), H(2)) == [H(1), S(1), S(2), S(3), H(2)]
+    version = topo.version
+    topo.observe_path([H(1), S(1), S(2), S(3), H(2)])
+    topo.observe_path([H(1), S(1), S(2)])  # a new tuple, nothing new in it
+    assert topo.version == version
+    topo.observe_path([H(3), S(1), S(3), H(4)])  # new edge s1 -> s3
+    assert topo.version == version + 1
+    assert topo.path(H(1), H(2)) == [H(1), S(1), S(3), H(2)]
+    assert topo.edges() == {
+        (H(1), S(1)), (S(1), S(2)), (S(2), S(3)), (S(3), H(2)),
+        (H(3), S(1)), (S(1), S(3)), (S(3), H(4)),
+    }

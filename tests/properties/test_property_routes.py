@@ -1,14 +1,19 @@
-"""Property test: one search per switch installs the per-pair routes.
+"""Property test: one search per source answers as the per-pair search.
 
-``compute_routes`` runs a single exhaustive lexicographic Dijkstra per
-switch; the per-pair ``routing.shortest_path`` (prune the other hosts, search
-one pair) is the definition it must reproduce — on graphs dense in
-equal-delay ties, where only the tie-break tells paths apart.
+``compute_routes`` and ``Network.shortest_path`` run a single exhaustive
+lexicographic Dijkstra per source over the plain adjacency dicts; the
+per-pair ``routing.shortest_path`` over the networkx view (prune the other
+hosts, search one pair) is the definition they must reproduce — on graphs
+dense in equal-delay ties, where only the tie-break tells paths apart.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import RoutingError
 from repro.simnet.engine import Simulator
 from repro.simnet.random import RandomStreams
 from repro.simnet.routing import compute_routes, shortest_path
@@ -54,8 +59,13 @@ def test_per_switch_search_equals_per_pair_shortest_paths(net):
     # Finalizing installs those routes and freezes the topology; the
     # memoised Network.shortest_path still answers as the reference does.
     net.finalize()
-    hosts = sorted(net.hosts)
-    for src in hosts[:3]:
-        for dst in hosts:
+    hosts, switches = sorted(net.hosts), sorted(net.switches)
+    for src in hosts[:3] + switches[:2]:
+        for dst in hosts + switches:
             for _answer in ("computed", "from the memo"):
                 assert net.shortest_path(src, dst) == shortest_path(g, src, dst)
+    for src, dst in (("h0", "ghost"), ("ghost", "h0")):
+        with pytest.raises(RoutingError) as reference:
+            shortest_path(g, src, dst)
+        with pytest.raises(RoutingError, match=f"^{re.escape(str(reference.value))}$"):
+            net.shortest_path(src, dst)

@@ -108,6 +108,15 @@ class TestFinalize:
         with pytest.raises(TopologyError):
             net.finalize()
 
+    def test_two_islands_rejected(self, sim):
+        net = _net(sim)
+        for island in ("1", "2"):
+            net.add_host("h" + island)
+            net.add_switch("s0" + island)
+            net.connect("h" + island, "s0" + island, rate_bps=1e6, delay=0.0)
+        with pytest.raises(TopologyError, match="not connected"):
+            net.finalize()
+
     def test_mutation_after_finalize_rejected(self, sim, dumbbell):
         with pytest.raises(TopologyError):
             dumbbell.add_host("late")
@@ -149,6 +158,16 @@ class TestLookups:
         assert g.nodes["h1"]["kind"] == "host"
         assert g.nodes["s01"]["kind"] == "switch"
         assert g.edges["s01", "s02"]["delay"] == pytest.approx(ms(10))
+
+    def test_adjacency_mirrors_graph_view(self, sim, line3):
+        g = line3.graph()
+        assert set(line3.adjacency) == set(g.nodes)
+        assert {
+            (u, v): delay for u, nbrs in line3.adjacency.items() for v, delay in nbrs.items()
+        } == {
+            edge: g.edges[edge]["delay"]
+            for u, v in g.edges for edge in ((u, v), (v, u))
+        }
 
     def test_shortest_path(self, sim, line3):
         assert line3.shortest_path("h1", "h2") == ["h1", "s01", "s02", "h2"]

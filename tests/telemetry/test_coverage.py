@@ -113,7 +113,7 @@ class TestGreedyCover:
         expected = coverage_of(net, pairs)
         sw_edges = {
             (u, v)
-            for u, v in store.topology.graph.edges
+            for u, v in store.topology.edges()
             if u[0] == "sw"
         }
         # Map names -> inferred ids for comparison.
@@ -123,4 +123,4 @@ class TestGreedyCover:
             return ("host", net.address_of(name))
 
         expected_ids = {(to_id(u), to_id(v)) for u, v in expected}
-        assert expected_ids <= set(store.topology.graph.edges)
+        assert expected_ids <= store.topology.edges()

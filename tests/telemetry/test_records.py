@@ -1,5 +1,9 @@
 """ProbeReport decoding helpers: path, latencies, port observations."""
 
+import copy
+import pickle
+
+import pytest
 
 from repro.p4.headers import IntHopRecord
 from repro.telemetry.records import ProbeReport, host_node, switch_node
@@ -66,3 +70,23 @@ def test_empty_report():
     assert report.path_nodes() == [host_node(1), host_node(2)]
     assert report.link_latencies() == [(host_node(1), host_node(2), None)]
     assert report.port_observations() == []
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_slotted_records_survive_copy_and_pickle(clone):
+    """Both types are slotted (no instance dict; ``IntHopRecord`` frozen as
+    well — the combination whose pickling was fixed in Python 3.10).  The
+    default protocol is the one ``multiprocessing`` uses; protocols 0/1
+    refuse any ``__slots__`` class without ``__getstate__``."""
+    report = _report()
+    twin = clone(report)
+    assert twin == report and twin is not report
+    assert clone(report.records[0]) == report.records[0]
+    for obj in (report, report.records[0]):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            obj.extra = 1
