@@ -80,8 +80,7 @@ class SnmpPoller:
     @staticmethod
     def _read_counter(port) -> int:
         link = port.link
-        key = "a" if port is link.port_a else "b"
-        return link.bytes_carried[key]
+        return link.carried("a" if port is link.port_a else "b")
 
     def start(self) -> None:
         self._timer.start()

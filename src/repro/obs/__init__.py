@@ -240,7 +240,7 @@ class Observability:
                     now, queue.depth / queue.capacity if queue.capacity else 0.0
                 )
             for i, (link, direction, rate, record) in enumerate(directions):
-                carried = link.bytes_carried[direction]
+                carried = link.carried(direction)
                 record(
                     now,
                     ((carried - prev_bytes[i]) * 8.0) / (rate * store.interval),

@@ -270,10 +270,13 @@ class EngineProfiler:
         per_read, per_record, per_event = self._calibrate()
         pairs = sum(int(entry[0]) for entry in self.phases.values())
         reads = max(2 * pairs - self.phase_firsts - self.phase_nexts, 0)
+        # Per-event accounting is paid per dispatch; events_total also
+        # counts completions that never became an event (see Simulator.run).
+        dispatched = sum(int(stats[0]) for stats in self.by_type.values())
         total = (
             reads * per_read
             + pairs * per_record
-            + self.events_total * per_event
+            + dispatched * per_event
         )
         return {
             "phase_pairs": pairs,
@@ -430,6 +433,9 @@ class Simulator:
         # EngineProfiler or None.  run() dispatches to a separate profiled
         # loop when set, so the unprofiled hot loop stays untouched.
         self.profiler: Optional[EngineProfiler] = None
+        # Callbacks that bring lazily kept counters up to `now` (see
+        # settle_on_return).
+        self._settlers: List[Callable[[], None]] = []
 
     # -- clock ------------------------------------------------------------
 
@@ -545,6 +551,22 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
+    def settle_on_return(self, settle: Callable[[], None]) -> None:
+        """Register a component that keeps exact counters lazily.  A port
+        whose transmit completion had nothing to do posts no event for it
+        and owes its bookkeeping — one ``events_executed`` credit included —
+        until somebody looks; ``settle()`` applies whatever lies at or
+        before ``now``.  :meth:`run` and :meth:`step` call every registered
+        callback before they return, so code outside the simulation never
+        sees a counter behind the clock."""
+        self._settlers.append(settle)
+
+    def settle(self) -> None:
+        """Bring every lazily kept counter up to ``now`` — for code that
+        reads ``events_executed`` from inside a running simulation."""
+        for settle in self._settlers:
+            settle()
+
     def step(self) -> bool:
         """Run the single next event.  Returns False when the queue is empty."""
         while self._heap:
@@ -558,32 +580,41 @@ class Simulator:
             self._live -= 1
             self.events_executed += 1
             fn(*args)
+            self.settle()
             return True
         return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` events have executed in this call.
+        ``max_events`` events have been dispatched in this call.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
         behave like contiguous wall-clock windows.
+
+        ``events_executed`` counts one per dispatch as it happens, plus one
+        per transmit completion a port elided (credited when the port books
+        it: at its next frame start, on a read, or here on return — see
+        :meth:`settle_on_return`), so on return it equals what one event per
+        completion would have counted up to ``now``.  ``max_events`` bounds
+        dispatches only; a profiler's ``events_total`` follows
+        ``events_executed``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stop_requested = False
         executed = 0
+        counted = self.events_executed
         try:
             heap = self._heap
             pop = heapq.heappop
             if self.profiler is not None:
                 executed = self._run_profiled(until, max_events)
             else:
-                # Hot loop: everything it touches per event is a local or a
-                # tuple field.  Counters are reconciled in the finally block
-                # so the loop body does no instance-attribute stores beyond
-                # the clock.
+                # Hot loop: the heap, its pop and the event's own fields are
+                # locals; the clock, `_live` and `events_executed` are
+                # stored per event because handlers read them.
                 while heap and not self._stop_requested:
                     if until is not None and heap[0][0] > until:
                         break
@@ -614,6 +645,12 @@ class Simulator:
                 for t, _s, h, _f, _a in self._heap
             ):
                 self._now = until
+        # After the clock jump: a completion elided inside the window's idle
+        # tail belongs to this call.
+        self.settle()
+        if self.profiler is not None:
+            # The profiled loop counted its dispatches; add the credits.
+            self.profiler.events_total += self.events_executed - counted - executed
 
     def _run_profiled(
         self, until: Optional[float], max_events: Optional[int]

@@ -63,11 +63,13 @@ class Link:
         self.port_b: Optional["Port"] = None
         # Per-direction byte counters keyed by sending port, for utilization
         # reporting (not visible to the scheduler, which must *infer* load).
+        # Exact whenever run() has returned; code running inside the
+        # simulation reads them through carried().
         self.bytes_carried = {"a": 0, "b": 0}
         # Observability: {"a": Counter, "b": Counter} installed by
         # Observability.attach_network; None (one check per packet) otherwise.
-        # The carrying port updates them in place — Counter.inc's own add,
-        # sign check and sim-time stamp without its three calls per frame.
+        # record_carried updates them in place — Counter.inc's own add, sign
+        # check and sim-time stamp without its three calls per frame.
         self.obs_counters: Optional[dict] = None
         # -- fault-injection state (repro.faults) --------------------------
         # `impaired` is the single hot-path flag the Port checks per packet:
@@ -89,6 +91,8 @@ class Link:
             raise TopologyError(f"link {self.name!r} already attached")
         self.port_a = port_a
         self.port_b = port_b
+        port_a.wire("a", self.rate_ab_bps, port_b)
+        port_b.wire("b", self.rate_ba_bps, port_a)
 
     def rate_from(self, port: "Port") -> float:
         """Serialization rate for traffic *sent by* ``port``."""
@@ -109,11 +113,20 @@ class Link:
         raise TopologyError(f"port {port!r} is not attached to link {self.name!r}")
 
     # -- fault injection ---------------------------------------------------
+    #
+    # A port reads this state when a frame *starts* serializing: a clean
+    # link gets the frame's delivery scheduled there and then (completion
+    # elision, see nic.py), so a fault set mid-frame first applies to the
+    # next frame.  ``FaultInjector.arm()`` — the only caller of the three
+    # setters below in ``src/`` — keeps every port of its simulator on the
+    # per-frame path for the whole run, where the state is read at the
+    # completion instant as documented on each setter.
 
     def set_up(self, up: bool) -> None:
         """Carrier state.  While down, every frame completing transmission
         is lost on the wire (the serializer still runs, like a NIC driving a
-        dead cable)."""
+        dead cable).  Without an armed injector, a frame already serializing
+        when the carrier drops is still delivered."""
         self.up = bool(up)
         self._update_impaired()
 
@@ -126,7 +139,9 @@ class Link:
         """Probabilistic wire loss: ``rate`` applies to every frame,
         ``probe_rate`` additionally to probe-flagged frames.  Draws come
         from ``rng`` (a numpy Generator) so loss replays deterministically;
-        an rng is required whenever either rate is positive."""
+        an rng is required whenever either rate is positive.  One draw per
+        frame at its completion instant; without an armed injector, a frame
+        already serializing when loss is switched on is not subject to it."""
         if rate is not None:
             if not 0.0 <= rate <= 1.0:
                 raise TopologyError(f"link {self.name!r}: loss rate must be in [0, 1]")
@@ -147,7 +162,9 @@ class Link:
 
     def set_degradation(self, *, rate_factor: float = 1.0, extra_delay: float = 0.0) -> None:
         """Brownout: multiply serialization rate by ``rate_factor`` and add
-        ``extra_delay`` seconds of propagation delay."""
+        ``extra_delay`` seconds of propagation delay.  The rate applies to
+        frames that start after the call; so does the delay, except that
+        under an armed injector it is read at the completion instant."""
         if not 0.0 < rate_factor <= 1.0:
             raise TopologyError(
                 f"link {self.name!r}: rate_factor must be in (0, 1], got {rate_factor}"
@@ -180,8 +197,9 @@ class Link:
             return True
         return False
 
-    def record_carried(self, port: "Port", nbytes: int) -> None:
-        key = "a" if port is self.port_a else "b"
+    def record_carried(self, key: str, nbytes: int, at: float) -> None:
+        """Count a frame that finished serializing in direction ``key`` at
+        simulated time ``at`` (the hub counter's ``updated_at``)."""
         self.bytes_carried[key] += nbytes
         counters = self.obs_counters
         if counters is not None:
@@ -189,7 +207,18 @@ class Link:
                 raise ValueError(f"link {self.name}: negative frame size")
             counter = counters[key]
             counter.value += nbytes
-            counter.updated_at = port.node.sim.now
+            counter.updated_at = at
+
+    def carried(self, key: str) -> int:
+        """Bytes fully serialized in direction ``key`` ("a": sent by
+        ``port_a``) as of now.  The read for code that runs *inside* the
+        simulation: the sending port may still owe the books a completion
+        whose event it elided (``Port.settle``).  Between ``run()`` calls
+        ``bytes_carried`` is exact as it stands."""
+        port = self.port_a if key == "a" else self.port_b
+        assert port is not None
+        port.settle()
+        return self.bytes_carried[key]
 
     def utilization(self, port: "Port", window: float) -> float:
         """Average utilization of the ``port``-outbound direction over a
@@ -198,7 +227,7 @@ class Link:
         if window <= 0:
             raise ValueError("window must be positive")
         key = "a" if port is self.port_a else "b"
-        return (self.bytes_carried[key] * 8.0) / (self.rate_from(port) * window)
+        return (self.carried(key) * 8.0) / (self.rate_from(port) * window)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -55,10 +55,11 @@ class QueueSampler:
 def link_utilizations(network: Network, window: float) -> Dict[str, float]:
     """True utilization of every link direction over the last ``window``
     seconds (requires the caller to have reset ``bytes_carried`` at the
-    window start).  Keys are ``"a->b"`` / ``"b->a"`` per link name."""
+    window start), each against its own direction's rate — access links are
+    asymmetric.  Keys are ``"<link name>:a"`` (sent by ``link.port_a``) and
+    ``"<link name>:b"``."""
     out: Dict[str, float] = {}
     for name, link in network.links.items():
-        assert link.port_a is not None and link.port_b is not None
-        out[f"{name}:a"] = (link.bytes_carried["a"] * 8.0) / (link.rate_bps * window)
-        out[f"{name}:b"] = (link.bytes_carried["b"] * 8.0) / (link.rate_bps * window)
+        for key, rate in (("a", link.rate_ab_bps), ("b", link.rate_ba_bps)):
+            out[f"{name}:{key}"] = (link.carried(key) * 8.0) / (rate * window)
     return out

@@ -12,25 +12,30 @@ A :class:`Port` implements the store-and-forward path of one interface:
 4. after transmission + propagation delay, the packet is delivered to the
    peer port's node.
 
-**Transmit coalescing.**  A queue of N back-to-back frames normally costs N
-``_tx_complete`` events.  When semantics provably cannot differ — no service
-jitter on the node, no observability hub or fault injector on the simulator,
-no packet observer on the sending or the receiving node, no queue-threshold
-callback, an unimpaired and undegraded link, and no probe frames (whose
-egress stage is time-sensitive) — the port instead computes every frame's
-start time up front, schedules all deliveries plus **one** batch-completion
-event, and dequeues frames lazily at their logical start times so queue
-depth stays exactly what the one-event-per-frame path would have observed.
-Every gate failure falls back to the per-frame path; ``REPRO_SLOWPATH=1``
-disables coalescing outright (the oracle path for the equivalence suite).
+**Completion elision.**  On an uncongested port the transmit-complete event
+finds nothing queued and does nothing a later reader cannot reconstruct.  So
+when a frame starts serializing the port computes its completion instant
+``t1 = now + tx_time``, posts the peer's ``on_ingress`` for
+``t1 + propagation_delay`` right away, remembers ``_busy_until = t1``, and
+posts a ``_tx_complete`` event only if another frame is already waiting — or
+later, when a :meth:`send` finds the serializer still busy.  Nothing runs
+ahead of simulated time: the egress stage, the service-jitter draw and every
+clock read happen at each frame's true start instant.  The completion's
+bookkeeping (``packets_sent``, the link byte counters, one credit to
+``events_executed``) is owed until the next frame start, the materialised
+completion, a reader (:meth:`settle`, ``Link.carried``) or ``run()``
+returning, whichever comes first, and then reads exactly what a per-frame
+completion would have written.  The per-frame event stays where completion
+has semantics of its own: ``REPRO_SLOWPATH=1`` (the equivalence suite's
+oracle), an armed fault injector, an impaired link or extra link delay —
+wire-loss draws and link state are read at ``t1``.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from time import perf_counter as _perf
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simnet.link import Link
 from repro.simnet.packet import FLAG_PROBE, Packet
@@ -41,9 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Port"]
 
-# Pre-interned phase paths for the inline accounting in _tx_complete (the
-# second-hottest handler): the root the engine loop sets plus its two
-# sequential phases.  Identical taxonomy to the generic scope protocol.
+# Pre-interned phase paths for the inline accounting in _tx_complete: the
+# root the engine loop sets plus its two sequential phases.  Identical
+# taxonomy to the generic scope protocol.
 _ROOT_TXC = "Port._tx_complete"
 _PH_PROPAGATE = "Port._tx_complete;propagate"
 _PH_DEQUEUE = "Port._tx_complete;dequeue"
@@ -70,24 +75,30 @@ class Port:
         # on the hot path; subclasses (RedEcnQueue, test doubles) keep
         # virtual dispatch.
         self._plain_queue = type(self.queue) is DropTailQueue
-        self._transmitting = False
         self.packets_sent = 0
         self.packets_dropped = 0
-        # Hot-path caches: the simulator reference, the bound completion
+        # Hot-path caches: the simulator reference and the bound completion
         # callback (so scheduling does not rebuild a method object per
-        # frame), and the peer port (resolved lazily — links are wired
-        # after construction, then never change).
+        # frame).  Link.attach wires the rest once both ends exist: this
+        # port's direction key on the link ("a"/"b"), that direction's
+        # serialization rate, the peer port and its node's bound ingress
+        # handler (handlers are never replaced on an instance, see
+        # tests/simnet/test_source_rules.py).
         self._sim = node.sim
         self._tx_complete_cb = self._tx_complete
+        self._dir_key = ""
+        self._rate = 0.0
         self._peer: Optional["Port"] = None
-        self._peer_node: Optional["Node"] = None
-        # This port's direction key on the link ("a"/"b"), resolved lazily —
-        # ports are registered on the link after construction.
-        self._dir_key: Optional[str] = None
-        # Logical dequeue times of coalesced frames still sitting in the
-        # queue (aligned with its head).  Empty when no batch is in flight.
-        self._plan: Deque[float] = deque()
-        self._coalesce = os.environ.get("REPRO_SLOWPATH", "") != "1"
+        self._deliver: Optional[Callable[[Packet, "Port"], None]] = None
+        # Serializer state.  `_busy_until` is the completion instant of the
+        # frame in service (or of the last one); `_completion_posted` says a
+        # _tx_complete event for it is on the heap; `_owed` is the size of a
+        # frame whose completion was elided and is not on the books yet.
+        self._busy_until = 0.0
+        self._completion_posted = False
+        self._owed: Optional[int] = None
+        self._per_frame = os.environ.get("REPRO_SLOWPATH", "") == "1"
+        node.sim.settle_on_return(self.settle)
 
     # -- identity -----------------------------------------------------------
 
@@ -98,11 +109,14 @@ class Port:
 
     @property
     def peer(self) -> "Port":
-        peer = self._peer
-        if peer is None:
-            peer = self._peer = self.link.peer_of(self)
-            self._peer_node = peer.node
-        return peer
+        return self.link.peer_of(self)
+
+    def wire(self, dir_key: str, rate_bps: float, peer: "Port") -> None:
+        """Called by :meth:`Link.attach`; a port never changes links."""
+        self._dir_key = dir_key
+        self._rate = rate_bps
+        self._peer = peer
+        self._deliver = peer.node.on_ingress
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.port_index}] on {self.link.name}>"
@@ -111,13 +125,23 @@ class Port:
 
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission.  Returns False on drop-tail."""
-        if self._plan:
-            self._drain_started()
         queue = self.queue
+        items = queue._items
+        idle = not self._completion_posted and self._sim._now >= self._busy_until
         if self._plain_queue:
+            if idle and queue.threshold is None and not items:
+                # Cut-through: on an idle port the push + pop round trip
+                # leaves nothing behind but these counters (depth 0 never
+                # raises max_depth_seen, capacity is >= 1).
+                stats = queue.stats
+                stats.enqueued += 1
+                stats.bytes_enqueued += packet.size_bytes
+                stats.dequeued += 1
+                packet.enq_depth = 0
+                self._start(packet)
+                return True
             # Inlined DropTailQueue.push — keep in lockstep with
             # queueing.py (the queueing test suite pins the semantics).
-            items = queue._items
             depth = len(items)
             if depth >= queue.capacity:
                 queue.stats.dropped += 1
@@ -144,19 +168,23 @@ class Port:
                 self.packets_dropped += 1
                 self.node.on_packet_dropped(packet, self)
                 return False
-        if not self._transmitting:
+        if idle:
             self._start_next()
+        elif not self._completion_posted:
+            # The frame in service had its completion elided; now a frame
+            # waits behind it, so the completion has work to do after all.
+            self._completion_posted = True
+            self._sim.post_at(self._busy_until, self._tx_complete_cb, None)
         return True
 
     def _start_next(self) -> None:
+        """Move the head-of-line frame, if any, into the serializer."""
         queue = self.queue
-        items = queue._items
-        if self._coalesce and len(items) >= 2 and self._try_coalesce():
-            return
         if self._plain_queue:
             # Inlined DropTailQueue.pop — keep in lockstep with queueing.py.
+            items = queue._items
             if not items:
-                self._transmitting = False
+                self._completion_posted = False
                 return
             queue.stats.dequeued += 1
             packet = items.popleft()
@@ -170,10 +198,30 @@ class Port:
         else:
             packet = queue.pop()
             if packet is None:
-                self._transmitting = False
+                self._completion_posted = False
                 return
-        enq_depth = packet.enq_depth
-        self._transmitting = True
+        self._start(packet)
+
+    def _start(self, packet: Packet) -> None:
+        """Begin serializing ``packet`` at this instant."""
+        sim = self._sim
+        link = self.link
+        nbytes = self._owed
+        if nbytes is not None:
+            # The serializer is free, so the owed completion lies behind us.
+            # Inlined _book + Link.record_carried — keep in lockstep.
+            self._owed = None
+            self.packets_sent += 1
+            key = self._dir_key
+            link.bytes_carried[key] += nbytes
+            counters = link.obs_counters
+            if counters is not None:
+                if nbytes < 0:
+                    raise ValueError(f"link {link.name}: negative frame size")
+                counter = counters[key]
+                counter.value += nbytes
+                counter.updated_at = self._busy_until
+            sim.events_executed += 1
         # P4 egress stage: runs as the packet leaves the queue and begins
         # serialization.  May mutate the packet (probe payload growth).
         # Phase scope for probes only: the probe path does the expensive
@@ -181,44 +229,68 @@ class Port:
         # packet egress is a single register update not worth two clock
         # reads per packet — it stays in the enclosing phase's self-time.
         node = self.node
-        prof = self._sim.profiler
+        prof = sim.profiler
         if prof is None or not packet.flags & FLAG_PROBE:
-            node.on_egress(packet, self, enq_depth)
+            node.on_egress(packet, self, packet.enq_depth)
         else:
             prof.phase_begin("egress_stage")
-            node.on_egress(packet, self, enq_depth)
+            node.on_egress(packet, self, packet.enq_depth)
             prof.phase_end()
         # rate_factor is 1.0 unless a fault degraded the link; x * 1.0 is
         # exact, so the fault-free path is byte-identical.
-        link = self.link
-        tx_time = (packet.size_bytes * 8.0) / (
-            link.rate_from(self) * link.rate_factor
-        )
+        nbytes = packet.size_bytes
+        tx_time = (nbytes * 8.0) / (self._rate * link.rate_factor)
         # Software switches (BMv2) forward with noticeable per-packet service
         # variance; the node's jitter factor reproduces it.  Mean unchanged.
         # Jitter-free nodes skip the call outright: eliding `x *= 1.0` is
         # exact, so the result is bit-identical.
-        if node.service_jitter != 0.0:
-            tx_time *= node.service_time_factor()
-        # Fire-and-forget: completion events are never cancelled, so the
-        # handle-free post() path applies.
-        self._sim.post(tx_time, self._tx_complete_cb, packet)
+        jitter = node.service_jitter
+        if jitter != 0.0:
+            # Inlined Node.service_time_factor's buffer read.
+            i = node._service_idx
+            buf = node._service_buf
+            if i < len(buf):
+                node._service_idx = i + 1
+                tx_time *= 1.0 + jitter * (2.0 * buf[i] - 1.0)
+            else:
+                tx_time *= node.service_time_factor()
+        # The two sums below are the ones post() evaluates for a completion
+        # at now + tx_time and a delivery at that + propagation, so every
+        # arrival time is bit-identical on both paths.
+        t1 = self._busy_until = sim._now + tx_time
+        if (
+            self._per_frame
+            or sim.faults is not None
+            or link.impaired
+            or link.extra_delay != 0.0
+        ):
+            # Completion has semantics of its own: the frame is delivered,
+            # or lost on the wire, by its own event at t1.
+            self._completion_posted = True
+            sim.post_at(t1, self._tx_complete_cb, packet)
+            return
+        sim.post_at(t1 + link.propagation_delay, self._deliver, packet, self._peer)
+        self._owed = nbytes
+        if self.queue._items:
+            self._completion_posted = True
+            sim.post_at(t1, self._tx_complete_cb, None)
+        else:
+            self._completion_posted = False
 
-    def _tx_complete(self, packet: Packet) -> None:
-        # Phase scopes (profiled runs only): propagate covers the wire
-        # loss-check + delivery scheduling, dequeue covers pulling the next
-        # packet (with the probe-only egress_stage sub-phase inside).
+    def _tx_complete(self, packet: Optional[Packet]) -> None:
+        # Phase scopes (profiled runs only): propagate covers the frame
+        # leaving the serializer (books, wire loss-check + delivery
+        # scheduling), dequeue covers pulling the next packet (with the
+        # probe-only egress_stage sub-phase inside).
         prof = self._sim.profiler
         if prof is None:
-            self.packets_sent += 1
-            self._propagate(packet)
+            self._finish(packet)
             self._start_next()
             return
         if prof._stack or prof._path != _ROOT_TXC:
             # Nested or out-of-band invocation: generic scope protocol.
             prof.phase_first("propagate")
-            self.packets_sent += 1
-            self._propagate(packet)
+            self._finish(packet)
             prof.phase_next("dequeue")
             self._start_next()
             prof.phase_end()
@@ -227,8 +299,7 @@ class Port:
         # clock-read count as the generic protocol, none of its scope-stack
         # cost (see Switch.on_ingress for the pattern).
         phases = prof.phases
-        self.packets_sent += 1
-        self._propagate(packet)
+        self._finish(packet)
         # Entry lookups happen *inside* the spans they record (before the
         # closing clock read), so the only work outside phase coverage is
         # the in-place adds after the final read.
@@ -253,7 +324,14 @@ class Port:
             entry[0] += 1
             entry[1] += t2 - t1
 
-    def _propagate(self, packet: Packet) -> None:
+    def _finish(self, packet: Optional[Packet]) -> None:
+        """The frame in service leaves the serializer.  ``None`` stands for
+        a frame that was handed to the wire when it started: only its books
+        remain, and this event is its own ``events_executed`` count."""
+        if packet is None:
+            self._book()
+            return
+        self.packets_sent += 1
         link = self.link
         if link.impaired and link.should_drop(packet):
             # Lost on the wire (link down or probabilistic fault loss): the
@@ -268,143 +346,44 @@ class Port:
                     size_bytes=packet.size_bytes,
                     is_probe=packet.is_probe,
                 )
-        else:
-            # Inlined Link.record_carried — keep in lockstep with link.py.
-            key = self._dir_key
-            if key is None:
-                key = self._dir_key = "a" if self is link.port_a else "b"
-            nbytes = packet.size_bytes
-            link.bytes_carried[key] += nbytes
-            counters = link.obs_counters
-            if counters is not None:
-                if nbytes < 0:
-                    raise ValueError(f"link {link.name}: negative frame size")
-                counter = counters[key]
-                counter.value += nbytes
-                counter.updated_at = self._sim.now
-            peer_node = self._peer_node
-            if peer_node is None:
-                peer = self._peer = link.peer_of(self)
-                peer_node = self._peer_node = peer.node
-            # extra_delay is 0.0 unless a fault degraded the link (x + 0.0
-            # is exact).
-            self._sim.post(
-                link.propagation_delay + link.extra_delay,
-                peer_node.on_ingress, packet, self._peer,
-            )
-
-    # -- transmit coalescing ----------------------------------------------
-
-    def _try_coalesce(self) -> bool:
-        """Schedule every queued data frame's delivery now, plus one batch
-        completion event, instead of one ``_tx_complete`` round-trip per
-        frame.  Returns False (caller falls back to the per-frame path)
-        whenever any semantic gate fails; frames stay in the queue until
-        their logical start times (see :meth:`_drain_started`) so depth
-        observations — INT's ``enq_qdepth`` included — are unchanged."""
-        node = self.node
+            return
         sim = self._sim
-        link = self.link
-        if node.service_jitter != 0.0:
-            # Service jitter is configured once at build time and makes
-            # per-frame RNG draw order semantics; remember the verdict so a
-            # congested switch port stops re-running the gates every frame.
-            self._coalesce = False
-            return False
+        link.record_carried(self._dir_key, packet.size_bytes, sim._now)
+        # extra_delay is 0.0 unless a fault degraded the link (x + 0.0 is
+        # exact).
+        sim.post(
+            link.propagation_delay + link.extra_delay, self._deliver, packet, self._peer
+        )
+
+    # -- lazy completion bookkeeping ----------------------------------------
+
+    def _book(self) -> None:
+        """Write the owed completion exactly as its event would have, at
+        its own instant ``_busy_until``."""
+        nbytes, self._owed = self._owed, None
+        self.packets_sent += 1
+        self.link.record_carried(self._dir_key, nbytes, self._busy_until)
+
+    def settle(self) -> None:
+        """Bring the completion counters up to ``sim.now``: an elided
+        completion at or before now is booked and credited to
+        ``events_executed``, a later one is left owed — and so is one whose
+        event was materialised after all, which books it when it fires."""
         if (
-            sim.obs is not None
-            or sim.faults is not None
-            or self.queue.on_threshold is not None
-            or link.impaired
-            or link.rate_factor != 1.0
-            or link.extra_delay != 0.0
-            # A packet observer stamps each egress event with the frame's
-            # own start instant, which a batch runs ahead of.
-            or node.observer is not None
+            self._owed is not None
+            and not self._completion_posted
+            and self._busy_until <= self._sim._now
         ):
-            return False
-        peer = self._peer
-        if peer is None:
-            peer = self._peer = link.peer_of(self)
-        peer_node = peer.node
-        if peer_node.observer is not None:
-            # Deliveries scheduled a batch ahead tie-break differently
-            # against same-instant events, which would reorder the
-            # receiver's records.
-            return False
-        items = self.queue._items
-        # Batch the probe-free prefix: a probe's egress stage reads clocks
-        # and registers at its dequeue instant, so it ends the batch.
-        prefix = 0
-        for pkt in items:
-            if pkt.flags & FLAG_PROBE:
-                break
-            prefix += 1
-        if prefix < 2:
-            return False
-        self._transmitting = True
-        rate = link.rate_from(self)
-        prop = link.propagation_delay
-        on_egress = node.on_egress
-        on_ingress = peer_node.on_ingress
-        record = link.record_carried
-        post_at = sim.post_at
-        plan = self._plan
-        start = sim.now
-        i = 0
-        for pkt in items:
-            if i >= prefix:
-                break
-            i += 1
-            plan.append(start)
-            # The egress stage runs now rather than at the frame's start
-            # instant; the gates guarantee it is time-insensitive for data
-            # frames (INT's per-port max-depth fold uses only enq_depth,
-            # host egress only stamps probes).
-            on_egress(pkt, self, pkt.enq_depth)
-            # Same expression shape as the per-frame path — (bytes * 8.0) /
-            # rate, accumulated one frame at a time — so every start time is
-            # bit-for-bit the value the per-frame path would have computed.
-            start += (pkt.size_bytes * 8.0) / rate
-            record(self, pkt.size_bytes)
-            post_at(start + prop, on_ingress, pkt, peer)
-        self.packets_sent += prefix
-        post_at(start, self._batch_complete, prefix)
-        return True
-
-    def _batch_complete(self, count: int) -> None:
-        # The batch replaced ``count`` per-frame completion events with this
-        # one; credit the elided count back so ``events_executed`` — an
-        # exported workload statistic — is independent of whether the engine
-        # coalesced (fast path) or ran frame-by-frame (oracle path).
-        self._sim.events_executed += count - 1
-        self._drain_started()
-        self._transmitting = False
-        if self.queue._items:
-            self._start_next()
-
-    def _drain_started(self) -> None:
-        """Pop coalesced frames whose logical transmission start has been
-        reached — called before any depth observation so a mid-batch push
-        sees exactly the depth the per-frame path would have recorded."""
-        plan = self._plan
-        now = self._sim.now
-        queue = self.queue
-        while plan and plan[0] <= now:
-            if queue.pop() is None:  # pragma: no cover - queue cleared mid-batch
-                plan.clear()
-                break
-            plan.popleft()
+            self._book()
+            self._sim.events_executed += 1
 
     # -- introspection ----------------------------------------------------------
 
     @property
     def busy(self) -> bool:
-        return self._transmitting
+        return self._completion_posted or self._sim._now < self._busy_until
 
     @property
     def backlog(self) -> int:
         """Packets waiting behind the one in service."""
-        if self._plan:
-            self._drain_started()
         return self.queue.depth

@@ -8,6 +8,13 @@ wrap-every-handler design, so any change to how observation is wired must
 reproduce the same bytes and the same event count.  The digests pin this
 repo's pinned toolchain (CPython float formatting, numpy's PCG64 streams);
 if one of those moves, re-record all four from an unmodified checkout.
+
+Six more cells run under a hub with *no* packet tracer — hub only, hub +
+sampler at 50 ms, hub + telquality + whatif, classes S and VS — recorded on
+the commit before transmit-completion elision (PR 18's tree, one completion
+event per frame on every observed port): threshold events, link byte
+counters with their ``updated_at`` stamps and the sampler's utilisation
+series must come out of lazily booked completions byte for byte.
 """
 
 import hashlib
@@ -54,3 +61,48 @@ def test_full_flag_export_matches_golden_digest(seed, faulted):
     export = canonical_json(obs.snapshot_records() + obs.trace_records())
     digest = hashlib.sha256(export.encode("utf-8")).hexdigest()
     assert (digest, result.events_executed) == GOLDEN[(seed, faulted)]
+
+
+HUB_FLAGS = {
+    "hub": {},
+    "sampler": {"sample_interval": 0.05},
+    "telq+whatif": {"telquality": True, "whatif": True},
+}
+
+# (seed, size class, flags) -> (sha256 of the canonical export, events_executed).
+HUB_GOLDEN = {
+    (11, "S", "hub"): (
+        "53582c23b2b9744efdbfea001b58e8ae47d0b3b4f2268fcfe70c6122bf34a672", 214190,
+    ),
+    (11, "S", "sampler"): (
+        "65284a82113fe0ee8a67ac90b9e535429fedd4836e9b583eda10daf6ce6f46eb", 214330,
+    ),
+    (11, "S", "telq+whatif"): (
+        "dc1f697750113c1dcd02f1554d68f1ec370d93d11cabe9d9a41ce2cb39592b52", 214190,
+    ),
+    (12, "VS", "hub"): (
+        "b5a1e4d67e8717c4c44f9db743bba43cd0cda05a729d5945e58905db26fb48bc", 224841,
+    ),
+    (12, "VS", "sampler"): (
+        "3ac0e4fa0669a38dc9623f022301f9e084a149b7d7015059ed4953f0dfd3a29f", 224976,
+    ),
+    (12, "VS", "telq+whatif"): (
+        "20a4c4ca42f0a0793f5f731d6d71de210f4d2f22940f96d2653ce1e39e6fac17", 224841,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,size_class,flags", sorted(HUB_GOLDEN))
+def test_hub_export_matches_golden_digest(seed, size_class, flags):
+    config = ExperimentConfig(
+        scale=SMOKE_SCALE, seed=seed, size_class=SizeClass[size_class], policy="aware",
+        probe_layout="mesh",
+    )
+    # The run label is in the export; the digests were recorded with the
+    # flags spelled out.
+    cell = f"golden-{seed}-{flags.replace('telq', 'telquality')}"
+    obs = Observability(run={"cell": cell}, **HUB_FLAGS[flags])
+    result = run_experiment(config, obs=obs)
+    export = canonical_json(obs.snapshot_records() + obs.trace_records())
+    digest = hashlib.sha256(export.encode("utf-8")).hexdigest()
+    assert (digest, result.events_executed) == HUB_GOLDEN[(seed, size_class, flags)]

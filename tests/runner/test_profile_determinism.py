@@ -151,8 +151,9 @@ class TestCompiledProbePhases:
         stamp = "Switch.on_ingress;p4_pipeline;int_stamp"
         assert fast_summary["phases"][stamp]["count"] > 10_000
         assert fast_summary["phases"][stamp]["count"] == slow_summary["phases"][stamp]["count"]
-        # A probe's egress stage nests under whichever handler dequeued it
-        # (coalescing moves a handful between parents); the total is fixed.
+        # A probe's egress stage nests under whichever handler started its
+        # frame (elision moves some from a completion to the sender's
+        # enqueue); the total is fixed.
         egress = self._phase_count(fast_summary, ";egress_stage")
         assert egress > 10_000
         assert egress == self._phase_count(slow_summary, ";egress_stage")

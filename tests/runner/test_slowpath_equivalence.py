@@ -1,11 +1,12 @@
 """Fast path vs oracle path: byte-identical exports on the fig5 smoke grid.
 
 ``REPRO_SLOWPATH=1`` disables both fast-path engines — the compiled
-per-(switch, packet-class) forwarding closures and NIC transmit coalescing —
-leaving the staged ``PipelineContext`` pipeline and the per-frame TX path as
-the oracle.  The tentpole acceptance bar: the full Fig. 5 smoke grid must
-export byte-identical payloads either way.  The env var is read at network
-build time, so flipping it between serial in-process runs is enough.
+per-(switch, packet-class) forwarding closures and the NIC's transmit-
+completion elision — leaving the staged ``PipelineContext`` pipeline and one
+completion event per frame as the oracle.  The tentpole acceptance bar: the
+full Fig. 5 smoke grid must export byte-identical payloads either way.  The
+env var is read at network build time, so flipping it between serial
+in-process runs is enough.
 """
 
 import pytest
@@ -41,14 +42,16 @@ class TestSlowpathEquivalence:
 
     def test_fast_path_engages_by_default(self, monkeypatch):
         """Guard against silently testing slow-vs-slow: a default-built
-        switch carries compiled closures and its ports may coalesce."""
+        switch carries compiled closures and its ports elide the completion
+        event of a frame nothing waits behind."""
         monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
         from repro.simnet.engine import Simulator
         from repro.simnet.random import RandomStreams
         from repro.simnet.topology import Network
         from repro.units import mbps, ms
 
-        net = Network(Simulator(), RandomStreams(0))
+        sim = Simulator()
+        net = Network(sim, RandomStreams(0))
         net.add_host("h1")
         net.add_host("h2")
         net.add_switch("s01")
@@ -58,7 +61,10 @@ class TestSlowpathEquivalence:
         switch = net.switch("s01")
         assert switch._fast_ingress is not None
         assert switch._fast_egress is not None
-        assert net.host("h1").ports[0]._coalesce is True
+        h1 = net.host("h1")
+        h1.send(h1.new_packet(net.address_of("h2"), dst_port=PORT_PROBE))
+        assert [e[3].__qualname__ for e in sim._heap] == ["Switch.on_ingress"]
+        assert h1.ports[0].busy and h1.ports[0].packets_sent == 0
 
         # ... and the closures take probes too: with the staged entry points
         # booby-trapped, a probe still crosses the switch fully stamped.
@@ -239,6 +245,52 @@ class TestObservedEquivalence:
                 assert node.observer is not None
                 assert node.on_ingress.__func__ is type(node).on_ingress
                 assert node.on_egress.__func__ is type(node).on_egress
+
+    @pytest.mark.parametrize("flags", [
+        {"sample_interval": 0.05},
+        {"telquality": True, "whatif": True},
+    ], ids=["sampler", "telq+whatif"])
+    def test_hub_only_cells(self, monkeypatch, flags):
+        """A hub and no packet observer: threshold callbacks on every queue,
+        hub byte counters on every link and (first cell) a sampler reading
+        those counters mid-run every 50 ms — all on ports that elide their
+        idle completions on the fast side."""
+        config = ExperimentConfig(
+            scale=SMOKE_SCALE, seed=6, size_class=SizeClass.S, policy="aware",
+        )
+        spec = RunSpec.from_config(config, obs_run={"cell": "hub"}).instrumented(**flags)
+        topos = []
+        fast, fast_counters = _run_cell(
+            monkeypatch, spec, slowpath=False, inject=lambda _sim, topo: topos.append(topo)
+        )
+        slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True)
+        same_payload = fast.payload_json() == slow.payload_json()
+        same_export = fast.obs_records() == slow.obs_records()
+        assert same_payload and same_export and fast_counters == slow_counters
+        records = fast.obs_records()
+        assert any(r.get("name") == "link_bytes_total" and r["value"] > 0 for r in records)
+        assert ("timeseries" in {r["kind"] for r in records}) == ("sample_interval" in flags)
+        [topo] = topos
+        net = topo.network
+        assert all(
+            node.observer is None for node in [*net.hosts.values(), *net.switches.values()]
+        )
+        assert all(link.obs_counters is not None for link in net.links.values())
+
+    def test_snmp_policy_polling_mid_run(self, monkeypatch):
+        """The legacy policy ranks by link byte counters it polls *during*
+        the run; a poll must read what per-frame completions would have
+        written by then, or its decisions — and the payload — move."""
+        config = ExperimentConfig(
+            scale=SMOKE_SCALE, seed=6, size_class=SizeClass.S, policy="snmp",
+            snmp_poll_interval=0.2,
+        )
+        spec = RunSpec.from_config(config)
+        fast, fast_counters = _run_cell(monkeypatch, spec, slowpath=False)
+        slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True)
+        same_payload = fast.payload_json() == slow.payload_json()
+        assert same_payload and fast_counters == slow_counters
+        assert fast.payload["sim_time"] > 10 * config.snmp_poll_interval
 
 
 class TestCompileRefusals:

@@ -77,10 +77,8 @@ class TestTelqualityDeterminism:
         """Per-event-type handler counts are identical with and without
         collection — the BENCH_runner.json profile gate cannot move.
 
-        Both sides carry obs labels: attaching an Observability hub at all
-        disables transmit coalescing (see nic._try_coalesce), so the plain
-        baseline must be obs-attached too for the delta to isolate the
-        observatory's hooks."""
+        Both sides carry obs labels, so the delta isolates the
+        observatory's hooks from the hub's own."""
         spec = RunSpec.from_config(
             ExperimentConfig(scale=SMOKE_SCALE, seed=3),
             obs_run={"policy": "aware"},

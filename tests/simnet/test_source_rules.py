@@ -3,7 +3,7 @@
 **No instance-dict reads.**  On CPython 3.11/3.12 an object's attributes live
 in inline slots until something asks for its ``__dict__`` (``obj.__dict__``,
 ``vars(obj)``); from then on that instance takes the slower dict-backed
-attribute path for good.  The NIC's coalescing gate used to test
+attribute path for good.  A NIC fast-path gate used to test
 ``"on_egress" in node.__dict__`` to spot tracer-wrapped handlers, which
 materialised the dict of every host and leaf switch and slowed their hottest
 handlers for the rest of the run.  Measured: touching every node's

@@ -278,3 +278,23 @@ class TestLinkUtilizations:
         out = link_utilizations(net, window=2.0)
         loaded = out["s01<->s02:a"]
         assert loaded == pytest.approx(0.5, abs=0.1)
+
+    def test_asymmetric_access_link_uses_each_directions_rate(self, sim, line3):
+        """h1 injects at 10 x the fabric rate (attach_host), so 10 Mb/s of
+        CBR is 5 % of the host->switch direction and 50 % of the fabric
+        directions — not 50 % everywhere, and read exactly from inside the
+        run (the uplink elides nearly every completion)."""
+        net = line3
+        UdpSink(net.host("h2"))
+        UdpCbrFlow(net.host("h1"), net.address_of("h2"), mbps(10), burstiness="cbr").run_for(2.0)
+        inside = []
+        sim.schedule_at(2.0, lambda: inside.append(link_utilizations(net, window=2.0)))
+        sim.run(until=2.0)
+        out = link_utilizations(net, window=2.0)
+        assert inside == [out]
+        link = net.links["h1<->s01"]
+        assert link.rate_ab_bps == 10 * link.rate_ba_bps
+        assert out["h1<->s01:a"] == pytest.approx(0.05, abs=0.01)
+        assert out["h1<->s01:a"] == link.utilization(net.host("h1").ports[0], 2.0)
+        assert out["h2<->s02:b"] == pytest.approx(0.5, abs=0.1)   # switch -> host
+        assert out["h1<->s01:b"] == 0.0
