@@ -727,18 +727,30 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl, render_obs_report
+def _load_records(path: str):
+    """The records of an export for a report command, or ``None`` after
+    saying on stderr why there are none (the command then exits 2).  A run
+    killed mid-write leaves a truncated last line: that one is dropped with
+    a warning and the report renders from the complete lines."""
+    from repro.obs.export import JsonlError, read_jsonl
 
     try:
-        records = read_jsonl(args.path)
+        return read_jsonl(path)
     except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+        print(f"error: no such file: {path}", file=sys.stderr)
+    except JsonlError as exc:
+        if exc.truncated:
+            print(f"warning: {exc}; truncated last line dropped", file=sys.stderr)
+            return exc.records
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_obs_report(args: argparse.Namespace) -> int:
+    from repro.obs.export import render_obs_report
+
+    records = _load_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
     reporter.emit(f"observability report — {args.path}")
@@ -748,18 +760,10 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.telquality import render_telemetry_report
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _load_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
     reporter.emit(f"telemetry-quality report — {args.path}")
@@ -769,18 +773,10 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
 
 
 def cmd_whatif_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.whatif import render_whatif_report
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _load_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
     reporter.emit(f"what-if replay report — {args.path}")
@@ -790,18 +786,10 @@ def cmd_whatif_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.export import read_jsonl
     from repro.obs.tracing import render_trace_report, write_chrome_trace
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _load_records(args.path)
+    if records is None:
         return 2
     reporter = _Reporter(args.out)
     reporter.emit(f"trace report — {args.path}")
@@ -817,18 +805,10 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.dashboard import write_dashboard
-    from repro.obs.export import read_jsonl
 
-    try:
-        records = read_jsonl(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.path} is not JSONL: {exc}", file=sys.stderr)
+    records = _load_records(args.path)
+    if records is None:
         return 2
     out = args.html_out or (args.path + ".html")
     write_dashboard(records, out, title=args.title or f"repro — {args.path}")

@@ -573,7 +573,10 @@ def render_dashboard(
         if points:
             t_end = max(t_end, points[-1][0])
 
-    runs = sorted({_run_key(r) for r in records if r.get("run")})
+    # One key per distinct label set, not per record: every record of a run
+    # carries the same labels.
+    labelled = {repr(r["run"]): r for r in records if r.get("run")}
+    runs = sorted({_run_key(r) for r in labelled.values()})
     parts = [
         "<!DOCTYPE html>",
         '<html><head><meta charset="utf-8"/>',

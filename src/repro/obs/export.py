@@ -43,6 +43,7 @@ from repro.obs.audit import delay_error_stats
 from repro.obs.quantiles import QuantileDigest
 
 __all__ = [
+    "JsonlError",
     "write_jsonl",
     "read_jsonl",
     "write_metrics_csv",
@@ -51,23 +52,60 @@ __all__ = [
 ]
 
 
+# ``json.dumps(record, sort_keys=True)`` builds this encoder on every call;
+# one instance gives the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()
+
+
+class JsonlError(ValueError):
+    """Line ``lineno`` of a JSONL file is not JSON.  ``records`` holds the
+    lines before it, parsed; ``truncated`` says the line is the file's last
+    and has no newline — what a writer killed mid-record leaves behind."""
+
+    def __init__(
+        self, path: str, lineno: int, reason: str,
+        records: List[Dict[str, Any]], truncated: bool,
+    ) -> None:
+        super().__init__(f"{path}:{lineno}: not JSON: {reason}")
+        self.lineno = lineno
+        self.records = records
+        self.truncated = truncated
+
+
 def write_jsonl(records: Iterable[Dict[str, Any]], path: str, *, append: bool = False) -> int:
     """Write one JSON object per line; returns the number of lines written."""
     n = 0
+    encode = _ENCODER.encode
     with open(path, "a" if append else "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(encode(record) + "\n")
             n += 1
     return n
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
+    """The records of a JSONL file, blank lines skipped.  Raises
+    :class:`JsonlError` naming the first line that is not one JSON value."""
     out: List[Dict[str, Any]] = []
+    # raw_decode is what json.loads calls once it has matched the white
+    # space around the value, which strip() has already removed.
+    decode = _DECODER.raw_decode
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if text:
+                try:
+                    record, end = decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
+                except json.JSONDecodeError as exc:
+                    # Only a file's last line can lack its newline.
+                    raise JsonlError(
+                        path, lineno, f"{exc.msg} (column {exc.colno})", out,
+                        truncated=not line.endswith("\n"),
+                    ) from None
+                out.append(record)
     return out
 
 

@@ -149,13 +149,16 @@ class HealthMonitor:
         self.alerts_cleared = 0
 
     def evaluate(self, store: TimeSeriesStore, now: float) -> None:
-        """Evaluate every rule against the values sampled this tick."""
+        """Evaluate every rule against the values sampled this tick: each
+        rule walks the instances of its own series, in label order."""
+        values = store.last_values
+        instances: Dict[str, List[Any]] = {}
+        for series_key in sorted(values):
+            instances.setdefault(series_key[0], []).append(series_key)
         for rule in self.rules:
-            for series_key in sorted(store.last_values):
-                name, labels_key = series_key
-                if name != rule.series:
-                    continue
-                value = store.last_values[series_key]
+            for series_key in instances.get(rule.series, ()):
+                labels_key = series_key[1]
+                value = values[series_key]
                 key = (rule.name, labels_key)
                 if rule.breached(value):
                     streak = self._streak.get(key, 0) + 1

@@ -83,6 +83,55 @@ def _merge_windows(
     return merged
 
 
+# A register's refresh gaps wait in a plain list until somebody reads the
+# digest; a list this long is folded where it stands, so a full-scale run
+# holds at most this many floats per register.
+PENDING_GAPS_MAX = 1024
+
+
+class _PortLedger:
+    """Live stampings of one directed port."""
+
+    __slots__ = ("count", "first", "last", "pairs")
+
+    def __init__(self, now: float) -> None:
+        self.count = 0
+        self.first = now
+        self.last = now
+        self.pairs: Set[Tuple[str, str]] = set()
+
+
+class _Register:
+    """Refresh tracking of one (switch, register): when it was last
+    refreshed, how often, and the gaps between consecutive refreshes —
+    those not folded yet in ``gaps``, the rest in ``digest``."""
+
+    __slots__ = ("last", "refreshes", "gaps", "digest")
+
+    def __init__(self) -> None:
+        self.last = 0.0
+        self.refreshes = 0
+        self.gaps: List[float] = []
+        self.digest: Optional[QuantileDigest] = None
+
+    def fold(self) -> Optional[QuantileDigest]:
+        """Move the pending gaps into the digest and return it (None before
+        the second refresh).  Bin counts are integers and min/max exact, so
+        when a gap is folded changes nothing about the result."""
+        if self.gaps:
+            if self.digest is None:
+                self.digest = QuantileDigest()
+            self.digest.extend(self.gaps)
+            self.gaps.clear()
+        return self.digest
+
+
+# What every report over one path touches: the ledger entries to stamp, then
+# per register the index of the INT record whose latency reading gates the
+# refresh (-1: no gate).
+_Plan = Tuple[List[_PortLedger], List[Tuple[_Register, int]]]
+
+
 class TelemetryQuality:
     """One run's telemetry-quality state: coverage, freshness, attribution.
 
@@ -102,12 +151,14 @@ class TelemetryQuality:
         self._all_ports: Set[DirectedPort] = set()
         self._expected_covered: Set[DirectedPort] = set()
         # Live stampings: directed port -> observation ledger entry.
-        self._observed: Dict[DirectedPort, Dict[str, Any]] = {}
-        self._names: Dict[Tuple[str, int], Optional[str]] = {}
-        # Per-(switch, register) refresh tracking, one record each:
-        # [last refresh time, refresh count, digest of the gaps between
-        # consecutive refreshes (None until the second one)].
-        self._registers: Dict[Tuple[str, str], List[Any]] = {}
+        self._observed: Dict[DirectedPort, _PortLedger] = {}
+        # Per-(switch, register) refresh tracking.  A record is made when a
+        # path that can refresh it is first seen; one that never was
+        # (``refreshes == 0``) does not exist as far as any reader goes.
+        self._registers: Dict[Tuple[str, str], _Register] = {}
+        # Routes are static, so what a report touches is resolved once per
+        # distinct (probe src, probe dst, switch ids...).
+        self._plans: Dict[Tuple[int, ...], _Plan] = {}
         # Telemetry age of every consulted hop, at decision time.
         self.decision_age = QuantileDigest()
         # Attribution samples: (decision time, est - truth, max hop age).
@@ -141,73 +192,76 @@ class TelemetryQuality:
             )
 
     def _node_name(self, node: Tuple[str, int]) -> Optional[str]:
-        """Resolve a telemetry node id to its topology name (memoized)."""
-        if node in self._names:
-            return self._names[node]
-        name: Optional[str] = None
-        if self._network is not None:
-            kind, ident = node
-            try:
-                if kind == "sw":
-                    name = self._network.switch_by_id(ident).name
-                else:
-                    name = self._network.name_of(ident)
-            except Exception:
-                name = None
-        self._names[node] = name
-        return name
+        """Resolve a telemetry node id to its topology name, ``None`` for
+        one the network does not know."""
+        kind, ident = node
+        try:
+            if kind == "sw":
+                return self._network.switch_by_id(ident).name
+            return self._network.name_of(ident)
+        except Exception:
+            return None
 
     # -- ingest-side hooks ---------------------------------------------------
 
     def report_ingested(self, report: Any) -> None:
-        """Stamp one decoded probe into the coverage ledger and refresh the
-        per-(switch, register) freshness digests: one pass over the INT
-        stack, record *i* standing for switch *i*, its egress toward the
-        next path element and the link it arrived over."""
+        """Stamp one decoded probe into the coverage ledger and note each
+        register refresh: counters bumped and the gap since the previous
+        refresh appended, on the records the path's plan resolved."""
         if self._network is None:
             return
+        records = report.records
+        key = (report.probe_src, report.probe_dst, *[r.switch_id for r in records])
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(report)
         now = report.collected_at
+        ledgers, refreshes = plan
+        for ledger in ledgers:
+            ledger.count += 1
+            ledger.last = now
+        for register, gate in refreshes:
+            if gate >= 0 and records[gate].link_latency is None:
+                continue
+            if register.refreshes:
+                gaps = register.gaps
+                gaps.append(now - register.last)
+                if len(gaps) >= PENDING_GAPS_MAX:
+                    register.fold()
+            register.last = now
+            register.refreshes += 1
+
+    def _plan(self, report: Any) -> _Plan:
+        """Resolve the path of ``report``: record *i* stands for switch *i*,
+        its egress toward the next path element and the link it arrived
+        over.  Ledger entries are first seen now (the caller stamps them at
+        once); registers wait for their first refresh."""
         name = self._node_name
         src = name(("host", report.probe_src))
         dst = name(("host", report.probe_dst))
         pair = (src, dst) if src is not None and dst is not None else None
-        records = report.records
-        names = [name(("sw", rec.switch_id)) for rec in records]
+        names = [name(("sw", rec.switch_id)) for rec in report.records]
         names.append(dst)
-        observed = self._observed
-        for rec, u, v in zip(records, names, names[1:]):
+        ledgers: List[_PortLedger] = []
+        refreshes: List[Tuple[_Register, int]] = []
+        registers = self._registers
+        for i, (u, v) in enumerate(zip(names, names[1:])):
             if u is None:
                 continue
             if v is not None:
-                entry = observed.get((u, v))
-                if entry is None:
-                    entry = {"count": 0, "first": now, "last": now, "pairs": set()}
-                    observed[(u, v)] = entry
-                entry["count"] += 1
-                entry["last"] = now
+                ledger = self._observed.setdefault(
+                    (u, v), _PortLedger(report.collected_at)
+                )
                 if pair is not None:
-                    entry["pairs"].add(pair)
+                    ledger.pairs.add(pair)
+                ledgers.append(ledger)
                 # The qdepth register lives at the switch the record was
                 # appended by (collect-and-reset at its egress).
-                self._touch(u, "qdepth", now)
+                refreshes.append((registers.setdefault((u, "qdepth"), _Register()), -1))
             # Link latency is measured at the downstream switch's ingress;
             # the final (switch -> host) reading has no switch register.
-            if rec.link_latency is not None:
-                self._touch(u, "latency", now)
-
-    def _touch(self, node: str, register: str, now: float) -> None:
-        key = (node, register)
-        state = self._registers.get(key)
-        if state is None:
-            self._registers[key] = [now, 1, None]
-            return
-        age = now - state[0]
-        state[0] = now
-        state[1] += 1
-        digest = state[2]
-        if digest is None:
-            digest = state[2] = QuantileDigest()
-        digest.add(age)
+            refreshes.append((registers.setdefault((u, "latency"), _Register()), i))
+        return ledgers, refreshes
 
     # -- decision-side hook --------------------------------------------------
 
@@ -294,19 +348,19 @@ class TelemetryQuality:
         ports = []
         for u, v in sorted(self._observed):
             entry = self._observed[(u, v)]
-            count = entry["count"]
+            count = entry.count
             effective = (
-                (entry["last"] - entry["first"]) / (count - 1) if count > 1 else None
+                (entry.last - entry.first) / (count - 1) if count > 1 else None
             )
             ports.append(
                 {
                     "u": u,
                     "v": v,
                     "observations": count,
-                    "first": entry["first"],
-                    "last": entry["last"],
+                    "first": entry.first,
+                    "last": entry.last,
                     "effective_interval": effective,
-                    "pairs": [list(p) for p in sorted(entry["pairs"])],
+                    "pairs": [list(p) for p in sorted(entry.pairs)],
                 }
             )
         return {
@@ -321,16 +375,19 @@ class TelemetryQuality:
             "ports": ports,
         }
 
+    def _refreshed(self) -> Dict[Tuple[str, str], _Register]:
+        """The registers some probe has refreshed."""
+        return {k: r for k, r in self._registers.items() if r.refreshes}
+
     def _freshness_section(self) -> Dict[str, Any]:
         registers = []
-        for key in sorted(self._registers):
-            node, register = key
-            _last, refreshes, digest = self._registers[key]
+        for (node, register), state in sorted(self._refreshed().items()):
+            digest = state.fold()
             registers.append(
                 {
                     "node": node,
                     "register": register,
-                    "refreshes": refreshes,
+                    "refreshes": state.refreshes,
                     "age": digest.to_dict() if digest is not None else None,
                 }
             )
@@ -438,7 +495,7 @@ class TelemetryQuality:
                 1 for port in self._observed if port in self._all_ports
             ),
             "ports_total": len(self._all_ports),
-            "registers": len(self._registers),
+            "registers": len(self._refreshed()),
             "decisions": self.decisions_seen,
             "samples": len(self._samples),
         }

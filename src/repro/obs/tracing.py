@@ -72,15 +72,16 @@ def _finite(value: Any) -> Any:
 class SampledProbeTracer(PacketTracer):
     """Hop events of every ``sample``-th probe, by sequence number — the
     probes :meth:`SpanTracer.wants_probe` selects.  A probe-class observer
-    whose sampling test runs inline in the hook, ahead of any further call:
-    all but one in ``sample`` of the probe hops it is offered end there."""
+    that declares its stride, so the nodes it watches run the sampling test
+    themselves and call the hook for the one probe in ``sample`` it keeps;
+    ``record`` repeats the test for anyone who calls it directly."""
 
     def __init__(self, nodes: Iterable[Any], sample: int) -> None:
-        self.sample = sample
+        self.probe_stride = sample
         super().__init__(nodes, probes_only=True)
 
     def record(self, node: Any, kind: str, packet: Any, enq_depth=None) -> None:
-        if (packet.seq - 1) % self.sample == 0:
+        if (packet.seq - 1) % self.probe_stride == 0:
             super().record(node, kind, packet, enq_depth)
 
 

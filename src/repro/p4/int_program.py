@@ -84,9 +84,10 @@ class IntTelemetryProgram(PlainForwardingProgram):
         clock reads, register accesses, packet mutations).
 
         The switch's packet observer, if any, is bound here too.  One that
-        matches only probes gets its hook inside the two probe branches, so
-        a data packet runs exactly the unobserved closures' bytecode; one
-        that matches every packet gets both closures prefixed with it."""
+        matches only probes gets its hook inside the two probe branches,
+        behind the test of its declared ``probe_stride``, so a data packet
+        runs exactly the unobserved closures' bytecode; one that matches
+        every packet gets both closures prefixed with it."""
         cls = type(self)
         if (
             cls.process_ingress is not P4Program.process_ingress
@@ -108,14 +109,16 @@ class IntTelemetryProgram(PlainForwardingProgram):
         switch_id = switch.switch_id
         observer = switch.observer
         observe_all = observe_probe = None
+        stride = 1
         if observer is not None:
             if observer.probes_only:
                 observe_probe = observer.record
+                stride = observer.probe_stride
             else:
                 observe_all = observer.record
 
         def int_stamp(packet) -> None:
-            if observe_probe is not None:
+            if observe_probe is not None and (packet.seq - 1) % stride == 0:
                 observe_probe(switch, "ingress", packet)
             if packet.last_egress_ts is not None:
                 prof = sim.profiler
@@ -134,7 +137,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
                 if enq_depth > values[port_index]:
                     values[port_index] = enq_depth
                 return
-            if observe_probe is not None:
+            if observe_probe is not None and (packet.seq - 1) % stride == 0:
                 observe_probe(switch, "egress", packet, enq_depth)
             self.probes_processed += 1
             # reg.read_and_reset(port), bounds check and counters included.

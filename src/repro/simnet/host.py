@@ -114,7 +114,9 @@ class Host(Node):
         # frame leaving a host, probe or not.
         observer = self.observer
         if observer is not None and (
-            packet.flags & FLAG_PROBE or not observer.probes_only
+            (packet.seq - 1) % observer.probe_stride == 0
+            if packet.flags & FLAG_PROBE
+            else not observer.probes_only
         ):
             observer.record(self, "egress", packet, enq_depth)
         if packet.flags & FLAG_PROBE and packet.last_egress_ts is None:
@@ -123,7 +125,9 @@ class Host(Node):
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         observer = self.observer
         if observer is not None and (
-            packet.flags & FLAG_PROBE or not observer.probes_only
+            (packet.seq - 1) % observer.probe_stride == 0
+            if packet.flags & FLAG_PROBE
+            else not observer.probes_only
         ):
             observer.record(self, "ingress", packet)
         self.packets_received += 1

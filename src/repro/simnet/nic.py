@@ -129,10 +129,13 @@ class Port:
         items = queue._items
         idle = not self._completion_posted and self._sim._now >= self._busy_until
         if self._plain_queue:
-            if idle and queue.threshold is None and not items:
+            threshold = queue.threshold
+            if idle and not items and (threshold is None or threshold != 1):
                 # Cut-through: on an idle port the push + pop round trip
                 # leaves nothing behind but these counters (depth 0 never
-                # raises max_depth_seen, capacity is >= 1).
+                # raises max_depth_seen, capacity is >= 1).  Through an
+                # empty queue the only crossings are 0 -> 1 and back, and
+                # only a threshold of 1 sits there.
                 stats = queue.stats
                 stats.enqueued += 1
                 stats.bytes_enqueued += packet.size_bytes
@@ -155,7 +158,6 @@ class Port:
             stats.bytes_enqueued += packet.size_bytes
             if depth > stats.max_depth_seen:
                 stats.max_depth_seen = depth
-            threshold = queue.threshold
             if (
                 threshold is not None
                 and depth + 1 == threshold

@@ -106,8 +106,10 @@ class Node:
         """Attach the node's packet observer, or detach it with ``None``.
 
         An observer declares ``probes_only`` (it matches nothing but probe
-        packets, so data packets need not be offered) and takes hop events
-        through ``record(node, kind, packet, enq_depth=None)``."""
+        packets, so data packets need not be offered) and ``probe_stride``
+        (of the probes it matches those with ``(seq - 1) % probe_stride ==
+        0``; 1 for all), and takes hop events through
+        ``record(node, kind, packet, enq_depth=None)``."""
         if observer is not None and self.observer is not None:
             raise TopologyError(f"{self.name}: a packet observer is already attached")
         self.observer = observer
@@ -169,7 +171,9 @@ class Node:
         handlers inline the same test."""
         observer = self.observer
         if observer is not None and (
-            packet.flags & FLAG_PROBE or not observer.probes_only
+            (packet.seq - 1) % observer.probe_stride == 0
+            if packet.flags & FLAG_PROBE
+            else not observer.probes_only
         ):
             observer.record(self, kind, packet, enq_depth)
 

@@ -54,7 +54,11 @@ class PacketTracer:
     ``probes_only`` declares the packet class the tracer can match: when
     set, nodes offer it probe packets only (``predicate`` then sees nothing
     else), which keeps the hook out of the data-packet path entirely.
+    ``probe_stride`` narrows the probes the same way: nodes offer the ones
+    with ``(seq - 1) % probe_stride == 0`` and test that before the call.
     """
+
+    probe_stride = 1
 
     def __init__(
         self,

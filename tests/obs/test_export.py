@@ -1,9 +1,15 @@
 """Exporters: JSONL round-trip, CSV, and the obs-report renderer."""
 
 import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Observability
 from repro.obs.export import (
+    JsonlError,
     flatten_labels,
     read_jsonl,
     render_obs_report,
@@ -55,6 +61,84 @@ class TestJsonl:
         with open(path) as fh:
             for line in fh:
                 assert isinstance(json.loads(line), dict)
+
+
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((1e-320, 5e-324, 1.7976931348623157e308, 1e22, 1e-7, -0.0, 0.1 + 0.2)),
+)
+_value = st.recursive(
+    _scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_record = st.dictionaries(st.text(max_size=8), _value, max_size=6)
+
+
+class TestJsonlContract:
+    """The module's one encoder and one decoder must give what a
+    ``json.dumps`` and a ``json.loads`` per record give: same bytes out,
+    same objects back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_record, max_size=8), st.lists(st.integers(0, 8), max_size=4))
+    def test_bytes_and_objects_match_per_record_codec(self, tmp_path_factory, records, blanks):
+        path = str(tmp_path_factory.getbasetemp() / "contract.jsonl")   # one file, rewritten
+        assert write_jsonl(records, path) == len(records)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
+        assert data == "".join(lines).encode()
+        # Blank and whitespace-only lines anywhere are skipped on the way in.
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "  \n" if at % 2 else "\n")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        back = read_jsonl(path)
+        expected = [json.loads(line) for line in lines if line.strip()]
+        assert back == expected
+        # == calls 1 and 1.0, 0.0 and -0.0 equal; the text form does not.
+        assert repr(back) == repr(expected)
+
+
+class TestDamagedJsonl:
+    GOOD = ['{"kind": "metric", "name": "a"}', '{"kind": "metric", "name": "b"}']
+
+    def _error(self, tmp_path, text):
+        path = tmp_path / "run.jsonl"
+        path.write_text(text)
+        with pytest.raises(JsonlError, match=f"^{re.escape(str(path))}:") as caught:
+            read_jsonl(str(path))
+        return caught.value
+
+    def test_truncated_last_line_is_named_and_the_rest_kept(self, tmp_path):
+        err = self._error(tmp_path, "\n".join(self.GOOD) + '\n\n{"kind": "met')
+        assert (err.lineno, err.truncated) == (4, True)
+        assert [r["name"] for r in err.records] == ["a", "b"]
+        assert ":4: not JSON: " in str(err)
+
+    def test_bad_line_elsewhere_is_not_a_truncation(self, tmp_path):
+        err = self._error(tmp_path, self.GOOD[0] + '\n{"kind": \n' + self.GOOD[1] + "\n")
+        assert (err.lineno, err.truncated) == (2, False)
+        assert [r["name"] for r in err.records] == ["a"]
+
+    def test_bad_last_line_that_was_written_whole_is_not_a_truncation(self, tmp_path):
+        err = self._error(tmp_path, self.GOOD[0] + "\nnot json\n")
+        assert (err.lineno, err.truncated) == (2, False)
+
+    @pytest.mark.parametrize("lines", [
+        ['{"a": 1}, {"b": 2}'],             # two values on one line
+        ['[1', '2]'],                       # one value over two lines
+        ['{"a": [1', '2]}', '{}, {}'],      # both: three values on three lines
+    ])
+    def test_a_line_is_judged_alone(self, tmp_path, lines):
+        """Each set is a well-formed list once the lines are joined with
+        commas; none of its first lines is a JSON value."""
+        err = self._error(tmp_path, "\n".join(lines) + "\n")
+        assert err.lineno == 1
 
 
 class TestCsv:

@@ -1,6 +1,8 @@
 """HealthMonitor: rule validation, streaks, fire/clear edge semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.events import EventLog
 from repro.obs.health import HealthMonitor, HealthRule, default_rules
@@ -160,3 +162,69 @@ class TestEdges:
         store = TimeSeriesStore(1.0)
         _tick(monitor, store, 1.0, {"rate": 0.2})
         assert _alerts(events) == [(1.0, "low", "fire")]
+
+
+class _PerRuleSortMonitor(HealthMonitor):
+    """``evaluate`` as it was before the per-tick index: every rule sorts
+    all of the tick's series keys and skips the ones it does not watch.
+    The reference the indexed body is held to."""
+
+    def evaluate(self, store, now):
+        for rule in self.rules:
+            for series_key in sorted(store.last_values):
+                name, labels_key = series_key
+                if name != rule.series:
+                    continue
+                value = store.last_values[series_key]
+                key = (rule.name, labels_key)
+                if rule.breached(value):
+                    streak = self._streak.get(key, 0) + 1
+                    self._streak[key] = streak
+                    if streak >= rule.consecutive and not self._fired.get(key):
+                        self._fired[key] = True
+                        self.alerts_fired += 1
+                        self._emit(rule, labels_key, value, "fire", now)
+                else:
+                    self._streak[key] = 0
+                    if self._fired.get(key):
+                        self._fired[key] = False
+                        self.alerts_cleared += 1
+                        self._emit(rule, labels_key, value, "clear", now)
+
+
+_SERIES = ("depth", "age", "loss")
+_rule = st.builds(
+    HealthRule,
+    name=st.sampled_from(("a", "b", "c", "d", "e")),
+    series=st.sampled_from(_SERIES + ("unsampled",)),
+    threshold=st.sampled_from((0.25, 0.5, 0.75)),
+    consecutive=st.integers(1, 3),
+    comparison=st.sampled_from(("gte", "lte")),
+)
+# One tick: the points recorded, in recording order — (series, label, value).
+_point = st.tuples(
+    st.sampled_from(_SERIES), st.sampled_from((None, "q1", "q2", "q10")),
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+)
+
+
+class TestIndexedEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_rule, max_size=5, unique_by=lambda r: r.name),
+        st.lists(st.lists(_point, max_size=8), max_size=8),
+    )
+    def test_same_alert_events_in_the_same_order(self, rules, ticks):
+        def run(monitor_class):
+            events = EventLog()
+            monitor = monitor_class(rules, events)
+            store = TimeSeriesStore(1.0)
+            for now, points in enumerate(ticks):
+                store.tick(float(now))
+                for series, label, value in points:
+                    labels = {} if label is None else {"queue": label}
+                    store.record(series, float(now), value, **labels)
+                monitor.evaluate(store, float(now))
+            return [(e.time, dict(e.fields)) for e in events.of_kind("alert")], monitor.summary()
+
+        assert run(HealthMonitor) == run(_PerRuleSortMonitor)

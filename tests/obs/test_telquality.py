@@ -4,16 +4,20 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.fig4_topology import build_fig4_network
 from repro.obs.events import EventLog
 from repro.obs.quantiles import QuantileDigest
 from repro.obs.telquality import (
     AGE_BIN_EDGES,
+    PENDING_GAPS_MAX,
     TelemetryQuality,
     render_telemetry_report,
 )
 from repro.p4.headers import IntHopRecord
+from repro.simnet.engine import Simulator
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
 from repro.telemetry.collector import IntCollector
@@ -249,6 +253,48 @@ class _ThreeViewIngest:
         if last is not None:
             self.refresh_ages.setdefault(key, QuantileDigest()).add(now - last)
 
+    def ports(self):
+        """The ledger as the record's ``coverage.ports`` lists it."""
+        out = []
+        for (u, v), entry in sorted(self.observed.items()):
+            count = entry["count"]
+            out.append({
+                "u": u, "v": v, "observations": count,
+                "first": entry["first"], "last": entry["last"],
+                "effective_interval": (
+                    (entry["last"] - entry["first"]) / (count - 1) if count > 1 else None
+                ),
+                "pairs": [list(p) for p in sorted(entry["pairs"])],
+            })
+        return out
+
+    def registers(self):
+        """The refresh state as the record's ``freshness.registers``."""
+        out = []
+        for key in sorted(self.refresh_counts):
+            ages = self.refresh_ages.get(key)
+            out.append({
+                "node": key[0], "register": key[1],
+                "refreshes": self.refresh_counts[key],
+                "age": ages.to_dict() if ages is not None else None,
+            })
+        return out
+
+
+def _assert_matches_reference(tq, reference):
+    """The public views of ``tq`` against the eager three-view reference."""
+    (record,) = tq.snapshot_records()
+    assert tq.snapshot_records() == [record]   # reading twice changes nothing
+    coverage = record["coverage"]
+    assert coverage["ports"] == reference.ports()
+    known = {port for port in reference.observed if port in tq._all_ports}
+    assert coverage["observed_ports"] == len(known)
+    assert coverage["blind"] == [list(p) for p in sorted(tq._all_ports - known)]
+    assert record["freshness"]["registers"] == reference.registers()
+    summary = tq.summary()
+    assert summary["registers"] == len(reference.refresh_counts)
+    assert summary["ports_observed"] == len(known)
+
 
 class TestSinglePassIngest:
     def _mesh_reports(self, sim):
@@ -307,16 +353,79 @@ class TestSinglePassIngest:
             tq.report_ingested(report)
             reference.report_ingested(report)
 
-        assert tq._observed == reference.observed
-        assert any(entry["pairs"] for entry in tq._observed.values())
-        assert set(tq._registers) == set(reference.refresh_counts)
-        for key, (last, refreshes, digest) in tq._registers.items():
-            assert last == reference.last_refresh[key]
-            assert refreshes == reference.refresh_counts[key]
-            expected = reference.refresh_ages.get(key)
-            assert (digest is None) == (expected is None)
-            if digest is not None:
-                assert digest.to_dict() == expected.to_dict()
+        _assert_matches_reference(tq, reference)
+        (record,) = tq.snapshot_records()
+        assert any(port["pairs"] for port in record["coverage"]["ports"])
+        assert all(r["age"] for r in record["freshness"]["registers"])
+
+
+# One synthetic report: (src host, dst host, [(switch, has latency)...]),
+# indices into the line network's hosts/switches with one unknown id each.
+_hop = st.tuples(st.integers(0, 3), st.booleans())
+_shape = st.tuples(st.integers(0, 3), st.integers(0, 3), st.lists(_hop, max_size=4))
+_op = st.one_of(
+    st.tuples(st.just("report"), _shape),
+    st.tuples(st.just("snapshot"), st.none()),
+    # One path again and again, until a register's pending gaps are folded
+    # before anybody reads them.
+    st.tuples(st.just("burst"), _shape),
+)
+
+
+class TestFoldOnRead:
+    """Gaps are appended by the hook and digested by the reader: whatever
+    the interleaving of ingests and reads, every read gives what digesting
+    each gap as it arrives gives."""
+
+    @staticmethod
+    def _line_network():
+        """h1 - s1 - s2 - s3 - h3, h2 on s2."""
+        net = Network(Simulator(), streams=RandomStreams(0))
+        for name in ("h1", "h2", "h3"):
+            net.add_host(name)
+        for name in ("s1", "s2", "s3"):
+            net.add_switch(name)
+        for a, b in (("h1", "s1"), ("s1", "s2"), ("h2", "s2"), ("s2", "s3"), ("s3", "h3")):
+            net.connect(a, b, rate_bps=20e6, delay=1e-3)
+        net.finalize()
+        return net
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_op, max_size=25))
+    def test_any_interleaving_matches_eager_digesting(self, ops):
+        net = self._line_network()
+        hosts = [net.hosts[n].addr for n in ("h1", "h2", "h3")] + [12345]
+        switches = [net.switches[n].switch_id for n in ("s1", "s2", "s3")] + [99]
+        tq = TelemetryQuality()
+        tq.attach_network(net)
+        reference = _ThreeViewIngest(tq)
+        clock = [0.0]
+
+        def ingest(shape):
+            src, dst, hops = shape
+            clock[0] += 0.01
+            report = ProbeReport(
+                probe_src=hosts[src], probe_dst=hosts[dst], seq=1,
+                sent_at=clock[0], received_at=clock[0],
+                records=[
+                    IntHopRecord(
+                        switch_id=switches[sw], egress_port=0, max_qdepth=1,
+                        link_latency=0.002 if latency else None, egress_ts=0.0,
+                    )
+                    for sw, latency in hops
+                ],
+                final_link_latency=0.001, collected_at=clock[0],
+            )
+            tq.report_ingested(report)
+            reference.report_ingested(report)
+
+        for kind, shape in ops:
+            if kind == "snapshot":
+                _assert_matches_reference(tq, reference)
+            else:
+                for _ in range(PENDING_GAPS_MAX + 30 if kind == "burst" else 1):
+                    ingest(shape)
+        _assert_matches_reference(tq, reference)
 
 
 class TestSnapshot:

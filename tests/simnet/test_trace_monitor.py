@@ -8,7 +8,7 @@ from repro.simnet.addressing import PROTO_UDP
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import UdpCbrFlow, UdpSink, reset_flow_ids
 from repro.simnet.monitor import QueueSampler, link_utilizations
-from repro.simnet.packet import reset_packet_ids
+from repro.simnet.packet import FLAG_PROBE, reset_packet_ids
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
 from repro.simnet.trace import PacketTracer, flow_predicate, probe_predicate
@@ -235,6 +235,52 @@ class TestProbeClassTracer:
         sampled = _congested_probe_run(lambda nodes: SampledProbeTracer(nodes, 5))
         assert sampled.events == [e for e in everything.events if (e.seq - 1) % 5 == 0]
         assert 0 < len(sampled) < len(everything)
+
+
+class _CallLoggingSampledTracer(SampledProbeTracer):
+    """Logs every call of the hook, kept or not."""
+
+    def __init__(self, nodes, sample):
+        self.calls = []
+        super().__init__(nodes, sample)
+
+    def record(self, node, kind, packet, enq_depth=None):
+        self.calls.append((node.name, kind, packet.seq, bool(packet.flags & FLAG_PROBE)))
+        super().record(node, kind, packet, enq_depth)
+
+
+class TestProbeStride:
+    """An observer that declares ``probe_stride`` is *called* for matching
+    probes only: the nodes run the sampling test, not the hook."""
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["compiled", "staged"])
+    def test_hook_called_for_matching_probes_only(self, monkeypatch, staged):
+        if staged:
+            monkeypatch.setenv("REPRO_SLOWPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        tracer = _congested_probe_run(
+            lambda nodes: _CallLoggingSampledTracer(nodes, 5), staged=staged
+        )
+        assert tracer.probe_stride == 5
+        assert all(probe and (seq - 1) % 5 == 0 for _n, _k, seq, probe in tracer.calls)
+        # One event per call, from every hook site: host egress/ingress,
+        # switch ingress/egress on both switches, the mid-path tail drop.
+        assert len(tracer.calls) == len(tracer.events) > 0
+        assert {(n, k) for n, k, _s, _p in tracer.calls} >= {
+            ("h1", "egress"), ("s01", "ingress"), ("s01", "egress"), ("s01", "drop"),
+            ("s02", "ingress"), ("s02", "egress"), ("h3", "ingress"),
+        }
+
+    def test_direct_record_of_a_non_matching_probe_records_nothing(self, sim, line3):
+        host = line3.host("h1")
+        tracer = SampledProbeTracer([host], 5)
+        for seq in (1, 2, 5, 6):
+            packet = host.new_packet(
+                line3.address_of("h3"), dst_port=9, size_bytes=64, seq=seq, flags=FLAG_PROBE,
+            )
+            tracer.record(host, "egress", packet)
+        assert [e.seq for e in tracer.events] == [1, 6]
 
 
 class TestQueueSampler:

@@ -10,6 +10,7 @@ any ``run(until=t)``, the counters a completion event would have written.
 """
 
 import math
+from collections import deque
 
 import pytest
 
@@ -69,7 +70,7 @@ def _ports(net):
     ]
 
 
-def _drive(slowpath, *, until=None, thresholds=False, **build):
+def _drive(slowpath, *, until=None, threshold=None, **build):
     """The reference schedule: a burst that queues on the uplink and piles
     up at the switch egress, isolated frames that find every port idle, a
     second sender colliding at the switch, a frame landing mid-frame behind
@@ -88,9 +89,9 @@ def _drive(slowpath, *, until=None, thresholds=False, **build):
 
     h2.bind(PROTO_UDP, 5, arrived)
     h2.bind(PROTO_UDP, PORT_PROBE, arrived)
-    if thresholds:
+    if threshold is not None:
         for label, port in _ports(net):
-            port.queue.threshold = 2
+            port.queue.threshold = threshold
             port.queue.on_threshold = (
                 lambda depth, direction, _label=label:
                 log["thresholds"].append((sim.now, _label, depth, direction))
@@ -156,12 +157,18 @@ def _observables(log):
     return {k: v for k, v in log.items() if k != "sim"}
 
 
+# The threshold variants are a hub's view of the port: its crossing
+# callback on every queue, at a depth only a backlog reaches (2, the
+# long-standing "thresholds"), at the one the idle round trip itself crosses
+# (1), and at the hub's default 48 of 64, which this schedule never reaches.
 VARIANTS = {
     "quiet": {},
     "jittered": {"jitter": 0.15},
-    "thresholds": {"thresholds": True},
+    "thresholds": {"threshold": 2},
+    "threshold-1": {"threshold": 1},
+    "threshold-48": {"threshold": 48},
     "red-ecn": {"ecn": 2},
-    "overflow": {"capacity": 3, "thresholds": True, "jitter": 0.15},
+    "overflow": {"capacity": 3, "threshold": 2, "jitter": 0.15},
 }
 
 
@@ -221,7 +228,12 @@ class TestEquivalence:
         variant, fast, slow = runs
         assert fast["thresholds"] == slow["thresholds"]
         directions = {d for *_rest, d in fast["thresholds"]}
-        assert directions == ({"up", "down"} if "thresholds" in VARIANTS[variant] else set())
+        crossed = VARIANTS[variant].get("threshold") in (1, 2)
+        assert directions == ({"up", "down"} if crossed else set())
+        if variant == "threshold-1":
+            # Every frame through an idle port crosses 0 -> 1 -> 0.
+            idle = [t for t in fast["thresholds"] if t[1] == "h3[0]"]
+            assert [d for *_rest, d in idle] == ["up", "down"] * 5
 
     def test_service_stream_state_identical(self, runs):
         variant, fast, slow = runs
@@ -325,6 +337,37 @@ class TestMaterialisation:
             return reads, link.bytes_carried["a"], h1.ports[0].packets_sent, sim.events_executed
 
         assert run(False) == run(True) == ([0], 1200, 1, 4)
+
+
+class _CountingDeque(deque):
+    """A queue's ``_items`` that counts what is appended to it."""
+
+    appended = 0
+
+    def append(self, item):
+        self.appended += 1
+        super().append(item)
+
+
+@pytest.mark.parametrize("threshold,round_trips", [(None, 0), (1, 4), (2, 0), (48, 0)])
+def test_idle_port_cuts_through_under_a_threshold(threshold, round_trips):
+    """A hub sets a crossing threshold on every queue.  A frame that finds
+    the port idle still skips the deque — unless the threshold is 1, the one
+    depth that frame itself crosses on its way in and out."""
+    sim, net = _build(False)
+    h1, dst = net.host("h1"), net.address_of("h2")
+    queue = h1.ports[0].queue
+    items = queue._items = _CountingDeque()
+    crossings = []
+    queue.threshold = threshold
+    queue.on_threshold = lambda depth, direction: crossings.append((depth, direction))
+    for k in range(4):                      # each finds the uplink idle
+        sim.schedule(0.01 * k, lambda: h1.send(h1.new_packet(dst, dst_port=5, size_bytes=1200)))
+    sim.run()
+    assert items.appended == round_trips
+    assert crossings == [(1, "up"), (0, "down")] * round_trips
+    assert (queue.stats.enqueued, queue.stats.dequeued, queue.stats.max_depth_seen) == (4, 4, 0)
+    assert h1.ports[0].packets_sent == 4
 
 
 class TestPerFrameGates:

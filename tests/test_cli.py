@@ -578,3 +578,51 @@ def test_bench_compare_missing_file(capsys):
     rc = main(["bench-compare", "/nonexistent/a.json", "/nonexistent/b.json"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+REPORT_COMMANDS = ("obs-report", "telemetry-report", "whatif-report", "trace-report", "dashboard")
+_GOOD_LINES = [
+    '{"kind": "metric", "name": "a", "type": "gauge", "value": 1}',
+    '{"kind": "event", "event": "warning", "time": 0.5, "reason": "r"}',
+    '{"kind": "metric", "name": "b", "type": "gauge", "value": 2}',
+]
+
+
+def _report(command, path, tmp_path):
+    out = str(tmp_path / "out")
+    flag = "--html-out" if command == "dashboard" else "--out"
+    return main([command, str(path), flag, out]), out
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_drops_a_truncated_last_line(command, capsys, tmp_path):
+    """A run killed mid-write leaves a partial last line: the report renders
+    from the complete ones and says what it dropped."""
+    path = tmp_path / "killed.jsonl"
+    path.write_text("\n".join(_GOOD_LINES) + '\n{"kind": "metric", "na')
+    rc, out = _report(command, path, tmp_path)
+    captured = capsys.readouterr()
+    assert rc == 0
+    (warning,) = captured.err.splitlines()
+    assert warning.startswith(f"warning: {path}:4: not JSON")
+    assert "truncated last line dropped" in warning
+    (tmp_path / "whole").mkdir()
+    whole = tmp_path / "whole" / "run.jsonl"
+    whole.write_text("\n".join(_GOOD_LINES) + "\n")
+    rc, expected = _report(command, whole, tmp_path / "whole")
+    assert rc == 0
+    shown = open(out).read().replace(str(path), "PATH")
+    assert shown == open(expected).read().replace(str(whole), "PATH")
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_names_a_malformed_line(command, capsys, tmp_path):
+    path = tmp_path / "damaged.jsonl"
+    lines = list(_GOOD_LINES)
+    lines[1] = lines[1][:25]
+    path.write_text("\n".join(lines) + "\n")
+    rc, _out = _report(command, path, tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: not JSON: ")
+    assert "line 1" not in err
