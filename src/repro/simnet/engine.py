@@ -30,6 +30,9 @@ __all__ = [
 
 _perf_counter = _walltime.perf_counter
 
+# Calibration repeats behind each overhead estimate; prices are the minimum.
+_CALIBRATION_REPEATS = 5
+
 # Heap entries are plain (time, seq, handle, fn, args) tuples: tuple
 # comparison runs in C and the seq tiebreaker guarantees the later fields are
 # never compared.  The callback and its arguments live in the tuple itself so
@@ -78,10 +81,11 @@ class EngineProfiler:
     each scope accumulates under a semicolon-joined path rooted at the
     handler qualname (``Switch.on_ingress;p4_pipeline;routing``) — the
     collapsed-stack form flamegraph tooling consumes directly.  Paths are
-    interned per ``(parent, name)`` pair so steady state is one tuple hash,
-    one clock read per edge, and one small-dict update per scope.  Scopes
-    must balance within a handler; the engine resets the path between events
-    so an unbalanced scope cannot leak across events.
+    interned in a two-level ``parent -> name -> path`` table, so steady state
+    is two dict lookups on cached string hashes (no key tuple built per
+    scope), one clock read per edge, and one small-dict update per scope.
+    Scopes must balance within a handler; the engine resets the path between
+    events so an unbalanced scope cannot leak across events.
 
     The profiler also self-reports an *overhead estimate*: per-scope and
     per-event accounting costs are measured by a short calibration loop at
@@ -123,10 +127,10 @@ class EngineProfiler:
         # MemoryCapture when enabled; rides into the summary untouched.
         self.memory: Optional[Dict[str, Any]] = None
         # Scope state: parent paths + start times, current path, and the
-        # (parent, name) -> path intern table.
+        # parent -> name -> path intern table.
         self._stack: List[Tuple[str, float]] = []
         self._path = ""
-        self._paths: Dict[Tuple[str, str], str] = {}
+        self._paths: Dict[str, Dict[str, str]] = {}
         # Wall-clock timestamp of the running event's start, stamped by the
         # engine loop; lets phase_first open the first scope of a handler
         # with zero extra clock reads.
@@ -134,14 +138,20 @@ class EngineProfiler:
 
     # -- phase scopes ------------------------------------------------------
 
+    def _intern(self, parent: str, name: str) -> str:
+        """Join, record and return the path of scope ``name`` under
+        ``parent`` (the intern table's miss path)."""
+        path = f"{parent};{name}" if parent else name
+        self._paths.setdefault(parent, {})[name] = path
+        return path
+
     def phase_begin(self, name: str) -> None:
         """Open a phase scope named ``name`` under the current path."""
         parent = self._path
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
+        try:
+            path = self._paths[parent][name]
+        except KeyError:
+            path = self._intern(parent, name)
         self._stack.append((parent, _perf_counter()))
         self._path = path
 
@@ -154,11 +164,10 @@ class EngineProfiler:
         :meth:`phase_begin` semantics when scopes are already open (the
         handler was called from inside another instrumented path)."""
         parent = self._path
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
+        try:
+            path = self._paths[parent][name]
+        except KeyError:
+            path = self._intern(parent, name)
         if self._stack:
             start = _perf_counter()
         else:
@@ -168,10 +177,12 @@ class EngineProfiler:
         self._path = path
 
     def phase_end(self) -> None:
-        """Close the innermost open phase scope."""
+        """Close the innermost open phase scope.  The record lookup happens
+        before the closing clock read, inside the span it records, so only
+        the in-place adds after the read fall outside phase coverage."""
+        entry = self.phases.get(self._path)
         t = _perf_counter()
         parent, start = self._stack.pop()
-        entry = self.phases.get(self._path)
         if entry is None:
             self.phases[self._path] = [1, t - start]
         else:
@@ -181,21 +192,21 @@ class EngineProfiler:
 
     def phase_next(self, name: str) -> None:
         """Close the current scope and open a sibling named ``name`` with a
-        single clock read — the cheap transition for sequential phases."""
+        single clock read — the cheap transition for sequential phases.
+        Looks the record up before the read, as :meth:`phase_end` does."""
+        entry = self.phases.get(self._path)
         t = _perf_counter()
         parent, start = self._stack[-1]
-        entry = self.phases.get(self._path)
         if entry is None:
             self.phases[self._path] = [1, t - start]
         else:
             entry[0] += 1
             entry[1] += t - start
         self.phase_nexts += 1
-        key = (parent, name)
-        path = self._paths.get(key)
-        if path is None:
-            path = f"{parent};{name}" if parent else name
-            self._paths[key] = path
+        try:
+            path = self._paths[parent][name]
+        except KeyError:
+            path = self._intern(parent, name)
         self._stack[-1] = (parent, t)
         self._path = path
 
@@ -243,15 +254,20 @@ class EngineProfiler:
         per_pair_full = (_perf_counter() - t0) / iterations - baseline
         per_record = max(per_pair_full - 2.0 * per_read, 0.0)
 
-        # Per-event accounting: two clock reads, a qualname lookup, and one
-        # small-dict update — mirror the _run_profiled bookkeeping.
-        by_type: Dict[str, List[float]] = {}
+        # Per-event accounting: a qualname lookup, the path and start-time
+        # stores, two clock reads, the open-scope test and one small-dict
+        # update — the _run_profiled bookkeeping around fn(*args).
+        by_type = scratch.by_type
         fn = scratch.summary
         t0 = _perf_counter()
         for _ in range(iterations):
-            ts = _perf_counter()
             name = getattr(fn, "__qualname__", None) or repr(fn)
+            scratch._path = name
+            ts = _perf_counter()
+            scratch._t0 = ts
             elapsed = _perf_counter() - ts
+            if scratch._stack:
+                scratch._exit_event()
             stats = by_type.get(name)
             if stats is None:
                 by_type[name] = [1, elapsed]
@@ -266,8 +282,14 @@ class EngineProfiler:
         loop, multiplied by exact op counts.  Every recorded scope is one
         record; clock reads depend on how scopes were opened — begin/end
         pairs read twice, a phase_next shares one read between close and
-        open, and a phase_first open reads nothing."""
-        per_read, per_record, per_event = self._calibrate()
+        open, and a phase_first open reads nothing.  Each price is the
+        minimum over several calibration repeats (the ``timeit``
+        convention): a repeat can only be slowed by the machine, never sped
+        up, so the minimum is the stable reading."""
+        per_read, per_record, per_event = (
+            min(prices)
+            for prices in zip(*(self._calibrate() for _ in range(_CALIBRATION_REPEATS)))
+        )
         pairs = sum(int(entry[0]) for entry in self.phases.values())
         reads = max(2 * pairs - self.phase_firsts - self.phase_nexts, 0)
         # Per-event accounting is paid per dispatch; events_total also

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from time import perf_counter as _perf
 from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
@@ -52,12 +51,6 @@ __all__ = [
 ]
 
 MSS = MTU - HEADER_OVERHEAD  # payload bytes per full segment
-
-# Pre-interned phase paths for the inline accounting in UdpCbrFlow._emit;
-# same taxonomy as the generic scope protocol.
-_ROOT_EMIT = "UdpCbrFlow._emit"
-_PH_BUILD = "UdpCbrFlow._emit;build"
-_PH_SEND = "UdpCbrFlow._emit;send"
 
 _flow_ids = itertools.count(1)
 
@@ -184,37 +177,9 @@ class UdpCbrFlow:
             else:
                 self._next = sim.schedule(self._gap(), self._emit)
             return
-        if prof._stack or prof._path != _ROOT_EMIT:
-            # Nested or out-of-band invocation: generic scope protocol.
-            prof.phase_first("build")
-            packet = self._template.copy_patch(self._seq, sim.now)
-            prof.phase_next("send")
-            self.host.send(packet)
-            self.packets_emitted += 1
-            self.bytes_emitted += self.packet_size
-            handle = self._next
-            if handle is not None and handle.fired and not handle.cancelled:
-                sim.reschedule(handle, self._gap())
-            else:
-                self._next = sim.schedule(self._gap(), self._emit)
-            prof.phase_end()
-            return
-        # Inline accounting for the hot top-level case — same taxonomy and
-        # clock-read count as the generic protocol, none of its scope-stack
-        # cost (see Switch.on_ingress for the pattern).
-        phases = prof.phases
+        prof.phase_first("build")
         packet = self._template.copy_patch(self._seq, sim.now)
-        # Entry lookups happen *inside* the spans they record (before the
-        # closing clock read), so the only work outside phase coverage is
-        # the in-place adds after the final read.
-        entry = phases.get(_PH_BUILD)
-        t1 = _perf()
-        if entry is None:
-            phases[_PH_BUILD] = [1, t1 - prof._t0]
-        else:
-            entry[0] += 1
-            entry[1] += t1 - prof._t0
-        prof._path = _PH_SEND
+        prof.phase_next("send")
         self.host.send(packet)
         self.packets_emitted += 1
         self.bytes_emitted += self.packet_size
@@ -223,15 +188,7 @@ class UdpCbrFlow:
             sim.reschedule(handle, self._gap())
         else:
             self._next = sim.schedule(self._gap(), self._emit)
-        prof.phase_firsts += 1
-        prof.phase_nexts += 1
-        entry = phases.get(_PH_SEND)
-        t2 = _perf()
-        if entry is None:
-            phases[_PH_SEND] = [1, t2 - t1]
-        else:
-            entry[0] += 1
-            entry[1] += t2 - t1
+        prof.phase_end()
 
 
 class UdpSink:

@@ -14,7 +14,6 @@ listening ports and :meth:`Host.send` to transmit.
 from __future__ import annotations
 
 import itertools
-from time import perf_counter as _perf
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import TopologyError
@@ -27,13 +26,6 @@ from repro.simnet.nic import Port
 __all__ = ["Host"]
 
 PacketHandler = Callable[[Packet], None]
-
-# Pre-interned phase paths for the inline accounting in on_ingress; same
-# taxonomy as the generic scope protocol.
-_ROOT_INGRESS = "Host.on_ingress"
-_PH_DEMUX = "Host.on_ingress;demux"
-_PH_FLOW = "Host.on_ingress;flow"
-_PH_TRANSPORT = "Host.on_ingress;transport"
 
 
 class Host(Node):
@@ -148,65 +140,17 @@ class Host(Node):
         # handler lookup (backdated to handler entry via phase_first); the
         # handler call is attributed to transport (TCP) or flow (everything
         # else: UDP apps, probes, control messages).
-        if prof._stack or prof._path != _ROOT_INGRESS:
-            # Nested or out-of-band invocation: generic scope protocol.
-            prof.phase_first("demux")
-            if packet.dst_addr != self.addr:
-                self.packets_dropped += 1
-                prof.phase_end()
-                return
-            handler = self._handlers.get((packet.protocol, packet.dst_port))
-            if handler is None:
-                self.packets_unclaimed += 1
-                prof.phase_end()
-                return
-            self.packets_delivered += 1
-            prof.phase_next("transport" if packet.protocol == PROTO_TCP else "flow")
-            handler(packet)
-            prof.phase_end()
-            return
-        # Inline accounting for the hot top-level case — same taxonomy and
-        # clock-read count as the generic protocol, none of its scope-stack
-        # cost (see Switch.on_ingress for the pattern).
-        phases = prof.phases
+        prof.phase_first("demux")
         if packet.dst_addr != self.addr:
             self.packets_dropped += 1
-            handler = None
-        else:
-            handler = self._handlers.get((packet.protocol, packet.dst_port))
-            if handler is None:
-                self.packets_unclaimed += 1
+            prof.phase_end()
+            return
+        handler = self._handlers.get((packet.protocol, packet.dst_port))
         if handler is None:
-            entry = phases.get(_PH_DEMUX)
-            t1 = _perf()
-            if entry is None:
-                phases[_PH_DEMUX] = [1, t1 - prof._t0]
-            else:
-                entry[0] += 1
-                entry[1] += t1 - prof._t0
-            prof.phase_firsts += 1
+            self.packets_unclaimed += 1
+            prof.phase_end()
             return
         self.packets_delivered += 1
-        # Entry lookups happen *inside* the spans they record (before the
-        # closing clock read), so the only work outside phase coverage is
-        # the in-place adds after the final read.
-        entry = phases.get(_PH_DEMUX)
-        t1 = _perf()
-        if entry is None:
-            phases[_PH_DEMUX] = [1, t1 - prof._t0]
-        else:
-            entry[0] += 1
-            entry[1] += t1 - prof._t0
-        path = _PH_TRANSPORT if packet.protocol == PROTO_TCP else _PH_FLOW
-        # Root any scope the handler opens under the phase it runs in.
-        prof._path = path
+        prof.phase_next("transport" if packet.protocol == PROTO_TCP else "flow")
         handler(packet)
-        prof.phase_firsts += 1
-        prof.phase_nexts += 1
-        entry = phases.get(path)
-        t2 = _perf()
-        if entry is None:
-            phases[path] = [1, t2 - t1]
-        else:
-            entry[0] += 1
-            entry[1] += t2 - t1
+        prof.phase_end()

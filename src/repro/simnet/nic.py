@@ -34,7 +34,6 @@ wire-loss draws and link state are read at ``t1``.
 from __future__ import annotations
 
 import os
-from time import perf_counter as _perf
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simnet.link import Link
@@ -45,13 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.node import Node
 
 __all__ = ["Port"]
-
-# Pre-interned phase paths for the inline accounting in _tx_complete: the
-# root the engine loop sets plus its two sequential phases.  Identical
-# taxonomy to the generic scope protocol.
-_ROOT_TXC = "Port._tx_complete"
-_PH_PROPAGATE = "Port._tx_complete;propagate"
-_PH_DEQUEUE = "Port._tx_complete;dequeue"
 
 
 class Port:
@@ -289,42 +281,11 @@ class Port:
             self._finish(packet)
             self._start_next()
             return
-        if prof._stack or prof._path != _ROOT_TXC:
-            # Nested or out-of-band invocation: generic scope protocol.
-            prof.phase_first("propagate")
-            self._finish(packet)
-            prof.phase_next("dequeue")
-            self._start_next()
-            prof.phase_end()
-            return
-        # Inline accounting for the hot top-level case — same taxonomy and
-        # clock-read count as the generic protocol, none of its scope-stack
-        # cost (see Switch.on_ingress for the pattern).
-        phases = prof.phases
+        prof.phase_first("propagate")
         self._finish(packet)
-        # Entry lookups happen *inside* the spans they record (before the
-        # closing clock read), so the only work outside phase coverage is
-        # the in-place adds after the final read.
-        entry = phases.get(_PH_PROPAGATE)
-        t1 = _perf()
-        if entry is None:
-            phases[_PH_PROPAGATE] = [1, t1 - prof._t0]
-        else:
-            entry[0] += 1
-            entry[1] += t1 - prof._t0
-        # Root any nested scope (a probe's egress_stage opened from inside
-        # _start_next) under the dequeue path.
-        prof._path = _PH_DEQUEUE
+        prof.phase_next("dequeue")
         self._start_next()
-        prof.phase_firsts += 1
-        prof.phase_nexts += 1
-        entry = phases.get(_PH_DEQUEUE)
-        t2 = _perf()
-        if entry is None:
-            phases[_PH_DEQUEUE] = [1, t2 - t1]
-        else:
-            entry[0] += 1
-            entry[1] += t2 - t1
+        prof.phase_end()
 
     def _finish(self, packet: Optional[Packet]) -> None:
         """The frame in service leaves the serializer.  ``None`` stands for

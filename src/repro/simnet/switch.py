@@ -16,7 +16,6 @@ port count.
 from __future__ import annotations
 
 import os
-from time import perf_counter as _perf
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import DataPlaneError
@@ -29,14 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.p4.pipeline import P4Program
 
 __all__ = ["Switch"]
-
-# Pre-interned phase paths for the inline accounting in the fast ingress
-# path (see on_ingress): the handler root the engine loop sets, plus its two
-# sequential phases.  Matching the generic scope taxonomy exactly keeps the
-# profile output identical whichever branch recorded it.
-_ROOT_INGRESS = "Switch.on_ingress"
-_PH_PIPELINE = "Switch.on_ingress;p4_pipeline"
-_PH_ENQUEUE = "Switch.on_ingress;enqueue"
 
 
 class Switch(Node):
@@ -104,70 +95,19 @@ class Switch(Node):
                 self.packets_forwarded += 1
                 self.ports[egress_port].send(packet)
                 return
-            if prof._stack or prof._path != _ROOT_INGRESS:
-                # Nested or out-of-band invocation: the generic scope
-                # protocol handles arbitrary parent paths.
-                prof.phase_first("p4_pipeline")
-                self.packets_received += 1
-                egress_port = fast(packet)
-                if egress_port < 0:
-                    prof.phase_end()
-                    self.packets_dropped_pipeline += 1
-                    return
-                packet.hop_count += 1
-                self.packets_forwarded += 1
-                prof.phase_next("enqueue")
-                self.ports[egress_port].send(packet)
-                prof.phase_end()
-                return
-            # Inline accounting for the hot top-level case: same phase
-            # taxonomy and the same clock-read count as phase_first +
-            # phase_next + phase_end (2 reads), without the scope-stack and
-            # path-interning machinery.  The overhead-model counters
-            # (phase_firsts / phase_nexts) are bumped exactly as the generic
-            # protocol would, so the self-measured cost stays honest.
-            phases = prof.phases
+            # Same phase scopes as the staged path below.
+            prof.phase_first("p4_pipeline")
             self.packets_received += 1
-            # Root the closure's own scope (a probe's int_stamp) under the
-            # pipeline path.
-            prof._path = _PH_PIPELINE
             egress_port = fast(packet)
             if egress_port < 0:
-                entry = phases.get(_PH_PIPELINE)
-                t1 = _perf()
-                if entry is None:
-                    phases[_PH_PIPELINE] = [1, t1 - prof._t0]
-                else:
-                    entry[0] += 1
-                    entry[1] += t1 - prof._t0
-                prof.phase_firsts += 1
+                prof.phase_end()
                 self.packets_dropped_pipeline += 1
                 return
             packet.hop_count += 1
             self.packets_forwarded += 1
-            # Entry lookups happen *inside* the spans they record (before
-            # the closing clock read), so the only work outside phase
-            # coverage is the in-place adds after the final read.
-            entry = phases.get(_PH_PIPELINE)
-            t1 = _perf()
-            if entry is None:
-                phases[_PH_PIPELINE] = [1, t1 - prof._t0]
-            else:
-                entry[0] += 1
-                entry[1] += t1 - prof._t0
-            # Root any nested scope (a probe's egress_stage opened from
-            # inside send -> _start_next) under the enqueue path.
-            prof._path = _PH_ENQUEUE
+            prof.phase_next("enqueue")
             self.ports[egress_port].send(packet)
-            prof.phase_firsts += 1
-            prof.phase_nexts += 1
-            entry = phases.get(_PH_ENQUEUE)
-            t2 = _perf()
-            if entry is None:
-                phases[_PH_ENQUEUE] = [1, t2 - t1]
-            else:
-                entry[0] += 1
-                entry[1] += t2 - t1
+            prof.phase_end()
             return
         # Phase scopes (profiled runs only): p4_pipeline covers the parser +
         # ingress control (routing/int_stamp sub-phases open inside the

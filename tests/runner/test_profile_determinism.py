@@ -7,6 +7,7 @@ provenance only — and profiled runs stay byte-identical across serial,
 ``jobs=4``, and cache-round-trip executions.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -165,3 +166,60 @@ class TestCompiledProbePhases:
         for name, _stats in by_wall[:3]:
             assert 0.90 <= coverage.get(name, 0.0) <= 1.05, (name, coverage)
         assert fast_summary["overhead"]["fraction_of_wall"] < 0.40
+
+
+def _digest(mapping):
+    return hashlib.sha256(json.dumps(sorted(mapping.items())).encode()).hexdigest()
+
+
+class TestPhaseTaxonomyGolden:
+    """The profiler's phase taxonomy is a contract: which paths exist, how
+    often each closes, and how every scope was opened (the overhead model's
+    clock-read count).  Handlers may change *how* they account phases, never
+    *what* is accounted.  Recorded while the four hottest handlers still
+    carried hand-inlined accounting; the generic protocol matches it."""
+
+    GOLDEN = {
+        "fig5": {
+            "phases": "3e9db3cc535f45cfa32cea49ed4471cd3989abc14e5c368f79f2cec60dd122eb",
+            "handlers": "8b74d154cec07daa4f85a2cbee34a0865fb448312dba761b7f405818c4240801",
+            "phase_firsts": 177687,
+            "phase_nexts": 177687,
+            "phase_pairs": 409693,
+            "clock_reads": 464012,
+        },
+        "fig7": {
+            "phases": "4cc3599e6ab01809e15f11b07b908b536adbede7d5965dc105c64f19367fc40b",
+            "handlers": "00f94a88f9be31f8cb57f42041e559f7a515e668719b5811f3c270d8be7051e9",
+            "phase_firsts": 183694,
+            "phase_nexts": 183692,
+            "phase_pairs": 404690,
+            "clock_reads": 441994,
+        },
+    }
+
+    @pytest.mark.parametrize("figure", sorted(GOLDEN))
+    def test_phase_taxonomy_matches_golden(self, figure):
+        import dataclasses
+
+        from repro.edge.task import SizeClass
+        from repro.experiments.comparison import FIG5_CONFIG, FIG7_CONFIG
+        from repro.experiments.harness import run_experiment
+        from repro.simnet.engine import EngineProfiler
+
+        base, size_class = {
+            "fig5": (FIG5_CONFIG, SizeClass.VS), "fig7": (FIG7_CONFIG, SizeClass.M),
+        }[figure]
+        config = dataclasses.replace(base, scale=SMOKE_SCALE, seed=3, size_class=size_class)
+        prof = EngineProfiler()
+        run_experiment(config, profiler=prof)
+        summary = prof.summary()
+        got = {
+            "phases": _digest({p: s["count"] for p, s in summary["phases"].items()}),
+            "handlers": _digest({h: s["count"] for h, s in summary["by_type"].items()}),
+            "phase_firsts": prof.phase_firsts,
+            "phase_nexts": prof.phase_nexts,
+            "phase_pairs": summary["overhead"]["phase_pairs"],
+            "clock_reads": summary["overhead"]["clock_reads"],
+        }
+        assert got == self.GOLDEN[figure], sorted(summary["phases"])

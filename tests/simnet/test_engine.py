@@ -475,6 +475,32 @@ class TestPhaseScopes:
         assert 0.0 <= overhead["fraction_of_wall"]
         assert overhead["per_read_s"] >= 0.0
 
+    def test_overhead_estimate_ignores_a_slow_calibration(self, monkeypatch):
+        """A calibration repeat slowed by the machine (the first, here) must
+        not move the estimate: prices are the minimum over repeats."""
+        from repro.simnet.engine import EngineProfiler
+
+        readings = iter([(1e-6, 1e-5, 1e-4)] + [(1e-8, 1e-7, 1e-6)] * 20)
+        monkeypatch.setattr(
+            EngineProfiler, "_calibrate", staticmethod(lambda: next(readings))
+        )
+        sim = self._profiled_sim()
+        prof = sim.profiler
+
+        def handler():
+            prof.phase_first("a")
+            prof.phase_next("b")
+            prof.phase_end()
+
+        for t in range(1, 11):
+            sim.schedule(float(t), handler)
+        sim.run()
+        overhead = prof.overhead_estimate()
+        assert (overhead["per_read_s"], overhead["per_record_s"], overhead["per_event_s"]) == (
+            1e-8, 1e-7, 1e-6,
+        )
+        assert overhead["total_s"] == pytest.approx(20 * 1e-8 + 20 * 1e-7 + 10 * 1e-6)
+
     def test_phase_coverage_helper(self):
         from repro.simnet.engine import phase_coverage
 

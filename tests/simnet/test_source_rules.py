@@ -24,6 +24,14 @@ inference and the baselines work on plain dicts; ``Network.graph()`` (the
 analysis view, and the reference the routing tests search) is the one
 function that imports it, locally.  No module under ``repro`` may import it
 at module scope, and no policy or observer may pull it in at run time.
+
+**Phase accounting goes through the profiler's methods.**  Handlers open
+and close phases with ``phase_first`` / ``phase_next`` / ``phase_end`` (or
+``phase_begin``); only ``simnet/engine.py`` reads or writes the profiler's
+scope state (``_path``, ``_t0``, ``_stack``), its ``phases`` records or the
+``phase_firsts`` / ``phase_nexts`` counters.  Hand-inlined copies of that
+accounting in the hottest handlers once made ``--profile`` ~10 % cheaper
+while saving no clock read, at the price of a third body per handler.
 """
 
 import pathlib
@@ -65,6 +73,25 @@ def test_data_path_source_obeys(rule):
         if pattern.search(line)
     ]
     assert not offenders, f"{rule}:\n" + "\n".join(offenders)
+
+
+PROFILER_PRIVATE = re.compile(
+    r"\._(path|t0|stack)\b(?!\s*\()|\.phases\b|\bphase_(firsts|nexts)\b"
+)
+
+
+def test_profiler_state_stays_inside_the_engine():
+    engine = SRC / "simnet" / "engine.py"
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != engine
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if PROFILER_PRIVATE.search(line)
+    ]
+    assert not offenders, "EngineProfiler state touched outside engine.py:\n" + "\n".join(
+        offenders
+    )
 
 
 def test_no_module_scope_networkx_import():
