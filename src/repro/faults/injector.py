@@ -87,6 +87,8 @@ class FaultInjector:
             raise FaultError("fault injector already armed")
         self._armed = True
         self.sim.faults = self
+        for link in self.network.links.values():
+            link.arm_faults()
         events = self.plan.expanded()
         for ev in events:
             self.sim.schedule_at(max(ev.time, self.sim.now), self._fire, ev)

@@ -8,6 +8,7 @@ extends ordinary forwarding.
 
 from __future__ import annotations
 
+from repro.errors import DataPlaneError
 from repro.p4.pipeline import P4Program, PipelineContext
 from repro.simnet.packet import FLAG_PROBE
 
@@ -48,33 +49,72 @@ class PlainForwardingProgram(P4Program):
 
     # -- fast path ----------------------------------------------------------
 
-    def _compile_ingress(self, probe_stamp=None):
-        """The forwarding decision as one closure: TTL check + exact-match
-        lookup with the table's own hit/miss counters, no context object.
-        Captures the table's entry dict by reference, so control-plane
-        ``set_entry`` updates are visible immediately.  ``probe_stamp`` is
-        a subclass's probe-only ingress work, run before routing as its
-        staged ``ingress`` does before calling up."""
+    def _compile_hop(self, probe_stamp=None):
+        """The switch hop as one closure, called by the engine as
+        ``hop(packet, in_port)`` for a frame arriving from the wire: the
+        switch's receive counter, ``probe_stamp`` (a subclass's probe-only
+        ingress work, run before routing as its staged ``ingress`` does
+        before calling up), the TTL check and exact-match lookup with the
+        table's own hit/miss counters, the forwarding counters and the
+        hand-off to the egress port — no context object and no further
+        frame before :meth:`Port.send`.  Captures the table's entry dict and
+        the switch's port list by reference, so control-plane ``set_entry``
+        updates are visible immediately.
+
+        One plain body and one phase-protocol body with the scopes of the
+        staged ``Switch.on_ingress`` (p4_pipeline, then enqueue around the
+        send); profiles name the closure after that handler."""
         table = self.forward_table
         entries = table._entries
+        switch = self.switch
+        sim = switch.sim
+        ports = switch.ports
 
-        def fast_ingress(packet) -> int:
-            if probe_stamp is not None and packet.flags & FLAG_PROBE:
+        def hop(packet, in_port) -> None:
+            prof = sim.profiler
+            if prof is None:
+                switch.packets_received += 1
+                if packet.flags & FLAG_PROBE and probe_stamp is not None:
+                    probe_stamp(packet)
+                if packet.ttl > 1:
+                    entry = entries.get(packet.dst_addr)
+                    if entry is None:
+                        table.misses += 1
+                        entry = table.default_action
+                    else:
+                        table.hits += 1
+                    if entry[0] == "forward":
+                        packet.ttl -= 1
+                        packet.hop_count += 1
+                        switch.packets_forwarded += 1
+                        ports[entry[1]["port"]].send(packet)
+                        return
+                switch.packets_dropped_pipeline += 1
+                return
+            prof.phase_first("p4_pipeline")
+            switch.packets_received += 1
+            if packet.flags & FLAG_PROBE and probe_stamp is not None:
                 probe_stamp(packet)
-            if packet.ttl <= 1:
-                return -1
-            entry = entries.get(packet.dst_addr)
-            if entry is None:
-                table.misses += 1
-                entry = table.default_action
-            else:
-                table.hits += 1
-            if entry[0] == "forward":
-                packet.ttl -= 1
-                return entry[1]["port"]
-            return -1
+            if packet.ttl > 1:
+                entry = entries.get(packet.dst_addr)
+                if entry is None:
+                    table.misses += 1
+                    entry = table.default_action
+                else:
+                    table.hits += 1
+                if entry[0] == "forward":
+                    packet.ttl -= 1
+                    packet.hop_count += 1
+                    switch.packets_forwarded += 1
+                    prof.phase_next("enqueue")
+                    ports[entry[1]["port"]].send(packet)
+                    prof.phase_end()
+                    return
+            prof.phase_end()
+            switch.packets_dropped_pipeline += 1
 
-        return fast_ingress
+        hop.__qualname__ = "Switch.on_ingress"
+        return hop
 
     def compile(self):
         cls = type(self)
@@ -90,8 +130,10 @@ class PlainForwardingProgram(P4Program):
             or (self.switch is not None and self.switch.observer is not None)
         ):
             return None
+        if self.switch is None:
+            raise DataPlaneError("forwarding program compiled before bind()")
 
-        def fast_egress(packet, port_index: int, enq_depth: int) -> None:
+        def egress(packet, out_port, enq_depth: int) -> None:
             return None  # plain forwarding has an empty egress stage
 
-        return self._compile_ingress(), fast_egress
+        return self._compile_hop(), egress

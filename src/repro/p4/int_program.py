@@ -76,12 +76,13 @@ class IntTelemetryProgram(PlainForwardingProgram):
     # -- fast path -------------------------------------------------------------
 
     def compile(self):
-        """Both packet classes as context-free closures.  Data packets:
-        plain routing at ingress, the per-port max-depth register fold at
-        egress.  Probes: the ``int_stamp`` latency measurement before
-        routing, and the collect-and-reset + hop-record append at egress.
-        Each mirrors the staged stage bodies effect for effect (counters,
-        clock reads, register accesses, packet mutations).
+        """Both packet classes as context-free closures: the switch hop
+        (plain routing for data packets; the ``int_stamp`` latency
+        measurement before routing for probes) and the egress stage (the
+        per-port max-depth register fold for data packets; the
+        collect-and-reset + hop-record append for probes).  Each mirrors
+        the staged stage bodies effect for effect (counters, clock reads,
+        register accesses, packet mutations).
 
         The switch's packet observer, if any, is bound here too.  One that
         matches only probes gets its hook inside the two probe branches,
@@ -129,11 +130,12 @@ class IntTelemetryProgram(PlainForwardingProgram):
                     packet.int_link_latency = clock_read() - packet.last_egress_ts
                     prof.phase_end()
 
-        def fast_egress(packet, port_index: int, enq_depth: int) -> None:
+        def egress(packet, out_port, enq_depth: int) -> None:
             if not packet.flags & FLAG_PROBE:
                 # reg.max_update(port, enq_depth), counter semantics included.
                 self.data_packets_observed += 1
                 reg.writes += 1
+                port_index = out_port.port_index
                 if enq_depth > values[port_index]:
                     values[port_index] = enq_depth
                 return
@@ -141,6 +143,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
                 observe_probe(switch, "egress", packet, enq_depth)
             self.probes_processed += 1
             # reg.read_and_reset(port), bounds check and counters included.
+            port_index = out_port.port_index
             if not 0 <= port_index < reg.size:
                 reg._check(port_index)
             reg.reads += 1
@@ -169,19 +172,20 @@ class IntTelemetryProgram(PlainForwardingProgram):
             packet.int_link_latency = None
             packet.last_egress_ts = egress_ts
 
-        fast_ingress = self._compile_ingress(int_stamp)
+        hop = self._compile_hop(int_stamp)
         if observe_all is None:
-            return fast_ingress, fast_egress
+            return hop, egress
 
-        def observed_ingress(packet) -> int:
+        def observed_hop(packet, in_port) -> None:
             observe_all(switch, "ingress", packet)
-            return fast_ingress(packet)
+            hop(packet, in_port)
 
-        def observed_egress(packet, port_index: int, enq_depth: int) -> None:
+        def observed_egress(packet, out_port, enq_depth: int) -> None:
             observe_all(switch, "egress", packet, enq_depth)
-            fast_egress(packet, port_index, enq_depth)
+            egress(packet, out_port, enq_depth)
 
-        return observed_ingress, observed_egress
+        observed_hop.__qualname__ = hop.__qualname__
+        return observed_hop, observed_egress
 
     # -- egress ---------------------------------------------------------------
 

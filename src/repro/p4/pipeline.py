@@ -103,25 +103,29 @@ class P4Program:
         """Hook for programs that size resources from switch port count."""
 
     def compile(self):
-        """Fold the pipeline into precompiled per-packet-class closures.
+        """Fold the pipeline into precompiled per-switch closures.
 
-        Returns ``(fast_ingress, fast_egress)`` or ``None``.  The closures
-        cover every packet class the program handles — data packets and
-        probes alike — with zero :class:`PipelineContext` allocations:
+        Returns ``(hop, egress)`` or ``None``.  The closures cover every
+        packet class the program handles — data packets and probes alike —
+        with zero :class:`PipelineContext` allocations:
 
-        * ``fast_ingress(packet) -> int`` — parser + ingress control folded
-          together; returns the egress port index or ``-1`` for drop.
-        * ``fast_egress(packet, port_index, enq_depth) -> None`` — parser +
-          egress + deparser folded together.
+        * ``hop(packet, in_port) -> None`` — what ``Switch.on_ingress``
+          does, with parser + ingress control folded in: counters, the
+          forwarding decision and the egress port's ``send``;
+        * ``egress(packet, out_port, enq_depth) -> None`` — what
+          ``Switch.on_egress`` does, with parser + egress + deparser folded
+          in.
 
-        Implementations must preserve every externally observable effect of
-        the staged path (table hit/miss counters, register read/write
-        counters, clock reads, packet mutations, probe-only profiler phases)
-        and must return ``None`` whenever any stage has been overridden by a
-        subclass they do not know about — the staged context path then
-        remains the oracle, as it does under ``REPRO_SLOWPATH=1``.
+        The switch binds them into its ports' slots, so the engine and the
+        ports call them directly.  Implementations must preserve every
+        externally observable effect of the staged path (switch and table
+        counters, register read/write counters, clock reads, packet
+        mutations, profiler phases) and must return ``None`` whenever any
+        stage has been overridden by a subclass they do not know about —
+        the staged context path then remains the oracle, as it does under
+        ``REPRO_SLOWPATH=1``.
 
-        The switch calls no observer hook around compiled closures: an
+        Nothing calls an observer hook around compiled closures: an
         implementation either binds ``self.switch.observer``'s ``record``
         into the closures it returns (the switch recompiles whenever the
         slot changes) or returns ``None`` while an observer is attached,

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _perf_counter = _walltime.perf_counter
+_INF = float("inf")
 
 # Calibration repeats behind each overhead estimate; prices are the minimum.
 _CALIBRATION_REPEATS = 5
@@ -435,12 +436,10 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stop_requested = False
-        # Live (scheduled, not yet fired or cancelled) event count — kept
-        # exact on every push / fire / cancel so pending_events() is O(1).
-        self._live: int = 0
         # Cancelled entries still sitting in the heap.  Lazy cancellation
         # leaves tombstones until popped; when they outnumber the live
-        # entries the heap is compacted in one O(n) rebuild.
+        # entries the heap is compacted in one O(n) rebuild.  Every other
+        # entry is live, so pending_events() is one subtraction.
         self._tombstones: int = 0
         self.events_executed: int = 0
         self.events_cancelled: int = 0
@@ -482,7 +481,6 @@ class Simulator:
             )
         handle = EventHandle(time, fn, args)
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, (time, self._seq, handle, fn, args))
         return handle
 
@@ -498,7 +496,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.9f}s in the past")
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, None, fn, args))
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -508,7 +505,6 @@ class Simulator:
                 f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
             )
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, (time, self._seq, None, fn, args))
 
     def reschedule(self, handle: EventHandle, delay: float) -> EventHandle:
@@ -533,7 +529,6 @@ class Simulator:
         handle.time = time
         handle.fired = False
         self._seq += 1
-        self._live += 1
         heapq.heappush(self._heap, (time, self._seq, handle, handle.fn, handle.args))
         return handle
 
@@ -547,7 +542,6 @@ class Simulator:
             raise SimulationError("event already cancelled")
         handle.cancelled = True
         self.events_cancelled += 1
-        self._live -= 1
         self._tombstones += 1
         # Compact once tombstones dominate: routing/fault churn can cancel
         # far more events than the run ever pops, and each tombstone costs a
@@ -599,7 +593,6 @@ class Simulator:
                     continue
                 handle.fired = True
             self._now = time
-            self._live -= 1
             self.events_executed += 1
             fn(*args)
             self.settle()
@@ -628,17 +621,22 @@ class Simulator:
         self._stop_requested = False
         executed = 0
         counted = self.events_executed
+        # No window edge is an infinite one, and no budget is one the
+        # dispatch count never equals (it is 1 or more at every test), so
+        # the loops below test each bound with one comparison.
+        limit = _INF if until is None else until
+        budget = 0 if max_events is None else max(max_events, 1)
         try:
             heap = self._heap
             pop = heapq.heappop
             if self.profiler is not None:
-                executed = self._run_profiled(until, max_events)
+                executed = self._run_profiled(limit, budget)
             else:
                 # Hot loop: the heap, its pop and the event's own fields are
-                # locals; the clock, `_live` and `events_executed` are
-                # stored per event because handlers read them.
+                # locals; the clock and `events_executed` are stored per
+                # event because handlers read them.
                 while heap and not self._stop_requested:
-                    if until is not None and heap[0][0] > until:
+                    if heap[0][0] > limit:
                         break
                     time, _seq, handle, fn, args = pop(heap)
                     if handle is not None:
@@ -647,11 +645,10 @@ class Simulator:
                             continue
                         handle.fired = True
                     self._now = time
-                    self._live -= 1
                     self.events_executed += 1
                     fn(*args)
                     executed += 1
-                    if max_events is not None and executed >= max_events:
+                    if executed == budget:
                         break
         finally:
             self._running = False
@@ -674,9 +671,7 @@ class Simulator:
             # The profiled loop counted its dispatches; add the credits.
             self.profiler.events_total += self.events_executed - counted - executed
 
-    def _run_profiled(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
+    def _run_profiled(self, limit: float, budget: int) -> int:
         """The :meth:`run` loop with per-event profiling.  A separate copy so
         the unprofiled loop pays nothing; semantics are identical — the
         profiler observes, never perturbs, the event order."""
@@ -689,7 +684,7 @@ class Simulator:
         loop_start = clock()
         try:
             while heap and not self._stop_requested:
-                if until is not None and heap[0][0] > until:
+                if heap[0][0] > limit:
                     break
                 depth = len(heap)
                 if depth > profiler.queue_high_water:
@@ -701,7 +696,6 @@ class Simulator:
                         continue
                     handle.fired = True
                 self._now = time
-                self._live -= 1
                 self.events_executed += 1
                 name = getattr(fn, "__qualname__", None) or repr(fn)
                 profiler._path = name
@@ -718,7 +712,7 @@ class Simulator:
                     stats[0] += 1
                     stats[1] += elapsed
                 executed += 1
-                if max_events is not None and executed >= max_events:
+                if executed == budget:
                     break
         finally:
             profiler._exit_event()
@@ -731,9 +725,9 @@ class Simulator:
         self._stop_requested = True
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1): the
-        count is maintained on every schedule / post / fire / cancel."""
-        return self._live
+        """Number of live (non-cancelled) events still queued.  O(1): every
+        heap entry but the tombstones is live."""
+        return len(self._heap) - self._tombstones
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

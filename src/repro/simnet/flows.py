@@ -70,7 +70,9 @@ class UdpCbrFlow:
     """Fixed-rate UDP source, the paper's iperf background traffic.
 
     ``burstiness="poisson"`` draws exponential inter-packet gaps with the
-    configured mean rate; ``"cbr"`` sends on a strict schedule.
+    configured mean rate from ``rng``, which the flow then owns: it draws
+    gaps in blocks, ahead of use, so nothing else may draw from it.
+    ``"cbr"`` sends on a strict schedule.
     """
 
     def __init__(
@@ -105,6 +107,9 @@ class UdpCbrFlow:
         self._next: Optional[EventHandle] = None
         self._stopped = True
         self._seq = 0
+        # Prefetched exponential gaps (see _gap).
+        self._gap_buf: List[float] = []
+        self._gap_idx = 0
         # Per-flow emission template: every frame of a CBR flow is identical
         # except for seq / timestamps, so emission is a copy-and-patch of
         # this prototype instead of a full Packet.__init__ per packet.  The
@@ -153,8 +158,18 @@ class UdpCbrFlow:
     def _gap(self) -> float:
         if self.burstiness == "cbr":
             return self.mean_gap
-        assert self._rng is not None
-        return float(self._rng.exponential(self.mean_gap))
+        # A block draw hands out the very values scalar draws would; only
+        # the generator runs ahead of them, and the flow owns it (callers
+        # hand each flow a stream of its own).  A scalar numpy draw costs
+        # ~10x its share of a block.
+        i = self._gap_idx
+        buf = self._gap_buf
+        if i >= len(buf):
+            assert self._rng is not None
+            buf = self._gap_buf = self._rng.exponential(self.mean_gap, 256).tolist()
+            i = 0
+        self._gap_idx = i + 1
+        return buf[i]
 
     def _emit(self) -> None:
         if self._stopped:
@@ -165,7 +180,7 @@ class UdpCbrFlow:
         # send = local egress enqueue + next-emission scheduling.
         prof = sim.profiler
         if prof is None:
-            packet = self._template.copy_patch(self._seq, sim.now)
+            packet = self._template.copy_patch(self._seq, sim._now)
             self.host.send(packet)
             self.packets_emitted += 1
             self.bytes_emitted += self.packet_size
@@ -178,7 +193,7 @@ class UdpCbrFlow:
                 self._next = sim.schedule(self._gap(), self._emit)
             return
         prof.phase_first("build")
-        packet = self._template.copy_patch(self._seq, sim.now)
+        packet = self._template.copy_patch(self._seq, sim._now)
         prof.phase_next("send")
         self.host.send(packet)
         self.packets_emitted += 1
@@ -205,7 +220,7 @@ class UdpSink:
 
     def _on_packet(self, packet: Packet) -> None:
         fid = packet.flow_id
-        now = self.host.sim.now
+        now = self.host.sim._now
         self.bytes_by_flow[fid] = self.bytes_by_flow.get(fid, 0) + packet.size_bytes
         self.packets_by_flow[fid] = self.packets_by_flow.get(fid, 0) + 1
         self.first_arrival.setdefault(fid, now)

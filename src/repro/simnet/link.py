@@ -19,6 +19,7 @@ propagation delay.
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import TopologyError
@@ -72,8 +73,8 @@ class Link:
         # check and sim-time stamp without its three calls per frame.
         self.obs_counters: Optional[dict] = None
         # -- fault-injection state (repro.faults) --------------------------
-        # `impaired` is the single hot-path flag the Port checks per packet:
-        # it is True iff the link is down or a loss rate is active.  Rate
+        # `impaired` is True iff the link is down or a loss rate is active:
+        # a completing frame must then be checked for wire loss.  Rate
         # degradation and extra delay apply unconditionally because identity
         # arithmetic (x * 1.0, x + 0.0) is exact, keeping the fault-free
         # path byte-identical.
@@ -85,6 +86,15 @@ class Link:
         self.impaired = False
         self.packets_lost = 0       # frames lost on the wire (faults only)
         self._loss_rng: Optional[Any] = None
+        # `per_frame` is the one flag a port tests per frame: True when a
+        # frame's transmit completion has semantics of its own and must be
+        # its own event (nic.py) — under REPRO_SLOWPATH=1 (the equivalence
+        # suite's oracle), once a fault injector is armed on the simulation,
+        # on an impaired link and under extra delay.  The setters below and
+        # arm_faults() keep it current.
+        self._slowpath = os.environ.get("REPRO_SLOWPATH", "") == "1"
+        self._faults_armed = False
+        self.per_frame = self._slowpath
 
     def attach(self, port_a: "Port", port_b: "Port") -> None:
         if self.port_a is not None or self.port_b is not None:
@@ -114,13 +124,20 @@ class Link:
 
     # -- fault injection ---------------------------------------------------
     #
-    # A port reads this state when a frame *starts* serializing: a clean
+    # A port reads ``per_frame`` when a frame *starts* serializing: a clean
     # link gets the frame's delivery scheduled there and then (completion
     # elision, see nic.py), so a fault set mid-frame first applies to the
     # next frame.  ``FaultInjector.arm()`` — the only caller of the three
-    # setters below in ``src/`` — keeps every port of its simulator on the
-    # per-frame path for the whole run, where the state is read at the
-    # completion instant as documented on each setter.
+    # setters below in ``src/`` — first calls :meth:`arm_faults` on every
+    # link, which keeps them on the per-frame path for the whole run, where
+    # the state is read at the completion instant as documented on each
+    # setter.
+
+    def arm_faults(self) -> None:
+        """Keep every frame's completion an event of its own from now on:
+        a fault injector is armed on this link's simulation."""
+        self._faults_armed = True
+        self._update_flags()
 
     def set_up(self, up: bool) -> None:
         """Carrier state.  While down, every frame completing transmission
@@ -128,7 +145,7 @@ class Link:
         dead cable).  Without an armed injector, a frame already serializing
         when the carrier drops is still delivered."""
         self.up = bool(up)
-        self._update_impaired()
+        self._update_flags()
 
     def set_loss(
         self,
@@ -158,7 +175,7 @@ class Link:
             raise TopologyError(
                 f"link {self.name!r}: probabilistic loss requires an rng"
             )
-        self._update_impaired()
+        self._update_flags()
 
     def set_degradation(self, *, rate_factor: float = 1.0, extra_delay: float = 0.0) -> None:
         """Brownout: multiply serialization rate by ``rate_factor`` and add
@@ -175,10 +192,17 @@ class Link:
             )
         self.rate_factor = rate_factor
         self.extra_delay = extra_delay
+        self._update_flags()
 
-    def _update_impaired(self) -> None:
+    def _update_flags(self) -> None:
         self.impaired = (
             not self.up or self.loss_rate > 0.0 or self.probe_loss_rate > 0.0
+        )
+        self.per_frame = (
+            self._slowpath
+            or self._faults_armed
+            or self.impaired
+            or self.extra_delay != 0.0
         )
 
     def should_drop(self, packet) -> bool:

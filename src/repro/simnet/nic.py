@@ -26,14 +26,20 @@ bookkeeping (``packets_sent``, the link byte counters, one credit to
 completion, a reader (:meth:`settle`, ``Link.carried``) or ``run()``
 returning, whichever comes first, and then reads exactly what a per-frame
 completion would have written.  The per-frame event stays where completion
-has semantics of its own: ``REPRO_SLOWPATH=1`` (the equivalence suite's
-oracle), an armed fault injector, an impaired link or extra link delay —
-wire-loss draws and link state are read at ``t1``.
+has semantics of its own, which the link's ``per_frame`` flag says (see
+:class:`~repro.simnet.link.Link`): wire-loss draws and link state are then
+read at ``t1``.
+
+**The hop.**  A frame's life is a short chain of frames: the engine pops the
+delivery, the receiving node's entry point runs (a switch's compiled hop:
+ingress stage, routing, counters), :meth:`send` queues or cuts through,
+:meth:`_start` runs the node's egress stage from the port's ``_egress``
+slot, and pushes the next delivery straight onto the simulator's heap.
 """
 
 from __future__ import annotations
 
-import os
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simnet.link import Link
@@ -69,27 +75,32 @@ class Port:
         self._plain_queue = type(self.queue) is DropTailQueue
         self.packets_sent = 0
         self.packets_dropped = 0
-        # Hot-path caches: the simulator reference and the bound completion
+        # Hot-path caches: the simulator, its heap (compaction rewrites that
+        # list in place, so the alias holds) and the bound completion
         # callback (so scheduling does not rebuild a method object per
         # frame).  Link.attach wires the rest once both ends exist: this
         # port's direction key on the link ("a"/"b"), that direction's
-        # serialization rate, the peer port and its node's bound ingress
-        # handler (handlers are never replaced on an instance, see
+        # serialization rate, the peer port and the entry point frames are
+        # delivered to.  `_egress` is this node's egress stage.  Both slots
+        # hold what Node.entry_points returns; a switch rebinds them when its
+        # program compiles (handlers are never replaced on an instance, see
         # tests/simnet/test_source_rules.py).
         self._sim = node.sim
+        self._heap = node.sim._heap
         self._tx_complete_cb = self._tx_complete
         self._dir_key = ""
         self._rate = 0.0
         self._peer: Optional["Port"] = None
         self._deliver: Optional[Callable[[Packet, "Port"], None]] = None
+        self._egress: Callable[[Packet, "Port", int], None] = node.entry_points()[1]
         # Serializer state.  `_busy_until` is the completion instant of the
         # frame in service (or of the last one); `_completion_posted` says a
         # _tx_complete event for it is on the heap; `_owed` is the size of a
-        # frame whose completion was elided and is not on the books yet.
+        # frame whose completion was elided and is not on the books yet (0:
+        # nothing owed; a frame is never empty).
         self._busy_until = 0.0
         self._completion_posted = False
-        self._owed: Optional[int] = None
-        self._per_frame = os.environ.get("REPRO_SLOWPATH", "") == "1"
+        self._owed = 0
         node.sim.settle_on_return(self.settle)
 
     # -- identity -----------------------------------------------------------
@@ -108,7 +119,7 @@ class Port:
         self._dir_key = dir_key
         self._rate = rate_bps
         self._peer = peer
-        self._deliver = peer.node.on_ingress
+        self._deliver = peer.node.entry_points()[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.port_index}] on {self.link.name}>"
@@ -122,7 +133,7 @@ class Port:
         idle = not self._completion_posted and self._sim._now >= self._busy_until
         if self._plain_queue:
             threshold = queue.threshold
-            if idle and not items and (threshold is None or threshold != 1):
+            if idle and not items and threshold != 1:
                 # Cut-through: on an idle port the push + pop round trip
                 # leaves nothing behind but these counters (depth 0 never
                 # raises max_depth_seen, capacity is >= 1).  Through an
@@ -167,8 +178,14 @@ class Port:
         elif not self._completion_posted:
             # The frame in service had its completion elided; now a frame
             # waits behind it, so the completion has work to do after all.
+            # Pushed as post_at would, without the call (never in the past).
             self._completion_posted = True
-            self._sim.post_at(self._busy_until, self._tx_complete_cb, None)
+            sim = self._sim
+            sim._seq += 1
+            heappush(
+                self._heap,
+                (self._busy_until, sim._seq, None, self._tx_complete_cb, (None,)),
+            )
         return True
 
     def _start_next(self) -> None:
@@ -199,22 +216,9 @@ class Port:
     def _start(self, packet: Packet) -> None:
         """Begin serializing ``packet`` at this instant."""
         sim = self._sim
-        link = self.link
-        nbytes = self._owed
-        if nbytes is not None:
+        if self._owed:
             # The serializer is free, so the owed completion lies behind us.
-            # Inlined _book + Link.record_carried — keep in lockstep.
-            self._owed = None
-            self.packets_sent += 1
-            key = self._dir_key
-            link.bytes_carried[key] += nbytes
-            counters = link.obs_counters
-            if counters is not None:
-                if nbytes < 0:
-                    raise ValueError(f"link {link.name}: negative frame size")
-                counter = counters[key]
-                counter.value += nbytes
-                counter.updated_at = self._busy_until
+            self._book()
             sim.events_executed += 1
         # P4 egress stage: runs as the packet leaves the queue and begins
         # serialization.  May mutate the packet (probe payload growth).
@@ -222,52 +226,56 @@ class Port:
         # work (INT record collection + payload growth), while the data-
         # packet egress is a single register update not worth two clock
         # reads per packet — it stays in the enclosing phase's self-time.
-        node = self.node
         prof = sim.profiler
         if prof is None or not packet.flags & FLAG_PROBE:
-            node.on_egress(packet, self, packet.enq_depth)
+            self._egress(packet, self, packet.enq_depth)
         else:
             prof.phase_begin("egress_stage")
-            node.on_egress(packet, self, packet.enq_depth)
+            self._egress(packet, self, packet.enq_depth)
             prof.phase_end()
         # rate_factor is 1.0 unless a fault degraded the link; x * 1.0 is
         # exact, so the fault-free path is byte-identical.
+        link = self.link
         nbytes = packet.size_bytes
         tx_time = (nbytes * 8.0) / (self._rate * link.rate_factor)
         # Software switches (BMv2) forward with noticeable per-packet service
         # variance; the node's jitter factor reproduces it.  Mean unchanged.
-        # Jitter-free nodes skip the call outright: eliding `x *= 1.0` is
+        # Jitter-free nodes skip the factor outright: eliding `x *= 1.0` is
         # exact, so the result is bit-identical.
-        jitter = node.service_jitter
-        if jitter != 0.0:
-            # Inlined Node.service_time_factor's buffer read.
+        node = self.node
+        if node.service_jitter != 0.0:
+            # Node.service_time_factor's buffer read, refill left to it.
             i = node._service_idx
             buf = node._service_buf
             if i < len(buf):
                 node._service_idx = i + 1
-                tx_time *= 1.0 + jitter * (2.0 * buf[i] - 1.0)
+                tx_time *= buf[i]
             else:
                 tx_time *= node.service_time_factor()
-        # The two sums below are the ones post() evaluates for a completion
-        # at now + tx_time and a delivery at that + propagation, so every
-        # arrival time is bit-identical on both paths.
+        # The sums below are the ones post() evaluates for a completion at
+        # now + tx_time and a delivery at that + propagation, so every
+        # arrival time is bit-identical on both paths.  Entries are pushed
+        # as post_at pushes them, without the call: nothing here lies in the
+        # past.
         t1 = self._busy_until = sim._now + tx_time
-        if (
-            self._per_frame
-            or sim.faults is not None
-            or link.impaired
-            or link.extra_delay != 0.0
-        ):
+        if link.per_frame:
             # Completion has semantics of its own: the frame is delivered,
             # or lost on the wire, by its own event at t1.
             self._completion_posted = True
-            sim.post_at(t1, self._tx_complete_cb, packet)
+            sim._seq += 1
+            heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (packet,)))
             return
-        sim.post_at(t1 + link.propagation_delay, self._deliver, packet, self._peer)
+        heap = self._heap
+        sim._seq += 1
+        heappush(
+            heap,
+            (t1 + link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
+        )
         self._owed = nbytes
         if self.queue._items:
             self._completion_posted = True
-            sim.post_at(t1, self._tx_complete_cb, None)
+            sim._seq += 1
+            heappush(heap, (t1, sim._seq, None, self._tx_complete_cb, (None,)))
         else:
             self._completion_posted = False
 
@@ -276,24 +284,28 @@ class Port:
         # leaving the serializer (books, wire loss-check + delivery
         # scheduling), dequeue covers pulling the next packet (with the
         # probe-only egress_stage sub-phase inside).
+        # A None packet stands for a frame that was handed to the wire when
+        # it started: only its books remain, and this event is its own
+        # ``events_executed`` count.
         prof = self._sim.profiler
         if prof is None:
-            self._finish(packet)
+            if packet is None:
+                self._book()
+            else:
+                self._finish(packet)
             self._start_next()
             return
         prof.phase_first("propagate")
-        self._finish(packet)
+        if packet is None:
+            self._book()
+        else:
+            self._finish(packet)
         prof.phase_next("dequeue")
         self._start_next()
         prof.phase_end()
 
-    def _finish(self, packet: Optional[Packet]) -> None:
-        """The frame in service leaves the serializer.  ``None`` stands for
-        a frame that was handed to the wire when it started: only its books
-        remain, and this event is its own ``events_executed`` count."""
-        if packet is None:
-            self._book()
-            return
+    def _finish(self, packet: Packet) -> None:
+        """The frame in service leaves the serializer (per-frame path)."""
         self.packets_sent += 1
         link = self.link
         if link.impaired and link.should_drop(packet):
@@ -322,10 +334,21 @@ class Port:
 
     def _book(self) -> None:
         """Write the owed completion exactly as its event would have, at
-        its own instant ``_busy_until``."""
-        nbytes, self._owed = self._owed, None
+        its own instant ``_busy_until``.  The one copy of
+        ``Link.record_carried``'s body (the per-frame path calls the method):
+        keep the two in lockstep."""
+        nbytes, self._owed = self._owed, 0
         self.packets_sent += 1
-        self.link.record_carried(self._dir_key, nbytes, self._busy_until)
+        link = self.link
+        key = self._dir_key
+        link.bytes_carried[key] += nbytes
+        counters = link.obs_counters
+        if counters is not None:
+            if nbytes < 0:
+                raise ValueError(f"link {link.name}: negative frame size")
+            counter = counters[key]
+            counter.value += nbytes
+            counter.updated_at = self._busy_until
 
     def settle(self) -> None:
         """Bring the completion counters up to ``sim.now``: an elided
@@ -333,7 +356,7 @@ class Port:
         ``events_executed``, a later one is left owed — and so is one whose
         event was materialised after all, which books it when it fires."""
         if (
-            self._owed is not None
+            self._owed
             and not self._completion_posted
             and self._busy_until <= self._sim._now
         ):

@@ -10,7 +10,7 @@ different clocks inherit exactly the error the paper describes.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class Clock:
 
     def read(self) -> float:
         """Local time: true time + offset + one sample of reading noise."""
-        t = self._sim.now + self.offset
+        t = self._sim._now + self.offset
         if self.jitter_std > 0:
             # Scalar numpy draws cost ~10x an amortised block draw; values
             # (and the stream state left behind) are bit-identical.
@@ -89,10 +89,10 @@ class Node:
         # Network builder; hosts stay deterministic.
         self.service_jitter: float = 0.0
         self._service_rng: Optional[np.random.Generator] = None
-        # Prefetched uniform draws (see service_time_factor).  The node's
-        # service stream is dedicated (Network wires `service/{name}`), so
-        # refilling in blocks consumes the exact same value sequence as
-        # per-call scalar draws — generator state advances identically.
+        # Prefetched factors (see service_time_factor).  The node's service
+        # stream is dedicated (Network wires `service/{name}`), so refilling
+        # in blocks consumes the exact same value sequence as per-call
+        # scalar draws — generator state advances identically.
         self._service_buf: List[float] = []
         self._service_idx: int = 0
         # The packet observer watching this node (a PacketTracer), or None.
@@ -123,20 +123,26 @@ class Node:
         self._service_idx = 0
 
     def service_time_factor(self) -> float:
-        """Multiplier applied to one packet's transmission time."""
+        """Multiplier applied to one packet's transmission time:
+        ``1 + j(2u - 1)`` for one uniform draw ``u``."""
         if self.service_jitter <= 0.0:
             return 1.0
         # Scalar numpy draws cost ~10x an amortised block draw; refill a
-        # block at a time and hand out Python floats.  Values (and the
-        # stream state left behind) are bit-identical to scalar draws.
+        # block of factors at a time and hand out Python floats.  Each
+        # element-wise operation rounds exactly as the scalar expression
+        # does, so factors (and the stream state left behind) are
+        # bit-identical to per-call draws.
         i = self._service_idx
         buf = self._service_buf
         if i >= len(buf):
             assert self._service_rng is not None
-            buf = self._service_buf = self._service_rng.random(512).tolist()
+            uniforms = self._service_rng.random(512)
+            buf = self._service_buf = (
+                1.0 + self.service_jitter * (2.0 * uniforms - 1.0)
+            ).tolist()
             i = 0
         self._service_idx = i + 1
-        return 1.0 + self.service_jitter * (2.0 * buf[i] - 1.0)
+        return buf[i]
 
     # -- wiring -----------------------------------------------------------
 
@@ -157,6 +163,15 @@ class Node:
             raise TopologyError(f"{self.name}: no port {index}") from None
 
     # -- data path (subclass responsibilities) ------------------------------
+
+    def entry_points(self) -> Tuple[Callable[..., None], Callable[..., None]]:
+        """What a port hands this node's frames to: ``(ingress, egress)``,
+        called as ``ingress(packet, in_port)`` for a frame arriving from the
+        wire and ``egress(packet, out_port, enq_depth)`` for one leaving an
+        egress queue.  Ports bind them when they are wired; a switch
+        returns its compiled hop and egress stage and rebinds its ports
+        whenever it recompiles."""
+        return self.on_ingress, self.on_egress
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError

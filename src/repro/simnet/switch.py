@@ -8,6 +8,11 @@ A :class:`Switch` delegates every forwarding decision to its bound
   egress control + deparser), with the queue depth the packet observed at
   enqueue time — the BMv2 ``enq_qdepth`` intrinsic the INT program records.
 
+A program that compiles (:meth:`~repro.p4.pipeline.P4Program.compile`)
+replaces both with closures the ports call straight from their slots — one
+hop closure per switch from arrival to the egress port's ``send``, one
+egress stage — so these handlers stay the staged oracle.
+
 The program is bound *after* the topology is wired (``Network.finalize``),
 because programs size per-port resources (the INT registers) from the final
 port count.
@@ -46,9 +51,10 @@ class Switch(Node):
         self.program: Optional["P4Program"] = None
         self.packets_forwarded = 0
         self.packets_dropped_pipeline = 0
-        # Compiled per-packet-class closures (P4Program.compile), or None
+        # The compiled hop and egress stage (P4Program.compile), or None
         # when the program has no fast path / REPRO_SLOWPATH=1 forces the
-        # staged oracle path.
+        # staged oracle path.  Ports call them through their slots (see
+        # entry_points); the staged handlers below never test for them.
         self._fast_ingress = None
         self._fast_egress = None
 
@@ -68,47 +74,32 @@ class Switch(Node):
         """(Re)build the compiled closures: at bind time, and whenever the
         observer slot changes — ``compile`` binds the observer's hook as a
         closure local, so an unobserved switch's closures never test for
-        one."""
+        one — then rebind the slots of every port that hands this switch
+        its frames: the peers' delivery slots and this switch's own egress
+        slots."""
         assert self.program is not None
         compiled = None
         if os.environ.get("REPRO_SLOWPATH", "") != "1":
             compiled = self.program.compile()
         self._fast_ingress, self._fast_egress = compiled or (None, None)
+        ingress, egress = self.entry_points()
+        for port in self.ports:
+            port._egress = egress
+            if port._peer is not None:
+                port._peer._deliver = ingress
+
+    def entry_points(self):
+        return (
+            self._fast_ingress or self.on_ingress,
+            self._fast_egress or self.on_egress,
+        )
 
     # -- data path ----------------------------------------------------------
+    #
+    # The staged pipeline: the oracle the compiled closures must match
+    # effect for effect, and the path of programs without a fast path.
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
-        # Compiled fast path: the program's parser + ingress control folded
-        # into one closure, zero context allocations — and, when the switch
-        # is observed, the observer's hook, which compile() bound into it.
-        # Uncompiled programs take the staged path.
-        fast = self._fast_ingress
-        if fast is not None:
-            prof = self.sim.profiler
-            if prof is None:
-                self.packets_received += 1
-                egress_port = fast(packet)
-                if egress_port < 0:
-                    self.packets_dropped_pipeline += 1
-                    return
-                packet.hop_count += 1
-                self.packets_forwarded += 1
-                self.ports[egress_port].send(packet)
-                return
-            # Same phase scopes as the staged path below.
-            prof.phase_first("p4_pipeline")
-            self.packets_received += 1
-            egress_port = fast(packet)
-            if egress_port < 0:
-                prof.phase_end()
-                self.packets_dropped_pipeline += 1
-                return
-            packet.hop_count += 1
-            self.packets_forwarded += 1
-            prof.phase_next("enqueue")
-            self.ports[egress_port].send(packet)
-            prof.phase_end()
-            return
         # Phase scopes (profiled runs only): p4_pipeline covers the parser +
         # ingress control (routing/int_stamp sub-phases open inside the
         # program), enqueue covers the egress-port send.  phase_first
@@ -138,10 +129,6 @@ class Switch(Node):
         prof.phase_end()
 
     def on_egress(self, packet: Packet, out_port: Port, enq_depth: int) -> None:
-        fast = self._fast_egress
-        if fast is not None:
-            fast(packet, out_port.port_index, enq_depth)
-            return
         self._observe("egress", packet, enq_depth)
         assert self.program is not None
         self.program.process_egress(packet, out_port.port_index, enq_depth)

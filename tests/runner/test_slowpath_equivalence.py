@@ -78,7 +78,7 @@ class TestSlowpathEquivalence:
             payload=encode_probe_header(0), flags=FLAG_PROBE,
         )
         probe.last_egress_ts = 0.0
-        switch.on_ingress(probe, switch.ports[0])
+        h1.ports[0]._deliver(probe, switch.ports[0])
         assert switch.program.probes_processed == 1
         assert len(probe.payload) == len(encode_probe_header(0)) + HOP_RECORD_SIZE
         assert probe.int_link_latency is None and probe.last_egress_ts is not None

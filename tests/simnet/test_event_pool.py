@@ -1,5 +1,5 @@
 """Event-pool scheduling: post(), handle reuse via reschedule(), the O(1)
-live-event counter, and tombstone compaction.
+live-event count (heap size less tombstones), and tombstone compaction.
 
 The fast-path engine has three scheduling tiers: ``schedule`` (allocates a
 cancellable :class:`EventHandle`), ``post`` (fire-and-forget, no handle at
@@ -10,6 +10,8 @@ reused while a stale heap entry could still fire it.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simnet.engine import PeriodicTimer, Simulator
@@ -224,3 +226,81 @@ class TestRepeatability:
             return log
 
         assert drive() == drive()
+
+
+# -- pending_events() against a brute-force count ------------------------------
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.floats(0.0, 5.0)),
+        st.tuples(st.just("post"), st.floats(0.0, 5.0)),
+        st.tuples(st.just("post_at"), st.floats(0.0, 5.0)),
+        st.tuples(st.just("reschedule"), st.floats(0.0, 5.0)),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(
+            st.just("run"),
+            st.tuples(
+                st.one_of(st.none(), st.floats(0.0, 6.0)),
+                st.one_of(st.none(), st.integers(-1, 8)),
+            ),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def _live(sim):
+    return [e for e in sim._heap if e[2] is None or not e[2].cancelled]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, burst=st.integers(0, 150))
+def test_pending_events_is_the_live_heap_count(ops, burst):
+    """Random schedule / post / post_at / reschedule / cancel / step / run
+    sequences, with a burst of handles whose mass cancel compacts the heap:
+    ``pending_events()`` equals the live entries counted one by one after
+    every operation, and ``run(until)`` jumps the clock to ``until`` exactly
+    when no live entry at or before it was left behind — else it stops at
+    the last dispatched event."""
+    sim = Simulator()
+    fired_times = []
+
+    def fire():
+        fired_times.append(sim.now)
+
+    handles = [sim.schedule(10.0 + i, fire) for i in range(burst)]
+    for kind, arg in ops:
+        if kind == "schedule":
+            handles.append(sim.schedule(arg, fire))
+        elif kind == "post":
+            sim.post(arg, fire)
+        elif kind == "post_at":
+            sim.post_at(sim.now + arg, fire)
+        elif kind == "reschedule":
+            reusable = [h for h in handles if h.fired and not h.cancelled]
+            if reusable:
+                sim.reschedule(reusable[0], arg)
+        elif kind == "cancel":
+            pending = [h for h in handles if not h.fired and not h.cancelled]
+            for handle in pending[: arg or len(pending)]:
+                sim.cancel(handle)
+        elif kind == "step":
+            before = sim.pending_events()
+            assert sim.step() == (before > 0)
+            assert sim.pending_events() == max(before - 1, 0)
+        else:
+            until, max_events = arg
+            now, fired = sim.now, len(fired_times)
+            sim.run(until=until, max_events=max_events)
+            ran = fired_times[fired:]
+            if max_events is not None:
+                assert len(ran) <= max(max_events, 1)
+            if until is not None:
+                assert all(t <= until for t in ran)
+                if now <= until:
+                    left_behind = any(e[0] <= until for e in _live(sim))
+                    expected = (ran[-1] if ran else now) if left_behind else until
+                    assert sim.now == expected
+        assert sim.pending_events() == len(_live(sim))
+        assert sim._tombstones == len(sim._heap) - len(_live(sim))

@@ -25,6 +25,14 @@ analysis view, and the reference the routing tests search) is the one
 function that imports it, locally.  No module under ``repro`` may import it
 at module scope, and no policy or observer may pull it in at run time.
 
+**Lazily booked counters are read through their owners.**  A port whose
+transmit completion was elided owes ``packets_sent``, the link's
+``bytes_carried`` and one ``events_executed`` credit (``Port._owed``) until
+something settles it, so a bare ``bytes_carried[...]`` read is exact only
+between ``run()`` calls.  Code inside the simulation reads
+``Link.carried(direction)``; only ``simnet/link.py`` and ``simnet/nic.py``
+touch ``bytes_carried[``, ``packets_sent`` or ``_owed``.
+
 **Phase accounting goes through the profiler's methods.**  Handlers open
 and close phases with ``phase_first`` / ``phase_next`` / ``phase_end`` (or
 ``phase_begin``); only ``simnet/engine.py`` reads or writes the profiler's
@@ -90,6 +98,23 @@ def test_profiler_state_stays_inside_the_engine():
         if PROFILER_PRIVATE.search(line)
     ]
     assert not offenders, "EngineProfiler state touched outside engine.py:\n" + "\n".join(
+        offenders
+    )
+
+
+LAZY_BOOKS = re.compile(r"bytes_carried\[|\bpackets_sent\b|\b_owed\b")
+
+
+def test_lazily_booked_counters_stay_with_link_and_port():
+    owners = {SRC / "simnet" / "link.py", SRC / "simnet" / "nic.py"}
+    offenders = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in owners
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if LAZY_BOOKS.search(line)
+    ]
+    assert not offenders, "owed counters read outside link.py / nic.py:\n" + "\n".join(
         offenders
     )
 
