@@ -54,32 +54,28 @@ class DelayEstimator:
         # (20 ms) detour.
         self.qdepth_floor = qdepth_floor
 
-    def path_delay(
-        self, path: Sequence[TelemetryNodeId], *, allow_stale: bool = False
-    ) -> float:
-        """Algorithm 1's inner loops: total link delay + k × total queue
-        occupancy along a directed path.  ``allow_stale`` ranks from
-        last-known link latencies past the staleness horizon (degraded
-        mode); queue terms still decay — an old congestion reading is
-        evidence of nothing."""
-        total_link = 0.0
-        total_hop = 0.0
-        for u, v in zip(path, path[1:]):
-            total_link += self.store.link_delay(
-                u, v, default=self.default_link_delay, allow_stale=allow_stale
-            )
-            if u[0] == "sw":
-                qdepth = self.store.max_qdepth(u, v)
-                if qdepth >= self.qdepth_floor:
-                    total_hop += self.k * qdepth
-        return total_link + total_hop
-
     def delay_between(
         self, src: TelemetryNodeId, dst: TelemetryNodeId, *, allow_stale: bool = False
     ) -> float:
-        """Delay over the path the inferred topology predicts data will take."""
-        path = self.store.topology.path(src, dst)
-        return self.path_delay(path, allow_stale=allow_stale)
+        """Algorithm 1's inner loops over the path the inferred topology
+        predicts data will take: total link delay + k × total queue
+        occupancy.  ``allow_stale`` ranks from last-known link latencies
+        past the staleness horizon (degraded mode); queue terms still
+        decay — an old congestion reading is evidence of nothing."""
+        store = self.store
+        now = store.sim.now
+        staleness = store.staleness
+        default = self.default_link_delay
+        floor = self.qdepth_floor
+        total_link = 0.0
+        total_hop = 0.0
+        for state, is_switch in store.plan(src, dst):
+            total_link += state.delay(now, staleness, default, allow_stale)
+            if is_switch:
+                qdepth = state.qdepth(now, staleness)
+                if qdepth >= floor:
+                    total_hop += self.k * qdepth
+        return total_link + total_hop
 
     @staticmethod
     def calibrated_k(
@@ -193,19 +189,19 @@ class BandwidthEstimator:
         self.link_capacity_bps = link_capacity_bps
         self.curve = curve if curve is not None else QdepthUtilizationCurve()
 
-    def link_available_bw(self, u: TelemetryNodeId, v: TelemetryNodeId) -> float:
-        """Available bandwidth of the directed link u->v in bits/s."""
-        q = self.store.max_qdepth(u, v)
-        utilization = self.curve.utilization(q)
-        return self.link_capacity_bps * (1.0 - utilization)
-
-    def path_throughput(self, path: Sequence[TelemetryNodeId]) -> float:
-        """``throughput = min(b_1 ... b_k)`` over the path's links.  Host
-        uplinks (first hop) are included: they share the same capacity."""
-        if len(path) < 2:
-            raise SchedulingError("throughput needs a path with at least one link")
-        return min(self.link_available_bw(u, v) for u, v in zip(path, path[1:]))
-
     def throughput_between(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> float:
-        path = self.store.topology.path(src, dst)
-        return self.path_throughput(path)
+        """``throughput = min(b_1 ... b_k)`` over the links of the inferred
+        path, ``b = capacity × (1 − utilization(Q(h)))``.  Host uplinks
+        (first hop) are included: they share the same capacity."""
+        store = self.store
+        plan = store.plan(src, dst)
+        if not plan:
+            raise SchedulingError("throughput needs a path with at least one link")
+        now = store.sim.now
+        staleness = store.staleness
+        utilization = self.curve.utilization
+        capacity = self.link_capacity_bps
+        return min([
+            capacity * (1.0 - utilization(state.qdepth(now, staleness)))
+            for state, _is_switch in plan
+        ])

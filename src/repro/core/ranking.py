@@ -14,6 +14,7 @@ starve them forever at startup.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
@@ -50,7 +51,7 @@ def rank_by_delay(
         except SchedulingError:
             delay = math.inf
         ranked.append((node, delay))
-    ranked.sort(key=lambda item: (item[1], item[0]))
+    ranked.sort(key=itemgetter(1, 0))
     return ranked
 
 
@@ -94,9 +95,12 @@ def explain_delay(
 ) -> Dict[str, Any]:
     """Algorithm 1's cost for one candidate, decomposed per hop.
 
-    The returned ``value`` equals :meth:`DelayEstimator.path_delay` over the
-    same path; ``hops`` lists each directed hop's measured link delay, the
-    Q(h) reading, and the ``k * Q(h)`` term actually charged (zero below the
+    Each hop reads the per-link rules the ranking walks
+    (:meth:`LinkState.delay`, :meth:`LinkState.qdepth`), so ``value`` is the
+    estimate :meth:`DelayEstimator.delay_between` ranks by (summed hop by
+    hop rather than links first, then queues, which can differ in the last
+    bit); ``hops`` lists each directed hop's measured link delay, the Q(h)
+    reading, and the ``k * Q(h)`` term actually charged (zero below the
     noise floor or at non-switch hops).
     """
     store = estimator.store

@@ -16,6 +16,7 @@ Wire messages (Python objects riding :attr:`Packet.message`):
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulingError
@@ -292,7 +293,7 @@ class NetworkAwareScheduler(SchedulerService):
             except SchedulingError:
                 delay = math.inf
             ranked.append((node, delay + self.stale_penalty))
-        ranked.sort(key=lambda item: (item[1], item[0]))
+        ranked.sort(key=itemgetter(1, 0))
         return ranked
 
     def _rank_stale_by_bandwidth(self, origin, stale) -> List[Tuple[Tuple, float]]:
@@ -407,11 +408,21 @@ class NetworkAwareScheduler(SchedulerService):
 
     def _rank_raw(self, origin, candidates) -> List[Tuple[int, Tuple[float, float]]]:
         """Both estimates per candidate, in address order (unsorted — the
-        device applies its own policy)."""
-        delays = dict(rank_by_delay(self.delay_estimator, origin, candidates))
-        bandwidths = dict(rank_by_bandwidth(self.bandwidth_estimator, origin, candidates))
-        return [
-            (node[1], (delays[node], bandwidths[node]))
-            for node in sorted(candidates)
-            if node != origin
-        ]
+        device applies its own policy); an unreachable candidate gets
+        ``(inf, 0.0)``."""
+        delay_between = self.delay_estimator.delay_between
+        throughput_between = self.bandwidth_estimator.throughput_between
+        ranked = []
+        for node in sorted(candidates):
+            if node == origin:
+                continue
+            try:
+                delay = delay_between(origin, node)
+            except SchedulingError:
+                delay = math.inf
+            try:
+                bw = throughput_between(origin, node)
+            except SchedulingError:
+                bw = 0.0
+            ranked.append((node[1], (delay, bw)))
+        return ranked

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simnet.engine import Simulator
-from repro.telemetry.records import ProbeReport, TelemetryNodeId
+from repro.telemetry.records import ProbeReport, TelemetryNodeId, host_node, switch_node
 from repro.core.topology_inference import InferredTopology
 
 __all__ = ["TelemetryStore", "LinkState", "DEFAULT_STALENESS"]
@@ -35,7 +35,8 @@ EWMA_ALPHA = 0.3                 # weight of the newest latency sample
 
 @dataclass
 class LinkState:
-    """Latest telemetry for one directed link."""
+    """Latest telemetry for one directed link, and the two rules that turn
+    it into the value a ranking charges (:meth:`delay`, :meth:`qdepth`)."""
 
     latency: Optional[float] = None          # newest sample (s)
     latency_ewma: Optional[float] = None     # smoothed latency (s)
@@ -47,11 +48,34 @@ class LinkState:
     # evicted on update).
     qdepth_readings: Deque[Tuple[float, int]] = field(default_factory=deque)
 
-    @property
-    def max_qdepth(self) -> int:
-        """Current window maximum (without staleness/window eviction —
-        callers should use :meth:`TelemetryStore.max_qdepth`)."""
-        return self.qdepth_readings[0][1] if self.qdepth_readings else 0
+    def delay(
+        self, now: float, staleness: float, default: float, allow_stale: bool = False
+    ) -> float:
+        """Smoothed latency, or ``default`` when never measured or last
+        measured more than ``staleness`` before ``now``.  ``allow_stale``
+        keeps returning the last-known EWMA past the staleness horizon —
+        degraded-mode ranking prefers an old measurement over none."""
+        ewma = self.latency_ewma
+        if ewma is None or (not allow_stale and now - self.latency_updated_at > staleness):
+            return default
+        return ewma
+
+    def qdepth(self, now: float, staleness: float) -> int:
+        """Max queue depth over the window ending at the most recent
+        reading (the deque's front); 0 when unknown or older than
+        ``staleness`` (no reading = no evidence of congestion, matching the
+        register's reset-to-zero semantics).  The window is anchored to the
+        *newest report*, not the read time: with slow probing the last
+        interval's reading stays authoritative until staleness."""
+        if now - self.qdepth_updated_at > staleness:
+            return 0
+        readings = self.qdepth_readings
+        return readings[0][1] if readings else 0
+
+
+# Per directed link of a path: its state and whether its upstream end is a
+# switch (only switch egresses charge a queue term).
+PathPlan = Tuple[Tuple[LinkState, bool], ...]
 
 
 class TelemetryStore:
@@ -80,6 +104,9 @@ class TelemetryStore:
         # fresh" from "this corner of the network has gone dark".
         self._node_seen: Dict[TelemetryNodeId, float] = {}
         self.reports_processed = 0
+        # (src, dst) -> PathPlan, valid while topology.version stays put.
+        self._plans: Dict[Tuple[TelemetryNodeId, TelemetryNodeId], PathPlan] = {}
+        self._plans_version = self.topology.version
 
     # -- ingestion (collector subscriber) ----------------------------------
 
@@ -90,14 +117,18 @@ class TelemetryStore:
         link) and its queue depth at the egress of ``path[i]`` (record
         ``i - 1``; the source host stamps none)."""
         now = self.sim.now
-        path = report.path_nodes()
+        records = list(report.records)  # a wire stack decodes on every read
+        path = [
+            host_node(report.probe_src),
+            *[switch_node(r.switch_id) for r in records],
+            host_node(report.probe_dst),
+        ]
         self.topology.observe_path(path)
         node_seen = self._node_seen
         for node in path:
             node_seen[node] = now
         links = self._links
         window = self.qdepth_window
-        records = report.records
         hops = len(records)
         for i in range(hops + 1):
             key = (path[i], path[i + 1])
@@ -140,30 +171,47 @@ class TelemetryStore:
         allow_stale: bool = False,
     ) -> float:
         """Smoothed latency of the directed link, or ``default`` when never
-        (or too long ago) measured.  ``allow_stale`` keeps returning the
-        last-known EWMA past the staleness horizon — degraded-mode ranking
-        prefers an old measurement over no measurement."""
+        (or too long ago) measured — :meth:`LinkState.delay`."""
         state = self._links.get((u, v))
-        if state is None or state.latency_ewma is None:
+        if state is None:
             return default
-        if not allow_stale and self.sim.now - state.latency_updated_at > self.staleness:
-            return default
-        return state.latency_ewma
+        return state.delay(self.sim.now, self.staleness, default, allow_stale)
 
     def max_qdepth(self, u: TelemetryNodeId, v: TelemetryNodeId) -> int:
-        """Max queue depth at u's egress toward v over the window ending at
-        the most recent report; 0 when unknown or stale (no reading = no
-        evidence of congestion, matching the register's reset-to-zero
-        semantics).  The window is anchored to the *newest report*, not the
-        read time: with slow probing the last interval's reading stays
-        authoritative until staleness, exactly like the pre-window store."""
+        """Max queue depth at u's egress toward v; 0 when unknown or stale
+        — :meth:`LinkState.qdepth`."""
         state = self._links.get((u, v))
         if state is None:
             return 0
-        if self.sim.now - state.qdepth_updated_at > self.staleness:
-            return 0
-        readings = state.qdepth_readings
-        return readings[0][1] if readings else 0
+        return state.qdepth(self.sim.now, self.staleness)
+
+    def plan(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> PathPlan:
+        """The links of the inferred path from ``src`` to ``dst``, as
+        ``(LinkState, upstream is a switch)`` pairs — what the estimators
+        walk.  Raises :class:`SchedulingError` like
+        :meth:`InferredTopology.path`.
+
+        Cached per pair until the topology version moves.  A plan holds the
+        states themselves, which is safe because a state is never deleted
+        and :meth:`update` gives every edge it adds a state in the same
+        call, so a cached plan sees every later reading.  A link with no
+        state (an edge learned some other way) gets a blank one, which
+        reads as never measured, and that plan is not cached."""
+        topology = self.topology
+        plans = self._plans
+        if topology.version != self._plans_version:
+            plans.clear()
+            self._plans_version = topology.version
+        key = (src, dst)
+        plan = plans.get(key)
+        if plan is None:
+            path = topology.path(src, dst)
+            links = self._links
+            hops = list(zip(path, path[1:]))
+            plan = tuple((links.get(hop) or LinkState(), hop[0][0] == "sw") for hop in hops)
+            if all(hop in links for hop in hops):
+                plans[key] = plan
+        return plan
 
     def node_age(self, node: TelemetryNodeId) -> Optional[float]:
         """Seconds since ``node`` last appeared on any probe path, or

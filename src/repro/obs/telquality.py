@@ -210,11 +210,11 @@ class TelemetryQuality:
         refresh appended, on the records the path's plan resolved."""
         if self._network is None:
             return
-        records = report.records
+        records = list(report.records)  # a wire stack decodes on every read
         key = (report.probe_src, report.probe_dst, *[r.switch_id for r in records])
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(report)
+            plan = self._plans[key] = self._plan(report, records)
         now = report.collected_at
         ledgers, refreshes = plan
         for ledger in ledgers:
@@ -231,8 +231,9 @@ class TelemetryQuality:
             register.last = now
             register.refreshes += 1
 
-    def _plan(self, report: Any) -> _Plan:
-        """Resolve the path of ``report``: record *i* stands for switch *i*,
+    def _plan(self, report: Any, records: Sequence[Any]) -> _Plan:
+        """Resolve the path of ``report`` (``records``: its stack, read
+        once by the caller): record *i* stands for switch *i*,
         its egress toward the next path element and the link it arrived
         over.  Ledger entries are first seen now (the caller stamps them at
         once); registers wait for their first refresh."""
@@ -240,7 +241,7 @@ class TelemetryQuality:
         src = name(("host", report.probe_src))
         dst = name(("host", report.probe_dst))
         pair = (src, dst) if src is not None and dst is not None else None
-        names = [name(("sw", rec.switch_id)) for rec in report.records]
+        names = [name(("sw", rec.switch_id)) for rec in records]
         names.append(dst)
         ledgers: List[_PortLedger] = []
         refreshes: List[Tuple[_Register, int]] = []

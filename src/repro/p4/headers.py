@@ -33,13 +33,14 @@ S1 and S3 are connected, and so are S3 and S4").
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import List, Optional
+from collections.abc import Sequence
+from typing import Iterator, List, NamedTuple, Optional
 
 from repro.errors import PacketError
 
 __all__ = [
     "IntHopRecord",
+    "IntStack",
     "PROBE_MAGIC",
     "PROBE_VERSION",
     "HOP_RECORD_SIZE",
@@ -71,23 +72,91 @@ _MAX_PORT = 0xFF
 _I32_MIN, _I32_MAX = -(2**31) + 1, 2**31 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class IntHopRecord:
-    """Decoded per-hop INT metadata (times in seconds, as floats)."""
-
+class _HopFields(NamedTuple):
     switch_id: int
     egress_port: int
     max_qdepth: int
     link_latency: Optional[float]  # seconds; None at the first hop
     egress_ts: float               # seconds (switch-local clock)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.switch_id <= _MAX_SWITCH_ID:
-            raise PacketError(f"switch_id {self.switch_id} out of range")
-        if not 0 <= self.egress_port <= _MAX_PORT:
-            raise PacketError(f"egress_port {self.egress_port} out of range")
-        if self.max_qdepth < 0:
-            raise PacketError(f"max_qdepth {self.max_qdepth} negative")
+
+class IntHopRecord(_HopFields):
+    """Decoded per-hop INT metadata (times in seconds, as floats).
+
+    An immutable tuple.  The public constructor range-checks the fields;
+    the decoder builds records with ``tuple.__new__``, because the unsigned
+    wire widths already satisfy those checks."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        switch_id: int,
+        egress_port: int,
+        max_qdepth: int,
+        link_latency: Optional[float],
+        egress_ts: float,
+    ) -> "IntHopRecord":
+        if not 0 <= switch_id <= _MAX_SWITCH_ID:
+            raise PacketError(f"switch_id {switch_id} out of range")
+        if not 0 <= egress_port <= _MAX_PORT:
+            raise PacketError(f"egress_port {egress_port} out of range")
+        if max_qdepth < 0:
+            raise PacketError(f"max_qdepth {max_qdepth} negative")
+        return tuple.__new__(
+            cls, (switch_id, egress_port, max_qdepth, link_latency, egress_ts)
+        )
+
+
+def _decode(stack: bytes) -> List[IntHopRecord]:
+    """Packed hop records (no probe header) -> records, in stack order."""
+    return [
+        tuple.__new__(IntHopRecord, (
+            switch_id,
+            port,
+            qdepth,
+            None if latency_us == NO_LATENCY else latency_us / 1e6,
+            ts_us / 1e6,
+        ))
+        for switch_id, port, qdepth, latency_us, ts_us in _RECORD.iter_unpack(stack)
+    ]
+
+
+class IntStack(Sequence):
+    """A validated INT stack, read-only, kept in wire form.
+
+    Holds the probe payload (header included) as ``bytes`` and decodes a
+    record each time one is read, so a report that is kept costs its
+    payload, not a list of records.  Compares equal to the list of records
+    it decodes to."""
+
+    __slots__ = ("_wire",)
+
+    def __init__(self, wire: bytes) -> None:
+        self._wire = wire
+
+    def __len__(self) -> int:
+        return self._wire[3]
+
+    def __getitem__(self, index: int) -> IntHopRecord:
+        hops = self._wire[3]
+        if index < 0:
+            index += hops
+        if not 0 <= index < hops:
+            raise IndexError("INT stack index out of range")
+        start = PROBE_HEADER_SIZE + index * HOP_RECORD_SIZE
+        return _decode(self._wire[start:start + HOP_RECORD_SIZE])[0]
+
+    def __iter__(self) -> Iterator[IntHopRecord]:
+        return iter(_decode(self._wire[PROBE_HEADER_SIZE:]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (IntStack, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IntStack({list(self)!r})"
 
 
 def encode_probe_header(hop_count: int = 0) -> bytes:
@@ -168,7 +237,7 @@ def append_hop_fields(
 ) -> bytes:
     """Field-level twin of :func:`append_hop_record` for the per-probe hot
     path: identical bytes out (same clamps, same range checks), without
-    constructing the frozen :class:`IntHopRecord` in between."""
+    constructing an :class:`IntHopRecord` in between."""
     if not 0 <= switch_id <= _MAX_SWITCH_ID:
         raise PacketError(f"switch_id {switch_id} out of range")
     if not 0 <= egress_port <= _MAX_PORT:
@@ -189,24 +258,16 @@ def append_hop_fields(
     ))
 
 
-def decode_probe_payload(payload: bytes) -> List[IntHopRecord]:
-    """Decode the full INT stack, in path order (collector side)."""
-    hop_count = _hop_count(payload)
+def decode_probe_payload(payload: bytes) -> IntStack:
+    """Validate a probe payload and return its INT stack, in path order
+    (collector side).  The stack keeps ``bytes``: a ``bytearray`` or other
+    buffer is copied first, so later writes to it change nothing."""
+    wire = payload if type(payload) is bytes else bytes(payload)
+    hop_count = _hop_count(wire)
     expected = PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE
-    if len(payload) != expected:
+    if len(wire) != expected:
         raise PacketError(
-            f"probe payload length {len(payload)} != expected {expected} "
+            f"probe payload length {len(wire)} != expected {expected} "
             f"for hop_count={hop_count}"
         )
-    return [
-        IntHopRecord(
-            switch_id,
-            port,
-            qdepth,
-            None if latency_us == NO_LATENCY else latency_us / 1e6,
-            ts_us / 1e6,
-        )
-        for switch_id, port, qdepth, latency_us, ts_us in _RECORD.iter_unpack(
-            payload[PROBE_HEADER_SIZE:]
-        )
-    ]
+    return IntStack(wire)

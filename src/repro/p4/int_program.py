@@ -203,8 +203,8 @@ class IntTelemetryProgram(PlainForwardingProgram):
 
         # Probe: collect-and-reset the register, append the hop record.
         # Field-level append (append_hop_fields): identical bytes to the
-        # IntHopRecord/append_hop_record pair without the per-hop frozen-
-        # dataclass construction.
+        # IntHopRecord/append_hop_record pair without the per-hop record
+        # construction.
         self.probes_processed += 1
         qdepth = self._qdepth_reg.read_and_reset(port)
         egress_ts = self.switch.clock.read()

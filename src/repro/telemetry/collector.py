@@ -1,9 +1,12 @@
 """The INT collector running on the scheduler node (Fig. 1, step 2).
 
-Decodes probe payloads into :class:`~repro.telemetry.records.ProbeReport`
+Validates probe payloads into :class:`~repro.telemetry.records.ProbeReport`
 objects and fans them out to subscribers — in practice the scheduler core's
-:class:`~repro.core.telemetry_store.TelemetryStore`.  Also accepts the
-wrapped reports that remote probe responders forward in mesh-probing mode.
+:class:`~repro.core.telemetry_store.TelemetryStore`.  A report's ``records``
+is an :class:`~repro.p4.headers.IntStack`: the validated wire bytes, decoded
+when read, so a subscriber that keeps reports keeps small ones.  Also
+accepts the wrapped reports that remote probe responders forward in
+mesh-probing mode.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class IntCollector:
         payload: bytes,
         final_link_latency: Optional[float],
     ) -> Optional[ProbeReport]:
-        """Decode one probe payload and publish the report.  Malformed
+        """Validate one probe payload and publish the report.  Malformed
         payloads are counted and dropped, as a hardened collector would."""
         obs = self.host.sim.obs
         try:
@@ -158,6 +161,6 @@ class IntCollector:
             seq=seq,
             sent_at=sent_at,
             received_at=received_at,
-            payload=bytes(payload),
+            payload=payload,
             final_link_latency=final_latency,
         )

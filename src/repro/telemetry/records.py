@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.p4.headers import IntHopRecord
 
@@ -24,12 +24,15 @@ def host_node(addr: int) -> TelemetryNodeId:
 
 @dataclass(slots=True)
 class ProbeReport:
-    """One fully-decoded probe: the INT stack plus endpoint measurements.
+    """One probe: the INT stack plus endpoint measurements.
 
-    ``records`` are in path order.  ``final_link_latency`` is the last-hop
-    (last switch -> destination host) latency measured by the receiving
-    host's clock against the last switch's egress stamp; ``None`` when the
-    probe traversed no switch.
+    ``records`` are in path order.  The collector publishes them as an
+    :class:`~repro.p4.headers.IntStack` (the validated wire bytes, decoded
+    when read); hand-built reports pass a list.  Either way, read them once
+    per use: each read of a wire stack decodes again.
+    ``final_link_latency`` is the last-hop (last switch -> destination
+    host) latency measured by the receiving host's clock against the last
+    switch's egress stamp; ``None`` when the probe traversed no switch.
     """
 
     probe_src: int                     # edge-node address that emitted the probe
@@ -37,7 +40,7 @@ class ProbeReport:
     seq: int
     sent_at: float                     # sender clock at emission
     received_at: float                 # receiver clock at arrival
-    records: List[IntHopRecord] = field(default_factory=list)
+    records: Sequence[IntHopRecord] = field(default_factory=list)
     final_link_latency: Optional[float] = None
     collected_at: float = 0.0          # scheduler sim-time when ingested
 

@@ -13,6 +13,7 @@ from repro.errors import SchedulingError
 from repro.p4.headers import IntHopRecord
 from repro.telemetry.records import ProbeReport, host_node, switch_node
 from repro.units import mbps
+from tests.properties.test_property_inference import _ReferenceBandwidthEstimator
 
 H = host_node
 S = switch_node
@@ -75,6 +76,18 @@ class TestDelayEstimator:
         _feed(store, latencies=(None, 0.010))
         est = DelayEstimator(store, k=0.020, default_link_delay=0.007)
         assert est.delay_between(H(1), H(2)) == pytest.approx(0.007 + 0.010 + 0.010)
+
+    def test_plan_missing_a_state_is_not_cached(self, sim, store):
+        """An edge the store has no state for reads as never measured; the
+        first report that measures it counts at once, although the
+        topology does not grow and so drops no cached plan."""
+        store.topology.observe_path([H(1), S(1), S(2), H(2)])
+        est = DelayEstimator(store, k=0.020, default_link_delay=0.007)
+        assert est.delay_between(H(1), H(2)) == pytest.approx(3 * 0.007)
+        version = store.topology.version
+        _feed(store)
+        assert store.topology.version == version
+        assert est.delay_between(H(1), H(2)) == pytest.approx(0.030)
 
     def test_negative_k_rejected(self, sim, store):
         with pytest.raises(ValueError):
@@ -160,10 +173,17 @@ class TestBandwidthEstimator:
         assert est.throughput_between(H(1), H(2)) == pytest.approx(expected)
 
     def test_link_available_bw(self, sim, store):
+        """The bottleneck is the minimum of the per-link rule the reference
+        estimator prices one link at a time."""
         _feed(store, qdepths=(10, 0))
         est = BandwidthEstimator(store, link_capacity_bps=mbps(20))
-        assert est.link_available_bw(S(1), S(2)) < mbps(20)
-        assert est.link_available_bw(S(2), H(2)) == pytest.approx(mbps(20))
+        ref = _ReferenceBandwidthEstimator(store, link_capacity_bps=mbps(20))
+        assert ref.link_available_bw(S(1), S(2)) < mbps(20)
+        assert ref.link_available_bw(S(2), H(2)) == pytest.approx(mbps(20))
+        links = [(H(1), S(1)), (S(1), S(2)), (S(2), H(2))]
+        assert est.throughput_between(H(1), H(2)) == min(
+            ref.link_available_bw(u, v) for u, v in links
+        )
 
     def test_capacity_validated(self, sim, store):
         with pytest.raises(ValueError):
@@ -172,5 +192,5 @@ class TestBandwidthEstimator:
     def test_degenerate_path_rejected(self, sim, store):
         _feed(store)
         est = BandwidthEstimator(store, link_capacity_bps=mbps(20))
-        with pytest.raises(SchedulingError):
-            est.path_throughput([H(1)])
+        with pytest.raises(SchedulingError, match="at least one link"):
+            est.throughput_between(H(1), H(1))

@@ -100,7 +100,7 @@ class TestTopologyIntegration:
     def test_link_state_inspection(self, sim, store):
         store.update(_report(qdepth=4, latency=0.011))
         state = store.link_state(S(1), H(20))
-        assert state.max_qdepth == 4
+        assert state.qdepth(sim.now, store.staleness) == 4
         assert store.link_state(S(9), S(8)) is None
 
     def test_known_link_count(self, sim, store):

@@ -6,9 +6,10 @@ import random
 from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimators import BandwidthEstimator, DelayEstimator
 from repro.core.scheduler import NetworkAwareScheduler
 from repro.core.telemetry_store import TelemetryStore
 from repro.core.topology_inference import InferredTopology
@@ -162,6 +163,63 @@ class _ReferenceTopology:
         return out
 
 
+class _ReferenceDelayEstimator(DelayEstimator):
+    """``DelayEstimator`` as it was before rankings walked cached per-path
+    link plans: ``path_delay`` and ``delay_between`` are the old bodies,
+    verbatim — one ``store.link_delay`` / ``store.max_qdepth`` lookup per
+    hop of a fresh ``topology.path``."""
+
+    def path_delay(
+        self, path: Sequence[TelemetryNodeId], *, allow_stale: bool = False
+    ) -> float:
+        """Algorithm 1's inner loops: total link delay + k × total queue
+        occupancy along a directed path.  ``allow_stale`` ranks from
+        last-known link latencies past the staleness horizon (degraded
+        mode); queue terms still decay — an old congestion reading is
+        evidence of nothing."""
+        total_link = 0.0
+        total_hop = 0.0
+        for u, v in zip(path, path[1:]):
+            total_link += self.store.link_delay(
+                u, v, default=self.default_link_delay, allow_stale=allow_stale
+            )
+            if u[0] == "sw":
+                qdepth = self.store.max_qdepth(u, v)
+                if qdepth >= self.qdepth_floor:
+                    total_hop += self.k * qdepth
+        return total_link + total_hop
+
+    def delay_between(
+        self, src: TelemetryNodeId, dst: TelemetryNodeId, *, allow_stale: bool = False
+    ) -> float:
+        """Delay over the path the inferred topology predicts data will take."""
+        path = self.store.topology.path(src, dst)
+        return self.path_delay(path, allow_stale=allow_stale)
+
+
+class _ReferenceBandwidthEstimator(BandwidthEstimator):
+    """``BandwidthEstimator``'s per-hop bodies from before path plans,
+    verbatim: ``link_available_bw``, ``path_throughput`` and
+    ``throughput_between``."""
+
+    def link_available_bw(self, u: TelemetryNodeId, v: TelemetryNodeId) -> float:
+        """Available bandwidth of the directed link u->v in bits/s."""
+        q = self.store.max_qdepth(u, v)
+        utilization = self.curve.utilization(q)
+        return self.link_capacity_bps * (1.0 - utilization)
+
+    def path_throughput(self, path: Sequence[TelemetryNodeId]) -> float:
+        """``throughput = min(b_1 ... b_k)`` over the path's links.  Host
+        uplinks (first hop) are included: they share the same capacity."""
+        if len(path) < 2:
+            raise SchedulingError("throughput needs a path with at least one link")
+        return min(self.link_available_bw(u, v) for u, v in zip(path, path[1:]))
+
+    def throughput_between(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> float:
+        path = self.store.topology.path(src, dst)
+        return self.path_throughput(path)
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -224,9 +282,12 @@ def _fig4_mesh_reports():
     return tuple(report for _now, report in _recorded_reports())
 
 
-def _fed_scheduler(quarantine_ttl, topology=None):
+def _fed_scheduler(quarantine_ttl, reference=False):
     """A network-aware scheduler on an idle Fig. 4 network: nothing moves
-    its clock or its store but the test."""
+    its clock or its store but the test.  The ``reference`` one resolves
+    every path with the per-pair search and prices it hop by hop, with the
+    estimators' old bodies; its topology has no ``version``, so it never
+    builds a plan."""
     sim = Simulator()
     fig4 = build_fig4_network(sim, run_streams(7))
     net = fig4.network
@@ -237,41 +298,75 @@ def _fed_scheduler(quarantine_ttl, topology=None):
         default_link_delay=fig4.link_delay,
         quarantine_ttl=quarantine_ttl,
     )
-    if topology is not None:
-        scheduler.store.topology = topology
+    if reference:
+        store = scheduler.store
+        store.topology = _ReferenceTopology()
+        delay, bandwidth = scheduler.delay_estimator, scheduler.bandwidth_estimator
+        scheduler.delay_estimator = _ReferenceDelayEstimator(
+            store, k=delay.k, default_link_delay=delay.default_link_delay,
+            qdepth_floor=delay.qdepth_floor,
+        )
+        scheduler.bandwidth_estimator = _ReferenceBandwidthEstimator(
+            store, link_capacity_bps=bandwidth.link_capacity_bps, curve=bandwidth.curve
+        )
     return sim, scheduler
+
+
+def _assert_same_rankings(scheduler, ref_scheduler):
+    for requester in scheduler.server_addrs:
+        for metric in ("delay", "bandwidth", "raw"):
+            assert scheduler.rank(requester, metric) == ref_scheduler.rank(
+                requester, metric
+            )
+    assert scheduler.quarantined_nodes == ref_scheduler.quarantined_nodes
+
+
+# A core switch of the Fig. 4 mesh: until its first report lands, paths
+# detour around it; afterwards the lexicographically smaller path through it
+# takes over, so plans cached before the topology grew must be dropped.
+_CORE_SWITCH = 2
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     quarantine_ttl=st.sampled_from([None, 0.04]),
     every=st.integers(1, 40),
+    held_back=st.sampled_from([None, _CORE_SWITCH]),
 )
+@example(seed=0, quarantine_ttl=0.04, every=7, held_back=_CORE_SWITCH)
+@example(seed=1, quarantine_ttl=None, every=7, held_back=None)
 @settings(max_examples=12, deadline=None)
 def test_rankings_equal_reference_search_under_shuffled_arrivals(
-    seed, quarantine_ttl, every
+    seed, quarantine_ttl, every, held_back
 ):
-    """Same reports, same order, same clock; one scheduler resolves paths
-    from cached trees, the other runs the per-pair search.  Reports land
+    """Same reports, same order, same clock; one scheduler ranks by walking
+    cached per-path link plans over cached trees, the other runs the
+    per-pair search and prices each hop with a store lookup.  Reports land
     10 ms apart, so with the TTL set a host missing from the last four is
     quarantined and the stale rankers run too; past 2 s the staleness
-    horizon starts zeroing readings."""
+    horizon starts zeroing readings, and a last round 2.5 s after the final
+    report finds every link stale.  With ``held_back`` set, no report
+    crossing that switch lands before half-way."""
     reports = list(_fig4_mesh_reports())
     random.Random(seed).shuffle(reports)
+    reports = reports[:320]
+    if held_back is not None:
+        early = [r for r in reports if held_back not in {h.switch_id for h in r.records}]
+        early = early[: len(reports) // 2]
+        chosen = {id(r) for r in early}
+        reports = early + [r for r in reports if id(r) not in chosen]
     sim, scheduler = _fed_scheduler(quarantine_ttl)
-    ref_sim, ref_scheduler = _fed_scheduler(quarantine_ttl, _ReferenceTopology())
+    ref_sim, ref_scheduler = _fed_scheduler(quarantine_ttl, reference=True)
     quarantined = False
-    for i, report in enumerate(reports[:320], 1):
+    for i, report in enumerate(reports, 1):
         for s, sched in ((sim, scheduler), (ref_sim, ref_scheduler)):
             s.run(until=0.01 * i)
             sched.store.update(report)
         if i % every:
             continue
-        for requester in scheduler.server_addrs:
-            for metric in ("delay", "bandwidth", "raw"):
-                assert scheduler.rank(requester, metric) == ref_scheduler.rank(
-                    requester, metric
-                )
-        assert scheduler.quarantined_nodes == ref_scheduler.quarantined_nodes
+        _assert_same_rankings(scheduler, ref_scheduler)
         quarantined = quarantined or bool(scheduler.quarantined_nodes)
     assert quarantined == (quarantine_ttl is not None)
+    for s in (sim, ref_sim):
+        s.run(until=0.01 * len(reports) + 2.5)
+    _assert_same_rankings(scheduler, ref_scheduler)

@@ -1,11 +1,22 @@
-"""ProbeReport decoding helpers: path, latencies, port observations."""
+"""ProbeReport helpers (path, latencies, port observations), the tuple hop
+record and the wire-form INT stack the collector publishes."""
 
 import copy
 import pickle
+import tracemalloc
 
 import pytest
 
-from repro.p4.headers import IntHopRecord
+from repro.errors import PacketError
+from repro.p4.headers import (
+    PROBE_HEADER_SIZE,
+    IntHopRecord,
+    IntStack,
+    append_hop_record,
+    decode_probe_payload,
+    encode_probe_header,
+)
+from repro.telemetry.collector import IntCollector
 from repro.telemetry.records import ProbeReport, host_node, switch_node
 
 
@@ -72,21 +83,142 @@ def test_empty_report():
     assert report.port_observations() == []
 
 
+def _wire(report):
+    """``report``'s stack as the probe payload the switches would emit."""
+    payload = encode_probe_header(0)
+    for record in report.records:
+        payload = append_hop_record(payload, record)
+    return payload
+
+
+def _wire_report():
+    """``_report()`` as the collector publishes it: records in wire form."""
+    report = _report()
+    report.records = decode_probe_payload(_wire(report))
+    return report
+
+
 @pytest.mark.parametrize(
     "clone",
     [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_slotted_records_survive_copy_and_pickle(clone):
-    """Both types are slotted (no instance dict; ``IntHopRecord`` frozen as
-    well — the combination whose pickling was fixed in Python 3.10).  The
-    default protocol is the one ``multiprocessing`` uses; protocols 0/1
-    refuse any ``__slots__`` class without ``__getstate__``."""
-    report = _report()
-    twin = clone(report)
-    assert twin == report and twin is not report
-    assert clone(report.records[0]) == report.records[0]
-    for obj in (report, report.records[0]):
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises((AttributeError, TypeError)):
-            obj.extra = 1
+    """Every type is slotted (no instance dict): the report, the wire stack
+    and the tuple record.  The default protocol is the one
+    ``multiprocessing`` uses; protocols 0/1 refuse any ``__slots__`` class
+    without ``__getstate__``.  A cloned record goes back through the
+    range-checking constructor."""
+    for report in (_report(), _wire_report()):
+        twin = clone(report)
+        assert twin == report and twin is not report
+        assert type(twin.records) is type(report.records)
+        assert clone(report.records) == report.records
+        record = report.records[0]
+        assert clone(record) == record and type(clone(record)) is IntHopRecord
+        for obj in (report, record):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 1
+        with pytest.raises(AttributeError):
+            record.max_qdepth = 7
+    stack = report.records
+    assert isinstance(stack, IntStack) and not hasattr(stack, "__dict__")
+    with pytest.raises(AttributeError):
+        stack.extra = 1
+    with pytest.raises(TypeError):
+        stack[0] = record
+
+
+def test_record_is_a_checked_tuple():
+    record = _report().records[0]
+    assert isinstance(record, tuple)
+    assert record == (1, 2, 5, 0.010, 1.0)
+    assert IntHopRecord(*record) == record
+    with pytest.raises(PacketError):
+        IntHopRecord(switch_id=1, egress_port=2, max_qdepth=-1, link_latency=None, egress_ts=0.0)
+
+
+class TestWireStack:
+    def test_sequence_protocol(self):
+        listed = _report().records
+        stack = _wire_report().records
+        assert isinstance(stack, IntStack)
+        assert len(stack) == 2
+        assert list(stack) == listed
+        assert [r.switch_id for r in stack] == [1, 2]
+        assert stack[0] == listed[0] and stack[1] == listed[1]
+        assert stack[-1] == listed[1] and stack[-2] == listed[0]
+        for index in (2, -3, 17):
+            with pytest.raises(IndexError):
+                stack[index]
+        assert stack == listed and listed == stack
+        assert stack != listed[:1] and stack != tuple(listed)
+        assert stack == decode_probe_payload(_wire(_report()))
+        assert decode_probe_payload(encode_probe_header(0)) == []
+
+    def test_records_are_decoded_records(self):
+        stack = _wire_report().records
+        assert all(type(r) is IntHopRecord for r in stack)
+        assert type(stack[0]) is IntHopRecord
+
+    def test_bytearray_payload_is_copied(self, sim, line3):
+        collector = IntCollector(line3.host("h3"))
+        kept = []
+        collector.subscribe(kept.append)
+        payload = bytearray(_wire(_report()))
+        report = collector.ingest_probe(
+            probe_src=10, probe_dst=20, seq=1, sent_at=0.0, received_at=0.0,
+            payload=payload, final_link_latency=0.0105,
+        )
+        before = list(report.records)
+        payload[PROBE_HEADER_SIZE:] = bytes(len(payload) - PROBE_HEADER_SIZE)
+        payload[3] = 0
+        assert list(report.records) == before == _report().records
+        assert kept == [report]
+
+    def test_malformed_payload_counted_at_ingest(self, sim, line3):
+        collector = IntCollector(line3.host("h3"))
+        kept = []
+        collector.subscribe(kept.append)
+        for payload in (_wire(_report())[:-1], b"XX\x01\x00", b"NT"):
+            assert collector.ingest_probe(
+                probe_src=10, probe_dst=20, seq=1, sent_at=0.0, received_at=0.0,
+                payload=payload, final_link_latency=None,
+            ) is None
+        assert (collector.reports_malformed, collector.reports_ingested) == (3, 0)
+        assert kept == []
+
+    def test_kept_reports_stay_small(self, sim, line3):
+        """A subscriber that keeps every report (as a capture does) retains
+        the report and a view over the payload it was handed: about 145 B
+        a report here, where a list of decoded records costs about 540 B."""
+        collector = IntCollector(line3.host("h3"))
+        kept = []
+        collector.subscribe(kept.append)
+        hops = [
+            IntHopRecord(switch_id=s, egress_port=1, max_qdepth=s, link_latency=0.010 + s / 1e6,
+                         egress_ts=1.0 + s)
+            for s in (3, 4, 5)
+        ]
+        payload = encode_probe_header(0)
+        for record in hops:
+            payload = append_hop_record(payload, record)
+        ingests = [
+            dict(probe_src=1, probe_dst=2, seq=1000 + i, sent_at=float(i),
+                 received_at=i + 0.5, payload=bytes(payload), final_link_latency=0.01)
+            for i in range(260)
+        ]
+        for kwargs in ingests[:10]:
+            collector.ingest_probe(**kwargs)
+        kept.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for kwargs in ingests[10:]:
+                collector.ingest_probe(**kwargs)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 250 and list(kept[-1].records) == hops
+        assert retained / 250 <= 250
