@@ -27,16 +27,10 @@ Commands map one-to-one onto the experiment harnesses:
 Every experiment command executes its grid on :class:`repro.runner.Runner`:
 ``--jobs N`` fans runs out over supervised worker processes (results are
 byte-identical to serial), ``--cache`` reuses ``.runcache/`` results from
-previous invocations, and ``--cache-dir`` relocates the cache.
-``--trace-out PATH`` captures causal span traces (task / probe /
-scheduler-decision lifecycles) as JSONL, ``--sample-interval S`` enables
-periodic state sampling (per-link utilization, queue depth, server load,
-telemetry staleness, decision error) plus health-rule alerts in the obs
-export, ``--telquality`` adds the telemetry-quality observatory record
-(read with ``telemetry-report``), ``--whatif`` adds the counterfactual
-decision observatory record (read with ``whatif-report``), and
-``--profile`` prints the engine's per-event-type hot-path profile after
-the grid completes.
+previous invocations, and ``--cache-dir`` relocates the cache.  Every
+observer in the registry (:mod:`repro.observers`: span traces, the engine
+profile, state sampling and the two observatories) adds one flag, with its
+help text; a flag whose output the command cannot deliver is rejected.
 
 Resilience: ``--run-timeout`` bounds each run's wall clock (hung workers
 become structured failures), ``--retries`` re-runs crashed/timed-out cells
@@ -65,8 +59,9 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from repro import observers
 from repro.edge.task import SizeClass
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.calibration import run_calibration_sweep
 from repro.experiments.comparison import (
     FIG5_CONFIG,
@@ -147,42 +142,8 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="run-cache directory (default: .runcache; implies --cache)",
     )
-    parser.add_argument(
-        "--trace-out", type=str, default=None, metavar="PATH",
-        help="capture causal span traces (task/probe/scheduler-decision "
-             "lifecycles) to a JSONL file; see the trace-report command",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="profile the simulation engine (per-event-type counts, handler "
-             "wall-time, and phase-level hot-path attribution) and print "
-             "the merged summary",
-    )
-    parser.add_argument(
-        "--mem-profile", action="store_true",
-        help="add memory attribution (gc counters, allocated-block delta, "
-             "tracemalloc top sites) to the profile; implies --profile",
-    )
-    parser.add_argument(
-        "--sample-interval", type=float, default=None, metavar="S",
-        help="sample network/server/scheduler state every S sim-seconds and "
-             "evaluate health rules; the time series and alerts ride on the "
-             "--obs-out export (see the dashboard command)",
-    )
-    parser.add_argument(
-        "--telquality", action="store_true",
-        help="collect the telemetry-quality observatory (INT coverage "
-             "ledger, freshness digests, decision-error attribution); the "
-             "kind:\"telquality\" record rides on the --obs-out export "
-             "(see the telemetry-report command)",
-    )
-    parser.add_argument(
-        "--whatif", action="store_true",
-        help="collect the counterfactual decision observatory (per-decision "
-             "hindsight regret, alternative-policy replay, staleness "
-             "attribution); the kind:\"whatif\" record rides on the "
-             "--obs-out export (see the whatif-report command)",
-    )
+    # One flag per observer, generated from the registry.
+    observers.add_flags(parser)
     parser.add_argument(
         "--run-timeout", type=float, default=None, metavar="SECONDS",
         help="per-run wall-clock timeout; a hung run is killed and recorded "
@@ -208,6 +169,20 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
              "runs are served from the cache, only missing/failed ones "
              "re-run (implies --cache)",
     )
+
+
+# command -> (spec kinds its grids run, export channels it writes); an
+# observer flag whose output the command would discard is an argument error.
+_NO_OBS_OUT = {observers.TRACE_RECORDS, observers.PROVENANCE}
+_DELIVERS = {
+    "calibrate": ({observers.CALIBRATION}, {observers.PROVENANCE}),
+    "compare": ({observers.EXPERIMENT}, _NO_OBS_OUT | {observers.OBS_RECORDS}),
+    "sweep": ({observers.EXPERIMENT}, _NO_OBS_OUT),
+    "sensitivity": ({observers.EXPERIMENT}, _NO_OBS_OUT),
+    "reproduce": ({observers.EXPERIMENT, observers.CALIBRATION},
+                  _NO_OBS_OUT | {observers.OBS_RECORDS}),
+    "faults": ({observers.EXPERIMENT}, _NO_OBS_OUT),
+}
 
 
 def _runner_from_args(args: argparse.Namespace):
@@ -248,12 +223,7 @@ def _runner_from_args(args: argparse.Namespace):
         cache=cache,
         progress=progress,
         obs=runner_obs,
-        trace=bool(getattr(args, "trace_out", None)),
-        profile=bool(getattr(args, "profile", False)),
-        mem_profile=bool(getattr(args, "mem_profile", False)),
-        sample_interval=getattr(args, "sample_interval", None),
-        telquality=bool(getattr(args, "telquality", False)),
-        whatif=bool(getattr(args, "whatif", False)),
+        observe=observers.from_args(args),
         run_timeout=getattr(args, "run_timeout", None),
         retries=getattr(args, "retries", 0),
         journal=journal,
@@ -270,17 +240,19 @@ def _finish_runner(reporter: "_Reporter", args: argparse.Namespace, runner) -> N
     --profile and --obs-out, the merged summary also rides on the obs
     export as one ``kind: "profile"`` record so obs-report and dashboard
     can show it."""
+    from repro.obs.export import write_jsonl
+
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        from repro.obs.export import write_jsonl
-
         total = write_jsonl(runner.trace_records, trace_out)
         reporter.emit(
             f"traces: {total} span records written to {trace_out} "
             f"(summarize with: repro trace-report {trace_out})"
         )
+    # Records append only to an obs export the command actually wrote.
     obs_out = getattr(args, "obs_out", None)
-    if obs_out and runner.obs is not None and os.path.exists(obs_out):
+    obs_out = obs_out if obs_out and os.path.exists(obs_out) else None
+    if obs_out and runner.obs is not None:
         # Forward the runner's own resilience events (failures, retries,
         # cache corruption) so obs-report can surface them.  Appended only
         # when present: a clean sweep's export is byte-stable against the
@@ -291,31 +263,19 @@ def _finish_runner(reporter: "_Reporter", args: argparse.Namespace, runner) -> N
             if record.get("event") in _RESILIENCE_EVENTS
         ]
         if resilience:
-            from repro.obs.export import write_jsonl
-
             write_jsonl(resilience, obs_out, append=True)
             reporter.emit(
                 f"observability: {len(resilience)} runner resilience "
                 f"record(s) appended to {obs_out}"
             )
-    if getattr(args, "profile", False) or getattr(args, "mem_profile", False):
+    summary = runner.profile_summary()
+    if summary is not None:
         from repro.simnet.engine import render_profile
 
-        summary = runner.profile_summary()
-        if summary is not None:
-            reporter.emit(render_profile(summary))
-            obs_out = getattr(args, "obs_out", None)
-            # Append only when the command actually wrote an obs export
-            # (commands that ignore --obs-out warned about it already).
-            if obs_out and os.path.exists(obs_out):
-                from repro.obs.export import write_jsonl
-
-                write_jsonl(
-                    [{"kind": "profile", "profile": summary}],
-                    obs_out,
-                    append=True,
-                )
-                reporter.emit(f"profile: summary appended to {obs_out}")
+        reporter.emit(render_profile(summary))
+        if obs_out:
+            write_jsonl([{"kind": "profile", "profile": summary}], obs_out, append=True)
+            reporter.emit(f"profile: summary appended to {obs_out}")
 
 
 def _add_faults(parser: argparse.ArgumentParser) -> None:
@@ -644,8 +604,7 @@ def cmd_bench_runner(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache_root=args.cache_dir or DEFAULT_CACHE_DIR,
         progress=lambda line: print(line, file=sys.stderr),
-        profile=args.profile,
-        mem_profile=args.mem_profile,
+        observe=observers.from_args(args),
         run_timeout=args.run_timeout,
         retries=args.retries,
     )
@@ -1182,6 +1141,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in _DELIVERS:
+            reason = observers.undelivered(
+                args.command, observers.from_args(args), *_DELIVERS[args.command]
+            )
+            if reason is not None:
+                raise ExperimentError(reason)
         return args.fn(args)
     except ReproError as exc:
         from repro.runner.supervisor import RunInterrupted, RunsFailedError

@@ -311,10 +311,9 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
 
     ``obs`` (a :class:`repro.obs.Observability`) enables the observability
     layer for this run: sim-time metrics, structured events, a scheduler
-    decision audit with ground truth attached, and task-lifecycle mirroring.
-    When the hub has a :class:`~repro.obs.tracing.SpanTracer` attached,
-    causal spans are assembled for tasks, sampled probes, and scheduler
-    decisions.  ``profiler`` (a :class:`~repro.simnet.engine.EngineProfiler`)
+    decision audit with ground truth attached, task-lifecycle mirroring,
+    and every observer the hub carries (causal spans, sampling, telemetry
+    quality, counterfactual replay).  ``profiler`` (a :class:`~repro.simnet.engine.EngineProfiler`)
     collects the per-event-type hot-path profile of this run.
     """
     reset_run_state()
@@ -328,12 +327,6 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
     net = topo.network
     if obs:
         obs.attach_network(net)
-        if getattr(obs, "trace", None) is not None:
-            # Per-hop INT stamping spans reuse PacketTracer hop events over
-            # exactly the trace-sampled probes.
-            obs.trace.trace_packets(
-                list(net.hosts.values()) + list(net.switches.values())
-            )
 
     worker_names = topo.worker_names
     server_addrs = [net.address_of(n) for n in worker_names]
@@ -353,16 +346,6 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
         # policies pay the same probing cost.
         collector = IntCollector(net.host(topo.scheduler_name))
     _senders, probe_pairs = _setup_probing(config, topo, collector)
-    telquality = getattr(obs, "telquality", None) if obs else None
-    if telquality is not None:
-        telquality.configure(
-            layout=config.probe_layout,
-            pairs=probe_pairs,
-            probing_interval=config.probing_interval,
-        )
-    whatif = getattr(obs, "whatif", None) if obs else None
-    if whatif is not None:
-        whatif.configure(probing_interval=config.probing_interval)
 
     # Workload plan (policy-independent given the seed).
     spec = WorkloadSpec(
@@ -425,20 +408,17 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
     )
     background.start()
 
-    # Periodic state sampling + health rules (opt-in via the hub's
-    # sample_interval).  The sampler event only *reads* simulation state, so
-    # enabling it cannot perturb task outcomes.
-    if obs and getattr(obs, "timeseries", None) is not None:
-        obs.attach_experiment_samplers(
+    # Every observer the hub carries attaches here, in registry order (see
+    # repro.observers): layouts, samplers and their timer, health rules.
+    if obs:
+        obs.attach_run(
+            sim=sim,
+            config=config,
+            probe_pairs=probe_pairs,
             servers=servers,
             collector=collector,
             store=getattr(scheduler, "store", None),
-            probing_interval=config.probing_interval,
         )
-        sampler = PeriodicTimer(
-            sim, obs.timeseries.interval, obs.sample_tick, sim
-        )
-        sampler.start()
 
     # Stop as soon as every task completed (or failed).
     def check_done() -> None:
@@ -461,8 +441,7 @@ def run_experiment(config: ExperimentConfig, *, obs=None, profiler=None) -> Expe
 
     if obs:
         _mirror_task_lifecycle(obs, metrics.records)
-        if getattr(obs, "trace", None) is not None:
-            obs.trace.assemble(metrics.records)
+        obs.finish(metrics.records)
         obs.metrics.gauge("run_sim_time_seconds").set(sim.now)
         obs.metrics.gauge("run_events_executed").set(sim.events_executed)
         obs.metrics.gauge("run_tasks_completed").set(len(metrics.completed()))

@@ -23,7 +23,8 @@ and export with ``repro.obs.export.write_jsonl(obs.snapshot_records(), path)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.audit import (
     DecisionAudit,
@@ -46,6 +47,7 @@ from repro.obs.telquality import TelemetryQuality
 from repro.obs.timeseries import Series, TimeSeriesStore
 from repro.obs.tracing import Span, SpanTracer
 from repro.obs.whatif import WhatIf
+from repro.observers import OBS_RECORDS, REGISTRY, TRACE_RECORDS, Observer, normalize
 
 __all__ = [
     "Observability",
@@ -93,14 +95,8 @@ class Observability:
         max_decisions: Optional[int] = None,
         probe_sample: int = 10,
         queue_threshold_fraction: float = DEFAULT_QUEUE_THRESHOLD_FRACTION,
-        trace: bool = False,
-        trace_probe_sample: int = 25,
-        max_spans: Optional[int] = None,
-        sample_interval: Optional[float] = None,
-        ts_capacity: Optional[int] = None,
         health_rules: Optional[Any] = None,
-        telquality: bool = False,
-        whatif: bool = False,
+        **observe: Any,
     ) -> None:
         if probe_sample < 1:
             raise ValueError("probe_sample must be >= 1")
@@ -111,16 +107,6 @@ class Observability:
         self.events = EventLog(**({} if max_events is None else {"max_events": max_events}))
         self.audit = DecisionAudit(
             **({} if max_decisions is None else {"max_decisions": max_decisions})
-        )
-        # Causal span tracing is opt-in: instrumented call sites guard with
-        # ``getattr(obs, "trace", None)`` so a traceless run pays nothing.
-        self.trace: Optional[SpanTracer] = (
-            SpanTracer(
-                probe_sample=trace_probe_sample,
-                **({} if max_spans is None else {"max_spans": max_spans}),
-            )
-            if trace
-            else None
         )
         # Per-probe events at mesh-probing rates dwarf everything else; only
         # every Nth probe_sent/probe_received lands in the event log, while
@@ -133,30 +119,25 @@ class Observability:
         self._probe_reports: Optional[Counter] = None
         self.queue_threshold_fraction = queue_threshold_fraction
         self.ground_truth: Optional[NetworkGroundTruth] = None
-        # Periodic sampling is opt-in like tracing: None unless a
-        # sample_interval was given, so disabled runs schedule no sampler
-        # events and export a byte-identical record stream.
-        self.timeseries: Optional[TimeSeriesStore] = (
-            TimeSeriesStore(
-                sample_interval,
-                **({} if ts_capacity is None else {"capacity": ts_capacity}),
-            )
-            if sample_interval is not None
-            else None
-        )
         # Built by attach_experiment_samplers once the probing interval is
         # known (the default rules are parameterized by it); an explicit
         # rule set here overrides the defaults.
         self.health: Optional[HealthMonitor] = None
         self._health_rules = health_rules
-        # Telemetry-quality observatory — opt-in like tracing and sampling:
-        # None unless requested, so instrumented call sites guard with one
-        # getattr and a disabled run exports a byte-identical record stream.
-        self.telquality: Optional[TelemetryQuality] = (
-            TelemetryQuality() if telquality else None
-        )
-        # Counterfactual decision observatory — same opt-in contract.
-        self.whatif: Optional[WhatIf] = WhatIf() if whatif else None
+        # Hub observers (repro.observers) are opt-in: each one's attribute
+        # (``trace``, ``timeseries``, ``telquality``, ``whatif``) is None
+        # unless requested, so instrumented call sites guard with one
+        # attribute read and a disabled run exports a byte-identical stream.
+        unknown = [n for n in observe if getattr(REGISTRY.get(n), "attr", None) is None]
+        if unknown:
+            raise TypeError(f"Observability() got unexpected keywords {unknown}")
+        params = normalize(observe)
+        self.observers: List[Tuple[Observer, Any]] = []
+        for entry in (e for e in REGISTRY.values() if e.attr is not None):
+            instance = entry.build(params[entry.name]) if entry.name in params else None
+            if instance is not None:
+                self.observers.append((entry, instance))
+            setattr(self, entry.attr, instance)
         # Satellite: the bounded audit drops silently past its cap; the
         # export emits one warning event carrying the final drop count.
         self._audit_overflow_warned = False
@@ -173,13 +154,14 @@ class Observability:
         self.metrics.bind_clock(clock)
         self.events.bind_clock(clock)
         self.audit.bind_clock(clock)
-        if self.trace is not None:
-            self.trace.bind_clock(clock)
+        for entry, instance in self.observers:
+            entry.bind(instance, clock)
         sim.obs = self
 
     def attach_network(self, network: Any) -> None:
         """Instrument a finalized network: queue-threshold crossing events on
-        every egress queue and per-link carried-byte counters."""
+        every egress queue and per-link carried-byte counters, then attach
+        every observer to it."""
         self.ground_truth = NetworkGroundTruth(network)
         nodes = list(network.hosts.values()) + list(network.switches.values())
         for node in nodes:
@@ -200,17 +182,29 @@ class Observability:
                 "a": self.metrics.counter("link_bytes_total", link=name, direction="a"),
                 "b": self.metrics.counter("link_bytes_total", link=name, direction="b"),
             }
-        if self.telquality is not None:
-            self.telquality.attach_network(network)
-        if self.timeseries is not None:
-            self._register_network_samplers(network)
+        for entry, instance in self.observers:
+            entry.network(instance, self, network)
 
-    def _register_network_samplers(self, network: Any) -> None:
+    def attach_run(self, **parts: Any) -> None:
+        """Attach every observer to an assembled experiment, once the
+        simulation is built and before it runs.  ``parts`` are ``sim``,
+        ``config``, ``probe_pairs``, ``servers``, ``collector`` and
+        ``store`` (see :class:`repro.observers.Observer`)."""
+        run = SimpleNamespace(**parts)
+        for entry, instance in self.observers:
+            entry.run(instance, self, run)
+
+    def finish(self, task_records: List[Any]) -> None:
+        """Every observer's finish step, after the run (spans assemble
+        here)."""
+        for entry, instance in self.observers:
+            entry.finish(instance, task_records)
+
+    def register_network_samplers(self, network: Any) -> None:
         """Per-tick samplers over live network state: egress queue depth
         (absolute and as a fraction of capacity, the saturation-rule input)
         and per-direction link utilization from carried-byte deltas."""
         ts = self.timeseries
-        assert ts is not None
         nodes = sorted(
             list(network.hosts.values()) + list(network.switches.values()),
             key=lambda n: n.name,
@@ -249,21 +243,15 @@ class Observability:
 
         ts.register(sample_network)
 
-    def attach_experiment_samplers(
-        self,
-        *,
-        servers: Optional[Dict[str, Any]] = None,
-        collector: Optional[Any] = None,
-        store: Optional[Any] = None,
-        probing_interval: Optional[float] = None,
-    ) -> None:
+    def attach_experiment_samplers(self, run: Any) -> None:
         """Wire harness-level samplers (server load, telemetry staleness,
-        probe loss rate, decision error) and build the health monitor.
-        No-op unless sampling is enabled."""
-        ts = self.timeseries
-        if ts is None:
-            return
+        probe loss rate, decision error, and every observer's own series)
+        over the run's parts (see :meth:`attach_run`), build the health
+        monitor, and start the sampler timer."""
+        from repro.simnet.engine import PeriodicTimer
 
+        ts = self.timeseries
+        servers, collector, store = run.servers, run.collector, run.store
         if servers:
             ordered = [
                 (
@@ -339,47 +327,26 @@ class Observability:
 
         ts.register(sample_decision_error)
 
-        # Telemetry-quality series feed the coverage_gap / staleness_ceiling
-        # health rules.  Registered only when the observatory is attached,
-        # so sampled-but-unobserved runs keep their series set unchanged.
-        tq = self.telquality
-        if tq is not None:
-
-            def sample_telquality(s: TimeSeriesStore, now: float) -> None:
-                frac = tq.coverage_fraction()
-                if frac is not None:
-                    s.record("telemetry_coverage_frac", now, frac)
-                age = tq.take_max_decision_age()
-                if age is not None:
-                    s.record("telemetry_decision_age_max", now, age)
-
-            ts.register(sample_telquality)
-
-        # Per-tick max decision regret feeds the regret_ceiling health
-        # rule; like the other opt-in series, registered only when the
-        # counterfactual observatory is attached.
-        wi = self.whatif
-        if wi is not None:
-
-            def sample_whatif(s: TimeSeriesStore, now: float) -> None:
-                regret = wi.take_max_regret()
-                if regret is not None:
-                    s.record("decision_regret_max", now, regret)
-
-            ts.register(sample_whatif)
+        # Observer series, in registry order; each registers only when its
+        # observer is attached, so a sampled-but-unobserved run keeps its
+        # series set unchanged.
+        for entry, instance in self.observers:
+            sampler = entry.sampler(instance)
+            if sampler is not None:
+                ts.register(sampler)
 
         rules = self._health_rules
-        if rules is None and probing_interval is not None:
-            rules = default_rules(probing_interval)
+        if rules is None:
+            rules = default_rules(run.config.probing_interval)
         if rules:
             self.health = HealthMonitor(rules, self.events)
+        # The sampler reads simulation state only, but adds its own events.
+        PeriodicTimer(run.sim, ts.interval, self.sample_tick, run.sim).start()
 
     def sample_tick(self, sim: Any) -> None:
         """One sampler tick: run every registered sampler at ``sim.now`` and
         evaluate health rules against the values just recorded.  Scheduled
-        by the harness as a PeriodicTimer; reads state, never mutates it."""
-        if self.timeseries is None:
-            return
+        by :meth:`attach_experiment_samplers`; reads state, never mutates it."""
         now = sim.now
         self.timeseries.tick(now)
         if self.health is not None:
@@ -474,31 +441,25 @@ class Observability:
         records = (
             self.metrics.snapshot() + self.events.snapshot() + self.audit.snapshot()
         )
-        # Time-series records go last so the metrics/events/audit prefix is
-        # byte-identical whether or not sampling was enabled.
-        if self.timeseries is not None:
-            records += self.timeseries.snapshot()
-        # Telemetry-quality records append after everything else for the
-        # same reason: enabling collection leaves the prefix byte-identical.
-        if self.telquality is not None:
-            records += self.telquality.snapshot_records(self.events)
-        # The whatif record is last of all: it replays the audit snapshots
-        # above, and appending keeps every earlier kind byte-identical.
-        if self.whatif is not None:
-            records += self.whatif.snapshot_records(self.audit, self.events)
-        if self.run:
-            run = dict(self.run)
-            for record in records:
-                record["run"] = run
-        return records
+        # Observer records append after everything else, in registry order,
+        # so enabling one leaves every earlier record byte-identical.
+        records += self._observer_records(OBS_RECORDS)
+        return self._label(records)
 
     def trace_records(self) -> List[Dict[str, Any]]:
         """Every assembled span, JSON-ready, run labels attached.  Kept
         separate from :meth:`snapshot_records` so trace exports never change
         the pre-existing obs export byte stream."""
-        if self.trace is None:
-            return []
-        records = self.trace.snapshot()
+        return self._label(self._observer_records(TRACE_RECORDS))
+
+    def _observer_records(self, channel: str) -> List[Dict[str, Any]]:
+        records: List[Dict[str, Any]] = []
+        for entry, instance in self.observers:
+            if entry.channel == channel:
+                records += entry.records(instance, self)
+        return records
+
+    def _label(self, records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         if self.run:
             run = dict(self.run)
             for record in records:
@@ -517,19 +478,6 @@ class Observability:
             "decisions_dropped": self.audit.dropped_decisions,
             "delay_error": self.audit.error_report(),
         }
-        if self.trace is not None:
-            out["spans"] = len(self.trace)
-            out["spans_dropped"] = self.trace.dropped_spans
-        if self.timeseries is not None:
-            out["timeseries"] = {
-                "interval": self.timeseries.interval,
-                "series": len(self.timeseries),
-                "ticks": self.timeseries.ticks,
-            }
-        if self.health is not None:
-            out["health"] = self.health.summary()
-        if self.telquality is not None:
-            out["telquality"] = self.telquality.summary()
-        if self.whatif is not None:
-            out["whatif"] = self.whatif.summary()
+        for entry, instance in self.observers:
+            out.update(entry.summary(instance, self))
         return out

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.errors import ExperimentError
 from repro.runner.cache import ResultCache
@@ -116,8 +116,7 @@ def run_bench(
     seed: int = 0,
     cache_root: str,
     progress: Optional[Callable[[str], None]] = None,
-    profile: bool = True,
-    mem_profile: bool = False,
+    observe: Optional[Mapping[str, Any]] = None,
     run_timeout: Optional[float] = None,
     retries: int = 0,
 ) -> Dict[str, Any]:
@@ -126,11 +125,10 @@ def run_bench(
     ``cache_root`` is used for the cached pass only (pre-populated from the
     serial results, then timed).  The report's ``byte_identical`` is the
     headline correctness claim: parallel and cached payloads must match the
-    serial ones byte for byte.  With ``profile`` on (the default), every
-    pass runs under the engine profiler — the profile lives in result
-    provenance, so byte-identity still holds — and the serial pass's merged
-    summary lands in the report's ``profile`` key.  ``mem_profile`` adds
-    gc/tracemalloc attribution to that summary (implies ``profile``).
+    serial ones byte for byte.  ``observe`` (default: the engine profiler)
+    is stamped onto every pass's specs; a profile lives in result
+    provenance, so byte-identity still holds, and the serial pass's merged
+    summary lands in the report's ``profile`` key.
 
     ``parallel_valid`` records whether the parallel timing means anything:
     on a host with fewer CPUs than ``jobs`` the pool just multiplexes one
@@ -141,15 +139,14 @@ def run_bench(
     (see :class:`Runner`).  A positive ``run_timeout`` moves the serial
     pass under supervision (one child process per run), which adds spawn
     overhead to ``serial_s`` — leave it unset for honest timing."""
-    profile = profile or mem_profile
+    observe = {"profile": True} if observe is None else observe
     specs = bench_grid_specs(scale, seed)
     say = progress if progress is not None else (lambda _line: None)
     cpus = os.cpu_count() or 1
 
     say(f"serial: {len(specs)} runs ...")
     serial_runner = Runner(
-        jobs=1, profile=profile, mem_profile=mem_profile,
-        run_timeout=run_timeout, retries=retries,
+        jobs=1, observe=observe, run_timeout=run_timeout, retries=retries,
     )
     t0 = time.perf_counter()
     serial = serial_runner.run(specs)
@@ -157,7 +154,7 @@ def run_bench(
 
     say(f"parallel: {len(specs)} runs on {jobs} workers ...")
     parallel_runner = Runner(
-        jobs=jobs, profile=profile, run_timeout=run_timeout, retries=retries,
+        jobs=jobs, observe=observe, run_timeout=run_timeout, retries=retries,
     )
     t0 = time.perf_counter()
     parallel = parallel_runner.run(specs)
@@ -168,7 +165,7 @@ def run_bench(
     for result in serial:
         cache.put(result.spec_hash, result.to_json().encode("utf-8"))
     cached_runner = Runner(
-        jobs=1, cache=cache, profile=profile,
+        jobs=1, cache=cache, observe=observe,
         run_timeout=run_timeout, retries=retries,
     )
     t0 = time.perf_counter()
@@ -196,7 +193,7 @@ def run_bench(
         "cache_hits": cached_runner.stats.cache_hits,
         "byte_identical": not diverging,
         "diverging_cells": diverging,
-        "profile": serial_runner.profile_summary() if profile else None,
+        "profile": serial_runner.profile_summary(),
         "host": {
             "cpus": os.cpu_count(),
             "python": sys.version.split()[0],

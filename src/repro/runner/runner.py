@@ -34,9 +34,11 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
+from repro.observers import OBS_RECORDS, REGISTRY, TRACE_RECORDS, normalize
 from repro.runner.cache import ResultCache
 from repro.runner.journal import RunJournal
 from repro.runner.spec import (
@@ -185,72 +187,40 @@ class RunResult:
 def execute_spec(spec: Any) -> Dict[str, Any]:
     """Execute one spec and return its deterministic payload.
 
-    A profiled spec's engine profile rides back under the ``"_profile"``
-    payload key temporarily; :func:`_execute_envelope_json` moves it into
-    provenance because handler wall-times are nondeterministic.
+    The spec's instruments (hub, engine profiler, memory capture) are built
+    from the observer registry.  A profiled spec's engine profile rides back
+    under the ``"_profile"`` payload key temporarily;
+    :func:`_execute_envelope_json` moves it into provenance because handler
+    wall-times are nondeterministic.
     """
-    profiler = None
-    memory_capture = None
-    if getattr(spec, "profile", False):
-        from repro.obs.perf import MemoryCapture
-        from repro.simnet.engine import EngineProfiler
+    observe = spec.observers()
+    labels = spec.obs_run() if isinstance(spec, RunSpec) else None
+    hub_params = {n: p for n, p in observe.items() if REGISTRY[n].attr}
+    hub = None
+    if labels is not None or hub_params:
+        from repro.obs import Observability
 
-        profiler = EngineProfiler()
-        # gc counters always ride with a profile; allocation-site tracing
-        # (tracemalloc) only when the spec opted in — it costs real time.
-        memory_capture = MemoryCapture(
-            tracemalloc_top=10 if getattr(spec, "mem_profile", False) else 0
-        )
+        # An observed run without explicit labels gets the grid identity,
+        # so multi-cell exports stay separable.
+        hub = Observability(run=labels if labels is not None else {
+            "policy": spec.policy, "size_class": spec.size_class, "seed": spec.seed,
+        }, **hub_params)
+    engine = SimpleNamespace(profiler=None, memory=None)
+    for name, param in observe.items():
+        REGISTRY[name].begin(engine, param)
+    if engine.memory is not None:
+        engine.memory.start()
     if isinstance(spec, RunSpec):
         from repro.experiments.export import result_to_dict
         from repro.experiments.harness import run_experiment
 
-        obs = None
-        labels = spec.obs_run()
-        sampled = getattr(spec, "sample_interval", None)
-        telquality = bool(getattr(spec, "telquality", False))
-        whatif = bool(getattr(spec, "whatif", False))
-        if (
-            labels is not None or spec.trace or sampled is not None
-            or telquality or whatif
-        ):
-            from repro.obs import Observability
-
-            if labels is None:
-                # Instrumented run without explicit obs labels: synthesize
-                # the grid identity so multi-cell exports stay separable.
-                labels = {
-                    "policy": spec.policy,
-                    "size_class": spec.size_class,
-                    "seed": spec.seed,
-                }
-            obs = Observability(
-                run=labels, trace=spec.trace, sample_interval=sampled,
-                telquality=telquality, whatif=whatif,
-            )
-        if memory_capture is not None:
-            memory_capture.start()
-        result = run_experiment(spec.to_config(), obs=obs, profiler=profiler)
-        if memory_capture is not None:
-            profiler.memory = memory_capture.stop()
+        result = run_experiment(spec.to_config(), obs=hub, profiler=engine.profiler)
         payload = result_to_dict(result, include_tasks=True)
-        if obs is not None and (
-            spec.obs_run() is not None or sampled is not None or telquality
-            or whatif
-        ):
-            payload["obs_records"] = obs.snapshot_records()
-        if obs is not None and spec.trace:
-            payload["trace_records"] = obs.trace_records()
-        if profiler is not None:
-            payload["_profile"] = profiler.summary()
-        return payload
-    if isinstance(spec, CalibrationSpec):
+    elif isinstance(spec, CalibrationSpec):
         from dataclasses import asdict
 
         from repro.experiments.calibration import run_calibration
 
-        if memory_capture is not None:
-            memory_capture.start()
         point = run_calibration(
             spec.utilization,
             duration=spec.duration,
@@ -258,15 +228,21 @@ def execute_spec(spec: Any) -> Dict[str, Any]:
             link_delay=spec.link_delay,
             probing_interval=spec.probing_interval,
             seed=spec.seed,
-            profiler=profiler,
+            profiler=engine.profiler,
         )
-        if memory_capture is not None:
-            profiler.memory = memory_capture.stop()
         payload = {"calibration": asdict(point)}
-        if profiler is not None:
-            payload["_profile"] = profiler.summary()
-        return payload
-    raise ExperimentError(f"cannot execute spec of type {type(spec).__name__}")
+    else:
+        raise ExperimentError(f"cannot execute spec of type {type(spec).__name__}")
+    if engine.memory is not None:
+        engine.profiler.memory = engine.memory.stop()
+    channels = {REGISTRY[name].channel for name in observe}
+    if labels is not None or OBS_RECORDS in channels:
+        payload[OBS_RECORDS] = hub.snapshot_records()
+    if TRACE_RECORDS in channels:
+        payload[TRACE_RECORDS] = hub.trace_records()
+    if engine.profiler is not None:
+        payload["_profile"] = engine.profiler.summary()
+    return payload
 
 
 def _execute_envelope_json(spec_json: str) -> str:
@@ -380,7 +356,8 @@ class Runner:
     lose nothing completed.  ``progress`` receives one human line per
     completed run including an ETA; ``obs`` (a
     :class:`repro.obs.Observability`) additionally records runner metrics
-    and per-run events."""
+    and per-run events.  ``observe`` (``{observer: parameter}``, see
+    :mod:`repro.observers`) is stamped onto every spec a run is given."""
 
     def __init__(
         self,
@@ -389,12 +366,7 @@ class Runner:
         cache: Optional[ResultCache] = None,
         progress: Optional[Callable[[str], None]] = None,
         obs: Optional[Any] = None,
-        trace: bool = False,
-        profile: bool = False,
-        mem_profile: bool = False,
-        sample_interval: Optional[float] = None,
-        telquality: bool = False,
-        whatif: bool = False,
+        observe: Optional[Mapping[str, Any]] = None,
         run_timeout: Optional[float] = None,
         retries: int = 0,
         backoff_base: float = 0.5,
@@ -422,16 +394,10 @@ class Runner:
         self.backoff_base = backoff_base
         self.journal = journal
         self.on_failure = on_failure
-        # Instrumentation: stamp every incoming spec with these flags before
-        # hashing (so traced/profiled/sampled cells never alias plain cache
-        # entries) and accumulate the per-run outputs across run() calls.
-        # mem_profile implies profile.
-        self.trace = trace
-        self.mem_profile = mem_profile
-        self.profile = profile or mem_profile
-        self.sample_interval = sample_interval
-        self.telquality = telquality
-        self.whatif = whatif
+        # Observers: stamp every incoming spec with this mapping before
+        # hashing (so observed cells never alias plain cache entries) and
+        # accumulate the per-run outputs across run() calls.
+        self.observe = normalize(observe)
         self.trace_records: List[Dict[str, Any]] = []
         self.profiles: List[Dict[str, Any]] = []
         if obs is not None:
@@ -456,21 +422,8 @@ class Runner:
         :class:`RunsFailedError` is raised *after* the whole grid was
         attempted."""
         started = time.monotonic()
-        if (
-            self.trace or self.profile or self.sample_interval is not None
-            or self.telquality or self.whatif
-        ):
-            specs = [
-                spec.instrumented(
-                    trace=self.trace,
-                    profile=self.profile,
-                    mem_profile=self.mem_profile,
-                    sample_interval=self.sample_interval,
-                    telquality=self.telquality,
-                    whatif=self.whatif,
-                )
-                for spec in specs
-            ]
+        if self.observe:
+            specs = [spec.instrumented(self.observe) for spec in specs]
         hashes = [spec.content_hash() for spec in specs]
         # Bind self.stats immediately: _on_retry bumps self.stats.retried
         # mid-run, so it must be the same object we account into here.
@@ -603,10 +556,10 @@ class Runner:
                 failures=failures,
             )
 
-        # Accumulate instrumentation outputs once per unique run, in
-        # first-appearance order (cached results included — their spans are
-        # in the payload, so trace exports survive cache hits).
-        if self.trace or self.profile:
+        # Accumulate observer outputs once per unique run, in first-
+        # appearance order (cached results included — their spans are in
+        # the payload, so trace exports survive cache hits).
+        if self.observe:
             for spec_hash in dict.fromkeys(hashes):
                 result = results[spec_hash]
                 self.trace_records.extend(result.payload.get("trace_records", ()))

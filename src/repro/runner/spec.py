@@ -17,6 +17,8 @@ Two spec kinds exist: :class:`RunSpec` (a full harness experiment — the
 Fig. 5–9 grid cell) and :class:`CalibrationSpec` (one Fig. 3 utilization
 level on the dumbbell topology).  ``spec_from_dict`` dispatches on the
 ``kind`` field so cache files and worker processes stay self-describing.
+Both carry their observers (:mod:`repro.observers`) as one canonical
+``observe`` field.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro import observers as registry
 from repro.edge.background import TrafficScenario
 from repro.edge.task import SizeClass
 from repro.errors import ExperimentError
@@ -77,8 +80,60 @@ def _scenario_from_dict(data: Dict[str, Any]) -> TrafficScenario:
     )
 
 
+class _Spec:
+    """Identity and observer stamping shared by both spec kinds."""
+
+    KIND = ""
+
+    def _check_observe(self) -> None:
+        """Validate ``observe`` against the registry and store its canonical
+        form (a mapping is accepted too)."""
+        observe = registry.normalize(
+            json.loads(self.observe) if isinstance(self.observe, str) else self.observe
+        )
+        misplaced = [n for n in observe if self.KIND not in registry.REGISTRY[n].kinds]
+        if misplaced:
+            raise ExperimentError(f"observers {misplaced} do not apply to {self.KIND} specs")
+        object.__setattr__(self, "observe", canonical_json(observe) if observe else None)
+
+    def observers(self) -> Dict[str, Any]:
+        """This spec's ``{observer: parameter}`` mapping in registry order
+        ({} when plain)."""
+        return registry.normalize(json.loads(self.observe) if self.observe else {})
+
+    def instrumented(
+        self, observe: Optional[Mapping[str, Any]] = None, **params: Any
+    ) -> Any:
+        """This spec with observers combined in (``observe`` and keyword
+        parameters by registry name).  Observers this kind does not carry
+        are dropped; identity when nothing changes, so unobserved grids keep
+        their spec objects."""
+        merged = registry.merge(self.KIND, self.observers(), {**(observe or {}), **params})
+        return self if merged == self.observers() else replace(self, observe=merged)
+
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {"kind": self.KIND}
+        for f in fields(self):
+            out[f.name] = getattr(self, f.name)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> Any:
+        return cls(**{k: v for k, v in data.items() if k != "kind"})
+
+    def canonical_json(self) -> str:
+        return canonical_json(self.to_dict())
+
+    def content_hash(self) -> str:
+        return content_hash(self.to_dict())
+
+    def with_(self, **changes: Any) -> Any:
+        """`dataclasses.replace` spelled as a method, for grid expansion."""
+        return replace(self, **changes)
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_Spec):
     """One experiment grid cell: topology workload, policy, probing config,
     fault plan (inlined by contents), seed, and scale — the full recipe for
     :func:`repro.experiments.harness.run_experiment`.
@@ -124,40 +179,15 @@ class RunSpec:
     # Part of the hash on purpose — an obs run carries extra payload, so it
     # must not alias a plain run's cache entry.
     obs_run_json: Optional[str] = None
-    # Instrumentation flags, stamped by the runner (never persisted into
-    # ExperimentConfig).  In the hash on purpose: a traced run's payload
-    # carries span records and must not alias a plain run's cache entry; a
-    # profiled run keeps its (nondeterministic) profile in provenance, so
-    # profiled and plain runs must not share cache files either.
-    trace: bool = False
-    profile: bool = False
-    # Memory attribution (tracemalloc top allocation sites) on top of the
-    # engine profile; implies profile at the runner layer.  In the hash for
-    # the same no-aliasing reason as the other instrumentation flags, even
-    # though its output lives in provenance: tracemalloc changes allocator
-    # timing enough that sharing cache entries with plain runs would let a
-    # --mem-profile invocation return non-mem-profiled provenance.
-    mem_profile: bool = False
-    # Periodic state sampling: sim-seconds between sampler ticks, or None
-    # for no sampling.  In the hash: a sampled run's payload carries
-    # time-series (and possibly alert) records, so it must not alias a
-    # plain run's cache entry.
-    sample_interval: Optional[float] = None
-    # Telemetry-quality observatory (coverage ledger, freshness digests,
-    # decision-error attribution).  In the hash: an observed run's payload
-    # carries the kind:"telquality" record, so it must not alias a plain
-    # run's cache entry.
-    telquality: bool = False
-    # Counterfactual decision observatory (per-decision regret, policy
-    # replay, staleness attribution).  In the hash for the same reason: an
-    # observed payload carries the kind:"whatif" record.
-    whatif: bool = False
+    # Observers (repro.observers), stamped by the runner: canonical JSON of
+    # {name: parameter}, or None for an unobserved run.  In the hash on
+    # purpose — an observed payload carries extra records, and a profiled
+    # run's provenance carries its profile, so neither may alias a plain
+    # run's cache entry — and outside pairing_key.
+    observe: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ExperimentError(
-                f"sample_interval must be positive, got {self.sample_interval}"
-            )
+        self._check_observe()
         if self.size_class not in _SIZE_CLASSES:
             raise ExperimentError(
                 f"unknown size class {self.size_class!r}; "
@@ -266,30 +296,6 @@ class RunSpec:
 
     # -- identity ----------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": self.KIND}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "curve_knots" and value is not None:
-                value = [list(pair) for pair in value]
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        payload = {k: v for k, v in data.items() if k != "kind"}
-        if payload.get("curve_knots") is not None:
-            payload["curve_knots"] = tuple(
-                tuple(pair) for pair in payload["curve_knots"]
-            )
-        return cls(**payload)
-
-    def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def content_hash(self) -> str:
-        return content_hash(self.to_dict())
-
     def pairing_key(self) -> str:
         """Hash of the workload/congestion identity only.
 
@@ -323,51 +329,9 @@ class RunSpec:
         """Short human label for progress lines."""
         return f"{self.policy}/{self.size_class} seed={self.seed}"
 
-    def with_(self, **changes: Any) -> "RunSpec":
-        """`dataclasses.replace` spelled as a method, for grid expansion."""
-        return replace(self, **changes)
-
-    def instrumented(
-        self,
-        *,
-        trace: bool = False,
-        profile: bool = False,
-        mem_profile: bool = False,
-        sample_interval: Optional[float] = None,
-        telquality: bool = False,
-        whatif: bool = False,
-    ) -> "RunSpec":
-        """This spec with instrumentation flags ORed in (identity when no
-        flag changes, so un-instrumented grids keep their spec objects).
-        ``mem_profile`` implies ``profile``; an already-sampled spec keeps
-        its own interval."""
-        trace = trace or self.trace
-        mem_profile = mem_profile or self.mem_profile
-        profile = profile or self.profile or mem_profile
-        sample_interval = (
-            self.sample_interval if self.sample_interval is not None
-            else sample_interval
-        )
-        telquality = telquality or self.telquality
-        whatif = whatif or self.whatif
-        if (
-            trace == self.trace
-            and profile == self.profile
-            and mem_profile == self.mem_profile
-            and sample_interval == self.sample_interval
-            and telquality == self.telquality
-            and whatif == self.whatif
-        ):
-            return self
-        return replace(
-            self, trace=trace, profile=profile, mem_profile=mem_profile,
-            sample_interval=sample_interval, telquality=telquality,
-            whatif=whatif,
-        )
-
 
 @dataclass(frozen=True)
-class CalibrationSpec:
+class CalibrationSpec(_Spec):
     """One Fig. 3 calibration point: a utilization level on the dumbbell."""
 
     KIND = "calibration"
@@ -378,26 +342,12 @@ class CalibrationSpec:
     link_delay: float = 0.010
     probing_interval: float = 0.1
     seed: int = 0
-    # Engine profiling; in the hash (see RunSpec).  Calibration runs have no
-    # task/probe lifecycles to trace, so there is no trace flag here.
-    profile: bool = False
-    mem_profile: bool = False
+    # Observers, as on RunSpec; a calibration run has no tasks, probes or
+    # decisions to observe, so only the engine observers apply.
+    observe: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"kind": self.KIND}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CalibrationSpec":
-        return cls(**{k: v for k, v in data.items() if k != "kind"})
-
-    def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def content_hash(self) -> str:
-        return content_hash(self.to_dict())
+    def __post_init__(self) -> None:
+        self._check_observe()
 
     def pairing_key(self) -> str:
         return self.content_hash()
@@ -408,29 +358,6 @@ class CalibrationSpec:
 
     def label(self) -> str:
         return f"calibration u={self.utilization:g} seed={self.seed}"
-
-    def with_(self, **changes: Any) -> "CalibrationSpec":
-        return replace(self, **changes)
-
-    def instrumented(
-        self,
-        *,
-        trace: bool = False,
-        profile: bool = False,
-        mem_profile: bool = False,
-        sample_interval: Optional[float] = None,
-        telquality: bool = False,
-        whatif: bool = False,
-    ) -> "CalibrationSpec":
-        """Profiling only — calibration runs have nothing to span-trace,
-        periodically sample, or probe (no scheduler, so no decisions to
-        grade or replay).  ``mem_profile`` implies ``profile``."""
-        del trace, sample_interval, telquality, whatif
-        mem_profile = mem_profile or self.mem_profile
-        profile = profile or self.profile or mem_profile
-        if profile != self.profile or mem_profile != self.mem_profile:
-            return replace(self, profile=profile, mem_profile=mem_profile)
-        return self
 
 
 SPEC_KINDS = {

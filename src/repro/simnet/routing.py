@@ -13,66 +13,26 @@ routing graph except as path endpoints.
 from __future__ import annotations
 
 import heapq
-from typing import Container, Dict, List, Mapping, TYPE_CHECKING
+from typing import Container, Dict, Mapping, TYPE_CHECKING
 
 from repro.errors import RoutingError
 
 if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-
     from repro.simnet.topology import Network
 
-__all__ = ["shortest_path", "shortest_paths_from", "compute_routes", "install_all_routes"]
-
-
-def _routing_weight(g: nx.Graph, u: str, v: str) -> float:
-    return float(g.edges[u, v]["delay"])
-
-
-def shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
-    """Delay-weighted shortest path with lexicographic tie-breaking, never
-    transiting a host node.  The per-pair definition over
-    :meth:`Network.graph`: nothing on the run path calls it, the tests hold
-    :func:`shortest_paths_from` to it."""
-    if src not in g or dst not in g:
-        raise RoutingError(f"unknown endpoint in ({src!r}, {dst!r})")
-    if src == dst:
-        return [src]
-    # Prune other hosts so they cannot be used as transit.
-    keep = {n for n, d in g.nodes(data=True) if d.get("kind") != "host"} | {src, dst}
-    # networkx's own Dijkstra tie-breaks by heap order; ours carries an
-    # explicit lexicographic secondary criterion.
-    return _lexicographic_shortest_path(g.subgraph(keep), src, dst)
-
-
-def _lexicographic_shortest_path(g: nx.Graph, src: str, dst: str) -> List[str]:
-    """Dijkstra where among equal-cost paths the lexicographically smallest
-    node sequence wins.  O(E log V) with tuple-compared labels."""
-    best: Dict[str, tuple] = {}
-    heap: list = [((0.0, (src,)), src)]
-    while heap:
-        (cost, path), u = heapq.heappop(heap)
-        if u in best:
-            continue
-        best[u] = (cost, path)
-        if u == dst:
-            return list(path)
-        for v in sorted(g.neighbors(u)):
-            if v in best:
-                continue
-            w = _routing_weight(g, u, v)
-            heapq.heappush(heap, ((cost + w, path + (v,)), v))
-    raise RoutingError(f"no path from {src!r} to {dst!r}")
+__all__ = ["shortest_paths_from", "compute_routes", "install_all_routes"]
 
 
 def shortest_paths_from(
     adjacency: Mapping[str, Mapping[str, float]], hosts: Container[str], src: str
 ) -> Dict[str, tuple]:
-    """Every node's :func:`shortest_path` from ``src`` in one exhaustive
-    search over ``{name: {neighbor: delay}}``: the same ``(cost, path)``
-    labels, costs summed in path order, so each result is the per-pair
-    search's to the bit.  Hosts other than ``src`` are settled but never
-    expanded — they end paths, never carry them."""
+    """Every node's delay-weighted shortest path from ``src`` in one
+    exhaustive search over ``{name: {neighbor: delay}}``, equal-cost paths
+    broken by the lexicographically smallest node sequence: ``(cost,
+    path)`` labels with costs summed in path order, so each result is a
+    per-pair lexicographic Dijkstra's to the bit (the tests hold it to one).
+    Hosts other than ``src`` are settled but never expanded — they end
+    paths, never carry them."""
     best: Dict[str, tuple] = {}
     heap: list = [(0.0, (src,), src)]
     while heap:
@@ -92,8 +52,8 @@ def compute_routes(network: "Network") -> Dict[str, Dict[str, str]]:
     """For every switch, the next-hop node toward every host destination.
 
     Returns ``{switch_name: {dst_host_name: next_hop_name}}`` — for each
-    pair the second node of :func:`shortest_path`, found by one search per
-    switch rather than one per pair.
+    pair the second node of the shortest path, found by one
+    :func:`shortest_paths_from` search per switch rather than one per pair.
     """
     routes: Dict[str, Dict[str, str]] = {}
     for sw in network.switches:

@@ -20,7 +20,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.simnet.addressing import AddressBook
@@ -32,9 +32,6 @@ from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY
 from repro.simnet.random import RandomStreams
 from repro.simnet.routing import install_all_routes, shortest_paths_from
 from repro.simnet.switch import Switch
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 __all__ = ["Network"]
 
@@ -81,9 +78,8 @@ class Network:
         self._switch_ids: Dict[int, Switch] = {}
         self._next_switch_id = 1
         self._finalized = False
-        # Static once finalized, so computed once: the networkx view and
-        # the shortest-path tree of every source asked about so far.
-        self._graph: Optional[nx.Graph] = None
+        # Static once finalized, so computed once: the shortest-path tree of
+        # every source asked about so far.
         self._paths: Dict[str, Dict[str, tuple]] = {}
 
     # -- construction ----------------------------------------------------
@@ -242,35 +238,7 @@ class Network:
         except KeyError:
             raise TopologyError(f"no switch with id {switch_id}") from None
 
-    # -- graph views ---------------------------------------------------------
-
-    def graph(self) -> nx.Graph:
-        """Undirected networkx graph of the physical topology; edges carry
-        the link object, rate, and propagation delay.  For analysis and as
-        the reference :func:`routing.shortest_path` searches — the run path
-        reads :attr:`adjacency`, so this is the one place that needs
-        networkx.  Built from the live wiring on every call until the
-        network is finalized; after that the topology is immutable and one
-        shared graph is returned — read it, do not mutate it."""
-        if self._graph is not None:
-            return self._graph
-        import networkx as nx
-
-        g = nx.Graph()
-        for name in list(self.hosts) + list(self.switches):
-            g.add_node(name, kind="host" if name in self.hosts else "switch")
-        for link in self.links.values():
-            assert link.port_a is not None and link.port_b is not None
-            g.add_edge(
-                link.port_a.node.name,
-                link.port_b.node.name,
-                link=link,
-                rate_bps=link.rate_bps,
-                delay=link.propagation_delay,
-            )
-        if self._finalized:
-            self._graph = g
-        return g
+    # -- paths -----------------------------------------------------------------
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Ground-truth shortest path by propagation delay (the route the

@@ -6,6 +6,8 @@ from repro.experiments.fig4_topology import build_fig4_network
 from repro.simnet.random import RandomStreams
 from repro.units import mbps, ms
 
+from tests.simnet.graph_reference import network_graph
+
 
 @pytest.fixture
 def topo(sim):
@@ -78,7 +80,7 @@ def test_pod_assignment(topo):
 
 
 def test_cores_form_ring(topo):
-    g = topo.network.graph()
+    g = network_graph(topo.network)
     for i in range(4):
         a = topo.core_names[i]
         b = topo.core_names[(i + 1) % 4]

@@ -2,7 +2,7 @@
 
 ``compute_routes`` and ``Network.shortest_path`` run a single exhaustive
 lexicographic Dijkstra per source over the plain adjacency dicts; the
-per-pair ``routing.shortest_path`` over the networkx view (prune the other
+per-pair ``shortest_path`` over the networkx view (``tests/simnet/graph_reference.py``) (prune the other
 hosts, search one pair) is the definition they must reproduce — on graphs
 dense in equal-delay ties, where only the tie-break tells paths apart.
 """
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.simnet.engine import Simulator
 from repro.simnet.random import RandomStreams
-from repro.simnet.routing import compute_routes, shortest_path
+from repro.simnet.routing import compute_routes
+
+from tests.simnet.graph_reference import network_graph, shortest_path
 from repro.simnet.topology import Network
 from repro.units import mbps, ms
 
@@ -51,7 +53,7 @@ def networks(draw):
 @given(networks())
 @settings(max_examples=60, deadline=None)
 def test_per_switch_search_equals_per_pair_shortest_paths(net):
-    g = net.graph()
+    g = network_graph(net)
     assert compute_routes(net) == {
         sw: {dst: shortest_path(g, sw, dst)[1] for dst in net.hosts}
         for sw in net.switches

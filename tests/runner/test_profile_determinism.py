@@ -13,26 +13,25 @@ import json
 import pytest
 
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
-from repro.runner import ResultCache, Runner, RunSpec, expand_grid
+from repro.runner import ResultCache, Runner, RunSpec
 
 pytestmark = pytest.mark.slow
 
 
-def _grid():
-    base = RunSpec.from_config(ExperimentConfig(scale=SMOKE_SCALE, seed=3))
-    return expand_grid(
-        base, {"policy": ["aware", "nearest"], "size_class": ["VS", "S"]}
-    )
+from .conftest import smoke_grid as _grid
+
+PROFILE = {"profile": True}
+MEM_PROFILE = {"mem_profile": True}
 
 
-@pytest.fixture(scope="module")
-def plain_results():
-    return Runner(jobs=1).run(_grid())
+@pytest.fixture
+def plain_results(observed_grid):
+    return observed_grid()
 
 
-@pytest.fixture(scope="module")
-def profiled_results():
-    return Runner(jobs=1, profile=True).run(_grid())
+@pytest.fixture
+def profiled_results(observed_grid):
+    return observed_grid(PROFILE)
 
 
 class TestProfilingDeterminism:
@@ -43,21 +42,23 @@ class TestProfilingDeterminism:
         for plain, prof in zip(plain_results, profiled_results):
             assert plain.payload_json() == prof.payload_json(), plain.spec.label()
 
-    def test_mem_profiled_payloads_byte_identical_to_plain(self, plain_results):
-        mem = Runner(jobs=1, mem_profile=True).run(_grid())
+    def test_mem_profiled_payloads_byte_identical_to_plain(
+        self, plain_results, observed_grid
+    ):
+        mem = observed_grid(MEM_PROFILE)
         for plain, prof in zip(plain_results, mem):
             assert plain.payload_json() == prof.payload_json(), plain.spec.label()
 
     def test_profiled_jobs4_byte_identical_to_serial(self, profiled_results):
-        parallel = Runner(jobs=4, profile=True).run(_grid())
+        parallel = Runner(jobs=4, observe=PROFILE).run(_grid())
         for s, p in zip(profiled_results, parallel):
             assert s.payload_json() == p.payload_json(), s.spec.label()
 
     def test_profiled_cache_round_trip(self, tmp_path, profiled_results):
         cache = ResultCache(str(tmp_path))
         spec = _grid()[0]
-        first = Runner(jobs=1, cache=cache, profile=True).run([spec])[0]
-        hit = Runner(jobs=1, cache=cache, profile=True).run([spec])[0]
+        first = Runner(jobs=1, cache=cache, observe=PROFILE).run([spec])[0]
+        hit = Runner(jobs=1, cache=cache, observe=PROFILE).run([spec])[0]
         assert hit.from_cache
         assert hit.payload_json() == first.payload_json()
         assert hit.payload_json() == profiled_results[0].payload_json()
@@ -72,16 +73,16 @@ class TestProfilingDeterminism:
 
     def test_profiled_spec_hash_differs_from_plain(self):
         spec = _grid()[0]
-        profiled = spec.instrumented(profile=True)
+        profiled = spec.instrumented(PROFILE)
         assert profiled.content_hash() != spec.content_hash()
-        mem = spec.instrumented(mem_profile=True)
+        mem = spec.instrumented(MEM_PROFILE)
         assert mem.content_hash() != profiled.content_hash()
         # Stamping is idempotent.
-        assert profiled.instrumented(profile=True) is profiled
+        assert profiled.instrumented(PROFILE) is profiled
 
     def test_mem_profile_implies_profile(self):
-        spec = _grid()[0].instrumented(mem_profile=True)
-        assert spec.profile and spec.mem_profile
+        spec = _grid()[0].instrumented(MEM_PROFILE)
+        assert spec.observers() == {"profile": True, "mem_profile": True}
 
     def test_merged_summary_meets_attribution_floors(self, profiled_results):
         """Attribution floors asserted on a real smoke grid: the three
@@ -91,7 +92,7 @@ class TestProfilingDeterminism:
         handler bodies ~5-10x while the per-event accounting cost is fixed,
         so the fraction is structurally higher than it was against the old
         slow handlers."""
-        runner = Runner(jobs=1, profile=True)
+        runner = Runner(jobs=1, observe=PROFILE)
         runner.run(_grid())
         summary = runner.profile_summary()
         assert summary is not None
@@ -107,7 +108,7 @@ class TestProfilingDeterminism:
         assert summary["overhead"]["fraction_of_wall"] < 0.40
 
     def test_mem_profile_memory_in_summary(self):
-        runner = Runner(jobs=1, mem_profile=True)
+        runner = Runner(jobs=1, observe=MEM_PROFILE)
         runner.run(_grid()[:1])
         summary = runner.profile_summary()
         memory = summary["memory"]
@@ -134,7 +135,7 @@ class TestCompiledProbePhases:
         spec = RunSpec.from_config(ExperimentConfig(
             scale=SMOKE_SCALE, seed=5, size_class=SizeClass.VS, probing_interval=0.02,
         ))
-        runner = Runner(jobs=1, profile=True)
+        runner = Runner(jobs=1, observe={"profile": True})
         [result] = runner.run([spec])
         return result, runner.profile_summary()
 

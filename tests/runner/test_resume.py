@@ -123,3 +123,48 @@ class TestResumeCli:
         path.write_text("")
         assert main(["resume", str(path)]) == 2
         assert "nothing to resume" in capsys.readouterr().err
+
+
+class TestObserveMigration:
+    """Spec hashes moved once, when six per-observer spec fields became one
+    ``observe`` field.  A journal written before that resumes by re-running:
+    its records hit the journal's unloadable-spec warning (no traceback),
+    and the old cache entries are plain misses."""
+
+    def test_old_six_field_journal_resumes_by_rerunning(self, tmp_path, capsys):
+        from repro.runner import canonical_json, content_hash
+        from repro.runner.spec import RunSpec
+
+        journal, cache_dir = tmp_path / "sweep.journal", tmp_path / "cache"
+        argv = ["compare", "--figure", "fig5", "--scale", "smoke", "--classes", "VS",
+                "--journal", str(journal), "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        # Rewrite the finished sweep as the old code would have left it.
+        cache = ResultCache(str(cache_dir))
+        cache.clear()
+        lines = []
+        for record in map(json.loads, journal.read_text().splitlines()):
+            if record["record"] != "scheduled":
+                continue
+            old = RunSpec.from_dict(record["spec"]).to_dict()
+            del old["observe"]
+            old.update(trace=False, profile=False, mem_profile=False,
+                       sample_interval=None, telquality=False, whatif=False)
+            h = content_hash(old)
+            lines += [canonical_json({"record": "scheduled", "spec_hash": h, "spec": old}),
+                      canonical_json({"record": "done", "spec_hash": h})]
+            cache.put(h, canonical_json({"spec": old, "spec_hash": h}).encode())
+        journal.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+
+        warnings = []
+        state = RunJournal(str(journal)).load(on_warning=warnings.append)
+        assert state.order == [] and len(warnings) == 3
+        assert all("unloadable spec" in w for w in warnings)
+        assert main(argv + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("] run ") == 3 and "Traceback" not in err
+        assert main(["resume", str(journal), "--cache-dir", str(cache_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "3 from cache, 0 executed, 0 failed" in captured.out
+        assert captured.err.count("unloadable spec") == 3

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.runner import (
     CalibrationSpec,
     ResultCache,
@@ -21,19 +20,14 @@ from repro.runner import (
 )
 from repro.simnet.random import derive_seed
 
+from .conftest import smoke_grid as _grid
+
 pytestmark = pytest.mark.slow
 
 
-def _grid():
-    base = RunSpec.from_config(ExperimentConfig(scale=SMOKE_SCALE, seed=3))
-    return expand_grid(
-        base, {"policy": ["aware", "nearest"], "size_class": ["VS", "S"]}
-    )
-
-
-@pytest.fixture(scope="module")
-def serial_results():
-    return Runner(jobs=1).run(_grid())
+@pytest.fixture
+def serial_results(observed_grid):
+    return observed_grid()
 
 
 class TestSerialVsParallel:

@@ -1,89 +1,38 @@
-"""Sampling determinism: serial, parallel, and cached runs byte-identical.
+"""Sampling: the time series exist and render identically across executors.
 
-Tentpole acceptance tests for the time-series sampling subsystem: a
-sampled grid run with ``jobs=4`` must export byte-identical payloads
-(including timeseries records) to the serial execution, a cache round
-trip must reproduce them exactly, and enabling sampling must not change
-any task outcome relative to an unsampled run of the same spec.
+The registry-wide checks (executor and cache byte-identity, hash stamping,
+record placement, unperturbed outcomes) live in
+``test_observer_determinism.py``; these are the sampling ones.
 """
 
 import json
 
 import pytest
 
-from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.obs.dashboard import render_dashboard
-from repro.runner import ResultCache, Runner, RunSpec, expand_grid
+from repro.runner import Runner
+
+from .conftest import smoke_grid
 
 pytestmark = pytest.mark.slow
 
-INTERVAL = 0.5
-
-
-def _grid():
-    base = RunSpec.from_config(ExperimentConfig(scale=SMOKE_SCALE, seed=3))
-    return expand_grid(
-        base, {"policy": ["aware", "nearest"], "size_class": ["VS", "S"]}
-    )
-
-
-@pytest.fixture(scope="module")
-def serial_results():
-    return Runner(jobs=1, sample_interval=INTERVAL).run(_grid())
+SAMPLED = {"sample_interval": 0.5}
 
 
 class TestSamplingDeterminism:
-    def test_jobs4_payloads_byte_identical_to_serial(self, serial_results):
-        parallel = Runner(jobs=4, sample_interval=INTERVAL).run(_grid())
-        assert len(parallel) == len(serial_results) == 4
-        for s, p in zip(serial_results, parallel):
-            assert s.payload_json() == p.payload_json(), s.spec.label()
-
-    def test_cache_round_trip_preserves_timeseries(self, tmp_path, serial_results):
-        cache = ResultCache(str(tmp_path))
-        spec = _grid()[0]
-        first = Runner(jobs=1, cache=cache, sample_interval=INTERVAL).run([spec])[0]
-        hit = Runner(jobs=1, cache=cache, sample_interval=INTERVAL).run([spec])[0]
-        assert hit.from_cache
-        assert hit.payload_json() == first.payload_json()
-        assert hit.payload_json() == serial_results[0].payload_json()
-
-    def test_sampled_spec_hash_differs_from_plain(self):
-        spec = _grid()[0]
-        sampled = spec.instrumented(sample_interval=INTERVAL)
-        assert sampled.content_hash() != spec.content_hash()
-        # Stamping is idempotent: an already-sampled spec keeps its interval.
-        assert sampled.instrumented(sample_interval=INTERVAL) is sampled
-
-    def test_plain_run_has_no_obs_records(self):
-        result = Runner(jobs=1).run(_grid()[:1])[0]
+    def test_plain_run_has_no_obs_records(self, observed_grid):
+        result = observed_grid()[0]
         assert "obs_records" not in json.loads(result.payload_json())
 
-    def test_sampled_payload_contains_timeseries_records(self, serial_results):
-        records = serial_results[0].obs_records()
+    def test_sampled_payload_contains_timeseries_records(self, observed_grid):
+        records = observed_grid(SAMPLED)[0].obs_records()
         kinds = {r["kind"] for r in records}
         assert "timeseries" in kinds
         names = {r["name"] for r in records if r["kind"] == "timeseries"}
         assert {"link_utilization", "queue_depth", "server_running"} <= names
 
-    def test_sampling_does_not_perturb_payload_metrics(self, serial_results):
-        """Enabling sampling must not change any experiment outcome: the
-        payload minus obs_records equals the unsampled payload's."""
-        plain = Runner(jobs=1).run(_grid())
-        for s, p in zip(serial_results, plain):
-            sampled_payload = json.loads(s.payload_json())
-            sampled_payload.pop("obs_records", None)
-            plain_payload = json.loads(p.payload_json())
-            plain_payload.pop("obs_records", None)
-            # The sampler's periodic timer events are themselves counted by
-            # the simulator; they read state but never mutate it.
-            assert sampled_payload.pop("events_executed") >= plain_payload.pop(
-                "events_executed"
-            )
-            assert sampled_payload == plain_payload
-
-    def test_dashboard_renders_identically_across_executors(self, serial_results):
-        parallel = Runner(jobs=4, sample_interval=INTERVAL).run(_grid())
-        serial_records = [r for res in serial_results for r in res.obs_records()]
+    def test_dashboard_renders_identically_across_executors(self, observed_grid):
+        parallel = Runner(jobs=4, observe=SAMPLED).run(smoke_grid())
+        serial_records = [r for res in observed_grid(SAMPLED) for r in res.obs_records()]
         parallel_records = [r for res in parallel for r in res.obs_records()]
         assert render_dashboard(serial_records) == render_dashboard(parallel_records)

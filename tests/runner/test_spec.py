@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import observers
 from repro.errors import ExperimentError
 from repro.experiments.harness import QUICK_SCALE, SMOKE_SCALE, ExperimentConfig
 from repro.faults import builtin_plan
@@ -98,19 +99,16 @@ _FIELD_CHANGES = {
     "task_max_attempts": 7,
     "quarantine_ttl": 13.0,
     "obs_run_json": canonical_json({"figure": "fig5"}),
-    # Instrumentation flags are in the hash on purpose: a traced or
-    # profiled run must never alias a plain run's cache entry.
-    "trace": True,
-    "profile": True,
-    "mem_profile": True,
-    # Sampling changes the payload (obs_records carries the timeseries),
-    # so a sampled run must never alias a plain run's cache entry either.
-    "sample_interval": 0.5,
-    # Same reasoning: a telemetry-quality run's payload carries the
-    # kind:"telquality" record.
-    "telquality": True,
-    # ... and a counterfactual run's carries the kind:"whatif" record.
-    "whatif": True,
+    # Observers are in the hash on purpose: an observed run must never alias
+    # a plain run's cache entry.  Covered per registry entry below.
+    "observe": None,
+}
+
+# One stamping per registered observer, so each one's hash effect is its
+# own test case.
+_OBSERVER_CHANGES = {
+    name: {name: 0.5 if name == "sample_interval" else True}
+    for name in observers.REGISTRY
 }
 
 
@@ -123,11 +121,16 @@ class TestHashInvalidation:
         }
 
     @pytest.mark.parametrize(
-        "field", sorted(k for k, v in _FIELD_CHANGES.items() if v is not None)
+        "field",
+        sorted(k for k, v in _FIELD_CHANGES.items() if v is not None)
+        + sorted(_OBSERVER_CHANGES),
     )
     def test_changing_field_changes_hash(self, field):
         base = RunSpec()
-        changed = base.with_(**{field: _FIELD_CHANGES[field]})
+        if field in _OBSERVER_CHANGES:
+            changed = base.with_(observe=canonical_json(_OBSERVER_CHANGES[field]))
+        else:
+            changed = base.with_(**{field: _FIELD_CHANGES[field]})
         assert changed.content_hash() != base.content_hash()
 
     def test_changing_scenario_contents_changes_hash(self):
@@ -191,8 +194,7 @@ class TestCalibrationSpec:
             "link_delay": 0.033,
             "probing_interval": 0.4,
             "seed": 6,
-            "profile": True,
-            "mem_profile": True,
+            "observe": canonical_json({"profile": True}),
         }
         assert set(changes) == {f.name for f in dataclasses.fields(CalibrationSpec)}
         for name, value in changes.items():
@@ -212,3 +214,29 @@ class TestFromConfigDefaults:
         assert set(spec.to_dict()) == {"kind"} | {
             f.name for f in dataclasses.fields(RunSpec)
         }
+
+
+class TestObserveField:
+    def test_observe_is_canonical_and_validated(self):
+        assert RunSpec(observe={"whatif": True, "trace": 1}) == RunSpec(
+            observe='{"trace": true, "whatif": true}'
+        )
+        assert RunSpec(observe={"trace": 1}).observe == '{"trace":true}'
+        assert RunSpec(observe={"trace": False}) == RunSpec(observe={}) == RunSpec()
+        for observe, match in (({"telepathy": True}, "unknown observer"),
+                               ({"sample_interval": 0}, "must be positive")):
+            with pytest.raises(ExperimentError, match=match):
+                RunSpec(observe=observe)
+        with pytest.raises(ExperimentError, match="do not apply"):
+            CalibrationSpec(observe={"trace": True})
+
+    def test_stamping_combines_per_registry_entry(self):
+        # mem_profile implies profile; a sampled spec keeps its interval;
+        # switches OR; a calibration spec drops what it cannot carry.
+        spec = RunSpec().instrumented(mem_profile=True, sample_interval=0.5)
+        assert spec.observers() == {
+            "profile": True, "mem_profile": True, "sample_interval": 0.5,
+        }
+        assert spec.instrumented({"sample_interval": 2.0, "profile": False}) is spec
+        calib = CalibrationSpec().instrumented(trace=True, mem_profile=True)
+        assert calib.observers() == {"profile": True, "mem_profile": True}

@@ -1,75 +1,35 @@
-"""Trace determinism and the critical-path acceptance invariant.
+"""Tracing: the runner collects spans, and span trees are well-formed.
 
-Satellite acceptance tests for the tracing subsystem: a traced grid run
-with ``jobs=4`` must export byte-identical span records to the serial
-execution, span trees must be well-formed (acyclic, parents present), and
-every completed task's segment durations must sum to its measured
-end-to-end delay.
+The registry-wide checks (executor and cache byte-identity, hash stamping,
+channel placement, unperturbed outcomes) live in
+``test_observer_determinism.py``.  Here: span trees must be well-formed
+(acyclic, parents present), and every completed task's segment durations
+must sum to its measured end-to-end delay.
 """
 
 import json
 
 import pytest
 
-from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.obs.tracing import SEGMENT_NAMES
-from repro.runner import ResultCache, Runner, RunSpec, canonical_json, expand_grid
+from repro.runner import Runner
+
+from .conftest import smoke_grid
 
 pytestmark = pytest.mark.slow
 
-
-def _grid():
-    base = RunSpec.from_config(ExperimentConfig(scale=SMOKE_SCALE, seed=3))
-    return expand_grid(
-        base, {"policy": ["aware", "nearest"], "size_class": ["VS", "S"]}
-    )
-
-
-def _trace_bytes(results):
-    return [
-        b"\n".join(canonical_json(r).encode() for r in result.trace_records())
-        for result in results
-    ]
-
-
-@pytest.fixture(scope="module")
-def serial_results():
-    return Runner(jobs=1, trace=True).run(_grid())
+TRACED = {"trace": True}
 
 
 class TestTraceDeterminism:
-    def test_jobs4_trace_exports_byte_identical_to_serial(self, serial_results):
-        parallel = Runner(jobs=4, trace=True).run(_grid())
-        assert len(parallel) == len(serial_results) == 4
-        for s, p in zip(serial_results, parallel):
-            assert s.payload_json() == p.payload_json(), s.spec.label()
-        assert _trace_bytes(serial_results) == _trace_bytes(parallel)
-
-    def test_cache_round_trip_preserves_trace_records(self, tmp_path, serial_results):
-        cache = ResultCache(str(tmp_path))
-        spec = _grid()[0]
-        first = Runner(jobs=1, cache=cache, trace=True).run([spec])[0]
-        hit = Runner(jobs=1, cache=cache, trace=True).run([spec])[0]
-        assert hit.from_cache
-        assert _trace_bytes([hit]) == _trace_bytes([first])
-        assert _trace_bytes([hit]) == _trace_bytes([serial_results[0]])
-
-    def test_traced_spec_hash_differs_from_plain(self):
-        spec = _grid()[0]
-        traced = spec.instrumented(trace=True)
-        assert traced.content_hash() != spec.content_hash()
-        # Stamping is idempotent: re-instrumenting an already-traced spec
-        # returns it unchanged (same hash, same object).
-        assert traced.instrumented(trace=True) is traced
-
-    def test_plain_run_has_no_trace_records(self):
-        result = Runner(jobs=1).run(_grid()[:1])[0]
+    def test_plain_run_has_no_trace_records(self, observed_grid):
+        result = observed_grid()[0]
         assert result.trace_records() == []
         assert "trace_records" not in json.loads(result.payload_json())
 
-    def test_runner_collects_trace_records(self, serial_results):
-        runner = Runner(jobs=1, trace=True)
-        runner.run(_grid()[:2])
+    def test_runner_collects_trace_records(self):
+        runner = Runner(jobs=1, observe=TRACED)
+        runner.run(smoke_grid()[:2])
         assert len(runner.trace_records) > 0
         assert all(r["kind"] == "span" for r in runner.trace_records)
         assert all("run" in r for r in runner.trace_records)
@@ -77,8 +37,8 @@ class TestTraceDeterminism:
 
 class TestSpanTreeInvariants:
     @pytest.fixture(scope="class")
-    def spans(self, serial_results):
-        return [r for res in serial_results for r in res.trace_records()]
+    def spans(self, observed_grid):
+        return [r for res in observed_grid(TRACED) for r in res.trace_records()]
 
     def test_parent_links_complete_and_acyclic(self, spans):
         by_trace = {}

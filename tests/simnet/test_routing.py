@@ -5,7 +5,9 @@ import pytest
 from repro.errors import RoutingError
 from repro.simnet.addressing import PROTO_UDP
 from repro.simnet.random import RandomStreams
-from repro.simnet.routing import compute_routes, shortest_path
+from repro.simnet.routing import compute_routes
+
+from .graph_reference import network_graph, shortest_path
 from repro.simnet.topology import Network
 from repro.units import mbps, ms
 
@@ -32,17 +34,17 @@ def _diamond(sim):
 
 def test_equal_cost_tie_breaks_lexicographically(sim):
     net = _diamond(sim)
-    path = shortest_path(net.graph(), "h1", "h2")
+    path = shortest_path(network_graph(net), "h1", "h2")
     assert path == ["h1", "s01", "s02", "s04", "h2"]  # s02 < s03
 
 
 def test_unknown_endpoint_rejected(sim, dumbbell):
     with pytest.raises(RoutingError):
-        shortest_path(dumbbell.graph(), "h1", "ghost")
+        shortest_path(network_graph(dumbbell), "h1", "ghost")
 
 
 def test_trivial_path(sim, dumbbell):
-    assert shortest_path(dumbbell.graph(), "h1", "h1") == ["h1"]
+    assert shortest_path(network_graph(dumbbell), "h1", "h1") == ["h1"]
 
 
 def test_path_never_transits_host(sim):
@@ -57,7 +59,7 @@ def test_path_never_transits_host(sim):
     net.connect("s01", "s02", rate_bps=mbps(20), delay=ms(1))
     net.connect("s02", "h2", rate_bps=mbps(20), delay=ms(1))
     net.finalize()
-    path = shortest_path(net.graph(), "h1", "h2")
+    path = shortest_path(network_graph(net), "h1", "h2")
     assert path == ["h1", "s01", "s02", "h2"]
     assert all(n not in ("h3",) for n in path)
 
@@ -100,7 +102,7 @@ def test_weighted_paths_prefer_lower_delay(sim):
     net.connect("s02", "s03", rate_bps=mbps(20), delay=ms(1))
     net.connect("s03", "h2", rate_bps=mbps(20), delay=ms(1))
     net.finalize()
-    path = shortest_path(net.graph(), "h1", "h2")
+    path = shortest_path(network_graph(net), "h1", "h2")
     assert path == ["h1", "s01", "s02", "s03", "h2"]
 
 
@@ -110,7 +112,7 @@ def test_fig4_route_table_equals_per_pair_reference(sim):
     from repro.experiments.fig4_topology import build_fig4_network
 
     net = build_fig4_network(sim, RandomStreams(0)).network
-    g = net.graph()
+    g = network_graph(net)
     routes = compute_routes(net)
     assert len(routes) == 12 and all(len(table) == 8 for table in routes.values())
     assert routes == {

@@ -231,6 +231,38 @@ def test_compare_with_faults_flag(capsys, tmp_path):
     assert "gain vs nearest" in out.read_text()
 
 
+_CALIBRATE = ["calibrate", "--levels", "0.5", "--duration", "6"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=f"{argv[0]}{flag}")
+    for argv, flag in (
+        (_CALIBRATE + ["--trace-out", "{tmp}/spans.jsonl"], "--trace-out"),
+        (_CALIBRATE + ["--telquality"], "--telquality"),
+        (_CALIBRATE + ["--whatif"], "--whatif"),
+        (_CALIBRATE + ["--sample-interval", "0.1"], "--sample-interval"),
+        (["sweep", "--intervals", "0.1", "--telquality"], "--telquality"),
+        (["sweep", "--intervals", "0.1", "--sample-interval", "0.1"], "--sample-interval"),
+        (["sensitivity", "--values", "0.02", "--whatif"], "--whatif"),
+    )
+])
+def test_undeliverable_observer_flag_is_an_argument_error(argv, flag, capsys, tmp_path):
+    """An observer flag a command cannot deliver (nothing of its spec kind
+    to observe, or an export the command never writes) exits 2 before any
+    run, naming the flag and the command."""
+    rc = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert flag in captured.err and f"'{argv[0]}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "spans.jsonl").exists()
+
+
+def test_calibrate_still_takes_the_engine_observers(capsys):
+    assert main(_CALIBRATE + ["--mem-profile"]) == 0
+    assert "engine profile:" in capsys.readouterr().out
+
+
 def test_parser_accepts_runner_flags():
     args = build_parser().parse_args([
         "compare", "--scale", "smoke", "--jobs", "4", "--cache",
