@@ -8,6 +8,7 @@ Commands map one-to-one onto the experiment harnesses:
 * ``reproduce`` — everything, in paper order (Fig. 3, 5, 6, 7, 8, 9);
 * ``faults``    — list/show/run fault-injection scenarios (robustness);
 * ``obs-report`` — summarize an observability export (``--obs-out`` file);
+  optionally write its engine profile as a flamegraph SVG / collapsed stacks;
 * ``telemetry-report`` — grade the telemetry plane from a ``--telquality``
   export: INT coverage vs prediction, freshness, error-vs-staleness;
 * ``whatif-report`` — counterfactual replay of a ``--whatif`` export:
@@ -15,12 +16,6 @@ Commands map one-to-one onto the experiment harnesses:
 * ``trace-report`` — summarize a causal span export (``--trace-out`` file);
 * ``dashboard`` — render an ``--obs-out`` export as one self-contained
   HTML page (inline SVG sparklines / heatmap / alert timeline);
-* ``bench-runner`` — time the Fig. 5 grid serial vs parallel vs cached
-  (appends a record to the bench-history ledger, ``BENCH_history.jsonl``);
-* ``bench-compare`` — diff two bench reports and fail on regression, or
-  gate one report against the ledger's rolling baseline (``--history``);
-* ``perf-report`` — render the ledger as trend tables, sparklines, and
-  top-mover phases; optionally export a flamegraph SVG / collapsed stacks;
 * ``cache``     — inspect, checksum-verify, or clear the on-disk run cache;
 * ``resume``    — continue an interrupted sweep from its ``--journal`` file.
 
@@ -89,11 +84,8 @@ from repro.experiments.report import (
 
 SCALES = {"smoke": SMOKE_SCALE, "quick": QUICK_SCALE, "full": FULL_SCALE}
 
-# Mirrors repro.runner.bench.DEFAULT_HISTORY_PATH / DEFAULT_HISTORY_WINDOW
-# and repro.runner.supervisor.DEFAULT_RETRIES; duplicated here so building
-# the parser never imports the runner stack.
-_DEFAULT_HISTORY = "BENCH_history.jsonl"
-_DEFAULT_WINDOW = 5
+# Mirrors repro.runner.supervisor.DEFAULT_RETRIES; duplicated here so
+# building the parser never imports the runner stack.
 _DEFAULT_RETRIES = 1
 FIGURES = {"fig5": (FIG5_CONFIG, "completion"), "fig6": (FIG6_CONFIG, "completion"),
            "fig7": (FIG7_CONFIG, "transfer")}
@@ -583,55 +575,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_runner(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runner import DEFAULT_CACHE_DIR
-    from repro.runner.bench import append_history, run_bench
-
-    cpus = os.cpu_count() or 1
-    if args.jobs > cpus:
-        print(
-            f"note: --jobs {args.jobs} exceeds this host's {cpus} CPU(s); "
-            f"the parallel timing will be annotated parallel_valid=false "
-            f"and excluded from comparisons (use --jobs {cpus} for a "
-            f"meaningful speedup number)",
-            file=sys.stderr,
-        )
-    report = run_bench(
-        scale=args.scale,
-        jobs=args.jobs,
-        seed=args.seed,
-        cache_root=args.cache_dir or DEFAULT_CACHE_DIR,
-        progress=lambda line: print(line, file=sys.stderr),
-        observe=observers.from_args(args),
-        run_timeout=args.run_timeout,
-        retries=args.retries,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.bench_out:
-        with open(args.bench_out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"benchmark written to {args.bench_out}", file=sys.stderr)
-    if args.history:
-        append_history(report, args.history, git_timeout=args.run_timeout)
-        print(f"history: record appended to {args.history}", file=sys.stderr)
-    _write_profile_exports(
-        report.get("profile"),
-        flamegraph_out=args.flamegraph_out,
-        collapsed_out=args.collapsed_out,
-    )
-    if not report["byte_identical"]:
-        print(
-            "error: parallel/cached payloads diverge from serial for: "
-            + ", ".join(report["diverging_cells"]),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _write_profile_exports(
     profile,
     *,
@@ -697,6 +640,8 @@ def _load_records(path: str):
         return read_jsonl(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
     except JsonlError as exc:
         if exc.truncated:
             print(f"warning: {exc}; truncated last line dropped", file=sys.stderr)
@@ -714,6 +659,12 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     reporter = _Reporter(args.out)
     reporter.emit(f"observability report — {args.path}")
     reporter.emit(render_obs_report(records))
+    profiles = [r["profile"] for r in records if r.get("kind") == "profile"]
+    _write_profile_exports(
+        profiles[-1] if profiles else None,
+        flamegraph_out=args.flamegraph_out,
+        collapsed_out=args.collapsed_out,
+    )
     reporter.close()
     return 0
 
@@ -772,119 +723,6 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     out = args.html_out or (args.path + ".html")
     write_dashboard(records, out, title=args.title or f"repro — {args.path}")
     print(f"dashboard: {len(records)} records rendered to {out}")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.runner.bench import (
-        DEFAULT_MAX_REGRESSION,
-        compare_bench,
-        read_history,
-        render_bench_compare,
-        rolling_baseline,
-    )
-
-    reports = []
-    for path in args.reports:
-        try:
-            with open(path) as fh:
-                reports.append(json.load(fh))
-        except FileNotFoundError:
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"error: {path} is not JSON: {exc}", file=sys.stderr)
-            return 2
-    if args.history:
-        if len(reports) != 1:
-            print(
-                "error: with --history, pass exactly one candidate report",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            records = read_history(args.history)
-        except FileNotFoundError:
-            print(f"error: no such file: {args.history}", file=sys.stderr)
-            return 2
-        baseline = rolling_baseline(records, window=args.window)
-        candidate = reports[0]
-        print(
-            f"baseline: rolling median of last {baseline['baseline_of']} "
-            f"record(s) in {args.history}"
-        )
-    elif len(reports) == 2:
-        baseline, candidate = reports
-    else:
-        print(
-            "error: pass two reports (baseline candidate), or one report "
-            "with --history",
-            file=sys.stderr,
-        )
-        return 2
-    thresholds = {}
-    for item in args.threshold or []:
-        metric, _, value = item.partition("=")
-        if not value:
-            print(
-                f"error: --threshold wants METRIC=FACTOR, got {item!r}",
-                file=sys.stderr,
-            )
-            return 2
-        thresholds[metric] = float(value)
-    report = compare_bench(
-        baseline, candidate,
-        max_regression=(
-            args.max_regression
-            if args.max_regression is not None
-            else DEFAULT_MAX_REGRESSION
-        ),
-        thresholds=thresholds,
-    )
-    print(render_bench_compare(report))
-    if not report["ok"] and args.warn_only:
-        print(
-            "warn-only: regression reported but exit status forced to 0",
-            file=sys.stderr,
-        )
-        return 0
-    return 0 if report["ok"] else 1
-
-
-def cmd_perf_report(args: argparse.Namespace) -> int:
-    from repro.obs.perf import render_perf_report
-    from repro.runner.bench import read_history
-
-    try:
-        records = read_history(args.history)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.history}", file=sys.stderr)
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"perf report — {args.history}")
-    try:
-        reporter.emit(
-            render_perf_report(
-                records, frm=args.frm, to=args.to, movers=args.movers
-            )
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if records and (args.flamegraph_out or args.collapsed_out):
-        idx = args.to if args.to is not None else -1
-        try:
-            profile = records[idx].get("profile")
-        except IndexError:
-            profile = None
-        _write_profile_exports(
-            profile,
-            flamegraph_out=args.flamegraph_out,
-            collapsed_out=args.collapsed_out,
-        )
-    reporter.close()
     return 0
 
 
@@ -951,52 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_faults)
 
-    p = sub.add_parser(
-        "bench-runner",
-        help="time the Fig. 5 grid serial vs parallel vs cached "
-             "(fails if payloads diverge)",
-    )
-    p.add_argument("--scale", choices=sorted(SCALES), default="smoke")
-    p.add_argument("--jobs", type=int, default=2, metavar="N",
-                   help="worker processes for the parallel pass (default: 2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                   help="cache directory for the cached pass "
-                        "(default: .runcache)")
-    p.add_argument("--bench-out", type=str, default=None, metavar="PATH",
-                   help="also write the JSON report to PATH "
-                        "(e.g. BENCH_runner.json)")
-    p.add_argument("--profile", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="include the merged engine profile in the report "
-                        "(default: --profile)")
-    p.add_argument("--mem-profile", action="store_true",
-                   help="add memory attribution (gc counters, tracemalloc "
-                        "top sites) to the profile; implies --profile")
-    p.add_argument("--run-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-run wall-clock timeout for every pass, and the "
-                        "bound on the git-commit lookup for the history "
-                        "record (default: unbounded runs, 10s git lookup)")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="retry crashed/timed-out runs up to N times "
-                        "(default: 0 — a bench should measure, not mask)")
-    p.add_argument("--history", type=str, nargs="?",
-                   default=_DEFAULT_HISTORY, const=_DEFAULT_HISTORY,
-                   metavar="PATH",
-                   help="append the report to this bench-history ledger "
-                        f"(default: {_DEFAULT_HISTORY}; see perf-report)")
-    p.add_argument("--no-history", dest="history",
-                   action="store_const", const=None,
-                   help="skip the bench-history ledger append")
-    p.add_argument("--flamegraph-out", type=str, default=None, metavar="PATH",
-                   help="write the profile's phase flamegraph as a "
-                        "self-contained SVG")
-    p.add_argument("--collapsed-out", type=str, default=None, metavar="PATH",
-                   help="write the profile's phases in collapsed-stack "
-                        "format (flamegraph.pl / speedscope compatible)")
-    p.set_defaults(fn=cmd_bench_runner)
-
     p = sub.add_parser("cache", help="inspect, verify, or clear the run cache")
     p.add_argument("--clear", action="store_true", help="delete every entry")
     p.add_argument("--verify", action="store_true",
@@ -1034,6 +826,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obs-report", help="summarize an --obs-out JSONL export")
     p.add_argument("path", help="JSONL file written via --obs-out")
     p.add_argument("--out", type=str, default=None)
+    p.add_argument("--flamegraph-out", type=str, default=None, metavar="PATH",
+                   help="write the export's engine profile (a --profile run) "
+                        "as a self-contained flamegraph SVG")
+    p.add_argument("--collapsed-out", type=str, default=None, metavar="PATH",
+                   help="write the export's engine profile in collapsed-stack "
+                        "format (flamegraph.pl / speedscope compatible)")
     p.set_defaults(fn=cmd_obs_report)
 
     p = sub.add_parser(
@@ -1068,59 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--title", type=str, default=None,
                    help="page title (default: derived from the input path)")
     p.set_defaults(fn=cmd_dashboard)
-
-    p = sub.add_parser(
-        "bench-compare",
-        help="diff two bench-runner JSON reports (or one report against the "
-             "bench-history rolling baseline); exits 1 when the candidate "
-             "regresses past the allowed factor or loses byte-identity",
-    )
-    p.add_argument("reports", nargs="+",
-                   help="bench-runner JSON reports: baseline candidate, or "
-                        "just the candidate with --history")
-    p.add_argument("--history", type=str, default=None, metavar="PATH",
-                   help="gate the single candidate report against the "
-                        "rolling-median baseline of this ledger's last "
-                        "--window records")
-    p.add_argument("--window", type=int, default=_DEFAULT_WINDOW, metavar="N",
-                   help="rolling-baseline window for --history "
-                        f"(default: {_DEFAULT_WINDOW})")
-    p.add_argument("--warn-only", action="store_true",
-                   help="report regressions but always exit 0 (for advisory "
-                        "CI jobs on unpinned hardware)")
-    p.add_argument("--max-regression", type=float, default=None,
-                   metavar="FRAC",
-                   help="allowed slowdown fraction for every timing metric "
-                        "(0.5 allows 1.5x; default: 0.5)")
-    p.add_argument("--threshold", action="append", metavar="METRIC=FRAC",
-                   help="per-metric override, e.g. --threshold cached_s=2.0 "
-                        "(repeatable)")
-    p.set_defaults(fn=cmd_bench_compare)
-
-    p = sub.add_parser(
-        "perf-report",
-        help="render the bench-history ledger: metric trends with "
-             "sparklines and the top phase movers between two records",
-    )
-    p.add_argument("history", nargs="?", default=_DEFAULT_HISTORY,
-                   help="bench-history JSONL ledger "
-                        f"(default: {_DEFAULT_HISTORY})")
-    p.add_argument("--from", dest="frm", type=int, default=0, metavar="IDX",
-                   help="older record index for the movers diff (negative "
-                        "counts from the end; default: 0 = oldest)")
-    p.add_argument("--to", dest="to", type=int, default=-1, metavar="IDX",
-                   help="newer record index for the movers diff "
-                        "(default: -1 = newest)")
-    p.add_argument("--movers", type=int, default=10, metavar="N",
-                   help="how many top phase movers to list (default: 10)")
-    p.add_argument("--flamegraph-out", type=str, default=None, metavar="PATH",
-                   help="write the --to record's phase flamegraph as a "
-                        "self-contained SVG")
-    p.add_argument("--collapsed-out", type=str, default=None, metavar="PATH",
-                   help="write the --to record's phases in collapsed-stack "
-                        "format")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_perf_report)
 
     p = sub.add_parser(
         "trace-report",

@@ -59,15 +59,16 @@ _DECODER = json.JSONDecoder()
 
 
 class JsonlError(ValueError):
-    """Line ``lineno`` of a JSONL file is not JSON.  ``records`` holds the
-    lines before it, parsed; ``truncated`` says the line is the file's last
-    and has no newline — what a writer killed mid-record leaves behind."""
+    """Line ``lineno`` of a JSONL file is not one JSON object: not UTF-8,
+    not JSON, or JSON of another type.  ``records`` holds the lines before
+    it, parsed; ``truncated`` says the line is the file's last and has no
+    newline — what a writer killed mid-record leaves behind."""
 
     def __init__(
         self, path: str, lineno: int, reason: str,
-        records: List[Dict[str, Any]], truncated: bool,
+        records: List[Dict[str, Any]], truncated: bool = False,
     ) -> None:
-        super().__init__(f"{path}:{lineno}: not JSON: {reason}")
+        super().__init__(f"{path}:{lineno}: {reason}")
         self.lineno = lineno
         self.records = records
         self.truncated = truncated
@@ -86,13 +87,17 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str, *, append: bool = 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
     """The records of a JSONL file, blank lines skipped.  Raises
-    :class:`JsonlError` naming the first line that is not one JSON value."""
+    :class:`JsonlError` naming the first line that is not one JSON object."""
     out: List[Dict[str, Any]] = []
     # raw_decode is what json.loads calls once it has matched the white
     # space around the value, which strip() has already removed.
     decode = _DECODER.raw_decode
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise JsonlError(path, lineno, f"not UTF-8: {exc.reason}", out) from None
             text = line.strip()
             if text:
                 try:
@@ -102,9 +107,13 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
                 except json.JSONDecodeError as exc:
                     # Only a file's last line can lack its newline.
                     raise JsonlError(
-                        path, lineno, f"{exc.msg} (column {exc.colno})", out,
+                        path, lineno, f"not JSON: {exc.msg} (column {exc.colno})", out,
                         truncated=not line.endswith("\n"),
                     ) from None
+                if type(record) is not dict:
+                    raise JsonlError(
+                        path, lineno, f"not a JSON object: {type(record).__name__}", out
+                    )
                 out.append(record)
     return out
 

@@ -1,21 +1,17 @@
-"""Performance observatory: flamegraphs, memory attribution, trend reports.
+"""Performance observatory: flamegraphs and memory attribution.
 
 The rendering layer over the engine's phase-level profile (see
-:class:`repro.simnet.engine.EngineProfiler`) and the bench-history ledger
-(see :mod:`repro.runner.bench`):
+:class:`repro.simnet.engine.EngineProfiler`):
 
 * :func:`collapsed_stacks` — the profile's phase tree as Brendan Gregg
   collapsed-stack lines (``path self_time_us``), the interchange format
   every flamegraph tool consumes;
 * :func:`flamegraph_svg` — a zero-JS, self-contained inline-SVG icicle
   flamegraph (no scripts, no external references), embeddable in the
-  HTML dashboard and uploadable as a CI artifact;
+  HTML dashboard and written by ``repro obs-report --flamegraph-out``;
 * :class:`MemoryCapture` — per-run allocation/GC counters (``gc`` stats
   always; ``tracemalloc`` top-N sites behind ``--mem-profile``) merged
-  into the profile summary;
-* :func:`render_perf_report` — per-metric trend tables with sparklines
-  over ``BENCH_history.jsonl`` records plus the top-mover phases between
-  any two records (the ``repro perf-report`` backend).
+  into the profile summary.
 
 Everything here renders deterministically from its inputs: colors hash
 frame names with ``sum(ord(..))`` (not the randomized builtin ``hash``),
@@ -27,14 +23,12 @@ from __future__ import annotations
 import gc
 import html
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "collapsed_stacks",
     "flamegraph_svg",
     "MemoryCapture",
-    "sparkline",
-    "render_perf_report",
 ]
 
 
@@ -301,207 +295,3 @@ def _short_file(path: str) -> str:
     """Keep the tail of a source path (``repro/simnet/engine.py``)."""
     parts = path.replace("\\", "/").split("/")
     return "/".join(parts[-3:]) if len(parts) > 3 else "/".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Bench-history trend rendering (the perf-report backend)
-# ---------------------------------------------------------------------------
-
-_SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-# Metrics a history record carries, in report order, with direction:
-# -1 means lower is better, +1 means higher is better.
-_TREND_METRICS: Sequence[Tuple[str, int]] = (
-    ("serial_s", -1),
-    ("parallel_s", -1),
-    ("cached_s", -1),
-    ("parallel_speedup", +1),
-    ("cached_speedup", +1),
-)
-
-
-def sparkline(values: Sequence[Optional[float]]) -> str:
-    """Unicode sparkline; ``None`` gaps render as spaces."""
-    numeric = [v for v in values if isinstance(v, (int, float))]
-    if not numeric:
-        return ""
-    lo, hi = min(numeric), max(numeric)
-    span = (hi - lo) or 1.0
-    out = []
-    for v in values:
-        if not isinstance(v, (int, float)):
-            out.append(" ")
-            continue
-        idx = int((v - lo) / span * (len(_SPARK_GLYPHS) - 1))
-        out.append(_SPARK_GLYPHS[idx])
-    return "".join(out)
-
-
-def _resolve_index(idx: int, n: int, flag: str) -> int:
-    resolved = idx if idx >= 0 else n + idx
-    if not 0 <= resolved < n:
-        raise ValueError(
-            f"{flag} index {idx} out of range for {n} history record(s)"
-        )
-    return resolved
-
-
-def _record_label(record: Dict[str, Any], idx: int) -> str:
-    stamp = record.get("provenance") or {}
-    ts = stamp.get("recorded_at") or "?"
-    commit = stamp.get("git_commit") or "?"
-    return f"#{idx} {ts} @{commit}"
-
-
-def _alloc_blocks(record: Dict[str, Any]) -> Optional[int]:
-    """A record's net allocated-blocks delta (gc accounting captured by
-    MemoryCapture and merged into the profile), or None when the record
-    predates memory capture."""
-    memory = (record.get("profile") or {}).get("memory") or {}
-    value = memory.get("allocated_blocks_delta")
-    return int(value) if isinstance(value, (int, float)) else None
-
-
-def _events_total(record: Dict[str, Any]) -> Optional[int]:
-    value = (record.get("profile") or {}).get("events_total")
-    return int(value) if isinstance(value, (int, float)) else None
-
-
-def _phase_walls(record: Dict[str, Any]) -> Dict[str, float]:
-    profile = record.get("profile") or {}
-    out = {
-        path: float(stats.get("wall_s", 0.0))
-        for path, stats in (profile.get("phases") or {}).items()
-    }
-    for name, stats in (profile.get("by_type") or {}).items():
-        out.setdefault(name, float(stats.get("wall_s", 0.0)))
-    return out
-
-
-def render_perf_report(
-    records: List[Dict[str, Any]], *, frm: int = 0, to: int = -1,
-    movers: int = 10,
-) -> str:
-    """Render the bench-history ledger: one trend row per timing metric
-    (sparkline over every record, oldest to newest) and the top-mover
-    phases between records ``frm`` and ``to`` (default: first vs last)."""
-    if not records:
-        return "perf-report: history is empty (run repro bench-runner first)"
-    n = len(records)
-    lines = [f"perf-report — {n} history record(s)"]
-    first, last = records[0], records[-1]
-    lines.append(f"  oldest: {_record_label(first, 0)}")
-    if n > 1:
-        lines.append(f"  newest: {_record_label(last, n - 1)}")
-    grid = last.get("grid") or {}
-    if grid:
-        lines.append(
-            f"  grid: {grid.get('figure')}/{grid.get('scale')} "
-            f"({grid.get('runs')} runs)"
-        )
-
-    invalid = sum(1 for r in records if r.get("parallel_valid") is False)
-    lines.append("")
-    lines.append(
-        f"  {'metric':<18} {'first':>9} {'last':>9} {'Δ%':>8}  trend"
-    )
-    for metric, direction in _TREND_METRICS:
-        values = [
-            r.get(metric) if isinstance(r.get(metric), (int, float)) else None
-            for r in records
-        ]
-        # Parallel numbers from jobs>cpus records are noise, not signal:
-        # keep them out of the trend entirely.
-        if metric.startswith("parallel"):
-            values = [
-                None if r.get("parallel_valid") is False else v
-                for r, v in zip(records, values)
-            ]
-        numeric = [v for v in values if v is not None]
-        if not numeric:
-            lines.append(f"  {metric:<18} {'-':>9} {'-':>9} {'-':>8}")
-            continue
-        v_first, v_last = numeric[0], numeric[-1]
-        delta_pct = ((v_last - v_first) / v_first * 100.0) if v_first else 0.0
-        marker = ""
-        if abs(delta_pct) >= 1.0:
-            better = (delta_pct < 0) if direction < 0 else (delta_pct > 0)
-            marker = " (better)" if better else " (worse)"
-        lines.append(
-            f"  {metric:<18} {v_first:>9.3f} {v_last:>9.3f} "
-            f"{delta_pct:>+7.1f}%  {sparkline(values)}{marker}"
-        )
-    # Allocation trend: the zero-allocation claim, measurable in the ledger.
-    # Net allocated-blocks delta per run plus the per-event rate (events are
-    # deterministic, so the rate is comparable across hosts and commits).
-    alloc_values: List[Optional[float]] = [
-        float(v) if (v := _alloc_blocks(r)) is not None else None
-        for r in records
-    ]
-    alloc_numeric = [v for v in alloc_values if v is not None]
-    if alloc_numeric:
-        v_first, v_last = alloc_numeric[0], alloc_numeric[-1]
-        delta_pct = ((v_last - v_first) / v_first * 100.0) if v_first else 0.0
-        marker = ""
-        if abs(delta_pct) >= 1.0:
-            marker = " (better)" if delta_pct < 0 else " (worse)"
-        lines.append(
-            f"  {'alloc_blocks_delta':<18} {v_first:>9.0f} {v_last:>9.0f} "
-            f"{delta_pct:>+7.1f}%  {sparkline(alloc_values)}{marker}"
-        )
-        per_event: List[Optional[float]] = []
-        for record, blocks in zip(records, alloc_values):
-            events = _events_total(record)
-            per_event.append(
-                blocks / events if blocks is not None and events else None
-            )
-        pe_numeric = [v for v in per_event if v is not None]
-        if pe_numeric:
-            lines.append(
-                f"  {'alloc_blocks/event':<18} {pe_numeric[0]:>9.4f} "
-                f"{pe_numeric[-1]:>9.4f} {'':>8}  {sparkline(per_event)}"
-            )
-    if invalid:
-        lines.append(
-            f"  note: parallel timings from {invalid} record(s) with "
-            "jobs > cpus were excluded (not meaningful on undersized hosts)"
-        )
-
-    if n >= 2:
-        i = _resolve_index(frm, n, "--from")
-        j = _resolve_index(to, n, "--to")
-        a, b = _phase_walls(records[i]), _phase_walls(records[j])
-        deltas = sorted(
-            (
-                (b.get(path, 0.0) - a.get(path, 0.0), path)
-                for path in set(a) | set(b)
-            ),
-            key=lambda item: (-abs(item[0]), item[1]),
-        )
-        deltas = [d for d in deltas if abs(d[0]) > 0.0][:movers]
-        lines.append("")
-        lines.append(
-            f"  top phase movers (record {i} -> {j}, by |Δ wall|):"
-        )
-        if not deltas:
-            lines.append(
-                "    (no phase movement between the selected records)"
-                if (a or b)
-                else "    (no profile data in the selected records)"
-            )
-        for delta, path in deltas:
-            base = a.get(path, 0.0)
-            pct = f" ({delta / base * 100.0:+.1f}%)" if base else " (new)"
-            lines.append(f"    {delta * 1e3:>+10.1f} ms  {path}{pct}")
-        # Allocation before/after for the same pair of records.
-        blocks_a, blocks_b = _alloc_blocks(records[i]), _alloc_blocks(records[j])
-        if blocks_a is not None and blocks_b is not None:
-            ev_a, ev_b = _events_total(records[i]), _events_total(records[j])
-            rate_a = f"{blocks_a / ev_a:.4f}/event" if ev_a else "-"
-            rate_b = f"{blocks_b / ev_b:.4f}/event" if ev_b else "-"
-            lines.append("")
-            lines.append(
-                f"  allocated blocks (record {i} -> {j}): "
-                f"{blocks_a} ({rate_a}) -> {blocks_b} ({rate_b})"
-            )
-    return "\n".join(lines)

@@ -13,10 +13,7 @@ The evaluation is a grid of independent simulation runs; this package turns
   wall-clock timeouts, crash/timeout retry with backoff, failure
   envelopes, deterministic chaos injection for the harness's own tests;
 * :mod:`repro.runner.journal` — the ``--resume`` checkpoint journal
-  (atomic JSONL appends of per-spec completion state);
-* :mod:`repro.runner.bench` — the serial/parallel/cached benchmark behind
-  ``repro bench-runner`` (imported lazily; not re-exported here so worker
-  processes don't pay for the experiments import).
+  (atomic JSONL appends of per-spec completion state).
 
 Every experiment driver in :mod:`repro.experiments` is a thin grid
 definition over this package.

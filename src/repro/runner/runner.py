@@ -13,7 +13,7 @@ or under the supervision layer (:mod:`repro.runner.supervisor`), with:
   of lost sweeps, and graceful Ctrl-C that persists completed work;
 * **determinism** — a run's payload depends only on its spec; serial and
   parallel executions of the same grid produce byte-identical payloads
-  (asserted by ``repro bench-runner`` and the CI bench-smoke job);
+  (asserted by ``tests/runner/test_runner_determinism.py``);
 * **content-addressed caching** — completed envelopes land in
   ``.runcache/<hash>.json`` (checksum-verified on read, see
   :mod:`repro.runner.cache`) the moment each run finishes, so a crash

@@ -6,8 +6,6 @@ from repro.obs.perf import (
     MemoryCapture,
     collapsed_stacks,
     flamegraph_svg,
-    render_perf_report,
-    sparkline,
 )
 
 
@@ -101,21 +99,6 @@ class TestFlamegraphSvg:
         assert "&lt;evil&gt;" in svg
 
 
-class TestSparkline:
-    def test_shape(self):
-        line = sparkline([0.0, 0.5, 1.0])
-        assert line[0] == "▁" and line[-1] == "█" and len(line) == 3
-
-    def test_none_gap_renders_as_space(self):
-        assert sparkline([0.0, None, 1.0])[1] == " "
-
-    def test_constant_series(self):
-        assert sparkline([2.0, 2.0]) == "▁▁"
-
-    def test_all_none(self):
-        assert sparkline([None, None]) == ""
-
-
 class TestMemoryCapture:
     def test_gc_counters_always_captured(self):
         capture = MemoryCapture()
@@ -145,75 +128,3 @@ class TestMemoryCapture:
     def test_stop_before_start_raises(self):
         with pytest.raises(RuntimeError):
             MemoryCapture().stop()
-
-
-def _record(serial_s, *, parallel_valid=True, phases=None, commit="abc"):
-    return {
-        "grid": {"figure": "fig5", "scale": "smoke", "runs": 12},
-        "serial_s": serial_s,
-        "parallel_s": serial_s / 2.0,
-        "parallel_valid": parallel_valid,
-        "parallel_speedup": 2.0,
-        "cached_s": serial_s / 10.0,
-        "cached_speedup": 10.0,
-        "provenance": {"recorded_at": "2026-01-01T00:00:00Z",
-                       "git_commit": commit},
-        "profile": {
-            "by_type": {"Switch.on_ingress": {"count": 10, "wall_s": serial_s * 0.5}},
-            "phases": phases if phases is not None else {
-                "Switch.on_ingress;enqueue": {"count": 10, "wall_s": serial_s * 0.3},
-            },
-        },
-    }
-
-
-class TestRenderPerfReport:
-    def test_empty_history(self):
-        assert "history is empty" in render_perf_report([])
-
-    def test_trend_over_two_records(self):
-        text = render_perf_report([_record(10.0), _record(8.0)])
-        assert "2 history record(s)" in text
-        assert "@abc" in text
-        assert "serial_s" in text and "-20.0%" in text and "(better)" in text
-        assert "top phase movers" in text
-        assert "Switch.on_ingress;enqueue" in text
-
-    def test_invalid_parallel_records_excluded(self):
-        text = render_perf_report([
-            _record(10.0, parallel_valid=False),
-            _record(8.0, parallel_valid=False),
-        ])
-        assert "parallel timings from 2 record(s)" in text
-        # The parallel rows render as all-dashes, never as numbers.
-        parallel_row = next(
-            line for line in text.splitlines()
-            if line.strip().startswith("parallel_s")
-        )
-        assert "5.0" not in parallel_row and "4.0" not in parallel_row
-
-    def test_no_phase_movement_vs_no_profile(self):
-        same = [_record(10.0), _record(10.0)]
-        assert "no phase movement" in render_perf_report(same)
-        bare = [
-            {k: v for k, v in _record(10.0).items() if k != "profile"}
-            for _ in range(2)
-        ]
-        assert "no profile data" in render_perf_report(bare)
-
-    def test_from_to_selection_and_bounds(self):
-        records = [_record(10.0), _record(5.0), _record(20.0)]
-        text = render_perf_report(records, frm=1, to=2)
-        assert "record 1 -> 2" in text
-        text = render_perf_report(records, frm=-2, to=-1)
-        assert "record 1 -> 2" in text
-        with pytest.raises(ValueError):
-            render_perf_report(records, frm=5, to=-1)
-        with pytest.raises(ValueError):
-            render_perf_report(records, frm=0, to=-9)
-
-    def test_new_phase_marked(self):
-        old = _record(10.0, phases={})
-        new = _record(10.0)
-        text = render_perf_report([old, new])
-        assert "(new)" in text

@@ -1,12 +1,17 @@
-"""The runner tests' shared smoke grid, simulated once per observer set.
+"""The runner tests' shared grids.
 
-Four cells (aware / nearest x class VS / S, seed 3, smoke scale); the
-``observed_grid`` fixture runs them serially under one observe mapping the
-first time a test asks and hands every later caller the same results.
+:func:`smoke_grid` is four cells (aware / nearest x class VS / S, seed 3,
+smoke scale); the ``observed_grid`` fixture runs them serially under one
+observe mapping the first time a test asks and hands every later caller the
+same results.  :func:`fig5_grid_specs` is the whole Fig. 5 grid at smoke
+scale, every size class x every policy.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.comparison import ALL_CLASSES, DEFAULT_POLICIES, FIG5_CONFIG
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.runner import Runner, RunSpec, canonical_json, expand_grid
 
@@ -37,3 +42,13 @@ def observed_grid():
         return results[key]
 
     return run
+
+
+def fig5_grid_specs():
+    """The Fig. 5 grid (serverless workload, delay ranking) at smoke scale:
+    12 cells, every size class x every policy, seed 0."""
+    base = RunSpec.from_config(replace(FIG5_CONFIG, scale=SMOKE_SCALE, seed=0))
+    return expand_grid(base, {
+        "size_class": [c.label for c in ALL_CLASSES],
+        "policy": list(DEFAULT_POLICIES),
+    })

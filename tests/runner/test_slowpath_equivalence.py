@@ -20,22 +20,23 @@ from repro.p4.headers import HOP_RECORD_SIZE, encode_probe_header
 from repro.p4.int_program import MAX_QDEPTH_REGISTER
 from repro.p4.per_packet_int import PerPacketIntProgram
 from repro.runner import Runner, RunSpec
-from repro.runner.bench import bench_grid_specs
 from repro.simnet.addressing import PORT_PROBE, PROTO_UDP
 from repro.simnet.packet import FLAG_PROBE
+
+from .conftest import fig5_grid_specs
 
 pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")
 def fast_results():
-    return Runner(jobs=1).run(bench_grid_specs("smoke"))
+    return Runner(jobs=1).run(fig5_grid_specs())
 
 
 class TestSlowpathEquivalence:
     def test_fig5_smoke_grid_byte_identical(self, fast_results, monkeypatch):
         monkeypatch.setenv("REPRO_SLOWPATH", "1")
-        slow = Runner(jobs=1).run(bench_grid_specs("smoke"))
+        slow = Runner(jobs=1).run(fig5_grid_specs())
         assert len(slow) == len(fast_results) == 12
         for f, s in zip(fast_results, slow):
             assert f.payload_json() == s.payload_json(), f.spec.label()

@@ -16,7 +16,7 @@ pytestmark = pytest.mark.slow
 class TestTelqualityDeterminism:
     def test_profile_handler_counts_unchanged(self):
         """Per-event-type handler counts are identical with and without
-        collection — the BENCH_runner.json profile gate cannot move.
+        collection: the observatory schedules no event of its own.
 
         Both sides carry obs labels, so the delta isolates the
         observatory's hooks from the hub's own."""

@@ -363,168 +363,38 @@ def test_trace_report_missing_file(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-def test_bench_runner_reports_profile(capsys, tmp_path):
-    import json
+def test_obs_report_writes_profile_exports(capsys, tmp_path):
+    from repro.obs.export import read_jsonl
+    from repro.obs.perf import flamegraph_svg
 
-    bench_out = tmp_path / "BENCH_runner.json"
-    history = tmp_path / "history.jsonl"
-    flamegraph = tmp_path / "flame.svg"
-    collapsed = tmp_path / "flame.txt"
-    rc = main([
-        "bench-runner", "--scale", "smoke", "--jobs", "2",
-        "--bench-out", str(bench_out), "--history", str(history),
-        "--flamegraph-out", str(flamegraph), "--collapsed-out", str(collapsed),
-    ])
+    obs_out = tmp_path / "run.jsonl"
+    assert main([
+        "compare", "--figure", "fig5", "--scale", "smoke",
+        "--classes", "VS", "--profile", "--obs-out", str(obs_out),
+    ]) == 0
+    (profile,) = [r["profile"] for r in read_jsonl(str(obs_out)) if r["kind"] == "profile"]
+    flamegraph, collapsed = tmp_path / "flame.svg", tmp_path / "flame.txt"
+    rc = main(["obs-report", str(obs_out), "--out", str(tmp_path / "report.txt"),
+               "--flamegraph-out", str(flamegraph), "--collapsed-out", str(collapsed)])
     assert rc == 0
-    report = json.loads(bench_out.read_text())
-    assert report["byte_identical"] is True
-    assert isinstance(report["parallel_valid"], bool)
-    profile = report["profile"]
-    assert profile["events_total"] > 0
-    assert profile["queue_high_water"] > 0
-    assert profile["by_type"]
-    # Phase attribution made it into the report, with its overhead estimate.
-    assert profile["phases"]
-    assert any(";" in path for path in profile["phases"])
-    assert profile["overhead"]["phase_pairs"] > 0
-    assert profile["phase_coverage"]
-    # The run landed in the ledger with a provenance stamp.
-    from repro.runner.bench import read_history
-
-    records = read_history(str(history))
-    assert len(records) == 1
-    assert records[0]["serial_s"] == report["serial_s"]
-    assert "recorded_at" in records[0]["provenance"]
-    # Flamegraph is a self-contained SVG; collapsed stacks parse as
-    # "path count" lines.
+    # The flamegraph is the export's profile, as a self-contained SVG;
+    # collapsed stacks parse as "path count" lines.
     svg = flamegraph.read_text()
+    assert svg == flamegraph_svg(profile)
     assert svg.startswith("<svg") and "<script" not in svg
     assert "src=" not in svg and "href" not in svg
     lines = collapsed.read_text().splitlines()
     assert lines and all(l.rsplit(" ", 1)[1].isdigit() for l in lines)
-
-
-def _fake_history_record(serial_s, *, parallel_valid=True, phases=None):
-    record = {
-        "grid": {"figure": "fig5", "scale": "smoke", "seed": 0, "runs": 12},
-        "serial_s": serial_s,
-        "parallel_s": serial_s / 2.0,
-        "parallel_jobs": 2,
-        "parallel_valid": parallel_valid,
-        "parallel_speedup": 2.0,
-        "cached_s": serial_s / 10.0,
-        "cached_speedup": 10.0,
-        "byte_identical": True,
-        "diverging_cells": [],
-        "host": {"cpus": 4, "python": "3.11.7", "platform": "linux"},
-        "provenance": {"recorded_at": "2026-01-01T00:00:00Z", "git_commit": "abc1234"},
-        "profile": {
-            "events_total": 1000,
-            "queue_high_water": 10,
-            "wall_s": serial_s,
-            "by_type": {"Switch.on_ingress": {"count": 500, "wall_s": serial_s * 0.6}},
-            "phases": phases or {
-                "Switch.on_ingress;p4_pipeline": {"count": 500, "wall_s": serial_s * 0.4},
-                "Switch.on_ingress;enqueue": {"count": 500, "wall_s": serial_s * 0.15},
-            },
-            "overhead": {"phase_pairs": 1000, "clock_reads": 1000,
-                         "total_s": 0.01, "fraction_of_wall": 0.01},
-            "memory": None,
-            "phase_coverage": {"Switch.on_ingress": 0.92},
-        },
-    }
-    return record
-
-
-def _write_history(path, records):
-    import json
-
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
-def test_perf_report_command(capsys, tmp_path):
-    history = tmp_path / "history.jsonl"
-    _write_history(history, [
-        _fake_history_record(10.0),
-        _fake_history_record(8.0),
-    ])
-    out = tmp_path / "report.txt"
-    rc = main(["perf-report", str(history), "--out", str(out),
-               "--flamegraph-out", str(tmp_path / "f.svg"),
-               "--collapsed-out", str(tmp_path / "f.txt")])
-    assert rc == 0
-    text = out.read_text()
-    assert "2 history record(s)" in text
-    assert "serial_s" in text and "trend" in text
-    assert "top phase movers" in text
-    assert "Switch.on_ingress" in text
-    assert (tmp_path / "f.svg").read_text().startswith("<svg")
-    assert (tmp_path / "f.txt").read_text().strip()
-
-
-def test_perf_report_missing_file(capsys):
-    rc = main(["perf-report", "/nonexistent/history.jsonl"])
-    assert rc == 2
-    assert "no such file" in capsys.readouterr().err
-
-
-def test_bench_compare_against_history_baseline(capsys, tmp_path):
-    import json
-
-    history = tmp_path / "history.jsonl"
-    _write_history(history, [_fake_history_record(s) for s in (10.0, 11.0, 9.0)])
-    candidate = tmp_path / "cand.json"
-    candidate.write_text(json.dumps(_fake_history_record(10.5)))
-    rc = main(["bench-compare", str(candidate), "--history", str(history)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "rolling median of last 3" in out
-    assert "verdict: OK" in out
-    # A big regression against the median trips the gate ...
-    candidate.write_text(json.dumps(_fake_history_record(100.0)))
-    rc = main(["bench-compare", str(candidate), "--history", str(history)])
-    assert rc == 1
+    # An export without a profile record says so and writes nothing.
     capsys.readouterr()
-    # ... unless --warn-only downgrades it to advisory.
-    rc = main([
-        "bench-compare", str(candidate), "--history", str(history),
-        "--warn-only",
-    ])
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("\n".join(_GOOD_LINES) + "\n")
+    rc = main(["obs-report", str(plain), "--out", str(tmp_path / "plain.txt"),
+               "--flamegraph-out", str(tmp_path / "none.svg"),
+               "--collapsed-out", str(tmp_path / "none.txt")])
     assert rc == 0
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_bench_compare_wrong_report_count(capsys, tmp_path):
-    import json
-
-    report = tmp_path / "r.json"
-    report.write_text(json.dumps(_fake_history_record(10.0)))
-    rc = main(["bench-compare", str(report)])
-    assert rc == 2
-    assert "pass two reports" in capsys.readouterr().err
-    rc = main(["bench-compare", str(report), str(report),
-               "--history", "/nonexistent/h.jsonl"])
-    assert rc == 2
-    assert "exactly one candidate" in capsys.readouterr().err
-
-
-def test_bench_compare_skips_invalid_parallel_timing(capsys, tmp_path):
-    import json
-
-    base = _fake_history_record(10.0, parallel_valid=False)
-    base["parallel_s"] = 500.0  # nonsense number from a 1-CPU runner
-    cand = _fake_history_record(10.0)
-    cand["parallel_s"] = 5.0
-    base_path, cand_path = tmp_path / "b.json", tmp_path / "c.json"
-    base_path.write_text(json.dumps(base))
-    cand_path.write_text(json.dumps(cand))
-    rc = main(["bench-compare", str(base_path), str(cand_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "parallel timing invalid" in out
-    assert "verdict: OK" in out
+    assert "note: no profile in the report" in capsys.readouterr().err
+    assert not (tmp_path / "none.svg").exists() and not (tmp_path / "none.txt").exists()
 
 
 def test_compare_sample_interval_emits_timeseries(capsys, tmp_path):
@@ -569,49 +439,6 @@ def test_dashboard_missing_file(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-def test_bench_compare_identical_reports_ok(capsys, tmp_path):
-    import json
-    import shutil
-
-    baseline = tmp_path / "base.json"
-    shutil.copy("BENCH_runner.json", baseline)
-    rc = main(["bench-compare", str(baseline), str(baseline)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "OK" in out
-    # Doctored candidate: 10x serial regression trips the gate.
-    report = json.loads(baseline.read_text())
-    report["serial_s"] *= 10
-    candidate = tmp_path / "cand.json"
-    candidate.write_text(json.dumps(report))
-    rc = main(["bench-compare", str(baseline), str(candidate)])
-    assert rc == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_bench_compare_threshold_override(capsys, tmp_path):
-    import json
-    import shutil
-
-    baseline = tmp_path / "base.json"
-    shutil.copy("BENCH_runner.json", baseline)
-    report = json.loads(baseline.read_text())
-    report["serial_s"] *= 10
-    candidate = tmp_path / "cand.json"
-    candidate.write_text(json.dumps(report))
-    rc = main([
-        "bench-compare", str(baseline), str(candidate),
-        "--threshold", "serial_s=20",
-    ])
-    assert rc == 0
-
-
-def test_bench_compare_missing_file(capsys):
-    rc = main(["bench-compare", "/nonexistent/a.json", "/nonexistent/b.json"])
-    assert rc == 2
-    assert "no such file" in capsys.readouterr().err
-
-
 REPORT_COMMANDS = ("obs-report", "telemetry-report", "whatif-report", "trace-report", "dashboard")
 _GOOD_LINES = [
     '{"kind": "metric", "name": "a", "type": "gauge", "value": 1}',
@@ -647,14 +474,33 @@ def test_report_drops_a_truncated_last_line(command, capsys, tmp_path):
     assert shown == open(expected).read().replace(str(whole), "PATH")
 
 
-@pytest.mark.parametrize("command", REPORT_COMMANDS)
-def test_report_names_a_malformed_line(command, capsys, tmp_path):
+# How an export can be damaged -> (its second line, or None for a directory
+# at the path; what stderr says after "error: <path>").  "not-json" keeps
+# the bare command as its test id.
+_DAMAGE = {
+    "not-json": (_GOOD_LINES[1][:25].encode(), ":2: not JSON: "),
+    "not-object": (b"[1, 2]", ":2: not a JSON object: list"),
+    "not-utf8": (b'{"kind": "event", "event": "\xff"}', ":2: not UTF-8: "),
+    "directory": (None, ": "),
+}
+
+
+@pytest.mark.parametrize("command, damage", [
+    pytest.param(command, damage, id=command if damage == "not-json" else f"{command}-{damage}")
+    for damage in _DAMAGE for command in REPORT_COMMANDS
+])
+def test_report_names_a_malformed_line(command, damage, capsys, tmp_path):
     path = tmp_path / "damaged.jsonl"
-    lines = list(_GOOD_LINES)
-    lines[1] = lines[1][:25]
-    path.write_text("\n".join(lines) + "\n")
+    line, said = _DAMAGE[damage]
+    if line is None:
+        path.mkdir()
+    else:
+        lines = [good.encode() for good in _GOOD_LINES]
+        lines[1] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
     rc, _out = _report(command, path, tmp_path)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:2: not JSON: ")
+    assert err.startswith(f"error: {path}{said}")
+    assert len(err.splitlines()) == 1
     assert "line 1" not in err
