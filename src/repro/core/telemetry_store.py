@@ -24,16 +24,23 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simnet.engine import Simulator
-from repro.telemetry.records import ProbeReport, TelemetryNodeId, host_node, switch_node
+from repro.telemetry.records import (
+    ProbeReport,
+    TelemetryNodeId,
+    host_node,
+    path_key,
+    switch_node,
+)
 from repro.core.topology_inference import InferredTopology
 
 __all__ = ["TelemetryStore", "LinkState", "DEFAULT_STALENESS"]
 
 DEFAULT_STALENESS = 2.0          # seconds; ~20 probing intervals at the default rate
 EWMA_ALPHA = 0.3                 # weight of the newest latency sample
+_EWMA_KEEP = 1.0 - EWMA_ALPHA    # weight of the running average
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkState:
     """Latest telemetry for one directed link, and the two rules that turn
     it into the value a ranking charges (:meth:`delay`, :meth:`qdepth`)."""
@@ -76,6 +83,8 @@ class LinkState:
 # Per directed link of a path: its state and whether its upstream end is a
 # switch (only switch egresses charge a queue term).
 PathPlan = Tuple[Tuple[LinkState, bool], ...]
+# Per probe path: its distinct nodes and the state of each of its links.
+IngestPlan = Tuple[Tuple[TelemetryNodeId, ...], Tuple[LinkState, ...]]
 
 
 class TelemetryStore:
@@ -104,6 +113,9 @@ class TelemetryStore:
         # fresh" from "this corner of the network has gone dark".
         self._node_seen: Dict[TelemetryNodeId, float] = {}
         self.reports_processed = 0
+        # path_key -> IngestPlan.  A plan never goes stale: a state is
+        # never deleted, and a key fixes its path.
+        self._ingest_plans: Dict[Tuple[int, ...], IngestPlan] = {}
         # (src, dst) -> PathPlan, valid while topology.version stays put.
         self._plans: Dict[Tuple[TelemetryNodeId, TelemetryNodeId], PathPlan] = {}
         self._plans_version = self.topology.version
@@ -113,49 +125,63 @@ class TelemetryStore:
     def update(self, report: ProbeReport) -> None:
         """One walk over the report's directed links.  Link ``i`` joins
         ``path[i] -> path[i + 1]``: its latency was measured at the ingress
-        of ``path[i + 1]`` (record ``i``; the receiving host for the last
-        link) and its queue depth at the egress of ``path[i]`` (record
-        ``i - 1``; the source host stamps none)."""
+        of ``path[i + 1]`` (hop ``i``; the receiving host for the last
+        link) and its queue depth at the egress of ``path[i]`` (hop
+        ``i - 1``; the source host stamps none).  The walk follows the
+        path's ingest plan (:meth:`_ingest_plan`)."""
         now = self.sim.now
-        records = list(report.records)  # a wire stack decodes on every read
-        path = [
-            host_node(report.probe_src),
-            *[switch_node(r.switch_id) for r in records],
-            host_node(report.probe_dst),
-        ]
-        self.topology.observe_path(path)
+        hops = report.hop_fields()
+        key = path_key(report.probe_src, report.probe_dst, hops)
+        plan = self._ingest_plans.get(key)
+        if plan is None:
+            plan = self._ingest_plans[key] = self._ingest_plan(key)
+        nodes, states = plan
         node_seen = self._node_seen
-        for node in path:
+        for node in nodes:
             node_seen[node] = now
-        links = self._links
+        hops.append((0, 0, report.final_link_latency))
         window = self.qdepth_window
-        hops = len(records)
-        for i in range(hops + 1):
-            key = (path[i], path[i + 1])
-            state = links.get(key)
-            if state is None:
-                state = links[key] = LinkState()
-            latency = records[i].link_latency if i < hops else report.final_link_latency
+        upstream = None  # queue depth at the link's upstream egress
+        for state, (_switch_id, qdepth, latency) in zip(states, hops):
             if latency is not None:
                 state.latency = latency
-                if state.latency_ewma is None:
+                ewma = state.latency_ewma
+                if ewma is None:
                     state.latency_ewma = latency
                 else:
-                    state.latency_ewma = (
-                        EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * state.latency_ewma
-                    )
+                    state.latency_ewma = EWMA_ALPHA * latency + _EWMA_KEEP * ewma
                 state.latency_updated_at = now
                 state.samples += 1
-            if i:
-                qdepth = records[i - 1].max_qdepth
+            if upstream is not None:
                 readings = state.qdepth_readings
                 while readings and now - readings[0][0] > window:
                     readings.popleft()
-                while readings and readings[-1][1] <= qdepth:
+                while readings and readings[-1][1] <= upstream:
                     readings.pop()
-                readings.append((now, qdepth))
+                readings.append((now, upstream))
                 state.qdepth_updated_at = now
+            upstream = qdepth
         self.reports_processed += 1
+
+    def _ingest_plan(self, key: Tuple[int, ...]) -> IngestPlan:
+        """Resolve a probe path (``key`` from :func:`path_key`) on first
+        sight: teach it to the topology, give each of its links a state,
+        and return its distinct nodes and its link states in path order."""
+        probe_src, probe_dst, *switch_ids = key
+        path = [
+            host_node(probe_src),
+            *[switch_node(switch_id) for switch_id in switch_ids],
+            host_node(probe_dst),
+        ]
+        self.topology.observe_path(path)
+        links = self._links
+        states = []
+        for link in zip(path, path[1:]):
+            state = links.get(link)
+            if state is None:
+                state = links[link] = LinkState()
+            states.append(state)
+        return tuple(dict.fromkeys(path)), tuple(states)
 
     # -- queries -------------------------------------------------------------
 

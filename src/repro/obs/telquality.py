@@ -32,7 +32,9 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.quantiles import QuantileDigest
+from repro.p4.headers import HopFields
 from repro.telemetry.coverage import DirectedPort, all_fabric_ports, coverage_of
+from repro.telemetry.records import path_key
 
 __all__ = ["TelemetryQuality", "render_telemetry_report", "AGE_BIN_EDGES"]
 
@@ -157,7 +159,7 @@ class TelemetryQuality:
         # (``refreshes == 0``) does not exist as far as any reader goes.
         self._registers: Dict[Tuple[str, str], _Register] = {}
         # Routes are static, so what a report touches is resolved once per
-        # distinct (probe src, probe dst, switch ids...).
+        # distinct path_key (the key the store's ingest plans use).
         self._plans: Dict[Tuple[int, ...], _Plan] = {}
         # Telemetry age of every consulted hop, at decision time.
         self.decision_age = QuantileDigest()
@@ -210,18 +212,18 @@ class TelemetryQuality:
         refresh appended, on the records the path's plan resolved."""
         if self._network is None:
             return
-        records = list(report.records)  # a wire stack decodes on every read
-        key = (report.probe_src, report.probe_dst, *[r.switch_id for r in records])
+        hops = report.hop_fields()
+        key = path_key(report.probe_src, report.probe_dst, hops)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(report, records)
+            plan = self._plans[key] = self._plan(report, hops)
         now = report.collected_at
         ledgers, refreshes = plan
         for ledger in ledgers:
             ledger.count += 1
             ledger.last = now
         for register, gate in refreshes:
-            if gate >= 0 and records[gate].link_latency is None:
+            if gate >= 0 and hops[gate][2] is None:
                 continue
             if register.refreshes:
                 gaps = register.gaps
@@ -231,9 +233,9 @@ class TelemetryQuality:
             register.last = now
             register.refreshes += 1
 
-    def _plan(self, report: Any, records: Sequence[Any]) -> _Plan:
-        """Resolve the path of ``report`` (``records``: its stack, read
-        once by the caller): record *i* stands for switch *i*,
+    def _plan(self, report: Any, hops: Sequence[HopFields]) -> _Plan:
+        """Resolve the path of ``report`` (``hops``: its hop fields, read
+        once by the caller): hop *i* stands for switch *i*,
         its egress toward the next path element and the link it arrived
         over.  Ledger entries are first seen now (the caller stamps them at
         once); registers wait for their first refresh."""
@@ -241,7 +243,7 @@ class TelemetryQuality:
         src = name(("host", report.probe_src))
         dst = name(("host", report.probe_dst))
         pair = (src, dst) if src is not None and dst is not None else None
-        names = [name(("sw", rec.switch_id)) for rec in records]
+        names = [name(("sw", hop[0])) for hop in hops]
         names.append(dst)
         ledgers: List[_PortLedger] = []
         refreshes: List[Tuple[_Register, int]] = []

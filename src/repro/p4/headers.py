@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import PacketError
 
 __all__ = [
     "IntHopRecord",
     "IntStack",
+    "HopFields",
     "PROBE_MAGIC",
     "PROBE_VERSION",
     "HOP_RECORD_SIZE",
@@ -57,6 +58,7 @@ PROBE_MAGIC = b"NT"
 PROBE_VERSION = 1
 _HEADER = struct.Struct("!2sBB")
 _RECORD = struct.Struct("!HBHiq")
+_pack = _RECORD.pack
 PROBE_HEADER_SIZE = _HEADER.size   # 4
 HOP_RECORD_SIZE = _RECORD.size     # 17
 # Every valid probe header, indexed by its hop_count byte: validating a
@@ -70,6 +72,10 @@ _MAX_QDEPTH = 0xFFFF
 _MAX_SWITCH_ID = 0xFFFF
 _MAX_PORT = 0xFF
 _I32_MIN, _I32_MAX = -(2**31) + 1, 2**31 - 1
+
+
+# What ingest reads of one hop: (switch_id, max_qdepth, link_latency).
+HopFields = Tuple[int, int, Optional[float]]
 
 
 class _HopFields(NamedTuple):
@@ -149,6 +155,16 @@ class IntStack(Sequence):
 
     def __iter__(self) -> Iterator[IntHopRecord]:
         return iter(_decode(self._wire[PROBE_HEADER_SIZE:]))
+
+    def hop_fields(self) -> List[HopFields]:
+        """``(switch_id, max_qdepth, link_latency)`` per hop, in stack
+        order and decoded as the records would be, without building them:
+        the three fields the collector side ingests."""
+        return [
+            (switch_id, qdepth, None if latency_us == NO_LATENCY else latency_us / 1e6)
+            for switch_id, _port, qdepth, latency_us, _ts
+            in _RECORD.iter_unpack(self._wire[PROBE_HEADER_SIZE:])
+        ]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (IntStack, list)):
@@ -237,25 +253,48 @@ def append_hop_fields(
 ) -> bytes:
     """Field-level twin of :func:`append_hop_record` for the per-probe hot
     path: identical bytes out (same clamps, same range checks), without
-    constructing an :class:`IntHopRecord` in between."""
+    constructing an :class:`IntHopRecord` in between.
+
+    A well-formed payload passes one arithmetic test: a whole number of
+    records below the 255-hop limit, under the one header that declares
+    that number.  Anything else goes to :func:`_reject_append`, which runs
+    the payload checks in their documented order and raises the first
+    that fails."""
     if not 0 <= switch_id <= _MAX_SWITCH_ID:
         raise PacketError(f"switch_id {switch_id} out of range")
     if not 0 <= egress_port <= _MAX_PORT:
         raise PacketError(f"egress_port {egress_port} out of range")
     if max_qdepth < 0:
         raise PacketError(f"max_qdepth {max_qdepth} negative")
+    hops, rest = divmod(len(payload) - PROBE_HEADER_SIZE, HOP_RECORD_SIZE)
+    if rest or not 0 <= hops < 0xFF or payload[:PROBE_HEADER_SIZE] != _HEADERS[hops]:
+        _reject_append(payload)
+    if max_qdepth > _MAX_QDEPTH:
+        max_qdepth = _MAX_QDEPTH
+    if link_latency is None:
+        latency_us = NO_LATENCY
+    else:
+        latency_us = round(link_latency * 1e6)
+        if latency_us < _I32_MIN:
+            latency_us = _I32_MIN
+        elif latency_us > _I32_MAX:
+            latency_us = _I32_MAX
+    return b"".join((
+        _HEADERS[hops + 1],
+        payload[PROBE_HEADER_SIZE:],
+        _pack(switch_id, egress_port, max_qdepth, latency_us, round(egress_ts * 1e6)),
+    ))
+
+
+def _reject_append(payload: bytes) -> None:
+    """Raise the error :func:`append_hop_fields` owes a payload that failed
+    its fast test: the header, then the 255-hop limit, then the length."""
     hop_count = _hop_count(payload)
     if hop_count >= 0xFF:
         raise PacketError("INT stack full (255 hops)")
-    if len(payload) != PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE:
-        raise PacketError(
-            f"probe payload length {len(payload)} inconsistent with hop_count={hop_count}"
-        )
-    return b"".join((
-        _HEADERS[hop_count + 1],
-        payload[PROBE_HEADER_SIZE:],
-        _pack_record(switch_id, egress_port, max_qdepth, link_latency, egress_ts),
-    ))
+    raise PacketError(
+        f"probe payload length {len(payload)} inconsistent with hop_count={hop_count}"
+    )
 
 
 def decode_probe_payload(payload: bytes) -> IntStack:
@@ -263,9 +302,11 @@ def decode_probe_payload(payload: bytes) -> IntStack:
     (collector side).  The stack keeps ``bytes``: a ``bytearray`` or other
     buffer is copied first, so later writes to it change nothing."""
     wire = payload if type(payload) is bytes else bytes(payload)
-    hop_count = _hop_count(wire)
-    expected = PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE
-    if len(wire) != expected:
+    hops, rest = divmod(len(wire) - PROBE_HEADER_SIZE, HOP_RECORD_SIZE)
+    if rest or not 0 <= hops <= 0xFF or wire[:PROBE_HEADER_SIZE] != _HEADERS[hops]:
+        # Only a bad payload gets here: the header checks first, then the length.
+        hop_count = _hop_count(wire)
+        expected = PROBE_HEADER_SIZE + hop_count * HOP_RECORD_SIZE
         raise PacketError(
             f"probe payload length {len(wire)} != expected {expected} "
             f"for hop_count={hop_count}"

@@ -32,7 +32,6 @@ from repro.simnet.addressing import PORT_IPERF, PORT_PING, PROTO_TCP, PROTO_UDP
 from repro.simnet.engine import EventHandle, PeriodicTimer, Simulator
 from repro.simnet.host import Host
 from repro.simnet.packet import (
-    DEFAULT_TTL,
     FLAG_ACK,
     FLAG_ECN,
     HEADER_OVERHEAD,
@@ -112,29 +111,13 @@ class UdpCbrFlow:
         self._gap_idx = 0
         # Per-flow emission template: every frame of a CBR flow is identical
         # except for seq / timestamps, so emission is a copy-and-patch of
-        # this prototype instead of a full Packet.__init__ per packet.  The
-        # prototype is built without consuming a packet id (ids must match
-        # the ctor path packet-for-packet); size validation happens here,
-        # where Packet.__init__ would otherwise have raised on first emit.
-        if packet_size < HEADER_OVERHEAD:
-            from repro.errors import PacketError
-
-            raise PacketError(
-                f"size_bytes={packet_size} smaller than header overhead {HEADER_OVERHEAD}"
-            )
-        template = Packet.__new__(Packet)
-        template.src_addr = host.addr
-        template.dst_addr = dst_addr
-        template.protocol = PROTO_UDP
-        template.src_port = self._src_port
-        template.dst_port = dst_port
-        template.size_bytes = packet_size
-        template.payload = None
-        template.message = None
-        template.flags = 0
-        template.ttl = DEFAULT_TTL
-        template.flow_id = self.flow_id
-        self._template = template
+        # this prototype instead of a full Packet.__init__ per packet.  Its
+        # size is checked here, where Packet.__init__ would otherwise have
+        # raised on first emit.
+        self._template = Packet.template(
+            host.addr, dst_addr, src_port=self._src_port, dst_port=dst_port,
+            size_bytes=packet_size, flow_id=self.flow_id,
+        )
 
     def start(self, delay: float = 0.0) -> None:
         if not self._stopped:

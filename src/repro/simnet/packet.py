@@ -141,6 +141,47 @@ class Packet:
         # else — probes carry their stack in the byte payload instead.
         self.int_stack = None
 
+    @classmethod
+    def template(
+        cls,
+        src_addr: int,
+        dst_addr: int,
+        *,
+        protocol: int = PROTO_UDP,
+        src_port: int = 0,
+        dst_port: int = 0,
+        size_bytes: int = HEADER_OVERHEAD,
+        payload: Optional[bytes] = None,
+        flags: int = 0,
+        flow_id: int = 0,
+    ) -> "Packet":
+        """A prototype for :meth:`copy_patch`: the fields a source sends
+        unchanged frame after frame, checked as the constructor checks
+        them, with no packet id drawn (ids must match the constructor path
+        packet for packet) and no per-frame slot set."""
+        if size_bytes < HEADER_OVERHEAD:
+            raise PacketError(
+                f"size_bytes={size_bytes} smaller than header overhead {HEADER_OVERHEAD}"
+            )
+        if payload is not None and HEADER_OVERHEAD + len(payload) > size_bytes:
+            raise PacketError(
+                f"declared size {size_bytes} cannot hold {len(payload)}B payload "
+                f"+ {HEADER_OVERHEAD}B headers"
+            )
+        p = cls.__new__(cls)
+        p.src_addr = src_addr
+        p.dst_addr = dst_addr
+        p.protocol = protocol
+        p.src_port = src_port
+        p.dst_port = dst_port
+        p.size_bytes = size_bytes
+        p.payload = payload
+        p.message = None
+        p.flags = flags
+        p.ttl = DEFAULT_TTL
+        p.flow_id = flow_id
+        return p
+
     def copy_patch(self, seq: int, created_at: float) -> "Packet":
         """Copy-and-patch emission from a per-flow template: straight-line
         slot copies, a fresh packet id, and reset per-hop bookkeeping —

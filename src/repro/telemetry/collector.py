@@ -63,7 +63,24 @@ class IntCollector:
     ) -> Optional[ProbeReport]:
         """Validate one probe payload and publish the report.  Malformed
         payloads are counted and dropped, as a hardened collector would."""
-        obs = self.host.sim.obs
+        return self._ingest(
+            probe_src, probe_dst, seq, sent_at, received_at, payload, final_link_latency
+        )
+
+    def _ingest(
+        self,
+        probe_src: int,
+        probe_dst: int,
+        seq: int,
+        sent_at: float,
+        received_at: float,
+        payload: bytes,
+        final_link_latency: Optional[float],
+    ) -> Optional[ProbeReport]:
+        """:meth:`ingest_probe`, positional: a wrapped report's fields in
+        their wire order."""
+        sim = self.host.sim
+        obs = sim.obs
         try:
             records = decode_probe_payload(payload)
         except PacketError as exc:
@@ -75,14 +92,8 @@ class IntCollector:
                 )
             return None
         report = ProbeReport(
-            probe_src=probe_src,
-            probe_dst=probe_dst,
-            seq=seq,
-            sent_at=sent_at,
-            received_at=received_at,
-            records=records,
-            final_link_latency=final_link_latency,
-            collected_at=self.host.sim.now,
+            probe_src, probe_dst, seq, sent_at, received_at, records,
+            final_link_latency, sim.now,
         )
         self.reports_ingested += 1
         self.last_report = report
@@ -146,21 +157,12 @@ class IntCollector:
                     src=packet.src_addr, seq=packet.seq,
                 )
             return
-        probe_src, probe_dst, seq, sent_at, received_at, payload, final_latency = msg
-        if not isinstance(payload, (bytes, bytearray)):
+        if not isinstance(msg[5], (bytes, bytearray)):
             self.reports_malformed += 1
             if obs:
                 obs.probe_malformed(
                     reason="wrapped_report_payload_not_bytes",
-                    src=probe_src, dst=probe_dst, seq=seq,
+                    src=msg[0], dst=msg[1], seq=msg[2],
                 )
             return
-        self.ingest_probe(
-            probe_src=probe_src,
-            probe_dst=probe_dst,
-            seq=seq,
-            sent_at=sent_at,
-            received_at=received_at,
-            payload=payload,
-            final_link_latency=final_latency,
-        )
+        self._ingest(*msg)

@@ -44,8 +44,11 @@ class ProbeSender:
         interval: float = DEFAULT_PROBE_INTERVAL,
         probe_size: int = DEFAULT_PROBE_SIZE,
     ) -> None:
+        targets = [t for t in targets if t != host.addr]
         if not targets:
-            raise TelemetryError(f"probe sender on {host.name} needs at least one target")
+            raise TelemetryError(
+                f"probe sender on {host.name} needs at least one target other than itself"
+            )
         if interval <= 0:
             raise TelemetryError(f"probe interval must be positive, got {interval}")
         min_size = HEADER_OVERHEAD + PROBE_HEADER_SIZE
@@ -54,13 +57,23 @@ class ProbeSender:
                 f"probe size {probe_size} too small; need >= {min_size} bytes"
             )
         self.host = host
-        self.targets = [t for t in targets if t != host.addr]
+        self.targets = targets
         self.interval = interval
         self.probe_size = probe_size
         self.probes_sent = 0
         self._seq = 0
         self._target_index = 0
         self._src_port = host.ephemeral_port()
+        # One emission template per target, as UdpCbrFlow keeps per flow:
+        # a probe is a copy-and-patch of it, with the sender clock patched
+        # into ``message``.
+        self._templates = [
+            Packet.template(
+                host.addr, target, src_port=self._src_port, dst_port=PORT_PROBE,
+                size_bytes=probe_size, payload=encode_probe_header(0), flags=FLAG_PROBE,
+            )
+            for target in targets
+        ]
         # Each target is probed once per interval, but emission is spread
         # round-robin across the interval and phase-shifted per host:
         # synchronized probe bursts would queue behind each other at shared
@@ -80,7 +93,7 @@ class ProbeSender:
         self._timer.stop()
 
     def _tick_period(self) -> float:
-        return self.interval / max(1, len(self.targets))
+        return self.interval / len(self.targets)
 
     def set_interval(self, interval: float) -> None:
         """Retune the probing period (adaptive-probing control plane).  The
@@ -96,39 +109,26 @@ class ProbeSender:
         return len(self.targets) * self.probe_size * 8.0 / self.interval
 
     def _tick(self) -> None:
-        target = self.targets[self._target_index % len(self.targets)]
+        index = self._target_index % len(self.targets)
         self._target_index += 1
-        self._send_probe(target)
-
-    def _send_probe(self, target: int) -> None:
-        self._seq += 1
-        packet = self.host.new_packet(
-            target,
-            protocol=PROTO_UDP,
-            src_port=self._src_port,
-            dst_port=PORT_PROBE,
-            size_bytes=self.probe_size,
-            payload=encode_probe_header(0),
-            flags=FLAG_PROBE,
-            seq=self._seq,
-            message=self.host.clock.read(),  # sender clock, for the report
-        )
-        # Keep the declared frame size fixed (padding); set_payload would
-        # shrink it to the actual INT stack length.
-        packet.size_bytes = self.probe_size
+        host = self.host
+        self._seq = seq = self._seq + 1
+        packet = self._templates[index].copy_patch(seq, host.sim.now)
+        packet.message = host.clock.read()  # sender clock, for the report
         self.probes_sent += 1
-        obs = self.host.sim.obs
+        obs = host.sim.obs
         if obs:
-            obs.probe_sent(src=self.host.addr, dst=target, seq=self._seq)
+            target = packet.dst_addr
+            obs.probe_sent(src=host.addr, dst=target, seq=seq)
             trace = getattr(obs, "trace", None)
-            if trace is not None and trace.wants_probe(self._seq):
+            if trace is not None and trace.wants_probe(seq):
                 trace.probe_sent(
-                    src=self.host.addr,
+                    src=host.addr,
                     dst=target,
-                    seq=self._seq,
+                    seq=seq,
                     packet_id=packet.packet_id,
                 )
-        self.host.send(packet)
+        host.send(packet)
 
 
 class ProbeResponder:
@@ -155,45 +155,45 @@ class ProbeResponder:
         self.collector_addr = collector_addr
         self.probes_terminated = 0
         self.reports_forwarded = 0
+        # Mesh-mode report template: per report, copy-and-patch it and set
+        # the source port, the size and the 7-tuple message.
+        self._report = (
+            None if collector is not None
+            else Packet.template(host.addr, collector_addr, dst_port=PORT_PROBE_REPORT)
+        )
         host.bind(PROTO_UDP, PORT_PROBE, self._on_probe)
 
     def _on_probe(self, packet: Packet) -> None:
-        if not packet.is_probe or packet.payload is None:
+        payload = packet.payload
+        if not packet.flags & FLAG_PROBE or payload is None:
             return
         self.probes_terminated += 1
-        received_at = self.host.clock.read()
+        host = self.host
+        received_at = host.clock.read()
         final_link_latency: Optional[float] = None
         if packet.last_egress_ts is not None:
             final_link_latency = received_at - packet.last_egress_ts
+        sent_at = packet.message if isinstance(packet.message, float) else 0.0
 
         if self.collector is not None:
             self.collector.ingest_probe(
                 probe_src=packet.src_addr,
-                probe_dst=self.host.addr,
+                probe_dst=host.addr,
                 seq=packet.seq,
-                sent_at=packet.message if isinstance(packet.message, float) else 0.0,
+                sent_at=sent_at,
                 received_at=received_at,
-                payload=packet.payload,
+                payload=payload,
                 final_link_latency=final_link_latency,
             )
             return
 
-        assert self.collector_addr is not None
-        report = self.host.new_packet(
-            self.collector_addr,
-            protocol=PROTO_UDP,
-            src_port=self.host.ephemeral_port(),
-            dst_port=PORT_PROBE_REPORT,
-            size_bytes=HEADER_OVERHEAD + len(packet.payload) + 24,
-            message=(
-                packet.src_addr,
-                self.host.addr,
-                packet.seq,
-                packet.message if isinstance(packet.message, float) else 0.0,
-                received_at,
-                packet.payload,
-                final_link_latency,
-            ),
+        src_port = host.ephemeral_port()
+        report = self._report.copy_patch(0, host.sim.now)
+        report.src_port = src_port
+        report.size_bytes = HEADER_OVERHEAD + len(payload) + 24
+        report.message = (
+            packet.src_addr, host.addr, packet.seq, sent_at, received_at, payload,
+            final_link_latency,
         )
         self.reports_forwarded += 1
-        self.host.send(report)
+        host.send(report)

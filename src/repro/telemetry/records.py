@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.p4.headers import IntHopRecord
+from repro.p4.headers import HopFields, IntHopRecord, IntStack
 
-__all__ = ["ProbeReport", "TelemetryNodeId", "switch_node", "host_node"]
+__all__ = ["ProbeReport", "TelemetryNodeId", "switch_node", "host_node", "path_key"]
 
 # Nodes in the *inferred* topology are identified either by INT switch id or
 # by edge-node address; a small tagged union keeps the two spaces disjoint.
@@ -20,6 +20,12 @@ def switch_node(switch_id: int) -> TelemetryNodeId:
 
 def host_node(addr: int) -> TelemetryNodeId:
     return ("host", addr)
+
+
+def path_key(probe_src: int, probe_dst: int, hops: Sequence[HopFields]) -> Tuple[int, ...]:
+    """``(probe_src, probe_dst, *switch_ids)``: what fixes a probe's path.
+    Routes are static, so per-path work keyed by it is done once."""
+    return (probe_src, probe_dst, *[hop[0] for hop in hops])
 
 
 @dataclass(slots=True)
@@ -47,6 +53,15 @@ class ProbeReport:
     @property
     def hop_count(self) -> int:
         return len(self.records)
+
+    def hop_fields(self) -> List[HopFields]:
+        """``(switch_id, max_qdepth, link_latency)`` per hop, in path order:
+        what the collector side ingests, read without building a record
+        per hop from a wire stack."""
+        records = self.records
+        if type(records) is IntStack:
+            return records.hop_fields()
+        return [(r.switch_id, r.max_qdepth, r.link_latency) for r in records]
 
     def path_nodes(self) -> List[TelemetryNodeId]:
         """The inferred path: src host, each switch in stack order, dst host

@@ -216,3 +216,75 @@ class TestUpdateMatchesReference:
         assert store.reports_processed > 500
         assert store.topology.edges() == set(links)
         assert any(len(s.qdepth_readings) > 1 for s in links.values())
+
+    def test_plan_cached_update_equals_reference_on_a_mixed_stream(self):
+        """Ingest plans are resolved once per path and then reused: a
+        stream that interleaves first-seen and repeated paths, wire stacks
+        and hand-built lists of the same probes, and NO_LATENCY first hops
+        must leave every link state, node stamp, link count and topology
+        version where the reference leaves them, after every report."""
+        from repro.core.topology_inference import InferredTopology
+
+        clock = _Now()
+        store = TelemetryStore(clock, staleness=2.0, qdepth_window=0.05)
+        links, node_seen = {}, {}
+        topology = InferredTopology()
+        stream = _mixed_reports()
+        kinds = {
+            (type(report.records).__name__, bool(report.records)
+             and report.records[0].link_latency is None)
+            for _now, report in stream
+        }
+        assert kinds >= {("IntStack", False), ("IntStack", True), ("list", False),
+                         ("list", True)}
+        for now, report in stream:
+            clock.now = now
+            store.update(report)
+            _reference_update(links, node_seen, report, now, store.qdepth_window)
+            topology.observe_path(report.path_nodes())
+            assert store._links == links
+            assert list(store._links) == list(links)
+            assert store._node_seen == node_seen
+            assert list(store._node_seen) == list(node_seen)
+            assert store.known_link_count() == len(links)
+            assert store.topology.version == topology.version
+        keys = {(r.probe_src, r.probe_dst, *[h.switch_id for h in r.records])
+                for _now, r in stream}
+        assert len(store._ingest_plans) == len(keys) < len(stream) // 2
+
+
+def _wire(hops):
+    """A wire stack through the switch-side append, from ``(switch_id,
+    qdepth, latency)`` triples (``None``: the NO_LATENCY sentinel)."""
+    from repro.p4.headers import append_hop_fields, decode_probe_payload, encode_probe_header
+
+    payload = encode_probe_header(0)
+    for i, (switch_id, qdepth, latency) in enumerate(hops):
+        payload = append_hop_fields(payload, switch_id, 1, qdepth, latency, 0.001 * i)
+    return decode_probe_payload(payload)
+
+
+def _mixed_reports():
+    """The recorded stream with hand-built list twins of every fifth report
+    (same probe, same path key, list form) and, every 40 reports, a probe
+    over one of three synthetic paths whose first hop carries NO_LATENCY,
+    alternately as a wire stack and as a list: the first of each is a
+    first-seen path, the rest repeat it."""
+    import dataclasses
+
+    synthetic = [
+        (31, 32, [(201, 4, None), (202, 0, 0.004), (203, 7, 0.005)], 0.003),
+        (31, 33, [(201, 1, None), (204, 2, 0.002)], None),
+        (32, 31, [(203, 0, None)], 0.006),
+    ]
+    out = []
+    for i, (now, report) in enumerate(_recorded_reports()):
+        out.append((now, report))
+        if i % 5 == 0:
+            out.append((now, dataclasses.replace(report, records=list(report.records))))
+        if i % 40 == 20:
+            src, dst, hops, final = synthetic[(i // 40) % len(synthetic)]
+            wire = _wire([(s, q + i % 3, lat) for s, q, lat in hops])
+            records = wire if (i // 40) % 2 else list(wire)
+            out.append((now, ProbeReport(src, dst, i, 0.0, 0.0, records, final)))
+    return out

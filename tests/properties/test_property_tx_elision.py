@@ -200,3 +200,83 @@ def test_the_property_reaches_the_cases_it_names():
         (a, b) for a, b in zip(ingress, ingress[1:]) if a[0] == b[0]
     ]
     assert tied and all(a[3] < b[3] for a, b in tied)     # ta's frame first
+
+
+def _run_tied(slowpath, switches, senders, capacity, ops):
+    """Tie-dense twin of :func:`_run`: ``senders`` jitter-free hosts on one
+    switch, every link at one rate and one delay, each op a burst every
+    sender starts at the same instant toward the one receiver behind the
+    last switch.  Returns the hop trace as ``(time, node, kind, packet,
+    seq)`` tuples, packets numbered from the run's first."""
+    with pytest.MonkeyPatch.context() as mp:
+        if slowpath:
+            mp.setenv("REPRO_SLOWPATH", "1")
+        else:
+            mp.delenv("REPRO_SLOWPATH", raising=False)
+        sim = Simulator()
+        net = Network(
+            sim, RandomStreams(3), clock_offset_std=0.0, clock_jitter_std=0.0,
+            switch_service_jitter=0.0, default_queue_capacity=capacity,
+        )
+        names = [f"s{i + 1:02d}" for i in range(switches)]
+        for name in names:
+            net.add_switch(name)
+        for left, right in zip(names, names[1:]):
+            net.connect(left, right, rate_bps=mbps(20), delay=ms(1))
+        hosts = [f"g{i}" for i in range(senders)]
+        for host in hosts:
+            net.add_host(host)
+            net.attach_host(host, names[0], fabric_rate_bps=mbps(20), delay=ms(1))
+        net.add_host("r")
+        net.attach_host("r", names[-1], fabric_rate_bps=mbps(20), delay=ms(1))
+        net.finalize()
+    tracer = PacketTracer([*net.hosts.values(), *net.switches.values()])
+    dst = net.address_of("r")
+    seqs = iter(range(1, 1_000_000))
+
+    def send(src_name, sizes, probe):
+        src = net.host(src_name)
+        for i, size in enumerate(sizes):
+            if probe and i == 0:
+                pkt = src.new_packet(
+                    dst, dst_port=PORT_PROBE, size_bytes=256, seq=next(seqs),
+                    payload=encode_probe_header(0), flags=FLAG_PROBE,
+                )
+            else:
+                pkt = src.new_packet(dst, dst_port=5, size_bytes=size, seq=next(seqs))
+            src.send(pkt)
+
+    for slot, sizes, probe in ops:
+        for host in hosts:
+            sim.schedule_at((slot + TWIN_FRAC) * SLOT, send, host, sizes, probe)
+    sim.run()
+    first_id = min((e.packet_id for e in tracer.events), default=0)
+    return [(e.time, e.node, e.kind, e.packet_id - first_id, e.seq) for e in tracer.events]
+
+
+@given(
+    switches=st.integers(1, 3),
+    senders=st.integers(2, 4),
+    capacity=st.sampled_from([2, 5, 64]),
+    ops=st.lists(twin_op, min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_ties_over_equal_delays_keep_start_order(switches, senders, capacity, ops):
+    """DESIGN.md §7 "Tie order": deliveries over equal propagation delays
+    keep their start order.  Hosts that start equal frames at the same
+    instant deliver them at the same instant at every node on the way; the
+    elided run must order those tied arrivals as the per-frame oracle
+    does, and both in the order the frames started on the upstream wire
+    (the packet's latest egress before the arrival)."""
+    fast = _run_tied(False, switches, senders, capacity, ops)
+    assert fast == _run_tied(True, switches, senders, capacity, ops)
+    started = {}        # packet -> trace index of its latest egress
+    arrivals = {}       # (time, node) -> start indices of the packets arriving
+    for index, (time, node, kind, packet, _seq) in enumerate(fast):
+        if kind == "egress":
+            started[packet] = index
+        elif kind == "ingress":
+            arrivals.setdefault((time, node), []).append(started[packet])
+    tied = [starts for starts in arrivals.values() if len(starts) > 1]
+    assert tied          # every op's first frames tie at the first switch
+    assert all(starts == sorted(starts) for starts in tied)

@@ -38,6 +38,13 @@ class TestProbeSender:
         with pytest.raises(TelemetryError):
             ProbeSender(line3.host("h1"), [])
 
+    def test_only_self_target_rejected(self, sim, line3):
+        """Its own address is dropped before the target list is checked: a
+        sender left with no target fails at construction, not at its
+        first tick."""
+        with pytest.raises(TelemetryError, match="at least one target"):
+            ProbeSender(line3.host("h1"), [line3.address_of("h1")])
+
     def test_bad_interval_rejected(self, sim, line3):
         with pytest.raises(TelemetryError):
             ProbeSender(line3.host("h1"), [1], interval=0.0)
