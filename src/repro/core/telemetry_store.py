@@ -40,7 +40,7 @@ EWMA_ALPHA = 0.3                 # weight of the newest latency sample
 _EWMA_KEEP = 1.0 - EWMA_ALPHA    # weight of the running average
 
 
-@dataclass(slots=True)
+@dataclass
 class LinkState:
     """Latest telemetry for one directed link, and the two rules that turn
     it into the value a ranking charges (:meth:`delay`, :meth:`qdepth`)."""

@@ -182,39 +182,9 @@ def encode_probe_header(hop_count: int = 0) -> bytes:
     return _HEADERS[hop_count]
 
 
-def _pack_record(
-    switch_id: int,
-    egress_port: int,
-    max_qdepth: int,
-    link_latency: Optional[float],
-    egress_ts: float,
-) -> bytes:
-    """One wire record with saturating clamps, as a width-limited P4 header
-    field would."""
-    if max_qdepth > _MAX_QDEPTH:
-        max_qdepth = _MAX_QDEPTH
-    if link_latency is None:
-        latency_us = NO_LATENCY
-    else:
-        latency_us = int(round(link_latency * 1e6))
-        if latency_us < _I32_MIN:
-            latency_us = _I32_MIN
-        elif latency_us > _I32_MAX:
-            latency_us = _I32_MAX
-    return _RECORD.pack(
-        switch_id, egress_port, max_qdepth, latency_us, int(round(egress_ts * 1e6))
-    )
-
-
 def encode_hop_record(record: IntHopRecord) -> bytes:
     """Serialize one hop record."""
-    return _pack_record(
-        record.switch_id,
-        record.egress_port,
-        record.max_qdepth,
-        record.link_latency,
-        record.egress_ts,
-    )
+    return append_hop_fields(_HEADERS[0], *record)[PROBE_HEADER_SIZE:]
 
 
 def _hop_count(payload: bytes) -> int:
@@ -269,6 +239,7 @@ def append_hop_fields(
     hops, rest = divmod(len(payload) - PROBE_HEADER_SIZE, HOP_RECORD_SIZE)
     if rest or not 0 <= hops < 0xFF or payload[:PROBE_HEADER_SIZE] != _HEADERS[hops]:
         _reject_append(payload)
+    # Saturating clamps, as a width-limited P4 header field would.
     if max_qdepth > _MAX_QDEPTH:
         max_qdepth = _MAX_QDEPTH
     if link_latency is None:

@@ -52,7 +52,6 @@ class IntCollector:
 
     def ingest_probe(
         self,
-        *,
         probe_src: int,
         probe_dst: int,
         seq: int,
@@ -62,25 +61,9 @@ class IntCollector:
         final_link_latency: Optional[float],
     ) -> Optional[ProbeReport]:
         """Validate one probe payload and publish the report.  Malformed
-        payloads are counted and dropped, as a hardened collector would."""
-        return self._ingest(
-            probe_src, probe_dst, seq, sent_at, received_at, payload, final_link_latency
-        )
-
-    def _ingest(
-        self,
-        probe_src: int,
-        probe_dst: int,
-        seq: int,
-        sent_at: float,
-        received_at: float,
-        payload: bytes,
-        final_link_latency: Optional[float],
-    ) -> Optional[ProbeReport]:
-        """:meth:`ingest_probe`, positional: a wrapped report's fields in
-        their wire order."""
-        sim = self.host.sim
-        obs = sim.obs
+        payloads are counted and dropped, as a hardened collector would.
+        The parameters are in a wrapped report's wire order."""
+        obs = self.host.sim.obs
         try:
             records = decode_probe_payload(payload)
         except PacketError as exc:
@@ -92,8 +75,14 @@ class IntCollector:
                 )
             return None
         report = ProbeReport(
-            probe_src, probe_dst, seq, sent_at, received_at, records,
-            final_link_latency, sim.now,
+            probe_src=probe_src,
+            probe_dst=probe_dst,
+            seq=seq,
+            sent_at=sent_at,
+            received_at=received_at,
+            records=records,
+            final_link_latency=final_link_latency,
+            collected_at=self.host.sim.now,
         )
         self.reports_ingested += 1
         self.last_report = report
@@ -165,4 +154,4 @@ class IntCollector:
                     src=msg[0], dst=msg[1], seq=msg[2],
                 )
             return
-        self._ingest(*msg)
+        self.ingest_probe(*msg)

@@ -13,10 +13,10 @@ elision assigns at a different moment than the oracle does (DESIGN.md §7),
 so the schedule keeps *accidental* ties out: host ``i`` sends on its own
 grid ``(k + frac_i) * SLOT``, offset from every other host's by an amount no
 sum of frame times (whole multiples of 40 ns) can bridge.  The *deliberate*
-tie is the case the design keeps in order: the jitter-free twins ``ta`` and
-``tb`` share one grid, hang off one switch and always send equal frames at
-the same instant to the same destination, so their deliveries tie at every
-queue on the way — and must keep their order.
+tie is the case the design keeps in order: the jitter-free twins (``ta``,
+``tb``, ...) share one grid, hang off one switch and always send equal
+frames at the same instant to the same destination, so their deliveries tie
+at every queue on the way — and must keep their order.
 """
 
 import pytest
@@ -36,6 +36,7 @@ from repro.units import mbps, ms
 SLOT = 5.0000005e-6          # 5 us: a 1200 B frame holds an uplink ~10 slots
 FRACS = (0.137258, 0.291731, 0.443519, 0.618034)     # host i's grid offset
 TWIN_FRAC = 0.774597
+TWINS = ("ta", "tb", "tc", "td")
 SIZES = (64, 300, 1200, 1500)
 
 burst = st.lists(st.sampled_from(SIZES), min_size=1, max_size=12)
@@ -49,7 +50,10 @@ op = st.tuples(
 twin_op = st.tuples(st.integers(0, 400), burst, st.booleans())
 
 
-def _run(slowpath, case, until):
+def _run(slowpath, case, until, twins=2):
+    """Run ``case``; return its observable state, the heap pushes made and
+    the hop trace as ``(time, node, kind, packet, seq)`` tuples in global
+    order, packets numbered from the run's first."""
     switches, attach, twins_at, jitter, capacity, ops, twin_ops = case
     with pytest.MonkeyPatch.context() as mp:
         if slowpath:
@@ -68,10 +72,11 @@ def _run(slowpath, case, until):
             net.connect(left, right, rate_bps=mbps(20), delay=ms(1))
         hosts = [f"h{i}" for i in range(len(attach))]
         fracs = dict(zip(hosts, FRACS))
-        if twin_ops:
-            hosts += ["ta", "tb"]
-            fracs["ta"] = fracs["tb"] = TWIN_FRAC
-            attach = [*attach, twins_at, twins_at]
+        twin_names = list(TWINS[:twins]) if twin_ops else []
+        for twin in twin_names:
+            hosts.append(twin)
+            fracs[twin] = TWIN_FRAC
+            attach = [*attach, twins_at]
         for host, at in zip(hosts, attach):
             net.add_host(host)
             net.attach_host(
@@ -117,11 +122,12 @@ def _run(slowpath, case, until):
             dst = plain[(receiver + 1) % len(plain)]
         sim.schedule_at((slot + fracs[src]) * SLOT, send, src, dst, sizes, probe)
     for slot, sizes, probe in twin_ops:
-        for twin in ("ta", "tb"):
+        for twin in twin_names:
             sim.schedule_at((slot + TWIN_FRAC) * SLOT, send, twin, plain[0], sizes, probe)
     sim.run(until=until)
 
     first_id = min((e.packet_id for e in tracer.events), default=0)
+    trace = [(e.time, e.node, e.kind, e.packet_id - first_id, e.seq) for e in tracer.events]
     hops = {node.name: [] for node in nodes}
     for e in tracer.events:
         hops[e.node].append(
@@ -155,7 +161,7 @@ def _run(slowpath, case, until):
         "ports": ports,
         "switches": switches_state,
         "bytes_carried": {n: dict(link.bytes_carried) for n, link in net.links.items()},
-    }, sim._seq
+    }, sim._seq, trace
 
 
 @given(
@@ -173,8 +179,8 @@ def test_elided_run_equals_the_per_frame_oracle(
     switches, attach, twins_at, jitter, capacity, ops, twin_ops, until
 ):
     case = (switches, attach, twins_at, jitter, capacity, ops, twin_ops)
-    fast, fast_pushes = _run(False, case, until)
-    slow, slow_pushes = _run(True, case, until)
+    fast, fast_pushes, _ = _run(False, case, until)
+    slow, slow_pushes, _ = _run(True, case, until)
     assert fast == slow
     if until is None:       # a cut can fall between a frame's start and its end
         assert fast_pushes <= slow_pushes
@@ -190,8 +196,8 @@ def test_the_property_reaches_the_cases_it_names():
          (0, 1, 4, [1200], False), (1, 0, 200, [1200], True)],
         [(10, [1200, 1200], False), (14, [300], False)],
     )
-    fast, fast_pushes = _run(False, case, None)
-    slow, slow_pushes = _run(True, case, None)
+    fast, fast_pushes, _ = _run(False, case, None)
+    slow, slow_pushes, _ = _run(True, case, None)
     assert fast == slow and fast_pushes < slow_pushes
     assert fast["refused"] and any(p[6] for p in fast["ports"].values())
     assert sum(s[2] for s in fast["switches"].values()) >= 2
@@ -202,77 +208,31 @@ def test_the_property_reaches_the_cases_it_names():
     assert tied and all(a[3] < b[3] for a, b in tied)     # ta's frame first
 
 
-def _run_tied(slowpath, switches, senders, capacity, ops):
-    """Tie-dense twin of :func:`_run`: ``senders`` jitter-free hosts on one
-    switch, every link at one rate and one delay, each op a burst every
-    sender starts at the same instant toward the one receiver behind the
-    last switch.  Returns the hop trace as ``(time, node, kind, packet,
-    seq)`` tuples, packets numbered from the run's first."""
-    with pytest.MonkeyPatch.context() as mp:
-        if slowpath:
-            mp.setenv("REPRO_SLOWPATH", "1")
-        else:
-            mp.delenv("REPRO_SLOWPATH", raising=False)
-        sim = Simulator()
-        net = Network(
-            sim, RandomStreams(3), clock_offset_std=0.0, clock_jitter_std=0.0,
-            switch_service_jitter=0.0, default_queue_capacity=capacity,
-        )
-        names = [f"s{i + 1:02d}" for i in range(switches)]
-        for name in names:
-            net.add_switch(name)
-        for left, right in zip(names, names[1:]):
-            net.connect(left, right, rate_bps=mbps(20), delay=ms(1))
-        hosts = [f"g{i}" for i in range(senders)]
-        for host in hosts:
-            net.add_host(host)
-            net.attach_host(host, names[0], fabric_rate_bps=mbps(20), delay=ms(1))
-        net.add_host("r")
-        net.attach_host("r", names[-1], fabric_rate_bps=mbps(20), delay=ms(1))
-        net.finalize()
-    tracer = PacketTracer([*net.hosts.values(), *net.switches.values()])
-    dst = net.address_of("r")
-    seqs = iter(range(1, 1_000_000))
-
-    def send(src_name, sizes, probe):
-        src = net.host(src_name)
-        for i, size in enumerate(sizes):
-            if probe and i == 0:
-                pkt = src.new_packet(
-                    dst, dst_port=PORT_PROBE, size_bytes=256, seq=next(seqs),
-                    payload=encode_probe_header(0), flags=FLAG_PROBE,
-                )
-            else:
-                pkt = src.new_packet(dst, dst_port=5, size_bytes=size, seq=next(seqs))
-            src.send(pkt)
-
-    for slot, sizes, probe in ops:
-        for host in hosts:
-            sim.schedule_at((slot + TWIN_FRAC) * SLOT, send, host, sizes, probe)
-    sim.run()
-    first_id = min((e.packet_id for e in tracer.events), default=0)
-    return [(e.time, e.node, e.kind, e.packet_id - first_id, e.seq) for e in tracer.events]
-
-
 @given(
     switches=st.integers(1, 3),
-    senders=st.integers(2, 4),
+    attach=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    twins_at=st.integers(0, 2),
+    twins=st.integers(2, len(TWINS)),
     capacity=st.sampled_from([2, 5, 64]),
-    ops=st.lists(twin_op, min_size=1, max_size=6),
+    twin_ops=st.lists(twin_op, min_size=1, max_size=6),
 )
 @settings(max_examples=40, deadline=None)
-def test_ties_over_equal_delays_keep_start_order(switches, senders, capacity, ops):
+def test_ties_over_equal_delays_keep_start_order(
+    switches, attach, twins_at, twins, capacity, twin_ops
+):
     """DESIGN.md §7 "Tie order": deliveries over equal propagation delays
-    keep their start order.  Hosts that start equal frames at the same
-    instant deliver them at the same instant at every node on the way; the
-    elided run must order those tied arrivals as the per-frame oracle
-    does, and both in the order the frames started on the upstream wire
-    (the packet's latest egress before the arrival)."""
-    fast = _run_tied(False, switches, senders, capacity, ops)
-    assert fast == _run_tied(True, switches, senders, capacity, ops)
+    keep their start order.  Jitter-free twins that start equal frames at
+    the same instant deliver them at the same instant at every node on the
+    way; the elided run must order those tied arrivals as the per-frame
+    oracle does, and both in the order the frames started on the upstream
+    wire (the packet's latest egress before the arrival)."""
+    case = (switches, attach, twins_at, 0.0, capacity, [], twin_ops)
+    fast, _, fast_trace = _run(False, case, None, twins)
+    slow, _, slow_trace = _run(True, case, None, twins)
+    assert fast == slow and fast_trace == slow_trace
     started = {}        # packet -> trace index of its latest egress
     arrivals = {}       # (time, node) -> start indices of the packets arriving
-    for index, (time, node, kind, packet, _seq) in enumerate(fast):
+    for index, (time, node, kind, packet, _seq) in enumerate(fast_trace):
         if kind == "egress":
             started[packet] = index
         elif kind == "ingress":
