@@ -141,6 +141,8 @@ class Observability:
         # Satellite: the bounded audit drops silently past its cap; the
         # export emits one warning event carrying the final drop count.
         self._audit_overflow_warned = False
+        # (port, link_bytes_total counter) per link direction.
+        self._link_counters: List[Tuple[Any, Counter]] = []
 
     def __bool__(self) -> bool:
         return True
@@ -177,11 +179,13 @@ class Observability:
                         self._on_queue_threshold(_label, depth, _thr, direction)
                     )
                 )
-        for name, link in network.links.items():
-            link.obs_counters = {
-                "a": self.metrics.counter("link_bytes_total", link=name, direction="a"),
-                "b": self.metrics.counter("link_bytes_total", link=name, direction="b"),
-            }
+        # Carried bytes live in the sending ports' books; the counters read
+        # them when the hub snapshots or summarises (_read_link_counters).
+        self._link_counters = [
+            (port, self.metrics.counter("link_bytes_total", link=name, direction=key))
+            for name, link in network.links.items()
+            for key, port in (("a", link.port_a), ("b", link.port_b))
+        ]
         for entry, instance in self.observers:
             entry.network(instance, self, network)
 
@@ -425,8 +429,16 @@ class Observability:
 
     # -- export ------------------------------------------------------------
 
+    def _read_link_counters(self) -> None:
+        """Bring ``link_bytes_total`` up to now: value and ``updated_at`` as
+        a per-frame increment at each completion would have left them."""
+        for port, counter in self._link_counters:
+            counter.value = float(port.bytes_carried)
+            counter.updated_at = port.carried_at
+
     def snapshot_records(self) -> List[Dict[str, Any]]:
         """Every record this hub holds, JSON-ready, run labels attached."""
+        self._read_link_counters()
         # The audit drops decisions silently once full; surface the final
         # count as a single warning event at export time (one-shot so
         # repeated snapshots stay stable, and runs that never drop export
@@ -468,6 +480,7 @@ class Observability:
 
     def summary(self) -> Dict[str, Any]:
         """Compact run-level digest (the ``run-summary`` exporter)."""
+        self._read_link_counters()
         out = {
             "run": dict(self.run),
             "instruments": len(self.metrics),

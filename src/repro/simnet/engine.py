@@ -39,7 +39,8 @@ _CALIBRATION_REPEATS = 5
 # never compared.  The callback and its arguments live in the tuple itself so
 # the hot loop never touches handle attributes — and fire-and-forget events
 # posted via :meth:`Simulator.post` carry ``None`` in the handle slot,
-# skipping the ``EventHandle`` allocation entirely.
+# skipping the ``EventHandle`` allocation entirely.  A sentinel (see
+# :meth:`Simulator.run`) carries ``None`` in the callback slot too.
 _HeapEntry = Tuple[float, int, Optional["EventHandle"], Callable[..., Any], tuple]
 
 
@@ -178,18 +179,17 @@ class EngineProfiler:
         self._path = path
 
     def phase_end(self) -> None:
-        """Close the innermost open phase scope.  The record lookup happens
-        before the closing clock read, inside the span it records, so only
-        the in-place adds after the read fall outside phase coverage."""
-        entry = self.phases.get(self._path)
-        t = _perf_counter()
-        parent, start = self._stack.pop()
+        """Close the innermost open phase scope.  The record lookup, the
+        count and the stack pop happen before the closing clock read, inside
+        the span it records, so only the time add after the read falls
+        outside phase coverage."""
+        path = self._path
+        entry = self.phases.get(path)
         if entry is None:
-            self.phases[self._path] = [1, t - start]
-        else:
-            entry[0] += 1
-            entry[1] += t - start
-        self._path = parent
+            entry = self.phases[path] = [0, 0.0]
+        entry[0] += 1
+        self._path, start = self._stack.pop()
+        entry[1] += _perf_counter() - start
 
     def phase_next(self, name: str) -> None:
         """Close the current scope and open a sibling named ``name`` with a
@@ -441,7 +441,6 @@ class Simulator:
         # entries the heap is compacted in one O(n) rebuild.  Every other
         # entry is live, so pending_events() is one subtraction.
         self._tombstones: int = 0
-        self.events_executed: int = 0
         self.events_cancelled: int = 0
         # Observability hub (repro.obs.Observability) or None when disabled.
         # Instrumented components read this at call time and guard with one
@@ -454,9 +453,12 @@ class Simulator:
         # EngineProfiler or None.  run() dispatches to a separate profiled
         # loop when set, so the unprofiled hot loop stays untouched.
         self.profiler: Optional[EngineProfiler] = None
-        # Callbacks that bring lazily kept counters up to `now` (see
-        # settle_on_return).
-        self._settlers: List[Callable[[], None]] = []
+        # Events dispatched, and the ports whose elided transmit completions
+        # events_executed credits (see there).
+        self._dispatched = 0
+        self._ports: List[Any] = []
+        # Window-edge and stop entries in the heap (see run()).
+        self._sentinels = 0
 
     # -- clock ------------------------------------------------------------
 
@@ -464,6 +466,14 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def events_executed(self) -> int:
+        """Events dispatched, plus one per transmit completion at or before
+        ``now`` that a port elided (``Port.completions_elided``): what one
+        event per completion would have counted, exact inside a handler
+        too."""
+        return self._dispatched + sum(port.completions_elided for port in self._ports)
 
     # -- scheduling -------------------------------------------------------
 
@@ -567,24 +577,12 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
-    def settle_on_return(self, settle: Callable[[], None]) -> None:
-        """Register a component that keeps exact counters lazily.  A port
-        whose transmit completion had nothing to do posts no event for it
-        and owes its bookkeeping — one ``events_executed`` credit included —
-        until somebody looks; ``settle()`` applies whatever lies at or
-        before ``now``.  :meth:`run` and :meth:`step` call every registered
-        callback before they return, so code outside the simulation never
-        sees a counter behind the clock."""
-        self._settlers.append(settle)
-
-    def settle(self) -> None:
-        """Bring every lazily kept counter up to ``now`` — for code that
-        reads ``events_executed`` from inside a running simulation."""
-        for settle in self._settlers:
-            settle()
-
     def step(self) -> bool:
-        """Run the single next event.  Returns False when the queue is empty."""
+        """Run the single next event.  Returns False when the queue is empty.
+        Not from inside :meth:`run`: the event would run nested in the
+        current one."""
+        if self._running:
+            raise SimulationError("step() called from inside run()")
         while self._heap:
             time, _seq, handle, fn, args = heapq.heappop(self._heap)
             if handle is not None:
@@ -593,9 +591,8 @@ class Simulator:
                     continue
                 handle.fired = True
             self._now = time
-            self.events_executed += 1
+            self._dispatched += 1
             fn(*args)
-            self.settle()
             return True
         return False
 
@@ -607,51 +604,54 @@ class Simulator:
         even if the last event fired earlier, so back-to-back ``run`` calls
         behave like contiguous wall-clock windows.
 
-        ``events_executed`` counts one per dispatch as it happens, plus one
-        per transmit completion a port elided (credited when the port books
-        it: at its next frame start, on a read, or here on return — see
-        :meth:`settle_on_return`), so on return it equals what one event per
-        completion would have counted up to ``now``.  ``max_events`` bounds
-        dispatches only; a profiler's ``events_total`` follows
-        ``events_executed``.
+        The window edge is one sentinel entry, ``(until, inf, None, None,
+        None)``: it sorts after every event at ``until``, those scheduled
+        during the run included, and ends the loop when popped — as a
+        :meth:`stop` entry ``(now, -1, ...)`` does before any other event at
+        ``now``.  No ``until`` is an edge at infinity, so the loop tests
+        neither the heap top nor a flag per event.  Sentinels left behind
+        (a stop, a budget, a raising handler) are purged on return.
+        ``max_events`` bounds dispatches; a profiler's ``events_total``
+        follows ``events_executed``.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stop_requested = False
-        executed = 0
         counted = self.events_executed
-        # No window edge is an infinite one, and no budget is one the
-        # dispatch count never equals (it is 1 or more at every test), so
-        # the loops below test each bound with one comparison.
-        limit = _INF if until is None else until
-        budget = 0 if max_events is None else max(max_events, 1)
+        executed = 0
+        heap = self._heap
+        heapq.heappush(heap, (_INF if until is None else until, _INF, None, None, None))
+        self._sentinels += 1
         try:
-            heap = self._heap
-            pop = heapq.heappop
             if self.profiler is not None:
-                executed = self._run_profiled(limit, budget)
+                executed = self._run_profiled(0 if max_events is None else max(max_events, 1))
+            elif max_events is not None:
+                self._run_budgeted(max(max_events, 1))
             else:
                 # Hot loop: the heap, its pop and the event's own fields are
-                # locals; the clock and `events_executed` are stored per
+                # locals; the clock and the dispatch count are stored per
                 # event because handlers read them.
-                while heap and not self._stop_requested:
-                    if heap[0][0] > limit:
-                        break
+                pop = heapq.heappop
+                while True:
                     time, _seq, handle, fn, args = pop(heap)
                     if handle is not None:
                         if handle.cancelled:
                             self._tombstones -= 1
                             continue
                         handle.fired = True
-                    self._now = time
-                    self.events_executed += 1
-                    fn(*args)
-                    executed += 1
-                    if executed == budget:
+                    elif fn is None:
                         break
+                    self._now = time
+                    self._dispatched += 1
+                    fn(*args)
+                self._sentinels -= 1
         finally:
             self._running = False
+            if self._sentinels:
+                heap[:] = [entry for entry in heap if entry[3] is not None]
+                heapq.heapify(heap)
+                self._sentinels = 0
         if until is not None and self._now < until and not self._stop_requested:
             # Jump to the window edge only when no runnable event at or
             # before ``until`` was left behind.  Checking the heap directly
@@ -661,17 +661,34 @@ class Simulator:
             # exhausted with work pending must not skip over it.
             if not any(
                 t <= until and (h is None or not h.cancelled)
-                for t, _s, h, _f, _a in self._heap
+                for t, _s, h, _f, _a in heap
             ):
                 self._now = until
-        # After the clock jump: a completion elided inside the window's idle
-        # tail belongs to this call.
-        self.settle()
         if self.profiler is not None:
             # The profiled loop counted its dispatches; add the credits.
             self.profiler.events_total += self.events_executed - counted - executed
 
-    def _run_profiled(self, limit: float, budget: int) -> int:
+    def _run_budgeted(self, budget: int) -> None:
+        """The :meth:`run` loop with a dispatch budget."""
+        heap = self._heap
+        pop = heapq.heappop
+        executed = 0
+        while executed < budget:
+            time, _seq, handle, fn, args = pop(heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                handle.fired = True
+            elif fn is None:
+                self._sentinels -= 1
+                return
+            self._now = time
+            self._dispatched += 1
+            fn(*args)
+            executed += 1
+
+    def _run_profiled(self, budget: int) -> int:
         """The :meth:`run` loop with per-event profiling.  A separate copy so
         the unprofiled loop pays nothing; semantics are identical — the
         profiler observes, never perturbs, the event order."""
@@ -683,20 +700,22 @@ class Simulator:
         executed = 0
         loop_start = clock()
         try:
-            while heap and not self._stop_requested:
-                if heap[0][0] > limit:
+            while True:
+                time, _seq, handle, fn, args = pop(heap)
+                if handle is None and fn is None:
+                    self._sentinels -= 1
                     break
-                depth = len(heap)
+                # The queue length before the pop, sentinels not counted.
+                depth = len(heap) + 1 - self._sentinels
                 if depth > profiler.queue_high_water:
                     profiler.queue_high_water = depth
-                time, _seq, handle, fn, args = pop(heap)
                 if handle is not None:
                     if handle.cancelled:
                         self._tombstones -= 1
                         continue
                     handle.fired = True
                 self._now = time
-                self.events_executed += 1
+                self._dispatched += 1
                 name = getattr(fn, "__qualname__", None) or repr(fn)
                 profiler._path = name
                 t0 = clock()
@@ -721,17 +740,21 @@ class Simulator:
         return executed
 
     def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stop_requested = True
+        """Request that :meth:`run` return after the current event: a stop
+        entry that sorts before every other event at ``now``."""
+        if self._running:
+            self._stop_requested = True
+            self._sentinels += 1
+            heapq.heappush(self._heap, (self._now, -1, None, None, None))
 
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1): every
-        heap entry but the tombstones is live."""
-        return len(self._heap) - self._tombstones
+        heap entry but the tombstones and the sentinels is live."""
+        return len(self._heap) - self._tombstones - self._sentinels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={self._now:.6f} pending={len(self._heap)} "
+            f"<Simulator now={self._now:.6f} pending={self.pending_events()} "
             f"executed={self.events_executed}>"
         )
 

@@ -38,6 +38,7 @@ from repro.simnet.packet import (
     MTU,
     Packet,
 )
+from repro.simnet.random import prefetch
 
 __all__ = [
     "UdpCbrFlow",
@@ -106,9 +107,12 @@ class UdpCbrFlow:
         self._next: Optional[EventHandle] = None
         self._stopped = True
         self._seq = 0
-        # Prefetched exponential gaps (see _gap).
-        self._gap_buf: List[float] = []
-        self._gap_idx = 0
+        # Gaps between emissions: a Poisson flow's exponential draws,
+        # prefetched in blocks of 256 from the flow's own generator.
+        self._gaps = (
+            itertools.repeat(self.mean_gap) if burstiness == "cbr"
+            else prefetch(lambda: rng.exponential(self.mean_gap, 256))
+        )
         # Per-flow emission template: every frame of a CBR flow is identical
         # except for seq / timestamps, so emission is a copy-and-patch of
         # this prototype instead of a full Packet.__init__ per packet.  Its
@@ -123,7 +127,7 @@ class UdpCbrFlow:
         if not self._stopped:
             raise SimulationError("CBR flow already started")
         self._stopped = False
-        self._next = self.host.sim.schedule(delay + self._gap(), self._emit)
+        self._next = self.host.sim.schedule(delay + next(self._gaps), self._emit)
 
     def stop(self) -> None:
         if self._stopped:
@@ -137,22 +141,6 @@ class UdpCbrFlow:
         """Convenience: start after ``delay`` and stop after ``duration``."""
         self.start(delay)
         self.host.sim.schedule(delay + duration, self.stop)
-
-    def _gap(self) -> float:
-        if self.burstiness == "cbr":
-            return self.mean_gap
-        # A block draw hands out the very values scalar draws would; only
-        # the generator runs ahead of them, and the flow owns it (callers
-        # hand each flow a stream of its own).  A scalar numpy draw costs
-        # ~10x its share of a block.
-        i = self._gap_idx
-        buf = self._gap_buf
-        if i >= len(buf):
-            assert self._rng is not None
-            buf = self._gap_buf = self._rng.exponential(self.mean_gap, 256).tolist()
-            i = 0
-        self._gap_idx = i + 1
-        return buf[i]
 
     def _emit(self) -> None:
         if self._stopped:
@@ -171,9 +159,9 @@ class UdpCbrFlow:
             # path); fresh schedule when driven out-of-band.
             handle = self._next
             if handle is not None and handle.fired and not handle.cancelled:
-                sim.reschedule(handle, self._gap())
+                sim.reschedule(handle, next(self._gaps))
             else:
-                self._next = sim.schedule(self._gap(), self._emit)
+                self._next = sim.schedule(next(self._gaps), self._emit)
             return
         prof.phase_first("build")
         packet = self._template.copy_patch(self._seq, sim._now)
@@ -183,9 +171,9 @@ class UdpCbrFlow:
         self.bytes_emitted += self.packet_size
         handle = self._next
         if handle is not None and handle.fired and not handle.cancelled:
-            sim.reschedule(handle, self._gap())
+            sim.reschedule(handle, next(self._gaps))
         else:
-            self._next = sim.schedule(self._gap(), self._emit)
+            self._next = sim.schedule(next(self._gaps), self._emit)
         prof.phase_end()
 
 

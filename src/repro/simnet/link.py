@@ -20,7 +20,7 @@ propagation delay.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.errors import TopologyError
 
@@ -62,16 +62,6 @@ class Link:
         self.propagation_delay = propagation_delay
         self.port_a: Optional["Port"] = None
         self.port_b: Optional["Port"] = None
-        # Per-direction byte counters keyed by sending port, for utilization
-        # reporting (not visible to the scheduler, which must *infer* load).
-        # Exact whenever run() has returned; code running inside the
-        # simulation reads them through carried().
-        self.bytes_carried = {"a": 0, "b": 0}
-        # Observability: {"a": Counter, "b": Counter} installed by
-        # Observability.attach_network; None (one check per packet) otherwise.
-        # record_carried updates them in place — Counter.inc's own add, sign
-        # check and sim-time stamp without its three calls per frame.
-        self.obs_counters: Optional[dict] = None
         # -- fault-injection state (repro.faults) --------------------------
         # `impaired` is True iff the link is down or a loss rate is active:
         # a completing frame must then be checked for wire loss.  Rate
@@ -101,8 +91,8 @@ class Link:
             raise TopologyError(f"link {self.name!r} already attached")
         self.port_a = port_a
         self.port_b = port_b
-        port_a.wire("a", self.rate_ab_bps, port_b)
-        port_b.wire("b", self.rate_ba_bps, port_a)
+        port_a.wire(self.rate_ab_bps, port_b)
+        port_b.wire(self.rate_ba_bps, port_a)
 
     def rate_from(self, port: "Port") -> float:
         """Serialization rate for traffic *sent by* ``port``."""
@@ -221,33 +211,24 @@ class Link:
             return True
         return False
 
-    def record_carried(self, key: str, nbytes: int, at: float) -> None:
-        """Count a frame that finished serializing in direction ``key`` at
-        simulated time ``at`` (the hub counter's ``updated_at``)."""
-        self.bytes_carried[key] += nbytes
-        counters = self.obs_counters
-        if counters is not None:
-            if nbytes < 0:
-                raise ValueError(f"link {self.name}: negative frame size")
-            counter = counters[key]
-            counter.value += nbytes
-            counter.updated_at = at
-
     def carried(self, key: str) -> int:
         """Bytes fully serialized in direction ``key`` ("a": sent by
-        ``port_a``) as of now.  The read for code that runs *inside* the
-        simulation: the sending port may still owe the books a completion
-        whose event it elided (``Port.settle``).  Between ``run()`` calls
-        ``bytes_carried`` is exact as it stands."""
+        ``port_a``) as of now, frames lost on the wire excluded: the
+        sending port's books (``Port.bytes_carried``)."""
         port = self.port_a if key == "a" else self.port_b
-        assert port is not None
-        port.settle()
-        return self.bytes_carried[key]
+        return 0 if port is None else port.bytes_carried
+
+    @property
+    def bytes_carried(self) -> Dict[str, int]:
+        """Per-direction byte counters keyed by sending port, for utilization
+        reporting (not visible to the scheduler, which must *infer* load):
+        a read-only view of :meth:`carried`, exact at any instant."""
+        return {"a": self.carried("a"), "b": self.carried("b")}
 
     def utilization(self, port: "Port", window: float) -> float:
-        """Average utilization of the ``port``-outbound direction over a
-        ``window``-second interval ending now (requires caller to reset
-        counters per window)."""
+        """Utilization of the ``port``-outbound direction if every byte it
+        has carried so far fell in the last ``window`` seconds: the run's
+        mean when ``window`` is the time run so far."""
         if window <= 0:
             raise ValueError("window must be positive")
         key = "a" if port is self.port_a else "b"

@@ -53,10 +53,10 @@ class QueueSampler:
 
 
 def link_utilizations(network: Network, window: float) -> Dict[str, float]:
-    """True utilization of every link direction over the last ``window``
-    seconds (requires the caller to have reset ``bytes_carried`` at the
-    window start), each against its own direction's rate — access links are
-    asymmetric.  Keys are ``"<link name>:a"`` (sent by ``link.port_a``) and
+    """True utilization of every link direction, with every byte carried so
+    far counted against ``window`` seconds (the run's mean when ``window`` is
+    the time run so far), each against its own direction's rate — access
+    links are asymmetric.  Keys are ``"<link name>:a"`` (sent by ``link.port_a``) and
     ``"<link name>:b"``."""
     out: Dict[str, float] = {}
     for name, link in network.links.items():

@@ -20,15 +20,15 @@ when a frame starts serializing the port computes its completion instant
 posts a ``_tx_complete`` event only if another frame is already waiting — or
 later, when a :meth:`send` finds the serializer still busy.  Nothing runs
 ahead of simulated time: the egress stage, the service-jitter draw and every
-clock read happen at each frame's true start instant.  The completion's
-bookkeeping (``packets_sent``, the link byte counters, one credit to
-``events_executed``) is owed until the next frame start, the materialised
-completion, a reader (:meth:`settle`, ``Link.carried``) or ``run()``
-returning, whichever comes first, and then reads exactly what a per-frame
-completion would have written.  The per-frame event stays where completion
-has semantics of its own, which the link's ``per_frame`` flag says (see
-:class:`~repro.simnet.link.Link`): wire-loss draws and link state are then
-read at ``t1``.
+clock read happen at each frame's true start instant.  The books
+(``packets_sent``, the link byte counters, the elided completions
+``events_executed`` credits) are written when a frame starts, and every
+reader discounts the one frame still on the wire (``now < _busy_until``), so
+they read exactly what a per-frame completion would have written.  The
+per-frame event stays where completion has semantics of its own, which the
+link's ``per_frame`` flag says (see :class:`~repro.simnet.link.Link`):
+wire-loss draws and link state are then read at ``t1``, and a frame lost on
+the wire takes its bytes back.
 
 **The hop.**  A frame's life is a short chain of frames: the engine pops the
 delivery, the receiving node's entry point runs (a switch's compiled hop:
@@ -73,35 +73,38 @@ class Port:
         # on the hot path; subclasses (RedEcnQueue, test doubles) keep
         # virtual dispatch.
         self._plain_queue = type(self.queue) is DropTailQueue
-        self.packets_sent = 0
         self.packets_dropped = 0
         # Hot-path caches: the simulator, its heap (compaction rewrites that
         # list in place, so the alias holds) and the bound completion
         # callback (so scheduling does not rebuild a method object per
         # frame).  Link.attach wires the rest once both ends exist: this
-        # port's direction key on the link ("a"/"b"), that direction's
-        # serialization rate, the peer port and the entry point frames are
-        # delivered to.  `_egress` is this node's egress stage.  Both slots
-        # hold what Node.entry_points returns; a switch rebinds them when its
-        # program compiles (handlers are never replaced on an instance, see
-        # tests/simnet/test_source_rules.py).
+        # direction's serialization rate, the peer port and the entry point
+        # frames are delivered to.  `_egress` is this node's egress stage.
+        # Both slots hold what Node.entry_points returns; a switch rebinds
+        # them when its program compiles (handlers are never replaced on an
+        # instance, see tests/simnet/test_source_rules.py).
         self._sim = node.sim
         self._heap = node.sim._heap
         self._tx_complete_cb = self._tx_complete
-        self._dir_key = ""
         self._rate = 0.0
         self._peer: Optional["Port"] = None
         self._deliver: Optional[Callable[[Packet, "Port"], None]] = None
         self._egress: Callable[[Packet, "Port", int], None] = node.entry_points()[1]
         # Serializer state.  `_busy_until` is the completion instant of the
         # frame in service (or of the last one); `_completion_posted` says a
-        # _tx_complete event for it is on the heap; `_owed` is the size of a
-        # frame whose completion was elided and is not on the books yet (0:
-        # nothing owed; a frame is never empty).
+        # _tx_complete event for it is on the heap.
         self._busy_until = 0.0
         self._completion_posted = False
-        self._owed = 0
-        node.sim.settle_on_return(self.settle)
+        # The books, written at frame start: frames started, their bytes
+        # (less those lost on the wire), the size of the frame in service,
+        # the completion instant of the last frame carried before it, and
+        # the completion events posted.
+        self._sent = 0
+        self._bytes = 0
+        self._frame_bytes = 0
+        self._carried_at = 0.0
+        self._posted = 0
+        node.sim._ports.append(self)
 
     # -- identity -----------------------------------------------------------
 
@@ -114,9 +117,8 @@ class Port:
     def peer(self) -> "Port":
         return self.link.peer_of(self)
 
-    def wire(self, dir_key: str, rate_bps: float, peer: "Port") -> None:
+    def wire(self, rate_bps: float, peer: "Port") -> None:
         """Called by :meth:`Link.attach`; a port never changes links."""
-        self._dir_key = dir_key
         self._rate = rate_bps
         self._peer = peer
         self._deliver = peer.node.entry_points()[0]
@@ -180,6 +182,7 @@ class Port:
             # waits behind it, so the completion has work to do after all.
             # Pushed as post_at would, without the call (never in the past).
             self._completion_posted = True
+            self._posted += 1
             sim = self._sim
             sim._seq += 1
             heappush(
@@ -216,10 +219,6 @@ class Port:
     def _start(self, packet: Packet) -> None:
         """Begin serializing ``packet`` at this instant."""
         sim = self._sim
-        if self._owed:
-            # The serializer is free, so the owed completion lies behind us.
-            self._book()
-            sim.events_executed += 1
         # P4 egress stage: runs as the packet leaves the queue and begins
         # serialization.  May mutate the packet (probe payload growth).
         # Phase scope for probes only: the probe path does the expensive
@@ -244,14 +243,12 @@ class Port:
         # exact, so the result is bit-identical.
         node = self.node
         if node.service_jitter != 0.0:
-            # Node.service_time_factor's buffer read, refill left to it.
-            i = node._service_idx
-            buf = node._service_buf
-            if i < len(buf):
-                node._service_idx = i + 1
-                tx_time *= buf[i]
-            else:
-                tx_time *= node.service_time_factor()
+            tx_time *= next(node._service_factors)
+        # The books, written now: readers discount this frame until t1.
+        self._sent += 1
+        self._bytes += nbytes
+        self._frame_bytes = nbytes
+        self._carried_at = self._busy_until
         # The sums below are the ones post() evaluates for a completion at
         # now + tx_time and a delivery at that + propagation, so every
         # arrival time is bit-identical on both paths.  Entries are pushed
@@ -262,6 +259,7 @@ class Port:
             # Completion has semantics of its own: the frame is delivered,
             # or lost on the wire, by its own event at t1.
             self._completion_posted = True
+            self._posted += 1
             sim._seq += 1
             heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (packet,)))
             return
@@ -271,34 +269,39 @@ class Port:
             heap,
             (t1 + link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
         )
-        self._owed = nbytes
         if self.queue._items:
             self._completion_posted = True
+            self._posted += 1
             sim._seq += 1
             heappush(heap, (t1, sim._seq, None, self._tx_complete_cb, (None,)))
         else:
             self._completion_posted = False
 
     def _tx_complete(self, packet: Optional[Packet]) -> None:
-        # Phase scopes (profiled runs only): propagate covers the frame
-        # leaving the serializer (books, wire loss-check + delivery
-        # scheduling), dequeue covers pulling the next packet (with the
-        # probe-only egress_stage sub-phase inside).
         # A None packet stands for a frame that was handed to the wire when
-        # it started: only its books remain, and this event is its own
-        # ``events_executed`` count.
+        # it started: only the next frame's start remains.
         prof = self._sim.profiler
         if prof is None:
-            if packet is None:
-                self._book()
-            else:
+            if packet is not None:
                 self._finish(packet)
-            self._start_next()
+            queue = self.queue
+            if self._plain_queue and queue.threshold is None:
+                # Inlined DropTailQueue.pop, with no crossing to test.
+                items = queue._items
+                if items:
+                    queue.stats.dequeued += 1
+                    self._start(items.popleft())
+                else:
+                    self._completion_posted = False
+            else:
+                self._start_next()
             return
+        # Phase scopes (profiled runs only): propagate covers the frame
+        # leaving the serializer (wire loss-check + delivery scheduling),
+        # dequeue covers pulling the next packet (with the probe-only
+        # egress_stage sub-phase inside).
         prof.phase_first("propagate")
-        if packet is None:
-            self._book()
-        else:
+        if packet is not None:
             self._finish(packet)
         prof.phase_next("dequeue")
         self._start_next()
@@ -306,12 +309,14 @@ class Port:
 
     def _finish(self, packet: Packet) -> None:
         """The frame in service leaves the serializer (per-frame path)."""
-        self.packets_sent += 1
         link = self.link
         if link.impaired and link.should_drop(packet):
             # Lost on the wire (link down or probabilistic fault loss): the
-            # frame consumed serializer time but is never delivered.
+            # frame consumed serializer time but is never delivered.  Its
+            # bytes come off the books, and it stamps no carried instant.
             link.packets_lost += 1
+            self._bytes -= packet.size_bytes
+            self._busy_until = self._carried_at
             obs = self._sim.obs
             if obs:
                 obs.packet_dropped(
@@ -322,46 +327,41 @@ class Port:
                     is_probe=packet.is_probe,
                 )
             return
-        sim = self._sim
-        link.record_carried(self._dir_key, packet.size_bytes, sim._now)
         # extra_delay is 0.0 unless a fault degraded the link (x + 0.0 is
         # exact).
-        sim.post(
+        self._sim.post(
             link.propagation_delay + link.extra_delay, self._deliver, packet, self._peer
         )
 
-    # -- lazy completion bookkeeping ----------------------------------------
+    # -- the books ------------------------------------------------------------
 
-    def _book(self) -> None:
-        """Write the owed completion exactly as its event would have, at
-        its own instant ``_busy_until``.  The one copy of
-        ``Link.record_carried``'s body (the per-frame path calls the method):
-        keep the two in lockstep."""
-        nbytes, self._owed = self._owed, 0
-        self.packets_sent += 1
-        link = self.link
-        key = self._dir_key
-        link.bytes_carried[key] += nbytes
-        counters = link.obs_counters
-        if counters is not None:
-            if nbytes < 0:
-                raise ValueError(f"link {link.name}: negative frame size")
-            counter = counters[key]
-            counter.value += nbytes
-            counter.updated_at = self._busy_until
+    @property
+    def packets_sent(self) -> int:
+        """Frames that finished serializing by now, wire losses included."""
+        return self._sent - (self._sim._now < self._busy_until)
 
-    def settle(self) -> None:
-        """Bring the completion counters up to ``sim.now``: an elided
-        completion at or before now is booked and credited to
-        ``events_executed``, a later one is left owed — and so is one whose
-        event was materialised after all, which books it when it fires."""
-        if (
-            self._owed
-            and not self._completion_posted
-            and self._busy_until <= self._sim._now
-        ):
-            self._book()
-            self._sim.events_executed += 1
+    @property
+    def bytes_carried(self) -> int:
+        """Bytes of the frames that finished serializing by now and were not
+        lost on the wire."""
+        if self._sim._now < self._busy_until:
+            return self._bytes - self._frame_bytes
+        return self._bytes
+
+    @property
+    def carried_at(self) -> float:
+        """Completion instant of the last frame counted in
+        :attr:`bytes_carried` (0.0 before the first)."""
+        if self._sim._now < self._busy_until:
+            return self._carried_at
+        return self._busy_until
+
+    @property
+    def completions_elided(self) -> int:
+        """Transmit completions at or before now that never were an event."""
+        return self._sent - self._posted - (
+            not self._completion_posted and self._sim._now < self._busy_until
+        )
 
     # -- introspection ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from repro.simnet.link import Link
 from repro.simnet.nic import Port
 from repro.simnet.packet import FLAG_PROBE, Packet
 from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY
+from repro.simnet.random import prefetch
 
 __all__ = ["Clock", "Node"]
 
@@ -42,28 +43,14 @@ class Clock:
         self.offset = offset
         self.jitter_std = jitter_std
         self._rng = rng
-        # Prefetched noise samples.  The clock's stream is dedicated
-        # (Network wires `clock/{name}`), so block refills consume the
-        # exact same value sequence as per-read scalar draws.
-        self._noise_buf: List[float] = []
-        self._noise_idx: int = 0
+        # Noise samples, prefetched in blocks of 256 (see prefetch).
+        self._noise = prefetch(lambda: self._rng.normal(0.0, self.jitter_std, 256))
 
     def read(self) -> float:
         """Local time: true time + offset + one sample of reading noise."""
         t = self._sim._now + self.offset
         if self.jitter_std > 0:
-            # Scalar numpy draws cost ~10x an amortised block draw; values
-            # (and the stream state left behind) are bit-identical.
-            i = self._noise_idx
-            buf = self._noise_buf
-            if i >= len(buf):
-                assert self._rng is not None
-                buf = self._noise_buf = self._rng.normal(
-                    0.0, self.jitter_std, 256
-                ).tolist()
-                i = 0
-            self._noise_idx = i + 1
-            t += buf[i]
+            t += next(self._noise)
         return t
 
 
@@ -89,12 +76,7 @@ class Node:
         # Network builder; hosts stay deterministic.
         self.service_jitter: float = 0.0
         self._service_rng: Optional[np.random.Generator] = None
-        # Prefetched factors (see service_time_factor).  The node's service
-        # stream is dedicated (Network wires `service/{name}`), so refilling
-        # in blocks consumes the exact same value sequence as per-call
-        # scalar draws — generator state advances identically.
-        self._service_buf: List[float] = []
-        self._service_idx: int = 0
+        self._service_factors = prefetch(self._service_block)
         # The packet observer watching this node (a PacketTracer), or None.
         # A declared slot the data path tests, rather than handlers wrapped
         # onto the instance: the methods stay the class's own, and nothing
@@ -119,30 +101,20 @@ class Node:
             raise ValueError(f"service jitter must be in [0, 1), got {jitter}")
         self.service_jitter = jitter
         self._service_rng = rng
-        self._service_buf = []
-        self._service_idx = 0
+        self._service_factors = prefetch(self._service_block)
+
+    def _service_block(self) -> np.ndarray:
+        # Each element-wise operation rounds exactly as the scalar
+        # expression does.
+        return 1.0 + self.service_jitter * (2.0 * self._service_rng.random(512) - 1.0)
 
     def service_time_factor(self) -> float:
         """Multiplier applied to one packet's transmission time:
-        ``1 + j(2u - 1)`` for one uniform draw ``u``."""
+        ``1 + j(2u - 1)`` for one uniform draw ``u``.  Ports draw the same
+        stream inline (``next(node._service_factors)``)."""
         if self.service_jitter <= 0.0:
             return 1.0
-        # Scalar numpy draws cost ~10x an amortised block draw; refill a
-        # block of factors at a time and hand out Python floats.  Each
-        # element-wise operation rounds exactly as the scalar expression
-        # does, so factors (and the stream state left behind) are
-        # bit-identical to per-call draws.
-        i = self._service_idx
-        buf = self._service_buf
-        if i >= len(buf):
-            assert self._service_rng is not None
-            uniforms = self._service_rng.random(512)
-            buf = self._service_buf = (
-                1.0 + self.service_jitter * (2.0 * uniforms - 1.0)
-            ).tolist()
-            i = 0
-        self._service_idx = i + 1
-        return buf[i]
+        return next(self._service_factors)
 
     # -- wiring -----------------------------------------------------------
 

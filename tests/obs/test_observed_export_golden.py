@@ -14,7 +14,8 @@ sampler at 50 ms, hub + telquality + whatif, classes S and VS — recorded on
 the commit before transmit-completion elision (PR 18's tree, one completion
 event per frame on every observed port): threshold events, link byte
 counters with their ``updated_at`` stamps and the sampler's utilisation
-series must come out of lazily booked completions byte for byte.
+series must come out of the ports' books, written at frame start, byte for
+byte.
 """
 
 import hashlib

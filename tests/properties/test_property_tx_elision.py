@@ -147,7 +147,7 @@ def _run(slowpath, case, until, twins=2):
             sw.packets_forwarded, sw.packets_dropped_pipeline,
             sw.program.probes_processed, sw.program.data_packets_observed,
             sw.program.register(MAX_QDEPTH_REGISTER).snapshot(),
-            sw._service_idx,
+            sw.service_time_factor(),       # the next draw
             sw._service_rng.bit_generator.state if jitter else None,
         )
         for name, sw in net.switches.items()

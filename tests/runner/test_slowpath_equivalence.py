@@ -276,7 +276,11 @@ class TestObservedEquivalence:
         assert all(
             node.observer is None for node in [*net.hosts.values(), *net.switches.values()]
         )
-        assert all(link.obs_counters is not None for link in net.links.values())
+        counted = {
+            (r["labels"]["link"], r["labels"]["direction"])
+            for r in records if r.get("name") == "link_bytes_total"
+        }
+        assert counted == {(name, key) for name in net.links for key in ("a", "b")}
 
     def test_snmp_policy_polling_mid_run(self, monkeypatch):
         """The legacy policy ranks by link byte counters it polls *during*

@@ -118,6 +118,24 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_step_from_inside_run_rejected(self, sim):
+        """A handler's step() would run the next event nested in the
+        current one, with the clock jumping mid-handler."""
+        log = []
+
+        def a():
+            log.append("a:start")
+            sim.step()
+            log.append("a:end")
+
+        sim.schedule(1.0, a)
+        sim.schedule(2.0, log.append, "b")
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert log == ["a:start"] and sim.now == 1.0
+        sim.run()                       # the window edge did not stay behind
+        assert log == ["a:start", "b"] and sim.pending_events() == 0
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):

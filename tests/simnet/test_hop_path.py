@@ -77,12 +77,13 @@ class TestSlots:
         assert after == {switch._fast_ingress} and switch._fast_ingress is not None
 
 
-def test_a_hop_is_five_frames(monkeypatch):
-    """Dispatch one delivery by hand under a call tracer: the hop, the
-    send, the start and the egress stage are the only Python calls — no
-    post_at, no Switch.on_ingress / on_egress trampoline."""
+def _hop_calls(monkeypatch, drawn):
+    """The Python calls of one delivery dispatched by hand, after ``drawn``
+    service factors were taken from the switch's stream."""
     sim, net = _build(monkeypatch)
-    net.switch("s01").service_time_factor()  # a factor refill: 1 call in 512
+    switch = net.switch("s01")
+    for _ in range(drawn):
+        switch.service_time_factor()
     h1 = net.host("h1")
     h1.send(h1.new_packet(net.address_of("h2"), dst_port=5, size_bytes=1200))
     time, _seq, _handle, fn, args = heapq.heappop(sim._heap)
@@ -98,8 +99,24 @@ def test_a_hop_is_five_frames(monkeypatch):
         fn(*args)
     finally:
         sys.settrace(None)
-    assert calls == ["hop", "send", "_start", "egress"]
     assert [e[3].__qualname__ for e in sim._heap] == ["Host.on_ingress"]
+    return calls
+
+
+def test_a_hop_is_five_frames(monkeypatch):
+    """Dispatch one delivery by hand under a call tracer: the hop, the
+    send, the start and the egress stage are the only Python calls — no
+    post_at, no Switch.on_ingress / on_egress trampoline, and the service
+    factor is a C-level ``next()``."""
+    assert _hop_calls(monkeypatch, 1) == ["hop", "send", "_start", "egress"]
+
+
+def test_only_a_block_boundary_adds_the_draw(monkeypatch):
+    """The frame that opens a new block of 512 service factors calls the
+    block draw; no other frame does."""
+    assert _hop_calls(monkeypatch, 512) == [
+        "hop", "send", "_start", "egress", "<lambda>", "_service_block",
+    ]
 
 
 class TestPerFrameFlag:

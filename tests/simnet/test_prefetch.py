@@ -1,8 +1,8 @@
 """Block-prefetched random streams hand out exactly the scalar draws.
 
-Two per-frame draws are taken from numpy in blocks and served from a Python
-list: a Poisson CBR flow's exponential gaps, and a node's service-time
-factors ``1 + j(2u - 1)``.  Both must equal, bit for bit, what one scalar
+Two per-frame draws are taken from numpy in blocks and served one at a time
+by ``repro.simnet.random.prefetch``: a Poisson CBR flow's exponential gaps,
+and a node's service-time factors ``1 + j(2u - 1)``.  Both must equal, bit for bit, what one scalar
 draw per use would have produced — across several refills, and (for the
 node) across a mid-run ``set_service_jitter`` that swaps the stream.
 """
@@ -37,7 +37,7 @@ class TestCbrGaps:
             rng=np.random.default_rng(77),
         )
         n = 3 * GAP_BLOCK + 5
-        assert [flow._gap() for _ in range(n)] == _scalar_gaps(77, flow.mean_gap, n)
+        assert [next(flow._gaps) for _ in range(n)] == _scalar_gaps(77, flow.mean_gap, n)
 
     def test_emission_instants_follow_the_scalar_gaps(self, sim, quiet_network_factory):
         """End to end: the first emission fires one gap after start, each
@@ -65,11 +65,14 @@ class TestCbrGaps:
         assert created == expected
 
     def test_cbr_mode_draws_nothing(self, dumbbell):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
         flow = UdpCbrFlow(
             dumbbell.host("h1"), dumbbell.address_of("h2"), mbps(4), burstiness="cbr",
+            rng=rng,
         )
-        assert {flow._gap() for _ in range(10)} == {flow.mean_gap}
-        assert flow._gap_buf == []
+        assert {next(flow._gaps) for _ in range(10)} == {flow.mean_gap}
+        assert rng.bit_generator.state == state
 
 
 class TestServiceFactors:
@@ -94,12 +97,15 @@ class TestServiceFactors:
 
     def test_jitter_free_node_draws_nothing(self, sim):
         node = self._node(sim)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        node.set_service_jitter(0.0, rng)
         assert node.service_time_factor() == 1.0
-        assert node._service_buf == []
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("frames", [3, FACTOR_BLOCK + 3])
     def test_port_serializes_with_the_scalar_factor(self, sim, frames):
-        """The port reads the factor buffer itself: every frame through a
+        """The port draws the factor stream itself: every frame through a
         jittered switch egress arrives exactly when nominal time x the next
         scalar factor says, refill included."""
         net = Network(

@@ -131,7 +131,7 @@ def _drive(slowpath, *, until=None, threshold=None, **build):
     log["qdepth"] = s01.program.register(MAX_QDEPTH_REGISTER).snapshot()
     log["probes_processed"] = s01.program.probes_processed
     log["service_stream"] = (
-        s01._service_idx,
+        s01.service_time_factor(),      # the next draw: equal where the stream stands
         s01._service_rng.bit_generator.state if build.get("jitter") else None,
     )
     log["ports"] = {
@@ -238,7 +238,7 @@ class TestEquivalence:
     def test_service_stream_state_identical(self, runs):
         variant, fast, slow = runs
         assert fast["service_stream"] == slow["service_stream"]
-        assert (fast["service_stream"][0] > 0) == ("jitter" in VARIANTS[variant])
+        assert (fast["service_stream"][0] != 1.0) == ("jitter" in VARIANTS[variant])
 
 
 # Cut points for run(until=t): before, inside and after frames; the
@@ -297,6 +297,24 @@ class TestMaterialisation:
         assert net.links["h1<->s01"].bytes_carried["a"] == 1200
         assert sim.events_executed == 1    # the elided completion, credited
 
+    def test_books_exact_after_a_handler_raises(self):
+        """Nothing is left to settle when a run ends in an exception: the
+        port went idle at FRAME_TX, before the raising event at 5 ms."""
+        sim, net, h1, dst = self._idle_pair()
+        h1.send(h1.new_packet(dst, dst_port=5, size_bytes=1200))
+
+        def fail():
+            raise RuntimeError("handler failed")
+
+        sim.schedule(ms(5), fail)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        port = h1.ports[0]
+        assert not port.busy and sim.now == ms(5)
+        assert port.packets_sent == 1
+        assert net.links["h1<->s01"].bytes_carried["a"] == 1200
+        assert sim.events_executed == 2     # the raising event + the completion
+
     def test_mid_frame_push_posts_one_completion(self):
         sim, _net, h1, dst = self._idle_pair()
         h1.send(h1.new_packet(dst, dst_port=5, size_bytes=1200))
@@ -309,9 +327,9 @@ class TestMaterialisation:
         assert sim._seq == before + 1       # already posted: nothing new
         assert h1.ports[0].backlog == 2
 
-    def test_in_run_read_settles_the_owing_port(self):
-        """``Link.carried`` is the read for code inside the simulation: it
-        books a completion that lies behind the clock, not one ahead."""
+    def test_in_run_read_discounts_the_frame_on_the_wire(self):
+        """A read inside the simulation counts a completion that lies behind
+        the clock, not one ahead."""
         sim, net, h1, dst = self._idle_pair()
         link = net.links["h1<->s01"]
         reads = []
@@ -324,8 +342,9 @@ class TestMaterialisation:
 
     def test_read_tied_with_a_materialised_completion_leaves_it_the_books(self):
         """A reader that runs at the completion instant itself, ahead of a
-        completion event that was posted after all: the event books the
-        frame (once), the reader sees what the oracle's reader sees."""
+        completion event that was posted after all: the frame was booked at
+        its start (once), and at ``now == t1`` it is no longer on the wire,
+        so the reader counts it — on the oracle's per-frame path too."""
         def run(slowpath):
             sim, net = _build(slowpath)
             h1, dst, link = net.host("h1"), net.address_of("h2"), net.links["h1<->s01"]
@@ -336,7 +355,7 @@ class TestMaterialisation:
             sim.run(until=FRAME_TX)
             return reads, link.bytes_carried["a"], h1.ports[0].packets_sent, sim.events_executed
 
-        assert run(False) == run(True) == ([0], 1200, 1, 4)
+        assert run(False) == run(True) == ([1200], 1200, 1, 4)
 
 
 class _CountingDeque(deque):
