@@ -1,14 +1,6 @@
-"""Statistics and trace-analysis helpers for experiment analysis."""
+"""Statistics helpers for experiment analysis."""
 
 from repro.analysis.stats import bootstrap_ci, ecdf, mean, percentile, summarize
-from repro.analysis.traces import (
-    FlowStats,
-    drop_hotspots,
-    flow_stats,
-    hop_residence_times,
-    queue_depth_summary,
-    throughput_timeseries,
-)
 
 __all__ = [
     "bootstrap_ci",
@@ -16,10 +8,4 @@ __all__ = [
     "mean",
     "percentile",
     "summarize",
-    "FlowStats",
-    "drop_hotspots",
-    "flow_stats",
-    "hop_residence_times",
-    "queue_depth_summary",
-    "throughput_timeseries",
 ]

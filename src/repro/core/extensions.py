@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.scheduler import (
     METRIC_BANDWIDTH,
@@ -120,9 +120,6 @@ class HeterogeneityAwareScheduler(ComputeAwareScheduler):
         self.capabilities: Dict[int, Set[str]] = {
             addr: set(caps) for addr, caps in (capabilities or {}).items()
         }
-
-    def register_capabilities(self, addr: int, caps: Iterable[str]) -> None:
-        self.capabilities[addr] = set(caps)
 
     def eligible(self, addr: int, requirements: FrozenSet[str]) -> bool:
         if not requirements:

@@ -71,17 +71,11 @@ class InferredTopology:
         """Every directed edge observed so far (a copy)."""
         return set(self._edges)
 
-    def known_nodes(self) -> Set[TelemetryNodeId]:
-        return set(self._succ)
-
     def known_hosts(self) -> Set[TelemetryNodeId]:
         return {n for n in self._succ if n[0] == "host"}
 
     def known_switches(self) -> Set[TelemetryNodeId]:
         return {n for n in self._succ if n[0] == "sw"}
-
-    def has_node(self, node: TelemetryNodeId) -> bool:
-        return node in self._succ
 
     def has_edge(self, u: TelemetryNodeId, v: TelemetryNodeId) -> bool:
         return (u, v) in self._edges

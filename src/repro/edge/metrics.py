@@ -101,12 +101,6 @@ class MetricsCollector:
             for r in self._records.values()
         )
 
-    def by_size_class(self) -> Dict[SizeClass, List[TaskRecord]]:
-        out: Dict[SizeClass, List[TaskRecord]] = {}
-        for record in self._records.values():
-            out.setdefault(record.size_class, []).append(record)
-        return out
-
     # -- aggregation ------------------------------------------------------
 
     @staticmethod
@@ -130,6 +124,3 @@ class MetricsCollector:
         ]
         return self._mean(r.transfer_time for r in records)
 
-    def completion_times(self) -> Dict[int, float]:
-        """task_id -> completion time, for per-task paired comparisons (Fig. 8)."""
-        return {r.task_id: r.completion_time for r in self.completed()}

@@ -74,9 +74,6 @@ class FaultInjector:
                 "pass rng=streams.get('faults') so replays are deterministic"
             )
 
-    def register_server(self, name: str, server: "EdgeServer") -> None:
-        self.servers[name] = server
-
     # -- scheduling --------------------------------------------------------
 
     def arm(self) -> int:

@@ -199,16 +199,6 @@ class NetworkGroundTruth:
             + (pending_bytes * 8.0) / port.rate_bps,
         }
 
-    def path_truth(
-        self, path: Sequence[TelemetryNodeId]
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Per-hop truth along ``path``, or ``None`` when any hop cannot be
-        resolved against the physical network (stale inferred topology)."""
-        try:
-            return [self.hop_truth(u, v) for u, v in zip(path, path[1:])]
-        except Exception:
-            return None
-
     def true_delay_between(self, src_addr: int, dst_addr: int) -> Optional[float]:
         """True delay over the physical shortest path between two hosts."""
         try:

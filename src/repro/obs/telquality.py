@@ -29,7 +29,7 @@ export, so a run with collection enabled produces a byte-identical prefix.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.quantiles import QuantileDigest
 from repro.p4.headers import HopFields
@@ -83,6 +83,98 @@ def _merge_windows(
         else:
             merged.append((start, end))
     return merged
+
+
+# -- attribution (shared with the what-if replay) ----------------------------
+
+
+def _events_of(events: Any, kind: str) -> List[Tuple[float, Dict[str, Any]]]:
+    """``(time, fields)`` pairs for one event kind, from either a live
+    :class:`~repro.obs.events.EventLog` or a list of exported record dicts
+    (where event fields are flattened into the record)."""
+    if events is None:
+        return []
+    if hasattr(events, "of_kind"):
+        return [(e.time, e.fields) for e in events.of_kind(kind)]
+    return [
+        (float(r.get("time", 0.0)), r)
+        for r in events
+        if r.get("kind") == "event" and r.get("event") == kind
+    ]
+
+
+def _loss_windows(events: Any, interval: float) -> List[Tuple[float, float]]:
+    windows = [
+        (max(0.0, t - LOSS_WINDOW_INTERVALS * interval), t)
+        for t, _fields in _events_of(events, "probe_lost")
+    ]
+    return _merge_windows(windows)
+
+
+def _fault_windows(events: Any) -> List[Tuple[float, float]]:
+    """[injected, recovered] per (fault, target); unrecovered faults stay
+    open to the end of the run."""
+    injected: Dict[Tuple[Any, Any], List[float]] = {}
+    recovered: Dict[Tuple[Any, Any], List[float]] = {}
+    for t, fields in _events_of(events, "fault_injected"):
+        injected.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
+    for t, fields in _events_of(events, "fault_recovered"):
+        recovered.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
+    windows: List[Tuple[float, float]] = []
+    for key, starts in injected.items():
+        ends = sorted(recovered.get(key, []))
+        for start in sorted(starts):
+            end = next((t for t in ends if t >= start), math.inf)
+            windows.append((start, end))
+    return _merge_windows(windows)
+
+
+def _attribute(
+    samples: Sequence[Tuple[float, float, Optional[float]]],
+    interval: float,
+    events: Any,
+    stats: Callable[[Sequence[float]], Dict[str, Any]],
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any], Dict[str, Any]]:
+    """Bucket ``(time, value, age)`` samples three ways, pricing each bucket
+    with ``stats``: by age over :data:`AGE_BIN_EDGES` (in multiples of
+    ``interval``, plus an ``unknown`` bin for samples without an age), and
+    inside / outside the probe-loss and the fault windows of ``events``.
+    Returns ``(bins, loss_windows, fault_windows)``."""
+    bins = []
+    edges = list(AGE_BIN_EDGES) + [math.inf]
+    for i in range(len(edges) - 1):
+        lo, hi = edges[i] * interval, edges[i + 1] * interval
+        values = [v for _t, v, age in samples if age is not None and lo <= age < hi]
+        hi_multiple = edges[i + 1] if math.isfinite(edges[i + 1]) else None
+        label = (
+            f">= {edges[i]:g}x"
+            if hi_multiple is None
+            else f"[{edges[i]:g}x, {hi_multiple:g}x)"
+        )
+        bins.append(
+            {
+                "label": label,
+                "lo_multiple": edges[i],
+                "hi_multiple": hi_multiple,
+                **stats(values),
+            }
+        )
+    unknown = [v for _t, v, age in samples if age is None]
+    bins.append(
+        {"label": "unknown", "lo_multiple": None, "hi_multiple": None, **stats(unknown)}
+    )
+
+    def split(windows: List[Tuple[float, float]]) -> Dict[str, Any]:
+        inside: List[float] = []
+        outside: List[float] = []
+        for t, v, _age in samples:
+            if any(lo <= t <= hi for lo, hi in windows):
+                inside.append(v)
+            else:
+                outside.append(v)
+        return {"windows": len(windows), "in": stats(inside), "out": stats(outside)}
+
+    return bins, split(_loss_windows(events, interval)), split(_fault_windows(events))
 
 
 # A register's refresh gaps wait in a plain list until somebody reads the
@@ -403,91 +495,15 @@ class TelemetryQuality:
 
     def _attribution_section(self, events: Optional[Any]) -> Dict[str, Any]:
         interval = self.probing_interval if self.probing_interval else 1.0
-        bins = []
-        edges = list(AGE_BIN_EDGES) + [math.inf]
-        for i in range(len(edges) - 1):
-            lo, hi = edges[i] * interval, edges[i + 1] * interval
-            errors = [
-                err for _t, err, age in self._samples
-                if age is not None and lo <= age < hi
-            ]
-            hi_multiple = edges[i + 1] if math.isfinite(edges[i + 1]) else None
-            label = (
-                f">= {edges[i]:g}x"
-                if hi_multiple is None
-                else f"[{edges[i]:g}x, {hi_multiple:g}x)"
-            )
-            bins.append(
-                {
-                    "label": label,
-                    "lo_multiple": edges[i],
-                    "hi_multiple": hi_multiple,
-                    **_error_stats(errors),
-                }
-            )
-        unknown = [err for _t, err, age in self._samples if age is None]
-        bins.append(
-            {
-                "label": "unknown",
-                "lo_multiple": None,
-                "hi_multiple": None,
-                **_error_stats(unknown),
-            }
-        )
+        bins, loss, fault = _attribute(self._samples, interval, events, _error_stats)
         return {
             "interval": self.probing_interval,
             "decisions": self.decisions_seen,
             "samples": len(self._samples),
             "skipped": self.samples_skipped,
             "bins": bins,
-            "loss_windows": self._window_split(self._loss_windows(events, interval)),
-            "fault_windows": self._window_split(self._fault_windows(events)),
-        }
-
-    def _loss_windows(
-        self, events: Optional[Any], interval: float
-    ) -> List[Tuple[float, float]]:
-        if events is None:
-            return []
-        windows = [
-            (max(0.0, e.time - LOSS_WINDOW_INTERVALS * interval), e.time)
-            for e in events.of_kind("probe_lost")
-        ]
-        return _merge_windows(windows)
-
-    def _fault_windows(self, events: Optional[Any]) -> List[Tuple[float, float]]:
-        """[injected, recovered] per (fault, target); unrecovered faults stay
-        open to the end of the run."""
-        if events is None:
-            return []
-        injected: Dict[Tuple[Any, Any], List[float]] = {}
-        recovered: Dict[Tuple[Any, Any], List[float]] = {}
-        for e in events.of_kind("fault_injected"):
-            key = (e.fields.get("fault"), e.fields.get("target"))
-            injected.setdefault(key, []).append(e.time)
-        for e in events.of_kind("fault_recovered"):
-            key = (e.fields.get("fault"), e.fields.get("target"))
-            recovered.setdefault(key, []).append(e.time)
-        windows: List[Tuple[float, float]] = []
-        for key, starts in injected.items():
-            ends = sorted(recovered.get(key, []))
-            for start in sorted(starts):
-                end = next((t for t in ends if t >= start), math.inf)
-                windows.append((start, end))
-        return _merge_windows(windows)
-
-    def _window_split(self, windows: List[Tuple[float, float]]) -> Dict[str, Any]:
-        inside: List[float] = []
-        outside: List[float] = []
-        for t, err, _age in self._samples:
-            if any(lo <= t <= hi for lo, hi in windows):
-                inside.append(err)
-            else:
-                outside.append(err)
-        return {
-            "windows": len(windows),
-            "in": _error_stats(inside),
-            "out": _error_stats(outside),
+            "loss_windows": loss,
+            "fault_windows": fault,
         }
 
     def summary(self) -> Dict[str, Any]:

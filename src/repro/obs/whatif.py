@@ -38,12 +38,7 @@ import random as _random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.quantiles import QuantileDigest
-from repro.obs.telquality import (
-    AGE_BIN_EDGES,
-    LOSS_WINDOW_INTERVALS,
-    _merge_windows,
-    _parse_label,
-)
+from repro.obs.telquality import _attribute, _fmt, _parse_label, _run_key, _run_title
 from repro.simnet.random import derive_seed
 
 __all__ = [
@@ -202,50 +197,6 @@ def default_policies() -> List[CounterfactualPolicy]:
     ]
 
 
-# -- event-window extraction (live EventLog or exported record dicts) --------
-
-
-def _events_of(events: Any, kind: str) -> List[Tuple[float, Dict[str, Any]]]:
-    """``(time, fields)`` pairs for one event kind, from either a live
-    :class:`~repro.obs.events.EventLog` or a list of exported record dicts
-    (where event fields are flattened into the record)."""
-    if events is None:
-        return []
-    if hasattr(events, "of_kind"):
-        return [(e.time, e.fields) for e in events.of_kind(kind)]
-    return [
-        (float(r.get("time", 0.0)), r)
-        for r in events
-        if r.get("kind") == "event" and r.get("event") == kind
-    ]
-
-
-def _loss_windows(events: Any, interval: float) -> List[Tuple[float, float]]:
-    windows = [
-        (max(0.0, t - LOSS_WINDOW_INTERVALS * interval), t)
-        for t, _fields in _events_of(events, "probe_lost")
-    ]
-    return _merge_windows(windows)
-
-
-def _fault_windows(events: Any) -> List[Tuple[float, float]]:
-    """[injected, recovered] per (fault, target); unrecovered faults stay
-    open to the end of the run."""
-    injected: Dict[Tuple[Any, Any], List[float]] = {}
-    recovered: Dict[Tuple[Any, Any], List[float]] = {}
-    for t, fields in _events_of(events, "fault_injected"):
-        injected.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
-    for t, fields in _events_of(events, "fault_recovered"):
-        recovered.setdefault((fields.get("fault"), fields.get("target")), []).append(t)
-    windows: List[Tuple[float, float]] = []
-    for key, starts in injected.items():
-        ends = sorted(recovered.get(key, []))
-        for start in sorted(starts):
-            end = next((t for t in ends if t >= start), math.inf)
-            windows.append((start, end))
-    return _merge_windows(windows)
-
-
 # -- the replay engine -------------------------------------------------------
 
 
@@ -334,47 +285,7 @@ def replay_decisions(
         regret_digest.add(actual_regret)
         samples.append((float(decision.get("time") or 0.0), actual_regret, age))
 
-    bins = []
-    edges = list(AGE_BIN_EDGES) + [math.inf]
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i] * interval, edges[i + 1] * interval
-        regrets = [
-            regret for _t, regret, age in samples
-            if age is not None and lo <= age < hi
-        ]
-        hi_multiple = edges[i + 1] if math.isfinite(edges[i + 1]) else None
-        label = (
-            f">= {edges[i]:g}x"
-            if hi_multiple is None
-            else f"[{edges[i]:g}x, {hi_multiple:g}x)"
-        )
-        bins.append(
-            {
-                "label": label,
-                "lo_multiple": edges[i],
-                "hi_multiple": hi_multiple,
-                **_regret_stats(regrets),
-            }
-        )
-    unknown = [regret for _t, regret, age in samples if age is None]
-    bins.append(
-        {
-            "label": "unknown",
-            "lo_multiple": None,
-            "hi_multiple": None,
-            **_regret_stats(unknown),
-        }
-    )
-
-    def window_split(windows: List[Tuple[float, float]]) -> Dict[str, Any]:
-        inside = [r for t, r, _age in samples if any(lo <= t <= hi for lo, hi in windows)]
-        outside = [r for t, r, _age in samples if not any(lo <= t <= hi for lo, hi in windows)]
-        return {
-            "windows": len(windows),
-            "in": _regret_stats(inside),
-            "out": _regret_stats(outside),
-        }
-
+    bins, loss, fault = _attribute(samples, interval, events, _regret_stats)
     actual_total = sum(r for _t, r, _age in samples)
     return {
         "interval": probing_interval,
@@ -401,8 +312,8 @@ def replay_decisions(
             for p in policies
         ],
         "staleness": {"bins": bins},
-        "loss_windows": window_split(_loss_windows(events, interval)),
-        "fault_windows": window_split(_fault_windows(events)),
+        "loss_windows": loss,
+        "fault_windows": fault,
     }
 
 
@@ -515,22 +426,6 @@ class WhatIf:
 
 
 # -- offline report ----------------------------------------------------------
-
-
-def _run_key(record: Dict[str, Any]) -> Tuple:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_title(key: Tuple) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _policy_table(body: Dict[str, Any]) -> List[str]:

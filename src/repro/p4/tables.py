@@ -39,12 +39,6 @@ class ExactMatchTable:
         """Insert-or-update (control planes re-programming routes use this)."""
         self._entries[key] = (action, params)
 
-    def remove_entry(self, key: Hashable) -> None:
-        try:
-            del self._entries[key]
-        except KeyError:
-            raise DataPlaneError(f"table {self.name!r}: no entry for key {key!r}") from None
-
     def lookup(self, key: Hashable) -> TableEntry:
         entry = self._entries.get(key)
         if entry is None:

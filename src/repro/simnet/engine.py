@@ -508,15 +508,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, None, fn, args))
 
-    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Absolute-time variant of :meth:`post`."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, None, fn, args))
-
     def reschedule(self, handle: EventHandle, delay: float) -> EventHandle:
         """Re-arm a handle that has already fired, reusing the object.
 
@@ -577,28 +568,8 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when the queue is empty.
-        Not from inside :meth:`run`: the event would run nested in the
-        current one."""
-        if self._running:
-            raise SimulationError("step() called from inside run()")
-        while self._heap:
-            time, _seq, handle, fn, args = heapq.heappop(self._heap)
-            if handle is not None:
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                handle.fired = True
-            self._now = time
-            self._dispatched += 1
-            fn(*args)
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` events have been dispatched in this call.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the queue drains or ``until`` is reached.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fired earlier, so back-to-back ``run`` calls
@@ -610,9 +581,7 @@ class Simulator:
         :meth:`stop` entry ``(now, -1, ...)`` does before any other event at
         ``now``.  No ``until`` is an edge at infinity, so the loop tests
         neither the heap top nor a flag per event.  Sentinels left behind
-        (a stop, a budget, a raising handler) are purged on return.
-        ``max_events`` bounds dispatches; a profiler's ``events_total``
-        follows ``events_executed``.
+        (a stop, a raising handler) are purged on return.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
@@ -625,9 +594,7 @@ class Simulator:
         self._sentinels += 1
         try:
             if self.profiler is not None:
-                executed = self._run_profiled(0 if max_events is None else max(max_events, 1))
-            elif max_events is not None:
-                self._run_budgeted(max(max_events, 1))
+                executed = self._run_profiled()
             else:
                 # Hot loop: the heap, its pop and the event's own fields are
                 # locals; the clock and the dispatch count are stored per
@@ -653,42 +620,14 @@ class Simulator:
                 heapq.heapify(heap)
                 self._sentinels = 0
         if until is not None and self._now < until and not self._stop_requested:
-            # Jump to the window edge only when no runnable event at or
-            # before ``until`` was left behind.  Checking the heap directly
-            # (rather than whether the event budget tripped the break) keeps
-            # the clock honest in the corner cases: a budget that runs out
-            # exactly as the queue drains may still jump, while a budget
-            # exhausted with work pending must not skip over it.
-            if not any(
-                t <= until and (h is None or not h.cancelled)
-                for t, _s, h, _f, _a in heap
-            ):
-                self._now = until
+            # The window edge was popped, so every event at or before
+            # ``until`` has run.
+            self._now = until
         if self.profiler is not None:
             # The profiled loop counted its dispatches; add the credits.
             self.profiler.events_total += self.events_executed - counted - executed
 
-    def _run_budgeted(self, budget: int) -> None:
-        """The :meth:`run` loop with a dispatch budget."""
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        while executed < budget:
-            time, _seq, handle, fn, args = pop(heap)
-            if handle is not None:
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                handle.fired = True
-            elif fn is None:
-                self._sentinels -= 1
-                return
-            self._now = time
-            self._dispatched += 1
-            fn(*args)
-            executed += 1
-
-    def _run_profiled(self, budget: int) -> int:
+    def _run_profiled(self) -> int:
         """The :meth:`run` loop with per-event profiling.  A separate copy so
         the unprofiled loop pays nothing; semantics are identical — the
         profiler observes, never perturbs, the event order."""
@@ -731,8 +670,6 @@ class Simulator:
                     stats[0] += 1
                     stats[1] += elapsed
                 executed += 1
-                if executed == budget:
-                    break
         finally:
             profiler._exit_event()
             profiler.events_total += executed
@@ -774,7 +711,6 @@ class PeriodicTimer:
         fn: Callable[..., Any],
         *args: Any,
         start_delay: Optional[float] = None,
-        jitter_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         if period <= 0:
             raise SimulationError(f"timer period must be positive, got {period}")
@@ -786,7 +722,6 @@ class PeriodicTimer:
         # timer fires of a big run to the callbacks behind them.
         self._fn_label = getattr(fn, "__qualname__", None) or "callback"
         self._start_delay = period if start_delay is None else start_delay
-        self._jitter_fn = jitter_fn
         self._handle: Optional[EventHandle] = None
         self.fire_count = 0
 
@@ -807,9 +742,6 @@ class PeriodicTimer:
 
     def _fire(self) -> None:
         self.fire_count += 1
-        delay = self.period
-        if self._jitter_fn is not None:
-            delay = max(0.0, delay + self._jitter_fn())
         handle = self._handle
         if handle is not None and handle.fired and not handle.cancelled:
             # Self-rescheduling fast path: re-arm the handle that just fired
@@ -817,9 +749,9 @@ class PeriodicTimer:
             # period (48K+ fires in a big run).  The guard falls back to a
             # fresh schedule when _fire was invoked out-of-band (tests
             # driving the callback directly).
-            self._sim.reschedule(handle, delay)
+            self._sim.reschedule(handle, self.period)
         else:
-            self._handle = self._sim.schedule(delay, self._fire)
+            self._handle = self._sim.schedule(self.period, self._fire)
         prof = self._sim.profiler
         if prof is None:
             self._fn(*self._args)

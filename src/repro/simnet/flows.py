@@ -33,7 +33,6 @@ from repro.simnet.engine import EventHandle, PeriodicTimer, Simulator
 from repro.simnet.host import Host
 from repro.simnet.packet import (
     FLAG_ACK,
-    FLAG_ECN,
     HEADER_OVERHEAD,
     MTU,
     Packet,
@@ -278,8 +277,6 @@ class ReliableTransfer:
         self.retransmissions = 0
         self.timeouts = 0
         self.segments_sent = 0
-        self.ecn_reactions = 0
-        self._last_ecn_reaction = -float("inf")
         self._done = False
 
         host.bind(PROTO_TCP, self.src_port, self._on_ack)
@@ -348,8 +345,6 @@ class ReliableTransfer:
     def _on_ack(self, packet: Packet) -> None:
         if self._done or packet.flow_id != self.flow_id or not packet.is_ack:
             return
-        if packet.flags & FLAG_ECN:
-            self._on_ecn_echo()
         ack = packet.seq  # cumulative: segments [0, ack) received
         if ack > self.cum_acked:
             self._dupacks = 0
@@ -391,20 +386,6 @@ class ReliableTransfer:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self.rto = min(MAX_RTO, max(MIN_RTO, self._srtt + 4.0 * self._rttvar))
-
-    # -- congestion signals -------------------------------------------------
-
-    def _on_ecn_echo(self) -> None:
-        """ECN congestion-experienced echo: multiplicative decrease without
-        loss, at most once per RTT (TCP's CWR-gated ECE response)."""
-        window = self._srtt if self._srtt is not None else 0.1
-        if self.sim.now - self._last_ecn_reaction < window:
-            return
-        self._last_ecn_reaction = self.sim.now
-        self.ecn_reactions += 1
-        self.ssthresh = max(self.cwnd / 2.0, 2.0)
-        self.cwnd = self.ssthresh
-        self.in_slow_start = False
 
     # -- loss recovery ----------------------------------------------------------
 
@@ -460,7 +441,7 @@ class _ReassemblyState:
     __slots__ = (
         "flow_id", "src_addr", "src_port", "total_segments", "next_expected",
         "out_of_order", "bytes_received", "first_arrival", "completed_at",
-        "unacked_segments", "metadata", "ecn_pending",
+        "unacked_segments", "metadata",
     )
 
     def __init__(self, packet: Packet, total_segments: int, metadata: dict) -> None:
@@ -475,7 +456,6 @@ class _ReassemblyState:
         self.completed_at: Optional[float] = None
         self.unacked_segments = 0
         self.metadata = metadata
-        self.ecn_pending = False  # a congestion mark awaiting echo
 
     @property
     def complete(self) -> bool:
@@ -522,8 +502,6 @@ class TransferSinkApp:
             return
         if state.first_arrival is None:
             state.first_arrival = self.host.sim.now
-        if packet.flags & FLAG_ECN:
-            state.ecn_pending = True
 
         seq = packet.seq
         in_order = False
@@ -559,17 +537,13 @@ class TransferSinkApp:
 
     def _send_ack(self, state: _ReassemblyState, force: bool = False) -> None:
         state.unacked_segments = 0
-        flags = FLAG_ACK
-        if state.ecn_pending:
-            flags |= FLAG_ECN  # ECE: echo the congestion mark to the sender
-            state.ecn_pending = False
         ack = self.host.new_packet(
             state.src_addr,
             protocol=PROTO_TCP,
             src_port=self.port,
             dst_port=state.src_port,
             size_bytes=HEADER_OVERHEAD,
-            flags=flags,
+            flags=FLAG_ACK,
             flow_id=state.flow_id,
             seq=state.next_expected,
         )

@@ -225,15 +225,6 @@ class Link:
         a read-only view of :meth:`carried`, exact at any instant."""
         return {"a": self.carried("a"), "b": self.carried("b")}
 
-    def utilization(self, port: "Port", window: float) -> float:
-        """Utilization of the ``port``-outbound direction if every byte it
-        has carried so far fell in the last ``window`` seconds: the run's
-        mean when ``window`` is the time run so far."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        key = "a" if port is self.port_a else "b"
-        return (self.carried(key) * 8.0) / (self.rate_from(port) * window)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Link {self.name} rate={self.rate_bps/1e6:.1f}Mbps "

@@ -61,18 +61,14 @@ class Port:
         port_index: int,
         link: Link,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        queue: Optional["DropTailQueue"] = None,
     ) -> None:
         self.node = node
         self.port_index = port_index
         self.link = link
-        # A custom queue discipline (e.g. RedEcnQueue) may be supplied;
-        # default is the BMv2-like drop-tail FIFO.
-        self.queue = queue if queue is not None else DropTailQueue(queue_capacity)
-        # Exactly-plain drop-tail queues get their push/pop bodies inlined
-        # on the hot path; subclasses (RedEcnQueue, test doubles) keep
-        # virtual dispatch.
-        self._plain_queue = type(self.queue) is DropTailQueue
+        # The BMv2-like drop-tail FIFO.  Its push/pop bodies are inlined on
+        # the hot path below; DropTailQueue.push / pop are the reference
+        # they are held to (tests/properties/test_property_queue_inline.py).
+        self.queue = DropTailQueue(queue_capacity)
         self.packets_dropped = 0
         # Hot-path caches: the simulator, its heap (compaction rewrites that
         # list in place, so the alias holds) and the bound completion
@@ -133,54 +129,42 @@ class Port:
         queue = self.queue
         items = queue._items
         idle = not self._completion_posted and self._sim._now >= self._busy_until
-        if self._plain_queue:
-            threshold = queue.threshold
-            if idle and not items and threshold != 1:
-                # Cut-through: on an idle port the push + pop round trip
-                # leaves nothing behind but these counters (depth 0 never
-                # raises max_depth_seen, capacity is >= 1).  Through an
-                # empty queue the only crossings are 0 -> 1 and back, and
-                # only a threshold of 1 sits there.
-                stats = queue.stats
-                stats.enqueued += 1
-                stats.bytes_enqueued += packet.size_bytes
-                stats.dequeued += 1
-                packet.enq_depth = 0
-                self._start(packet)
-                return True
-            # Inlined DropTailQueue.push — keep in lockstep with
-            # queueing.py (the queueing test suite pins the semantics).
-            depth = len(items)
-            if depth >= queue.capacity:
-                queue.stats.dropped += 1
-                self.packets_dropped += 1
-                self.node.on_packet_dropped(packet, self)
-                return False
+        threshold = queue.threshold
+        if idle and not items and threshold != 1:
+            # Cut-through: on an idle port the push + pop round trip leaves
+            # nothing behind but these counters (depth 0 never raises
+            # max_depth_seen, capacity is >= 1).  Through an empty queue the
+            # only crossings are 0 -> 1 and back, and only a threshold of 1
+            # sits there.
             stats = queue.stats
-            packet.enq_depth = depth
-            items.append(packet)
             stats.enqueued += 1
             stats.bytes_enqueued += packet.size_bytes
-            if depth > stats.max_depth_seen:
-                stats.max_depth_seen = depth
-            if (
-                threshold is not None
-                and depth + 1 == threshold
-                and queue.on_threshold
-            ):
-                queue.on_threshold(threshold, "up")
-        else:
-            depth = queue.push(packet)
-            if depth is None:
-                self.packets_dropped += 1
-                self.node.on_packet_dropped(packet, self)
-                return False
+            stats.dequeued += 1
+            packet.enq_depth = 0
+            self._start(packet)
+            return True
+        # Inlined DropTailQueue.push.
+        depth = len(items)
+        if depth >= queue.capacity:
+            queue.stats.dropped += 1
+            self.packets_dropped += 1
+            self.node.on_packet_dropped(packet, self)
+            return False
+        stats = queue.stats
+        packet.enq_depth = depth
+        items.append(packet)
+        stats.enqueued += 1
+        stats.bytes_enqueued += packet.size_bytes
+        if depth > stats.max_depth_seen:
+            stats.max_depth_seen = depth
+        if threshold is not None and depth + 1 == threshold and queue.on_threshold:
+            queue.on_threshold(threshold, "up")
         if idle:
             self._start_next()
         elif not self._completion_posted:
             # The frame in service had its completion elided; now a frame
             # waits behind it, so the completion has work to do after all.
-            # Pushed as post_at would, without the call (never in the past).
+            # Pushed as post() would, without the call (never in the past).
             self._completion_posted = True
             self._posted += 1
             sim = self._sim
@@ -193,27 +177,17 @@ class Port:
 
     def _start_next(self) -> None:
         """Move the head-of-line frame, if any, into the serializer."""
+        # Inlined DropTailQueue.pop.
         queue = self.queue
-        if self._plain_queue:
-            # Inlined DropTailQueue.pop — keep in lockstep with queueing.py.
-            items = queue._items
-            if not items:
-                self._completion_posted = False
-                return
-            queue.stats.dequeued += 1
-            packet = items.popleft()
-            threshold = queue.threshold
-            if (
-                threshold is not None
-                and len(items) == threshold - 1
-                and queue.on_threshold
-            ):
-                queue.on_threshold(len(items), "down")
-        else:
-            packet = queue.pop()
-            if packet is None:
-                self._completion_posted = False
-                return
+        items = queue._items
+        if not items:
+            self._completion_posted = False
+            return
+        queue.stats.dequeued += 1
+        packet = items.popleft()
+        threshold = queue.threshold
+        if threshold is not None and len(items) == threshold - 1 and queue.on_threshold:
+            queue.on_threshold(len(items), "down")
         self._start(packet)
 
     def _start(self, packet: Packet) -> None:
@@ -252,7 +226,7 @@ class Port:
         # The sums below are the ones post() evaluates for a completion at
         # now + tx_time and a delivery at that + propagation, so every
         # arrival time is bit-identical on both paths.  Entries are pushed
-        # as post_at pushes them, without the call: nothing here lies in the
+        # as post() pushes them, without the call: nothing here lies in the
         # past.
         t1 = self._busy_until = sim._now + tx_time
         if link.per_frame:
@@ -285,7 +259,7 @@ class Port:
             if packet is not None:
                 self._finish(packet)
             queue = self.queue
-            if self._plain_queue and queue.threshold is None:
+            if queue.threshold is None:
                 # Inlined DropTailQueue.pop, with no crossing to test.
                 items = queue._items
                 if items:

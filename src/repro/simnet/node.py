@@ -122,9 +122,8 @@ class Node:
         self,
         link: Link,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        queue=None,
     ) -> Port:
-        port = Port(self, len(self.ports), link, queue_capacity, queue=queue)
+        port = Port(self, len(self.ports), link, queue_capacity)
         self.ports.append(port)
         return port
 

@@ -29,7 +29,6 @@ __all__ = [
     "Packet",
     "FLAG_PROBE",
     "FLAG_ACK",
-    "FLAG_ECN",
     "DEFAULT_TTL",
     "MTU",
     "HEADER_OVERHEAD",
@@ -39,9 +38,6 @@ __all__ = [
 # "certain IP header fields set (aka Geneve option)").
 FLAG_PROBE = 0x1
 FLAG_ACK = 0x2
-# ECN congestion-experienced mark, set by RED/ECN egress queues and echoed
-# by receivers (on ACKs it plays the role of TCP's ECE bit).
-FLAG_ECN = 0x8
 
 DEFAULT_TTL = 64
 MTU = 1500                # maximum frame size used throughout (paper: 1.5 KB probes)
@@ -219,11 +215,6 @@ class Packet:
     @property
     def is_ack(self) -> bool:
         return bool(self.flags & FLAG_ACK)
-
-    def set_payload(self, payload: bytes) -> None:
-        """Replace the byte payload, updating the wire size accordingly."""
-        self.payload = payload
-        self.size_bytes = HEADER_OVERHEAD + len(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "PROBE" if self.is_probe else ("ACK" if self.is_ack else "DATA")

@@ -14,7 +14,7 @@ from typing import Callable, Deque, Optional
 
 from repro.simnet.packet import Packet
 
-__all__ = ["DropTailQueue", "RedEcnQueue", "QueueStats"]
+__all__ = ["DropTailQueue", "QueueStats"]
 
 DEFAULT_QUEUE_CAPACITY = 64  # packets; BMv2's default egress queue depth
 
@@ -107,45 +107,3 @@ class DropTailQueue:
         if threshold is not None and len(items) == threshold - 1 and self.on_threshold:
             self.on_threshold(len(items), "down")
         return packet
-
-    def clear(self) -> int:
-        """Drop everything queued; returns the number of packets discarded."""
-        n = len(self._items)
-        self._items.clear()
-        return n
-
-
-class RedEcnQueue(DropTailQueue):
-    """Drop-tail queue with threshold-based ECN marking.
-
-    Packets enqueued while the depth is at or above ``mark_threshold`` get
-    the congestion-experienced flag instead of being dropped (drops still
-    happen at full capacity).  A simplified RED: deterministic marking above
-    one threshold — enough to study ECN-reacting transports against the
-    paper's loss-driven baseline.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_QUEUE_CAPACITY,
-        *,
-        mark_threshold: Optional[int] = None,
-    ) -> None:
-        super().__init__(capacity)
-        if mark_threshold is None:
-            mark_threshold = max(1, capacity // 4)
-        if not 1 <= mark_threshold <= capacity:
-            raise ValueError(
-                f"mark_threshold must be in [1, {capacity}], got {mark_threshold}"
-            )
-        self.mark_threshold = mark_threshold
-        self.marked = 0
-
-    def push(self, packet: Packet) -> Optional[int]:
-        depth = super().push(packet)
-        if depth is not None and depth >= self.mark_threshold:
-            from repro.simnet.packet import FLAG_ECN  # local import: no cycle
-
-            packet.flags |= FLAG_ECN
-            self.marked += 1
-        return depth

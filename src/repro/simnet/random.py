@@ -76,10 +76,6 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
-    def fork(self, salt: int) -> "RandomStreams":
-        """Derive a new independent family, e.g. one per experiment repeat."""
-        return RandomStreams(root_seed=(self.root_seed * 1_000_003 + salt) & 0x7FFFFFFF)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RandomStreams root_seed={self.root_seed} streams={sorted(self._streams)}>"
 

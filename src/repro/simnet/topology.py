@@ -132,14 +132,12 @@ class Network:
         rate_ab_bps: Optional[float] = None,
         rate_ba_bps: Optional[float] = None,
         queue_capacity: Optional[int] = None,
-        ecn_threshold: Optional[int] = None,
     ) -> Link:
         """Create a full-duplex link between two existing nodes.
 
         ``rate_bps`` is the nominal (symmetric) capacity; the optional
         directional overrides model asymmetric bottlenecks such as fast host
-        injection into a rate-limited software switch.  ``ecn_threshold``
-        switches both egress queues to RED/ECN marking at that depth."""
+        injection into a rate-limited software switch."""
         self._check_mutable()
         if name_a == name_b:
             raise TopologyError(f"self-link on {name_a!r}")
@@ -150,14 +148,8 @@ class Network:
         link_name = f"{name_a}<->{name_b}"
         link = Link(link_name, rate_bps, delay, rate_ab_bps=rate_ab_bps, rate_ba_bps=rate_ba_bps)
         cap = queue_capacity if queue_capacity is not None else self.default_queue_capacity
-        if ecn_threshold is not None:
-            from repro.simnet.queueing import RedEcnQueue
-
-            port_a = node_a.add_port(link, queue=RedEcnQueue(cap, mark_threshold=ecn_threshold))
-            port_b = node_b.add_port(link, queue=RedEcnQueue(cap, mark_threshold=ecn_threshold))
-        else:
-            port_a = node_a.add_port(link, cap)
-            port_b = node_b.add_port(link, cap)
+        port_a = node_a.add_port(link, cap)
+        port_b = node_b.add_port(link, cap)
         link.attach(port_a, port_b)
         self.links[link_name] = link
         self._port_toward[(name_a, name_b)] = port_a.port_index

@@ -2,8 +2,8 @@
 
 A :class:`PacketTracer` hooks a set of nodes and records hop events
 (ingress/egress/drop) for packets matching a predicate.  Used for debugging
-experiments ("why did this transfer stall?"), for validating routing in
-tests, and by the trace-driven analysis helpers.
+experiments ("why did this transfer stall?") and for validating routing in
+tests.
 
 A tracer occupies the observer slot of each node it watches
 (:meth:`~repro.simnet.node.Node.set_observer`); the node's data path offers
@@ -134,25 +134,8 @@ class PacketTracer:
 
     # -- analysis -----------------------------------------------------------
 
-    def path_of(self, packet_id: int) -> List[str]:
-        """Node names a packet visited, in order (ingress events)."""
-        return [
-            e.node for e in self.events
-            if e.packet_id == packet_id and e.kind == "ingress"
-        ]
-
     def drops(self) -> List[HopEvent]:
         return [e for e in self.events if e.kind == "drop"]
-
-    def events_for_flow(self, flow_id: int) -> List[HopEvent]:
-        return [e for e in self.events if e.flow_id == flow_id]
-
-    def one_way_delay(self, packet_id: int) -> Optional[float]:
-        """First-egress to last-ingress time for one packet, or None."""
-        times = [e.time for e in self.events if e.packet_id == packet_id]
-        if len(times) < 2:
-            return None
-        return max(times) - min(times)
 
     def __len__(self) -> int:
         return len(self.events)

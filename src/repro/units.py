@@ -44,19 +44,9 @@ def to_ms(t: float) -> float:
     return t * 1e3
 
 
-def to_us(t: float) -> float:
-    """Seconds -> microseconds."""
-    return t * 1e6
-
-
 # ---------------------------------------------------------------------------
 # data size
 # ---------------------------------------------------------------------------
-
-def bytes_(value: float) -> int:
-    """Identity helper for byte counts (rounded to an integer)."""
-    return int(round(value))
-
 
 def kb(value: float) -> int:
     """Kilobytes (10^3 bytes, as in the paper's Table I) -> bytes."""
@@ -68,29 +58,9 @@ def mb(value: float) -> int:
     return int(round(value * 1e6))
 
 
-def kib(value: float) -> int:
-    """Kibibytes (2^10 bytes) -> bytes."""
-    return int(round(value * 1024))
-
-
-def to_kb(nbytes: int) -> float:
-    """Bytes -> kilobytes."""
-    return nbytes / 1e3
-
-
-def to_mb(nbytes: int) -> float:
-    """Bytes -> megabytes."""
-    return nbytes / 1e6
-
-
 # ---------------------------------------------------------------------------
 # data rate
 # ---------------------------------------------------------------------------
-
-def bps(value: float) -> float:
-    """Bits per second (identity helper)."""
-    return float(value)
-
 
 def kbps(value: float) -> float:
     """Kilobits per second -> bits per second."""
@@ -100,11 +70,6 @@ def kbps(value: float) -> float:
 def mbps(value: float) -> float:
     """Megabits per second -> bits per second."""
     return float(value) * 1e6
-
-
-def gbps(value: float) -> float:
-    """Gigabits per second -> bits per second."""
-    return float(value) * 1e9
 
 
 def to_mbps(rate_bps: float) -> float:
@@ -123,8 +88,3 @@ def transmission_time(nbytes: int, rate_bps: float) -> float:
     return (nbytes * 8.0) / rate_bps
 
 
-def bytes_at_rate(rate_bps: float, duration: float) -> int:
-    """Number of bytes a source at ``rate_bps`` emits over ``duration`` s."""
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    return int(rate_bps * duration / 8.0)

@@ -130,10 +130,9 @@ class TestHeterogeneityAware:
         )
         assert ranked == []
 
-    def test_register_capabilities(self, sim, fig4):
-        sched = self._sched(fig4, {})
+    def test_eligible_needs_every_required_capability(self, sim, fig4):
         addr = fig4.network.address_of("node3")
-        sched.register_capabilities(addr, {"gpu", "keras"})
+        sched = self._sched(fig4, {addr: {"gpu", "keras"}})
         assert sched.eligible(addr, frozenset({"gpu"}))
         assert not sched.eligible(addr, frozenset({"gpu", "fpga"}))
         assert sched.eligible(addr, frozenset())

@@ -88,13 +88,6 @@ class TestCollector:
         with pytest.raises(ExperimentError):
             MetricsCollector().mean_completion_time()
 
-    def test_by_size_class_partition(self):
-        mc = MetricsCollector()
-        mc.add(_record(task_id=1, size_class=SizeClass.S))
-        mc.add(_record(task_id=2, size_class=SizeClass.M))
-        groups = mc.by_size_class()
-        assert {c: len(v) for c, v in groups.items()} == {SizeClass.S: 1, SizeClass.M: 1}
-
     def test_failed_list(self):
         mc = MetricsCollector()
         bad = _record(task_id=1, result=None)
@@ -103,7 +96,3 @@ class TestCollector:
         assert len(mc.failed()) == 1
         assert mc.completed() == []
 
-    def test_completion_times_map(self):
-        mc = MetricsCollector()
-        mc.add(_record(task_id=7, result=4.0))
-        assert mc.completion_times() == {7: pytest.approx(4.0)}

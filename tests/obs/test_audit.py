@@ -148,6 +148,3 @@ class TestNetworkGroundTruth:
         assert hop["u"].startswith("host:") and hop["v"] == f"sw:{sw_id}"
         assert hop["true_qdepth"] == 0
 
-    def test_unresolvable_path_returns_none(self, sim, line3):
-        truth = NetworkGroundTruth(line3)
-        assert truth.path_truth([host_node(1), ("sw", 999)]) is None

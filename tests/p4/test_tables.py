@@ -34,15 +34,6 @@ def test_set_entry_upserts():
     assert len(t) == 1
 
 
-def test_remove_entry():
-    t = ExactMatchTable("fwd")
-    t.add_entry(1, "forward", port=0)
-    t.remove_entry(1)
-    assert 1 not in t
-    with pytest.raises(DataPlaneError):
-        t.remove_entry(1)
-
-
 def test_entries_copy():
     t = ExactMatchTable("fwd")
     t.add_entry(1, "forward", port=0)

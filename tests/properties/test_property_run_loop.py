@@ -2,16 +2,15 @@
 loop it replaced.
 
 ``Simulator.run`` ends a window on a sentinel heap entry (``until``, or a
-``stop()``) instead of testing the heap top, a stop flag and a budget per
-event.  :class:`PeekingSimulator` keeps that earlier loop, test-local, as
+``stop()``) instead of testing the heap top and a stop flag per event.  :class:`PeekingSimulator` keeps that earlier loop, test-local, as
 the reference.  Random programs run on both — and on the profiled loop —
 and must agree on the dispatch order, and on ``now``, ``events_executed``
 and ``pending_events()`` read from inside every handler (a sentinel is not
 an event) and after every call.  Programs put events at exactly ``until``
 and schedule more there from inside the run, stop with followers at the
 same instant (twice in one handler, too), cancel enough far-future handles
-from a handler to compact the heap mid-run, raise from a handler, and mix
-``max_events`` budgets, ``step()`` and back-to-back ``run(until)`` windows.
+from a handler to compact the heap mid-run, raise from a handler, and run
+back-to-back ``run(until)`` windows.
 """
 
 import heapq
@@ -28,8 +27,9 @@ BURST = 80                  # far-future handles; cancelling them compacts
 
 
 class PeekingSimulator(Simulator):
-    """The reference: one heap-top peek, one stop-flag test and one budget
-    compare per event, and no sentinel entries."""
+    """The reference: one heap-top peek and one stop-flag test per event,
+    no sentinel entries, and a heap scan before the clock jumps to
+    ``until``."""
 
     def stop(self):
         self._stop_requested = True
@@ -37,14 +37,12 @@ class PeekingSimulator(Simulator):
     def pending_events(self):
         return len(self._heap) - self._tombstones
 
-    def run(self, until=None, max_events=None):
+    def run(self, until=None):
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stop_requested = False
-        executed = 0
         limit = _INF if until is None else until
-        budget = 0 if max_events is None else max(max_events, 1)
         heap = self._heap
         try:
             while heap and not self._stop_requested:
@@ -59,9 +57,6 @@ class PeekingSimulator(Simulator):
                 self._now = time
                 self._dispatched += 1
                 fn(*args)
-                executed += 1
-                if executed == budget:
-                    break
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stop_requested:
@@ -83,14 +78,7 @@ event = st.tuples(
     st.lists(st.sampled_from(ACTIONS), max_size=3),
     st.booleans(),                                          # handle (schedule) or post
 )
-call = st.one_of(
-    st.tuples(
-        st.just("run"),
-        st.one_of(st.none(), st.integers(0, 14)),           # until, in GRID units
-        st.one_of(st.none(), st.integers(-1, 6)),           # max_events
-    ),
-    st.tuples(st.just("step"), st.none(), st.none()),
-)
+call = st.one_of(st.none(), st.integers(0, 14))            # until, in GRID units
 
 
 def drive(sim, events, calls):
@@ -134,19 +122,16 @@ def drive(sim, events, calls):
         if handled:
             sim.schedule_at(slot * GRID, fire, f"e{i}", actions)
         else:
-            sim.post_at(slot * GRID, fire, f"e{i}", actions)
+            sim.post(slot * GRID, fire, f"e{i}", actions)
 
-    for kind, until, max_events in calls:
+    for until in calls:
         window["until"] = None if until is None else until * GRID
         try:
-            if kind == "step":
-                outcome = sim.step()
-            else:
-                sim.run(until=window["until"], max_events=max_events)
-                outcome = "returned"
+            sim.run(until=window["until"])
+            outcome = "returned"
         except Boom as exc:
             outcome = f"raised {exc}"
-        log.append((kind, outcome, sim.now, sim.events_executed, sim.pending_events()))
+        log.append(("run", outcome, sim.now, sim.events_executed, sim.pending_events()))
     return log
 
 
@@ -169,7 +154,8 @@ def test_the_property_reaches_the_cases_it_names():
     an event at the window edge and one scheduled there from inside the
     run both fire in that window, a double stop leaves its same-instant
     follower for the next call, a mid-run cancel compacts the heap, a
-    budget and a raise end their calls early."""
+    raise ends its call early, and back-to-back windows move the clock
+    edge to edge on the plain and the profiled loop alike."""
     events = [
         (4, ["at_until", "cancel_burst"], True),
         (8, [], False),                         # exactly at the first edge
@@ -178,8 +164,7 @@ def test_the_property_reaches_the_cases_it_names():
         (11, [], True),
         (11, ["later"], True),
     ]
-    calls = [("run", 8, None), ("run", None, None), ("run", 10, 1),
-             ("run", 12, None), ("step", None, None), ("run", None, 2)]
+    calls = [8, None, 10, 12, 14]
     compactions = []
 
     class Counting(Simulator):
@@ -189,17 +174,17 @@ def test_the_property_reaches_the_cases_it_names():
 
     log = drive(Counting(), events, calls)
     assert log == drive(PeekingSimulator(), events, calls)
+    assert log == drive(_profiled(), events, calls)
     assert [entry[0] for entry in log] == [
         "e0", "e0/end", "e1", "e1/end", "e0/0", "run",  # e0/0 came at the edge
         "e2", "e2/end", "run",                          # stopped before e2/0
-        "e2/0", "run",                                  # budget of one
-        "e3", "run",                                    # raised
-        "e4", "e4/end", "step",
-        "e5", "e5/end", "e5/0", "run",
+        "e2/0", "e3", "run",                            # raised
+        "e4", "e4/end", "e5", "e5/end", "e5/0", "run",  # e5/0 came at the edge
+        "run",                                          # an empty window
     ]
-    calls_out = [entry for entry in log if entry[0] in ("run", "step")]
+    calls_out = [entry for entry in log if entry[0] == "run"]
     assert [c[1] for c in calls_out] == [
-        "returned", "returned", "returned", "raised e3/0", True, "returned",
+        "returned", "returned", "raised e3/0", "returned", "returned",
     ]
-    assert [c[2] for c in calls_out] == [2.0, 2.25, 2.25, 2.5, 2.75, 3.0]
+    assert [c[2] for c in calls_out] == [2.0, 2.25, 2.5, 3.0, 3.5]
     assert compactions                                  # mid-run, from e0

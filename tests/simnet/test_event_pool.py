@@ -38,12 +38,6 @@ class TestPost:
         with pytest.raises(SimulationError):
             sim.post(-0.1, lambda: None)
 
-    def test_post_at_before_now_rejected(self, sim):
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.post_at(4.0, lambda: None)
-
     def test_post_counts_as_pending(self, sim):
         sim.post(1.0, lambda: None)
         sim.post(2.0, lambda: None)
@@ -144,13 +138,6 @@ class TestLiveCounter:
             sim.cancel(handle)
         assert sim.pending_events() == 10
 
-    def test_step_decrements(self, sim):
-        sim.post(1.0, lambda: None)
-        sim.post(2.0, lambda: None)
-        sim.step()
-        assert sim.pending_events() == 1
-
-
 class TestCompaction:
     def test_mass_cancel_compacts_heap(self, sim):
         keep = [sim.schedule(100.0 + i, lambda: None) for i in range(10)]
@@ -234,17 +221,9 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.floats(0.0, 5.0)),
         st.tuples(st.just("post"), st.floats(0.0, 5.0)),
-        st.tuples(st.just("post_at"), st.floats(0.0, 5.0)),
         st.tuples(st.just("reschedule"), st.floats(0.0, 5.0)),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
-        st.tuples(st.just("step"), st.none()),
-        st.tuples(
-            st.just("run"),
-            st.tuples(
-                st.one_of(st.none(), st.floats(0.0, 6.0)),
-                st.one_of(st.none(), st.integers(-1, 8)),
-            ),
-        ),
+        st.tuples(st.just("run"), st.one_of(st.none(), st.floats(0.0, 6.0))),
     ),
     max_size=60,
 )
@@ -257,12 +236,11 @@ def _live(sim):
 @settings(max_examples=150, deadline=None)
 @given(ops=_OPS, burst=st.integers(0, 150))
 def test_pending_events_is_the_live_heap_count(ops, burst):
-    """Random schedule / post / post_at / reschedule / cancel / step / run
-    sequences, with a burst of handles whose mass cancel compacts the heap:
+    """Random schedule / post / reschedule / cancel / run sequences, with a
+    burst of handles whose mass cancel compacts the heap:
     ``pending_events()`` equals the live entries counted one by one after
-    every operation, and ``run(until)`` jumps the clock to ``until`` exactly
-    when no live entry at or before it was left behind — else it stops at
-    the last dispatched event."""
+    every operation, and ``run(until)`` runs every live entry at or before
+    ``until`` and leaves the clock there."""
     sim = Simulator()
     fired_times = []
 
@@ -275,8 +253,6 @@ def test_pending_events_is_the_live_heap_count(ops, burst):
             handles.append(sim.schedule(arg, fire))
         elif kind == "post":
             sim.post(arg, fire)
-        elif kind == "post_at":
-            sim.post_at(sim.now + arg, fire)
         elif kind == "reschedule":
             reusable = [h for h in handles if h.fired and not h.cancelled]
             if reusable:
@@ -285,22 +261,16 @@ def test_pending_events_is_the_live_heap_count(ops, burst):
             pending = [h for h in handles if not h.fired and not h.cancelled]
             for handle in pending[: arg or len(pending)]:
                 sim.cancel(handle)
-        elif kind == "step":
-            before = sim.pending_events()
-            assert sim.step() == (before > 0)
-            assert sim.pending_events() == max(before - 1, 0)
         else:
-            until, max_events = arg
+            until = arg
             now, fired = sim.now, len(fired_times)
-            sim.run(until=until, max_events=max_events)
+            sim.run(until=until)
             ran = fired_times[fired:]
-            if max_events is not None:
-                assert len(ran) <= max(max_events, 1)
             if until is not None:
                 assert all(t <= until for t in ran)
-                if now <= until:
-                    left_behind = any(e[0] <= until for e in _live(sim))
-                    expected = (ran[-1] if ran else now) if left_behind else until
-                    assert sim.now == expected
+                assert not any(e[0] <= until for e in _live(sim))
+                assert sim.now == max(now, until)
+            else:
+                assert not _live(sim)
         assert sim.pending_events() == len(_live(sim))
         assert sim._tombstones == len(sim._heap) - len(_live(sim))

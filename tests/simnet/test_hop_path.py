@@ -106,7 +106,7 @@ def _hop_calls(monkeypatch, drawn):
 def test_a_hop_is_five_frames(monkeypatch):
     """Dispatch one delivery by hand under a call tracer: the hop, the
     send, the start and the egress stage are the only Python calls — no
-    post_at, no Switch.on_ingress / on_egress trampoline, and the service
+    post() call, no Switch.on_ingress / on_egress trampoline, and the service
     factor is a C-level ``next()``."""
     assert _hop_calls(monkeypatch, 1) == ["hop", "send", "_start", "egress"]
 

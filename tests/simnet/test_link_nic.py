@@ -133,34 +133,6 @@ class TestDelivery:
         assert port.backlog == 0
 
 
-class TestUtilization:
-    def _loaded_link(self, sim, quiet_network_factory):
-        net = quiet_network_factory()
-        net.add_host("a")
-        net.add_host("b")
-        link = net.connect("a", "b", rate_bps=mbps(20), delay=0.0)
-        net.finalize()
-        net.host("b").bind(PROTO_UDP, 5, lambda p: None)
-        net.host("a").send(
-            net.host("a").new_packet(net.address_of("b"), dst_port=5, size_bytes=1500)
-        )
-        sim.run()
-        return net, link
-
-    def test_utilization_fraction(self, sim, quiet_network_factory):
-        net, link = self._loaded_link(sim, quiet_network_factory)
-        port = net.host("a").ports[0]
-        assert link.utilization(port, 1.0) == pytest.approx(1500 * 8 / mbps(20))
-
-    def test_nonpositive_window_rejected(self, sim, quiet_network_factory):
-        net, link = self._loaded_link(sim, quiet_network_factory)
-        port = net.host("a").ports[0]
-        with pytest.raises(ValueError, match="window must be positive"):
-            link.utilization(port, 0.0)
-        with pytest.raises(ValueError, match="window must be positive"):
-            link.utilization(port, -1.0)
-
-
 class TestLinkFaultState:
     def _pair(self, sim, quiet_network_factory):
         net = quiet_network_factory()

@@ -62,13 +62,6 @@ def test_payload_with_room_for_padding_allowed():
     assert p.payload == b"abc"
 
 
-def test_set_payload_updates_size():
-    p = Packet(1, 2, size_bytes=HEADER_OVERHEAD + 10, payload=b"0123456789")
-    p.set_payload(b"abcd")
-    assert p.size_bytes == HEADER_OVERHEAD + 4
-    assert p.payload == b"abcd"
-
-
 def test_fields_carried():
     p = Packet(
         3,

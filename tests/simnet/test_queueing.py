@@ -77,14 +77,6 @@ def test_bytes_enqueued_accumulates():
     assert q.stats.bytes_enqueued == 300
 
 
-def test_clear():
-    q = DropTailQueue()
-    for _ in range(4):
-        q.push(_pkt())
-    assert q.clear() == 4
-    assert len(q) == 0
-
-
 def test_depth_recovers_after_drain():
     q = DropTailQueue(capacity=2)
     q.push(_pkt())

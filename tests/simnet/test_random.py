@@ -39,16 +39,3 @@ def test_get_returns_same_generator_instance():
     assert streams.get("w") is streams.get("w")
 
 
-def test_fork_changes_streams():
-    base = RandomStreams(5)
-    forked = base.fork(1)
-    assert forked.root_seed != base.root_seed
-    a = base.get("w").random(3)
-    b = forked.get("w").random(3)
-    assert not np.array_equal(a, b)
-
-
-def test_fork_deterministic():
-    a = RandomStreams(5).fork(3).get("w").random(4)
-    b = RandomStreams(5).fork(3).get("w").random(4)
-    assert np.array_equal(a, b)

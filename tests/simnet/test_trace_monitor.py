@@ -1,4 +1,4 @@
-"""Packet tracing and ground-truth monitoring instrumentation."""
+"""Packet tracing instrumentation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.obs.tracing import SampledProbeTracer
 from repro.simnet.addressing import PROTO_UDP
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import UdpCbrFlow, UdpSink, reset_flow_ids
-from repro.simnet.monitor import QueueSampler, link_utilizations
 from repro.simnet.packet import FLAG_PROBE, reset_packet_ids
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
@@ -15,6 +14,11 @@ from repro.simnet.trace import PacketTracer, flow_predicate, probe_predicate
 from repro.telemetry.collector import IntCollector
 from repro.telemetry.probe import ProbeResponder, ProbeSender
 from repro.units import mbps, ms, transmission_time
+
+
+def _ingress_path(tracer, packet_id):
+    """Node names a packet visited, in order."""
+    return [e.node for e in tracer.events if e.packet_id == packet_id and e.kind == "ingress"]
 
 
 class TestPacketTracer:
@@ -29,7 +33,7 @@ class TestPacketTracer:
         pkt = h1.new_packet(net.address_of("h2"), dst_port=9)
         h1.send(pkt)
         sim.run()
-        assert tracer.path_of(pkt.packet_id) == ["s01", "s02", "h2"]
+        assert _ingress_path(tracer, pkt.packet_id) == ["s01", "s02", "h2"]
 
     def test_predicate_filters(self, sim, line3):
         net = line3
@@ -64,7 +68,8 @@ class TestPacketTracer:
         pkt = h1.new_packet(net.address_of("h2"), dst_port=9, size_bytes=1500)
         h1.send(pkt)
         sim.run()
-        delay = tracer.one_way_delay(pkt.packet_id)
+        times = [e.time for e in tracer.events if e.packet_id == pkt.packet_id]
+        delay = max(times) - min(times)
         # h1 egress -> h2 ingress: 3 links of 10 ms, fast host injection,
         # two fabric serializations (loose tolerance: switch service jitter).
         expected = (
@@ -92,7 +97,7 @@ class TestPacketTracer:
         first = h1.new_packet(net.address_of("h2"), dst_port=9)
         h1.send(first)
         sim.run()
-        assert tracer.path_of(first.packet_id) == ["s01", "s02", "h2"]
+        assert _ingress_path(tracer, first.packet_id) == ["s01", "s02", "h2"]
         recorded = len(tracer)
         tracer.detach()
         # ... and none after detach, which leaves every handler as it was.
@@ -281,66 +286,3 @@ class TestProbeStride:
             )
             tracer.record(host, "egress", packet)
         assert [e.seq for e in tracer.events] == [1, 6]
-
-
-class TestQueueSampler:
-    def test_samples_backlog(self, sim, line3):
-        net = line3
-        port = net.switch("s01").port(net.port_toward("s01", "s02"))
-        sampler = QueueSampler(sim, [port], interval=0.01)
-        sampler.start()
-        UdpSink(net.host("h2"))
-        flow = UdpCbrFlow(
-            net.host("h1"), net.address_of("h2"), mbps(19),
-            rng=__import__("repro.simnet.random", fromlist=["RandomStreams"]).RandomStreams(1).get("f"),
-        )
-        flow.run_for(2.0)
-        sim.run(until=2.0)
-        assert sampler.max_depth(port) > 0
-        series = sampler.samples["s01[1]"]
-        assert len(series) == pytest.approx(200, abs=5)
-
-    def test_stop_halts_sampling(self, sim, line3):
-        port = net_port = line3.switch("s01").port(0)
-        sampler = QueueSampler(sim, [port], interval=0.01)
-        sampler.start()
-        sim.run(until=0.5)
-        sampler.stop()
-        n = len(sampler.samples["s01[0]"])
-        sim.run(until=1.0)
-        assert len(sampler.samples["s01[0]"]) == n
-
-
-class TestLinkUtilizations:
-    def test_idle_zero(self, sim, line3):
-        out = link_utilizations(line3, window=1.0)
-        assert all(v == 0.0 for v in out.values())
-
-    def test_loaded_direction_measured(self, sim, line3):
-        net = line3
-        UdpSink(net.host("h2"))
-        UdpCbrFlow(net.host("h1"), net.address_of("h2"), mbps(10), burstiness="cbr").run_for(2.0)
-        sim.run(until=2.0)
-        out = link_utilizations(net, window=2.0)
-        loaded = out["s01<->s02:a"]
-        assert loaded == pytest.approx(0.5, abs=0.1)
-
-    def test_asymmetric_access_link_uses_each_directions_rate(self, sim, line3):
-        """h1 injects at 10 x the fabric rate (attach_host), so 10 Mb/s of
-        CBR is 5 % of the host->switch direction and 50 % of the fabric
-        directions — not 50 % everywhere, and read exactly from inside the
-        run (the uplink elides nearly every completion)."""
-        net = line3
-        UdpSink(net.host("h2"))
-        UdpCbrFlow(net.host("h1"), net.address_of("h2"), mbps(10), burstiness="cbr").run_for(2.0)
-        inside = []
-        sim.schedule_at(2.0, lambda: inside.append(link_utilizations(net, window=2.0)))
-        sim.run(until=2.0)
-        out = link_utilizations(net, window=2.0)
-        assert inside == [out]
-        link = net.links["h1<->s01"]
-        assert link.rate_ab_bps == 10 * link.rate_ba_bps
-        assert out["h1<->s01:a"] == pytest.approx(0.05, abs=0.01)
-        assert out["h1<->s01:a"] == link.utilization(net.host("h1").ports[0], 2.0)
-        assert out["h2<->s02:b"] == pytest.approx(0.5, abs=0.1)   # switch -> host
-        assert out["h1<->s01:b"] == 0.0

@@ -30,7 +30,7 @@ FRAME_TX = (1200 * 8.0) / UPLINK        # the float the port itself computes
 SIZES = (1200, 300, 1500, 64, 900)
 
 
-def _build(slowpath, *, jitter=0.0, ecn=None, capacity=None):
+def _build(slowpath, *, jitter=0.0, capacity=None):
     """h1, h3 -- s01 -- h2: two senders into one 20 Mb/s switch egress."""
     with pytest.MonkeyPatch.context() as mp:
         if slowpath:
@@ -45,18 +45,11 @@ def _build(slowpath, *, jitter=0.0, ecn=None, capacity=None):
         for host in ("h1", "h2", "h3"):
             net.add_host(host)
         net.add_switch("s01")
-        if ecn is None:
-            for host in ("h1", "h2", "h3"):
-                net.attach_host(
-                    host, "s01", fabric_rate_bps=mbps(20), delay=ms(10),
-                    queue_capacity=capacity,
-                )
-        else:
-            for host in ("h1", "h2", "h3"):
-                net.connect(
-                    host, "s01", rate_bps=mbps(20), delay=ms(10),
-                    rate_ab_bps=UPLINK, queue_capacity=capacity, ecn_threshold=ecn,
-                )
+        for host in ("h1", "h2", "h3"):
+            net.attach_host(
+                host, "s01", fabric_rate_bps=mbps(20), delay=ms(10),
+                queue_capacity=capacity,
+            )
         net.finalize()
     assert (net.switch("s01")._fast_ingress is None) == slowpath
     return sim, net
@@ -145,7 +138,6 @@ def _drive(slowpath, *, until=None, threshold=None, **build):
             "dropped": port.queue.stats.dropped,
             "bytes_enqueued": port.queue.stats.bytes_enqueued,
             "max_depth_seen": port.queue.stats.max_depth_seen,
-            "marked": getattr(port.queue, "marked", None),
         }
         for label, port in _ports(net)
     }
@@ -167,7 +159,6 @@ VARIANTS = {
     "thresholds": {"threshold": 2},
     "threshold-1": {"threshold": 1},
     "threshold-48": {"threshold": 48},
-    "red-ecn": {"ecn": 2},
     "overflow": {"capacity": 3, "threshold": 2, "jitter": 0.15},
 }
 
@@ -217,12 +208,10 @@ class TestEquivalence:
         assert stacks and stacks == [a[5] for a in slow["arrivals"] if a[4] & FLAG_PROBE]
 
     def test_queue_stats_and_counters_identical(self, runs):
-        variant, fast, slow = runs
+        _variant, fast, slow = runs
         assert fast["ports"] == slow["ports"]
         assert fast["bytes_carried"] == slow["bytes_carried"]
         assert fast["drops"] == slow["drops"]
-        if variant == "red-ecn":
-            assert sum(p["marked"] for p in fast["ports"].values()) > 0
 
     def test_threshold_callbacks_identical(self, runs):
         variant, fast, slow = runs

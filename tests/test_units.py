@@ -25,39 +25,21 @@ def test_to_ms_roundtrip():
     assert units.to_ms(units.ms(42.0)) == pytest.approx(42.0)
 
 
-def test_to_us_roundtrip():
-    assert units.to_us(units.us(17.0)) == pytest.approx(17.0)
-
-
 def test_kb_uses_decimal_kilobytes():
     # Table I uses KB = 10^3 bytes.
     assert units.kb(1000) == 1_000_000
-
-
-def test_kib_uses_binary():
-    assert units.kib(1) == 1024
 
 
 def test_mb():
     assert units.mb(5.5) == 5_500_000
 
 
-def test_bytes_rounds():
-    assert units.bytes_(10.6) == 11
-
-
-def test_to_kb_to_mb():
-    assert units.to_kb(1500) == pytest.approx(1.5)
-    assert units.to_mb(2_500_000) == pytest.approx(2.5)
-
-
 def test_mbps():
     assert units.mbps(20) == 20e6
 
 
-def test_kbps_gbps():
+def test_kbps():
     assert units.kbps(120) == 120e3
-    assert units.gbps(1) == 1e9
 
 
 def test_to_mbps_roundtrip():
@@ -74,11 +56,3 @@ def test_transmission_time_rejects_nonpositive_rate():
         units.transmission_time(1500, 0)
 
 
-def test_bytes_at_rate():
-    # 120 Kb/s for 1 s = 15 KB (the paper's probe overhead arithmetic).
-    assert units.bytes_at_rate(units.kbps(120), 1.0) == 15_000
-
-
-def test_bytes_at_rate_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        units.bytes_at_rate(1e6, -1.0)
