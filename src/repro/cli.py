@@ -7,15 +7,10 @@ Commands map one-to-one onto the experiment harnesses:
 * ``sweep``     — the Fig. 9 probing-interval sweep;
 * ``reproduce`` — everything, in paper order (Fig. 3, 5, 6, 7, 8, 9);
 * ``faults``    — list/show/run fault-injection scenarios (robustness);
-* ``obs-report`` — summarize an observability export (``--obs-out`` file);
-  optionally write its engine profile as a flamegraph SVG / collapsed stacks;
-* ``telemetry-report`` — grade the telemetry plane from a ``--telquality``
-  export: INT coverage vs prediction, freshness, error-vs-staleness;
-* ``whatif-report`` — counterfactual replay of a ``--whatif`` export:
-  per-decision regret, alternative-policy comparison, regret attribution;
-* ``trace-report`` — summarize a causal span export (``--trace-out`` file);
-* ``dashboard`` — render an ``--obs-out`` export as one self-contained
-  HTML page (inline SVG sparklines / heatmap / alert timeline);
+* ``report``    — read an ``--obs-out`` or ``--trace-out`` export back: one
+  text report with observability, telemetry-quality, what-if and trace
+  sections, and optionally the same pass's HTML dashboard, Chrome trace,
+  and flamegraph SVG / collapsed stacks;
 * ``cache``     — inspect, checksum-verify, or clear the on-disk run cache;
 * ``resume``    — continue an interrupted sweep from its ``--journal`` file.
 
@@ -51,6 +46,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -92,6 +88,21 @@ FIGURES = {"fig5": (FIG5_CONFIG, "completion"), "fig6": (FIG6_CONFIG, "completio
 _CLASSES = {c.label: c for c in SizeClass}
 
 
+@contextmanager
+def _output(path: str):
+    """Writing an output file: a path that cannot be written is an
+    ``error: <path>: <reason>`` exit 2, as an unreadable input is."""
+    try:
+        yield
+    except OSError as exc:
+        raise ReproError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 class _Reporter:
     def __init__(self, out_path: Optional[str]) -> None:
         self.out_path = out_path
@@ -104,9 +115,8 @@ class _Reporter:
 
     def close(self) -> None:
         if self.out_path:
-            with open(self.out_path, "w") as fh:
-                fh.write("\n".join(self.lines) + "\n")
-            print(f"report written to {self.out_path}")
+            _write_text(self.out_path, "\n".join(self.lines) + "\n")
+            print(f"report written to {self.out_path}", file=sys.stderr)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +125,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--obs-out", type=str, default=None, metavar="PATH",
         help="capture the observability layer (metrics + events + decision "
-             "audit) to a JSONL file; see the obs-report command",
+             "audit) to a JSONL file; see the report command",
     )
 
 
@@ -230,23 +240,23 @@ def _finish_runner(reporter: "_Reporter", args: argparse.Namespace, runner) -> N
     """Flush a runner's accumulated instrumentation: write the --trace-out
     span export and print the merged --profile summary.  With both
     --profile and --obs-out, the merged summary also rides on the obs
-    export as one ``kind: "profile"`` record so obs-report and dashboard
-    can show it."""
+    export as one ``kind: "profile"`` record so ``report`` can show it."""
     from repro.obs.export import write_jsonl
 
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
-        total = write_jsonl(runner.trace_records, trace_out)
+        with _output(trace_out):
+            total = write_jsonl(runner.trace_records, trace_out)
         reporter.emit(
             f"traces: {total} span records written to {trace_out} "
-            f"(summarize with: repro trace-report {trace_out})"
+            f"(summarize with: repro report {trace_out})"
         )
     # Records append only to an obs export the command actually wrote.
     obs_out = getattr(args, "obs_out", None)
     obs_out = obs_out if obs_out and os.path.exists(obs_out) else None
     if obs_out and runner.obs is not None:
         # Forward the runner's own resilience events (failures, retries,
-        # cache corruption) so obs-report can surface them.  Appended only
+        # cache corruption) so the report can surface them.  Appended only
         # when present: a clean sweep's export is byte-stable against the
         # pre-supervision format.
         resilience = [
@@ -324,7 +334,8 @@ def _write_obs(reporter: "_Reporter", obs_out: Optional[str], records) -> None:
         return
     from repro.obs.export import write_jsonl
 
-    total = write_jsonl(list(records), obs_out)
+    with _output(obs_out):
+        total = write_jsonl(list(records), obs_out)
     reporter.emit(f"observability: {total} records written to {obs_out}")
 
 
@@ -548,7 +559,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
         f"{runner.stats.executed} executed, {len(failures)} failed"
     )
     if args.payloads_out:
-        with open(args.payloads_out, "w", encoding="utf-8") as fh:
+        with _output(args.payloads_out), \
+                open(args.payloads_out, "w", encoding="utf-8") as fh:
             for result in results:
                 if result.ok:
                     fh.write(
@@ -594,12 +606,10 @@ def _write_profile_exports(
     from repro.obs.perf import collapsed_stacks, flamegraph_svg
 
     if flamegraph_out:
-        with open(flamegraph_out, "w") as fh:
-            fh.write(flamegraph_svg(profile))
+        _write_text(flamegraph_out, flamegraph_svg(profile))
         print(f"flamegraph written to {flamegraph_out}", file=sys.stderr)
     if collapsed_out:
-        with open(collapsed_out, "w") as fh:
-            fh.write(collapsed_stacks(profile))
+        _write_text(collapsed_out, collapsed_stacks(profile))
         print(f"collapsed stacks written to {collapsed_out}", file=sys.stderr)
 
 
@@ -630,7 +640,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _load_records(path: str):
-    """The records of an export for a report command, or ``None`` after
+    """The records of an export for ``report``, or ``None`` after
     saying on stderr why there are none (the command then exits 2).  A run
     killed mid-write leaves a truncated last line: that one is dropped with
     a warning and the report renders from the complete lines."""
@@ -650,15 +660,38 @@ def _load_records(path: str):
     return None
 
 
-def cmd_obs_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.export import render_obs_report
+    from repro.obs.telquality import render_telemetry_report
+    from repro.obs.tracing import render_trace_report, write_chrome_trace
+    from repro.obs.whatif import render_whatif_report
 
     records = _load_records(args.path)
     if records is None:
         return 2
     reporter = _Reporter(args.out)
-    reporter.emit(f"observability report — {args.path}")
-    reporter.emit(render_obs_report(records))
+    for header, render in (
+        ("observability report", render_obs_report),
+        ("telemetry-quality report", render_telemetry_report),
+        ("what-if replay report", render_whatif_report),
+        ("trace report", render_trace_report),
+    ):
+        reporter.emit(f"{header} — {args.path}")
+        reporter.emit(render(records))
+    if args.chrome:
+        with _output(args.chrome):
+            n = write_chrome_trace(records, args.chrome)
+        reporter.emit(
+            f"chrome trace: {n} events written to {args.chrome} "
+            f"(open in Perfetto: https://ui.perfetto.dev)"
+        )
+    if args.html_out:
+        from repro.obs.dashboard import write_dashboard
+
+        with _output(args.html_out):
+            write_dashboard(records, args.html_out, title=f"repro — {args.path}")
+        print(f"dashboard: {len(records)} records rendered to {args.html_out}",
+              file=sys.stderr)
     profiles = [r["profile"] for r in records if r.get("kind") == "profile"]
     _write_profile_exports(
         profiles[-1] if profiles else None,
@@ -666,63 +699,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
         collapsed_out=args.collapsed_out,
     )
     reporter.close()
-    return 0
-
-
-def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    from repro.obs.telquality import render_telemetry_report
-
-    records = _load_records(args.path)
-    if records is None:
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"telemetry-quality report — {args.path}")
-    reporter.emit(render_telemetry_report(records))
-    reporter.close()
-    return 0
-
-
-def cmd_whatif_report(args: argparse.Namespace) -> int:
-    from repro.obs.whatif import render_whatif_report
-
-    records = _load_records(args.path)
-    if records is None:
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"what-if replay report — {args.path}")
-    reporter.emit(render_whatif_report(records))
-    reporter.close()
-    return 0
-
-
-def cmd_trace_report(args: argparse.Namespace) -> int:
-    from repro.obs.tracing import render_trace_report, write_chrome_trace
-
-    records = _load_records(args.path)
-    if records is None:
-        return 2
-    reporter = _Reporter(args.out)
-    reporter.emit(f"trace report — {args.path}")
-    reporter.emit(render_trace_report(records))
-    if args.chrome:
-        n = write_chrome_trace(records, args.chrome)
-        reporter.emit(
-            f"chrome trace: {n} events written to {args.chrome} "
-            f"(open in Perfetto: https://ui.perfetto.dev)"
-        )
-    reporter.close()
-    return 0
-
-
-def cmd_dashboard(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import write_dashboard
-
-    records = _load_records(args.path)
-    if records is None:
-        return 2
-    out = args.html_out or (args.path + ".html")
-    write_dashboard(records, out, title=args.title or f"repro — {args.path}")
-    print(f"dashboard: {len(records)} records rendered to {out}")
     return 0
 
 
@@ -823,61 +799,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "to the same export from an uninterrupted sweep")
     p.set_defaults(fn=cmd_resume)
 
-    p = sub.add_parser("obs-report", help="summarize an --obs-out JSONL export")
-    p.add_argument("path", help="JSONL file written via --obs-out")
-    p.add_argument("--out", type=str, default=None)
+    p = sub.add_parser(
+        "report",
+        help="read an --obs-out or --trace-out JSONL export back: "
+             "observability, telemetry-quality (--telquality runs), what-if "
+             "replay and span-trace sections, plus optional file outputs",
+    )
+    p.add_argument("path", help="JSONL file written via --obs-out or --trace-out")
+    p.add_argument("--out", type=str, default=None,
+                   help="also write the text report to this file")
+    p.add_argument("--html-out", type=str, default=None, metavar="PATH",
+                   help="render the export as one self-contained HTML "
+                        "dashboard page (best with --sample-interval runs)")
+    p.add_argument("--chrome", type=str, default=None, metavar="PATH",
+                   help="convert the export's spans to Chrome trace-event "
+                        "JSON (loadable in Perfetto / chrome://tracing)")
     p.add_argument("--flamegraph-out", type=str, default=None, metavar="PATH",
                    help="write the export's engine profile (a --profile run) "
                         "as a self-contained flamegraph SVG")
     p.add_argument("--collapsed-out", type=str, default=None, metavar="PATH",
                    help="write the export's engine profile in collapsed-stack "
                         "format (flamegraph.pl / speedscope compatible)")
-    p.set_defaults(fn=cmd_obs_report)
-
-    p = sub.add_parser(
-        "telemetry-report",
-        help="grade the telemetry plane from an --obs-out export: INT port "
-             "coverage vs the layout's prediction, register freshness, and "
-             "decision error binned by telemetry age (needs --telquality)",
-    )
-    p.add_argument("path", help="JSONL file written via --obs-out")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_telemetry_report)
-
-    p = sub.add_parser(
-        "whatif-report",
-        help="replay an --obs-out export's decision audits counterfactually: "
-             "per-decision hindsight regret, alternative ranking policies "
-             "scored against the actual scheduler, and regret attributed to "
-             "telemetry staleness (best with --whatif runs)",
-    )
-    p.add_argument("path", help="JSONL file written via --obs-out")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_whatif_report)
-
-    p = sub.add_parser(
-        "dashboard",
-        help="render an --obs-out JSONL export as one self-contained HTML "
-             "page (no external resources; best with --sample-interval runs)",
-    )
-    p.add_argument("path", help="JSONL file written via --obs-out")
-    p.add_argument("--html-out", type=str, default=None, metavar="PATH",
-                   help="output HTML path (default: <path>.html)")
-    p.add_argument("--title", type=str, default=None,
-                   help="page title (default: derived from the input path)")
-    p.set_defaults(fn=cmd_dashboard)
-
-    p = sub.add_parser(
-        "trace-report",
-        help="summarize a --trace-out span export (critical-path delay "
-             "decomposition vs the Algorithm-1 estimate)",
-    )
-    p.add_argument("path", help="JSONL file written via --trace-out")
-    p.add_argument("--chrome", type=str, default=None, metavar="PATH",
-                   help="also convert the spans to Chrome trace-event JSON "
-                        "(loadable in Perfetto / chrome://tracing)")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(fn=cmd_trace_report)
+    p.set_defaults(fn=cmd_report)
 
     return parser
 

@@ -44,6 +44,8 @@ import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import _fmt
+
 __all__ = ["render_dashboard", "write_dashboard"]
 
 SPARK_W = 260
@@ -66,15 +68,6 @@ svg { background: #fff; border: 1px solid #ddd; }
 .empty { color: #999; font-style: italic; }
 .fire { fill: #c0392b; } .bar { fill: #e67e22; }
 """
-
-
-def _fmt(value: Any) -> str:
-    """One float format for every number in the page (determinism)."""
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _esc(value: Any) -> str:

@@ -13,24 +13,25 @@ The wire format is one JSON object per line, discriminated by ``kind``:
   present when the run sampled with ``--sample-interval``;
 * ``{"kind": "span", ...}`` — one causal-trace span (see
   :mod:`repro.obs.tracing`), written to a separate ``--trace-out`` file and
-  summarized by ``repro trace-report``;
+  summarized by the trace section of ``repro report``;
 * ``{"kind": "profile", "profile": <summary>}`` — the merged engine
   profile (per-handler wall, phase attribution, overhead estimate),
   appended when a command runs with both ``--profile`` and ``--obs-out``;
 * ``{"kind": "telquality", ...}`` — the telemetry-quality observatory
   record (INT coverage ledger, freshness digests, decision-error
   attribution; see :mod:`repro.obs.telquality`), present for
-  ``--telquality`` runs and summarized by ``repro telemetry-report``;
+  ``--telquality`` runs and summarized by the telemetry-quality section of
+  ``repro report``;
 * ``{"kind": "whatif", ...}`` — the counterfactual decision observatory
   record (per-decision hindsight regret, alternative-policy replay,
   staleness attribution; see :mod:`repro.obs.whatif`), present for
-  ``--whatif`` runs and summarized by ``repro whatif-report``.
+  ``--whatif`` runs and summarized by the what-if section of ``repro report``.
 
 Records exported from a hub with run labels carry them under ``"run"`` so
 multiple runs (e.g. every cell of a policy comparison) can share one file
-and still be separated at analysis time.  :func:`render_obs_report` is the
-``repro obs-report`` backend: it reads such a file back and prints counts
-plus the per-policy estimate-vs-ground-truth delay error.
+and still be separated at analysis time.  :func:`read_jsonl` is the one
+loader of ``repro report``, and :func:`render_obs_report` its observability
+section: counts plus the per-policy estimate-vs-ground-truth delay error.
 """
 
 from __future__ import annotations
@@ -156,11 +157,27 @@ def write_metrics_csv(records: Iterable[Dict[str, Any]], path: str) -> int:
     return n
 
 
-# -- obs-report rendering ---------------------------------------------------
+# -- report rendering ------------------------------------------------------
+#
+# The run-grouping and number-formatting helpers every text section of
+# ``repro report`` (and the dashboard's numbers) share.
 
 
 def _run_key(record: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted(record.get("run", {}).items()))
+
+
+def _run_title(key: Tuple[Tuple[str, Any], ...]) -> str:
+    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
+
+
+def _fmt(value: Any) -> str:
+    """One float format for every number in a report (determinism)."""
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 def _fmt_ms(value: Any) -> str:

@@ -8,7 +8,7 @@ The rendering layer over the engine's phase-level profile (see
   every flamegraph tool consumes;
 * :func:`flamegraph_svg` — a zero-JS, self-contained inline-SVG icicle
   flamegraph (no scripts, no external references), embeddable in the
-  HTML dashboard and written by ``repro obs-report --flamegraph-out``;
+  HTML dashboard and written by ``repro report --flamegraph-out``;
 * :class:`MemoryCapture` — per-run allocation/GC counters (``gc`` stats
   always; ``tracemalloc`` top-N sites behind ``--mem-profile``) merged
   into the profile summary.

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
 from repro.p4.headers import HopFields
 from repro.telemetry.coverage import DirectedPort, all_fabric_ports, coverage_of
@@ -521,22 +522,6 @@ class TelemetryQuality:
 
 
 # -- offline report ----------------------------------------------------------
-
-
-def _run_key(record: Dict[str, Any]) -> Tuple:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_title(key: Tuple) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
 
 
 def _digest_line(data: Optional[Dict[str, Any]]) -> str:

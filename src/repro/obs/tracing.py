@@ -20,7 +20,7 @@ hot path pays one dict write per hook and the simulation's event order is
 never perturbed.  The wire format is the ``repro.obs.export`` JSONL format
 with ``kind: "span"``; :func:`write_chrome_trace` converts an export to
 Chrome trace-event JSON loadable in Perfetto, and
-:func:`render_trace_report` is the ``repro trace-report`` backend with the
+:func:`render_trace_report` is the trace section of ``repro report``: the
 critical-path decomposition against the Algorithm-1 estimate.
 """
 
@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.export import _fmt_ms, _run_key, _run_title
 from repro.simnet.trace import PacketTracer
 
 __all__ = [
@@ -424,19 +425,7 @@ def task_segments(
     }
 
 
-# -- trace-report rendering ---------------------------------------------------
-
-
-def _run_key(record: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(record.get("run", {}).items()))
-
-
-def _run_label(key: Tuple[Tuple[str, Any], ...]) -> str:
-    return ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-
-
-def _fmt_ms(value: Any) -> str:
-    return f"{value * 1e3:.2f} ms" if isinstance(value, (int, float)) else "n/a"
+# -- trace section of ``repro report`` ---------------------------------------
 
 
 def _mean(values: List[float]) -> float:
@@ -467,7 +456,7 @@ def render_trace_report(records: List[Dict[str, Any]]) -> str:
             s for s in tasks if s.get("attributes", {}).get("segments")
         ]
         lines.append(
-            f"  {_run_label(key)}: {len(tasks)} task traces "
+            f"  {_run_title(key)}: {len(tasks)} task traces "
             f"({len(decomposed)} decomposed), {len(probes)} probe traces"
         )
         if decomposed:
@@ -561,7 +550,7 @@ def write_chrome_trace(records: List[Dict[str, Any]], path: str) -> int:
             pids[key] = pid
             events.append({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                "args": {"name": _run_label(key)},
+                "args": {"name": _run_title(key)},
             })
         tkey = (pid, span["trace_id"])
         tid = tids.get(tkey)

@@ -23,11 +23,11 @@ decisions and prices them:
 
 The replay engine (:func:`replay_decisions`) is pure over exported
 ``kind: "decision-audit"`` dicts, so the same code produces the live run's
-``kind: "whatif"`` record *and* the offline ``repro whatif-report``
-cross-check — bit-exact across repeated invocations.  Collection is
-read-only and opt-in (``--whatif``): no simulator events are scheduled,
-existing records are untouched, and the single record appends at the very
-end of the export, so a run with collection enabled produces a
+``kind: "whatif"`` record *and* the offline cross-check in the what-if
+section of ``repro report`` — bit-exact across repeated invocations.
+Collection is read-only and opt-in (``--whatif``): no simulator events are
+scheduled, existing records are untouched, and the single record appends
+at the very end of the export, so a run with collection enabled produces a
 byte-identical prefix.
 """
 
@@ -37,8 +37,9 @@ import math
 import random as _random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
-from repro.obs.telquality import _attribute, _fmt, _parse_label, _run_key, _run_title
+from repro.obs.telquality import _attribute, _parse_label
 from repro.simnet.random import derive_seed
 
 __all__ = [
@@ -231,7 +232,7 @@ def replay_decisions(
 
     Pure and deterministic: the same inputs produce the same dict, bit for
     bit, so the live ``kind: "whatif"`` record and the offline
-    ``whatif-report`` cross-check are the same computation.
+    ``repro report`` cross-check are the same computation.
     """
     if policies is None:
         policies = default_policies()

@@ -150,7 +150,7 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
     Observer(
         name="trace", flag="--trace-out",
         help="capture causal span traces (task/probe/scheduler-decision "
-             "lifecycles) to a JSONL file; see the trace-report command",
+             "lifecycles) to a JSONL file; see the report command",
         kinds=_EXPERIMENTS, channel=TRACE_RECORDS,
         argparse={"type": str, "default": None, "metavar": "PATH"},
         from_arg=lambda path: True, record_kinds=("span",),
@@ -185,7 +185,7 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
         name="sample_interval", flag="--sample-interval",
         help="sample network/server/scheduler state every S sim-seconds and "
              "evaluate health rules; the time series and alerts ride on the "
-             "--obs-out export (see the dashboard command)",
+             "--obs-out export (see report --html-out)",
         kinds=_EXPERIMENTS, channel=OBS_RECORDS, parse=_interval,
         # An already-sampled spec keeps its own interval.
         combine=lambda current, stamped: stamped if current is None else current,
@@ -203,7 +203,7 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
         help="collect the telemetry-quality observatory (INT coverage ledger, "
              "freshness digests, decision-error attribution); the "
              "kind:\"telquality\" record rides on the --obs-out export (see "
-             "the telemetry-report command)",
+             "the report command)",
         kinds=_EXPERIMENTS, channel=OBS_RECORDS, record_kinds=("telquality",),
         attr="telquality", build=_new("repro.obs.telquality", "TelemetryQuality"),
         network=lambda tq, hub, net: tq.attach_network(net),
@@ -220,7 +220,7 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
         help="collect the counterfactual decision observatory (per-decision "
              "hindsight regret, alternative-policy replay, staleness "
              "attribution); the kind:\"whatif\" record rides on the --obs-out "
-             "export (see the whatif-report command)",
+             "export (see the report command)",
         kinds=_EXPERIMENTS, channel=OBS_RECORDS, record_kinds=("whatif",),
         attr="whatif", build=_new("repro.obs.whatif", "WhatIf"),
         run=lambda wi, hub, run: wi.configure(

@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip, CSV, and the obs-report renderer."""
+"""Exporters: JSONL round-trip, CSV, and the report's observability renderer."""
 
 import json
 import re

@@ -1,12 +1,14 @@
 """Property tests: estimator and ranking invariants."""
 
 import math
+from types import SimpleNamespace
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.analysis.stats import ecdf
-from repro.core.estimators import DelayEstimator, QdepthUtilizationCurve
+from repro.core.estimators import BandwidthEstimator, DelayEstimator, QdepthUtilizationCurve
+from repro.core.ranking import rank_by_bandwidth
 
 
 knots = st.lists(
@@ -71,3 +73,69 @@ def test_ecdf_properties(values):
     assert all(0 < fi <= 1.0 for fi in f)
     assert all(b >= a for a, b in zip(f, f[1:]))
     assert f[-1] == 1.0
+
+
+class _Link:
+    """A link state whose windowed max queue depth is fixed."""
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def qdepth(self, now, staleness):
+        return self.depth
+
+
+class _Store:
+    """Stub telemetry store: each candidate's planned path is its links'
+    qdepth readings."""
+
+    sim = SimpleNamespace(now=0.0)
+    staleness = None
+
+    def __init__(self, readings):
+        self.plans = {node: [(_Link(q), True) for q in qs] for node, qs in readings.items()}
+
+    def plan(self, src, dst):
+        return self.plans[dst]
+
+
+@given(
+    knots,
+    st.dictionaries(
+        st.tuples(st.just("host"), st.integers(0, 20)),
+        st.lists(st.integers(0, 60), min_size=1, max_size=6),
+        min_size=1, max_size=10,
+    ),
+    st.floats(min_value=1e3, max_value=1e9, allow_nan=False),
+)
+def test_uniform_capacity_bandwidth_ranking_is_bottleneck_qdepth_order(pts, readings, capacity):
+    """On a uniform-capacity fabric, min over links of C*(1 - u(q)) is
+    C*(1 - u(max q)) for any monotone curve u, so rank_by_bandwidth orders
+    candidates by their bottleneck max-qdepth whatever the calibration."""
+    assume(len(pts) >= 2)
+    mono, best = [], 0.0
+    for depth, util in pts:
+        best = max(best, util)
+        mono.append((depth, best))
+    # The same knot depths with utilization strictly rising between
+    # (-1, 0) and (1000, 1), in steps of at least 1 / (2 * (len + 2)).
+    strict = [(-1.0, 0.0)] + [
+        (depth, (i + 1 + util / 2) / (len(pts) + 2)) for i, (depth, util) in enumerate(pts)
+    ] + [(1000.0, 1.0)]
+    candidates = sorted(readings)
+
+    def ranked(curve):
+        estimator = BandwidthEstimator(_Store(readings), link_capacity_bps=capacity, curve=curve)
+        return [node for node, _bw in rank_by_bandwidth(estimator, ("sched", 0), candidates)]
+
+    def by_bottleneck(curve):
+        return sorted(candidates, key=lambda n: (
+            -capacity * (1.0 - curve.utilization(max(readings[n]))), n
+        ))
+
+    curve = QdepthUtilizationCurve(mono)
+    assert ranked(curve) == by_bottleneck(curve)
+    curve = QdepthUtilizationCurve(strict)
+    assert ranked(curve) == by_bottleneck(curve) == sorted(
+        candidates, key=lambda n: (max(readings[n]), n)
+    )

@@ -1,5 +1,7 @@
 """CLI: argument parsing and command dispatch (tiny workloads)."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,7 +95,7 @@ def test_obs_report_command(capsys, tmp_path):
     ])
     capsys.readouterr()
     report_out = tmp_path / "report.txt"
-    rc = main(["obs-report", str(obs_out), "--out", str(report_out)])
+    rc = main(["report", str(obs_out), "--out", str(report_out)])
     assert rc == 0
     text = report_out.read_text()
     assert "policy=aware" in text
@@ -107,7 +109,7 @@ def test_telemetry_report_command(capsys, tmp_path):
     ])
     capsys.readouterr()
     report_out = tmp_path / "report.txt"
-    rc = main(["telemetry-report", str(obs_out), "--out", str(report_out)])
+    rc = main(["report", str(obs_out), "--out", str(report_out)])
     assert rc == 0
     text = report_out.read_text()
     # Mesh probing on the default 12-switch topology covers every port.
@@ -125,7 +127,7 @@ def test_telemetry_report_placeholder_on_old_export(capsys, tmp_path):
 
     path = tmp_path / "old.jsonl"
     write_jsonl([{"kind": "metric", "name": "x", "type": "gauge"}], str(path))
-    rc = main(["telemetry-report", str(path)])
+    rc = main(["report", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "no telemetry-quality records" in out
@@ -133,7 +135,7 @@ def test_telemetry_report_placeholder_on_old_export(capsys, tmp_path):
 
 
 def test_telemetry_report_missing_file(capsys):
-    rc = main(["telemetry-report", "/nonexistent/obs.jsonl"])
+    rc = main(["report", "/nonexistent/obs.jsonl"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
 
@@ -146,7 +148,7 @@ def test_whatif_report_command(capsys, tmp_path):
     ])
     capsys.readouterr()
     report_out = tmp_path / "report.txt"
-    rc = main(["whatif-report", str(obs_out), "--out", str(report_out)])
+    rc = main(["report", str(obs_out), "--out", str(report_out)])
     assert rc == 0
     text = report_out.read_text()
     assert "policy=aware" in text
@@ -165,7 +167,7 @@ def test_whatif_report_offline_fallback_on_plain_export(capsys, tmp_path):
         "--classes", "VS", "--obs-out", str(obs_out),
     ])
     capsys.readouterr()
-    rc = main(["whatif-report", str(obs_out)])
+    rc = main(["report", str(obs_out)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "replaying decision audits offline" in out
@@ -177,13 +179,13 @@ def test_whatif_report_placeholder_on_unusable_export(capsys, tmp_path):
 
     path = tmp_path / "old.jsonl"
     write_jsonl([{"kind": "metric", "name": "x", "type": "gauge"}], str(path))
-    rc = main(["whatif-report", str(path)])
+    rc = main(["report", str(path)])
     assert rc == 0
     assert "--whatif" in capsys.readouterr().out
 
 
 def test_whatif_report_missing_file(capsys):
-    rc = main(["whatif-report", "/nonexistent/obs.jsonl"])
+    rc = main(["report", "/nonexistent/obs.jsonl"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
 
@@ -345,7 +347,7 @@ def test_trace_report_command(capsys, tmp_path):
     chrome_out = tmp_path / "chrome.json"
     report_out = tmp_path / "report.txt"
     rc = main([
-        "trace-report", str(trace_out),
+        "report", str(trace_out),
         "--chrome", str(chrome_out), "--out", str(report_out),
     ])
     assert rc == 0
@@ -358,7 +360,7 @@ def test_trace_report_command(capsys, tmp_path):
 
 
 def test_trace_report_missing_file(capsys):
-    rc = main(["trace-report", "/nonexistent/trace.jsonl"])
+    rc = main(["report", "/nonexistent/trace.jsonl"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
 
@@ -374,7 +376,7 @@ def test_obs_report_writes_profile_exports(capsys, tmp_path):
     ]) == 0
     (profile,) = [r["profile"] for r in read_jsonl(str(obs_out)) if r["kind"] == "profile"]
     flamegraph, collapsed = tmp_path / "flame.svg", tmp_path / "flame.txt"
-    rc = main(["obs-report", str(obs_out), "--out", str(tmp_path / "report.txt"),
+    rc = main(["report", str(obs_out), "--out", str(tmp_path / "report.txt"),
                "--flamegraph-out", str(flamegraph), "--collapsed-out", str(collapsed)])
     assert rc == 0
     # The flamegraph is the export's profile, as a self-contained SVG;
@@ -389,7 +391,7 @@ def test_obs_report_writes_profile_exports(capsys, tmp_path):
     capsys.readouterr()
     plain = tmp_path / "plain.jsonl"
     plain.write_text("\n".join(_GOOD_LINES) + "\n")
-    rc = main(["obs-report", str(plain), "--out", str(tmp_path / "plain.txt"),
+    rc = main(["report", str(plain), "--out", str(tmp_path / "plain.txt"),
                "--flamegraph-out", str(tmp_path / "none.svg"),
                "--collapsed-out", str(tmp_path / "none.txt")])
     assert rc == 0
@@ -424,7 +426,7 @@ def test_dashboard_command_writes_self_contained_html(capsys, tmp_path):
     ])
     capsys.readouterr()
     html_out = tmp_path / "dash.html"
-    rc = main(["dashboard", str(obs_out), "--html-out", str(html_out)])
+    rc = main(["report", str(obs_out), "--html-out", str(html_out)])
     assert rc == 0
     html = html_out.read_text()
     assert html.startswith("<!DOCTYPE html>")
@@ -434,49 +436,66 @@ def test_dashboard_command_writes_self_contained_html(capsys, tmp_path):
 
 
 def test_dashboard_missing_file(capsys):
-    rc = main(["dashboard", "/nonexistent/obs.jsonl"])
+    rc = main(["report", "/nonexistent/obs.jsonl"])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
 
 
-REPORT_COMMANDS = ("obs-report", "telemetry-report", "whatif-report", "trace-report", "dashboard")
+REPORT_COMMANDS = ("report",)
 _GOOD_LINES = [
     '{"kind": "metric", "name": "a", "type": "gauge", "value": 1}',
     '{"kind": "event", "event": "warning", "time": 0.5, "reason": "r"}',
     '{"kind": "metric", "name": "b", "type": "gauge", "value": 2}',
 ]
+# The output files of one `report` pass, by test id: "report" writes them
+# all; the other ids are the readers each output used to be a command of,
+# kept so their damaged-export tests keep their ids.
+_OUTPUTS = {
+    "report": ("--out", "--html-out", "--chrome"),
+    "obs-report": ("--out",),
+    "telemetry-report": ("--out",),
+    "whatif-report": ("--out",),
+    "trace-report": ("--chrome",),
+    "dashboard": ("--html-out",),
+}
 
 
-def _report(command, path, tmp_path):
-    out = str(tmp_path / "out")
-    flag = "--html-out" if command == "dashboard" else "--out"
-    return main([command, str(path), flag, out]), out
+def _report(output, path, tmp_path):
+    outs = [str(tmp_path / flag.lstrip("-")) for flag in _OUTPUTS[output]]
+    argv = [*REPORT_COMMANDS, str(path)]
+    for flag, out in zip(_OUTPUTS[output], outs):
+        argv += [flag, out]
+    return main(argv), outs
 
 
-@pytest.mark.parametrize("command", REPORT_COMMANDS)
-def test_report_drops_a_truncated_last_line(command, capsys, tmp_path):
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_report_drops_a_truncated_last_line(output, capsys, tmp_path):
     """A run killed mid-write leaves a partial last line: the report renders
     from the complete ones and says what it dropped."""
-    path = tmp_path / "killed.jsonl"
+    killed, whole = tmp_path / "killed", tmp_path / "whole"
+    killed.mkdir()
+    whole.mkdir()
+    path = killed / "run.jsonl"
     path.write_text("\n".join(_GOOD_LINES) + '\n{"kind": "metric", "na')
-    rc, out = _report(command, path, tmp_path)
+    rc, outs = _report(output, path, killed)
     captured = capsys.readouterr()
     assert rc == 0
-    (warning,) = captured.err.splitlines()
+    # The warning comes first; the rest of stderr notes the files written.
+    warning, *notes = captured.err.splitlines()
     assert warning.startswith(f"warning: {path}:4: not JSON")
     assert "truncated last line dropped" in warning
-    (tmp_path / "whole").mkdir()
-    whole = tmp_path / "whole" / "run.jsonl"
-    whole.write_text("\n".join(_GOOD_LINES) + "\n")
-    rc, expected = _report(command, whole, tmp_path / "whole")
+    assert not any(note.startswith("warning:") for note in notes)
+    (whole / "run.jsonl").write_text("\n".join(_GOOD_LINES) + "\n")
+    rc, expected = _report(output, whole / "run.jsonl", whole)
     assert rc == 0
-    shown = open(out).read().replace(str(path), "PATH")
-    assert shown == open(expected).read().replace(str(whole), "PATH")
+    for out, want in zip(outs, expected):
+        shown = open(out).read().replace(str(killed), "DIR")
+        assert shown == open(want).read().replace(str(whole), "DIR")
 
 
 # How an export can be damaged -> (its second line, or None for a directory
 # at the path; what stderr says after "error: <path>").  "not-json" keeps
-# the bare command as its test id.
+# the bare output as its test id.
 _DAMAGE = {
     "not-json": (_GOOD_LINES[1][:25].encode(), ":2: not JSON: "),
     "not-object": (b"[1, 2]", ":2: not a JSON object: list"),
@@ -485,11 +504,11 @@ _DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("command, damage", [
-    pytest.param(command, damage, id=command if damage == "not-json" else f"{command}-{damage}")
-    for damage in _DAMAGE for command in REPORT_COMMANDS
+@pytest.mark.parametrize("output, damage", [
+    pytest.param(output, damage, id=output if damage == "not-json" else f"{output}-{damage}")
+    for damage in _DAMAGE for output in _OUTPUTS
 ])
-def test_report_names_a_malformed_line(command, damage, capsys, tmp_path):
+def test_report_names_a_malformed_line(output, damage, capsys, tmp_path):
     path = tmp_path / "damaged.jsonl"
     line, said = _DAMAGE[damage]
     if line is None:
@@ -498,9 +517,65 @@ def test_report_names_a_malformed_line(command, damage, capsys, tmp_path):
         lines = [good.encode() for good in _GOOD_LINES]
         lines[1] = line
         path.write_bytes(b"\n".join(lines) + b"\n")
-    rc, _out = _report(command, path, tmp_path)
+    rc, outs = _report(output, path, tmp_path)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}{said}")
     assert len(err.splitlines()) == 1
     assert "line 1" not in err
+    assert not any(os.path.exists(out) for out in outs)
+
+
+def test_report_sections_equal_the_renderers(capsys, tmp_path):
+    """`report` prints the four text renderers in a fixed order, each under
+    the header line it had as a command of its own; --html-out is the
+    dashboard page of the same records."""
+    from repro.obs.dashboard import render_dashboard
+    from repro.obs.export import read_jsonl, render_obs_report
+    from repro.obs.telquality import render_telemetry_report
+    from repro.obs.tracing import render_trace_report
+    from repro.obs.whatif import render_whatif_report
+
+    sections = (
+        ("observability report", render_obs_report),
+        ("telemetry-quality report", render_telemetry_report),
+        ("what-if replay report", render_whatif_report),
+        ("trace report", render_trace_report),
+    )
+    smoke = ["compare", "--figure", "fig5", "--scale", "smoke", "--classes", "VS"]
+    exports = {
+        "plain.jsonl": ["--obs-out"],
+        "observed.jsonl": ["--telquality", "--whatif", "--profile",
+                           "--sample-interval", "0.5", "--obs-out"],
+        "trace.jsonl": ["--trace-out"],
+    }
+    for name, flags in exports.items():
+        path = str(tmp_path / name)
+        assert main(smoke + flags + [path]) == 0
+        capsys.readouterr()
+        html_out = tmp_path / f"{name}.html"
+        assert main(["report", path, "--html-out", str(html_out)]) == 0
+        records = read_jsonl(path)
+        assert capsys.readouterr().out == "".join(
+            f"{header} — {path}\n{render(records)}\n" for header, render in sections
+        )
+        assert html_out.read_text(encoding="utf-8") == render_dashboard(
+            records, title=f"repro — {path}"
+        )
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["report", "{export}"], "report.txt", id="report"),
+    pytest.param(["faults", "--show", "server-crash"], "plan.json", id="faults-show"),
+])
+def test_unwritable_out_is_an_error_not_a_traceback(argv, name, capsys, tmp_path):
+    """An --out path that cannot be written exits 2 naming it, as an
+    unreadable input does."""
+    export = tmp_path / "run.jsonl"
+    export.write_text("\n".join(_GOOD_LINES) + "\n")
+    out = tmp_path / "missing" / name
+    rc = main([arg.format(export=export) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {out}: ")
+    assert "Traceback" not in err
