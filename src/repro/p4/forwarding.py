@@ -51,15 +51,20 @@ class PlainForwardingProgram(P4Program):
 
     def _compile_hop(self, probe_stamp=None):
         """The switch hop as one closure, called by the engine as
-        ``hop(packet, in_port)`` for a frame arriving from the wire: the
-        switch's receive counter, ``probe_stamp`` (a subclass's probe-only
-        ingress work, run before routing as its staged ``ingress`` does
-        before calling up), the TTL check and exact-match lookup with the
-        table's own hit/miss counters, the forwarding counters and the
-        hand-off to the egress port — no context object and no further
-        frame before :meth:`Port.send`.  Captures the table's entry dict and
-        the switch's port list by reference, so control-plane ``set_entry``
-        updates are visible immediately.
+        ``hop(packet, in_port)`` for a frame arriving from the wire:
+        ``probe_stamp`` (a subclass's probe-only ingress work, run before
+        routing as its staged ``ingress`` does before calling up), the TTL
+        check and exact-match lookup with the table's own hit/miss
+        counters, the TTL decrement and the hand-off to the egress port — no
+        context object and no further frame before :meth:`Port.send`.  The
+        switch's receive and forward counts and the packet's hop count are
+        reads of the ports' books and the TTL, so the hop writes none of
+        them.  Captures the table's entry dict and the switch's port list by
+        reference, so control-plane ``set_entry`` updates are visible
+        immediately.
+
+        ``table.hits`` stays a per-frame write: deriving it needs the
+        switch's forward count, which the table does not know.
 
         One plain body and one phase-protocol body with the scopes of the
         staged ``Switch.on_ingress`` (p4_pipeline, then enqueue around the
@@ -69,11 +74,11 @@ class PlainForwardingProgram(P4Program):
         switch = self.switch
         sim = switch.sim
         ports = switch.ports
+        pipeline_drop = switch._pipeline_drop
 
         def hop(packet, in_port) -> None:
             prof = sim.profiler
             if prof is None:
-                switch.packets_received += 1
                 if packet.flags & FLAG_PROBE and probe_stamp is not None:
                     probe_stamp(packet)
                 if packet.ttl > 1:
@@ -85,14 +90,11 @@ class PlainForwardingProgram(P4Program):
                         table.hits += 1
                     if entry[0] == "forward":
                         packet.ttl -= 1
-                        packet.hop_count += 1
-                        switch.packets_forwarded += 1
                         ports[entry[1]["port"]].send(packet)
                         return
-                switch.packets_dropped_pipeline += 1
+                pipeline_drop(packet)
                 return
             prof.phase_first("p4_pipeline")
-            switch.packets_received += 1
             if packet.flags & FLAG_PROBE and probe_stamp is not None:
                 probe_stamp(packet)
             if packet.ttl > 1:
@@ -104,14 +106,12 @@ class PlainForwardingProgram(P4Program):
                     table.hits += 1
                 if entry[0] == "forward":
                     packet.ttl -= 1
-                    packet.hop_count += 1
-                    switch.packets_forwarded += 1
                     prof.phase_next("enqueue")
                     ports[entry[1]["port"]].send(packet)
                     prof.phase_end()
                     return
             prof.phase_end()
-            switch.packets_dropped_pipeline += 1
+            pipeline_drop(packet)
 
         hop.__qualname__ = "Switch.on_ingress"
         return hop
@@ -136,4 +136,5 @@ class PlainForwardingProgram(P4Program):
         def egress(packet, out_port, enq_depth: int) -> None:
             return None  # plain forwarding has an empty egress stage
 
-        return self._compile_hop(), egress
+        # The empty fold: a data frame's start makes no egress call.
+        return self._compile_hop(), egress, ()

@@ -41,13 +41,24 @@ class IntTelemetryProgram(PlainForwardingProgram):
         super().__init__()
         self._qdepth_reg = None  # sized at bind time from the port count
         self.probes_processed = 0
-        self.data_packets_observed = 0
         self.malformed_probes = 0
+
+    @property
+    def data_packets_observed(self) -> int:
+        """Data packets the egress stage folded into the max-depth register:
+        every frame started on this switch's ports that was not a probe."""
+        switch = self.switch
+        if switch is None:
+            return 0
+        started = sum(port.queue.stats.dequeued for port in switch.ports)
+        return started - self.probes_processed
 
     def on_bind(self) -> None:
         assert self.switch is not None
         num_ports = max(1, len(self.switch.ports))
         self._qdepth_reg = self.declare_register(MAX_QDEPTH_REGISTER, num_ports, initial=0)
+        # One fold write per data packet, counted by the ports' books.
+        self._qdepth_reg.fold_writes = lambda: self.data_packets_observed
 
     # -- parser ---------------------------------------------------------------
 
@@ -82,13 +93,16 @@ class IntTelemetryProgram(PlainForwardingProgram):
         per-port max-depth register fold for data packets; the
         collect-and-reset + hop-record append for probes).  Each mirrors
         the staged stage bodies effect for effect (counters, clock reads,
-        register accesses, packet mutations).
+        register accesses, packet mutations).  The fold is the register's
+        value list: the ports fold a data packet into their cell as it
+        starts, with no call to the egress stage.
 
         The switch's packet observer, if any, is bound here too.  One that
         matches only probes gets its hook inside the two probe branches,
         behind the test of its declared ``probe_stride``, so a data packet
         runs exactly the unobserved closures' bytecode; one that matches
-        every packet gets both closures prefixed with it."""
+        every packet gets both closures prefixed with it, and no fold: the
+        egress stage then sees every frame."""
         cls = type(self)
         if (
             cls.process_ingress is not P4Program.process_ingress
@@ -132,9 +146,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
 
         def egress(packet, out_port, enq_depth: int) -> None:
             if not packet.flags & FLAG_PROBE:
-                # reg.max_update(port, enq_depth), counter semantics included.
-                self.data_packets_observed += 1
-                reg.writes += 1
+                # reg.fold_max(port, enq_depth): the books count it.
                 port_index = out_port.port_index
                 if enq_depth > values[port_index]:
                     values[port_index] = enq_depth
@@ -147,7 +159,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
             if not 0 <= port_index < reg.size:
                 reg._check(port_index)
             reg.reads += 1
-            reg.writes += 1
+            reg._writes += 1
             qdepth = values[port_index]
             values[port_index] = reg.initial
             egress_ts = clock_read()
@@ -174,7 +186,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
 
         hop = self._compile_hop(int_stamp)
         if observe_all is None:
-            return hop, egress
+            return hop, egress, values
 
         def observed_hop(packet, in_port) -> None:
             observe_all(switch, "ingress", packet)
@@ -185,7 +197,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
             egress(packet, out_port, enq_depth)
 
         observed_hop.__qualname__ = hop.__qualname__
-        return observed_hop, observed_egress
+        return observed_hop, observed_egress, None
 
     # -- egress ---------------------------------------------------------------
 
@@ -197,8 +209,7 @@ class IntTelemetryProgram(PlainForwardingProgram):
         port = ctx.egress_port
         assert port is not None
         if not ctx.meta["is_probe"]:
-            self.data_packets_observed += 1
-            self._qdepth_reg.max_update(port, ctx.enq_depth)
+            self._qdepth_reg.fold_max(port, ctx.enq_depth)
             return
 
         # Probe: collect-and-reset the register, append the hop record.

@@ -105,16 +105,21 @@ class P4Program:
     def compile(self):
         """Fold the pipeline into precompiled per-switch closures.
 
-        Returns ``(hop, egress)`` or ``None``.  The closures cover every
-        packet class the program handles — data packets and probes alike —
-        with zero :class:`PipelineContext` allocations:
+        Returns ``(hop, egress, fold)`` or ``None``.  The closures cover
+        every packet class the program handles — data packets and probes
+        alike — with zero :class:`PipelineContext` allocations:
 
         * ``hop(packet, in_port) -> None`` — what ``Switch.on_ingress``
-          does, with parser + ingress control folded in: counters, the
-          forwarding decision and the egress port's ``send``;
+          does, with parser + ingress control folded in: the forwarding
+          decision and the egress port's ``send``;
         * ``egress(packet, out_port, enq_depth) -> None`` — what
           ``Switch.on_egress`` does, with parser + egress + deparser folded
-          in.
+          in;
+        * ``fold`` — what a data packet's egress stage reduces to, which
+          the port then runs in place of the ``egress`` call (see
+          :meth:`~repro.simnet.node.Node.entry_points`): a register's value
+          list to fold ``enq_depth`` into as a max, ``()`` for nothing, or
+          ``None`` to call ``egress`` for every packet.
 
         The switch binds them into its ports' slots, so the engine and the
         ports call them directly.  Implementations must preserve every

@@ -9,7 +9,7 @@ checking a real target enforces at compile time.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.errors import DataPlaneError
 
@@ -28,14 +28,27 @@ class RegisterArray:
         self.initial = initial
         self._values: List[int] = [initial] * size
         self.reads = 0
-        self.writes = 0
+        self._writes = 0
         self.resets = 0
+        # The writes of a data-plane fold that does not count them as it
+        # goes (fold_max): its program reads them off the port books.
+        self.fold_writes: Optional[Callable[[], int]] = None
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.size:
             raise DataPlaneError(
                 f"register array {self.name!r}: index {index} out of range [0, {self.size})"
             )
+
+    @property
+    def writes(self) -> int:
+        """Per-index writes: those counted as they happen (:meth:`write`,
+        :meth:`max_update`, :meth:`read_and_reset`) plus
+        :attr:`fold_writes`'s."""
+        fold_writes = self.fold_writes
+        if fold_writes is None:
+            return self._writes
+        return self._writes + fold_writes()
 
     def read(self, index: int) -> int:
         self._check(index)
@@ -44,14 +57,20 @@ class RegisterArray:
 
     def write(self, index: int, value: int) -> None:
         self._check(index)
-        self.writes += 1
+        self._writes += 1
         self._values[index] = value
 
     def max_update(self, index: int, value: int) -> int:
         """``reg[i] = max(reg[i], value)`` — the INT program's per-packet
         queue-depth update.  Returns the stored value."""
+        stored = self.fold_max(index, value)
+        self._writes += 1
+        return stored
+
+    def fold_max(self, index: int, value: int) -> int:
+        """:meth:`max_update` without the count: the per-packet fold, whose
+        writes the owning program supplies through :attr:`fold_writes`."""
         self._check(index)
-        self.writes += 1
         cur = self._values[index]
         if value > cur:
             self._values[index] = value
@@ -64,7 +83,7 @@ class RegisterArray:
         are reset to initial value once they are added to the probe')."""
         self._check(index)
         self.reads += 1
-        self.writes += 1
+        self._writes += 1
         value = self._values[index]
         self._values[index] = self.initial
         return value

@@ -37,6 +37,13 @@ class Host(Node):
         self._ephemeral = itertools.count(PORT_EPHEMERAL_BASE)
         self.packets_delivered = 0
         self.packets_unclaimed = 0
+        self.packets_misrouted = 0
+
+    @property
+    def packets_received(self) -> int:
+        """Frames that arrived from the wire: each was delivered, unclaimed
+        or dropped as misrouted."""
+        return self.packets_delivered + self.packets_unclaimed + self.packets_misrouted
 
     # -- socket-ish API ---------------------------------------------------
 
@@ -95,6 +102,19 @@ class Host(Node):
 
     # -- data path ----------------------------------------------------------
 
+    def entry_points(self):
+        # A data frame leaving a host needs its egress stage only to offer
+        # it to an observer that watches every packet.
+        observer = self.observer
+        fold = None if observer is not None and not observer.probes_only else ()
+        return self.on_ingress, self.on_egress, fold
+
+    def _misrouted(self, packet: Packet) -> None:
+        # Hosts do not forward; a packet addressed elsewhere dies here.
+        self.packets_misrouted += 1
+        self.packets_dropped += 1
+        self._report_drop(packet, f"misrouted:{self.name}")
+
     def on_egress(self, packet: Packet, out_port: Port, enq_depth: int) -> None:
         """Stamp outgoing probes with this host's clock as they leave the
         egress queue, so the first switch can measure the first-link latency
@@ -122,12 +142,10 @@ class Host(Node):
             else not observer.probes_only
         ):
             observer.record(self, "ingress", packet)
-        self.packets_received += 1
         prof = self.sim.profiler
         if prof is None:
             if packet.dst_addr != self.addr:
-                # Hosts do not forward; a misrouted packet dies here.
-                self.packets_dropped += 1
+                self._misrouted(packet)
                 return
             handler = self._handlers.get((packet.protocol, packet.dst_port))
             if handler is None:
@@ -142,7 +160,7 @@ class Host(Node):
         # else: UDP apps, probes, control messages).
         prof.phase_first("demux")
         if packet.dst_addr != self.addr:
-            self.packets_dropped += 1
+            self._misrouted(packet)
             prof.phase_end()
             return
         handler = self._handlers.get((packet.protocol, packet.dst_port))

@@ -32,9 +32,18 @@ the wire takes its bytes back.
 
 **The hop.**  A frame's life is a short chain of frames: the engine pops the
 delivery, the receiving node's entry point runs (a switch's compiled hop:
-ingress stage, routing, counters), :meth:`send` queues or cuts through,
-:meth:`_start` runs the node's egress stage from the port's ``_egress``
-slot, and pushes the next delivery straight onto the simulator's heap.
+ingress stage, routing), :meth:`send` queues or cuts through, and
+:meth:`_start` runs the node's egress stage and pushes the next delivery
+straight onto the simulator's heap.  The egress stage is a call through the
+port's ``_egress`` slot for a probe; for a data frame it is what the node
+put in the port's ``_fold`` slot — the INT register fold inline, nothing, or
+the call (see :meth:`~repro.simnet.node.Node.entry_points`).
+
+**Counters are reads.**  The books are the only per-frame bookkeeping.  The
+queue's ``enqueued`` / ``dequeued`` / ``bytes_enqueued``
+(:class:`PortQueueStats`), a switch's receive and forward counts, the INT
+program's data count and register writes, and a host's receive count are
+computed from them when read.
 """
 
 from __future__ import annotations
@@ -44,12 +53,12 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.simnet.link import Link
 from repro.simnet.packet import FLAG_PROBE, Packet
-from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY, DropTailQueue
+from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY, DropTailQueue, QueueStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.node import Node
 
-__all__ = ["Port"]
+__all__ = ["Port", "PortQueueStats"]
 
 
 class Port:
@@ -69,6 +78,7 @@ class Port:
         # the hot path below; DropTailQueue.push / pop are the reference
         # they are held to (tests/properties/test_property_queue_inline.py).
         self.queue = DropTailQueue(queue_capacity)
+        self.queue.stats = PortQueueStats(self)
         self.packets_dropped = 0
         # Hot-path caches: the simulator, its heap (compaction rewrites that
         # list in place, so the alias holds) and the bound completion
@@ -76,16 +86,21 @@ class Port:
         # frame).  Link.attach wires the rest once both ends exist: this
         # direction's serialization rate, the peer port and the entry point
         # frames are delivered to.  `_egress` is this node's egress stage.
-        # Both slots hold what Node.entry_points returns; a switch rebinds
-        # them when its program compiles (handlers are never replaced on an
-        # instance, see tests/simnet/test_source_rules.py).
+        # The slots hold what Node.entry_points returns; Node._bind_ports
+        # rebinds them when a switch's program compiles or an observer
+        # changes (handlers are never replaced on an instance, see
+        # tests/simnet/test_source_rules.py).
         self._sim = node.sim
         self._heap = node.sim._heap
         self._tx_complete_cb = self._tx_complete
         self._rate = 0.0
         self._peer: Optional["Port"] = None
         self._deliver: Optional[Callable[[Packet, "Port"], None]] = None
-        self._egress: Callable[[Packet, "Port", int], None] = node.entry_points()[1]
+        # `_fold` is what a data frame's start does in place of the `_egress`
+        # call: None makes the call for every frame; a register's value list
+        # takes the frame's enq_depth as a max into cell `port_index`; an
+        # empty tuple does nothing (see Node.entry_points).
+        _ingress, self._egress, self._fold = node.entry_points()
         # Serializer state.  `_busy_until` is the completion instant of the
         # frame in service (or of the last one); `_completion_posted` says a
         # _tx_complete event for it is on the heap.
@@ -94,12 +109,16 @@ class Port:
         # The books, written at frame start: frames started, their bytes
         # (less those lost on the wire), the size of the frame in service,
         # the completion instant of the last frame carried before it, and
-        # the completion events posted.
+        # the completion events posted.  Two rare-path corrections: bytes a
+        # wire loss took back, and bytes an egress stage added to frames
+        # (a probe whose INT stack outgrew its padding).
         self._sent = 0
         self._bytes = 0
         self._frame_bytes = 0
         self._carried_at = 0.0
         self._posted = 0
+        self._lost = 0
+        self._grown = 0
         node.sim._ports.append(self)
 
     # -- identity -----------------------------------------------------------
@@ -132,29 +151,23 @@ class Port:
         threshold = queue.threshold
         if idle and not items and threshold != 1:
             # Cut-through: on an idle port the push + pop round trip leaves
-            # nothing behind but these counters (depth 0 never raises
-            # max_depth_seen, capacity is >= 1).  Through an empty queue the
-            # only crossings are 0 -> 1 and back, and only a threshold of 1
-            # sits there.
-            stats = queue.stats
-            stats.enqueued += 1
-            stats.bytes_enqueued += packet.size_bytes
-            stats.dequeued += 1
+            # nothing behind (depth 0 never raises max_depth_seen, capacity
+            # is >= 1, and the books count the frame as it starts).  Through
+            # an empty queue the only crossings are 0 -> 1 and back, and
+            # only a threshold of 1 sits there.
             packet.enq_depth = 0
             self._start(packet)
             return True
-        # Inlined DropTailQueue.push.
+        # Inlined DropTailQueue.push; its counters are the books' reads.
         depth = len(items)
+        stats = queue.stats
         if depth >= queue.capacity:
-            queue.stats.dropped += 1
+            stats.dropped += 1
             self.packets_dropped += 1
             self.node.on_packet_dropped(packet, self)
             return False
-        stats = queue.stats
         packet.enq_depth = depth
         items.append(packet)
-        stats.enqueued += 1
-        stats.bytes_enqueued += packet.size_bytes
         if depth > stats.max_depth_seen:
             stats.max_depth_seen = depth
         if threshold is not None and depth + 1 == threshold and queue.on_threshold:
@@ -183,7 +196,6 @@ class Port:
         if not items:
             self._completion_posted = False
             return
-        queue.stats.dequeued += 1
         packet = items.popleft()
         threshold = queue.threshold
         if threshold is not None and len(items) == threshold - 1 and queue.on_threshold:
@@ -193,23 +205,34 @@ class Port:
     def _start(self, packet: Packet) -> None:
         """Begin serializing ``packet`` at this instant."""
         sim = self._sim
-        # P4 egress stage: runs as the packet leaves the queue and begins
-        # serialization.  May mutate the packet (probe payload growth).
-        # Phase scope for probes only: the probe path does the expensive
-        # work (INT record collection + payload growth), while the data-
-        # packet egress is a single register update not worth two clock
-        # reads per packet — it stays in the enclosing phase's self-time.
-        prof = sim.profiler
-        if prof is None or not packet.flags & FLAG_PROBE:
-            self._egress(packet, self, packet.enq_depth)
-        else:
-            prof.phase_begin("egress_stage")
-            self._egress(packet, self, packet.enq_depth)
-            prof.phase_end()
+        nbytes = packet.size_bytes
+        fold = self._fold
+        if fold is None or packet.flags & FLAG_PROBE:
+            # The node's egress stage (a P4 egress stage on a switch) runs
+            # as the packet leaves the queue and begins serialization.  It
+            # may grow the packet (a probe's INT stack outgrowing its
+            # padding); the queue's books count a frame at its enqueue size.
+            # Phase scope for probes only, which do the expensive work (INT
+            # record collection + payload growth).
+            prof = sim.profiler
+            if prof is None or not packet.flags & FLAG_PROBE:
+                self._egress(packet, self, packet.enq_depth)
+            else:
+                prof.phase_begin("egress_stage")
+                self._egress(packet, self, packet.enq_depth)
+                prof.phase_end()
+            if packet.size_bytes != nbytes:
+                self._grown += packet.size_bytes - nbytes
+                nbytes = packet.size_bytes
+        elif fold:
+            # A data frame's whole egress stage on a compiled INT switch:
+            # the max-depth register fold, with no call.
+            depth = packet.enq_depth
+            if depth > fold[self.port_index]:
+                fold[self.port_index] = depth
         # rate_factor is 1.0 unless a fault degraded the link; x * 1.0 is
         # exact, so the fault-free path is byte-identical.
         link = self.link
-        nbytes = packet.size_bytes
         tx_time = (nbytes * 8.0) / (self._rate * link.rate_factor)
         # Software switches (BMv2) forward with noticeable per-packet service
         # variance; the node's jitter factor reproduces it.  Mean unchanged.
@@ -258,17 +281,17 @@ class Port:
         if prof is None:
             if packet is not None:
                 self._finish(packet)
+            # Inlined _start_next.
             queue = self.queue
-            if queue.threshold is None:
-                # Inlined DropTailQueue.pop, with no crossing to test.
-                items = queue._items
-                if items:
-                    queue.stats.dequeued += 1
-                    self._start(items.popleft())
-                else:
-                    self._completion_posted = False
+            items = queue._items
+            if items:
+                packet = items.popleft()
+                threshold = queue.threshold
+                if threshold is not None and len(items) == threshold - 1 and queue.on_threshold:
+                    queue.on_threshold(len(items), "down")
+                self._start(packet)
             else:
-                self._start_next()
+                self._completion_posted = False
             return
         # Phase scopes (profiled runs only): propagate covers the frame
         # leaving the serializer (wire loss-check + delivery scheduling),
@@ -290,6 +313,7 @@ class Port:
             # bytes come off the books, and it stamps no carried instant.
             link.packets_lost += 1
             self._bytes -= packet.size_bytes
+            self._lost += packet.size_bytes
             self._busy_until = self._carried_at
             obs = self._sim.obs
             if obs:
@@ -347,3 +371,36 @@ class Port:
     def backlog(self) -> int:
         """Packets waiting behind the one in service."""
         return self.queue.depth
+
+
+class PortQueueStats(QueueStats):
+    """A port queue's :class:`QueueStats`, read from the port's books.
+
+    The port inlines its queue's push and pop and writes no counter per
+    frame: a frame is counted once, in the books, as it starts.  So
+    ``dequeued`` is the frames started, ``enqueued`` adds the frames
+    waiting, and ``bytes_enqueued`` is the bytes of both at their enqueue
+    size (the books' bytes, with the two rare-path corrections undone).
+    ``dropped`` and ``max_depth_seen`` are written where they change, on
+    the drop and enqueue paths."""
+
+    __slots__ = ("_port",)
+
+    def __init__(self, port: Port) -> None:
+        self._port = port
+        self.dropped = 0
+        self.max_depth_seen = 0
+
+    @property
+    def dequeued(self) -> int:
+        return self._port._sent
+
+    @property
+    def enqueued(self) -> int:
+        port = self._port
+        return port._sent + len(port.queue._items)
+
+    @property
+    def bytes_enqueued(self) -> int:
+        port = self._port
+        return port._bytes + port._lost - port._grown + port.queue.queued_bytes

@@ -68,7 +68,6 @@ class Node:
         self.addr = addr
         self.clock = clock if clock is not None else Clock(sim)
         self.ports: List[Port] = []
-        self.packets_received = 0
         self.packets_dropped = 0
         # Per-packet service-time variance (software forwarding jitter).
         # 0.0 = deterministic; j draws each transmission time uniformly from
@@ -95,6 +94,7 @@ class Node:
         if observer is not None and self.observer is not None:
             raise TopologyError(f"{self.name}: a packet observer is already attached")
         self.observer = observer
+        self._bind_ports()
 
     def set_service_jitter(self, jitter: float, rng: np.random.Generator) -> None:
         if not 0.0 <= jitter < 1.0:
@@ -135,14 +135,28 @@ class Node:
 
     # -- data path (subclass responsibilities) ------------------------------
 
-    def entry_points(self) -> Tuple[Callable[..., None], Callable[..., None]]:
-        """What a port hands this node's frames to: ``(ingress, egress)``,
-        called as ``ingress(packet, in_port)`` for a frame arriving from the
-        wire and ``egress(packet, out_port, enq_depth)`` for one leaving an
-        egress queue.  Ports bind them when they are wired; a switch
-        returns its compiled hop and egress stage and rebinds its ports
-        whenever it recompiles."""
-        return self.on_ingress, self.on_egress
+    def entry_points(self) -> Tuple[Callable[..., None], Callable[..., None], Any]:
+        """What a port hands this node's frames to: ``(ingress, egress,
+        fold)``.  ``ingress(packet, in_port)`` takes a frame arriving from
+        the wire and ``egress(packet, out_port, enq_depth)`` one leaving an
+        egress queue.  ``fold`` says what a data frame's start does instead
+        of the egress call: ``None`` (this default) makes the call for every
+        frame; a register's value list takes ``enq_depth`` as a max into the
+        port's cell; ``()`` does nothing.  Probes always get the call.
+        Ports bind all three when they are built and wired, and again
+        whenever :meth:`_bind_ports` runs (observer changes, a switch's
+        recompile)."""
+        return self.on_ingress, self.on_egress, None
+
+    def _bind_ports(self) -> None:
+        """Rebind the slots that hand this node its frames: its ports'
+        egress slots and fold cells, and its peers' delivery slots."""
+        ingress, egress, fold = self.entry_points()
+        for port in self.ports:
+            port._egress = egress
+            port._fold = fold
+            if port._peer is not None:
+                port._peer._deliver = ingress
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError
@@ -164,12 +178,17 @@ class Node:
             observer.record(self, kind, packet, enq_depth)
 
     def on_packet_dropped(self, packet: Packet, port: Port) -> None:
-        self._observe("drop", packet)
         self.packets_dropped += 1
+        self._report_drop(packet, f"{self.name}[{port.port_index}]")
+
+    def _report_drop(self, packet: Packet, where: str) -> None:
+        """Offer a drop to the packet observer and the hub (``where`` labels
+        it: a queue ``name[port]``, ``pipeline:name``, ``misrouted:name``)."""
+        self._observe("drop", packet)
         obs = self.sim.obs
         if obs:
             obs.packet_dropped(
-                queue=f"{self.name}[{port.port_index}]",
+                queue=where,
                 flow_id=packet.flow_id,
                 seq=packet.seq,
                 size_bytes=packet.size_bytes,

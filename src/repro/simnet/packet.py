@@ -72,7 +72,7 @@ class Packet:
         "flow_id",
         "seq",
         "created_at",
-        "hop_count",
+        "built_ttl",
         "enq_depth",
         "last_egress_ts",
         "int_link_latency",
@@ -115,11 +115,10 @@ class Packet:
         self.payload = payload
         self.message = message
         self.flags = flags
-        self.ttl = ttl
+        self.ttl = self.built_ttl = ttl
         self.flow_id = flow_id
         self.seq = seq
         self.created_at = created_at
-        self.hop_count = 0
         # Queue depth observed at the most recent enqueue (BMv2's
         # ``enq_qdepth``).  Written by DropTailQueue.push so queue entries
         # can be bare packets instead of (packet, depth) pairs; a packet
@@ -183,7 +182,8 @@ class Packet:
         slot copies, a fresh packet id, and reset per-hop bookkeeping —
         no keyword processing and no re-validation (the template was
         validated once at construction).  This is the hot constructor for
-        fixed-shape sources (CBR flows emit 100K+ identical frames)."""
+        fixed-shape sources (CBR flows emit 100K+ identical frames).  A copy
+        is built with the template's TTL."""
         p = Packet.__new__(Packet)
         p.packet_id = next(_packet_ids)
         p.src_addr = self.src_addr
@@ -195,16 +195,25 @@ class Packet:
         p.payload = self.payload
         p.message = self.message
         p.flags = self.flags
-        p.ttl = self.ttl
+        p.ttl = p.built_ttl = self.ttl
         p.flow_id = self.flow_id
         p.seq = seq
         p.created_at = created_at
-        p.hop_count = 0
         p.enq_depth = 0
         p.last_egress_ts = None
         p.int_link_latency = None
         p.int_stack = None
         return p
+
+    @property
+    def hop_count(self) -> int:
+        """Switches that forwarded this packet: each decrements its TTL once,
+        so this is read off the TTL rather than counted per hop."""
+        return self.built_ttl - self.ttl
+
+    @hop_count.setter
+    def hop_count(self, value: int) -> None:
+        self.built_ttl = self.ttl + value
 
     # -- classification helpers used by parsers and demultiplexers ---------
 

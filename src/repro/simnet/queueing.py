@@ -20,7 +20,10 @@ DEFAULT_QUEUE_CAPACITY = 64  # packets; BMv2's default egress queue depth
 
 
 class QueueStats:
-    """Running counters for one egress queue."""
+    """Running counters for one egress queue, kept by :meth:`DropTailQueue.push`
+    and :meth:`DropTailQueue.pop`.  A port's queue carries a
+    :class:`~repro.simnet.nic.PortQueueStats` instead, whose ``enqueued``,
+    ``dequeued`` and ``bytes_enqueued`` are read from the port's books."""
 
     __slots__ = ("enqueued", "dropped", "dequeued", "max_depth_seen", "bytes_enqueued")
 

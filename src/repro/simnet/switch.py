@@ -49,50 +49,59 @@ class Switch(Node):
         super().__init__(sim, name, addr, clock)
         self.switch_id = switch_id
         self.program: Optional["P4Program"] = None
-        self.packets_forwarded = 0
         self.packets_dropped_pipeline = 0
-        # The compiled hop and egress stage (P4Program.compile), or None
-        # when the program has no fast path / REPRO_SLOWPATH=1 forces the
-        # staged oracle path.  Ports call them through their slots (see
-        # entry_points); the staged handlers below never test for them.
+        # The compiled hop, egress stage and data-frame fold
+        # (P4Program.compile), or None when the program has no fast path /
+        # REPRO_SLOWPATH=1 forces the staged oracle path.  Ports call them
+        # through their slots (see entry_points); the staged handlers below
+        # never test for them.
         self._fast_ingress = None
         self._fast_egress = None
+        self._fast_fold = None
+
+    # -- counters, read from the ports' books ---------------------------------
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets the pipeline handed to an egress port: over the ports,
+        those each queue accepted plus those it dropped."""
+        return sum(port.queue.stats.enqueued + port.queue.stats.dropped for port in self.ports)
+
+    @property
+    def packets_received(self) -> int:
+        """Packets that arrived: each was forwarded or dropped in the pipeline."""
+        return self.packets_forwarded + self.packets_dropped_pipeline
+
+    # -- program ---------------------------------------------------------------
 
     def bind_program(self, program: "P4Program") -> None:
         if self.program is not None:
             raise DataPlaneError(f"switch {self.name} already has a program")
         self.program = program
         program.bind(self)
-        self._compile()
+        self._bind_ports()
 
-    def set_observer(self, observer) -> None:
-        super().set_observer(observer)
-        if self.program is not None:
-            self._compile()
-
-    def _compile(self) -> None:
-        """(Re)build the compiled closures: at bind time, and whenever the
-        observer slot changes — ``compile`` binds the observer's hook as a
-        closure local, so an unobserved switch's closures never test for
-        one — then rebind the slots of every port that hands this switch
-        its frames: the peers' delivery slots and this switch's own egress
-        slots."""
-        assert self.program is not None
+    def _bind_ports(self) -> None:
+        """(Re)build the compiled closures before rebinding the slots: at
+        bind time, and whenever the observer slot changes — ``compile``
+        binds the observer's hook as a closure local, so an unobserved
+        switch's closures never test for one."""
         compiled = None
-        if os.environ.get("REPRO_SLOWPATH", "") != "1":
+        if self.program is not None and os.environ.get("REPRO_SLOWPATH", "") != "1":
             compiled = self.program.compile()
-        self._fast_ingress, self._fast_egress = compiled or (None, None)
-        ingress, egress = self.entry_points()
-        for port in self.ports:
-            port._egress = egress
-            if port._peer is not None:
-                port._peer._deliver = ingress
+        self._fast_ingress, self._fast_egress, self._fast_fold = compiled or (None, None, None)
+        super()._bind_ports()
 
     def entry_points(self):
-        return (
-            self._fast_ingress or self.on_ingress,
-            self._fast_egress or self.on_egress,
-        )
+        if self._fast_ingress is None:
+            return self.on_ingress, self.on_egress, None
+        return self._fast_ingress, self._fast_egress, self._fast_fold
+
+    def _pipeline_drop(self, packet: Packet) -> None:
+        """The pipeline dropped ``packet`` (TTL expiry, no route, a drop
+        entry): counted and reported as a queue drop is."""
+        self.packets_dropped_pipeline += 1
+        self._report_drop(packet, f"pipeline:{self.name}")
 
     # -- data path ----------------------------------------------------------
     #
@@ -109,18 +118,15 @@ class Switch(Node):
         prof = self.sim.profiler
         if prof is not None:
             prof.phase_first("p4_pipeline")
-        self.packets_received += 1
         if self.program is None:
             raise DataPlaneError(f"switch {self.name} has no data-plane program")
         ctx = self.program.process_ingress(packet, in_port.port_index)
         if ctx.dropped:
             if prof is not None:
                 prof.phase_end()
-            self.packets_dropped_pipeline += 1
+            self._pipeline_drop(packet)
             return
         assert ctx.egress_port is not None
-        packet.hop_count += 1
-        self.packets_forwarded += 1
         if prof is None:
             self.port(ctx.egress_port).send(packet)
             return

@@ -9,10 +9,13 @@ env var is read at network build time, so flipping it between serial
 in-process runs is enough.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.edge.task import SizeClass
 from repro.experiments import harness
+from repro.experiments.comparison import FIG7_CONFIG
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.faults.plan import REGISTER_WIPE
@@ -160,24 +163,25 @@ def _run_cell(monkeypatch, spec, *, slowpath, inject=None):
     return result, counters
 
 
+def _assert_equivalent(monkeypatch, spec, inject=None):
+    fast, fast_counters = _run_cell(monkeypatch, spec, slowpath=False, inject=inject)
+    slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True, inject=inject)
+    # Booleans, not ``==`` inside the assert: pytest's diff of two
+    # multi-megabyte strings takes minutes.
+    same_payload = fast.payload_json() == slow.payload_json()
+    same_export = fast.obs_records() == slow.obs_records()
+    assert same_payload and same_export and fast.obs_records()
+    assert fast_counters == slow_counters
+    return fast, fast_counters
+
+
 class TestProbeLifecycleEquivalence:
     """The compiled probe closures (int_stamp at ingress, collect-and-reset +
     hop append at egress) against the staged oracle, where probes dominate
     and where they go wrong."""
 
-    def _assert_equivalent(self, monkeypatch, spec, inject=None):
-        fast, fast_counters = _run_cell(monkeypatch, spec, slowpath=False, inject=inject)
-        slow, slow_counters = _run_cell(monkeypatch, spec, slowpath=True, inject=inject)
-        # Booleans, not ``==`` inside the assert: pytest's diff of two
-        # multi-megabyte strings takes minutes.
-        same_payload = fast.payload_json() == slow.payload_json()
-        same_export = fast.obs_records() == slow.obs_records()
-        assert same_payload and same_export and fast.obs_records()
-        assert fast_counters == slow_counters
-        return fast, fast_counters
-
     def test_probe_dense_cell(self, monkeypatch):
-        fast, counters = self._assert_equivalent(
+        fast, counters = _assert_equivalent(
             monkeypatch, _probe_dense_spec("probe-dense")
         )
         probes = sum(c["probes_processed"] for c in counters.values())
@@ -193,7 +197,7 @@ class TestProbeLifecycleEquivalence:
                 FaultEvent(time=2.5, kind=REGISTER_WIPE, target="*"),
             ),
         )
-        fast, counters = self._assert_equivalent(
+        fast, counters = _assert_equivalent(
             monkeypatch,
             _probe_dense_spec("probe-faulted", fault_plan=plan),
             inject=_inject_malformed_probes,
@@ -207,6 +211,20 @@ class TestProbeLifecycleEquivalence:
             if r.get("name") == "probe_reports_malformed_total"
         ]
         assert refused == 12
+
+
+class TestFig7Equivalence:
+    def test_distributed_bandwidth_cell(self, monkeypatch):
+        """Fig. 7's path: distributed jobs (three tasks each), bandwidth
+        ranking and class M ReliableTransfers, fast against the oracle."""
+        config = replace(
+            FIG7_CONFIG, scale=SMOKE_SCALE, seed=0, size_class=SizeClass.M, policy="aware",
+        )
+        spec = RunSpec.from_config(config, obs_run={"cell": "fig7-M"})
+        assert (spec.workload, spec.metric) == ("distributed", "bandwidth")
+        fast, counters = _assert_equivalent(monkeypatch, spec)
+        assert fast.payload["tasks_completed"] > 0 and fast.payload["tasks_failed"] == 0
+        assert sum(c["forwarded"] for c in counters.values()) > 0
 
 
 class TestObservedEquivalence:

@@ -1,9 +1,11 @@
-"""The switch hop: five frames from the engine loop to the next delivery.
+"""The switch hop: four frames from the engine loop to the next delivery.
 
-A frame crossing a compiled switch runs the engine loop, the switch's hop
-closure (ingress stage, routing, counters), ``Port.send``, ``Port._start``
-and the egress stage, which the port calls from a slot; ``_start`` pushes
-the next delivery straight onto the heap.  The staged ``Switch.on_ingress``
+A data frame crossing a compiled switch runs the engine loop, the switch's
+hop closure (ingress stage, routing), ``Port.send`` and ``Port._start``,
+which folds the frame's enqueue depth into the register cell the program
+handed the port; ``_start`` pushes the next delivery straight onto the
+heap.  A probe adds the egress stage, which the port calls from a slot.
+The staged ``Switch.on_ingress``
 and ``Switch.on_egress`` are the oracle and the path of uncompiled programs,
 never a trampoline.  Whether a frame's transmit completion must be its own
 event is one flag per link, kept current by the link's setters and by
@@ -17,7 +19,9 @@ import pytest
 
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.plan import REGISTER_WIPE
+from repro.p4.headers import encode_probe_header
 from repro.simnet.engine import Simulator
+from repro.simnet.packet import FLAG_PROBE
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
 from repro.simnet.trace import PacketTracer
@@ -77,7 +81,7 @@ class TestSlots:
         assert after == {switch._fast_ingress} and switch._fast_ingress is not None
 
 
-def _hop_calls(monkeypatch, drawn):
+def _hop_calls(monkeypatch, drawn, flags=0):
     """The Python calls of one delivery dispatched by hand, after ``drawn``
     service factors were taken from the switch's stream."""
     sim, net = _build(monkeypatch)
@@ -85,7 +89,10 @@ def _hop_calls(monkeypatch, drawn):
     for _ in range(drawn):
         switch.service_time_factor()
     h1 = net.host("h1")
-    h1.send(h1.new_packet(net.address_of("h2"), dst_port=5, size_bytes=1200))
+    payload = encode_probe_header(0) if flags else None
+    h1.send(h1.new_packet(
+        net.address_of("h2"), dst_port=5, size_bytes=1200, flags=flags, payload=payload,
+    ))
     time, _seq, _handle, fn, args = heapq.heappop(sim._heap)
     sim._now = time
     calls = []
@@ -103,19 +110,22 @@ def _hop_calls(monkeypatch, drawn):
     return calls
 
 
-def test_a_hop_is_five_frames(monkeypatch):
+def test_a_hop_is_four_frames(monkeypatch):
     """Dispatch one delivery by hand under a call tracer: the hop, the
-    send, the start and the egress stage are the only Python calls — no
-    post() call, no Switch.on_ingress / on_egress trampoline, and the service
-    factor is a C-level ``next()``."""
-    assert _hop_calls(monkeypatch, 1) == ["hop", "send", "_start", "egress"]
+    send and the start are a data frame's only Python calls — no post()
+    call, no Switch.on_ingress / on_egress trampoline, no egress stage (the
+    start folds the register cell), and the service factor is a C-level
+    ``next()``.  A probe's start still calls the egress stage."""
+    assert _hop_calls(monkeypatch, 1) == ["hop", "send", "_start"]
+    probe = _hop_calls(monkeypatch, 1, FLAG_PROBE)
+    assert probe[probe.index("_start"):][:2] == ["_start", "egress"]
 
 
 def test_only_a_block_boundary_adds_the_draw(monkeypatch):
     """The frame that opens a new block of 512 service factors calls the
     block draw; no other frame does."""
     assert _hop_calls(monkeypatch, 512) == [
-        "hop", "send", "_start", "egress", "<lambda>", "_service_block",
+        "hop", "send", "_start", "<lambda>", "_service_block",
     ]
 
 
