@@ -122,6 +122,10 @@ class _Reporter:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None)
+
+
+def _add_obs_out(parser: argparse.ArgumentParser) -> None:
+    """``--obs-out``: only on the commands that write it."""
     parser.add_argument(
         "--obs-out", type=str, default=None, metavar="PATH",
         help="capture the observability layer (metrics + events + decision "
@@ -339,17 +343,8 @@ def _write_obs(reporter: "_Reporter", obs_out: Optional[str], records) -> None:
     reporter.emit(f"observability: {total} records written to {obs_out}")
 
 
-def _warn_obs_unsupported(reporter: _Reporter, args: argparse.Namespace) -> None:
-    if getattr(args, "obs_out", None):
-        reporter.emit(
-            "note: --obs-out is currently captured by the 'compare' and "
-            "'reproduce' commands only; ignoring it here"
-        )
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
     runner = _runner_from_args(args)
     points = run_calibration_sweep(
         tuple(args.levels), duration=args.duration, seed=args.seed,
@@ -386,7 +381,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
     runner = _runner_from_args(args)
     sweeps = [
         run_probing_sweep(
@@ -405,7 +399,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.experiments.sensitivity import sweep_k, sweep_probing_parameter
 
     reporter = _Reporter(args.out)
-    _warn_obs_unsupported(reporter, args)
     base = replace(
         ExperimentConfig(workload="serverless", metric="delay",
                          size_class=_CLASSES[args.size_class]),
@@ -726,6 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults(p)
     _add_runner(p)
     _add_common(p)
+    _add_obs_out(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sweep", help="Fig. 9 probing-interval sweep")
@@ -751,6 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_faults(p)
     _add_runner(p)
     _add_common(p)
+    _add_obs_out(p)
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser(

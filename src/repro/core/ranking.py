@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.estimators import BandwidthEstimator, DelayEstimator
-from repro.telemetry.records import TelemetryNodeId
+from repro.telemetry.records import TelemetryNodeId, node_label
 
 __all__ = [
     "rank_by_delay",
@@ -86,10 +86,6 @@ def rank_by_bandwidth(
 # when a decision audit is attached.
 
 
-def _node_label(node: TelemetryNodeId) -> str:
-    return f"{node[0]}:{node[1]}"
-
-
 def explain_delay(
     estimator: DelayEstimator, origin: TelemetryNodeId, node: TelemetryNodeId
 ) -> Dict[str, Any]:
@@ -121,14 +117,14 @@ def explain_delay(
         total += link_delay + queue_term
         hops.append(
             {
-                "u": _node_label(u),
-                "v": _node_label(v),
+                "u": node_label(u),
+                "v": node_label(v),
                 "link_delay": link_delay,
                 "qdepth": qdepth,
                 "queue_term": queue_term,
             }
         )
-    return {"value": total, "path": [_node_label(n) for n in path], "hops": hops}
+    return {"value": total, "path": [node_label(n) for n in path], "hops": hops}
 
 
 def explain_bandwidth(
@@ -152,8 +148,8 @@ def explain_bandwidth(
             value = available
         hops.append(
             {
-                "u": _node_label(u),
-                "v": _node_label(v),
+                "u": node_label(u),
+                "v": node_label(v),
                 "qdepth": qdepth,
                 "utilization": utilization,
                 "available_bps": available,
@@ -161,6 +157,6 @@ def explain_bandwidth(
         )
     return {
         "value": value if value is not None else 0.0,
-        "path": [_node_label(n) for n in path],
+        "path": [node_label(n) for n in path],
         "hops": hops,
     }

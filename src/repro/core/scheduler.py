@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.estimators import (
@@ -25,16 +25,22 @@ from repro.core.estimators import (
     DelayEstimator,
     QdepthUtilizationCurve,
 )
-from repro.core.ranking import rank_by_bandwidth, rank_by_delay
+from repro.core.ranking import (
+    explain_bandwidth,
+    explain_delay,
+    rank_by_bandwidth,
+    rank_by_delay,
+)
 from repro.core.telemetry_store import TelemetryStore
 from repro.simnet.addressing import PORT_SCHEDULER, PROTO_UDP
 from repro.simnet.host import Host
 from repro.simnet.packet import HEADER_OVERHEAD, Packet
 from repro.telemetry.collector import IntCollector
-from repro.telemetry.records import host_node
+from repro.telemetry.records import TelemetryNodeId, host_node, node_label
 
 __all__ = [
     "SchedulerService",
+    "DecisionRecord",
     "NetworkAwareScheduler",
     "METRIC_DELAY",
     "METRIC_BANDWIDTH",
@@ -57,6 +63,36 @@ DEFAULT_PROCESSING_DELAY = 0.5e-3
 STALE_BW_FACTOR = 0.5
 # Response size grows with the candidate list: address + float value.
 _BYTES_PER_RANK_ENTRY = 12
+
+# One consulted hop of a candidate's path: (u, v, telemetry age or None).
+HopAge = Tuple[TelemetryNodeId, TelemetryNodeId, Optional[float]]
+
+
+class DecisionRecord(NamedTuple):
+    """One ranking query, explained once when a hub is attached: what the
+    decision audit stores and the telemetry-quality, what-if and trace
+    observers read.
+
+    ``candidates`` are the audit's dicts, in ranking order: ``server_addr``,
+    ``value``, the policy's explanation (the network-aware scheduler's
+    ``estimated_delay``, ``path`` and ``hops``) and, with ground truth
+    attached, ``truth_delay``.  ``hops`` is parallel to them: each
+    candidate's consulted hops with their telemetry ages, or ``None`` for a
+    policy that consults no telemetry (the baselines)."""
+
+    time: float
+    requester_addr: int
+    metric: Any
+    chosen_addr: Optional[int]
+    candidates: List[Dict[str, Any]]
+    hops: Optional[List[List[HopAge]]]
+
+    def ages(self) -> Optional[List[List[float]]]:
+        """Per candidate, the known telemetry ages of its consulted hops;
+        ``None`` when the policy consulted no telemetry."""
+        if self.hops is None:
+            return None
+        return [[age for _u, _v, age in hops if age is not None] for hops in self.hops]
 
 
 class SchedulerService:
@@ -109,9 +145,10 @@ class SchedulerService:
         self.queries_served += 1
         obs = self.host.sim.obs
         if obs:
-            self._audit_decision(obs, requester_addr, metric, ranking)
+            record = self._decision_record(obs, requester_addr, metric, ranking)
+            self._audit_decision(obs, record)
             if getattr(obs, "trace", None) is not None:
-                self._trace_decision(obs, requester_addr, metric, ranking, request_id)
+                self._trace_decision(obs.trace, record, request_id)
         response = self.host.new_packet(
             requester_addr,
             protocol=PROTO_UDP,
@@ -124,52 +161,97 @@ class SchedulerService:
 
     # -- observability -----------------------------------------------------
 
-    def _audit_decision(self, obs, requester_addr: int, metric: str, ranking) -> None:
-        """Record one ranking query in the decision audit trail.  The base
-        record carries every candidate's value and, when a ground-truth
-        oracle is attached, the true path delay at decision time; the
-        network-aware subclass adds the per-hop estimate breakdown."""
+    def _decision_record(
+        self, obs, requester_addr: int, metric: str, ranking
+    ) -> DecisionRecord:
+        """Explain one ranking query once: every candidate's value, the
+        policy's explanation (:meth:`_explain`) and, when a ground-truth
+        oracle is attached, the true path delay at decision time."""
+        candidates: List[Dict[str, Any]] = [
+            {"server_addr": addr, "value": list(value) if isinstance(value, tuple) else value}
+            for addr, value in ranking
+        ]
+        hops = self._explain(requester_addr, metric, candidates)
         truth = obs.ground_truth
-        candidates = []
-        for addr, value in ranking:
-            cand: Dict[str, object] = {
-                "server_addr": addr,
-                "value": list(value) if isinstance(value, tuple) else value,
-            }
-            if truth is not None:
-                cand["truth_delay"] = truth.true_delay_between(requester_addr, addr)
-            candidates.append(cand)
+        if truth is not None:
+            for cand in candidates:
+                cand["truth_delay"] = truth.true_delay_between(
+                    requester_addr, cand["server_addr"]
+                )
         # Raw rankings are unsorted — the device chooses, not the scheduler.
         chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        decision = obs.audit.record(
-            requester_addr=requester_addr,
-            metric=metric,
-            candidates=candidates,
-            chosen_addr=chosen,
+        return DecisionRecord(
+            self.host.sim.now, requester_addr, metric, chosen, candidates, hops
         )
-        # Counterfactual replay prices audited delay decisions only.
-        # Baselines consult no telemetry store, so staleness is unknown.
-        whatif = getattr(obs, "whatif", None)
-        if whatif is not None and decision is not None and metric == METRIC_DELAY:
-            whatif.decision(
-                self.host.sim.now, getattr(self, "store", None), candidates, chosen
-            )
 
-    def _trace_decision(
-        self, obs, requester_addr: int, metric: str, ranking, request_id: int
-    ) -> None:
-        """Stage this decision for the requesting task's causal trace (the
-        ``scheduler_decision`` child span).  The base record is the decision
-        shape; the network-aware subclass adds the telemetry freshness the
-        ranking was computed from."""
-        chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        obs.trace.decision(
-            request_id,
-            scheduler=type(self).__name__,
-            metric=metric,
-            chosen_addr=chosen,
-            candidates=len(ranking),
+    def _explain(
+        self, requester_addr: int, metric: str, candidates: List[Dict[str, Any]]
+    ) -> Optional[List[List[HopAge]]]:
+        """Add this policy's explanation to each candidate dict and return,
+        per candidate, the hops it consulted with their telemetry ages
+        (:meth:`TelemetryStore.hop_ages`).  The baselines consult no
+        telemetry: nothing to add, and ``None``."""
+        return None
+
+    def _audit_decision(self, obs, record: DecisionRecord) -> None:
+        """Store the record in the decision audit.  A delay decision the
+        (bounded) audit stored also feeds the what-if replay and, when the
+        policy consulted telemetry, the telemetry-quality attribution —
+        read from the same candidate dicts, so both mirror the audit."""
+        decision = obs.audit.record(
+            requester_addr=record.requester_addr,
+            metric=record.metric,
+            candidates=record.candidates,
+            chosen_addr=record.chosen_addr,
         )
+        if decision is None or record.metric != METRIC_DELAY:
+            return
+        ages = record.ages()
+        telquality = getattr(obs, "telquality", None)
+        if telquality is not None and ages is not None:
+            telquality.decision(record.time, record.candidates, ages)
+        whatif = getattr(obs, "whatif", None)
+        if whatif is not None:
+            whatif.decision(record.candidates, record.chosen_addr, ages)
+
+    def _trace_decision(self, trace, record: DecisionRecord, request_id: int) -> None:
+        """Stage this decision for the requesting task's causal trace (the
+        ``scheduler_decision`` child span): the decision's shape and, for a
+        policy that consults telemetry, the Algorithm-1 estimate and the
+        truth for the chosen candidate and the telemetry age per hop of its
+        path — the staleness the ranking was actually computed from."""
+        chosen = record.chosen_addr
+        attributes: Dict[str, Any] = {
+            "scheduler": type(self).__name__,
+            "metric": record.metric,
+            "chosen_addr": chosen,
+            "candidates": len(record.candidates),
+        }
+        if record.hops is not None:
+            estimated = truth_delay = None
+            hop_ages: List[Dict[str, Any]] = []
+            if chosen is not None:  # the head of the ranking
+                head = record.candidates[0]
+                explained = head
+                if "estimated_delay" not in explained:  # bandwidth ranking
+                    explained = {"server_addr": chosen}
+                    self._explain(record.requester_addr, METRIC_DELAY, [explained])
+                estimated = explained["estimated_delay"]
+                if not math.isfinite(estimated):
+                    estimated = None
+                truth_delay = head.get("truth_delay")
+                hop_ages = [
+                    {"hop": f"{node_label(u)}>{node_label(v)}", "age": age}
+                    for u, v, age in record.hops[0]
+                ]
+            ages = [hop["age"] for hop in hop_ages if hop["age"] is not None]
+            attributes.update(
+                estimated_delay=estimated,
+                truth_delay=truth_delay,
+                hop_ages=hop_ages,
+                telemetry_age_max=max(ages) if ages else None,
+            )
+        trace.decision(request_id, **attributes)
 
     # -- policy (override) ------------------------------------------------------
 
@@ -270,13 +352,13 @@ class NetworkAwareScheduler(SchedulerService):
                 if node not in self._quarantined:
                     self._quarantined.add(node)
                     if obs:
-                        obs.node_quarantined(node=f"{node[0]}:{node[1]}", age=age)
+                        obs.node_quarantined(node=node_label(node), age=age)
             else:
                 fresh.append(node)
                 if node in self._quarantined:
                     self._quarantined.discard(node)
                     if obs:
-                        obs.node_unquarantined(node=f"{node[0]}:{node[1]}")
+                        obs.node_unquarantined(node=node_label(node))
         return fresh, stale
 
     def _rank_stale_by_delay(self, origin, stale) -> List[Tuple[Tuple, float]]:
@@ -307,104 +389,25 @@ class NetworkAwareScheduler(SchedulerService):
         ranked.sort(key=lambda item: (-item[1], item[0]))
         return ranked
 
-    def _audit_decision(self, obs, requester_addr: int, metric: str, ranking) -> None:
+    def _explain(
+        self, requester_addr: int, metric: str, candidates: List[Dict[str, Any]]
+    ) -> List[List[HopAge]]:
         """Algorithm 1's full working: per candidate, the per-hop Q(h) and
-        link-delay (or utilization) terms behind the estimate, plus ground
-        truth along the *estimated* path when an oracle is attached."""
-        from repro.core.ranking import explain_bandwidth, explain_delay
-
+        link-delay (or utilization) terms behind the estimate, and the age
+        of the telemetry each hop of its path was read from."""
         origin = host_node(requester_addr)
-        truth = obs.ground_truth
-        candidates = []
-        for addr, value in ranking:
-            cand: Dict[str, object] = {
-                "server_addr": addr,
-                "value": list(value) if isinstance(value, tuple) else value,
-            }
-            node = host_node(addr)
-            if metric == METRIC_DELAY:
-                detail = explain_delay(self.delay_estimator, origin, node)
-                cand["estimated_delay"] = detail["value"]
-            elif metric == METRIC_BANDWIDTH:
+        hops = []
+        for cand in candidates:
+            node = host_node(cand["server_addr"])
+            if metric == METRIC_BANDWIDTH:
                 detail = explain_bandwidth(self.bandwidth_estimator, origin, node)
-            else:  # raw: both estimates ride in value; explain the delay side
+            else:  # delay; raw and tuple metrics explain the delay side
                 detail = explain_delay(self.delay_estimator, origin, node)
                 cand["estimated_delay"] = detail["value"]
             cand["path"] = detail["path"]
             cand["hops"] = detail["hops"]
-            if truth is not None:
-                cand["truth_delay"] = truth.true_delay_between(requester_addr, addr)
-            candidates.append(cand)
-        chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        decision = obs.audit.record(
-            requester_addr=requester_addr,
-            metric=metric,
-            candidates=candidates,
-            chosen_addr=chosen,
-        )
-        # Telemetry-quality attribution mirrors the audit exactly: only
-        # decisions the (bounded) audit stored, only the delay metric the
-        # error report aggregates, read from the same candidate dicts.
-        telquality = getattr(obs, "telquality", None)
-        if telquality is not None and decision is not None and metric == METRIC_DELAY:
-            telquality.decision(self.host.sim.now, self.store, candidates)
-        # Counterfactual replay shares the same gating: audited delay
-        # decisions, with truth and hop ages read per candidate at
-        # decision time — every candidate, not just the chosen one.
-        whatif = getattr(obs, "whatif", None)
-        if whatif is not None and decision is not None and metric == METRIC_DELAY:
-            whatif.decision(self.host.sim.now, self.store, candidates, chosen)
-
-    def _trace_decision(
-        self, obs, requester_addr: int, metric: str, ranking, request_id: int
-    ) -> None:
-        """Base decision shape plus the Algorithm-1 estimate for the chosen
-        candidate and the telemetry snapshot age per hop of its path — the
-        staleness the ranking was actually computed from."""
-        from repro.core.ranking import explain_delay
-
-        chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
-        estimated = None
-        truth_delay = None
-        hop_ages: List[Dict[str, object]] = []
-        ages: List[float] = []
-        if chosen is not None:
-            origin = host_node(requester_addr)
-            node = host_node(chosen)
-            detail = explain_delay(self.delay_estimator, origin, node)
-            estimated = detail["value"] if math.isfinite(detail["value"]) else None
-            if obs.ground_truth is not None:
-                truth_delay = obs.ground_truth.true_delay_between(
-                    requester_addr, chosen
-                )
-            now = self.host.sim.now
-            try:
-                path = self.store.topology.path(origin, node)
-            except SchedulingError:
-                path = []
-            for u, v in zip(path, path[1:]):
-                state = self.store.link_state(u, v)
-                age = None
-                if state is not None:
-                    # updated_at defaults to -1.0 until the first report.
-                    updated = max(state.latency_updated_at, state.qdepth_updated_at)
-                    if updated >= 0.0:
-                        age = now - updated
-                        ages.append(age)
-                hop_ages.append(
-                    {"hop": f"{u[0]}:{u[1]}>{v[0]}:{v[1]}", "age": age}
-                )
-        obs.trace.decision(
-            request_id,
-            scheduler=type(self).__name__,
-            metric=metric,
-            chosen_addr=chosen,
-            candidates=len(ranking),
-            estimated_delay=estimated,
-            truth_delay=truth_delay,
-            hop_ages=hop_ages,
-            telemetry_age_max=max(ages) if ages else None,
-        )
+            hops.append(self.store.hop_ages(origin, node))
+        return hops
 
     def _rank_raw(self, origin, candidates) -> List[Tuple[int, Tuple[float, float]]]:
         """Both estimates per candidate, in address order (unsorted — the

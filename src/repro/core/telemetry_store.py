@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.errors import SchedulingError
 from repro.simnet.engine import Simulator
 from repro.telemetry.records import (
     ProbeReport,
@@ -78,6 +79,12 @@ class LinkState:
             return 0
         readings = self.qdepth_readings
         return readings[0][1] if readings else 0
+
+    def age(self, now: float) -> Optional[float]:
+        """Seconds since the newest reading of either kind, or ``None``
+        before the first report (both stamps start at -1.0)."""
+        updated = max(self.latency_updated_at, self.qdepth_updated_at)
+        return now - updated if updated >= 0.0 else None
 
 
 # Per directed link of a path: its state and whether its upstream end is a
@@ -187,6 +194,25 @@ class TelemetryStore:
 
     def link_state(self, u: TelemetryNodeId, v: TelemetryNodeId) -> Optional[LinkState]:
         return self._links.get((u, v))
+
+    def hop_ages(
+        self, src: TelemetryNodeId, dst: TelemetryNodeId
+    ) -> List[Tuple[TelemetryNodeId, TelemetryNodeId, Optional[float]]]:
+        """``(u, v, age)`` for each directed hop of the inferred path from
+        ``src`` to ``dst``: the telemetry a ranking of that pair consults,
+        and how old it is (:meth:`LinkState.age`; ``None`` for a hop never
+        measured).  Empty when no path is known."""
+        try:
+            path = self.topology.path(src, dst)
+        except SchedulingError:
+            return []
+        now = self.sim.now
+        links = self._links
+        hops = []
+        for hop in zip(path, path[1:]):
+            state = links.get(hop)
+            hops.append((*hop, state.age(now) if state is not None else None))
+        return hops
 
     def link_delay(
         self,

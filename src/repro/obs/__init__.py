@@ -26,12 +26,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.audit import (
-    DecisionAudit,
-    NetworkGroundTruth,
-    delay_error_stats,
-    node_label,
-)
+from repro.obs.audit import DecisionAudit, NetworkGroundTruth, delay_error_stats
 from repro.obs.events import EVENT_KINDS, Event, EventLog
 from repro.obs.health import HealthMonitor, HealthRule, default_rules
 from repro.obs.metrics import (
@@ -48,6 +43,7 @@ from repro.obs.timeseries import Series, TimeSeriesStore
 from repro.obs.tracing import Span, SpanTracer
 from repro.obs.whatif import WhatIf
 from repro.observers import OBS_RECORDS, REGISTRY, TRACE_RECORDS, Observer, normalize
+from repro.telemetry.records import node_label
 
 __all__ = [
     "Observability",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.records import TelemetryNodeId
+from repro.telemetry.records import TelemetryNodeId, node_label
 
 __all__ = [
     "Decision",
@@ -30,11 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DECISIONS = 50_000
-
-
-def node_label(node: TelemetryNodeId) -> str:
-    """``("sw", 3)`` -> ``"sw:3"`` (stable, greppable, JSON-friendly)."""
-    return f"{node[0]}:{node[1]}"
 
 
 @dataclass(frozen=True)

@@ -57,38 +57,23 @@ class HealthRule:
         return value >= self.threshold
 
 
-def default_rules(
-    probing_interval: float,
-    *,
-    queue_frac: float = 0.9,
-    queue_consecutive: int = 3,
-    staleness_multiple: float = 5.0,
-    error_threshold: float = 0.25,
-    error_consecutive: int = 3,
-    loss_rate: float = 0.05,
-    loss_consecutive: int = 2,
-    coverage_frac: float = 0.9,
-    coverage_consecutive: int = 2,
-    ceiling_multiple: float = 10.0,
-    regret_threshold: float = 0.25,
-    regret_consecutive: int = 3,
-) -> Tuple[HealthRule, ...]:
+def default_rules(probing_interval: float) -> Tuple[HealthRule, ...]:
     """The built-in rule set, parameterized by the run's probing interval.
 
-    * ``queue_saturation`` — an egress queue at >= ``queue_frac`` of its
-      capacity for ``queue_consecutive`` samples;
+    * ``queue_saturation`` — an egress queue at >= 90 % of its capacity for
+      3 samples;
     * ``telemetry_stale`` — a node unseen on any probe path for longer than
-      ``staleness_multiple`` probing intervals;
+      5 probing intervals;
     * ``estimate_drift`` — the windowed mean absolute estimate-vs-truth
-      delay error above ``error_threshold`` seconds;
-    * ``probe_loss`` — the collector's seq-gap loss rate above ``loss_rate``;
-    * ``coverage_gap`` — the telemetry-quality observatory sees less than
-      ``coverage_frac`` of the directed fabric ports;
+      delay error above 0.25 s;
+    * ``probe_loss`` — the collector's seq-gap loss rate above 5 %;
+    * ``coverage_gap`` — the telemetry-quality observatory sees at most
+      90 % of the directed fabric ports;
     * ``staleness_ceiling`` — a scheduler decision consulted telemetry older
-      than ``ceiling_multiple`` probing intervals;
+      than 10 probing intervals;
     * ``regret_ceiling`` — a decision's hindsight regret (true delay of the
-      chosen candidate minus the best candidate's) above
-      ``regret_threshold`` seconds, same scale as ``estimate_drift``.
+      chosen candidate minus the best candidate's) above 0.25 s, same scale
+      as ``estimate_drift``.
 
     ``coverage_gap``/``staleness_ceiling`` watch series only the
     telemetry-quality observatory records (``--telquality`` with sampling)
@@ -99,32 +84,31 @@ def default_rules(
     return (
         HealthRule(
             "queue_saturation", series="queue_depth_frac",
-            threshold=queue_frac, consecutive=queue_consecutive,
+            threshold=0.9, consecutive=3,
         ),
         HealthRule(
             "telemetry_stale", series="telemetry_node_age",
-            threshold=staleness_multiple * probing_interval, consecutive=2,
+            threshold=5.0 * probing_interval, consecutive=2,
         ),
         HealthRule(
             "estimate_drift", series="decision_abs_error",
-            threshold=error_threshold, consecutive=error_consecutive,
+            threshold=0.25, consecutive=3,
         ),
         HealthRule(
             "probe_loss", series="probe_loss_rate",
-            threshold=loss_rate, consecutive=loss_consecutive,
+            threshold=0.05, consecutive=2,
         ),
         HealthRule(
             "coverage_gap", series="telemetry_coverage_frac",
-            threshold=coverage_frac, consecutive=coverage_consecutive,
-            comparison=CMP_LTE,
+            threshold=0.9, consecutive=2, comparison=CMP_LTE,
         ),
         HealthRule(
             "staleness_ceiling", series="telemetry_decision_age_max",
-            threshold=ceiling_multiple * probing_interval, consecutive=2,
+            threshold=10.0 * probing_interval, consecutive=2,
         ),
         HealthRule(
             "regret_ceiling", series="decision_regret_max",
-            threshold=regret_threshold, consecutive=regret_consecutive,
+            threshold=0.25, consecutive=3,
         ),
     )
 

@@ -62,17 +62,6 @@ def _error_stats(errors: Sequence[float]) -> Dict[str, Any]:
     }
 
 
-def _parse_label(label: Any) -> Optional[Tuple[str, int]]:
-    """Invert ``ranking._node_label``: ``"sw:3"`` back to ``("sw", 3)``."""
-    if isinstance(label, tuple) and len(label) == 2:
-        return label
-    if isinstance(label, str):
-        kind, sep, index = label.partition(":")
-        if kind and sep and index.isdigit():
-            return (kind, int(index))
-    return None
-
-
 def _merge_windows(
     windows: List[Tuple[float, float]]
 ) -> List[Tuple[float, float]]:
@@ -361,16 +350,23 @@ class TelemetryQuality:
 
     # -- decision-side hook --------------------------------------------------
 
-    def decision(self, now: float, store: Any, candidates: Sequence[Dict[str, Any]]) -> None:
+    def decision(
+        self,
+        now: float,
+        candidates: Sequence[Dict[str, Any]],
+        hop_ages: Sequence[Sequence[float]],
+    ) -> None:
         """Record the telemetry age behind one audited delay decision.
 
-        Called only for decisions the audit actually stored (the caller
-        checks ``audit.record``'s return), and mirrors
+        ``hop_ages`` is parallel to ``candidates``: the known ages of each
+        candidate's consulted hops, in path order.  Called only for
+        decisions the audit actually stored (the caller checks
+        ``audit.record``'s return), and mirrors
         :func:`repro.obs.audit.delay_error_stats`' skip rules exactly, so
         the age-bin counts sum to the audit's sample total.
         """
         self.decisions_seen += 1
-        for cand in candidates:
+        for cand, ages in zip(candidates, hop_ages):
             est = cand.get("estimated_delay")
             truth = cand.get("truth_delay")
             if (
@@ -380,22 +376,8 @@ class TelemetryQuality:
             ):
                 self.samples_skipped += 1
                 continue
-            ages: List[float] = []
-            # The explanation flattens node ids to "kind:index" labels
-            # (see ranking._node_label); parse them back for the store.
-            path = [_parse_label(label) for label in cand.get("path") or []]
-            for u, v in zip(path, path[1:]):
-                if u is None or v is None:
-                    continue
-                state = store.link_state(u, v)
-                if state is None:
-                    continue
-                # updated_at defaults to -1.0 until the first report.
-                updated = max(state.latency_updated_at, state.qdepth_updated_at)
-                if updated >= 0.0:
-                    age = now - updated
-                    ages.append(age)
-                    self.decision_age.add(age)
+            for age in ages:
+                self.decision_age.add(age)
             self._samples.append((now, est - truth, max(ages) if ages else None))
 
     # -- sampler inputs (health rules) ---------------------------------------

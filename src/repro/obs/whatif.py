@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
-from repro.obs.telquality import _attribute, _parse_label
+from repro.obs.telquality import _attribute
 from repro.simnet.random import derive_seed
 
 __all__ = [
@@ -328,11 +328,11 @@ class WhatIf:
     ``--whatif`` was requested, the harness calls :meth:`configure` once the
     probing interval is known, and every scheduler (network-aware *and*
     baselines) calls :meth:`decision` for each audited delay ranking.  The
-    hook only reads state the caller already computed: per-candidate truth
-    from the audit dicts, hop ages from the telemetry store.  The exported
-    record itself is produced by :func:`replay_decisions` over the audit's
-    own snapshots, so the export and any offline replay of it agree by
-    construction.
+    hook only reads what the scheduler's decision record already holds:
+    per-candidate truth from the audit dicts and the consulted hops'
+    telemetry ages.  The exported record itself is produced by
+    :func:`replay_decisions` over the audit's own snapshots, so the export
+    and any offline replay of it agree by construction.
     """
 
     def __init__(self) -> None:
@@ -353,33 +353,20 @@ class WhatIf:
 
     def decision(
         self,
-        now: float,
-        store: Any,
         candidates: Sequence[Dict[str, Any]],
         chosen_addr: Optional[int],
+        hop_ages: Optional[Sequence[Sequence[float]]],
     ) -> None:
         """Record one audited delay decision's staleness and regret.
 
         Called only for decisions the (bounded) audit actually stored, so
         the collected ages align one-to-one with the audit's delay
-        decisions.  ``store`` is the scheduler's telemetry store, or None
-        for baselines (which consult no telemetry — their age is unknown).
+        decisions.  ``hop_ages`` is parallel to ``candidates`` (the known
+        ages of each one's consulted hops), or None for baselines, which
+        consult no telemetry — their age is unknown.
         """
         self.decisions_seen += 1
-        ages: List[float] = []
-        if store is not None:
-            for cand in candidates:
-                path = [_parse_label(label) for label in cand.get("path") or []]
-                for u, v in zip(path, path[1:]):
-                    if u is None or v is None:
-                        continue
-                    state = store.link_state(u, v)
-                    if state is None:
-                        continue
-                    # updated_at defaults to -1.0 until the first report.
-                    updated = max(state.latency_updated_at, state.qdepth_updated_at)
-                    if updated >= 0.0:
-                        ages.append(now - updated)
+        ages = [age for cand_ages in hop_ages or () for age in cand_ages]
         self._ages.append(max(ages) if ages else None)
         truths = [t for t in (_truth_of(c) for c in candidates) if t is not None]
         chosen_truth = next(

@@ -149,15 +149,9 @@ def _signal_name(signum: int) -> str:
         return f"signal {signum}"
 
 
-def backoff_delay(
-    attempt: int,
-    *,
-    base: float = DEFAULT_BACKOFF_BASE_S,
-    factor: float = DEFAULT_BACKOFF_FACTOR,
-    maximum: float = DEFAULT_BACKOFF_MAX_S,
-) -> float:
+def backoff_delay(attempt: int, *, base: float = DEFAULT_BACKOFF_BASE_S) -> float:
     """Delay before retrying after the ``attempt``-th (1-based) failure."""
-    return min(maximum, base * factor ** (attempt - 1))
+    return min(DEFAULT_BACKOFF_MAX_S, base * DEFAULT_BACKOFF_FACTOR ** (attempt - 1))
 
 
 def default_run_timeout(spec: Any) -> float:
@@ -290,8 +284,6 @@ class Supervisor:
         jobs: int = 1,
         retries: int = 0,
         backoff_base: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_factor: float = DEFAULT_BACKOFF_FACTOR,
-        backoff_max: float = DEFAULT_BACKOFF_MAX_S,
         on_retry: Optional[Callable[[str, int, Dict[str, Any], float], None]] = None,
     ) -> None:
         if jobs < 1:
@@ -301,8 +293,6 @@ class Supervisor:
         self.jobs = jobs
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
         self.on_retry = on_retry
 
     # -- public API --------------------------------------------------------
@@ -414,10 +404,7 @@ class Supervisor:
                 }
 
             if job.attempt <= self.retries:
-                backoff = backoff_delay(
-                    job.attempt, base=self.backoff_base,
-                    factor=self.backoff_factor, maximum=self.backoff_max,
-                )
+                backoff = backoff_delay(job.attempt, base=self.backoff_base)
                 if self.on_retry is not None:
                     self.on_retry(job.spec_hash, job.attempt, failure, backoff)
                 job.attempt += 1

@@ -7,7 +7,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.p4.headers import HopFields, IntHopRecord, IntStack
 
-__all__ = ["ProbeReport", "TelemetryNodeId", "switch_node", "host_node", "path_key"]
+__all__ = [
+    "ProbeReport", "TelemetryNodeId", "switch_node", "host_node", "node_label", "path_key",
+]
 
 # Nodes in the *inferred* topology are identified either by INT switch id or
 # by edge-node address; a small tagged union keeps the two spaces disjoint.
@@ -20,6 +22,11 @@ def switch_node(switch_id: int) -> TelemetryNodeId:
 
 def host_node(addr: int) -> TelemetryNodeId:
     return ("host", addr)
+
+
+def node_label(node: TelemetryNodeId) -> str:
+    """``("sw", 3)`` -> ``"sw:3"`` (stable, greppable, JSON-friendly)."""
+    return f"{node[0]}:{node[1]}"
 
 
 def path_key(probe_src: int, probe_dst: int, hops: Sequence[HopFields]) -> Tuple[int, ...]:

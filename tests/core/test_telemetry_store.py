@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.telemetry_store import TelemetryStore
+from repro.core.telemetry_store import LinkState, TelemetryStore
 from repro.p4.headers import IntHopRecord
 from repro.telemetry.records import ProbeReport, host_node, switch_node
 
@@ -107,6 +107,29 @@ class TestTopologyIntegration:
         store.update(_report())
         # h10->s1 (latency only) and s1->h20 (latency + qdepth).
         assert store.known_link_count() == 2
+
+
+class TestAges:
+    def test_age_reads_the_newest_stamp_of_either_kind(self):
+        state = LinkState()
+        assert state.age(1.0) is None   # no report yet
+        state.latency_updated_at, state.qdepth_updated_at = 0.8, 0.9
+        assert state.age(1.0) == pytest.approx(0.1)
+        state.qdepth_updated_at = -1.0
+        assert state.age(1.0) == pytest.approx(0.2)
+
+    def test_hop_ages_follow_the_inferred_path(self, sim, store):
+        store.update(_report())
+        _advance(sim, 0.5)
+        assert store.hop_ages(H(10), H(20)) == [
+            (H(10), S(1), pytest.approx(0.5)), (S(1), H(20), pytest.approx(0.5)),
+        ]
+        # An edge learned without a report has no age; no path, no hops.
+        store.topology.observe_path([H(30), S(1)])
+        assert store.hop_ages(H(30), H(20)) == [
+            (H(30), S(1), None), (S(1), H(20), pytest.approx(0.5)),
+        ]
+        assert store.hop_ages(H(10), H(99)) == []
 
 
 class _Now:

@@ -16,13 +16,24 @@ event per frame on every observed port): threshold events, link byte
 counters with their ``updated_at`` stamps and the sampler's utilisation
 series must come out of the ports' books, written at frame start, byte for
 byte.
+
+Three more cells reach the decision paths the cells above do not, each with
+every collection flag on (trace, telquality, whatif, a 0.1 s sampler): a
+Fig. 7 class-M ``aware`` cell (bandwidth ranking, so a traced decision's
+delay estimate comes from its own explanation), a ``metric="raw"`` /
+``selection="min_completion"`` cell (no chosen server), and a ``nearest``
+cell (baseline trace attributes, what-if fed unknown ages).  They were
+recorded before the scheduler built one decision record for the audit and
+the three decision observers.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.edge.task import SizeClass
+from repro.experiments.comparison import FIG7_CONFIG
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig, run_experiment
 from repro.faults.scenarios import builtin_plan
 from repro.obs import Observability
@@ -107,3 +118,42 @@ def test_hub_export_matches_golden_digest(seed, size_class, flags):
     export = canonical_json(obs.snapshot_records() + obs.trace_records())
     digest = hashlib.sha256(export.encode("utf-8")).hexdigest()
     assert (digest, result.events_executed) == HUB_GOLDEN[(seed, size_class, flags)]
+
+
+DECISION_CELLS = {
+    "fig7-M-aware": lambda: replace(
+        FIG7_CONFIG, scale=SMOKE_SCALE, seed=21, size_class=SizeClass.M, policy="aware",
+    ),
+    "raw-min-completion": lambda: ExperimentConfig(
+        scale=SMOKE_SCALE, seed=22, size_class=SizeClass.S, policy="aware",
+        metric="raw", selection="min_completion",
+    ),
+    "nearest": lambda: ExperimentConfig(
+        scale=SMOKE_SCALE, seed=23, size_class=SizeClass.S, policy="nearest",
+    ),
+}
+
+# cell -> (sha256 of the canonical export, events_executed).
+DECISION_GOLDEN = {
+    "fig7-M-aware": (
+        "dc77746c2b5bca3c7e9bd56d0dd65579c3fc2ae19ebda4f3c4325efb99ce87b9", 194050,
+    ),
+    "raw-min-completion": (
+        "9ed0949aa8b557ed3e898a370eda9b3f13e47b03ddf6256f9e19968fbb96c993", 206312,
+    ),
+    "nearest": (
+        "19fde1482c10d975ad5d72a868393b7804862e1ea9ff23f34daf57a99b0b80ac", 236617,
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(DECISION_GOLDEN))
+def test_decision_path_export_matches_golden_digest(cell):
+    obs = Observability(
+        run={"cell": f"golden-{cell}"}, trace=True, sample_interval=0.1,
+        telquality=True, whatif=True,
+    )
+    result = run_experiment(DECISION_CELLS[cell](), obs=obs)
+    export = canonical_json(obs.snapshot_records() + obs.trace_records())
+    digest = hashlib.sha256(export.encode("utf-8")).hexdigest()
+    assert (digest, result.events_executed) == DECISION_GOLDEN[cell]

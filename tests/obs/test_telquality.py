@@ -57,22 +57,8 @@ def _report(net, src, dst, at):
     )
 
 
-class _StubState:
-    def __init__(self, latency_updated_at=-1.0, qdepth_updated_at=-1.0):
-        self.latency_updated_at = latency_updated_at
-        self.qdepth_updated_at = qdepth_updated_at
-
-
-class _StubStore:
-    def __init__(self, states):
-        self._states = states
-
-    def link_state(self, u, v):
-        return self._states.get((u, v))
-
-
-def _candidate(est, truth, path=()):
-    return {"estimated_delay": est, "truth_delay": truth, "path": list(path)}
+def _candidate(est, truth):
+    return {"estimated_delay": est, "truth_delay": truth}
 
 
 class TestCoverageLedger:
@@ -132,13 +118,8 @@ class TestFreshness:
     def test_decision_age_digest_and_sampler_cursor(self):
         tq = TelemetryQuality()
         tq.probing_interval = 0.1
-        store = _StubStore({
-            (("host", 1), ("sw", 1)): _StubState(0.8, 0.9),
-            (("sw", 1), ("host", 2)): _StubState(0.5, -1.0),
-        })
-        tq.decision(1.0, store, [
-            _candidate(0.01, 0.02, ["host:1", "sw:1", "host:2"]),
-        ])
+        # Two consulted hops, last refreshed at 0.9 and 0.5.
+        tq.decision(1.0, [_candidate(0.01, 0.02)], [[1.0 - 0.9, 1.0 - 0.5]])
         assert tq.decision_age.count == 2   # one age per consulted hop
         assert tq.take_max_decision_age() == pytest.approx(0.5)
         assert tq.take_max_decision_age() is None   # cursor advanced
@@ -147,29 +128,24 @@ class TestFreshness:
 class TestAttribution:
     def test_skip_rules_mirror_delay_error_stats(self):
         tq = TelemetryQuality()
-        store = _StubStore({})
-        tq.decision(1.0, store, [
+        tq.decision(1.0, [
             _candidate(None, 0.02),            # estimate missing
             _candidate(math.inf, 0.02),        # unreachable estimate
             _candidate(0.01, None),            # truth missing
             _candidate(0.01, 0.02),            # accepted
-        ])
+        ], [[], [], [], []])
         assert tq.samples_skipped == 3
         assert len(tq._samples) == 1
 
     def test_bins_partition_samples(self):
         tq = TelemetryQuality()
         tq.probing_interval = 1.0
-        # Hop ages 0.2 (bin 0), 3.0 (bin [2x,5x)), 50.0 (>= 20x tail).
-        store = _StubStore({
-            (("host", 1), ("sw", 1)): _StubState(0.0, 0.0),
-        })
+        # Hop ages 0.2 (bin 0), 3.0 (bin [2x,5x)), 50.0 (>= 20x tail): one
+        # hop, refreshed at time 0.
         for now, err in ((0.2, 0.01), (3.0, -0.02), (50.0, 0.05)):
-            tq.decision(now, store, [
-                _candidate(err, 0.0, ["host:1", "sw:1"]),
-            ])
-        # A candidate with no resolvable hops lands in the unknown bin.
-        tq.decision(60.0, store, [_candidate(0.01, 0.0, ["host:9", "sw:9"])])
+            tq.decision(now, [_candidate(err, 0.0)], [[now]])
+        # A candidate with no known hop age lands in the unknown bin.
+        tq.decision(60.0, [_candidate(0.01, 0.0)], [[]])
         section = tq._attribution_section(None)
         by_label = {b["label"]: b for b in section["bins"]}
         assert by_label["[0x, 0.5x)"]["count"] == 1
@@ -184,9 +160,8 @@ class TestAttribution:
     def test_loss_and_fault_window_split(self):
         tq = TelemetryQuality()
         tq.probing_interval = 0.1
-        store = _StubStore({})
-        tq.decision(1.0, store, [_candidate(0.01, 0.0)])   # inside windows
-        tq.decision(5.0, store, [_candidate(0.04, 0.0)])   # outside
+        tq.decision(1.0, [_candidate(0.01, 0.0)], [[]])   # inside windows
+        tq.decision(5.0, [_candidate(0.04, 0.0)], [[]])   # outside
         events = EventLog()
         events.probe_lost(src=1, dst=2, seq=9, lost=2, time=1.1)
         events.fault_injected(fault="link_down", target="s1", time=0.9)
@@ -202,8 +177,7 @@ class TestAttribution:
 
     def test_unrecovered_fault_window_stays_open(self):
         tq = TelemetryQuality()
-        store = _StubStore({})
-        tq.decision(100.0, store, [_candidate(0.01, 0.0)])
+        tq.decision(100.0, [_candidate(0.01, 0.0)], [[]])
         events = EventLog()
         events.fault_injected(fault="server_down", target="node3", time=2.0)
         section = tq._attribution_section(events)
@@ -438,7 +412,7 @@ class TestSnapshot:
                 probing_interval=0.1,
             )
             tq.report_ingested(_report(star3, "h1", "h2", 1.0))
-            tq.decision(1.5, _StubStore({}), [_candidate(0.01, 0.02)])
+            tq.decision(1.5, [_candidate(0.01, 0.02)], [[]])
             return tq.snapshot_records()
 
         first, second = build(), build()
@@ -459,7 +433,7 @@ class TestReport:
         tq.attach_network(star3)
         tq.configure(layout="star", pairs=[("h1", "h2")], probing_interval=0.1)
         tq.report_ingested(_report(star3, "h1", "h2", 1.0))
-        tq.decision(1.5, _StubStore({}), [_candidate(0.01, 0.02)])
+        tq.decision(1.5, [_candidate(0.01, 0.02)], [[]])
         (record,) = tq.snapshot_records()
         audit = {
             "kind": "decision-audit", "metric": "delay",

@@ -184,7 +184,7 @@ class TestLiveCollection:
             requester_addr=100, metric="delay",
             candidates=_decision()["candidates"], chosen_addr=1,
         )
-        obs.whatif.decision(0.5, None, _decision()["candidates"], 1)
+        obs.whatif.decision(_decision()["candidates"], 1, None)
         records = obs.snapshot_records()
         assert records[-1]["kind"] == "whatif"
         assert sum(1 for r in records if r["kind"] == "whatif") == 1
@@ -195,15 +195,15 @@ class TestLiveCollection:
         obs = Observability(whatif=True)
         wi = obs.whatif
         assert wi.take_max_regret() is None
-        wi.decision(0.5, None, _decision()["candidates"], 1)   # regret .07
-        wi.decision(0.6, None, _decision()["candidates"], 2)   # regret 0
+        wi.decision(_decision()["candidates"], 1, None)   # regret .07
+        wi.decision(_decision()["candidates"], 2, None)   # regret 0
         assert wi.take_max_regret() == pytest.approx(0.07)
         assert wi.take_max_regret() is None  # window drained
 
     def test_summary_section(self):
         obs = Observability(whatif=True)
         obs.whatif.configure(probing_interval=0.1)
-        obs.whatif.decision(0.5, None, _decision()["candidates"], 1)
+        obs.whatif.decision(_decision()["candidates"], 1, None)
         assert obs.summary()["whatif"] == {
             "interval": 0.1, "decisions": 1, "priced": 1,
         }
@@ -268,7 +268,7 @@ class TestReport:
                 requester_addr=100, metric="delay",
                 candidates=cands, chosen_addr=1,
             )
-            obs.whatif.decision(float(i), None, cands, 1)
+            obs.whatif.decision(cands, 1, None)
         return obs.snapshot_records()
 
     def test_cross_checks_all_ok(self):

@@ -260,6 +260,19 @@ def test_undeliverable_observer_flag_is_an_argument_error(argv, flag, capsys, tm
     assert not (tmp_path / "spans.jsonl").exists()
 
 
+def test_obs_out_only_where_it_is_written(capsys, tmp_path):
+    """--obs-out exists on compare and reproduce only: sweep rejects it as
+    an unknown argument (exit 2) before any run, writing nothing."""
+    out = tmp_path / "run.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--intervals", "0.1", "--obs-out", str(out)])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert "--obs-out" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_calibrate_still_takes_the_engine_observers(capsys):
     assert main(_CALIBRATE + ["--mem-profile"]) == 0
     assert "engine profile:" in capsys.readouterr().out
