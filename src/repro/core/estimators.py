@@ -11,18 +11,29 @@ auto-tuning as future work (implemented here as
 inverted to estimate per-link utilization from the collected max queue
 depth, available bandwidth = capacity × (1 − utilization), and path
 throughput = the bottleneck minimum (Section III-D).
+
+Both are priced by :func:`walk`, one pass over a requester's
+:class:`~repro.core.telemetry_store.PathTree` that reads each link once
+however many candidates' paths cross it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
-from repro.core.telemetry_store import TelemetryStore
+from repro.core.telemetry_store import PathTree, TelemetryStore
 from repro.telemetry.records import TelemetryNodeId
 
-__all__ = ["DelayEstimator", "BandwidthEstimator", "QdepthUtilizationCurve", "DEFAULT_K"]
+__all__ = [
+    "DelayEstimator",
+    "BandwidthEstimator",
+    "QdepthUtilizationCurve",
+    "DEFAULT_K",
+    "walk",
+]
 
 DEFAULT_K = 0.020  # seconds of queue wait per packet of max queue depth (paper: 20 ms)
 
@@ -54,28 +65,32 @@ class DelayEstimator:
         # (20 ms) detour.
         self.qdepth_floor = qdepth_floor
 
+    def delays(
+        self,
+        src: TelemetryNodeId,
+        candidates: Sequence[TelemetryNodeId],
+        *,
+        allow_stale: bool = False,
+    ) -> List[float]:
+        """Algorithm 1's inner loops for each candidate, over the path the
+        inferred topology predicts data will take: total link delay + k ×
+        total queue occupancy; ``inf`` for a candidate with no known path.
+        ``allow_stale`` ranks from last-known link latencies past the
+        staleness horizon (degraded mode); queue terms still decay — an old
+        congestion reading is evidence of nothing."""
+        store = self.store
+        return walk(store.tree(src, candidates), store, delay=self, allow_stale=allow_stale)[0]
+
     def delay_between(
         self, src: TelemetryNodeId, dst: TelemetryNodeId, *, allow_stale: bool = False
     ) -> float:
-        """Algorithm 1's inner loops over the path the inferred topology
-        predicts data will take: total link delay + k × total queue
-        occupancy.  ``allow_stale`` ranks from last-known link latencies
-        past the staleness horizon (degraded mode); queue terms still
-        decay — an old congestion reading is evidence of nothing."""
+        """:meth:`delays` for one candidate; raises :class:`SchedulingError`
+        when no path is known."""
         store = self.store
-        now = store.sim.now
-        staleness = store.staleness
-        default = self.default_link_delay
-        floor = self.qdepth_floor
-        total_link = 0.0
-        total_hop = 0.0
-        for state, is_switch in store.plan(src, dst):
-            total_link += state.delay(now, staleness, default, allow_stale)
-            if is_switch:
-                qdepth = state.qdepth(now, staleness)
-                if qdepth >= floor:
-                    total_hop += self.k * qdepth
-        return total_link + total_hop
+        tree = store.tree(src, (dst,))
+        if tree.slots[0] < 0:
+            raise SchedulingError(f"no inferred path from {src} to {dst}")
+        return walk(tree, store, delay=self, allow_stale=allow_stale)[0][0]
 
     @staticmethod
     def calibrated_k(
@@ -189,19 +204,78 @@ class BandwidthEstimator:
         self.link_capacity_bps = link_capacity_bps
         self.curve = curve if curve is not None else QdepthUtilizationCurve()
 
-    def throughput_between(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> float:
-        """``throughput = min(b_1 ... b_k)`` over the links of the inferred
-        path, ``b = capacity × (1 − utilization(Q(h)))``.  Host uplinks
-        (first hop) are included: they share the same capacity."""
+    def throughputs(
+        self, src: TelemetryNodeId, candidates: Sequence[TelemetryNodeId]
+    ) -> List[float]:
+        """``throughput = min(b_1 ... b_k)`` over the links of each
+        candidate's inferred path, ``b = capacity × (1 − utilization(Q(h)))``;
+        0.0 for a candidate with no known path or a path of no links.  Host
+        uplinks (first hop) are included: they share the same capacity."""
         store = self.store
-        plan = store.plan(src, dst)
-        if not plan:
+        return walk(store.tree(src, candidates), store, bandwidth=self)[1]
+
+    def throughput_between(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> float:
+        """:meth:`throughputs` for one candidate; raises
+        :class:`SchedulingError` when the path is unknown or has no link."""
+        store = self.store
+        tree = store.tree(src, (dst,))
+        if tree.slots[0] <= 0:
             raise SchedulingError("throughput needs a path with at least one link")
-        now = store.sim.now
-        staleness = store.staleness
-        utilization = self.curve.utilization
-        capacity = self.link_capacity_bps
-        return min([
-            capacity * (1.0 - utilization(state.qdepth(now, staleness)))
-            for state, _is_switch in plan
-        ])
+        return walk(tree, store, bandwidth=self)[1][0]
+
+
+def walk(
+    tree: PathTree,
+    store: TelemetryStore,
+    *,
+    delay: Optional[DelayEstimator] = None,
+    bandwidth: Optional[BandwidthEstimator] = None,
+    allow_stale: bool = False,
+) -> Tuple[List[float], List[float]]:
+    """Price every candidate of ``tree`` in one pass over its edges:
+    ``(delays, throughputs)`` in candidate order, each list empty unless
+    its estimator is given.
+
+    Each link is read once, through :meth:`LinkState.delay` and
+    :meth:`LinkState.qdepth`, and per slot the pass keeps three prefix
+    values — the link-delay sum, the k·Q sum and the bottleneck.  A
+    candidate's sums are the same float additions in the same order as a
+    loop over its own path, and ``min`` is exact, so each value is the one
+    that loop gives, to the bit."""
+    now = store.sim.now
+    staleness = store.staleness
+    if delay is not None:
+        default = delay.default_link_delay
+        k = delay.k
+        floor = delay.qdepth_floor
+        link_sums = [0.0]
+        queue_sums = [0.0]
+    if bandwidth is not None:
+        utilization = bandwidth.curve.utilization
+        capacity = bandwidth.link_capacity_bps
+        bottlenecks = [math.inf]
+    for state, is_switch, parent in tree.edges:
+        qdepth = state.qdepth(now, staleness)
+        if delay is not None:
+            link_sums.append(
+                link_sums[parent] + state.delay(now, staleness, default, allow_stale)
+            )
+            queue_sum = queue_sums[parent]
+            if is_switch and qdepth >= floor:
+                queue_sum += k * qdepth
+            queue_sums.append(queue_sum)
+        if bandwidth is not None:
+            available = capacity * (1.0 - utilization(qdepth))
+            bottleneck = bottlenecks[parent]
+            bottlenecks.append(available if available < bottleneck else bottleneck)
+    slots = tree.slots
+    delays: List[float] = []
+    throughputs: List[float] = []
+    if delay is not None:
+        delays = [
+            link_sums[slot] + queue_sums[slot] if slot >= 0 else math.inf
+            for slot in slots
+        ]
+    if bandwidth is not None:
+        throughputs = [bottlenecks[slot] if slot > 0 else 0.0 for slot in slots]
+    return delays, throughputs

@@ -39,18 +39,8 @@ def rank_by_delay(
 ) -> List[RankedServer]:
     """Algorithm 1: edge nodes sorted by estimated one-way delay from
     ``origin`` (ascending; ties broken by node id for determinism)."""
-    store = estimator.store
-    if candidates is None:
-        candidates = store.topology.reachable_hosts(origin)
-    ranked: List[RankedServer] = []
-    for node in candidates:
-        if node == origin:
-            continue
-        try:
-            delay = estimator.delay_between(origin, node)
-        except SchedulingError:
-            delay = math.inf
-        ranked.append((node, delay))
+    candidates = _others(estimator, origin, candidates)
+    ranked = list(zip(candidates, estimator.delays(origin, candidates)))
     ranked.sort(key=itemgetter(1, 0))
     return ranked
 
@@ -62,20 +52,20 @@ def rank_by_bandwidth(
 ) -> List[RankedServer]:
     """Section III-D: edge nodes sorted by estimated bottleneck available
     bandwidth from ``origin`` (descending; ties broken by node id)."""
-    store = estimator.store
-    if candidates is None:
-        candidates = store.topology.reachable_hosts(origin)
-    ranked: List[RankedServer] = []
-    for node in candidates:
-        if node == origin:
-            continue
-        try:
-            bw = estimator.throughput_between(origin, node)
-        except SchedulingError:
-            bw = 0.0
-        ranked.append((node, bw))
+    candidates = _others(estimator, origin, candidates)
+    ranked = list(zip(candidates, estimator.throughputs(origin, candidates)))
     ranked.sort(key=lambda item: (-item[1], item[0]))
     return ranked
+
+
+def _others(estimator, origin, candidates) -> List[TelemetryNodeId]:
+    """``candidates`` without ``origin``; every host ``origin`` reaches
+    when ``candidates`` is ``None``."""
+    if candidates is None:
+        return estimator.store.topology.reachable_hosts(origin)
+    if origin in candidates:
+        return [node for node in candidates if node != origin]
+    return candidates
 
 
 # -- decision explanations (audit trail) ------------------------------------
@@ -93,8 +83,8 @@ def explain_delay(
 
     Each hop reads the per-link rules the ranking walks
     (:meth:`LinkState.delay`, :meth:`LinkState.qdepth`), so ``value`` is the
-    estimate :meth:`DelayEstimator.delay_between` ranks by (summed hop by
-    hop rather than links first, then queues, which can differ in the last
+    estimate :meth:`DelayEstimator.delays` ranks by (summed hop by hop
+    rather than links first, then queues, which can differ in the last
     bit); ``hops`` lists each directed hop's measured link delay, the Q(h)
     reading, and the ``k * Q(h)`` term actually charged (zero below the
     noise floor or at non-switch hops).

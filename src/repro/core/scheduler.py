@@ -24,6 +24,7 @@ from repro.core.estimators import (
     BandwidthEstimator,
     DelayEstimator,
     QdepthUtilizationCurve,
+    walk,
 )
 from repro.core.ranking import (
     explain_bandwidth,
@@ -68,6 +69,16 @@ _BYTES_PER_RANK_ENTRY = 12
 HopAge = Tuple[TelemetryNodeId, TelemetryNodeId, Optional[float]]
 
 
+def _finite_or_none(value: Any) -> Any:
+    """``None`` for a non-finite float, item by item in a list; any other
+    value as it is."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
 class DecisionRecord(NamedTuple):
     """One ranking query, explained once when a hub is attached: what the
     decision audit stores and the telemetry-quality, what-if and trace
@@ -76,7 +87,8 @@ class DecisionRecord(NamedTuple):
     ``candidates`` are the audit's dicts, in ranking order: ``server_addr``,
     ``value``, the policy's explanation (the network-aware scheduler's
     ``estimated_delay``, ``path`` and ``hops``) and, with ground truth
-    attached, ``truth_delay``.  ``hops`` is parallel to them: each
+    attached, ``truth_delay``; a value or estimate that is not finite (a
+    candidate with no known path) is ``None``.  ``hops`` is parallel to them: each
     candidate's consulted hops with their telemetry ages, or ``None`` for a
     policy that consults no telemetry (the baselines)."""
 
@@ -178,6 +190,10 @@ class SchedulerService:
                 cand["truth_delay"] = truth.true_delay_between(
                     requester_addr, cand["server_addr"]
                 )
+        # JSON has no inf: an unreachable candidate's estimate is null.
+        for cand in candidates:
+            for key, value in cand.items():
+                cand[key] = _finite_or_none(value)
         # Raw rankings are unsorted — the device chooses, not the scheduler.
         chosen = ranking[0][0] if ranking and metric != METRIC_RAW else None
         return DecisionRecord(
@@ -236,9 +252,7 @@ class SchedulerService:
                 if "estimated_delay" not in explained:  # bandwidth ranking
                     explained = {"server_addr": chosen}
                     self._explain(record.requester_addr, METRIC_DELAY, [explained])
-                estimated = explained["estimated_delay"]
-                if not math.isfinite(estimated):
-                    estimated = None
+                estimated = _finite_or_none(explained["estimated_delay"])
                 truth_delay = head.get("truth_delay")
                 hop_ages = [
                     {"hop": f"{node_label(u)}>{node_label(v)}", "age": age}
@@ -322,10 +336,12 @@ class NetworkAwareScheduler(SchedulerService):
             fresh, stale = candidates, []
         if metric == METRIC_DELAY:
             ranked = rank_by_delay(self.delay_estimator, origin, fresh)
-            ranked += self._rank_stale_by_delay(origin, stale)
+            if stale:
+                ranked += self._rank_stale_by_delay(origin, stale)
         elif metric == METRIC_BANDWIDTH:
             ranked = rank_by_bandwidth(self.bandwidth_estimator, origin, fresh)
-            ranked += self._rank_stale_by_bandwidth(origin, stale)
+            if stale:
+                ranked += self._rank_stale_by_bandwidth(origin, stale)
         elif metric == METRIC_RAW:
             return self._rank_raw(origin, candidates)
         else:
@@ -366,26 +382,15 @@ class NetworkAwareScheduler(SchedulerService):
         the staleness penalty.  With a dark store this degenerates to the
         hop-count (Nearest) ordering — every link falls back to the default
         delay — which is exactly the right blind-mode behavior."""
-        ranked = []
-        for node in stale:
-            try:
-                delay = self.delay_estimator.delay_between(
-                    origin, node, allow_stale=True
-                )
-            except SchedulingError:
-                delay = math.inf
-            ranked.append((node, delay + self.stale_penalty))
+        delays = self.delay_estimator.delays(origin, stale, allow_stale=True)
+        penalty = self.stale_penalty
+        ranked = [(node, delay + penalty) for node, delay in zip(stale, delays)]
         ranked.sort(key=itemgetter(1, 0))
         return ranked
 
     def _rank_stale_by_bandwidth(self, origin, stale) -> List[Tuple[Tuple, float]]:
-        ranked = []
-        for node in stale:
-            try:
-                bw = self.bandwidth_estimator.throughput_between(origin, node)
-            except SchedulingError:
-                bw = 0.0
-            ranked.append((node, bw * STALE_BW_FACTOR))
+        throughputs = self.bandwidth_estimator.throughputs(origin, stale)
+        ranked = [(node, bw * STALE_BW_FACTOR) for node, bw in zip(stale, throughputs)]
         ranked.sort(key=lambda item: (-item[1], item[0]))
         return ranked
 
@@ -410,22 +415,17 @@ class NetworkAwareScheduler(SchedulerService):
         return hops
 
     def _rank_raw(self, origin, candidates) -> List[Tuple[int, Tuple[float, float]]]:
-        """Both estimates per candidate, in address order (unsorted — the
-        device applies its own policy); an unreachable candidate gets
-        ``(inf, 0.0)``."""
-        delay_between = self.delay_estimator.delay_between
-        throughput_between = self.bandwidth_estimator.throughput_between
-        ranked = []
-        for node in sorted(candidates):
-            if node == origin:
-                continue
-            try:
-                delay = delay_between(origin, node)
-            except SchedulingError:
-                delay = math.inf
-            try:
-                bw = throughput_between(origin, node)
-            except SchedulingError:
-                bw = 0.0
-            ranked.append((node[1], (delay, bw)))
-        return ranked
+        """Both estimates per candidate from one walk, in address order
+        (unsorted — the device applies its own policy); an unreachable
+        candidate gets ``(inf, 0.0)``."""
+        if origin in candidates:
+            candidates = [node for node in candidates if node != origin]
+        candidates = sorted(candidates)
+        store = self.store
+        delays, throughputs = walk(
+            store.tree(origin, candidates), store,
+            delay=self.delay_estimator, bandwidth=self.bandwidth_estimator,
+        )
+        return [
+            (node[1], pair) for node, pair in zip(candidates, zip(delays, throughputs))
+        ]

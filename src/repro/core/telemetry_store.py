@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.simnet.engine import Simulator
@@ -34,7 +34,7 @@ from repro.telemetry.records import (
 )
 from repro.core.topology_inference import InferredTopology
 
-__all__ = ["TelemetryStore", "LinkState", "DEFAULT_STALENESS"]
+__all__ = ["TelemetryStore", "LinkState", "PathTree", "DEFAULT_STALENESS"]
 
 DEFAULT_STALENESS = 2.0          # seconds; ~20 probing intervals at the default rate
 EWMA_ALPHA = 0.3                 # weight of the newest latency sample
@@ -87,9 +87,21 @@ class LinkState:
         return now - updated if updated >= 0.0 else None
 
 
-# Per directed link of a path: its state and whether its upstream end is a
-# switch (only switch egresses charge a queue term).
-PathPlan = Tuple[Tuple[LinkState, bool], ...]
+class PathTree(NamedTuple):
+    """The inferred paths from one source to a list of candidates, as one
+    prefix tree: a link that several paths share appears once.
+
+    Slot 0 is the source; edge ``i`` of ``edges`` leads to slot ``i + 1``
+    and is ``(LinkState, upstream is a switch, parent slot)`` — only switch
+    egresses charge a queue term.  Edges are in prefix order (a parent slot
+    is always an earlier one), so one pass over them can carry any per-path
+    sum from parent to child.  ``slots`` gives each candidate's slot, in
+    candidate order: -1 when no path is known, 0 for the source itself."""
+
+    edges: Tuple[Tuple[LinkState, bool, int], ...]
+    slots: Tuple[int, ...]
+
+
 # Per probe path: its distinct nodes and the state of each of its links.
 IngestPlan = Tuple[Tuple[TelemetryNodeId, ...], Tuple[LinkState, ...]]
 
@@ -123,9 +135,10 @@ class TelemetryStore:
         # path_key -> IngestPlan.  A plan never goes stale: a state is
         # never deleted, and a key fixes its path.
         self._ingest_plans: Dict[Tuple[int, ...], IngestPlan] = {}
-        # (src, dst) -> PathPlan, valid while topology.version stays put.
-        self._plans: Dict[Tuple[TelemetryNodeId, TelemetryNodeId], PathPlan] = {}
-        self._plans_version = self.topology.version
+        # (src, candidates) -> PathTree, valid while topology.version
+        # stays put.
+        self._trees: Dict[Tuple[TelemetryNodeId, Tuple[TelemetryNodeId, ...]], PathTree] = {}
+        self._trees_version = self.topology.version
 
     # -- ingestion (collector subscriber) ----------------------------------
 
@@ -237,33 +250,53 @@ class TelemetryStore:
             return 0
         return state.qdepth(self.sim.now, self.staleness)
 
-    def plan(self, src: TelemetryNodeId, dst: TelemetryNodeId) -> PathPlan:
-        """The links of the inferred path from ``src`` to ``dst``, as
-        ``(LinkState, upstream is a switch)`` pairs — what the estimators
-        walk.  Raises :class:`SchedulingError` like
-        :meth:`InferredTopology.path`.
+    def tree(
+        self, src: TelemetryNodeId, candidates: Sequence[TelemetryNodeId]
+    ) -> PathTree:
+        """The inferred paths from ``src`` to each of ``candidates`` as one
+        :class:`PathTree` — what the estimators walk.
 
-        Cached per pair until the topology version moves.  A plan holds the
-        states themselves, which is safe because a state is never deleted
-        and :meth:`update` gives every edge it adds a state in the same
-        call, so a cached plan sees every later reading.  A link with no
-        state (an edge learned some other way) gets a blank one, which
-        reads as never measured, and that plan is not cached."""
+        Cached per (source, candidate list) until the topology version
+        moves.  A tree holds the states themselves, which is safe because a
+        state is never deleted and :meth:`update` gives every edge it adds a
+        state in the same call, so a cached tree sees every later reading.
+        A link with no state (an edge learned some other way) gets a blank
+        one, which reads as never measured, and that tree is not cached."""
         topology = self.topology
-        plans = self._plans
-        if topology.version != self._plans_version:
-            plans.clear()
-            self._plans_version = topology.version
-        key = (src, dst)
-        plan = plans.get(key)
-        if plan is None:
-            path = topology.path(src, dst)
+        trees = self._trees
+        if topology.version != self._trees_version:
+            trees.clear()
+            self._trees_version = topology.version
+        key = (src, tuple(candidates))
+        tree = trees.get(key)
+        if tree is None:
             links = self._links
-            hops = list(zip(path, path[1:]))
-            plan = tuple((links.get(hop) or LinkState(), hop[0][0] == "sw") for hop in hops)
-            if all(hop in links for hop in hops):
-                plans[key] = plan
-        return plan
+            edges: List[Tuple[LinkState, bool, int]] = []
+            slot_of: Dict[Tuple[int, TelemetryNodeId], int] = {}
+            slots: List[int] = []
+            complete = True
+            for dst in key[1]:
+                try:
+                    path = topology.path(src, dst)
+                except SchedulingError:
+                    slots.append(-1)
+                    continue
+                slot = 0
+                for hop in zip(path, path[1:]):
+                    child = slot_of.get((slot, hop[1]))
+                    if child is None:
+                        state = links.get(hop)
+                        if state is None:
+                            state = LinkState()
+                            complete = False
+                        edges.append((state, hop[0][0] == "sw", slot))
+                        child = slot_of[slot, hop[1]] = len(edges)
+                    slot = child
+                slots.append(slot)
+            tree = PathTree(tuple(edges), tuple(slots))
+            if complete:
+                trees[key] = tree
+        return tree
 
     def node_age(self, node: TelemetryNodeId) -> Optional[float]:
         """Seconds since ``node`` last appeared on any probe path, or

@@ -11,7 +11,9 @@ The rendering layer over the engine's phase-level profile (see
   HTML dashboard and written by ``repro report --flamegraph-out``;
 * :class:`MemoryCapture` — per-run allocation/GC counters (``gc`` stats
   always; ``tracemalloc`` top-N sites behind ``--mem-profile``) merged
-  into the profile summary.
+  into the profile summary;
+* :func:`count_ops` — bytecodes executed per function of the package, a
+  work measure that, unlike wall time, does not move with machine load.
 
 Everything here renders deterministically from its inputs: colors hash
 frame names with ``sum(ord(..))`` (not the randomized builtin ``hash``),
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 import gc
 import html
+import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "collapsed_stacks",
+    "count_ops",
     "flamegraph_svg",
     "MemoryCapture",
 ]
@@ -295,3 +299,62 @@ def _short_file(path: str) -> str:
     """Keep the tail of a source path (``repro/simnet/engine.py``)."""
     parts = path.replace("\\", "/").split("/")
     return "/".join(parts[-3:]) if len(parts) > 3 else "/".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Bytecode counts
+# ---------------------------------------------------------------------------
+
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
+
+def count_ops(
+    fn: Callable[[], Any], counts: Optional[Dict[str, int]] = None
+) -> Dict[str, int]:
+    """Call ``fn()`` and count the bytecodes it executes in each function
+    of the ``repro`` package, keyed ``module:qualname``; code outside the
+    package is not counted.  Counts add into ``counts`` when given.
+
+    Uses ``sys.settrace`` with per-opcode events, so the call runs many
+    times slower; the previous trace function is restored afterwards.  The
+    counts depend on the CPython version (its compiler decides the
+    bytecode) but not on machine load: an equal count is the same work."""
+    if counts is None:
+        counts = {}
+    names: Dict[Any, Optional[str]] = {}
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        name = names.get(code, "")
+        if name == "":
+            name = names[code] = _function_name(code)
+        if name is None:
+            return None
+        frame.f_trace_opcodes = True
+
+        def on_event(frame, event, arg):
+            if event == "opcode":
+                counts[name] = counts.get(name, 0) + 1
+            return on_event
+
+        return on_event
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+def _function_name(code) -> Optional[str]:
+    """``repro.module:qualname`` for a code object of the package, else
+    ``None``."""
+    path = code.co_filename
+    if not path.startswith(_PACKAGE_DIR):
+        return None
+    parts = ["repro", *os.path.splitext(path[len(_PACKAGE_DIR):])[0].split(os.sep)]
+    if parts[-1] == "__init__":
+        parts.pop()
+    return f"{'.'.join(parts)}:{getattr(code, 'co_qualname', code.co_name)}"

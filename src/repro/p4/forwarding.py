@@ -54,17 +54,14 @@ class PlainForwardingProgram(P4Program):
         ``hop(packet, in_port)`` for a frame arriving from the wire:
         ``probe_stamp`` (a subclass's probe-only ingress work, run before
         routing as its staged ``ingress`` does before calling up), the TTL
-        check and exact-match lookup with the table's own hit/miss
-        counters, the TTL decrement and the hand-off to the egress port — no
-        context object and no further frame before :meth:`Port.send`.  The
+        check and exact-match lookup with the table's miss counter, the TTL
+        decrement and the hand-off to the egress port — no context object
+        and no further frame before :meth:`Port.send`.  The
         switch's receive and forward counts and the packet's hop count are
         reads of the ports' books and the TTL, so the hop writes none of
         them.  Captures the table's entry dict and the switch's port list by
         reference, so control-plane ``set_entry`` updates are visible
         immediately.
-
-        ``table.hits`` stays a per-frame write: deriving it needs the
-        switch's forward count, which the table does not know.
 
         One plain body and one phase-protocol body with the scopes of the
         staged ``Switch.on_ingress`` (p4_pipeline, then enqueue around the
@@ -86,8 +83,6 @@ class PlainForwardingProgram(P4Program):
                     if entry is None:
                         table.misses += 1
                         entry = table.default_action
-                    else:
-                        table.hits += 1
                     if entry[0] == "forward":
                         packet.ttl -= 1
                         ports[entry[1]["port"]].send(packet)
@@ -102,8 +97,6 @@ class PlainForwardingProgram(P4Program):
                 if entry is None:
                     table.misses += 1
                     entry = table.default_action
-                else:
-                    table.hits += 1
                 if entry[0] == "forward":
                     packet.ttl -= 1
                     prof.phase_next("enqueue")

@@ -27,7 +27,8 @@ class ExactMatchTable:
         self.name = name
         self.default_action: TableEntry = (default_action, {})
         self._entries: Dict[Hashable, TableEntry] = {}
-        self.hits = 0
+        # Misses only: a hit count is a switch's forward count, which the
+        # switch's ports already keep.
         self.misses = 0
 
     def add_entry(self, key: Hashable, action: str, **params: Any) -> None:
@@ -44,7 +45,6 @@ class ExactMatchTable:
         if entry is None:
             self.misses += 1
             return self.default_action
-        self.hits += 1
         return entry
 
     def __len__(self) -> int:

@@ -14,11 +14,14 @@ order for the delay, bandwidth and raw metrics at once.
   rules run.
 
 Recorded before rankings were served from cached per-path link plans and
-before reports kept their INT stack in wire form.
+before reports kept their INT stack in wire form.  Both digests also
+predate the prefix-tree walk that prices all of a requester's candidates in
+one pass.
 """
 
 import hashlib
 
+from repro.obs.perf import count_ops
 from repro.p4.headers import append_hop_record, encode_probe_header
 from tests.properties.test_property_inference import _fed_scheduler, _fig4_mesh_reports
 
@@ -46,10 +49,12 @@ def _ingests():
     return out
 
 
-def _stream(quarantine_ttl, ranks, step, gaps=()):
+def _stream(quarantine_ttl, ranks, step, gaps=(), counts=None):
     """``ranks`` rank() results cycling requesters (outer) and metrics
     (inner), one ingest every fourth rank with the clock ``step`` further
-    on; every 100th rank the clock also jumps by the next of ``gaps``."""
+    on; every 100th rank the clock also jumps by the next of ``gaps``.
+    With ``counts``, the bytecodes each rank() call executes add into it
+    (:func:`repro.obs.perf.count_ops`); nothing else is counted."""
     sim, scheduler = _fed_scheduler(quarantine_ttl)
     collector = scheduler.collector
     ingests = _ingests()
@@ -66,7 +71,11 @@ def _stream(quarantine_ttl, ranks, step, gaps=()):
             clock += gaps[(i // 100) % len(gaps)]
             sim.run(until=clock)
         requester = requesters[(i // len(METRICS)) % len(requesters)]
-        results.append(scheduler.rank(requester, METRICS[i % len(METRICS)]))
+        metric = METRICS[i % len(METRICS)]
+        if counts is None:
+            results.append(scheduler.rank(requester, metric))
+        else:
+            count_ops(lambda: results.append(scheduler.rank(requester, metric)), counts)
         quarantined += bool(scheduler.quarantined_nodes)
     return results, collector.reports_ingested, quarantined
 
@@ -75,8 +84,13 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(results).encode("utf-8")).hexdigest()
 
 
+def fresh_stream(counts=None):
+    """The ``fresh`` stream: 3 000 ranks, no quarantine, 5 ms per ingest."""
+    return _stream(None, 3000, 0.005, counts=counts)
+
+
 def test_fresh_stream_matches_golden_digest():
-    results, ingested, quarantined = _stream(None, 3000, 0.005)
+    results, ingested, quarantined = fresh_stream()
     assert (ingested, quarantined) == (750, 0)
     assert _digest(results) == GOLDEN_FRESH
 
@@ -86,3 +100,14 @@ def test_degraded_stream_matches_golden_digest():
     # Not vacuous: some rankings ran with candidates quarantined.
     assert ingested == 750 and quarantined > 0
     assert _digest(results) == GOLDEN_DEGRADED
+
+
+def test_rank_op_counts_repeat_on_fresh_stream():
+    """The bytecode ruler reads the same count twice on the same stream,
+    and counting leaves the rankings as they were."""
+    first, second = {}, {}
+    results, _ingested, _quarantined = fresh_stream(first)
+    fresh_stream(second)
+    assert first == second
+    assert sum(first.values()) > 0
+    assert _digest(results) == GOLDEN_FRESH

@@ -1,5 +1,6 @@
 """Decision audit trail: records, error stats, ground truth, explanations."""
 
+import json
 import math
 
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from repro.core.estimators import BandwidthEstimator, DelayEstimator
 from repro.core.ranking import explain_bandwidth, explain_delay
 from repro.core.telemetry_store import LinkState, TelemetryStore
+from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.obs.audit import (
     DecisionAudit,
     NetworkGroundTruth,
     delay_error_stats,
     node_label,
 )
+from repro.runner import Runner, RunSpec
+from repro.runner.cache import ResultCache
 from repro.telemetry.records import host_node, switch_node
 from repro.units import mbps
 
@@ -148,3 +152,29 @@ class TestNetworkGroundTruth:
         assert hop["u"].startswith("host:") and hop["v"] == f"sw:{sw_id}"
         assert hop["true_qdepth"] == 0
 
+
+
+class TestNonFiniteEstimates:
+    def test_star_observed_run_completes_and_round_trips(self, tmp_path):
+        """Under star probing some candidates have no inferred path, so
+        their estimate is infinite; the decision record exports it as
+        null, and the cached run reads back byte for byte."""
+        spec = RunSpec.from_config(
+            ExperimentConfig(scale=SMOKE_SCALE, seed=1, probe_layout="star"),
+            obs_run={"cell": "star"},
+        )
+        [result] = Runner(jobs=1, cache=ResultCache(str(tmp_path))).run([spec])
+        assert result.failure is None
+        unreachable = [
+            cand
+            for record in result.obs_records()
+            if record["kind"] == "decision-audit"
+            for cand in record["candidates"]
+            if cand["value"] is None
+        ]
+        assert unreachable
+        assert all(cand["estimated_delay"] is None for cand in unreachable)
+        [cached] = Runner(jobs=1, cache=ResultCache(str(tmp_path))).run([spec])
+        assert cached.from_cache
+        assert cached.payload_json() == result.payload_json()
+        assert json.loads(result.to_json())["payload"] == result.payload

@@ -1,12 +1,17 @@
 """Unit tests for the performance observatory rendering layer."""
 
+import sys
+
 import pytest
 
+from repro.core.topology_inference import InferredTopology
 from repro.obs.perf import (
     MemoryCapture,
     collapsed_stacks,
+    count_ops,
     flamegraph_svg,
 )
+from repro.telemetry.records import host_node, switch_node
 
 
 def _summary():
@@ -128,3 +133,40 @@ class TestMemoryCapture:
     def test_stop_before_start_raises(self):
         with pytest.raises(RuntimeError):
             MemoryCapture().stop()
+
+
+class TestCountOps:
+    def _learn(self):
+        topology = InferredTopology()
+        topology.observe_path([host_node(1), switch_node(2), host_node(3)])
+        return topology.path(host_node(1), host_node(3))
+
+    def test_counts_package_functions_only(self):
+        counts = count_ops(self._learn)
+        assert set(counts) == {
+            "repro.core.topology_inference:InferredTopology.__init__",
+            "repro.core.topology_inference:InferredTopology.observe_path",
+            "repro.core.topology_inference:InferredTopology.path",
+            "repro.core.topology_inference:InferredTopology._paths_from",
+            "repro.telemetry.records:host_node",
+            "repro.telemetry.records:switch_node",
+        }
+        assert all(count > 0 for count in counts.values())
+
+    def test_equal_work_equal_counts_and_accumulation(self):
+        once = count_ops(self._learn)
+        assert count_ops(self._learn) == once
+        twice = count_ops(self._learn, dict(once))
+        assert twice == {name: 2 * count for name, count in once.items()}
+
+    def test_previous_trace_function_restored(self):
+        def tracer(frame, event, arg):
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            count_ops(self._learn)
+            assert sys.gettrace() is tracer
+        finally:
+            sys.settrace(previous)

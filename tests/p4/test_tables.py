@@ -16,7 +16,7 @@ def test_hit_returns_action_and_params():
     t = ExactMatchTable("fwd")
     t.add_entry(7, "forward", port=3)
     assert t.lookup(7) == ("forward", {"port": 3})
-    assert t.hits == 1
+    assert t.misses == 0
 
 
 def test_duplicate_add_rejected():

@@ -3,12 +3,19 @@
 import math
 from types import SimpleNamespace
 
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import ecdf
-from repro.core.estimators import BandwidthEstimator, DelayEstimator, QdepthUtilizationCurve
+from repro.core.estimators import (
+    BandwidthEstimator, DelayEstimator, QdepthUtilizationCurve, walk,
+)
 from repro.core.ranking import rank_by_bandwidth
+from repro.core.scheduler import STALE_BW_FACTOR
+from repro.core.telemetry_store import LinkState, PathTree
+from repro.errors import SchedulingError
+from repro.telemetry.records import host_node, switch_node
+from tests.properties.test_property_inference import _fed_scheduler, _fig4_mesh_reports
 
 
 knots = st.lists(
@@ -86,17 +93,24 @@ class _Link:
 
 
 class _Store:
-    """Stub telemetry store: each candidate's planned path is its links'
-    qdepth readings."""
+    """Stub telemetry store: each candidate's path is a chain of its own
+    links, one per qdepth reading, sharing none with another candidate."""
 
     sim = SimpleNamespace(now=0.0)
     staleness = None
 
     def __init__(self, readings):
-        self.plans = {node: [(_Link(q), True) for q in qs] for node, qs in readings.items()}
+        self.readings = readings
 
-    def plan(self, src, dst):
-        return self.plans[dst]
+    def tree(self, src, candidates):
+        edges, slots = [], []
+        for node in candidates:
+            slot = 0
+            for q in self.readings[node]:
+                edges.append((_Link(q), True, slot))
+                slot = len(edges)
+            slots.append(slot)
+        return PathTree(tuple(edges), tuple(slots))
 
 
 @given(
@@ -139,3 +153,123 @@ def test_uniform_capacity_bandwidth_ranking_is_bottleneck_qdepth_order(pts, read
     assert ranked(curve) == by_bottleneck(curve) == sorted(
         candidates, key=lambda n: (max(readings[n]), n)
     )
+
+
+# -- the prefix-tree walk against a per-path reference ------------------------
+
+_FIG4_SERVERS = (1, 2, 3, 4, 5, 7, 8)
+# Fig. 4's switch ids, and one host the mesh never reports: no path.
+_FIG4_SWITCHES = range(1, 13)
+_UNKNOWN_HOST = host_node(99)
+
+
+def _reference_prices(store, delay, bandwidth, origin, candidates, allow_stale=False):
+    """Per candidate, its own inferred path priced link by link with the
+    ``LinkState`` rules: ``(delay, throughput)``, ``(inf, 0.0)`` with no
+    path and a throughput of 0.0 for a path of no links."""
+    now, staleness = store.sim.now, store.staleness
+    prices = []
+    for node in candidates:
+        try:
+            path = store.topology.path(origin, node)
+        except SchedulingError:
+            prices.append((math.inf, 0.0))
+            continue
+        links = queues = 0.0
+        available = []
+        for u, v in zip(path, path[1:]):
+            state = store.link_state(u, v) or LinkState()
+            links += state.delay(now, staleness, delay.default_link_delay, allow_stale)
+            qdepth = state.qdepth(now, staleness)
+            if u[0] == "sw" and qdepth >= delay.qdepth_floor:
+                queues += delay.k * qdepth
+            available.append(
+                bandwidth.link_capacity_bps * (1.0 - bandwidth.curve.utilization(qdepth))
+            )
+        prices.append((links + queues, min(available) if available else 0.0))
+    return prices
+
+
+def _reference_rank(scheduler, requester, metric):
+    """``rank()`` from :func:`_reference_prices`: the quarantine split, the
+    stale penalty and factor, and the sort keys of the rankers."""
+    store = scheduler.store
+    delay, bandwidth = scheduler.delay_estimator, scheduler.bandwidth_estimator
+    origin = host_node(requester)
+    candidates = [host_node(a) for a in scheduler.candidates_for(requester)]
+    if metric == "raw":
+        ordered = sorted(candidates)
+        prices = _reference_prices(store, delay, bandwidth, origin, ordered)
+        return [(node[1], price) for node, price in zip(ordered, prices)]
+    stale = [n for n in candidates if (store.node_age(n) or 0.0) > scheduler.quarantine_ttl]
+    fresh = [n for n in candidates if n not in stale]
+    fresh_prices = _reference_prices(store, delay, bandwidth, origin, fresh)
+    stale_prices = _reference_prices(store, delay, bandwidth, origin, stale, allow_stale=True)
+    if metric == "delay":
+        fresh_values = [price[0] for price in fresh_prices]
+        stale_values = [price[0] + scheduler.stale_penalty for price in stale_prices]
+        key = lambda item: (item[1], item[0])
+    else:
+        fresh_values = [price[1] for price in fresh_prices]
+        stale_values = [price[1] * STALE_BW_FACTOR for price in stale_prices]
+        key = lambda item: (-item[1], item[0])
+    ranked = sorted(zip(fresh, fresh_values), key=key) + sorted(zip(stale, stale_values), key=key)
+    return [(node[1], value) for node, value in ranked]
+
+
+@st.composite
+def _fig4_store_states(draw):
+    """A network-aware scheduler (quarantine TTL 0.5 s) whose store learned
+    a drawn part of the Fig. 4 mesh, maybe plus edges no report carried (no
+    state), with every link's readings and every node's last sighting
+    redrawn: fresh, stale or never measured; queue depths on both sides of
+    the noise floor."""
+    sim, scheduler = _fed_scheduler(0.5)
+    store = scheduler.store
+    reports = _fig4_mesh_reports()
+    for i in draw(st.lists(st.integers(0, len(reports) - 1), min_size=1, max_size=40)):
+        store.update(reports[i])
+    for switch, host in draw(st.lists(
+        st.tuples(st.sampled_from(_FIG4_SWITCHES), st.sampled_from(_FIG4_SERVERS)),
+        max_size=2,
+    )):
+        store.topology.observe_path([switch_node(switch), host_node(host)])
+    now = draw(st.floats(min_value=3.0, max_value=6.0))
+    sim.run(until=now)
+    ages = st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5])  # staleness horizon: 2 s
+    for link in sorted(store._links):
+        state = store._links[link]
+        state.latency_ewma = draw(st.none() | st.floats(min_value=1e-3, max_value=0.05))
+        state.latency_updated_at = now - draw(ages)
+        state.qdepth_readings.clear()
+        if draw(st.booleans()):
+            state.qdepth_readings.append((now, draw(st.integers(0, 8))))
+        state.qdepth_updated_at = now - draw(ages)
+    for node in sorted(store._node_seen):
+        store._node_seen[node] = now - draw(st.sampled_from([0.1, 1.0]))
+    return scheduler
+
+
+@given(_fig4_store_states(), st.sampled_from(_FIG4_SERVERS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_walk_equals_per_path_reference(scheduler, requester, data):
+    """Every metric, fresh and stale, reads exactly what pricing each
+    candidate's own path link by link reads — to the bit (``==`` on
+    floats)."""
+    store = scheduler.store
+    delay, bandwidth = scheduler.delay_estimator, scheduler.bandwidth_estimator
+    origin = host_node(requester)
+    candidates = data.draw(st.permutations(
+        [host_node(a) for a in _FIG4_SERVERS] + [_UNKNOWN_HOST]
+    ))
+    tree = store.tree(origin, candidates)
+    for allow_stale in (False, True):
+        expected = _reference_prices(store, delay, bandwidth, origin, candidates, allow_stale)
+        delays, throughputs = walk(
+            tree, store, delay=delay, bandwidth=bandwidth, allow_stale=allow_stale
+        )
+        assert list(zip(delays, throughputs)) == expected
+        assert delay.delays(origin, candidates, allow_stale=allow_stale) == delays
+    assert bandwidth.throughputs(origin, candidates) == throughputs
+    for metric in ("delay", "bandwidth", "raw"):
+        assert scheduler.rank(requester, metric) == _reference_rank(scheduler, requester, metric)

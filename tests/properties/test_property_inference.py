@@ -2,7 +2,9 @@
 
 import functools
 import heapq
+import math
 import random
+from operator import itemgetter
 from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimators import BandwidthEstimator, DelayEstimator
-from repro.core.scheduler import NetworkAwareScheduler
+from repro.core.scheduler import STALE_BW_FACTOR, NetworkAwareScheduler
 from repro.core.telemetry_store import TelemetryStore
 from repro.core.topology_inference import InferredTopology
 from repro.errors import SchedulingError
@@ -220,6 +222,104 @@ class _ReferenceBandwidthEstimator(BandwidthEstimator):
         return self.path_throughput(path)
 
 
+def _reference_rank_by_delay(estimator, origin, candidates):
+    """``rank_by_delay`` before the prefix-tree walk, verbatim: one
+    ``delay_between`` per candidate."""
+    ranked = []
+    for node in candidates:
+        if node == origin:
+            continue
+        try:
+            delay = estimator.delay_between(origin, node)
+        except SchedulingError:
+            delay = math.inf
+        ranked.append((node, delay))
+    ranked.sort(key=itemgetter(1, 0))
+    return ranked
+
+
+def _reference_rank_by_bandwidth(estimator, origin, candidates):
+    """``rank_by_bandwidth`` before the prefix-tree walk, verbatim."""
+    ranked = []
+    for node in candidates:
+        if node == origin:
+            continue
+        try:
+            bw = estimator.throughput_between(origin, node)
+        except SchedulingError:
+            bw = 0.0
+        ranked.append((node, bw))
+    ranked.sort(key=lambda item: (-item[1], item[0]))
+    return ranked
+
+
+class _ReferenceScheduler(NetworkAwareScheduler):
+    """``NetworkAwareScheduler``'s rankers before the prefix-tree walk,
+    verbatim: ``rank``, both stale rankers and ``_rank_raw`` price each
+    candidate with its own estimator call."""
+
+    def rank(self, requester_addr, metric):
+        origin = host_node(requester_addr)
+        candidates = [host_node(a) for a in self.candidates_for(requester_addr)]
+        if self.quarantine_ttl is not None:
+            fresh, stale = self._partition_by_freshness(candidates)
+        else:
+            fresh, stale = candidates, []
+        if metric == "delay":
+            ranked = _reference_rank_by_delay(self.delay_estimator, origin, fresh)
+            ranked += self._rank_stale_by_delay(origin, stale)
+        elif metric == "bandwidth":
+            ranked = _reference_rank_by_bandwidth(self.bandwidth_estimator, origin, fresh)
+            ranked += self._rank_stale_by_bandwidth(origin, stale)
+        elif metric == "raw":
+            return self._rank_raw(origin, candidates)
+        else:
+            raise SchedulingError(f"unknown ranking metric {metric!r}")
+        return [(node[1], value) for node, value in ranked]
+
+    def _rank_stale_by_delay(self, origin, stale):
+        ranked = []
+        for node in stale:
+            try:
+                delay = self.delay_estimator.delay_between(
+                    origin, node, allow_stale=True
+                )
+            except SchedulingError:
+                delay = math.inf
+            ranked.append((node, delay + self.stale_penalty))
+        ranked.sort(key=itemgetter(1, 0))
+        return ranked
+
+    def _rank_stale_by_bandwidth(self, origin, stale):
+        ranked = []
+        for node in stale:
+            try:
+                bw = self.bandwidth_estimator.throughput_between(origin, node)
+            except SchedulingError:
+                bw = 0.0
+            ranked.append((node, bw * STALE_BW_FACTOR))
+        ranked.sort(key=lambda item: (-item[1], item[0]))
+        return ranked
+
+    def _rank_raw(self, origin, candidates):
+        delay_between = self.delay_estimator.delay_between
+        throughput_between = self.bandwidth_estimator.throughput_between
+        ranked = []
+        for node in sorted(candidates):
+            if node == origin:
+                continue
+            try:
+                delay = delay_between(origin, node)
+            except SchedulingError:
+                delay = math.inf
+            try:
+                bw = throughput_between(origin, node)
+            except SchedulingError:
+                bw = 0.0
+            ranked.append((node[1], (delay, bw)))
+        return ranked
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -285,13 +385,13 @@ def _fig4_mesh_reports():
 def _fed_scheduler(quarantine_ttl, reference=False):
     """A network-aware scheduler on an idle Fig. 4 network: nothing moves
     its clock or its store but the test.  The ``reference`` one resolves
-    every path with the per-pair search and prices it hop by hop, with the
-    estimators' old bodies; its topology has no ``version``, so it never
-    builds a plan."""
+    every path with the per-pair search and prices each candidate's path
+    hop by hop, with the rankers' and the estimators' old bodies; it never
+    builds a path tree."""
     sim = Simulator()
     fig4 = build_fig4_network(sim, run_streams(7))
     net = fig4.network
-    scheduler = NetworkAwareScheduler(
+    scheduler = (_ReferenceScheduler if reference else NetworkAwareScheduler)(
         net.host(fig4.scheduler_name),
         [net.address_of(n) for n in fig4.worker_names],
         link_capacity_bps=fig4.fabric_rate_bps,
@@ -323,7 +423,7 @@ def _assert_same_rankings(scheduler, ref_scheduler):
 
 # A core switch of the Fig. 4 mesh: until its first report lands, paths
 # detour around it; afterwards the lexicographically smaller path through it
-# takes over, so plans cached before the topology grew must be dropped.
+# takes over, so path trees cached before the topology grew must be dropped.
 _CORE_SWITCH = 2
 
 
@@ -339,9 +439,10 @@ _CORE_SWITCH = 2
 def test_rankings_equal_reference_search_under_shuffled_arrivals(
     seed, quarantine_ttl, every, held_back
 ):
-    """Same reports, same order, same clock; one scheduler ranks by walking
-    cached per-path link plans over cached trees, the other runs the
-    per-pair search and prices each hop with a store lookup.  Reports land
+    """Same reports, same order, same clock; one scheduler ranks by one
+    walk over a cached prefix tree of each requester's candidate paths,
+    the other runs the per-pair search and prices each candidate's hops
+    with store lookups.  Reports land
     10 ms apart, so with the TTL set a host missing from the last four is
     quarantined and the stale rankers run too; past 2 s the staleness
     horizon starts zeroing readings, and a last round 2.5 s after the final

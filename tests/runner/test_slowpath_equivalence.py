@@ -155,7 +155,6 @@ def _run_cell(monkeypatch, spec, *, slowpath, inject=None):
             "probes_processed": program.probes_processed,
             "malformed_probes": program.malformed_probes,
             "data_packets_observed": program.data_packets_observed,
-            "table_hits": program.forward_table.hits,
             "table_misses": program.forward_table.misses,
             "forwarded": switch.packets_forwarded,
             "dropped": switch.packets_dropped_pipeline,
