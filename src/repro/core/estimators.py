@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.telemetry_store import PathTree, TelemetryStore
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_K = 0.020  # seconds of queue wait per packet of max queue depth (paper: 20 ms)
+# The deepest max_qdepth the INT hop record can carry (16 bits).
+_TABLE_DEPTH_MAX = 0xFFFF
 
 
 class DelayEstimator:
@@ -120,7 +122,9 @@ class QdepthUtilizationCurve:
     The default knots follow the shape of the paper's Fig. 3 (max queue
     below ~5 packets up to 50 % utilization, sharp growth beyond): they can
     be replaced with measured pairs from the calibration experiment via
-    :meth:`from_calibration`.
+    :meth:`from_calibration`.  ``table`` (read-only) maps each integer
+    depth from 0 to the last knot (at most 65 535) to :meth:`utilization`
+    of it.
     """
 
     DEFAULT_KNOTS: List[Tuple[float, float]] = [
@@ -146,6 +150,13 @@ class QdepthUtilizationCurve:
             raise ValueError("utilization values must lie in [0, 1]")
         self._qs = qs
         self._us = us
+        # utilization(q) for every integer depth up to the last knot, so a
+        # walk reads the common case with one lookup.  Past the 16-bit INT
+        # field no reading arrives off the wire; deeper hand-fed depths,
+        # like non-integer ones, take the rule.
+        last = qs[-1]
+        depths = range(int(min(last, _TABLE_DEPTH_MAX)) + 1) if last >= 0 else ()
+        self.table: Dict[int, float] = {q: self.utilization(q) for q in depths}
 
     @classmethod
     def from_calibration(
@@ -237,7 +248,8 @@ def walk(
     its estimator is given.
 
     Each link is read once, through :meth:`LinkState.delay` and
-    :meth:`LinkState.qdepth`, and per slot the pass keeps three prefix
+    :meth:`LinkState.qdepth` (its utilization from the curve's
+    :attr:`~QdepthUtilizationCurve.table`), and per slot the pass keeps three prefix
     values — the link-delay sum, the k·Q sum and the bottleneck.  A
     candidate's sums are the same float additions in the same order as a
     loop over its own path, and ``min`` is exact, so each value is the one
@@ -251,6 +263,7 @@ def walk(
         link_sums = [0.0]
         queue_sums = [0.0]
     if bandwidth is not None:
+        table = bandwidth.curve.table
         utilization = bandwidth.curve.utilization
         capacity = bandwidth.link_capacity_bps
         bottlenecks = [math.inf]
@@ -265,7 +278,10 @@ def walk(
                 queue_sum += k * qdepth
             queue_sums.append(queue_sum)
         if bandwidth is not None:
-            available = capacity * (1.0 - utilization(qdepth))
+            used = table.get(qdepth)
+            if used is None:
+                used = utilization(qdepth)
+            available = capacity * (1.0 - used)
             bottleneck = bottlenecks[parent]
             bottlenecks.append(available if available < bottleneck else bottleneck)
     slots = tree.slots

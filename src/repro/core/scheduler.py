@@ -278,6 +278,17 @@ class SchedulerService:
         raise NotImplementedError
 
 
+class _RequesterView(NamedTuple):
+    """What :meth:`NetworkAwareScheduler.rank` derives from
+    ``server_addrs`` for one requester: its node, its candidates' nodes in
+    :meth:`~SchedulerService.candidates_for` order, and those in node order
+    (the raw ranking's order)."""
+
+    origin: TelemetryNodeId
+    candidates: Tuple[TelemetryNodeId, ...]
+    by_node: Tuple[TelemetryNodeId, ...]
+
+
 class NetworkAwareScheduler(SchedulerService):
     """The paper's INT-driven scheduler.
 
@@ -327,9 +338,25 @@ class NetworkAwareScheduler(SchedulerService):
         self.stale_penalty = stale_penalty
         self._quarantined: Set = set()
 
+    @property
+    def server_addrs(self) -> List[int]:
+        return self._server_addrs
+
+    @server_addrs.setter
+    def server_addrs(self, addrs: Sequence[int]) -> None:
+        # Reassigning the servers drops every requester's view.
+        self._server_addrs = list(addrs)
+        self._views: Dict[int, _RequesterView] = {}
+
+    def _view(self, requester_addr: int) -> _RequesterView:
+        candidates = tuple(host_node(a) for a in self.candidates_for(requester_addr))
+        return _RequesterView(host_node(requester_addr), candidates, tuple(sorted(candidates)))
+
     def rank(self, requester_addr: int, metric: str) -> List[Tuple[int, float]]:
-        origin = host_node(requester_addr)
-        candidates = [host_node(a) for a in self.candidates_for(requester_addr)]
+        view = self._views.get(requester_addr)
+        if view is None:
+            view = self._views[requester_addr] = self._view(requester_addr)
+        origin, candidates, by_node = view
         if self.quarantine_ttl is not None:
             fresh, stale = self._partition_by_freshness(candidates)
         else:
@@ -343,7 +370,7 @@ class NetworkAwareScheduler(SchedulerService):
             if stale:
                 ranked += self._rank_stale_by_bandwidth(origin, stale)
         elif metric == METRIC_RAW:
-            return self._rank_raw(origin, candidates)
+            return self._rank_raw(origin, by_node)
         else:
             raise SchedulingError(f"unknown ranking metric {metric!r}")
         return [(node[1], value) for node, value in ranked]
@@ -415,12 +442,10 @@ class NetworkAwareScheduler(SchedulerService):
         return hops
 
     def _rank_raw(self, origin, candidates) -> List[Tuple[int, Tuple[float, float]]]:
-        """Both estimates per candidate from one walk, in address order
-        (unsorted — the device applies its own policy); an unreachable
-        candidate gets ``(inf, 0.0)``."""
-        if origin in candidates:
-            candidates = [node for node in candidates if node != origin]
-        candidates = sorted(candidates)
+        """Both estimates per candidate (``candidates`` in node order, none
+        of them ``origin``) from one walk, in that order (unsorted — the
+        device applies its own policy); an unreachable candidate gets
+        ``(inf, 0.0)``."""
         store = self.store
         delays, throughputs = walk(
             store.tree(origin, candidates), store,

@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
+from repro.p4.headers import NO_LATENCY
 from repro.simnet.engine import Simulator
-from repro.telemetry.records import (
-    ProbeReport,
-    TelemetryNodeId,
-    host_node,
-    path_key,
-    switch_node,
-)
+from repro.telemetry.records import ProbeReport, TelemetryNodeId, host_node, switch_node
 from repro.core.topology_inference import InferredTopology
 
 __all__ = ["TelemetryStore", "LinkState", "PathTree", "DEFAULT_STALENESS"]
@@ -102,6 +97,8 @@ class PathTree(NamedTuple):
     slots: Tuple[int, ...]
 
 
+# What fixes a probe's path: (probe_src, probe_dst, switch ids in path order).
+PathKey = Tuple[int, int, Tuple[int, ...]]
 # Per probe path: its distinct nodes and the state of each of its links.
 IngestPlan = Tuple[Tuple[TelemetryNodeId, ...], Tuple[LinkState, ...]]
 
@@ -132,9 +129,9 @@ class TelemetryStore:
         # fresh" from "this corner of the network has gone dark".
         self._node_seen: Dict[TelemetryNodeId, float] = {}
         self.reports_processed = 0
-        # path_key -> IngestPlan.  A plan never goes stale: a state is
+        # PathKey -> IngestPlan.  A plan never goes stale: a state is
         # never deleted, and a key fixes its path.
-        self._ingest_plans: Dict[Tuple[int, ...], IngestPlan] = {}
+        self._ingest_plans: Dict[PathKey, IngestPlan] = {}
         # (src, candidates) -> PathTree, valid while topology.version
         # stays put.
         self._trees: Dict[Tuple[TelemetryNodeId, Tuple[TelemetryNodeId, ...]], PathTree] = {}
@@ -147,11 +144,12 @@ class TelemetryStore:
         ``path[i] -> path[i + 1]``: its latency was measured at the ingress
         of ``path[i + 1]`` (hop ``i``; the receiving host for the last
         link) and its queue depth at the egress of ``path[i]`` (hop
-        ``i - 1``; the source host stamps none).  The walk follows the
-        path's ingest plan (:meth:`_ingest_plan`)."""
+        ``i - 1``; the source host stamps none).  The walk reads the hops'
+        fields from one flat tuple (:meth:`ProbeReport.int_fields`) and
+        follows the path's ingest plan (:meth:`_ingest_plan`)."""
         now = self.sim.now
-        hops = report.hop_fields()
-        key = path_key(report.probe_src, report.probe_dst, hops)
+        fields, per_second = report.int_fields()
+        key = (report.probe_src, report.probe_dst, fields[::3])
         plan = self._ingest_plans.get(key)
         if plan is None:
             plan = self._ingest_plans[key] = self._ingest_plan(key)
@@ -159,10 +157,14 @@ class TelemetryStore:
         node_seen = self._node_seen
         for node in nodes:
             node_seen[node] = now
-        hops.append((0, 0, report.final_link_latency))
+        latencies = [
+            None if latency == NO_LATENCY else latency / per_second
+            for latency in fields[2::3]
+        ]
+        latencies.append(report.final_link_latency)
         window = self.qdepth_window
         upstream = None  # queue depth at the link's upstream egress
-        for state, (_switch_id, qdepth, latency) in zip(states, hops):
+        for state, latency, qdepth in zip(states, latencies, fields[1::3] + (None,)):
             if latency is not None:
                 state.latency = latency
                 ewma = state.latency_ewma
@@ -183,11 +185,12 @@ class TelemetryStore:
             upstream = qdepth
         self.reports_processed += 1
 
-    def _ingest_plan(self, key: Tuple[int, ...]) -> IngestPlan:
-        """Resolve a probe path (``key`` from :func:`path_key`) on first
-        sight: teach it to the topology, give each of its links a state,
-        and return its distinct nodes and its link states in path order."""
-        probe_src, probe_dst, *switch_ids = key
+    def _ingest_plan(self, key: PathKey) -> IngestPlan:
+        """Resolve a probe path (``key``: its endpoints and switch ids) on
+        first sight: teach it to the topology, give each of its links a
+        state, and return its distinct nodes and its link states in path
+        order."""
+        probe_src, probe_dst, switch_ids = key
         path = [
             host_node(probe_src),
             *[switch_node(switch_id) for switch_id in switch_ids],

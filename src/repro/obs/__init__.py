@@ -140,9 +140,6 @@ class Observability:
         # (port, link_bytes_total counter) per link direction.
         self._link_counters: List[Tuple[Any, Counter]] = []
 
-    def __bool__(self) -> bool:
-        return True
-
     # -- wiring ------------------------------------------------------------
 
     def bind_sim(self, sim: Any) -> None:

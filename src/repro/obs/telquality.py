@@ -33,9 +33,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
-from repro.p4.headers import HopFields
+from repro.p4.headers import NO_LATENCY
 from repro.telemetry.coverage import DirectedPort, all_fabric_ports, coverage_of
-from repro.telemetry.records import path_key
 
 __all__ = ["TelemetryQuality", "render_telemetry_report", "AGE_BIN_EDGES"]
 
@@ -211,8 +210,9 @@ class _Register:
 
 
 # What every report over one path touches: the ledger entries to stamp, then
-# per register the index of the INT record whose latency reading gates the
-# refresh (-1: no gate).
+# per register the index into the report's flat INT fields
+# (ProbeReport.int_fields) of the latency reading that gates the refresh
+# (-1: no gate).
 _Plan = Tuple[List[_PortLedger], List[Tuple[_Register, int]]]
 
 
@@ -241,8 +241,8 @@ class TelemetryQuality:
         # (``refreshes == 0``) does not exist as far as any reader goes.
         self._registers: Dict[Tuple[str, str], _Register] = {}
         # Routes are static, so what a report touches is resolved once per
-        # distinct path_key (the key the store's ingest plans use).
-        self._plans: Dict[Tuple[int, ...], _Plan] = {}
+        # distinct path (the key the store's ingest plans use).
+        self._plans: Dict[Tuple[int, int, Tuple[int, ...]], _Plan] = {}
         # Telemetry age of every consulted hop, at decision time.
         self.decision_age = QuantileDigest()
         # Attribution samples: (decision time, est - truth, max hop age).
@@ -294,18 +294,18 @@ class TelemetryQuality:
         refresh appended, on the records the path's plan resolved."""
         if self._network is None:
             return
-        hops = report.hop_fields()
-        key = path_key(report.probe_src, report.probe_dst, hops)
+        fields, _per_second = report.int_fields()
+        key = (report.probe_src, report.probe_dst, fields[::3])
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._plan(report, hops)
+            plan = self._plans[key] = self._plan(report, key[2])
         now = report.collected_at
         ledgers, refreshes = plan
         for ledger in ledgers:
             ledger.count += 1
             ledger.last = now
         for register, gate in refreshes:
-            if gate >= 0 and hops[gate][2] is None:
+            if gate >= 0 and fields[gate] == NO_LATENCY:
                 continue
             if register.refreshes:
                 gaps = register.gaps
@@ -315,9 +315,9 @@ class TelemetryQuality:
             register.last = now
             register.refreshes += 1
 
-    def _plan(self, report: Any, hops: Sequence[HopFields]) -> _Plan:
-        """Resolve the path of ``report`` (``hops``: its hop fields, read
-        once by the caller): hop *i* stands for switch *i*,
+    def _plan(self, report: Any, switch_ids: Sequence[int]) -> _Plan:
+        """Resolve the path of ``report`` (``switch_ids``: its hops' switch
+        ids, read once by the caller): hop *i* stands for switch *i*,
         its egress toward the next path element and the link it arrived
         over.  Ledger entries are first seen now (the caller stamps them at
         once); registers wait for their first refresh."""
@@ -325,7 +325,7 @@ class TelemetryQuality:
         src = name(("host", report.probe_src))
         dst = name(("host", report.probe_dst))
         pair = (src, dst) if src is not None and dst is not None else None
-        names = [name(("sw", hop[0])) for hop in hops]
+        names = [name(("sw", switch_id)) for switch_id in switch_ids]
         names.append(dst)
         ledgers: List[_PortLedger] = []
         refreshes: List[Tuple[_Register, int]] = []
@@ -343,9 +343,10 @@ class TelemetryQuality:
                 # The qdepth register lives at the switch the record was
                 # appended by (collect-and-reset at its egress).
                 refreshes.append((registers.setdefault((u, "qdepth"), _Register()), -1))
-            # Link latency is measured at the downstream switch's ingress;
-            # the final (switch -> host) reading has no switch register.
-            refreshes.append((registers.setdefault((u, "latency"), _Register()), i))
+            # Link latency is measured at the downstream switch's ingress
+            # (hop i's latency field); the final (switch -> host) reading
+            # has no switch register.
+            refreshes.append((registers.setdefault((u, "latency"), _Register()), 3 * i + 2))
         return ledgers, refreshes
 
     # -- decision-side hook --------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import PacketError
 
@@ -74,8 +74,12 @@ _MAX_PORT = 0xFF
 _I32_MIN, _I32_MAX = -(2**31) + 1, 2**31 - 1
 
 
-# What ingest reads of one hop: (switch_id, max_qdepth, link_latency).
+# One hop's decoded (switch_id, max_qdepth, link_latency).
 HopFields = Tuple[int, int, Optional[float]]
+
+# Per hop count n, the unpacker of (switch_id, max_qdepth, link_latency_us)
+# for all n hops in one call, built on first use.
+_FIELDS: List[Optional[Callable[[bytes, int], Tuple[int, ...]]]] = [None] * 256
 
 
 class _HopFields(NamedTuple):
@@ -158,13 +162,25 @@ class IntStack(Sequence):
 
     def hop_fields(self) -> List[HopFields]:
         """``(switch_id, max_qdepth, link_latency)`` per hop, in stack
-        order and decoded as the records would be, without building them:
-        the three fields the collector side ingests."""
+        order and decoded as the records would be, without building them
+        (:meth:`fields` reads the same three in wire form, in one call)."""
         return [
             (switch_id, qdepth, None if latency_us == NO_LATENCY else latency_us / 1e6)
             for switch_id, _port, qdepth, latency_us, _ts
             in _RECORD.iter_unpack(self._wire[PROBE_HEADER_SIZE:])
         ]
+
+    def fields(self) -> Tuple[int, ...]:
+        """``(switch_id, max_qdepth, link_latency_us)`` of every hop,
+        flattened into one tuple in stack order, from one unpack call:
+        what the collector side ingests.  A latency stays in wire form, in
+        microseconds or :data:`NO_LATENCY`."""
+        wire = self._wire
+        hops = wire[3]
+        unpack = _FIELDS[hops]
+        if unpack is None:
+            unpack = _FIELDS[hops] = struct.Struct("!" + "HxHi8x" * hops).unpack_from
+        return unpack(wire, PROBE_HEADER_SIZE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (IntStack, list)):

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.p4.headers import HopFields, IntHopRecord, IntStack
+from repro.p4.headers import NO_LATENCY, IntHopRecord, IntStack
 
-__all__ = [
-    "ProbeReport", "TelemetryNodeId", "switch_node", "host_node", "node_label", "path_key",
-]
+__all__ = ["ProbeReport", "TelemetryNodeId", "switch_node", "host_node", "node_label"]
 
 # Nodes in the *inferred* topology are identified either by INT switch id or
 # by edge-node address; a small tagged union keeps the two spaces disjoint.
@@ -27,12 +25,6 @@ def host_node(addr: int) -> TelemetryNodeId:
 def node_label(node: TelemetryNodeId) -> str:
     """``("sw", 3)`` -> ``"sw:3"`` (stable, greppable, JSON-friendly)."""
     return f"{node[0]}:{node[1]}"
-
-
-def path_key(probe_src: int, probe_dst: int, hops: Sequence[HopFields]) -> Tuple[int, ...]:
-    """``(probe_src, probe_dst, *switch_ids)``: what fixes a probe's path.
-    Routes are static, so per-path work keyed by it is done once."""
-    return (probe_src, probe_dst, *[hop[0] for hop in hops])
 
 
 @dataclass(slots=True)
@@ -61,14 +53,26 @@ class ProbeReport:
     def hop_count(self) -> int:
         return len(self.records)
 
-    def hop_fields(self) -> List[HopFields]:
-        """``(switch_id, max_qdepth, link_latency)`` per hop, in path order:
-        what the collector side ingests, read without building a record
-        per hop from a wire stack."""
+    def int_fields(self) -> Tuple[Tuple[Any, ...], float]:
+        """``(fields, per_second)``: ``(switch_id, max_qdepth,
+        link_latency)`` of every hop, flattened into one tuple in path
+        order (:meth:`IntStack.fields`), which is what the collector side
+        ingests.  A latency is :data:`~repro.p4.headers.NO_LATENCY` when
+        not measured and ``latency / per_second`` seconds otherwise:
+        microseconds from a wire stack, seconds from hand-built records,
+        so both forms of one probe ingest the same floats.
+
+        A probe's path is fixed by its endpoints and ``fields[::3]``, its
+        switch ids.  Routes are static, so per-path work keyed by that is
+        done once."""
         records = self.records
         if type(records) is IntStack:
-            return records.hop_fields()
-        return [(r.switch_id, r.max_qdepth, r.link_latency) for r in records]
+            return records.fields(), 1e6
+        fields: List[Any] = []
+        for r in records:
+            latency = r.link_latency
+            fields += (r.switch_id, r.max_qdepth, NO_LATENCY if latency is None else latency)
+        return tuple(fields), 1.0
 
     def path_nodes(self) -> List[TelemetryNodeId]:
         """The inferred path: src host, each switch in stack order, dst host

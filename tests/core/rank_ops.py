@@ -1,11 +1,12 @@
-"""Bytecodes per ``rank()`` call on the fresh rank-golden stream, per function.
+"""Bytecodes per ``rank()`` and per ``ingest_probe()`` call on the fresh
+rank-golden stream, per function.
 
     PYTHONPATH=src python -m tests.core.rank_ops [--out rank_ops.txt]
 
-Only the 3 000 ``rank()`` calls are counted (:func:`repro.obs.perf.count_ops`);
-the stream's ingests and clock moves run untraced.  The counts depend on the
-CPython version, so the table is a record to compare between trees on one
-interpreter, not a gate.
+The stream's 3 000 ``rank()`` calls and its 750 ``ingest_probe()`` calls are
+counted apart (:func:`repro.obs.perf.count_ops`), one table each; its clock
+moves run untraced.  The counts depend on the CPython version, so the tables
+are a record to compare between trees on one interpreter, not a gate.
 """
 
 import argparse
@@ -15,10 +16,10 @@ import sys
 from tests.core.test_rank_golden import fresh_stream
 
 
-def table(counts, calls):
+def table(counts, calls, call="rank()"):
     """One line per function, most bytecodes first: total and per call."""
     lines = [
-        f"python {platform.python_version()}; {calls} rank() calls",
+        f"python {platform.python_version()}; {calls} {call} calls",
         f"{'bytecodes':>12}  {'per call':>9}  function",
     ]
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
@@ -32,9 +33,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the table to this file")
     args = parser.parse_args(argv)
-    counts = {}
-    results, _ingested, _quarantined = fresh_stream(counts)
-    text = table(counts, len(results))
+    counts, ingest_counts = {}, {}
+    results, ingested, _quarantined = fresh_stream(counts, ingest_counts)
+    text = table(counts, len(results)) + "\n" + table(ingest_counts, ingested, "ingest_probe()")
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

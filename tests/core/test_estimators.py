@@ -150,6 +150,22 @@ class TestCurve:
         vals = [curve.utilization(q) for q in (0, 2, 3, 5, 10, 20)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_table_is_the_rule_at_every_integer_depth(self):
+        curve = QdepthUtilizationCurve()
+        last = int(QdepthUtilizationCurve.DEFAULT_KNOTS[-1][0])
+        assert list(curve.table) == list(range(last + 1))
+        for q in range(last + 1):
+            assert curve.table[q] == curve.utilization(q)
+        # Integer knots, a last knot off the integers, none at zero.
+        assert QdepthUtilizationCurve([(0, 0.0), (10, 1.0)]).table[5] == 0.5
+        assert list(QdepthUtilizationCurve([(2.0, 0.1), (7.5, 0.9)]).table) == list(range(8))
+
+    def test_table_stops_at_the_int_field(self):
+        deep = QdepthUtilizationCurve([(0.0, 0.0), (1e9, 1.0)])
+        assert len(deep.table) == 0xFFFF + 1
+        assert deep.table[0xFFFF] == deep.utilization(0xFFFF)
+        assert QdepthUtilizationCurve([(-5.0, 0.0), (-1.0, 1.0)]).table == {}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QdepthUtilizationCurve([(0, 0.0)])
@@ -184,6 +200,25 @@ class TestBandwidthEstimator:
         assert est.throughput_between(H(1), H(2)) == min(
             ref.link_available_bw(u, v) for u, v in links
         )
+
+    @pytest.mark.parametrize("qdepth", [2.5, 41, 10_000])
+    def test_depth_off_the_table_takes_the_rule(self, sim, store, qdepth):
+        """A non-integer depth, or one past the table's last knot, is
+        priced by ``utilization`` itself; a depth on the table is not."""
+        _feed(store, qdepths=(qdepth, 0))
+        est = BandwidthEstimator(store, link_capacity_bps=mbps(20))
+        curve = est.curve
+        assert qdepth not in curve.table and 0 in curve.table
+        asked = []
+
+        def utilization(q):
+            asked.append(q)
+            return QdepthUtilizationCurve.utilization(curve, q)
+
+        curve.utilization = utilization
+        expected = mbps(20) * (1 - QdepthUtilizationCurve().utilization(qdepth))
+        assert est.throughput_between(H(1), H(2)) == expected
+        assert asked == [qdepth]
 
     def test_capacity_validated(self, sim, store):
         with pytest.raises(ValueError):

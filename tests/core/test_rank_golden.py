@@ -49,12 +49,13 @@ def _ingests():
     return out
 
 
-def _stream(quarantine_ttl, ranks, step, gaps=(), counts=None):
+def _stream(quarantine_ttl, ranks, step, gaps=(), counts=None, ingest_counts=None):
     """``ranks`` rank() results cycling requesters (outer) and metrics
     (inner), one ingest every fourth rank with the clock ``step`` further
     on; every 100th rank the clock also jumps by the next of ``gaps``.
     With ``counts``, the bytecodes each rank() call executes add into it
-    (:func:`repro.obs.perf.count_ops`); nothing else is counted."""
+    (:func:`repro.obs.perf.count_ops`), and with ``ingest_counts`` those
+    of each ingest_probe() call; nothing else is counted."""
     sim, scheduler = _fed_scheduler(quarantine_ttl)
     collector = scheduler.collector
     ingests = _ingests()
@@ -66,7 +67,14 @@ def _stream(quarantine_ttl, ranks, step, gaps=(), counts=None):
         if i % 4 == 0:
             clock += step
             sim.run(until=clock)
-            assert collector.ingest_probe(**ingests[(i // 4) % len(ingests)]) is not None
+            kwargs = ingests[(i // 4) % len(ingests)]
+            if ingest_counts is None:
+                report = collector.ingest_probe(**kwargs)
+            else:
+                kept = []
+                count_ops(lambda: kept.append(collector.ingest_probe(**kwargs)), ingest_counts)
+                report = kept[0]
+            assert report is not None
         if gaps and i % 100 == 99:
             clock += gaps[(i // 100) % len(gaps)]
             sim.run(until=clock)
@@ -84,9 +92,9 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(results).encode("utf-8")).hexdigest()
 
 
-def fresh_stream(counts=None):
+def fresh_stream(counts=None, ingest_counts=None):
     """The ``fresh`` stream: 3 000 ranks, no quarantine, 5 ms per ingest."""
-    return _stream(None, 3000, 0.005, counts=counts)
+    return _stream(None, 3000, 0.005, counts=counts, ingest_counts=ingest_counts)
 
 
 def test_fresh_stream_matches_golden_digest():
@@ -103,11 +111,12 @@ def test_degraded_stream_matches_golden_digest():
 
 
 def test_rank_op_counts_repeat_on_fresh_stream():
-    """The bytecode ruler reads the same count twice on the same stream,
-    and counting leaves the rankings as they were."""
-    first, second = {}, {}
-    results, _ingested, _quarantined = fresh_stream(first)
-    fresh_stream(second)
+    """The bytecode ruler reads the same counts twice on the same stream,
+    for the rank() and the ingest_probe() calls, and counting leaves the
+    rankings as they were."""
+    first, second = ({}, {}), ({}, {})
+    results, _ingested, _quarantined = fresh_stream(*first)
+    fresh_stream(*second)
     assert first == second
-    assert sum(first.values()) > 0
+    assert all(sum(counts.values()) > 0 for counts in first)
     assert _digest(results) == GOLDEN_FRESH

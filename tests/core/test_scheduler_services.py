@@ -159,6 +159,48 @@ class TestNetworkAware:
             sched.rank(fig4.network.address_of("node1"), "nonsense")
 
 
+class TestRequesterViews:
+    """``rank()`` keeps a per-requester view of ``server_addrs``; a
+    reassignment drops every view."""
+
+    def _fed(self, servers=None):
+        from repro.simnet.engine import Simulator
+        from repro.simnet.random import run_streams
+        from tests.properties.test_property_inference import _fig4_mesh_reports
+
+        sim = Simulator()
+        topo = build_fig4_network(sim, run_streams(7))
+        sched = NetworkAwareScheduler(
+            topo.network.host(topo.scheduler_name),
+            _worker_addrs(topo) if servers is None else servers,
+            link_capacity_bps=topo.fabric_rate_bps,
+            default_link_delay=topo.link_delay,
+        )
+        for report in _fig4_mesh_reports():
+            sched.store.update(report)
+        return sched
+
+    def _rankings(self, sched, requesters):
+        return [
+            sched.rank(requester, metric)
+            for requester in requesters
+            for metric in ("delay", "bandwidth", "raw")
+        ]
+
+    def test_reassigned_servers_rank_as_a_fresh_scheduler(self):
+        sched = self._fed()
+        workers = list(sched.server_addrs)
+        self._rankings(sched, workers)  # every requester's view is built
+        servers = workers[::-2]         # fewer servers, in another order
+        sched.server_addrs = servers
+        assert sched.server_addrs == servers
+        fresh = self._fed(servers)
+        assert self._rankings(sched, workers) == self._rankings(fresh, workers)
+        assert {addr for addr, _v in sched.rank(workers[1], "delay")} == (
+            set(servers) - {workers[1]}
+        )
+
+
 class TestClient:
     def test_retry_on_loss(self, sim, fig4):
         """No scheduler service bound: the query times out and retries, then

@@ -43,6 +43,28 @@ def test_curve_output_always_in_unit_interval(pts, q):
     assert 0.0 <= u <= 1.0
 
 
+@given(st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+    ),
+    min_size=2,
+    max_size=10,
+))
+def test_calibrated_curve_table_is_the_rule(pairs):
+    """The lookup table of a curve from drawn (utilization, max_qdepth)
+    calibration pairs holds ``utilization(q)`` for every integer depth up
+    to the last knot, and nothing else."""
+    try:
+        curve = QdepthUtilizationCurve.from_calibration(pairs)
+    except ValueError:  # every pair at one depth: fewer than two knots
+        assume(False)
+    last = curve.knots[-1][0]
+    assert list(curve.table) == list(range(int(last) + 1))
+    for q, used in curve.table.items():
+        assert used == curve.utilization(q)
+
+
 @given(knots)
 def test_curve_monotone_everywhere(pts):
     mono = []

@@ -18,6 +18,7 @@ from repro.p4.headers import (
 )
 from repro.telemetry.collector import IntCollector
 from repro.telemetry.records import ProbeReport, host_node, switch_node
+from repro.units import mbps
 
 
 def _report():
@@ -194,31 +195,58 @@ class TestWireStack:
         the report and a view over the payload it was handed: about 145 B
         a report here, where a list of decoded records costs about 540 B."""
         collector = IntCollector(line3.host("h3"))
-        kept = []
-        collector.subscribe(kept.append)
-        hops = [
-            IntHopRecord(switch_id=s, egress_port=1, max_qdepth=s, link_latency=0.010 + s / 1e6,
-                         egress_ts=1.0 + s)
-            for s in (3, 4, 5)
-        ]
-        payload = encode_probe_header(0)
-        for record in hops:
-            payload = append_hop_record(payload, record)
-        ingests = [
-            dict(probe_src=1, probe_dst=2, seq=1000 + i, sent_at=float(i),
-                 received_at=i + 0.5, payload=bytes(payload), final_link_latency=0.01)
-            for i in range(260)
-        ]
-        for kwargs in ingests[:10]:
+        kept, retained = _kept_bytes_per_report(collector)
+        assert len(kept) == 250 and list(kept[-1].records) == _THREE_HOPS
+        assert retained <= 250
+
+    def test_ingest_keeps_nothing_decoded_on_the_report(self, sim, line3):
+        """Behind a scheduler's store, which reads every report's fields, a
+        kept report is still its payload view and nothing more: the stack
+        holds only the wire bytes, and a report stays at the ~145 B a plain
+        collector's costs (145.3 B on CPython 3.11).  A larger kept report
+        would grow a capture's memory with every ingest."""
+        from repro.core.scheduler import NetworkAwareScheduler
+
+        assert IntStack.__slots__ == ("_wire",)
+        scheduler = NetworkAwareScheduler(
+            line3.host("h3"), [line3.address_of("h1")], link_capacity_bps=mbps(20)
+        )
+        kept, retained = _kept_bytes_per_report(scheduler.collector)
+        assert scheduler.store.reports_processed == 260
+        assert not hasattr(kept[-1].records, "__dict__")
+        assert retained <= 150
+
+
+_THREE_HOPS = [
+    IntHopRecord(switch_id=s, egress_port=1, max_qdepth=s, link_latency=0.010 + s / 1e6,
+                 egress_ts=1.0 + s)
+    for s in (3, 4, 5)
+]
+
+
+def _kept_bytes_per_report(collector):
+    """Ingest 260 three-hop probes through ``collector`` with a subscriber
+    that keeps every report; return the last 250 it kept and the bytes
+    (by tracemalloc) those ingests left allocated, per report."""
+    kept = []
+    collector.subscribe(kept.append)
+    payload = encode_probe_header(0)
+    for record in _THREE_HOPS:
+        payload = append_hop_record(payload, record)
+    ingests = [
+        dict(probe_src=1, probe_dst=2, seq=1000 + i, sent_at=float(i),
+             received_at=i + 0.5, payload=bytes(payload), final_link_latency=0.01)
+        for i in range(260)
+    ]
+    for kwargs in ingests[:10]:
+        collector.ingest_probe(**kwargs)
+    kept.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for kwargs in ingests[10:]:
             collector.ingest_probe(**kwargs)
-        kept.clear()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for kwargs in ingests[10:]:
-                collector.ingest_probe(**kwargs)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(kept) == 250 and list(kept[-1].records) == hops
-        assert retained / 250 <= 250
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, retained / 250
