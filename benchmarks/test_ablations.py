@@ -5,9 +5,7 @@
   quantifies what the assumption is worth.
 * **Queue->latency conversion factor k**: k = 0 reduces Algorithm 1 to
   pure link-latency ranking (no congestion term) — the INT signal is
-  switched off while everything else stays identical.
-* **Compute-aware extension**: scheduling against loaded servers with and
-  without load reports."""
+  switched off while everything else stays identical."""
 
 import pytest
 
@@ -101,42 +99,3 @@ class TestServiceJitterFidelity:
             return net.switch("s03").ports[port].queue.stats.max_depth_seen
 
         assert downstream_queue(0.15) > downstream_queue(0.0)
-
-
-class TestComputeAwareExtension:
-    def test_compute_aware_avoids_loaded_server(self, benchmark):
-        """Directly exercise the extension: with load reports the scheduler
-        must steer away from a server that is already saturated."""
-        from repro.core.extensions import ComputeAwareScheduler
-        from repro.experiments.fig4_topology import build_fig4_network
-        from repro.simnet.engine import Simulator
-        from repro.simnet.random import RandomStreams
-        from repro.telemetry.probe import ProbeResponder, ProbeSender
-
-        def run():
-            sim = Simulator()
-            topo = build_fig4_network(sim, RandomStreams(0))
-            net = topo.network
-            workers = [net.address_of(n) for n in topo.worker_names]
-            sched = ComputeAwareScheduler(
-                net.host(topo.scheduler_name), workers,
-                link_capacity_bps=topo.fabric_rate_bps, mean_exec_time=5.0,
-            )
-            all_addrs = [net.address_of(n) for n in topo.node_names]
-            for name in topo.node_names:
-                host = net.host(name)
-                if name == topo.scheduler_name:
-                    ProbeResponder(host, collector=sched.collector)
-                else:
-                    ProbeResponder(host, collector_addr=topo.scheduler_addr)
-                ProbeSender(host, [a for a in all_addrs if a != host.addr], probe_size=256).start()
-            sim.run(until=1.0)
-            node8 = net.address_of("node8")
-            before = sched.rank(net.address_of("node7"), "delay")[0][0]
-            sched._loads[node8] = (4, 4, sim.now)
-            after = sched.rank(net.address_of("node7"), "delay")[0][0]
-            return before, after, node8
-
-        before, after, node8 = benchmark.pedantic(run, rounds=1, iterations=1)
-        assert before == node8
-        assert after != node8

@@ -56,53 +56,3 @@ def test_per_packet_int_would_cost_more(benchmark):
     probe_fraction = kbps(120) / mbps(10) / 10  # amortized over 10 Mb/s x 10 nodes
     assert per_packet_fraction > 0.05
     assert per_packet_fraction > probe_fraction
-
-
-def test_measured_per_packet_int_overhead(benchmark):
-    """Measure (not just compute) the rejected design: run a bulk flow
-    through switches embedding INT in every packet and compare the on-wire
-    telemetry fraction against the register+probe approach's amortized
-    cost in the same setting."""
-    from repro.p4.per_packet_int import PerPacketIntProgram, PerPacketIntSink
-    from repro.simnet.flows import UdpCbrFlow
-    from repro.simnet.packet import MTU
-    from repro.simnet.topology import Network
-    from repro.units import ms
-
-    def run():
-        sim = Simulator()
-        net = Network(
-            sim, RandomStreams(0), switch_service_jitter=0.0,
-            program_factory=PerPacketIntProgram,
-        )
-        net.add_host("h1")
-        net.add_host("h2")
-        for s in ("s01", "s02", "s03", "s04", "s05"):
-            net.add_switch(s)
-        net.attach_host("h1", "s01", fabric_rate_bps=mbps(20), delay=ms(2))
-        for a, b in (("s01", "s02"), ("s02", "s03"), ("s03", "s04"), ("s04", "s05")):
-            net.connect(a, b, rate_bps=mbps(20), delay=ms(2))
-        net.attach_host("h2", "s05", fabric_rate_bps=mbps(20), delay=ms(2))
-        net.finalize()
-        sink = PerPacketIntSink(net.host("h2"), 5201)
-        flow = UdpCbrFlow(
-            net.host("h1"), net.address_of("h2"), mbps(10),
-            packet_size=MTU, dst_port=5201, burstiness="cbr",
-        )
-        flow.run_for(5.0)
-        sim.run(until=6.0)
-        return sink
-
-    sink = benchmark.pedantic(run, rounds=1, iterations=1)
-    # 5 hops of 17 B on 1500 B frames: ~5.4 % of the wire.
-    assert sink.overhead_fraction == pytest.approx(
-        5 * HOP_RECORD_SIZE / (MTU_BYTES + 5 * HOP_RECORD_SIZE), rel=0.01
-    )
-    # The register+probe design amortizes 120 Kb/s per node over the same
-    # 10 Mb/s of traffic: ~1.2 %, several times cheaper — and independent of
-    # how many packets the workload sends.
-    register_probe_fraction = kbps(120) / mbps(10)
-    assert sink.overhead_fraction > 3 * register_probe_fraction
-
-
-MTU_BYTES = 1500

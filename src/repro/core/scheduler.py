@@ -433,7 +433,7 @@ class NetworkAwareScheduler(SchedulerService):
             node = host_node(cand["server_addr"])
             if metric == METRIC_BANDWIDTH:
                 detail = explain_bandwidth(self.bandwidth_estimator, origin, node)
-            else:  # delay; raw and tuple metrics explain the delay side
+            else:  # delay; raw explains the delay side
                 detail = explain_delay(self.delay_estimator, origin, node)
                 cand["estimated_delay"] = detail["value"]
             cand["path"] = detail["path"]

@@ -198,7 +198,6 @@ class EdgeDevice:
                 "exec_time": task.exec_time,
                 "reply_addr": self.host.addr,
                 "reply_port": self.result_port,
-                "requirements": task.requirements,
             },
             on_complete=lambda t, r=record: self._on_transfer_done(r, t),
         )

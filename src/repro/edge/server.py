@@ -1,20 +1,19 @@
 """Edge servers: receive task data, execute, return results (Fig. 1, step 6).
 
-The base experiments follow the paper in treating compute as uncontended —
+The experiments follow the paper in treating compute as uncontended —
 tasks run for exactly their nominal execution time regardless of what else
-the server is doing (the paper's evaluation isolates *network* effects; the
-compute-aware scheduler is future work).  Setting ``max_concurrent`` turns
-on a FIFO run queue, which the compute-aware extension builds on.
+the server is doing (the paper's evaluation isolates *network* effects).
+Setting ``max_concurrent`` turns on a FIFO run queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Optional
 
 from repro.errors import WorkloadError
 from repro.simnet.addressing import PORT_TASK, PROTO_UDP
-from repro.simnet.engine import EventHandle, PeriodicTimer
+from repro.simnet.engine import EventHandle
 from repro.simnet.flows import TransferSinkApp, _ReassemblyState
 from repro.simnet.host import Host
 from repro.simnet.packet import HEADER_OVERHEAD, MTU
@@ -22,7 +21,6 @@ from repro.simnet.packet import HEADER_OVERHEAD, MTU
 __all__ = ["EdgeServer", "DEFAULT_RESULT_SIZE"]
 
 DEFAULT_RESULT_SIZE = 1000  # bytes: a small result message (e.g. a FaaS reply)
-PORT_LOAD_REPORT = 5003
 
 
 class EdgeServer:
@@ -34,10 +32,7 @@ class EdgeServer:
         *,
         port: int = PORT_TASK,
         max_concurrent: Optional[int] = None,
-        capabilities: Optional[Set[str]] = None,
         result_size: int = DEFAULT_RESULT_SIZE,
-        load_report_addr: Optional[int] = None,
-        load_report_interval: float = 1.0,
     ) -> None:
         if max_concurrent is not None and max_concurrent < 1:
             raise WorkloadError(f"max_concurrent must be >= 1, got {max_concurrent}")
@@ -46,14 +41,12 @@ class EdgeServer:
         self.host = host
         self.port = port
         self.max_concurrent = max_concurrent
-        self.capabilities = set(capabilities or ())
         self.result_size = max(HEADER_OVERHEAD, result_size)
         self.sink = TransferSinkApp(host, port, on_flow_complete=self._on_task_data)
         self.running = 0
         self.queued: Deque[dict] = deque()
         self.tasks_received = 0
         self.tasks_completed = 0
-        self.tasks_rejected = 0
         self.busy_time = 0.0
         # Fault-injection state.  A crashed server silently loses in-flight
         # and arriving work (the device's retry/failover recovers it); a
@@ -69,14 +62,6 @@ class EdgeServer:
         self.result_retransmissions = 0
         host.bind(PROTO_UDP, port, self._on_result_ack)
 
-        self._load_report_addr = load_report_addr
-        self._load_timer: Optional[PeriodicTimer] = None
-        if load_report_addr is not None:
-            self._load_timer = PeriodicTimer(
-                host.sim, load_report_interval, self._send_load_report
-            )
-            self._load_timer.start()
-
     # -- data arrival --------------------------------------------------------
 
     def _on_task_data(self, state: _ReassemblyState) -> None:
@@ -88,12 +73,6 @@ class EdgeServer:
             # A crashed server answers nothing — not even a failure result.
             # The device's task timeout / retry path is the recovery story.
             self.tasks_dropped += 1
-            return
-        requirements = meta.get("requirements", frozenset())
-        if requirements and not set(requirements).issubset(self.capabilities):
-            # Heterogeneity extension: this server cannot run the task.
-            self.tasks_rejected += 1
-            self._send_result(meta, ok=False)
             return
         self.tasks_received += 1
         self._trace_event(meta, "arrived")
@@ -132,23 +111,23 @@ class EdgeServer:
         self.running -= 1
         self.tasks_completed += 1
         self._trace_event(meta, "exec_end")
-        self._send_result(meta, ok=True)
+        self._send_result(meta)
         if self.paused:
             return
         if self.queued and (self.max_concurrent is None or self.running < self.max_concurrent):
             self._start_execution(self.queued.popleft())
 
-    def _send_result(self, meta: dict, *, ok: bool) -> None:
+    def _send_result(self, meta: dict) -> None:
         task_id = int(meta["task_id"])
         self._unacked_results[task_id] = meta
         self._trace_event(meta, "result_sent")
-        self._transmit_result(meta, ok, attempt=0)
+        self._transmit_result(meta, attempt=0)
 
     # Retransmission schedule: 1 s backoff doubling, capped; gives up after
     # RESULT_MAX_ATTEMPTS (the device is presumed gone).
     RESULT_MAX_ATTEMPTS = 12
 
-    def _transmit_result(self, meta: dict, ok: bool, attempt: int) -> None:
+    def _transmit_result(self, meta: dict, attempt: int) -> None:
         task_id = int(meta["task_id"])
         if task_id not in self._unacked_results:
             return  # acknowledged in the meantime
@@ -163,11 +142,11 @@ class EdgeServer:
             src_port=self.port,
             dst_port=int(meta["reply_port"]),
             size_bytes=self.result_size,
-            message=("task_result", task_id, ok, self.host.addr),
+            message=("task_result", task_id, True, self.host.addr),
         )
         self.host.send(result)
         backoff = min(8.0, 1.0 * (2 ** attempt))
-        self.host.sim.schedule(backoff, self._transmit_result, meta, ok, attempt + 1)
+        self.host.sim.schedule(backoff, self._transmit_result, meta, attempt + 1)
 
     def _on_result_ack(self, packet) -> None:
         msg = packet.message
@@ -195,8 +174,6 @@ class EdgeServer:
         self.paused = False
         self.crashes += 1
         self.tasks_dropped += dropped
-        if self._load_timer is not None and self._load_timer.running:
-            self._load_timer.stop()
         return dropped
 
     def pause(self) -> None:
@@ -209,32 +186,7 @@ class EdgeServer:
         a crash there is nothing to drain — the queue died with the node."""
         self.alive = True
         self.paused = False
-        if self._load_timer is not None and not self._load_timer.running:
-            self._load_timer.start()
         while self.queued and (
             self.max_concurrent is None or self.running < self.max_concurrent
         ):
             self._start_execution(self.queued.popleft())
-
-    # -- load reporting (compute-aware extension) ------------------------------
-
-    @property
-    def load(self) -> int:
-        """Outstanding work: running + queued tasks."""
-        return self.running + len(self.queued)
-
-    def _send_load_report(self) -> None:
-        assert self._load_report_addr is not None
-        packet = self.host.new_packet(
-            self._load_report_addr,
-            protocol=PROTO_UDP,
-            src_port=self.port,
-            dst_port=PORT_LOAD_REPORT,
-            size_bytes=HEADER_OVERHEAD + 8,
-            message=("load_report", self.host.addr, self.running, len(self.queued)),
-        )
-        self.host.send(packet)
-
-    def stop(self) -> None:
-        if self._load_timer is not None:
-            self._load_timer.stop()

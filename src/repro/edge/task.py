@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -87,9 +87,6 @@ class Task:
     data_bytes: int
     exec_time: float
     task_id: int = field(default_factory=lambda: next(_task_ids))
-    # Heterogeneity extension: capabilities the executing server must have
-    # (e.g. {"gpu"}); empty = runs anywhere.
-    requirements: FrozenSet[str] = frozenset()
 
     def __post_init__(self) -> None:
         if self.data_bytes < 0:

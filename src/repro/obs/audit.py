@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.records import TelemetryNodeId, node_label
+from repro.telemetry.records import node_label
 
 __all__ = [
     "Decision",
@@ -165,34 +165,6 @@ class NetworkGroundTruth:
 
     def __init__(self, network: Any) -> None:
         self.network = network
-
-    # -- node resolution ---------------------------------------------------
-
-    def _name(self, node: TelemetryNodeId) -> str:
-        kind, ident = node
-        if kind == "sw":
-            return self.network.switch_by_id(ident).name
-        return self.network.name_of(ident)
-
-    # -- truth readings ----------------------------------------------------
-
-    def hop_truth(self, u: TelemetryNodeId, v: TelemetryNodeId) -> Dict[str, Any]:
-        """True state of the directed hop u->v right now."""
-        from repro.simnet.packet import MTU
-
-        u_name = self._name(u)
-        v_name = self._name(v)
-        port = self.network.node(u_name).port(
-            self.network.port_toward(u_name, v_name)
-        )
-        pending_bytes = port.queue.queued_bytes + (MTU if port.busy else 0)
-        return {
-            "u": node_label(u),
-            "v": node_label(v),
-            "true_qdepth": port.backlog,
-            "true_delay": port.link.propagation_delay
-            + (pending_bytes * 8.0) / port.rate_bps,
-        }
 
     def true_delay_between(self, src_addr: int, dst_addr: int) -> Optional[float]:
         """True delay over the physical shortest path between two hosts."""

@@ -1,4 +1,4 @@
-"""Exporters for the observability layer: JSONL, CSV, and run summaries.
+"""Exporters for the observability layer: JSONL and run summaries.
 
 The wire format is one JSON object per line, discriminated by ``kind``:
 
@@ -36,7 +36,6 @@ section: counts plus the per-policy estimate-vs-ground-truth delay error.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
@@ -47,8 +46,6 @@ __all__ = [
     "JsonlError",
     "write_jsonl",
     "read_jsonl",
-    "write_metrics_csv",
-    "flatten_labels",
     "render_obs_report",
 ]
 
@@ -117,44 +114,6 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
                     )
                 out.append(record)
     return out
-
-
-_CSV_FIELDS = (
-    "name", "type", "labels", "value", "count", "sum", "mean",
-    "p50", "p95", "p99", "updated_at",
-)
-
-
-def _escape_label(text: str) -> str:
-    """Escape the label-flattening delimiters (`,` between pairs, `=` within
-    a pair) plus the escape character itself, so a label value containing
-    either survives a round trip through the flattened column."""
-    return text.replace("\\", "\\\\").replace(",", "\\,").replace("=", "\\=")
-
-
-def flatten_labels(labels: Dict[str, Any]) -> str:
-    """Deterministic one-column rendering of a label dict: ``k=v`` pairs
-    sorted by key, joined with ``,``, delimiters escaped."""
-    return ",".join(
-        f"{_escape_label(str(k))}={_escape_label(str(v))}"
-        for k, v in sorted(labels.items())
-    )
-
-
-def write_metrics_csv(records: Iterable[Dict[str, Any]], path: str) -> int:
-    """Flatten the ``metric`` records of an export into a CSV table."""
-    n = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for record in records:
-            if record.get("kind") != "metric":
-                continue
-            row = dict(record)
-            row["labels"] = flatten_labels(record.get("labels", {}))
-            writer.writerow(row)
-            n += 1
-    return n
 
 
 # -- report rendering ------------------------------------------------------

@@ -19,10 +19,9 @@ subpackage reproduces that programming model:
 from repro.p4.headers import IntHopRecord, decode_probe_payload, encode_probe_header
 from repro.p4.int_program import IntTelemetryProgram
 from repro.p4.forwarding import PlainForwardingProgram
-from repro.p4.per_packet_int import PerPacketIntProgram, PerPacketIntSink
 from repro.p4.pipeline import P4Program, PipelineContext
 from repro.p4.registers import RegisterArray
-from repro.p4.tables import ExactMatchTable, LpmTable
+from repro.p4.tables import ExactMatchTable
 
 __all__ = [
     "IntHopRecord",
@@ -30,11 +29,8 @@ __all__ = [
     "encode_probe_header",
     "IntTelemetryProgram",
     "PlainForwardingProgram",
-    "PerPacketIntProgram",
-    "PerPacketIntSink",
     "P4Program",
     "PipelineContext",
     "RegisterArray",
     "ExactMatchTable",
-    "LpmTable",
 ]

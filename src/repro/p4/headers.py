@@ -41,7 +41,6 @@ from repro.errors import PacketError
 __all__ = [
     "IntHopRecord",
     "IntStack",
-    "HopFields",
     "PROBE_MAGIC",
     "PROBE_VERSION",
     "HOP_RECORD_SIZE",
@@ -73,9 +72,6 @@ _MAX_SWITCH_ID = 0xFFFF
 _MAX_PORT = 0xFF
 _I32_MIN, _I32_MAX = -(2**31) + 1, 2**31 - 1
 
-
-# One hop's decoded (switch_id, max_qdepth, link_latency).
-HopFields = Tuple[int, int, Optional[float]]
 
 # Per hop count n, the unpacker of (switch_id, max_qdepth, link_latency_us)
 # for all n hops in one call, built on first use.
@@ -159,16 +155,6 @@ class IntStack(Sequence):
 
     def __iter__(self) -> Iterator[IntHopRecord]:
         return iter(_decode(self._wire[PROBE_HEADER_SIZE:]))
-
-    def hop_fields(self) -> List[HopFields]:
-        """``(switch_id, max_qdepth, link_latency)`` per hop, in stack
-        order and decoded as the records would be, without building them
-        (:meth:`fields` reads the same three in wire form, in one call)."""
-        return [
-            (switch_id, qdepth, None if latency_us == NO_LATENCY else latency_us / 1e6)
-            for switch_id, _port, qdepth, latency_us, _ts
-            in _RECORD.iter_unpack(self._wire[PROBE_HEADER_SIZE:])
-        ]
 
     def fields(self) -> Tuple[int, ...]:
         """``(switch_id, max_qdepth, link_latency_us)`` of every hop,

@@ -76,7 +76,6 @@ class Packet:
         "enq_depth",
         "last_egress_ts",
         "int_link_latency",
-        "int_stack",
     )
 
     def __init__(
@@ -131,10 +130,6 @@ class Packet:
         # stage (arrival time minus ``last_egress_ts``), consumed and cleared
         # by its egress stage when the INT hop record is appended.
         self.int_link_latency: Optional[float] = None
-        # Per-packet INT mode only (the embedding design the paper rejects):
-        # the hop-record stack riding this data packet.  None for everything
-        # else — probes carry their stack in the byte payload instead.
-        self.int_stack = None
 
     @classmethod
     def template(
@@ -202,7 +197,6 @@ class Packet:
         p.enq_depth = 0
         p.last_egress_ts = None
         p.int_link_latency = None
-        p.int_stack = None
         return p
 
     @property

@@ -12,13 +12,12 @@ from repro.simnet.flows import MSS, ReliableTransfer
 from repro.units import kb
 
 
-def _task(data=kb(50), exec_time=0.5, requirements=frozenset()):
+def _task(data=kb(50), exec_time=0.5):
     return Task(
         job_id=0,
         size_class=SizeClass.VS,
         data_bytes=data,
         exec_time=exec_time,
-        requirements=requirements,
     )
 
 
@@ -81,21 +80,6 @@ class TestEdgeServer:
         assert set(first) == {1, 2}
         # Serialized execution: second completion >= 1 s after the first.
         assert abs(first[2] - first[1]) >= 1.0
-
-    def test_capability_mismatch_rejected(self, sim, line3):
-        net = line3
-        server = EdgeServer(net.host("h2"), capabilities={"cpu"})
-        device_host = net.host("h1")
-        port = device_host.ephemeral_port()
-        results = []
-        device_host.bind(17, port, lambda p: results.append(p.message))
-        meta = {"task_id": 5, "exec_time": 0.1,
-                "reply_addr": device_host.addr, "reply_port": port,
-                "requirements": frozenset({"gpu"})}
-        _upload(sim, net, "h2", meta, nbytes=MSS)
-        sim.run(until=30.0)
-        assert server.tasks_rejected == 1
-        assert results[0][:3] == ("task_result", 5, False)
 
     def test_result_retransmitted_until_acked(self, sim, line3):
         """No ACK from the device: the server retries with backoff."""

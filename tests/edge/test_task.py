@@ -77,7 +77,3 @@ class TestTaskJob:
         t = Task(job_id=0, size_class=SizeClass.M, data_bytes=1, exec_time=1.0)
         job = Job(device_name="node1", workload="serverless", tasks=[t])
         assert job.size_class == SizeClass.M
-
-    def test_default_requirements_empty(self):
-        t = Task(job_id=0, size_class=SizeClass.M, data_bytes=1, exec_time=1.0)
-        assert t.requirements == frozenset()

@@ -145,14 +145,6 @@ class TestNetworkGroundTruth:
         loaded = truth.true_delay_between(net.address_of("h1"), net.address_of("h2"))
         assert loaded > idle
 
-    def test_hop_truth_labels(self, sim, line3):
-        truth = NetworkGroundTruth(line3)
-        sw_id = line3.switch("s01").switch_id
-        hop = truth.hop_truth(host_node(line3.address_of("h1")), switch_node(sw_id))
-        assert hop["u"].startswith("host:") and hop["v"] == f"sw:{sw_id}"
-        assert hop["true_qdepth"] == 0
-
-
 
 class TestNonFiniteEstimates:
     def test_star_observed_run_completes_and_round_trips(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Exporters: JSONL round-trip, CSV, and the report's observability renderer."""
+"""Exporters: JSONL round-trip and the report's observability renderer."""
 
 import json
 import re
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from repro.obs import Observability
 from repro.obs.export import (
     JsonlError,
-    flatten_labels,
     read_jsonl,
     render_obs_report,
     write_jsonl,
-    write_metrics_csv,
 )
 
 
@@ -139,38 +137,6 @@ class TestDamagedJsonl:
         commas; none of its first lines is a JSON value."""
         err = self._error(tmp_path, "\n".join(lines) + "\n")
         assert err.lineno == 1
-
-
-class TestCsv:
-    def test_metrics_only(self, tmp_path):
-        path = str(tmp_path / "metrics.csv")
-        n = write_metrics_csv(_populated_hub().snapshot_records(), path)
-        text = open(path).read()
-        assert n == 2
-        assert "probes_sent_total" in text and "src=1" in text
-        assert "packet" not in text  # events excluded
-
-    def test_label_values_with_separators_survive(self, tmp_path):
-        """Regression: a label value containing ``,`` or ``=`` used to merge
-        into the neighbouring pair in the flattened labels column."""
-        obs = Observability()
-        obs.metrics.counter("c", queue="s1[0],s1[1]", note="a=b", path="x\\y").inc()
-        path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(obs.snapshot_records(), path)
-        text = open(path).read()
-        assert r"queue=s1[0]\,s1[1]" in text
-        assert r"note=a\=b" in text
-        assert "path=x\\\\y" in text
-
-    def test_flatten_labels_escaping_round_trips(self):
-        flat = flatten_labels({"b": "x,y", "a": "p=q"})
-        # Sorted keys; separators inside values are escaped, so splitting on
-        # unescaped commas recovers exactly two pairs.
-        assert flat == r"a=p\=q,b=x\,y"
-        import re
-
-        pairs = re.split(r"(?<!\\),", flat)
-        assert len(pairs) == 2
 
 
 class TestReport:

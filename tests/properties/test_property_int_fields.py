@@ -1,8 +1,8 @@
 """Property tests: the one-call INT decode and the store's ingest from it.
 
 * ``IntStack.fields()`` (one unpack per hop count) reads the same
-  ``(switch_id, max_qdepth, link_latency)`` per hop as ``hop_fields()``, on
-  stacks of 0-255 hops with unmeasured latencies and both fields at their
+  ``(switch_id, max_qdepth, link_latency)`` per hop as the decoded records,
+  on stacks of 0-255 hops with unmeasured latencies and both fields at their
   wire clamps.
 * ``TelemetryStore.update`` fed the wire-form reports of a drawn probe
   stream leaves every ``LinkState`` (floats compared with ``==``), every
@@ -60,7 +60,7 @@ def test_flat_decode_equals_hop_fields(count, drawn):
         (switch_id, qdepth, None if latency == NO_LATENCY else latency / 1e6)
         for switch_id, qdepth, latency in zip(fields[::3], fields[1::3], fields[2::3])
     ]
-    assert decoded == stack.hop_fields()
+    assert decoded == [(r.switch_id, r.max_qdepth, r.link_latency) for r in stack]
     assert [qdepth for _s, qdepth, _l in decoded] == [min(hop[2], 0xFFFF) for hop in hops]
 
 

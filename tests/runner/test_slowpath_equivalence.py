@@ -21,7 +21,6 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.faults.plan import REGISTER_WIPE
 from repro.p4.headers import HOP_RECORD_SIZE, encode_probe_header
 from repro.p4.int_program import MAX_QDEPTH_REGISTER
-from repro.p4.per_packet_int import PerPacketIntProgram
 from repro.runner import Runner, RunSpec
 from repro.simnet.addressing import PORT_PROBE, PROTO_UDP
 from repro.simnet.packet import FLAG_PROBE
@@ -317,9 +316,19 @@ class TestObservedEquivalence:
 
 class TestCompileRefusals:
     def test_per_packet_int_stays_on_oracle_path(self):
-        """PerPacketIntProgram overrides ingress/egress; compile() must
-        refuse it so the staged path remains authoritative."""
-        assert PerPacketIntProgram().compile() is None
+        """A plain-forwarding subclass that overrides ingress and egress (as
+        embedding INT in every data packet would) must be refused by
+        compile(), so the staged path remains authoritative."""
+        from repro.p4.forwarding import PlainForwardingProgram
+
+        class PerPacketStamping(PlainForwardingProgram):
+            def ingress(self, ctx):  # pragma: no cover - never invoked
+                super().ingress(ctx)
+
+            def egress(self, ctx):  # pragma: no cover - never invoked
+                super().egress(ctx)
+
+        assert PerPacketStamping().compile() is None
 
     def test_unknown_subclass_override_refused(self):
         from repro.p4.int_program import IntTelemetryProgram
