@@ -9,8 +9,6 @@ This ablation measures the two quantities that trade off:
 * detection latency (how quickly new congestion appears in the store).
 """
 
-import pytest
-
 from repro.experiments.fig4_topology import build_fig4_network
 from repro.simnet.engine import Simulator
 from repro.simnet.flows import UdpCbrFlow, UdpSink

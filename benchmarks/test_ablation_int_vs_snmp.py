@@ -14,10 +14,7 @@ should narrow — SNMP's model is fine when the network changes slower than
 the poll interval.
 """
 
-from dataclasses import replace
 from functools import lru_cache
-
-import pytest
 
 from repro.edge.background import TRAFFIC_1, TRAFFIC_2
 from repro.edge.task import SizeClass
@@ -84,7 +81,7 @@ def test_gap_narrows_under_slow_dynamics(benchmark):
     assert gaps["traffic1"] < gaps["traffic2"] + 0.25
 
 
-def test_both_policies_complete_all_tasks(benchmark):
+def test_both_policies_complete_all_tasks():
     for scenario in ("traffic1", "traffic2"):
         for policy in (POLICY_AWARE, POLICY_SNMP):
             assert run(policy, scenario).tasks_failed == 0

@@ -7,10 +7,6 @@ ablation measures all three layouts on coverage, probe overhead, and
 scheduling quality.
 """
 
-from functools import lru_cache
-
-import pytest
-
 from conftest import cached_run
 from repro.experiments.fig4_topology import build_fig4_network
 from repro.simnet.engine import Simulator

@@ -9,10 +9,7 @@ Distributed jobs mix task sizes, so per-task selection has room to improve
 on a single global metric.
 """
 
-from dataclasses import replace
 from functools import lru_cache
-
-import pytest
 
 from repro.edge.task import SizeClass
 from repro.experiments.harness import (
@@ -63,7 +60,7 @@ def test_min_completion_competitive_with_fixed_metrics(benchmark):
     print({k: round(v, 2) for k, v in means.items()})
 
 
-def test_min_completion_beats_nearest(benchmark):
+def test_min_completion_beats_nearest():
     aware = run("raw", "min_completion").mean_completion_time()
     nearest = run("delay", "top_k", policy=POLICY_NEAREST).mean_completion_time()
     assert aware < nearest

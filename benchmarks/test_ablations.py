@@ -7,9 +7,7 @@
   pure link-latency ranking (no congestion term) — the INT signal is
   switched off while everything else stays identical."""
 
-import pytest
-
-from conftest import BENCH_SCALE, BENCH_SEED, cached_run
+from conftest import cached_run
 
 
 class TestProbeCoverage:
@@ -36,7 +34,7 @@ class TestProbeCoverage:
         assert 1 / 1.5 < ratio < 1.5
         assert mesh_t < nearest_t and star_t < nearest_t
 
-    def test_star_probing_still_functional(self, benchmark):
+    def test_star_probing_still_functional(self):
         res = cached_run("aware", "serverless", "delay", "S", probe_layout="star")
         assert res.tasks_failed == 0
         assert res.probe_reports > 0
@@ -55,7 +53,7 @@ class TestConversionFactor:
         with_k_t, without_k_t = benchmark.pedantic(run, rounds=1, iterations=1)
         assert with_k_t <= without_k_t * 1.05
 
-    def test_k_zero_close_to_nearest(self, benchmark):
+    def test_k_zero_close_to_nearest(self):
         """Sanity: k = 0 ranking is latency-only and should behave like a
         (dynamic-latency) nearest policy, not like the INT-driven one."""
         k0 = cached_run("aware", "serverless", "delay", "S", k=0.0)
@@ -65,7 +63,7 @@ class TestConversionFactor:
 
 
 class TestServiceJitterFidelity:
-    def test_jitter_regenerates_downstream_queues(self, benchmark):
+    def test_jitter_regenerates_downstream_queues(self):
         """Without forwarding jitter, a smooth 95 %-utilization flow queues
         only at its first bottleneck and INT sees nothing downstream — the
         substrate fidelity detail the reproduction depends on."""

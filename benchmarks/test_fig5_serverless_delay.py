@@ -5,8 +5,6 @@ time, with the largest gains on smaller classes; random is the worst
 overall.  At benchmark scale we assert the ordering and a positive gain
 band, not the exact percentages."""
 
-import pytest
-
 from conftest import cached_run
 
 
@@ -51,11 +49,11 @@ def test_fig5_random_is_worst(benchmark):
     assert aware_t < random_t
 
 
-def test_fig5_transfer_time_also_improves(benchmark):
+def test_fig5_transfer_time_also_improves():
     assert _gain("S", measure="transfer") > 3.0
 
 
-def test_fig5_all_tasks_complete(benchmark):
+def test_fig5_all_tasks_complete():
     for policy in ("aware", "nearest", "random"):
         res = cached_run(policy, "serverless", "delay", "S")
         assert res.tasks_failed == 0

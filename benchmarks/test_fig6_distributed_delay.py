@@ -4,8 +4,6 @@ Paper: gain over nearest is 7-13 %, smaller than the serverless case
 because the scheduler must place three tasks at once (the tail picks are
 necessarily worse than the single best)."""
 
-import pytest
-
 from conftest import cached_run
 
 
@@ -22,12 +20,12 @@ def test_fig6_aware_beats_nearest(benchmark):
     assert gain > 2.0, f"expected positive distributed-workload gain, got {gain:+.1f}%"
 
 
-def test_fig6_aware_beats_random(benchmark):
+def test_fig6_aware_beats_random():
     means = _means("S")
     assert means["aware"] < means["random"]
 
 
-def test_fig6_three_distinct_servers_per_job(benchmark):
+def test_fig6_three_distinct_servers_per_job():
     res = cached_run("aware", "distributed", "delay", "S")
     by_job = {}
     for record in res.records_in_order:
@@ -38,7 +36,7 @@ def test_fig6_three_distinct_servers_per_job(benchmark):
     assert full_jobs
 
 
-def test_fig6_gain_smaller_than_serverless(benchmark):
+def test_fig6_gain_smaller_than_serverless():
     """The paper's cross-figure observation: distributed gains < serverless
     gains (checked with slack — both are positive, serverless is not
     dramatically smaller)."""

@@ -4,8 +4,6 @@ Paper: 28-40 % transfer-time reduction vs nearest, 22-35 % completion-time
 reduction; bandwidth-based selection is willing to pick *distant* servers
 when the available bandwidth there is higher."""
 
-import pytest
-
 from conftest import cached_run
 
 
@@ -22,18 +20,18 @@ def test_fig7_transfer_gain(benchmark):
     assert gain > 3.0, f"bandwidth ranking should cut transfer time, got {gain:+.1f}%"
 
 
-def test_fig7_completion_also_improves(benchmark):
+def test_fig7_completion_also_improves():
     aware = cached_run("aware", "distributed", "bandwidth", "S").mean_completion_time()
     nearest = cached_run("nearest", "distributed", "bandwidth", "S").mean_completion_time()
     assert aware < nearest
 
 
-def test_fig7_random_worst_transfer(benchmark):
+def test_fig7_random_worst_transfer():
     means = _transfer_means("S")
     assert means["aware"] < means["random"]
 
 
-def test_fig7_bandwidth_ranking_uses_remote_servers(benchmark):
+def test_fig7_bandwidth_ranking_uses_remote_servers():
     """Unlike nearest, the bandwidth policy sometimes offloads outside the
     device's pod — the behaviour the paper's Section IV-B highlights."""
     from repro.experiments.fig4_topology import build_fig4_network

@@ -29,23 +29,23 @@ def test_fig8_ecdf_valid_distribution(benchmark):
     print(render_ecdf_points(gains))
 
 
-def test_fig8_majority_of_tasks_gain(benchmark):
+def test_fig8_majority_of_tasks_gain():
     gains = _gains("distributed", "bandwidth")
     assert fraction_above(gains, 0.0) > 0.5
 
 
-def test_fig8_negative_tail_exists_but_bounded(benchmark):
+def test_fig8_negative_tail_exists_but_bounded():
     """The paper's jitter-driven tail: some tasks lose, but not most."""
     gains = _gains("distributed", "bandwidth")
     negative = 1.0 - fraction_above(gains, 0.0)
     assert negative < 0.5
 
 
-def test_fig8_some_tasks_gain_strongly(benchmark):
+def test_fig8_some_tasks_gain_strongly():
     gains = _gains("distributed", "bandwidth")
     assert fraction_above(gains, 0.2) > 0.1
 
 
-def test_fig8_serverless_delay_variant(benchmark):
+def test_fig8_serverless_delay_variant():
     gains = _gains("serverless", "delay")
     assert fraction_above(gains, 0.0) > 0.4

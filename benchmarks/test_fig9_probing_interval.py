@@ -12,8 +12,6 @@ Only Table I task sizes are reduced for benchmark runtime.
 
 from functools import lru_cache
 
-import pytest
-
 from repro.experiments.probing_sweep import run_probing_sweep
 
 # Paper intervals {0.1, 5, 10, 20, 30}; the benchmark sweeps the endpoints
@@ -44,7 +42,7 @@ def test_fig9_traffic1_slow_dynamics(benchmark):
     print({k: round(v, 2) for k, v in series.items()})
 
 
-def test_fig9_all_intervals_complete(benchmark):
+def test_fig9_all_intervals_complete():
     for scenario in ("traffic1", "traffic2"):
         for interval, res in sweep(scenario).results.items():
             assert res.tasks_failed == 0, (scenario, interval)

@@ -13,7 +13,7 @@ from repro.units import kbps, mbps
 from repro.experiments.fig4_topology import build_fig4_network
 
 
-def test_paper_overhead_arithmetic(benchmark):
+def test_paper_overhead_arithmetic():
     """10 packets/s x 1.5 KB = 120 Kb/s = 1.2 % of 10 Mb/s."""
     sim = Simulator()
     topo = build_fig4_network(sim, RandomStreams(0))
@@ -47,7 +47,7 @@ def test_measured_probe_traffic_matches_offered(benchmark):
     assert reports >= 95  # ~100 probes in 10 s, minus boundary effects
 
 
-def test_per_packet_int_would_cost_more(benchmark):
+def test_per_packet_int_would_cost_more():
     """The design alternative the paper rejects: INT metadata appended to
     every data frame.  With 17 B/hop and 5 hops that is 5.7 % of every
     1500 B frame — already ~48x the register+probe design's relative cost

@@ -12,7 +12,7 @@ from repro.simnet.random import RandomStreams
 from repro.units import kb, ms
 
 
-def test_table1_ranges_match_paper(benchmark):
+def test_table1_ranges_match_paper():
     expected = {
         SizeClass.VS: ((kb(0), kb(1000)), (ms(0), ms(2000))),
         SizeClass.S: ((kb(1500), kb(2500)), (ms(2500), ms(4500))),

@@ -33,8 +33,6 @@ from repro.experiments.harness import (
     POLICY_NEAREST,
     POLICY_RANDOM,
     QUICK_SCALE,
-    ExperimentConfig,
-    ExperimentScale,
 )
 from repro.experiments.probing_sweep import run_probing_sweep
 from repro.experiments.report import (

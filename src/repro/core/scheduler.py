@@ -80,9 +80,9 @@ def _finite_or_none(value: Any) -> Any:
 
 
 class DecisionRecord(NamedTuple):
-    """One ranking query, explained once when a hub is attached: what the
-    decision audit stores and the telemetry-quality, what-if and trace
-    observers read.
+    """One ranking query, explained once when a hub is attached: the
+    decision audit stores it as it is, and the telemetry-quality, what-if
+    and trace observers and the decision samplers read it there.
 
     ``candidates`` are the audit's dicts, in ranking order: ``server_addr``,
     ``value``, the policy's explanation (the network-aware scheduler's
@@ -105,6 +105,18 @@ class DecisionRecord(NamedTuple):
         if self.hops is None:
             return None
         return [[age for _u, _v, age in hops if age is not None] for hops in self.hops]
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The exported ``kind: "decision-audit"`` record: everything but
+        the hop ages, which stay in memory."""
+        return {
+            "kind": "decision-audit",
+            "time": self.time,
+            "requester_addr": self.requester_addr,
+            "metric": self.metric,
+            "chosen_addr": self.chosen_addr,
+            "candidates": [dict(c) for c in self.candidates],
+        }
 
 
 class SchedulerService:
@@ -158,7 +170,7 @@ class SchedulerService:
         obs = self.host.sim.obs
         if obs:
             record = self._decision_record(obs, requester_addr, metric, ranking)
-            self._audit_decision(obs, record)
+            obs.audit.record(record)
             if getattr(obs, "trace", None) is not None:
                 self._trace_decision(obs.trace, record, request_id)
         response = self.host.new_packet(
@@ -208,27 +220,6 @@ class SchedulerService:
         (:meth:`TelemetryStore.hop_ages`).  The baselines consult no
         telemetry: nothing to add, and ``None``."""
         return None
-
-    def _audit_decision(self, obs, record: DecisionRecord) -> None:
-        """Store the record in the decision audit.  A delay decision the
-        (bounded) audit stored also feeds the what-if replay and, when the
-        policy consulted telemetry, the telemetry-quality attribution —
-        read from the same candidate dicts, so both mirror the audit."""
-        decision = obs.audit.record(
-            requester_addr=record.requester_addr,
-            metric=record.metric,
-            candidates=record.candidates,
-            chosen_addr=record.chosen_addr,
-        )
-        if decision is None or record.metric != METRIC_DELAY:
-            return
-        ages = record.ages()
-        telquality = getattr(obs, "telquality", None)
-        if telquality is not None and ages is not None:
-            telquality.decision(record.time, record.candidates, ages)
-        whatif = getattr(obs, "whatif", None)
-        if whatif is not None:
-            whatif.decision(record.candidates, record.chosen_addr, ages)
 
     def _trace_decision(self, trace, record: DecisionRecord, request_id: int) -> None:
         """Stage this decision for the requesting task's causal trace (the

@@ -148,7 +148,6 @@ class Observability:
         clock = lambda: sim.now  # noqa: E731 - tiny closure over the sim
         self.metrics.bind_clock(clock)
         self.events.bind_clock(clock)
-        self.audit.bind_clock(clock)
         for entry, instance in self.observers:
             entry.bind(instance, clock)
         sim.obs = self
@@ -301,36 +300,33 @@ class Observability:
 
             ts.register(sample_collector)
 
-        # Estimate-vs-truth drift over the decisions recorded since the
-        # previous tick; a tick with no new delay decisions records nothing,
-        # leaving health streaks untouched.
-        cursor = {"i": 0}
+        # One window per tick: the decisions the audit stored since the
+        # previous tick, handed to the decision-error sampler and then to
+        # every observer's own sampler, in registry order (each registers
+        # only when its observer is attached, so a sampled-but-unobserved
+        # run keeps its series set unchanged).
+        observer_samplers = [
+            sampler
+            for entry, instance in self.observers
+            if (sampler := entry.sampler(instance)) is not None
+        ]
+        sampled = 0
 
-        def sample_decision_error(s: TimeSeriesStore, now: float) -> None:
-            decisions = self.audit.decisions
-            start = cursor["i"]
-            if start >= len(decisions):
-                return
-            cursor["i"] = len(decisions)
-            stats = delay_error_stats(
-                c
-                for d in decisions[start:]
-                if d.metric == "delay"
-                for c in d.candidates
-            )
-            mae = stats["mean_abs_error"]
+        def sample_decisions(s: TimeSeriesStore, now: float) -> None:
+            nonlocal sampled
+            window = self.audit.decisions[sampled:]
+            sampled += len(window)
+            # Estimate-vs-truth drift; a tick with no new delay decisions
+            # records nothing, leaving health streaks untouched.
+            mae = delay_error_stats(
+                c for d in window if d.metric == "delay" for c in d.candidates
+            )["mean_abs_error"]
             if mae is not None:
                 s.record("decision_abs_error", now, mae)
+            for sampler in observer_samplers:
+                sampler(s, now, window)
 
-        ts.register(sample_decision_error)
-
-        # Observer series, in registry order; each registers only when its
-        # observer is attached, so a sampled-but-unobserved run keeps its
-        # series set unchanged.
-        for entry, instance in self.observers:
-            sampler = entry.sampler(instance)
-            if sampler is not None:
-                ts.register(sampler)
+        ts.register(sample_decisions)
 
         rules = self._health_rules
         if rules is None:

@@ -1,13 +1,17 @@
 """Scheduler decision audit trail — "why did the scheduler pick node X?".
 
-Every ranking query the scheduler serves can be recorded as a
-:class:`Decision`: the requester, the metric, every candidate's estimated
-value, and — for the network-aware policy — the per-hop Q(h) and link-delay
-terms Algorithm 1 summed to produce that value.  When a ground-truth reader
-is attached (experiments only; a real deployment has no oracle), each
-candidate also carries the *true* path delay at decision time, so the
-estimate-vs-truth error of the paper's estimator becomes a measurable,
-exportable quantity instead of folklore.
+Every ranking query the scheduler serves is stored here as the scheduler's
+own :class:`~repro.core.scheduler.DecisionRecord`: the requester, the
+metric, every candidate's estimated value, and — for the network-aware
+policy — the per-hop Q(h) and link-delay terms Algorithm 1 summed to
+produce that value, plus the telemetry age of each consulted hop (kept in
+memory, not exported).  When a ground-truth reader is attached
+(experiments only; a real deployment has no oracle), each candidate also
+carries the *true* path delay at decision time, so the estimate-vs-truth
+error of the paper's estimator becomes a measurable, exportable quantity
+instead of folklore.  The audit is the one store of decisions: the
+telemetry-quality and what-if observers and the decision samplers derive
+what they report from it.
 
 Candidate/hop payloads are plain dicts (JSONL-ready); telemetry node ids
 ``("sw", 3)`` are flattened to ``"sw:3"`` via :func:`node_label`.
@@ -16,88 +20,38 @@ Candidate/hop payloads are plain dicts (JSONL-ready); telemetry node ids
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.records import node_label
 
 __all__ = [
-    "Decision",
     "DecisionAudit",
     "NetworkGroundTruth",
     "node_label",
     "delay_error_stats",
+    "estimate_and_truth",
 ]
 
 DEFAULT_MAX_DECISIONS = 50_000
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One ranking query, fully explained.
-
-    ``candidates`` entries always carry ``server_addr`` and ``value``; the
-    network-aware scheduler adds ``hops`` (per-hop estimate terms) and, with
-    ground truth attached, ``truth_delay``.
-    """
-
-    time: float
-    requester_addr: int
-    metric: str
-    chosen_addr: Optional[int]
-    candidates: Tuple[Dict[str, Any], ...] = field(default_factory=tuple)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "kind": "decision-audit",
-            "time": self.time,
-            "requester_addr": self.requester_addr,
-            "metric": self.metric,
-            "chosen_addr": self.chosen_addr,
-            "candidates": [dict(c) for c in self.candidates],
-        }
-
-
 class DecisionAudit:
-    """Bounded, append-only store of :class:`Decision` records."""
+    """Bounded, append-only store of the scheduler's decision records."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        *,
-        max_decisions: int = DEFAULT_MAX_DECISIONS,
-    ) -> None:
+    def __init__(self, *, max_decisions: int = DEFAULT_MAX_DECISIONS) -> None:
         if max_decisions < 1:
             raise ValueError("max_decisions must be >= 1")
-        self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         self.max_decisions = max_decisions
-        self.decisions: List[Decision] = []
+        self.decisions: List[Any] = []
         self.dropped_decisions = 0
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-
-    def record(
-        self,
-        *,
-        requester_addr: int,
-        metric: str,
-        candidates: Sequence[Dict[str, Any]],
-        chosen_addr: Optional[int],
-        time: Optional[float] = None,
-    ) -> Optional[Decision]:
+    def record(self, decision: Any) -> None:
+        """Store one :class:`~repro.core.scheduler.DecisionRecord`, or
+        count it dropped once the audit is full."""
         if len(self.decisions) >= self.max_decisions:
             self.dropped_decisions += 1
-            return None
-        decision = Decision(
-            time=time if time is not None else self._clock(),
-            requester_addr=requester_addr,
-            metric=metric,
-            chosen_addr=chosen_addr,
-            candidates=tuple(candidates),
-        )
+            return
         self.decisions.append(decision)
-        return decision
 
     def __len__(self) -> int:
         return len(self.decisions)
@@ -112,12 +66,23 @@ class DecisionAudit:
         )
 
 
+def estimate_and_truth(cand: Dict[str, Any]) -> Optional[Tuple[float, float]]:
+    """A candidate's ``(estimated_delay, truth_delay)``, or ``None`` when it
+    is no error sample.  Only the network-aware scheduler writes
+    ``estimated_delay`` (baseline rank values are hop counts or random
+    draws, not delays); a candidate missing either side, or with a
+    non-finite estimate (unreachable), is skipped."""
+    est = cand.get("estimated_delay")
+    truth = cand.get("truth_delay")
+    if not isinstance(est, (int, float)) or truth is None or not math.isfinite(est):
+        return None
+    return est, truth
+
+
 def delay_error_stats(candidates: Any) -> Dict[str, Any]:
     """Aggregate ``estimated_delay`` against ``truth_delay`` over an iterable
-    of candidate dicts.  Only the network-aware scheduler writes
-    ``estimated_delay`` (baseline rank values are hop counts or random draws,
-    not delays); candidates missing either side, or with a non-finite
-    estimate (unreachable), are skipped but counted."""
+    of candidate dicts; candidates :func:`estimate_and_truth` skips are
+    counted."""
     n = 0
     skipped = 0
     sum_err = 0.0
@@ -125,15 +90,11 @@ def delay_error_stats(candidates: Any) -> Dict[str, Any]:
     sum_est = 0.0
     sum_truth = 0.0
     for cand in candidates:
-        est = cand.get("estimated_delay")
-        truth = cand.get("truth_delay")
-        if (
-            not isinstance(est, (int, float))
-            or truth is None
-            or not math.isfinite(est)
-        ):
+        pair = estimate_and_truth(cand)
+        if pair is None:
             skipped += 1
             continue
+        est, truth = pair
         err = est - truth
         n += 1
         sum_err += err

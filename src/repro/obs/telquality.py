@@ -12,8 +12,8 @@ of the telemetry plane itself:
   what effective interval — and which are blind spots, compared against the
   coverage the configured probe layout *predicts*;
 * **freshness model** — per-(switch, register) refresh age at every
-  collector ingest and, at every scheduler decision, the telemetry age of
-  each consulted hop, both recorded into
+  collector ingest and, for every audited scheduler decision, the telemetry
+  age of each consulted hop, both recorded into
   :class:`~repro.obs.quantiles.QuantileDigest`\\ s;
 * **decision-error attribution** — the audit's estimate-vs-truth delay
   error binned by telemetry age (in probing-interval multiples) and split
@@ -29,8 +29,9 @@ export, so a run with collection enabled produces a byte-identical prefix.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.obs.audit import delay_error_stats, estimate_and_truth
 from repro.obs.export import _fmt, _run_key, _run_title
 from repro.obs.quantiles import QuantileDigest
 from repro.p4.headers import NO_LATENCY
@@ -166,6 +167,40 @@ def _attribute(
     return bins, split(_loss_windows(events, interval)), split(_fault_windows(events))
 
 
+class _DecisionSamples(NamedTuple):
+    """The audited delay decisions that consulted telemetry, as the
+    freshness and attribution sections read them."""
+
+    decisions: int
+    skipped: int        # candidates estimate_and_truth skips
+    ages: List[float]   # the others' known consulted-hop ages
+    samples: List[Tuple[float, float, Optional[float]]]  # (time, est - truth, max age)
+
+
+def _decision_samples(decisions: Sequence[Any]) -> _DecisionSamples:
+    """Skips what :func:`~repro.obs.audit.delay_error_stats` skips, so the
+    age-bin counts sum to the audit's sample total."""
+    seen = skipped = 0
+    all_ages: List[float] = []
+    samples: List[Tuple[float, float, Optional[float]]] = []
+    for decision in decisions:
+        if decision.metric != "delay":
+            continue
+        hop_ages = decision.ages()
+        if hop_ages is None:  # a baseline: consulted no telemetry
+            continue
+        seen += 1
+        for cand, ages in zip(decision.candidates, hop_ages):
+            pair = estimate_and_truth(cand)
+            if pair is None:
+                skipped += 1
+                continue
+            est, truth = pair
+            all_ages.extend(ages)
+            samples.append((decision.time, est - truth, max(ages) if ages else None))
+    return _DecisionSamples(seen, skipped, all_ages, samples)
+
+
 # A register's refresh gaps wait in a plain list until somebody reads the
 # digest; a list this long is folded where it stands, so a full-scale run
 # holds at most this many floats per register.
@@ -221,10 +256,11 @@ class TelemetryQuality:
 
     Wiring mirrors the other obs components: the hub owns an instance when
     collection was requested, ``attach_network`` supplies the ground truth,
-    the harness calls :meth:`configure` once the probe layout is known, the
-    collector calls :meth:`report_ingested` per decoded probe, and the
-    network-aware scheduler calls :meth:`decision` for every audited delay
-    ranking.  All hooks only read state the caller already computed.
+    the harness calls :meth:`configure` once the probe layout is known and
+    the collector calls :meth:`report_ingested` per decoded probe.  The
+    decision-side values are computed from the audit's decision records
+    (``decisions``) when they are exported, summarised or sampled.  All
+    hooks only read state the caller already computed.
     """
 
     def __init__(self) -> None:
@@ -243,13 +279,6 @@ class TelemetryQuality:
         # Routes are static, so what a report touches is resolved once per
         # distinct path (the key the store's ingest plans use).
         self._plans: Dict[Tuple[int, int, Tuple[int, ...]], _Plan] = {}
-        # Telemetry age of every consulted hop, at decision time.
-        self.decision_age = QuantileDigest()
-        # Attribution samples: (decision time, est - truth, max hop age).
-        self._samples: List[Tuple[float, float, Optional[float]]] = []
-        self.decisions_seen = 0
-        self.samples_skipped = 0
-        self._age_cursor = 0       # sampler cursor into _samples
 
     # -- wiring --------------------------------------------------------------
 
@@ -349,38 +378,6 @@ class TelemetryQuality:
             refreshes.append((registers.setdefault((u, "latency"), _Register()), 3 * i + 2))
         return ledgers, refreshes
 
-    # -- decision-side hook --------------------------------------------------
-
-    def decision(
-        self,
-        now: float,
-        candidates: Sequence[Dict[str, Any]],
-        hop_ages: Sequence[Sequence[float]],
-    ) -> None:
-        """Record the telemetry age behind one audited delay decision.
-
-        ``hop_ages`` is parallel to ``candidates``: the known ages of each
-        candidate's consulted hops, in path order.  Called only for
-        decisions the audit actually stored (the caller checks
-        ``audit.record``'s return), and mirrors
-        :func:`repro.obs.audit.delay_error_stats`' skip rules exactly, so
-        the age-bin counts sum to the audit's sample total.
-        """
-        self.decisions_seen += 1
-        for cand, ages in zip(candidates, hop_ages):
-            est = cand.get("estimated_delay")
-            truth = cand.get("truth_delay")
-            if (
-                not isinstance(est, (int, float))
-                or truth is None
-                or not math.isfinite(est)
-            ):
-                self.samples_skipped += 1
-                continue
-            for age in ages:
-                self.decision_age.add(age)
-            self._samples.append((now, est - truth, max(ages) if ages else None))
-
     # -- sampler inputs (health rules) ---------------------------------------
 
     def coverage_fraction(self) -> Optional[float]:
@@ -391,20 +388,22 @@ class TelemetryQuality:
         observed = sum(1 for port in self._observed if port in self._all_ports)
         return observed / len(self._all_ports)
 
-    def take_max_decision_age(self) -> Optional[float]:
-        """Max consulted-hop age over decisions since the previous tick, or
-        None when no decision with known ages landed in the window."""
-        samples = self._samples[self._age_cursor:]
-        self._age_cursor = len(self._samples)
-        ages = [age for _t, _err, age in samples if age is not None]
+    def max_decision_age(self, decisions: Sequence[Any]) -> Optional[float]:
+        """Max consulted-hop age behind the attribution samples of
+        ``decisions`` (one sampler tick's window), or None when none has a
+        known age."""
+        ages = _decision_samples(decisions).ages
         return max(ages) if ages else None
 
     # -- export --------------------------------------------------------------
 
-    def snapshot_records(self, events: Optional[Any] = None) -> List[Dict[str, Any]]:
-        """The run's single ``kind: "telquality"`` record.  ``events`` is
-        the run's :class:`~repro.obs.events.EventLog`, joined here for the
-        probe-loss and fault windows."""
+    def snapshot_records(
+        self, decisions: Sequence[Any] = (), events: Optional[Any] = None
+    ) -> List[Dict[str, Any]]:
+        """The run's single ``kind: "telquality"`` record.  ``decisions``
+        are the decision audit's records; ``events`` is the run's
+        :class:`~repro.obs.events.EventLog`, joined here for the probe-loss
+        and fault windows."""
         return [
             {
                 "kind": "telquality",
@@ -412,8 +411,8 @@ class TelemetryQuality:
                 "probing_interval": self.probing_interval,
                 "pairs": [list(p) for p in self.pairs],
                 "coverage": self._coverage_section(),
-                "freshness": self._freshness_section(),
-                "attribution": self._attribution_section(events),
+                "freshness": self._freshness_section(decisions),
+                "attribution": self._attribution_section(decisions, events),
             }
         ]
 
@@ -458,7 +457,7 @@ class TelemetryQuality:
         """The registers some probe has refreshed."""
         return {k: r for k, r in self._registers.items() if r.refreshes}
 
-    def _freshness_section(self) -> Dict[str, Any]:
+    def _freshness_section(self, decisions: Sequence[Any] = ()) -> Dict[str, Any]:
         registers = []
         for (node, register), state in sorted(self._refreshed().items()):
             digest = state.fold()
@@ -470,28 +469,32 @@ class TelemetryQuality:
                     "age": digest.to_dict() if digest is not None else None,
                 }
             )
+        decision_age = QuantileDigest()
+        decision_age.extend(_decision_samples(decisions).ages)
         return {
             "registers": registers,
-            "decision_age": (
-                self.decision_age.to_dict() if self.decision_age.count else None
-            ),
+            "decision_age": decision_age.to_dict() if decision_age.count else None,
         }
 
-    def _attribution_section(self, events: Optional[Any]) -> Dict[str, Any]:
+    def _attribution_section(
+        self, decisions: Sequence[Any], events: Optional[Any]
+    ) -> Dict[str, Any]:
+        samples = _decision_samples(decisions)
         interval = self.probing_interval if self.probing_interval else 1.0
-        bins, loss, fault = _attribute(self._samples, interval, events, _error_stats)
+        bins, loss, fault = _attribute(samples.samples, interval, events, _error_stats)
         return {
             "interval": self.probing_interval,
-            "decisions": self.decisions_seen,
-            "samples": len(self._samples),
-            "skipped": self.samples_skipped,
+            "decisions": samples.decisions,
+            "samples": len(samples.samples),
+            "skipped": samples.skipped,
             "bins": bins,
             "loss_windows": loss,
             "fault_windows": fault,
         }
 
-    def summary(self) -> Dict[str, Any]:
+    def summary(self, decisions: Sequence[Any] = ()) -> Dict[str, Any]:
         """Compact digest for ``Observability.summary()``."""
+        samples = _decision_samples(decisions)
         return {
             "layout": self.layout,
             "ports_observed": sum(
@@ -499,8 +502,8 @@ class TelemetryQuality:
             ),
             "ports_total": len(self._all_ports),
             "registers": len(self._refreshed()),
-            "decisions": self.decisions_seen,
-            "samples": len(self._samples),
+            "decisions": samples.decisions,
+            "samples": len(samples.samples),
         }
 
 
@@ -525,8 +528,6 @@ def render_telemetry_report(records: List[Dict[str, Any]]) -> str:
     error-vs-age bins against the decision-audit records riding in the same
     file, and degrades to a placeholder on pre-telquality exports.
     """
-    from repro.obs.audit import delay_error_stats
-
     telquality = [r for r in records if r.get("kind") == "telquality"]
     if not telquality:
         return (

@@ -211,6 +211,21 @@ def _regret_stats(regrets: Sequence[float]) -> Dict[str, Any]:
     }
 
 
+def _pricing(
+    candidates: Optional[Sequence[Dict[str, Any]]], chosen: Any
+) -> Optional[Tuple[List[Dict[str, Any]], Dict[Any, float], Dict[Any, float]]]:
+    """How one delay decision is priced: its candidates with finite ground
+    truth, their true delays by address and each one's regret (its true
+    delay minus the best one's); None when the chosen candidate has no
+    truth, and the decision is skipped."""
+    eligible = [c for c in (candidates or ()) if _truth_of(c) is not None]
+    truth = {c.get("server_addr"): _truth_of(c) for c in eligible}
+    if chosen is None or chosen not in truth:
+        return None
+    best = min(truth.values())
+    return eligible, truth, {addr: t - best for addr, t in truth.items()}
+
+
 def replay_decisions(
     decisions: Sequence[Dict[str, Any]],
     *,
@@ -225,9 +240,9 @@ def replay_decisions(
     no single chosen candidate to price).  A decision is *replayed* when its
     chosen candidate and at least one alternative carry finite ground
     truth; anything else counts as skipped.  ``ages`` optionally supplies
-    the stalest-consulted-hop age per delay decision (live collection,
-    aligned with the decision order); decisions without one land in the
-    ``unknown`` staleness bin.  ``events`` (a live EventLog or exported
+    the stalest-consulted-hop age per delay decision (from the live audit's
+    records, aligned with the decision order); decisions without one land
+    in the ``unknown`` staleness bin.  ``events`` (a live EventLog or exported
     event dicts) supplies the probe-loss and fault windows.
 
     Pure and deterministic: the same inputs produce the same dict, bit for
@@ -254,15 +269,12 @@ def replay_decisions(
         age = ages[seen] if ages is not None and seen < len(ages) else None
         seen += 1
         chosen = decision.get("chosen_addr")
-        eligible = [
-            c for c in (decision.get("candidates") or ()) if _truth_of(c) is not None
-        ]
-        truth = {c.get("server_addr"): _truth_of(c) for c in eligible}
-        if chosen is None or chosen not in truth:
+        priced = _pricing(decision.get("candidates"), chosen)
+        if priced is None:
             skipped += 1
             continue
-        best = min(truth.values())
-        actual_regret = truth[chosen] - best
+        eligible, truth, regret = priced
+        actual_regret = regret[chosen]
         ctx = {
             "index": replayed,
             "requester_addr": decision.get("requester_addr"),
@@ -273,7 +285,7 @@ def replay_decisions(
             if pick not in truth:  # a policy bug, not a data gap: pin to actual
                 pick = chosen
             score = totals[policy.name]
-            score["regret_total"] += truth[pick] - best
+            score["regret_total"] += regret[pick]
             if truth[pick] < truth[chosen]:
                 score["wins"] += 1
             elif truth[pick] == truth[chosen]:
@@ -321,95 +333,75 @@ def replay_decisions(
 # -- live collection ---------------------------------------------------------
 
 
+def _stalest_age(decision: Any) -> Optional[float]:
+    """The stalest consulted-hop telemetry age over all of a decision
+    record's candidates; None for a policy that consults no telemetry (the
+    baselines) or when no age is known."""
+    ages = [age for cand_ages in decision.ages() or () for age in cand_ages]
+    return max(ages) if ages else None
+
+
 class WhatIf:
     """One run's counterfactual-replay state.
 
     Wiring mirrors the other obs components: the hub owns an instance when
-    ``--whatif`` was requested, the harness calls :meth:`configure` once the
-    probing interval is known, and every scheduler (network-aware *and*
-    baselines) calls :meth:`decision` for each audited delay ranking.  The
-    hook only reads what the scheduler's decision record already holds:
-    per-candidate truth from the audit dicts and the consulted hops'
-    telemetry ages.  The exported record itself is produced by
-    :func:`replay_decisions` over the audit's own snapshots, so the export
-    and any offline replay of it agree by construction.
+    ``--whatif`` was requested and the harness calls :meth:`configure` once
+    the probing interval is known.  Everything else is read from the
+    decision audit's records (``decisions``, every scheduler's — the
+    network-aware one *and* the baselines) when it is exported, summarised
+    or sampled: per-candidate truth from the candidate dicts and the
+    consulted hops' telemetry ages.  The exported record itself is produced
+    by :func:`replay_decisions` over the audit's own snapshots, so the
+    export and any offline replay of it agree by construction.
     """
 
     def __init__(self) -> None:
         self.probing_interval: Optional[float] = None
-        self.decisions_seen = 0
-        # One entry per audited delay decision: the stalest consulted-hop
-        # telemetry age over *all* candidates (None when unknown), aligned
-        # with the audit's delay-decision order for the snapshot replay.
-        self._ages: List[Optional[float]] = []
-        # Per-decision actual regret, for the regret_ceiling health series.
-        self._regrets: List[float] = []
-        self._regret_cursor = 0
 
     def configure(self, *, probing_interval: float) -> None:
         self.probing_interval = probing_interval
 
-    # -- decision-side hook --------------------------------------------------
-
-    def decision(
-        self,
-        candidates: Sequence[Dict[str, Any]],
-        chosen_addr: Optional[int],
-        hop_ages: Optional[Sequence[Sequence[float]]],
-    ) -> None:
-        """Record one audited delay decision's staleness and regret.
-
-        Called only for decisions the (bounded) audit actually stored, so
-        the collected ages align one-to-one with the audit's delay
-        decisions.  ``hop_ages`` is parallel to ``candidates`` (the known
-        ages of each one's consulted hops), or None for baselines, which
-        consult no telemetry — their age is unknown.
-        """
-        self.decisions_seen += 1
-        ages = [age for cand_ages in hop_ages or () for age in cand_ages]
-        self._ages.append(max(ages) if ages else None)
-        truths = [t for t in (_truth_of(c) for c in candidates) if t is not None]
-        chosen_truth = next(
-            (
-                _truth_of(c) for c in candidates
-                if c.get("server_addr") == chosen_addr
-            ),
-            None,
-        )
-        if chosen_truth is not None and truths:
-            self._regrets.append(chosen_truth - min(truths))
-
     # -- sampler input (regret_ceiling health rule) --------------------------
 
-    def take_max_regret(self) -> Optional[float]:
-        """Max per-decision regret since the previous tick, or None when no
-        priced decision landed in the window."""
-        window = self._regrets[self._regret_cursor:]
-        self._regret_cursor = len(self._regrets)
-        return max(window) if window else None
+    def max_regret(self, decisions: Sequence[Any]) -> Optional[float]:
+        """Max per-decision regret over the priced delay decisions among
+        ``decisions`` (one sampler tick's window), or None when there is
+        none."""
+        regrets = [
+            priced[2][d.chosen_addr]   # (eligible, truth, regret by address)
+            for d in decisions
+            if d.metric == "delay"
+            and (priced := _pricing(d.candidates, d.chosen_addr)) is not None
+        ]
+        return max(regrets) if regrets else None
 
     # -- export --------------------------------------------------------------
 
-    def snapshot_records(self, audit: Any, events: Any = None) -> List[Dict[str, Any]]:
+    def snapshot_records(
+        self, decisions: Sequence[Any], events: Any = None
+    ) -> List[Dict[str, Any]]:
         """The run's single ``kind: "whatif"`` record: the offline replay
         engine applied to the audit's own decision snapshots, joined with
-        the live-collected hop ages and the run's event log."""
-        decisions = [d.snapshot() for d in audit.decisions if d.metric == "delay"]
+        their stalest hop ages and the run's event log."""
+        delay = [d for d in decisions if d.metric == "delay"]
         body = replay_decisions(
-            decisions,
+            [d.snapshot() for d in delay],
             policies=default_policies(),
             probing_interval=self.probing_interval,
-            ages=self._ages,
+            ages=[_stalest_age(d) for d in delay],
             events=events,
         )
         return [{"kind": "whatif", **body}]
 
-    def summary(self) -> Dict[str, Any]:
+    def summary(self, decisions: Sequence[Any]) -> Dict[str, Any]:
         """Compact digest for ``Observability.summary()``."""
+        delay = [d for d in decisions if d.metric == "delay"]
         return {
             "interval": self.probing_interval,
-            "decisions": self.decisions_seen,
-            "priced": len(self._regrets),
+            "decisions": len(delay),
+            "priced": sum(
+                1 for d in delay if _pricing(d.candidates, d.chosen_addr) is not None
+            ),
         }
 
 
@@ -594,10 +586,11 @@ def render_whatif_report(records: List[Dict[str, Any]]) -> str:
         else:
             tq_decisions = (tq.get("attribution") or {}).get("decisions", 0)
             wi_decisions = record.get("decisions", 0)
-            # Telquality's decision hook lives in the network-aware
-            # scheduler only; baseline runs consult no telemetry store, so
-            # every replayed age is unknown and telquality attributes zero
-            # decisions.  That gap is structural, not a record error.
+            # Telquality attributes only decisions that consulted telemetry
+            # (the network-aware scheduler's); baseline runs consult no
+            # telemetry store, so every replayed age is unknown and
+            # telquality attributes zero decisions.  That gap is
+            # structural, not a record error.
             bins = (record.get("staleness") or {}).get("bins") or []
             consulted = sum(
                 b.get("count", 0) for b in bins if b.get("label") != "unknown"

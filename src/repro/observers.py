@@ -63,8 +63,10 @@ class Observer:
     ``build(param)``, and their hooks take the built instance: ``bind(inst,
     clock)``, ``network(inst, hub, net)``, ``run(inst, hub, run)`` (``run``
     holds ``sim``, ``config``, ``probe_pairs``, ``servers``, ``collector``
-    and ``store``), ``sampler(inst)`` (an extra time-series sampler, or
-    None), ``finish(inst, task_records)``, ``records(inst, hub)`` and
+    and ``store``), ``sampler(inst)`` (an extra time-series sampler
+    ``fn(store, now, window)``, handed each tick the decision records the
+    audit stored since the previous one; or None),
+    ``finish(inst, task_records)``, ``records(inst, hub)`` and
     ``summary(inst, hub)``.  Engine observers set ``begin(engine, param)``,
     which fills ``engine.profiler`` / ``engine.memory``."""
 
@@ -108,22 +110,22 @@ def _sampling_summary(ts: Any, hub: Any) -> Dict[str, Any]:
     return out
 
 
-def _telquality_sampler(tq: Any) -> Callable[[Any, float], None]:
+def _telquality_sampler(tq: Any) -> Callable[[Any, float, Any], None]:
     # Feeds the coverage_gap / staleness_ceiling health rules.
-    def sample_telquality(s: Any, now: float) -> None:
+    def sample_telquality(s: Any, now: float, window: Any) -> None:
         frac = tq.coverage_fraction()
         if frac is not None:
             s.record("telemetry_coverage_frac", now, frac)
-        age = tq.take_max_decision_age()
+        age = tq.max_decision_age(window)
         if age is not None:
             s.record("telemetry_decision_age_max", now, age)
     return sample_telquality
 
 
-def _whatif_sampler(wi: Any) -> Callable[[Any, float], None]:
+def _whatif_sampler(wi: Any) -> Callable[[Any, float, Any], None]:
     # Per-tick max decision regret feeds the regret_ceiling health rule.
-    def sample_whatif(s: Any, now: float) -> None:
-        regret = wi.take_max_regret()
+    def sample_whatif(s: Any, now: float, window: Any) -> None:
+        regret = wi.max_regret(window)
         if regret is not None:
             s.record("decision_regret_max", now, regret)
     return sample_whatif
@@ -212,8 +214,8 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
             probing_interval=run.config.probing_interval,
         ),
         sampler=_telquality_sampler,
-        records=lambda tq, hub: tq.snapshot_records(hub.events),
-        summary=lambda tq, hub: {"telquality": tq.summary()},
+        records=lambda tq, hub: tq.snapshot_records(hub.audit.decisions, hub.events),
+        summary=lambda tq, hub: {"telquality": tq.summary(hub.audit.decisions)},
     ),
     Observer(
         name="whatif", flag="--whatif",
@@ -228,8 +230,8 @@ REGISTRY: Dict[str, Observer] = {entry.name: entry for entry in (
         ),
         sampler=_whatif_sampler,
         # Last of all: it replays the audit snapshots exported before it.
-        records=lambda wi, hub: wi.snapshot_records(hub.audit, hub.events),
-        summary=lambda wi, hub: {"whatif": wi.summary()},
+        records=lambda wi, hub: wi.snapshot_records(hub.audit.decisions, hub.events),
+        summary=lambda wi, hub: {"whatif": wi.summary(hub.audit.decisions)},
     ),
 )}
 

@@ -20,7 +20,7 @@ fixed-fast and fixed-slow probing.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.errors import TelemetryError
 from repro.simnet.addressing import PROTO_UDP

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.estimators import BandwidthEstimator, DelayEstimator
 from repro.core.ranking import explain_bandwidth, explain_delay
+from repro.core.scheduler import DecisionRecord
 from repro.core.telemetry_store import LinkState, TelemetryStore
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
 from repro.obs.audit import (
@@ -23,25 +24,26 @@ from repro.units import mbps
 
 class TestDecisionAudit:
     def test_record_and_snapshot(self):
-        audit = DecisionAudit(clock=lambda: 12.4)
-        audit.record(
-            requester_addr=1,
-            metric="delay",
-            candidates=[{"server_addr": 2, "value": 0.02}],
-            chosen_addr=2,
-        )
+        audit = DecisionAudit()
+        hops = [[(host_node(1), switch_node(1), 0.3)]]
+        audit.record(DecisionRecord(
+            12.4, 1, "delay", 2, [{"server_addr": 2, "value": 0.02}], hops
+        ))
         snap = audit.snapshot()[0]
         assert snap["kind"] == "decision-audit"
         assert snap["time"] == 12.4
         assert snap["chosen_addr"] == 2
         assert snap["candidates"][0]["value"] == 0.02
+        # The record is stored as it is; its hop ages are not exported.
+        assert audit.decisions[0].hops is hops
+        assert set(snap) == {
+            "kind", "time", "requester_addr", "metric", "chosen_addr", "candidates",
+        }
 
     def test_cap(self):
         audit = DecisionAudit(max_decisions=1)
         for _ in range(3):
-            audit.record(
-                requester_addr=1, metric="delay", candidates=[], chosen_addr=None
-            )
+            audit.record(DecisionRecord(0.0, 1, "delay", None, [], None))
         assert len(audit) == 1
         assert audit.dropped_decisions == 2
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scheduler import DecisionRecord
 from repro.obs import Observability
 from repro.obs.export import (
     JsonlError,
@@ -22,18 +23,18 @@ def _populated_hub(run=None):
     obs.metrics.gauge("run_sim_time_seconds").set(30.0)
     obs.events.packet_dropped(queue="s1[0]", flow_id=2, seq=7, size_bytes=1500,
                               is_probe=False)
-    obs.audit.record(
-        requester_addr=1,
-        metric="delay",
-        candidates=[
-            {"server_addr": 2, "value": 0.03, "estimated_delay": 0.03,
-             "truth_delay": 0.01},
-            {"server_addr": 3, "value": 0.05, "estimated_delay": 0.05,
-             "truth_delay": 0.06},
-        ],
-        chosen_addr=2,
-    )
+    obs.audit.record(_delay_decision([
+        {"server_addr": 2, "value": 0.03, "estimated_delay": 0.03,
+         "truth_delay": 0.01},
+        {"server_addr": 3, "value": 0.05, "estimated_delay": 0.05,
+         "truth_delay": 0.06},
+    ]))
     return obs
+
+
+def _delay_decision(candidates):
+    """A delay decision by requester 1 that chose server 2."""
+    return DecisionRecord(0.0, 1, "delay", 2, candidates, None)
 
 
 class TestJsonl:
@@ -152,10 +153,7 @@ class TestReport:
 
     def test_no_truth_prints_na(self):
         obs = Observability(run={"policy": "nearest"})
-        obs.audit.record(
-            requester_addr=1, metric="delay",
-            candidates=[{"server_addr": 2, "value": 1}], chosen_addr=2,
-        )
+        obs.audit.record(_delay_decision([{"server_addr": 2, "value": 1}]))
         report = render_obs_report(obs.snapshot_records())
         assert "n/a" in report
 
@@ -201,13 +199,10 @@ class TestReport:
 
     def test_delay_error_line_reports_skipped_candidates(self):
         obs = Observability(run={"policy": "aware"})
-        obs.audit.record(
-            requester_addr=1, metric="delay", chosen_addr=2,
-            candidates=[
-                {"server_addr": 2, "estimated_delay": 0.03, "truth_delay": 0.01},
-                {"server_addr": 3, "estimated_delay": 0.05, "truth_delay": None},
-            ],
-        )
+        obs.audit.record(_delay_decision([
+            {"server_addr": 2, "estimated_delay": 0.03, "truth_delay": 0.01},
+            {"server_addr": 3, "estimated_delay": 0.05, "truth_delay": None},
+        ]))
         report = render_obs_report(obs.snapshot_records())
         assert "1 skipped" in report
 

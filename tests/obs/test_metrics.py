@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.metrics import (
-    Counter,
     Histogram,
     MetricsRegistry,
     NULL_SINK,

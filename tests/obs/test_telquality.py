@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.fig4_topology import build_fig4_network
+from repro.obs.audit import DecisionAudit, delay_error_stats
 from repro.obs.events import EventLog
 from repro.obs.quantiles import QuantileDigest
 from repro.obs.telquality import (
@@ -23,6 +24,7 @@ from repro.simnet.topology import Network
 from repro.telemetry.collector import IntCollector
 from repro.telemetry.probe import ProbeResponder, ProbeSender
 from repro.telemetry.records import ProbeReport
+from tests.obs.decisions import delay_decision, points, sampled_hub
 
 
 @pytest.fixture
@@ -59,6 +61,14 @@ def _report(net, src, dst, at):
 
 def _candidate(est, truth):
     return {"estimated_delay": est, "truth_delay": truth}
+
+
+def _audit(*decisions):
+    """A decision audit holding ``decisions``."""
+    audit = DecisionAudit()
+    for decision in decisions:
+        audit.record(decision)
+    return audit
 
 
 class TestCoverageLedger:
@@ -115,38 +125,50 @@ class TestFreshness:
         # The final switch -> host latency reading has no switch register.
         assert set(by_key) == {("s1", "qdepth"), ("s1", "latency")}
 
-    def test_decision_age_digest_and_sampler_cursor(self):
-        tq = TelemetryQuality()
+    def test_decision_age_digest_and_sampler_cursor(self, sim):
+        obs = sampled_hub(sim, telquality=True)
+        tq = obs.telquality
         tq.probing_interval = 0.1
         # Two consulted hops, last refreshed at 0.9 and 0.5.
-        tq.decision(1.0, [_candidate(0.01, 0.02)], [[1.0 - 0.9, 1.0 - 0.5]])
-        assert tq.decision_age.count == 2   # one age per consulted hop
-        assert tq.take_max_decision_age() == pytest.approx(0.5)
-        assert tq.take_max_decision_age() is None   # cursor advanced
+        obs.audit.record(delay_decision(
+            [_candidate(0.01, 0.02)], time=1.0, ages=[[1.0 - 0.9, 1.0 - 0.5]]
+        ))
+        digest = tq._freshness_section(obs.audit.decisions)["decision_age"]
+        assert digest["count"] == 2   # one age per consulted hop
+        obs.sample_tick(sim)
+        assert points(obs, "telemetry_decision_age_max") == [pytest.approx(0.5)]
+        obs.sample_tick(sim)
+        assert len(points(obs, "telemetry_decision_age_max")) == 1   # cursor advanced
 
 
 class TestAttribution:
     def test_skip_rules_mirror_delay_error_stats(self):
         tq = TelemetryQuality()
-        tq.decision(1.0, [
+        candidates = [
             _candidate(None, 0.02),            # estimate missing
             _candidate(math.inf, 0.02),        # unreachable estimate
             _candidate(0.01, None),            # truth missing
             _candidate(0.01, 0.02),            # accepted
-        ], [[], [], [], []])
-        assert tq.samples_skipped == 3
-        assert len(tq._samples) == 1
+        ]
+        audit = _audit(delay_decision(candidates, ages=[[], [], [], []]))
+        section = tq._attribution_section(audit.decisions, None)
+        assert section["skipped"] == 3
+        assert section["samples"] == 1
+        stats = delay_error_stats(candidates)
+        assert (stats["skipped"], stats["samples"]) == (3, 1)
 
     def test_bins_partition_samples(self):
         tq = TelemetryQuality()
         tq.probing_interval = 1.0
         # Hop ages 0.2 (bin 0), 3.0 (bin [2x,5x)), 50.0 (>= 20x tail): one
         # hop, refreshed at time 0.
-        for now, err in ((0.2, 0.01), (3.0, -0.02), (50.0, 0.05)):
-            tq.decision(now, [_candidate(err, 0.0)], [[now]])
+        audit = _audit(*(
+            delay_decision([_candidate(err, 0.0)], time=now, ages=[[now]])
+            for now, err in ((0.2, 0.01), (3.0, -0.02), (50.0, 0.05))
+        ))
         # A candidate with no known hop age lands in the unknown bin.
-        tq.decision(60.0, [_candidate(0.01, 0.0)], [[]])
-        section = tq._attribution_section(None)
+        audit.record(delay_decision([_candidate(0.01, 0.0)], time=60.0, ages=[[]]))
+        section = tq._attribution_section(audit.decisions, None)
         by_label = {b["label"]: b for b in section["bins"]}
         assert by_label["[0x, 0.5x)"]["count"] == 1
         assert by_label["[2x, 5x)"]["count"] == 1
@@ -160,13 +182,15 @@ class TestAttribution:
     def test_loss_and_fault_window_split(self):
         tq = TelemetryQuality()
         tq.probing_interval = 0.1
-        tq.decision(1.0, [_candidate(0.01, 0.0)], [[]])   # inside windows
-        tq.decision(5.0, [_candidate(0.04, 0.0)], [[]])   # outside
+        audit = _audit(
+            delay_decision([_candidate(0.01, 0.0)], time=1.0, ages=[[]]),  # inside windows
+            delay_decision([_candidate(0.04, 0.0)], time=5.0, ages=[[]]),  # outside
+        )
         events = EventLog()
         events.probe_lost(src=1, dst=2, seq=9, lost=2, time=1.1)
         events.fault_injected(fault="link_down", target="s1", time=0.9)
         events.fault_recovered(fault="link_down", target="s1", time=1.5)
-        section = tq._attribution_section(events)
+        section = tq._attribution_section(audit.decisions, events)
         loss = section["loss_windows"]
         assert loss["windows"] == 1
         assert loss["in"]["count"] == 1 and loss["out"]["count"] == 1
@@ -177,10 +201,10 @@ class TestAttribution:
 
     def test_unrecovered_fault_window_stays_open(self):
         tq = TelemetryQuality()
-        tq.decision(100.0, [_candidate(0.01, 0.0)], [[]])
+        audit = _audit(delay_decision([_candidate(0.01, 0.0)], time=100.0, ages=[[]]))
         events = EventLog()
         events.fault_injected(fault="server_down", target="node3", time=2.0)
-        section = tq._attribution_section(events)
+        section = tq._attribution_section(audit.decisions, events)
         assert section["fault_windows"]["in"]["count"] == 1
 
 
@@ -412,14 +436,60 @@ class TestSnapshot:
                 probing_interval=0.1,
             )
             tq.report_ingested(_report(star3, "h1", "h2", 1.0))
-            tq.decision(1.5, [_candidate(0.01, 0.02)], [[]])
-            return tq.snapshot_records()
+            audit = _audit(
+                delay_decision([_candidate(0.01, 0.02)], time=1.5, ages=[[]])
+            )
+            return tq.snapshot_records(audit.decisions)
 
         first, second = build(), build()
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
         (record,) = first
         assert record["kind"] == "telquality"
         assert record["pairs"] == [["h1", "h2"], ["h2", "h1"]]   # sorted
+
+        # The decision-side values are derived whenever they are read: on a
+        # hub with both observers and audited decisions, reading twice gives
+        # the same answer, and each sampler tick sees every decision the
+        # audit stored since the previous tick exactly once.
+        hub = sampled_hub(sim, telquality=True, whatif=True)
+        hub.attach_network(star3)
+        hub.telquality.configure(
+            layout="star", pairs=[("h1", "h2")], probing_interval=0.1
+        )
+        hub.whatif.configure(probing_interval=0.1)
+        hub.telquality.report_ingested(_report(star3, "h1", "h2", 1.0))
+
+        def decision(time, chosen, hop_age):
+            # Server 1 errs by 10 ms, server 2 by 20 ms; 2 is truly faster.
+            candidates = [
+                {"server_addr": 1, "estimated_delay": 0.03, "truth_delay": 0.04},
+                {"server_addr": 2, "estimated_delay": 0.04, "truth_delay": 0.02},
+            ]
+            return delay_decision(
+                candidates, time=time, chosen=chosen,
+                ages=[[hop_age, 0.01], [0.01]],
+            )
+
+        series = ("telemetry_decision_age_max", "decision_regret_max",
+                  "decision_abs_error")
+        hub.audit.record(decision(1.5, 1, 0.3))
+        hub.audit.record(decision(1.6, 2, 0.2))
+        assert hub.snapshot_records() == hub.snapshot_records()
+        assert hub.summary() == hub.summary()
+        assert hub.summary()["whatif"]["decisions"] == 2
+        assert hub.summary()["telquality"]["samples"] == 4
+        hub.sample_tick(sim)
+        assert [points(hub, name) for name in series] == [
+            [pytest.approx(0.3)], [pytest.approx(0.02)], [pytest.approx(0.015)],
+        ]
+        hub.sample_tick(sim)   # nothing new: nothing recorded
+        assert [len(points(hub, name)) for name in series] == [1, 1, 1]
+        hub.audit.record(decision(1.7, 2, 0.05))
+        assert hub.snapshot_records() == hub.snapshot_records()
+        hub.sample_tick(sim)   # the third decision alone
+        assert [points(hub, name)[1:] for name in series] == [
+            [pytest.approx(0.05)], [0.0], [pytest.approx(0.015)],
+        ]
 
 
 class TestReport:
@@ -433,8 +503,10 @@ class TestReport:
         tq.attach_network(star3)
         tq.configure(layout="star", pairs=[("h1", "h2")], probing_interval=0.1)
         tq.report_ingested(_report(star3, "h1", "h2", 1.0))
-        tq.decision(1.5, [_candidate(0.01, 0.02)], [[]])
-        (record,) = tq.snapshot_records()
+        decisions = _audit(
+            delay_decision([_candidate(0.01, 0.02)], time=1.5, ages=[[]])
+        ).decisions
+        (record,) = tq.snapshot_records(decisions)
         audit = {
             "kind": "decision-audit", "metric": "delay",
             "candidates": [{"estimated_delay": 0.01, "truth_delay": 0.02}],

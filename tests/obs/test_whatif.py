@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig, run_experiment
 from repro.obs import Observability
 from repro.obs.whatif import (
     BandwidthFirstPolicy,
@@ -13,6 +14,7 @@ from repro.obs.whatif import (
     render_whatif_report,
     replay_decisions,
 )
+from tests.obs.decisions import delay_decision, points, sampled_hub
 
 
 def _decision(
@@ -180,30 +182,28 @@ class TestLiveCollection:
 
     def test_snapshot_appends_single_record_last(self):
         obs = Observability(whatif=True)
-        obs.audit.record(
-            requester_addr=100, metric="delay",
-            candidates=_decision()["candidates"], chosen_addr=1,
-        )
-        obs.whatif.decision(_decision()["candidates"], 1, None)
+        obs.audit.record(delay_decision(_decision()["candidates"]))
         records = obs.snapshot_records()
         assert records[-1]["kind"] == "whatif"
         assert sum(1 for r in records if r["kind"] == "whatif") == 1
         assert records[-1]["replayed"] == 1
         assert records[-1]["actual"]["regret_total"] == pytest.approx(0.07)
 
-    def test_take_max_regret_cursor(self):
-        obs = Observability(whatif=True)
-        wi = obs.whatif
-        assert wi.take_max_regret() is None
-        wi.decision(_decision()["candidates"], 1, None)   # regret .07
-        wi.decision(_decision()["candidates"], 2, None)   # regret 0
-        assert wi.take_max_regret() == pytest.approx(0.07)
-        assert wi.take_max_regret() is None  # window drained
+    def test_take_max_regret_cursor(self, sim):
+        obs = sampled_hub(sim, whatif=True)
+        obs.sample_tick(sim)
+        assert points(obs, "decision_regret_max") == []
+        obs.audit.record(delay_decision(_decision()["candidates"], chosen=1))  # .07
+        obs.audit.record(delay_decision(_decision()["candidates"], chosen=2))  # 0
+        obs.sample_tick(sim)
+        assert points(obs, "decision_regret_max") == [pytest.approx(0.07)]
+        obs.sample_tick(sim)
+        assert len(points(obs, "decision_regret_max")) == 1  # window drained
 
     def test_summary_section(self):
         obs = Observability(whatif=True)
         obs.whatif.configure(probing_interval=0.1)
-        obs.whatif.decision(_decision()["candidates"], 1, None)
+        obs.audit.record(delay_decision(_decision()["candidates"]))
         assert obs.summary()["whatif"] == {
             "interval": 0.1, "decisions": 1, "priced": 1,
         }
@@ -213,10 +213,7 @@ class TestAuditOverflowWarning:
     def test_one_shot_warning_with_final_drop_count(self):
         obs = Observability(max_decisions=2)
         for _ in range(5):
-            obs.audit.record(
-                requester_addr=100, metric="delay",
-                candidates=[], chosen_addr=None,
-            )
+            obs.audit.record(delay_decision([], chosen=None))
         records = obs.snapshot_records()
         warnings = [
             r for r in records
@@ -236,9 +233,7 @@ class TestAuditOverflowWarning:
 
     def test_no_warning_when_nothing_dropped(self):
         obs = Observability()
-        obs.audit.record(
-            requester_addr=100, metric="delay", candidates=[], chosen_addr=None
-        )
+        obs.audit.record(delay_decision([], chosen=None))
         assert not [
             r for r in obs.snapshot_records()
             if r.get("reason") == "decision_audit_overflow"
@@ -249,13 +244,34 @@ class TestAuditOverflowWarning:
 
         obs = Observability(run={"policy": "aware"}, max_decisions=1)
         for _ in range(3):
-            obs.audit.record(
-                requester_addr=100, metric="delay",
-                candidates=[], chosen_addr=None,
-            )
+            obs.audit.record(delay_decision([], chosen=None))
         text = render_obs_report(obs.snapshot_records())
         assert "decision audit overflow" in text
         assert "2 decisions dropped" in text
+
+    def test_bounded_audit_with_live_observers(self):
+        """The observers derive everything from the decisions the audit
+        kept, so a full audit bounds them too."""
+        obs = Observability(
+            run={"policy": "aware"}, max_decisions=3, telquality=True, whatif=True
+        )
+        run_experiment(ExperimentConfig(scale=SMOKE_SCALE, seed=1), obs=obs)
+        assert obs.audit.dropped_decisions > 0   # the cell made more than 3
+        records = obs.snapshot_records()
+        (whatif,) = [r for r in records if r["kind"] == "whatif"]
+        stored = sum(1 for d in obs.audit.decisions if d.metric == "delay")
+        assert whatif["decisions"] == stored == 3
+        assert obs.summary()["whatif"]["decisions"] == stored
+        (telquality,) = [r for r in records if r["kind"] == "telquality"]
+        bins = telquality["attribution"]["bins"]
+        samples = obs.audit.error_report()["samples"]
+        assert sum(b["count"] for b in bins) == telquality["attribution"]["samples"]
+        assert telquality["attribution"]["samples"] == samples > 0
+        (warning,) = [
+            r for r in records if r.get("reason") == "decision_audit_overflow"
+        ]
+        assert warning["dropped"] == obs.audit.dropped_decisions
+        assert warning["max_decisions"] == 3
 
 
 class TestReport:
@@ -263,12 +279,7 @@ class TestReport:
         obs = Observability(run={"policy": "aware"}, whatif=True)
         obs.whatif.configure(probing_interval=0.1)
         for i in range(4):
-            cands = _decision(time=float(i))["candidates"]
-            obs.audit.record(
-                requester_addr=100, metric="delay",
-                candidates=cands, chosen_addr=1,
-            )
-            obs.whatif.decision(cands, 1, None)
+            obs.audit.record(delay_decision(_decision()["candidates"], time=float(i)))
         return obs.snapshot_records()
 
     def test_cross_checks_all_ok(self):
