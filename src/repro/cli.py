@@ -9,8 +9,9 @@ Commands map one-to-one onto the experiment harnesses:
 * ``faults``    — list/show/run fault-injection scenarios (robustness);
 * ``report``    — read an ``--obs-out`` or ``--trace-out`` export back: one
   text report with observability, telemetry-quality, what-if and trace
-  sections, and optionally the same pass's HTML dashboard, Chrome trace,
-  and flamegraph SVG / collapsed stacks;
+  sections, and optionally the same pass's HTML dashboard (the report's
+  tables plus charts and the profile's flamegraph), Chrome trace, and the
+  profile's collapsed stacks;
 * ``cache``     — inspect, checksum-verify, or clear the on-disk run cache;
 * ``resume``    — continue an interrupted sweep from its ``--journal`` file.
 
@@ -580,32 +581,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_profile_exports(
-    profile,
-    *,
-    flamegraph_out: Optional[str],
-    collapsed_out: Optional[str],
-) -> None:
-    """Write the flamegraph SVG / collapsed-stack exports of a profile
-    summary, when requested and available."""
-    if profile is None:
-        if flamegraph_out or collapsed_out:
-            print(
-                "note: no profile in the report; skipping "
-                "--flamegraph-out/--collapsed-out",
-                file=sys.stderr,
-            )
-        return
-    from repro.obs.perf import collapsed_stacks, flamegraph_svg
-
-    if flamegraph_out:
-        _write_text(flamegraph_out, flamegraph_svg(profile))
-        print(f"flamegraph written to {flamegraph_out}", file=sys.stderr)
-    if collapsed_out:
-        _write_text(collapsed_out, collapsed_stacks(profile))
-        print(f"collapsed stacks written to {collapsed_out}", file=sys.stderr)
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     from repro.runner import DEFAULT_CACHE_DIR, ResultCache
 
@@ -685,12 +660,17 @@ def cmd_report(args: argparse.Namespace) -> int:
             write_dashboard(records, args.html_out, title=f"repro — {args.path}")
         print(f"dashboard: {len(records)} records rendered to {args.html_out}",
               file=sys.stderr)
-    profiles = [r["profile"] for r in records if r.get("kind") == "profile"]
-    _write_profile_exports(
-        profiles[-1] if profiles else None,
-        flamegraph_out=args.flamegraph_out,
-        collapsed_out=args.collapsed_out,
-    )
+    if args.collapsed_out:
+        profiles = [r["profile"] for r in records if r.get("kind") == "profile"]
+        if profiles:
+            from repro.obs.perf import collapsed_stacks
+
+            _write_text(args.collapsed_out, collapsed_stacks(profiles[-1]))
+            print(f"collapsed stacks written to {args.collapsed_out}",
+                  file=sys.stderr)
+        else:
+            print("note: no profile in the report; skipping --collapsed-out",
+                  file=sys.stderr)
     reporter.close()
     return 0
 
@@ -809,9 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chrome", type=str, default=None, metavar="PATH",
                    help="convert the export's spans to Chrome trace-event "
                         "JSON (loadable in Perfetto / chrome://tracing)")
-    p.add_argument("--flamegraph-out", type=str, default=None, metavar="PATH",
-                   help="write the export's engine profile (a --profile run) "
-                        "as a self-contained flamegraph SVG")
     p.add_argument("--collapsed-out", type=str, default=None, metavar="PATH",
                    help="write the export's engine profile in collapsed-stack "
                         "format (flamegraph.pl / speedscope compatible)")

@@ -90,14 +90,11 @@ class Observability:
         max_events: Optional[int] = None,
         max_decisions: Optional[int] = None,
         probe_sample: int = 10,
-        queue_threshold_fraction: float = DEFAULT_QUEUE_THRESHOLD_FRACTION,
         health_rules: Optional[Any] = None,
         **observe: Any,
     ) -> None:
         if probe_sample < 1:
             raise ValueError("probe_sample must be >= 1")
-        if not 0.0 < queue_threshold_fraction <= 1.0:
-            raise ValueError("queue_threshold_fraction must be in (0, 1]")
         self.run: Dict[str, Any] = dict(run or {})
         self.metrics = MetricsRegistry()
         self.events = EventLog(**({} if max_events is None else {"max_events": max_events}))
@@ -113,7 +110,6 @@ class Observability:
         # stringifies the labels on every call) at first use and kept.
         self._probes_sent: Dict[int, Counter] = {}
         self._probe_reports: Optional[Counter] = None
-        self.queue_threshold_fraction = queue_threshold_fraction
         self.ground_truth: Optional[NetworkGroundTruth] = None
         # Built by attach_experiment_samplers once the probing interval is
         # known (the default rules are parameterized by it); an explicit
@@ -163,7 +159,7 @@ class Observability:
                 queue = port.queue
                 label = f"{node.name}[{port.port_index}]"
                 threshold = max(
-                    1, int(queue.capacity * self.queue_threshold_fraction)
+                    1, int(queue.capacity * DEFAULT_QUEUE_THRESHOLD_FRACTION)
                 )
                 queue.threshold = threshold
                 queue.on_threshold = (

@@ -6,6 +6,9 @@ string with **zero external resources** — styling is an inline ``<style>``
 block and every chart is inline SVG, so the file opens identically from a
 laptop, a CI artifact store, or an air-gapped archive.
 
+The page draws the charts and shows every table as the text report's own
+lines: a tabular section is one escaped ``<pre>`` of what the matching
+``repro report`` renderer prints for it, so each section has one renderer.
 Sections, all driven by record kinds that already exist:
 
 * **link utilization** — sparklines per ``link_utilization`` time series;
@@ -13,20 +16,17 @@ Sections, all driven by record kinds that already exist:
 * **server load** — sparklines per ``server_running``/``server_queued``;
 * **alerts** — a fire/clear timeline from ``alert`` events;
 * **decision error** — the ``decision_abs_error`` sparkline;
-* **latency quantiles** — p50/p95/p99 per ``task_completion_seconds``
-  histogram (digest-backed);
-* **engine profile** — per-handler wall table plus the phase flamegraph
-  (inline SVG, zero scripts), from ``profile`` records appended by
-  ``--profile --obs-out`` runs;
+* **completion-time quantiles** — the report's per-run block, merged
+  from the ``task_completion_seconds`` histogram digests;
+* **engine profile** — ``render_profile``'s handler/phase table plus the
+  phase flamegraph (inline SVG, zero scripts), from ``profile`` records
+  appended by ``--profile --obs-out`` runs;
 * **telemetry coverage / freshness / error vs telemetry age** — the
-  INT-plane quality panels from ``telquality`` records (``--telquality``
-  runs): observed-vs-blind directed ports against the layout's
-  prediction, per-register refresh quantiles, and the decision-error
-  table binned by consulted-telemetry age;
-* **regret CDF / policy comparison** — the counterfactual panels from
-  ``whatif`` records (``--whatif`` runs): the per-decision hindsight
-  regret distribution (digest-backed CDF) and each replayed policy's
-  cumulative regret and win/tie/loss record against the actual scheduler.
+  telemetry-quality report's blocks for each ``telquality`` record
+  (``--telquality`` runs), the age bins with one bar per bin's count;
+* **regret CDF / policy comparison** — from ``whatif`` records
+  (``--whatif`` runs): the per-decision hindsight regret distribution
+  (digest-backed CDF) and the what-if report's policy table.
 
 Every section renders a placeholder when its records are absent — a
 metrics-only export (or one written before the telemetry-quality
@@ -44,7 +44,18 @@ import html
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.export import _fmt
+from repro.obs.export import _completion_quantile_lines, _fmt
+from repro.obs.perf import flamegraph_svg
+from repro.obs.quantiles import QuantileDigest
+from repro.obs.telquality import (
+    _attribution_lines,
+    _coverage_lines,
+    _digest_line,
+    _freshness_lines,
+    _window_lines,
+)
+from repro.obs.whatif import _policy_lines
+from repro.simnet.engine import render_profile
 
 __all__ = ["render_dashboard", "write_dashboard"]
 
@@ -57,10 +68,6 @@ body { font-family: ui-monospace, Menlo, Consolas, monospace; margin: 1.5em;
        background: #fcfcfc; color: #222; }
 h1 { font-size: 1.3em; } h2 { font-size: 1.05em; margin-top: 1.6em;
      border-bottom: 1px solid #ddd; padding-bottom: 0.2em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-td, th { border: 1px solid #ccc; padding: 0.25em 0.6em; text-align: right; }
-th { background: #f0f0f0; }
-td.l, th.l { text-align: left; }
 .chart { display: inline-block; margin: 0.4em 1em 0.4em 0;
          vertical-align: top; }
 .chart .t { font-size: 0.78em; color: #555; }
@@ -235,225 +242,43 @@ def _alert_timeline(
     return "".join(parts)
 
 
-def _quantile_table(histograms: List[Dict[str, Any]]) -> str:
-    if not histograms:
-        return '<p class="empty">no completion-time histograms</p>'
-    rows = [
-        "<table><tr><th class=\"l\">run</th><th class=\"l\">labels</th>"
-        "<th>count</th><th>mean</th><th>p50</th><th>p95</th><th>p99</th>"
-        "<th>max</th></tr>"
-    ]
-    for record in histograms:
-        rows.append(
-            "<tr>"
-            f'<td class="l">{_esc(_run_key(record) or "-")}</td>'
-            f'<td class="l">{_esc(_series_label(record) or "-")}</td>'
-            f"<td>{_fmt(record.get('count'))}</td>"
-            f"<td>{_fmt(record.get('mean'))}</td>"
-            f"<td>{_fmt(record.get('p50'))}</td>"
-            f"<td>{_fmt(record.get('p95'))}</td>"
-            f"<td>{_fmt(record.get('p99'))}</td>"
-            f"<td>{_fmt(record.get('max'))}</td>"
-            "</tr>"
-        )
-    rows.append("</table>")
-    return "".join(rows)
+def _pre(lines: Sequence[str]) -> str:
+    """Text-report lines as one escaped preformatted block: a section's
+    numbers come from the report's own renderer, never a second copy."""
+    return "<pre>" + _esc("\n".join(lines)) + "</pre>"
+
+
+def _run_caption(record: Dict[str, Any]) -> str:
+    return f"<p><code>{_esc(_run_key(record) or '-')}</code></p>"
 
 
 def _profile_section(profile: Dict[str, Any]) -> str:
-    """Handler wall-time table plus the inline phase flamegraph for one
-    ``kind: "profile"`` record's summary."""
-    from repro.obs.perf import flamegraph_svg
-
-    parts = [
-        f"<p>{_fmt(profile.get('events_total'))} events, "
-        f"queue high-water {_fmt(profile.get('queue_high_water'))}, "
-        f"wall {_fmt(profile.get('wall_s'))} s</p>"
-    ]
-    by_type = profile.get("by_type") or {}
-    if by_type:
-        wall = float(profile.get("wall_s") or 0.0)
-        rows = [
-            '<table><tr><th class="l">handler</th><th>events</th>'
-            "<th>wall ms</th><th>share</th></tr>"
-        ]
-        top = sorted(
-            by_type.items(), key=lambda kv: kv[1]["wall_s"], reverse=True
-        )
-        for name, stats in top[:12]:
-            share = 100.0 * stats["wall_s"] / wall if wall else 0.0
-            rows.append(
-                "<tr>"
-                f'<td class="l">{_esc(name)}</td>'
-                f"<td>{_fmt(stats.get('count'))}</td>"
-                f"<td>{_fmt(round(stats['wall_s'] * 1e3, 1))}</td>"
-                f"<td>{_fmt(round(share, 1))}%</td>"
-                "</tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-    overhead = profile.get("overhead") or {}
-    if overhead:
-        parts.append(
-            f'<div class="t">profiler overhead ~'
-            f"{_fmt(round(100.0 * overhead.get('fraction_of_wall', 0.0), 1))}% "
-            f"of wall ({_fmt(overhead.get('phase_pairs'))} phase scopes)</div>"
-        )
+    """The report's engine-profile table plus the inline phase flamegraph
+    for one ``kind: "profile"`` record's summary."""
     if profile.get("phases"):
-        # The xmlns declaration matters for a standalone .svg file but is
-        # redundant inline in HTML — and the page-level invariant is "no
-        # http(s) substrings at all" (checked by tests).
-        parts.append(
-            flamegraph_svg(profile).replace(
-                ' xmlns="http://www.w3.org/2000/svg"', "", 1
-            )
-        )
+        chart = flamegraph_svg(profile)
     else:
-        parts.append('<p class="empty">no phase attribution in profile</p>')
-    return "".join(parts)
+        chart = '<p class="empty">no phase attribution in profile</p>'
+    return _pre(render_profile(profile).splitlines()) + chart
 
 
-def _digest_cells(data: Optional[Dict[str, Any]]) -> str:
-    """n/p50/p95/max table cells for one serialized QuantileDigest."""
-    if not data:
-        return "<td>0</td><td>-</td><td>-</td><td>-</td>"
-    from repro.obs.quantiles import QuantileDigest
-
-    digest = QuantileDigest.from_dict(data)
-    p50, p95 = digest.quantiles((0.5, 0.95))
+def _error_vs_age(record: Dict[str, Any]) -> str:
+    """The report's error-vs-age bins with one bar per bin's count, then
+    its in/out-of-window split."""
+    bins = (record.get("attribution") or {}).get("bins") or []
+    peak = max((item.get("count", 0) for item in bins), default=0)
+    bars = []
+    for item in bins:
+        bar_w = int(round(120.0 * item.get("count", 0) / peak)) if peak else 0
+        bars.append(
+            '<div class="t"><svg width="124" height="10" viewBox="0 0 124 10">'
+            f'<rect class="bar" x="0" y="1" width="{bar_w}" height="8"/>'
+            f"</svg> {_esc(item.get('label'))}</div>"
+        )
     return (
-        f"<td>{_fmt(digest.count)}</td><td>{_fmt(p50)}</td>"
-        f"<td>{_fmt(p95)}</td><td>{_fmt(digest.max)}</td>"
+        _pre(_attribution_lines(record)) + "".join(bars)
+        + _pre(_window_lines(record))
     )
-
-
-def _telquality_coverage(record: Dict[str, Any]) -> str:
-    coverage = record.get("coverage") or {}
-    total = coverage.get("total_ports") or 0
-    observed = coverage.get("observed_ports") or 0
-    pct = 100.0 * observed / total if total else 0.0
-    blind = coverage.get("blind") or []
-    parts = [
-        f"<p><code>{_esc(_run_key(record) or '-')}</code> "
-        f"layout <b>{_esc(record.get('layout'))}</b>: "
-        f"{observed}/{total} directed ports observed ({pct:.0f}%), "
-        f"{len(blind)} blind</p>"
-    ]
-    if coverage.get("matches_prediction") is not None:
-        verdict = (
-            "matches the layout's predicted blind set"
-            if coverage["matches_prediction"]
-            else "DIVERGES from the layout's predicted blind set"
-        )
-        parts.append(f'<div class="t">{_esc(verdict)}</div>')
-    if blind:
-        labels = ", ".join(f"{u}&rarr;{v}" for u, v in blind)
-        parts.append(f'<div class="t">blind: {labels}</div>')
-    ports = coverage.get("ports") or []
-    if ports:
-        rows = [
-            '<table><tr><th class="l">port</th><th>obs</th>'
-            "<th>eff. interval</th><th>probe pairs</th></tr>"
-        ]
-        for port in ports:
-            rows.append(
-                "<tr>"
-                f'<td class="l">{_esc(port["u"])}&rarr;{_esc(port["v"])}</td>'
-                f"<td>{_fmt(port.get('observations'))}</td>"
-                f"<td>{_fmt(port.get('effective_interval'))}</td>"
-                f"<td>{_fmt(len(port.get('pairs') or []))}</td>"
-                "</tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-    return "".join(parts)
-
-
-def _telquality_freshness(record: Dict[str, Any]) -> str:
-    freshness = record.get("freshness") or {}
-    parts = [
-        f"<p><code>{_esc(_run_key(record) or '-')}</code> "
-        "decision-time consulted-hop age:</p>"
-        '<table><tr><th class="l">series</th><th>n</th><th>p50</th>'
-        "<th>p95</th><th>max</th></tr>"
-        '<tr><td class="l">decision age</td>'
-        + _digest_cells(freshness.get("decision_age"))
-        + "</tr></table>"
-    ]
-    registers = freshness.get("registers") or []
-    if registers:
-        rows = [
-            '<table><tr><th class="l">node</th><th class="l">register</th>'
-            "<th>refreshes</th><th>n</th><th>p50</th><th>p95</th>"
-            "<th>max</th></tr>"
-        ]
-        for reg in registers:
-            rows.append(
-                "<tr>"
-                f'<td class="l">{_esc(reg["node"])}</td>'
-                f'<td class="l">{_esc(reg["register"])}</td>'
-                f"<td>{_fmt(reg.get('refreshes'))}</td>"
-                + _digest_cells(reg.get("age"))
-                + "</tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-    return "".join(parts)
-
-
-def _telquality_attribution(record: Dict[str, Any]) -> str:
-    attribution = record.get("attribution") or {}
-    parts = [
-        f"<p><code>{_esc(_run_key(record) or '-')}</code> "
-        f"{_fmt(attribution.get('samples'))} samples over "
-        f"{_fmt(attribution.get('decisions'))} decisions "
-        f"({_fmt(attribution.get('skipped'))} skipped); age bins in "
-        f"probing-interval multiples (interval "
-        f"{_fmt(attribution.get('interval'))}s):</p>"
-    ]
-    bins = attribution.get("bins") or []
-    if bins:
-        counts = [item.get("count", 0) for item in bins]
-        peak = max(counts) if counts else 0
-        rows = [
-            '<table><tr><th class="l">age bin</th><th>count</th>'
-            "<th>mean error</th><th>mean |error|</th>"
-            '<th class="l">share</th></tr>'
-        ]
-        for item in bins:
-            count = item.get("count", 0)
-            bar_w = int(round(120.0 * count / peak)) if peak else 0
-            bar = (
-                f'<svg width="124" height="10" viewBox="0 0 124 10">'
-                f'<rect class="bar" x="0" y="1" width="{bar_w}" height="8"/>'
-                "</svg>"
-            )
-            rows.append(
-                "<tr>"
-                f'<td class="l">{_esc(item.get("label"))}</td>'
-                f"<td>{_fmt(count)}</td>"
-                f"<td>{_fmt(item.get('mean_error'))}</td>"
-                f"<td>{_fmt(item.get('mean_abs_error'))}</td>"
-                f'<td class="l">{bar}</td>'
-                "</tr>"
-            )
-        rows.append("</table>")
-        parts.append("".join(rows))
-    for name, title in (
-        ("loss_windows", "probe-loss windows"),
-        ("fault_windows", "fault windows"),
-    ):
-        split = attribution.get(name) or {}
-        inside = split.get("in") or {}
-        outside = split.get("out") or {}
-        parts.append(
-            f'<div class="t">{_esc(title)}: {_fmt(split.get("windows", 0))}; '
-            f"in: {_fmt(inside.get('count', 0))} samples "
-            f"mae={_fmt(inside.get('mean_abs_error'))}; "
-            f"out: {_fmt(outside.get('count', 0))} samples "
-            f"mae={_fmt(outside.get('mean_abs_error'))}</div>"
-        )
-    return "".join(parts)
 
 
 def _whatif_cdf(record: Dict[str, Any]) -> str:
@@ -470,8 +295,6 @@ def _whatif_cdf(record: Dict[str, Any]) -> str:
     )
     if not data or not data.get("count"):
         return header + '<p class="empty">no replayed decisions</p>'
-    from repro.obs.quantiles import QuantileDigest
-
     digest = QuantileDigest.from_dict(data)
     points: List[List[float]] = []
     seen = digest.underflow
@@ -482,49 +305,11 @@ def _whatif_cdf(record: Dict[str, Any]) -> str:
         points.append([digest._bin_value(index), seen / digest.count])
     if digest.max is not None:
         points.append([digest.max, 1.0])
-    table = (
-        '<table><tr><th class="l">series</th><th>n</th><th>p50</th>'
-        "<th>p95</th><th>max</th></tr>"
-        '<tr><td class="l">per-decision regret</td>'
-        + _digest_cells(data)
-        + "</tr></table>"
-    )
     return header + (
         f'<div class="chart"><div class="t">regret CDF (s &rarr; cum. frac.)'
-        f"</div>{_sparkline(points)}</div>" + table
+        f"</div>{_sparkline(points)}</div>"
+        f'<div class="t">per-decision regret: {_esc(_digest_line(data))}</div>'
     )
-
-
-def _whatif_policies(record: Dict[str, Any]) -> str:
-    """Per-policy comparison table with the actual scheduler as baseline."""
-    actual = record.get("actual") or {}
-    parts = [
-        f"<p><code>{_esc(_run_key(record) or '-')}</code> "
-        f"{_fmt(record.get('decisions'))} delay decisions "
-        f"({_fmt(record.get('replayed'))} replayed, "
-        f"{_fmt(record.get('skipped'))} skipped):</p>",
-        '<table><tr><th class="l">policy</th><th>regret total</th>'
-        "<th>regret mean</th><th>wins</th><th>ties</th><th>losses</th>"
-        "<th>differs</th></tr>",
-        '<tr><td class="l">(actual)</td>'
-        f"<td>{_fmt(actual.get('regret_total'))}</td>"
-        f"<td>{_fmt(actual.get('regret_mean'))}</td>"
-        "<td>-</td><td>-</td><td>-</td><td>-</td></tr>",
-    ]
-    for row in record.get("policies") or []:
-        parts.append(
-            "<tr>"
-            f'<td class="l">{_esc(row.get("policy"))}</td>'
-            f"<td>{_fmt(row.get('regret_total'))}</td>"
-            f"<td>{_fmt(row.get('regret_mean'))}</td>"
-            f"<td>{_fmt(row.get('wins'))}</td>"
-            f"<td>{_fmt(row.get('ties'))}</td>"
-            f"<td>{_fmt(row.get('losses'))}</td>"
-            f"<td>{_fmt(row.get('differs'))}</td>"
-            "</tr>"
-        )
-    parts.append("</table>")
-    return "".join(parts)
 
 
 def _timeseries_of(
@@ -550,15 +335,6 @@ def render_dashboard(
         ),
         key=lambda r: (float(r.get("time", 0.0)), str(r.get("rule")),
                        str(r.get("target")), str(r.get("state"))),
-    )
-    histograms = sorted(
-        (
-            r for r in records
-            if r.get("kind") == "metric"
-            and r.get("type") == "histogram"
-            and r.get("name") == "task_completion_seconds"
-        ),
-        key=lambda r: (_run_key(r), _series_label(r)),
     )
     t_end = 0.0
     for record in timeseries:
@@ -626,7 +402,11 @@ def render_dashboard(
         parts.append('<p class="empty">no decision-error samples</p>')
 
     parts.append("<h2>Completion-time quantiles</h2>")
-    parts.append(_quantile_table(histograms))
+    quantiles = _completion_quantile_lines(records)
+    if quantiles:
+        parts.append(_pre(quantiles))
+    else:
+        parts.append('<p class="empty">no completion-time histograms</p>')
 
     parts.append("<h2>Engine profile</h2>")
     profiles = [
@@ -652,21 +432,16 @@ def render_dashboard(
         '<p class="empty">no telemetry-quality records '
         "(run with --telquality and --obs-out)</p>"
     )
-    parts.append("<h2>Telemetry coverage</h2>")
-    if telquality:
-        parts.extend(_telquality_coverage(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
-    parts.append("<h2>Telemetry freshness</h2>")
-    if telquality:
-        parts.extend(_telquality_freshness(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
-    parts.append("<h2>Error vs telemetry age</h2>")
-    if telquality:
-        parts.extend(_telquality_attribution(r) for r in telquality)
-    else:
-        parts.append(no_telquality)
+    for heading, render in (
+        ("Telemetry coverage", lambda r: _pre(_coverage_lines(r))),
+        ("Telemetry freshness", lambda r: _pre(_freshness_lines(r))),
+        ("Error vs telemetry age", _error_vs_age),
+    ):
+        parts.append(f"<h2>{heading}</h2>")
+        if telquality:
+            parts.extend(_run_caption(r) + render(r) for r in telquality)
+        else:
+            parts.append(no_telquality)
 
     whatif = sorted(
         (r for r in records if r.get("kind") == "whatif"),
@@ -683,7 +458,7 @@ def render_dashboard(
         parts.append(no_whatif)
     parts.append("<h2>Policy comparison</h2>")
     if whatif:
-        parts.extend(_whatif_policies(r) for r in whatif)
+        parts.extend(_run_caption(r) + _pre(_policy_lines(r)) for r in whatif)
     else:
         parts.append(no_whatif)
 

@@ -147,6 +147,40 @@ def _fmt_s(value: Any) -> str:
     return f"{value:.3f} s" if isinstance(value, (int, float)) else "n/a"
 
 
+def _completion_quantile_lines(records: List[Dict[str, Any]]) -> List[str]:
+    """The report's per-run completion-time quantile block, or no lines
+    when the export holds no digest-backed ``task_completion_seconds``
+    histogram.  The histogram digests (one per size class) merge into one
+    per-run digest; merging is exact, so this equals a digest built from
+    every raw observation."""
+    digest_runs: Dict[Tuple[Tuple[str, Any], ...], QuantileDigest] = {}
+    for record in records:
+        if (
+            record.get("kind") == "metric"
+            and record.get("type") == "histogram"
+            and record.get("name") == "task_completion_seconds"
+            and record.get("digest")
+        ):
+            digest = QuantileDigest.from_dict(record["digest"])
+            key = _run_key(record)
+            if key in digest_runs:
+                digest_runs[key].merge(digest)
+            else:
+                digest_runs[key] = digest
+    if not digest_runs:
+        return []
+    lines = ["completion-time quantiles (per run, merged digests):"]
+    for key in sorted(digest_runs):
+        digest = digest_runs[key]
+        p50, p95, p99 = digest.quantiles((0.50, 0.95, 0.99))
+        lines.append(
+            f"  {_run_title(key)}: n={digest.count} "
+            f"p50 {_fmt_s(p50)}, p95 {_fmt_s(p95)}, p99 {_fmt_s(p99)}, "
+            f"max {_fmt_s(digest.max)}"
+        )
+    return lines
+
+
 def render_obs_report(records: List[Dict[str, Any]]) -> str:
     """Human-readable summary of one observability export."""
     by_kind: Dict[str, int] = {}
@@ -200,11 +234,11 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
                     f"after {r.get('attempts', '?')} attempt(s){signal_note}"
                 )
         if retried:
-            by_kind: Dict[str, int] = {}
+            by_failure: Dict[str, int] = {}
             for r in retried:
-                key = str(r.get("failure_kind", "?"))
-                by_kind[key] = by_kind.get(key, 0) + 1
-            detail = ", ".join(f"{k} {n}" for k, n in sorted(by_kind.items()))
+                failure = str(r.get("failure_kind", "?"))
+                by_failure[failure] = by_failure.get(failure, 0) + 1
+            detail = ", ".join(f"{k} {n}" for k, n in sorted(by_failure.items()))
             lines.append(f"  retries: {len(retried)} ({detail})")
         if corrupt:
             lines.append(
@@ -212,36 +246,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
                 f"({', '.join(str(r.get('spec_hash', '?')) for r in corrupt)})"
             )
 
-    # Per-run completion-time quantiles: merge the task_completion_seconds
-    # histogram digests (per size class) into one per-run digest — merging
-    # is exact, so this equals a digest built from every raw observation.
-    digest_runs: Dict[Tuple[Tuple[str, Any], ...], QuantileDigest] = {}
-    for record in records:
-        if (
-            record.get("kind") == "metric"
-            and record.get("type") == "histogram"
-            and record.get("name") == "task_completion_seconds"
-            and record.get("digest")
-        ):
-            digest = QuantileDigest.from_dict(record["digest"])
-            key = _run_key(record)
-            if key in digest_runs:
-                digest_runs[key].merge(digest)
-            else:
-                digest_runs[key] = digest
-    if digest_runs:
-        lines.append("completion-time quantiles (per run, merged digests):")
-        for key in sorted(digest_runs):
-            digest = digest_runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
-            p50, p95, p99 = digest.quantiles((0.50, 0.95, 0.99))
-            lines.append(
-                f"  {label}: n={digest.count} "
-                f"p50 {_fmt_s(p50)}, p95 {_fmt_s(p95)}, p99 {_fmt_s(p99)}, "
-                f"max {_fmt_s(digest.max)}"
-            )
+    lines.extend(_completion_quantile_lines(records))
 
     # Health-alert summary: fire/clear edge counts per rule, plus any
     # alerts still firing at export time.
@@ -282,9 +287,6 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("probe loss (collector seq gaps):")
         for key in sorted(loss_runs):
             events = loss_runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
             total = sum(int(e.get("lost", 0)) for e in events)
             by_pair: Dict[Tuple[str, str], Dict[str, int]] = {}
             for e in events:
@@ -293,7 +295,7 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
                 counts["gaps"] += 1
                 counts["lost"] += int(e.get("lost", 0))
             lines.append(
-                f"  {label}: {total} probes lost across {len(events)} gap events "
+                f"  {_run_title(key)}: {total} probes lost across {len(events)} gap events "
                 f"({len(by_pair)} src/dst pairs)"
             )
             for (src, dst), counts in sorted(by_pair.items()):
@@ -314,12 +316,8 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
     if overflow:
         lines.append("decision audit overflow (records dropped past capacity):")
         for r in overflow:
-            key = _run_key(r)
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
             lines.append(
-                f"  {label}: {r.get('dropped', '?')} decisions dropped "
+                f"  {_run_title(_run_key(r))}: {r.get('dropped', '?')} decisions dropped "
                 f"(cap {r.get('max_decisions', '?')}) — audit sections below "
                 f"cover a truncated sample"
             )
@@ -333,16 +331,13 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         lines.append("decision audit (estimate vs ground truth, delay metric):")
         for key in sorted(runs):
             decisions = runs[key]
-            label = (
-                ", ".join(f"{k}={v}" for k, v in key) if key else "(unlabeled run)"
-            )
             stats = delay_error_stats(
                 c
                 for d in decisions
                 if d.get("metric") == "delay"
                 for c in d.get("candidates", ())
             )
-            lines.append(f"  {label}: {len(decisions)} decisions")
+            lines.append(f"  {_run_title(key)}: {len(decisions)} decisions")
             if stats["samples"]:
                 lines.append(
                     f"    delay error: mean {_fmt_ms(stats['mean_error'])}, "

@@ -6,9 +6,10 @@ The rendering layer over the engine's phase-level profile (see
 * :func:`collapsed_stacks` — the profile's phase tree as Brendan Gregg
   collapsed-stack lines (``path self_time_us``), the interchange format
   every flamegraph tool consumes;
-* :func:`flamegraph_svg` — a zero-JS, self-contained inline-SVG icicle
-  flamegraph (no scripts, no external references), embeddable in the
-  HTML dashboard and written by ``repro report --flamegraph-out``;
+* :func:`flamegraph_svg` — a zero-JS inline-SVG icicle flamegraph (no
+  scripts, no external references), drawn in the HTML dashboard's
+  engine-profile section; ``repro report --collapsed-out`` writes the
+  collapsed stacks for external flamegraph tools;
 * :class:`MemoryCapture` — per-run allocation/GC counters (``gc`` stats
   always; ``tracemalloc`` top-N sites behind ``--mem-profile``) merged
   into the profile summary;
@@ -133,7 +134,8 @@ def _esc(text: Any) -> str:
 def flamegraph_svg(
     summary: Dict[str, Any], *, title: str = "engine phases"
 ) -> str:
-    """Self-contained inline-SVG icicle flamegraph of a profile summary.
+    """Inline-SVG icicle flamegraph of a profile summary, for embedding in
+    an HTML page (no ``xmlns``: a standalone ``.svg`` file would need one).
 
     Root row is the whole profiled wall; row 2 the event handlers; deeper
     rows the nested phase scopes.  Frame width is proportional to inclusive
@@ -144,7 +146,7 @@ def flamegraph_svg(
     total = sum(nodes[r]["incl"] for r in roots)
     if total <= 0.0:
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_FG_WIDTH}" '
+            f'<svg width="{_FG_WIDTH}" '
             f'height="{_FG_ROW_H}"><text x="4" y="13" font-size="11" '
             f'fill="#777">no profile samples</text></svg>'
         )
@@ -211,7 +213,7 @@ def flamegraph_svg(
 
     height = max_depth[0] * _FG_ROW_H + 2
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_FG_WIDTH}" '
+        f'<svg width="{_FG_WIDTH}" '
         f'height="{height}" viewBox="0 0 {_FG_WIDTH} {height}" '
         f'font-family="ui-monospace, Menlo, Consolas, monospace">'
         + "".join(parts)

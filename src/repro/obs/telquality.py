@@ -521,6 +521,108 @@ def _digest_line(data: Optional[Dict[str, Any]]) -> str:
     )
 
 
+def _coverage_lines(record: Dict[str, Any]) -> List[str]:
+    """One telquality record's layout line and INT coverage block."""
+    lines = [
+        f"  layout: {record.get('layout')}  "
+        f"probing interval: {_fmt(record.get('probing_interval'))}s  "
+        f"probe pairs: {len(record.get('pairs') or [])}"
+    ]
+    coverage = record.get("coverage") or {}
+    total = coverage.get("total_ports") or 0
+    observed = coverage.get("observed_ports") or 0
+    pct = 100.0 * observed / total if total else 0.0
+    lines.append(
+        f"  coverage: {observed}/{total} directed ports observed "
+        f"({pct:.0f}%)"
+    )
+    blind = coverage.get("blind") or []
+    if blind:
+        labels = ", ".join(f"{u}->{v}" for u, v in blind)
+        lines.append(f"    blind spots ({len(blind)}): {labels}")
+    else:
+        lines.append("    blind spots: none")
+    if coverage.get("matches_prediction") is not None:
+        verdict = (
+            "matches" if coverage["matches_prediction"] else "DIVERGES FROM"
+        )
+        expected = coverage.get("expected_blind") or []
+        lines.append(
+            f"    {verdict} the layout's predicted blind set "
+            f"({len(expected)} ports)"
+        )
+    ports = coverage.get("ports") or []
+    if ports:
+        lines.append("    port               obs    eff-interval  probe-pairs")
+        for port in ports:
+            label = f"{port['u']}->{port['v']}"
+            lines.append(
+                f"    {label:<18} {port['observations']:>4}    "
+                f"{_fmt(port.get('effective_interval')):>12}  "
+                f"{len(port.get('pairs') or [])}"
+            )
+    return lines
+
+
+def _freshness_lines(record: Dict[str, Any]) -> List[str]:
+    """One telquality record's decision-age and per-register refresh-age
+    block."""
+    freshness = record.get("freshness") or {}
+    lines = [
+        "  freshness: decision-time consulted-hop age "
+        + _digest_line(freshness.get("decision_age"))
+    ]
+    registers = freshness.get("registers") or []
+    if registers:
+        lines.append("    node     register  refreshes  refresh-age")
+        for reg in registers:
+            lines.append(
+                f"    {reg['node']:<8} {reg['register']:<8} "
+                f"{reg['refreshes']:>9}  {_digest_line(reg.get('age'))}"
+            )
+    return lines
+
+
+def _attribution_lines(record: Dict[str, Any]) -> List[str]:
+    """One telquality record's error-vs-telemetry-age bins."""
+    attribution = record.get("attribution") or {}
+    lines = [
+        f"  error vs telemetry age ({attribution.get('samples', 0)} samples "
+        f"over {attribution.get('decisions', 0)} decisions, "
+        f"{attribution.get('skipped', 0)} skipped):",
+        "    age bin          count  mean-error  mean-|error|",
+    ]
+    for item in attribution.get("bins") or []:
+        lines.append(
+            f"    {item['label']:<15} {item['count']:>6}  "
+            f"{_fmt(item.get('mean_error')):>10}  "
+            f"{_fmt(item.get('mean_abs_error')):>12}"
+        )
+    return lines
+
+
+def _window_lines(record: Dict[str, Any]) -> List[str]:
+    """One telquality record's error inside vs outside the probe-loss and
+    fault windows."""
+    attribution = record.get("attribution") or {}
+    lines = []
+    for name, title in (
+        ("loss_windows", "probe-loss windows"),
+        ("fault_windows", "fault windows"),
+    ):
+        split = attribution.get(name) or {}
+        inside = split.get("in") or {}
+        outside = split.get("out") or {}
+        lines.append(
+            f"  {title}: {split.get('windows', 0)}  "
+            f"in: {inside.get('count', 0)} samples "
+            f"mae={_fmt(inside.get('mean_abs_error'))}  "
+            f"out: {outside.get('count', 0)} samples "
+            f"mae={_fmt(outside.get('mean_abs_error'))}"
+        )
+    return lines
+
+
 def render_telemetry_report(records: List[Dict[str, Any]]) -> str:
     """Plain-text telemetry-quality report over an ``--obs-out`` export.
 
@@ -550,95 +652,18 @@ def render_telemetry_report(records: List[Dict[str, Any]]) -> str:
     for record in telquality:
         key = _run_key(record)
         lines.append(f"run: {_run_title(key)}")
-        lines.append(
-            f"  layout: {record.get('layout')}  "
-            f"probing interval: {_fmt(record.get('probing_interval'))}s  "
-            f"probe pairs: {len(record.get('pairs') or [])}"
-        )
-
-        coverage = record.get("coverage") or {}
-        total = coverage.get("total_ports") or 0
-        observed = coverage.get("observed_ports") or 0
-        pct = 100.0 * observed / total if total else 0.0
-        lines.append(
-            f"  coverage: {observed}/{total} directed ports observed "
-            f"({pct:.0f}%)"
-        )
-        blind = coverage.get("blind") or []
-        if blind:
-            labels = ", ".join(f"{u}->{v}" for u, v in blind)
-            lines.append(f"    blind spots ({len(blind)}): {labels}")
-        else:
-            lines.append("    blind spots: none")
-        if coverage.get("matches_prediction") is not None:
-            verdict = (
-                "matches" if coverage["matches_prediction"] else "DIVERGES FROM"
-            )
-            expected = coverage.get("expected_blind") or []
-            lines.append(
-                f"    {verdict} the layout's predicted blind set "
-                f"({len(expected)} ports)"
-            )
-        ports = coverage.get("ports") or []
-        if ports:
-            lines.append("    port               obs    eff-interval  probe-pairs")
-            for port in ports:
-                label = f"{port['u']}->{port['v']}"
-                lines.append(
-                    f"    {label:<18} {port['observations']:>4}    "
-                    f"{_fmt(port.get('effective_interval')):>12}  "
-                    f"{len(port.get('pairs') or [])}"
-                )
-
-        freshness = record.get("freshness") or {}
-        lines.append(
-            "  freshness: decision-time consulted-hop age "
-            + _digest_line(freshness.get("decision_age"))
-        )
-        registers = freshness.get("registers") or []
-        if registers:
-            lines.append("    node     register  refreshes  refresh-age")
-            for reg in registers:
-                lines.append(
-                    f"    {reg['node']:<8} {reg['register']:<8} "
-                    f"{reg['refreshes']:>9}  {_digest_line(reg.get('age'))}"
-                )
-
-        attribution = record.get("attribution") or {}
-        lines.append(
-            f"  error vs telemetry age ({attribution.get('samples', 0)} samples "
-            f"over {attribution.get('decisions', 0)} decisions, "
-            f"{attribution.get('skipped', 0)} skipped):"
-        )
-        lines.append("    age bin          count  mean-error  mean-|error|")
-        bin_total = 0
-        for item in attribution.get("bins") or []:
-            bin_total += item.get("count", 0)
-            lines.append(
-                f"    {item['label']:<15} {item['count']:>6}  "
-                f"{_fmt(item.get('mean_error')):>10}  "
-                f"{_fmt(item.get('mean_abs_error')):>12}"
-            )
+        lines.extend(_coverage_lines(record))
+        lines.extend(_freshness_lines(record))
+        lines.extend(_attribution_lines(record))
         expected_total = audit_samples.get(key)
         if expected_total is not None:
+            bins = (record.get("attribution") or {}).get("bins") or []
+            bin_total = sum(item.get("count", 0) for item in bins)
             check = "OK" if bin_total == expected_total else "MISMATCH"
             lines.append(
                 f"    bin counts sum to {bin_total} vs {expected_total} "
                 f"decision-audit samples: {check}"
             )
-        for name, title in (
-            ("loss_windows", "probe-loss windows"),
-            ("fault_windows", "fault windows"),
-        ):
-            split = attribution.get(name) or {}
-            inside = split.get("in") or {}
-            outside = split.get("out") or {}
-            lines.append(
-                f"  {title}: {split.get('windows', 0)}  "
-                f"in: {inside.get('count', 0)} samples "
-                f"mae={_fmt(inside.get('mean_abs_error'))}  "
-                f"out: {outside.get('count', 0)} samples "
-                f"mae={_fmt(outside.get('mean_abs_error'))}"
-            )
+        lines.extend(_window_lines(record))
         lines.append("")
     return "\n".join(lines).rstrip()

@@ -427,6 +427,16 @@ def _policy_table(body: Dict[str, Any]) -> List[str]:
     return lines
 
 
+def _policy_lines(record: Dict[str, Any]) -> List[str]:
+    """One whatif record's header line and policy comparison table."""
+    return [
+        f"  probing interval: {_fmt(record.get('interval'))}s  "
+        f"decisions: {record.get('decisions', 0)} "
+        f"({record.get('replayed', 0)} replayed, "
+        f"{record.get('skipped', 0)} skipped)"
+    ] + _policy_table(record)
+
+
 def _attribution_lines(body: Dict[str, Any]) -> List[str]:
     lines = ["  regret vs stalest consulted telemetry age:"]
     lines.append("    age bin          decisions  regret-total  regret-mean")
@@ -529,13 +539,7 @@ def render_whatif_report(records: List[Dict[str, Any]]) -> str:
     for record in whatif:
         key = _run_key(record)
         lines.append(f"run: {_run_title(key)}")
-        lines.append(
-            f"  probing interval: {_fmt(record.get('interval'))}s  "
-            f"decisions: {record.get('decisions', 0)} "
-            f"({record.get('replayed', 0)} replayed, "
-            f"{record.get('skipped', 0)} skipped)"
-        )
-        lines.extend(_policy_table(record))
+        lines.extend(_policy_lines(record))
 
         oracle = next(
             (

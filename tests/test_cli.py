@@ -1,6 +1,7 @@
 """CLI: argument parsing and command dispatch (tiny workloads)."""
 
 import os
+import re
 
 import pytest
 
@@ -380,7 +381,7 @@ def test_trace_report_missing_file(capsys):
 
 def test_obs_report_writes_profile_exports(capsys, tmp_path):
     from repro.obs.export import read_jsonl
-    from repro.obs.perf import flamegraph_svg
+    from repro.obs.perf import collapsed_stacks
 
     obs_out = tmp_path / "run.jsonl"
     assert main([
@@ -388,28 +389,24 @@ def test_obs_report_writes_profile_exports(capsys, tmp_path):
         "--classes", "VS", "--profile", "--obs-out", str(obs_out),
     ]) == 0
     (profile,) = [r["profile"] for r in read_jsonl(str(obs_out)) if r["kind"] == "profile"]
-    flamegraph, collapsed = tmp_path / "flame.svg", tmp_path / "flame.txt"
+    collapsed = tmp_path / "flame.txt"
     rc = main(["report", str(obs_out), "--out", str(tmp_path / "report.txt"),
-               "--flamegraph-out", str(flamegraph), "--collapsed-out", str(collapsed)])
+               "--collapsed-out", str(collapsed)])
     assert rc == 0
-    # The flamegraph is the export's profile, as a self-contained SVG;
-    # collapsed stacks parse as "path count" lines.
-    svg = flamegraph.read_text()
-    assert svg == flamegraph_svg(profile)
-    assert svg.startswith("<svg") and "<script" not in svg
-    assert "src=" not in svg and "href" not in svg
-    lines = collapsed.read_text().splitlines()
+    # Collapsed stacks are the export's profile, as "path count" lines.
+    text = collapsed.read_text()
+    assert text == collapsed_stacks(profile)
+    lines = text.splitlines()
     assert lines and all(l.rsplit(" ", 1)[1].isdigit() for l in lines)
     # An export without a profile record says so and writes nothing.
     capsys.readouterr()
     plain = tmp_path / "plain.jsonl"
     plain.write_text("\n".join(_GOOD_LINES) + "\n")
     rc = main(["report", str(plain), "--out", str(tmp_path / "plain.txt"),
-               "--flamegraph-out", str(tmp_path / "none.svg"),
                "--collapsed-out", str(tmp_path / "none.txt")])
     assert rc == 0
     assert "note: no profile in the report" in capsys.readouterr().err
-    assert not (tmp_path / "none.svg").exists() and not (tmp_path / "none.txt").exists()
+    assert not (tmp_path / "none.txt").exists()
 
 
 def test_compare_sample_interval_emits_timeseries(capsys, tmp_path):
@@ -575,6 +572,30 @@ def test_report_sections_equal_the_renderers(capsys, tmp_path):
         assert html_out.read_text(encoding="utf-8") == render_dashboard(
             records, title=f"repro — {path}"
         )
+
+
+def test_dashboard_tables_are_the_report_text(capsys, tmp_path):
+    """The page draws charts only: every table is a <pre> of lines that
+    `report` itself prints, so a section has one renderer."""
+    import html
+
+    path = str(tmp_path / "observed.jsonl")
+    assert main(["compare", "--figure", "fig5", "--scale", "smoke", "--classes", "VS",
+                 "--telquality", "--whatif", "--profile", "--sample-interval", "0.5",
+                 "--obs-out", path]) == 0
+    capsys.readouterr()
+    html_out = tmp_path / "observed.html"
+    assert main(["report", path, "--html-out", str(html_out)]) == 0
+    report = [line.lstrip() for line in capsys.readouterr().out.splitlines()]
+    page = html_out.read_text(encoding="utf-8")
+    assert "<table" not in page
+    blocks = re.findall(r"<pre>(.*?)</pre>", page, re.S)
+    assert len(blocks) > 6
+    for block in blocks:
+        lines = [line.lstrip() for line in html.unescape(block).splitlines()]
+        assert any(
+            report[i:i + len(lines)] == lines for i in range(len(report))
+        ), lines[0]
 
 
 @pytest.mark.parametrize("argv, name", [
