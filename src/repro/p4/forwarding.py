@@ -45,7 +45,12 @@ class PlainForwardingProgram(P4Program):
 
     # Control-plane helper used by the routing module.
     def install_route(self, dst_addr: int, port_index: int) -> None:
-        self.forward_table.set_entry(dst_addr, "forward", port=port_index)
+        table = self.forward_table
+        table.set_entry(dst_addr, "forward", port=port_index)
+        ports = self.switch.ports if self.switch is not None else ()
+        if 0 <= port_index < len(ports):
+            # Fill the compiled hop's route slot now, not on the first frame.
+            table.resolved[dst_addr] = ports[port_index]
 
     # -- fast path ----------------------------------------------------------
 
@@ -54,24 +59,40 @@ class PlainForwardingProgram(P4Program):
         ``hop(packet, in_port)`` for a frame arriving from the wire:
         ``probe_stamp`` (a subclass's probe-only ingress work, run before
         routing as its staged ``ingress`` does before calling up), the TTL
-        check and exact-match lookup with the table's miss counter, the TTL
-        decrement and the hand-off to the egress port — no context object
-        and no further frame before :meth:`Port.send`.  The
-        switch's receive and forward counts and the packet's hop count are
-        reads of the ports' books and the TTL, so the hop writes none of
-        them.  Captures the table's entry dict and the switch's port list by
-        reference, so control-plane ``set_entry`` updates are visible
-        immediately.
+        check, the route, the TTL decrement and the hand-off to the egress
+        port — no context object and no further frame before
+        :meth:`Port.send`.  The switch's receive and forward counts and the
+        packet's hop count are reads of the ports' books and the TTL, so the
+        hop writes none of them.
+
+        The route is a slot: the table's ``resolved`` dict maps a
+        destination to its egress :class:`~repro.simnet.nic.Port`, filled by
+        :meth:`install_route` or by the first frame to take a ``forward``
+        entry.  ``set_entry`` drops the destination's slot, so a route set
+        after compile reaches the next frame; a miss, or a drop entry, takes
+        the exact-match lookup every time, and each miss is counted.
 
         One plain body and one phase-protocol body with the scopes of the
         staged ``Switch.on_ingress`` (p4_pipeline, then enqueue around the
         send); profiles name the closure after that handler."""
         table = self.forward_table
         entries = table._entries
+        routes = table.resolved
         switch = self.switch
         sim = switch.sim
         ports = switch.ports
         pipeline_drop = switch._pipeline_drop
+
+        def route(dst):
+            """The exact-match lookup behind an empty slot: the egress port,
+            or None to drop."""
+            entry = entries.get(dst)
+            if entry is None:
+                table.misses += 1
+                entry = table.default_action
+            elif entry[0] == "forward":
+                routes[dst] = ports[entry[1]["port"]]
+            return ports[entry[1]["port"]] if entry[0] == "forward" else None
 
         def hop(packet, in_port) -> None:
             prof = sim.profiler
@@ -79,28 +100,30 @@ class PlainForwardingProgram(P4Program):
                 if packet.flags & FLAG_PROBE and probe_stamp is not None:
                     probe_stamp(packet)
                 if packet.ttl > 1:
-                    entry = entries.get(packet.dst_addr)
-                    if entry is None:
-                        table.misses += 1
-                        entry = table.default_action
-                    if entry[0] == "forward":
-                        packet.ttl -= 1
-                        ports[entry[1]["port"]].send(packet)
-                        return
+                    try:
+                        port = routes[packet.dst_addr]
+                    except KeyError:
+                        port = route(packet.dst_addr)
+                        if port is None:
+                            pipeline_drop(packet)
+                            return
+                    packet.ttl -= 1
+                    port.send(packet)
+                    return
                 pipeline_drop(packet)
                 return
             prof.phase_first("p4_pipeline")
             if packet.flags & FLAG_PROBE and probe_stamp is not None:
                 probe_stamp(packet)
             if packet.ttl > 1:
-                entry = entries.get(packet.dst_addr)
-                if entry is None:
-                    table.misses += 1
-                    entry = table.default_action
-                if entry[0] == "forward":
+                try:
+                    port = routes[packet.dst_addr]
+                except KeyError:
+                    port = route(packet.dst_addr)
+                if port is not None:
                     packet.ttl -= 1
                     prof.phase_next("enqueue")
-                    ports[entry[1]["port"]].send(packet)
+                    port.send(packet)
                     prof.phase_end()
                     return
             prof.phase_end()

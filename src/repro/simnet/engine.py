@@ -453,10 +453,10 @@ class Simulator:
         # EngineProfiler or None.  run() dispatches to a separate profiled
         # loop when set, so the unprofiled hot loop stays untouched.
         self.profiler: Optional[EngineProfiler] = None
-        # Events dispatched, and the ports whose elided transmit completions
-        # events_executed credits (see there).
-        self._dispatched = 0
+        # The ports whose elided transmit completions, and the sinks whose
+        # booked arrivals, events_executed counts (see there).
         self._ports: List[Any] = []
+        self._sinks: List[Any] = []
         # Window-edge and stop entries in the heap (see run()).
         self._sentinels = 0
 
@@ -469,11 +469,23 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Events dispatched, plus one per transmit completion at or before
-        ``now`` that a port elided (``Port.completions_elided``): what one
-        event per completion would have counted, exact inside a handler
-        too."""
-        return self._dispatched + sum(port.completions_elided for port in self._ports)
+        """Events dispatched, plus one per transmit completion and one per
+        sink arrival at or before ``now`` that never was an event: what one
+        event per completion and per arrival would have counted, exact
+        inside a handler too.
+
+        No loop counts dispatches: every entry pushed and every arrival
+        booked took a sequence number, so those dispatched or booked are
+        the numbers taken less the live entries still queued and the
+        cancelled ones.  The ports add their elided completions
+        (``Port.completions_elided``); the sinks take back the arrivals
+        booked for after now (``UdpSink.arrivals_in_flight``)."""
+        live = len(self._heap) - self._sentinels - self._tombstones
+        return (
+            self._seq - live - self.events_cancelled
+            + sum(port.completions_elided for port in self._ports)
+            - sum(sink.arrivals_in_flight for sink in self._sinks)
+        )
 
     # -- scheduling -------------------------------------------------------
 
@@ -587,18 +599,19 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stop_requested = False
-        counted = self.events_executed
-        executed = 0
+        profiler = self.profiler
+        if profiler is not None:
+            counted = self.events_executed
         heap = self._heap
         heapq.heappush(heap, (_INF if until is None else until, _INF, None, None, None))
         self._sentinels += 1
         try:
-            if self.profiler is not None:
+            if profiler is not None:
                 executed = self._run_profiled()
             else:
                 # Hot loop: the heap, its pop and the event's own fields are
-                # locals; the clock and the dispatch count are stored per
-                # event because handlers read them.
+                # locals; the clock is stored per event because handlers
+                # read it.  Nothing counts dispatches (see events_executed).
                 pop = heapq.heappop
                 while True:
                     time, _seq, handle, fn, args = pop(heap)
@@ -610,7 +623,6 @@ class Simulator:
                     elif fn is None:
                         break
                     self._now = time
-                    self._dispatched += 1
                     fn(*args)
                 self._sentinels -= 1
         finally:
@@ -623,9 +635,16 @@ class Simulator:
             # The window edge was popped, so every event at or before
             # ``until`` has run.
             self._now = until
-        if self.profiler is not None:
+        elif until is None and not self._stop_requested:
+            # The heap drained; the last arrivals booked for a sink, if any,
+            # are the run's last events.
+            for sink in self._sinks:
+                for arrival, _seq, _packet in sink._book:
+                    if arrival > self._now:
+                        self._now = arrival
+        if profiler is not None:
             # The profiled loop counted its dispatches; add the credits.
-            self.profiler.events_total += self.events_executed - counted - executed
+            profiler.events_total += self.events_executed - counted - executed
 
     def _run_profiled(self) -> int:
         """The :meth:`run` loop with per-event profiling.  A separate copy so
@@ -654,7 +673,6 @@ class Simulator:
                         continue
                     handle.fired = True
                 self._now = time
-                self._dispatched += 1
                 name = getattr(fn, "__qualname__", None) or repr(fn)
                 profiler._path = name
                 t0 = clock()
@@ -685,9 +703,13 @@ class Simulator:
             heapq.heappush(self._heap, (self._now, -1, None, None, None))
 
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1): every
-        heap entry but the tombstones and the sentinels is live."""
-        return len(self._heap) - self._tombstones - self._sentinels
+        """Number of live (non-cancelled) events still queued, and of sink
+        arrivals booked for after now (``UdpSink.arrivals_in_flight``):
+        every heap entry but the tombstones and the sentinels is live."""
+        return (
+            len(self._heap) - self._tombstones - self._sentinels
+            + sum(sink.arrivals_in_flight for sink in self._sinks)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

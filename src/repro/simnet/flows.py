@@ -23,6 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
+from heapq import heappush
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
@@ -52,6 +56,15 @@ __all__ = [
 MSS = MTU - HEADER_OVERHEAD  # payload bytes per full segment
 
 _flow_ids = itertools.count(1)
+
+# UdpSink's arrival books: frames booked past those in flight before a
+# settle, and the fields a settle reads in C.
+_BOOK_BATCH = 64
+_INF = float("inf")
+_ARRIVAL = itemgetter(0)
+_PACKET = itemgetter(2)
+_FLOW_ID = attrgetter("flow_id")
+_SIZE = attrgetter("size_bytes")
 
 
 def reset_flow_ids() -> None:
@@ -177,24 +190,104 @@ class UdpCbrFlow:
 
 
 class UdpSink:
-    """Counts received UDP datagrams per flow (iperf server side)."""
+    """Counts received UDP datagrams per flow (iperf server side).
+
+    **Arrival books.**  Nothing in a run reads a sink until it ends, so a
+    port sending to the host books a datagram for it instead of posting its
+    delivery (see ``Port._start``): ``(arrival instant, sequence number,
+    packet)`` appended to ``_book``.  The counters are read at or before
+    now: each read first settles the booked arrivals due, in arrival order,
+    and so does a delivery that still comes by event.  Settling also runs
+    once a batch more than the frames in flight has been booked, so the
+    book stays short.  A frame booked for a sink that is unbound, or whose
+    host gains an observer, before it arrives goes back on the heap as the
+    delivery it stood for.
+    """
 
     def __init__(self, host: Host, port: int = PORT_IPERF) -> None:
         self.host = host
         self.port = port
-        self.bytes_by_flow: Dict[int, int] = {}
-        self.packets_by_flow: Dict[int, int] = {}
-        self.first_arrival: Dict[int, float] = {}
-        self.last_arrival: Dict[int, float] = {}
+        self._bytes: Dict[int, int] = {}
+        self._packets: Dict[int, int] = {}
+        self._first: Dict[int, float] = {}
+        self._last: Dict[int, float] = {}
+        self._book: List[tuple] = []
+        self._settle_at = _BOOK_BATCH
         host.bind(PROTO_UDP, port, self._on_packet)
+        host._sinks[port] = self
+        host.sim._sinks.append(self)
+
+    @property
+    def bytes_by_flow(self) -> Dict[int, int]:
+        self._settle()
+        return self._bytes
+
+    @property
+    def packets_by_flow(self) -> Dict[int, int]:
+        self._settle()
+        return self._packets
+
+    @property
+    def first_arrival(self) -> Dict[int, float]:
+        self._settle()
+        return self._first
+
+    @property
+    def last_arrival(self) -> Dict[int, float]:
+        self._settle()
+        return self._last
+
+    @property
+    def arrivals_in_flight(self) -> int:
+        """Booked datagrams that arrive after now."""
+        self._settle()
+        return len(self._book)
 
     def _on_packet(self, packet: Packet) -> None:
+        if self._book:
+            self._settle()
         fid = packet.flow_id
         now = self.host.sim._now
-        self.bytes_by_flow[fid] = self.bytes_by_flow.get(fid, 0) + packet.size_bytes
-        self.packets_by_flow[fid] = self.packets_by_flow.get(fid, 0) + 1
-        self.first_arrival.setdefault(fid, now)
-        self.last_arrival[fid] = now
+        self._bytes[fid] = self._bytes.get(fid, 0) + packet.size_bytes
+        self._packets[fid] = self._packets.get(fid, 0) + 1
+        self._first.setdefault(fid, now)
+        self._last[fid] = now
+
+    def _settle(self) -> None:
+        """Count the booked arrivals at or before now as ``_on_packet``
+        would have, one batch at a time: the per-flow sums over distinct
+        ``(flow, size)`` pairs, the last arrival of each flow by one
+        ``dict.update``."""
+        book = self._book
+        book.sort()  # one sender per single-homed host: already in order
+        due = bisect_right(book, (self.host.sim._now, _INF))
+        self._settle_at = len(book) - due + _BOOK_BATCH
+        if not due:
+            return
+        arrived = book[:due]
+        del book[:due]
+        self.host._delivered += due
+        times = list(map(_ARRIVAL, arrived))
+        packets = list(map(_PACKET, arrived))
+        flows = list(map(_FLOW_ID, packets))
+        nbytes, npackets, first = self._bytes, self._packets, self._first
+        for (fid, size), n in Counter(zip(flows, map(_SIZE, packets))).items():
+            nbytes[fid] = nbytes.get(fid, 0) + size * n
+            npackets[fid] = npackets.get(fid, 0) + n
+            if fid not in first:
+                first[fid] = times[flows.index(fid)]
+        self._last.update(zip(flows, times))
+
+    def _unbook(self) -> None:
+        """Post the booked arrivals still in flight as delivery events,
+        each under the sequence number it kept, so each dispatches where
+        its delivery would have."""
+        self._settle()
+        host = self.host
+        heap = host.sim._heap
+        for arrival, seq, packet in self._book:
+            heappush(heap, (arrival, seq, None, host.on_ingress, (packet, host.ports[0])))
+        self._book.clear()
 
     def throughput_bps(self, flow_id: int) -> float:
         """Achieved goodput of one flow over its observed lifetime."""

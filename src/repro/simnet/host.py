@@ -35,9 +35,21 @@ class Host(Node):
         super().__init__(sim, name, addr, clock)
         self._handlers: Dict[Tuple[int, int], PacketHandler] = {}
         self._ephemeral = itertools.count(PORT_EPHEMERAL_BASE)
-        self.packets_delivered = 0
+        # The counting sinks bound here, by UDP port (a UdpSink registers
+        # itself): the dict the ports sending here book datagrams by,
+        # shared with them, not copied (see arrival_sinks).
+        self._sinks: Dict[int, Any] = {}
+        self._delivered = 0
         self.packets_unclaimed = 0
         self.packets_misrouted = 0
+
+    @property
+    def packets_delivered(self) -> int:
+        """Frames handed to a handler: those dispatched, and the datagrams
+        the sinks' books hold at or before now."""
+        for sink in self._sinks.values():
+            sink._settle()
+        return self._delivered
 
     @property
     def packets_received(self) -> int:
@@ -58,6 +70,8 @@ class Host(Node):
             del self._handlers[(protocol, port)]
         except KeyError:
             raise TopologyError(f"{self.name}: port ({protocol}, {port}) not bound") from None
+        if protocol == PROTO_UDP and port in self._sinks:
+            self._sinks.pop(port)._unbook()
 
     def ephemeral_port(self) -> int:
         """Allocate a fresh source port for a client-side conversation."""
@@ -109,6 +123,20 @@ class Host(Node):
         fold = None if observer is not None and not observer.probes_only else ()
         return self.on_ingress, self.on_egress, fold
 
+    def arrival_sinks(self):
+        """The arrival books: a port sending here books a UDP datagram for
+        this address whose destination port a
+        :class:`~repro.simnet.flows.UdpSink` holds, and posts no delivery
+        (see ``Port._start``).  None while an observer watches this host:
+        it sees each arrival as it happens."""
+        return self._sinks if self.observer is None else None
+
+    def _bind_ports(self) -> None:
+        if self.observer is not None:
+            for sink in self._sinks.values():
+                sink._unbook()
+        super()._bind_ports()
+
     def _misrouted(self, packet: Packet) -> None:
         # Hosts do not forward; a packet addressed elsewhere dies here.
         self.packets_misrouted += 1
@@ -151,7 +179,7 @@ class Host(Node):
             if handler is None:
                 self.packets_unclaimed += 1
                 return
-            self.packets_delivered += 1
+            self._delivered += 1
             handler(packet)
             return
         # Phase scopes (profiled runs only): demux covers the address check +
@@ -168,7 +196,7 @@ class Host(Node):
             self.packets_unclaimed += 1
             prof.phase_end()
             return
-        self.packets_delivered += 1
+        self._delivered += 1
         prof.phase_next("transport" if packet.protocol == PROTO_TCP else "flow")
         handler(packet)
         prof.phase_end()

@@ -182,6 +182,10 @@ class Link:
             )
         self.rate_factor = rate_factor
         self.extra_delay = extra_delay
+        # Each port divides by its rate slot, rate * rate_factor.
+        for port in (self.port_a, self.port_b):
+            if port is not None:
+                port._rate = self.rate_from(port) * rate_factor
         self._update_flags()
 
     def _update_flags(self) -> None:
@@ -194,6 +198,9 @@ class Link:
             or self.impaired
             or self.extra_delay != 0.0
         )
+        for port in (self.port_a, self.port_b):
+            if port is not None:
+                port._refresh()
 
     def should_drop(self, packet) -> bool:
         """Fault check at transmission completion: True when this frame is

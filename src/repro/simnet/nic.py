@@ -28,7 +28,14 @@ they read exactly what a per-frame completion would have written.  The
 per-frame event stays where completion has semantics of its own, which the
 link's ``per_frame`` flag says (see :class:`~repro.simnet.link.Link`):
 wire-loss draws and link state are then read at ``t1``, and a frame lost on
-the wire takes its bytes back.
+the wire takes its bytes back.  The arrival case goes one step further: a
+UDP datagram leaving for a host whose destination port a
+:class:`~repro.simnet.flows.UdpSink` holds (the host unobserved, the run
+unprofiled) is not delivered by an event at all.  The port books it with
+the sink under the sequence number its delivery would have taken, and the
+sink's counters, the host's ``packets_delivered`` and ``events_executed``
+read the arrivals at or before now.  On a ``per_frame`` link every frame
+still has a delivery event of its own.
 
 **The hop.**  A frame's life is a short chain of frames: the engine pops the
 delivery, the receiving node's entry point runs (a switch's compiled hop:
@@ -51,6 +58,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.simnet.addressing import PROTO_UDP
 from repro.simnet.link import Link
 from repro.simnet.packet import FLAG_PROBE, Packet
 from repro.simnet.queueing import DEFAULT_QUEUE_CAPACITY, DropTailQueue, QueueStats
@@ -96,6 +104,19 @@ class Port:
         self._rate = 0.0
         self._peer: Optional["Port"] = None
         self._deliver: Optional[Callable[[Packet, "Port"], None]] = None
+        # `_rate` is this direction's rate times the link's rate_factor
+        # (Link.set_degradation refreshes it); `_jitter` is the node's
+        # service-factor stream, or None for a jitter-free node
+        # (Node.set_service_jitter refreshes it).
+        self._jitter = node._service_factors if node.service_jitter != 0.0 else None
+        # The arrival books' slots (Link.attach, Node._bind_ports): the peer
+        # host's counting sinks by UDP port, or None, and its address.
+        # `_plain` says neither the link's per_frame flag nor the books
+        # apply: a frame's delivery is pushed as it starts, with no other
+        # test (see _refresh).
+        self._sinks: Optional[dict] = None
+        self._sink_addr: Optional[int] = None
+        self._plain = True
         # `_fold` is what a data frame's start does in place of the `_egress`
         # call: None makes the call for every frame; a register's value list
         # takes the frame's enq_depth as a max into cell `port_index`; an
@@ -134,9 +155,17 @@ class Port:
 
     def wire(self, rate_bps: float, peer: "Port") -> None:
         """Called by :meth:`Link.attach`; a port never changes links."""
-        self._rate = rate_bps
+        self._rate = rate_bps * self.link.rate_factor
         self._peer = peer
         self._deliver = peer.node.entry_points()[0]
+        self._sinks = peer.node.arrival_sinks()
+        self._sink_addr = peer.node.addr
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Recompute ``_plain`` after the link's per_frame flag or the
+        arrival-book slot changed (Link._update_flags, Node._bind_ports)."""
+        self._plain = not self.link.per_frame and self._sinks is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.port_index}] on {self.link.name}>"
@@ -194,7 +223,6 @@ class Port:
         queue = self.queue
         items = queue._items
         if not items:
-            self._completion_posted = False
             return
         packet = items.popleft()
         threshold = queue.threshold
@@ -230,17 +258,16 @@ class Port:
             depth = packet.enq_depth
             if depth > fold[self.port_index]:
                 fold[self.port_index] = depth
-        # rate_factor is 1.0 unless a fault degraded the link; x * 1.0 is
-        # exact, so the fault-free path is byte-identical.
-        link = self.link
-        tx_time = (nbytes * 8.0) / (self._rate * link.rate_factor)
+        # The rate slot holds rate * rate_factor, the product the division
+        # always took (rate_factor is 1.0 unless a fault degraded the link).
+        tx_time = (nbytes * 8.0) / self._rate
         # Software switches (BMv2) forward with noticeable per-packet service
         # variance; the node's jitter factor reproduces it.  Mean unchanged.
         # Jitter-free nodes skip the factor outright: eliding `x *= 1.0` is
         # exact, so the result is bit-identical.
-        node = self.node
-        if node.service_jitter != 0.0:
-            tx_time *= next(node._service_factors)
+        jitter = self._jitter
+        if jitter is not None:
+            tx_time *= next(jitter)
         # The books, written now: readers discount this frame until t1.
         self._sent += 1
         self._bytes += nbytes
@@ -252,27 +279,44 @@ class Port:
         # as post() pushes them, without the call: nothing here lies in the
         # past.
         t1 = self._busy_until = sim._now + tx_time
-        if link.per_frame:
+        sim._seq += 1
+        if self._plain:
+            heappush(
+                self._heap,
+                (t1 + self.link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
+            )
+        elif self.link.per_frame:
             # Completion has semantics of its own: the frame is delivered,
             # or lost on the wire, by its own event at t1.
             self._completion_posted = True
             self._posted += 1
-            sim._seq += 1
             heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (packet,)))
             return
-        heap = self._heap
-        sim._seq += 1
-        heappush(
-            heap,
-            (t1 + link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
-        )
+        elif (
+            packet.dst_port in self._sinks
+            and packet.dst_addr == self._sink_addr
+            and packet.protocol == PROTO_UDP
+            and sim.profiler is None
+        ):
+            # A datagram for a counting sink: booked, not delivered.  It
+            # keeps the sequence number its delivery would have taken.
+            sink = self._sinks[packet.dst_port]
+            book = sink._book
+            book.append((t1 + self.link.propagation_delay, sim._seq, packet))
+            if len(book) > sink._settle_at:
+                sink._settle()
+        else:
+            heappush(
+                self._heap,
+                (t1 + self.link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
+            )
         if self.queue._items:
+            # `_completion_posted` is False here: a frame starts on an idle
+            # serializer, or from the completion event that cleared it.
             self._completion_posted = True
             self._posted += 1
             sim._seq += 1
-            heappush(heap, (t1, sim._seq, None, self._tx_complete_cb, (None,)))
-        else:
-            self._completion_posted = False
+            heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (None,)))
 
     def _tx_complete(self, packet: Optional[Packet]) -> None:
         # A None packet stands for a frame that was handed to the wire when
@@ -281,6 +325,7 @@ class Port:
         if prof is None:
             if packet is not None:
                 self._finish(packet)
+            self._completion_posted = False
             # Inlined _start_next.
             queue = self.queue
             items = queue._items
@@ -290,8 +335,6 @@ class Port:
                 if threshold is not None and len(items) == threshold - 1 and queue.on_threshold:
                     queue.on_threshold(len(items), "down")
                 self._start(packet)
-            else:
-                self._completion_posted = False
             return
         # Phase scopes (profiled runs only): propagate covers the frame
         # leaving the serializer (wire loss-check + delivery scheduling),
@@ -300,6 +343,7 @@ class Port:
         prof.phase_first("propagate")
         if packet is not None:
             self._finish(packet)
+        self._completion_posted = False
         prof.phase_next("dequeue")
         self._start_next()
         prof.phase_end()

@@ -102,6 +102,8 @@ class Node:
         self.service_jitter = jitter
         self._service_rng = rng
         self._service_factors = prefetch(self._service_block)
+        for port in self.ports:
+            port._jitter = self._service_factors if jitter != 0.0 else None
 
     def _service_block(self) -> np.ndarray:
         # Each element-wise operation rounds exactly as the scalar
@@ -148,15 +150,26 @@ class Node:
         recompile)."""
         return self.on_ingress, self.on_egress, None
 
+    def arrival_sinks(self) -> Optional[dict]:
+        """The counting sinks a port sending to this node may book frames
+        for instead of delivering them, by UDP port (see
+        :class:`~repro.simnet.host.Host`); ``None``, the default, books
+        nothing."""
+        return None
+
     def _bind_ports(self) -> None:
         """Rebind the slots that hand this node its frames: its ports'
-        egress slots and fold cells, and its peers' delivery slots."""
+        egress slots and fold cells, and its peers' delivery and arrival
+        book slots."""
         ingress, egress, fold = self.entry_points()
+        sinks = self.arrival_sinks()
         for port in self.ports:
             port._egress = egress
             port._fold = fold
             if port._peer is not None:
                 port._peer._deliver = ingress
+                port._peer._sinks = sinks
+                port._peer._refresh()
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError

@@ -6,19 +6,31 @@ a port queue's ``enqueued`` / ``dequeued`` / ``bytes_enqueued``, a switch's
 ``packets_forwarded`` / ``packets_received``, the INT program's
 ``data_packets_observed`` and its register's ``writes``, a host's
 ``packets_received`` and a packet's ``hop_count`` — are computed from the
-books, the queue contents and the TTL when read.
+books, the queue contents and the TTL when read.  A datagram for a
+``UdpSink`` is not even delivered: the last port books it, and the host's
+``packets_delivered``, the sink's per-flow dicts and ``events_executed``
+read the arrivals at or before now.
 
 Here the per-frame counts are kept the old way, by wrappers installed on
-``Port.send``, ``Port._start`` and ``Host.on_ingress`` before the network is
+``Port.send``, ``Port._start`` and ``Port._finish`` before the network is
 built.  They count and call through, and no packet observer is attached, so
 a data frame still takes the compiled switch's register fold with no egress
-call.  Drawn schedules mix wire loss, probes whose INT stack outgrows their
-padding at the first switch, packets built with a small TTL (some expire in
-the pipeline) and queues that fill and drop.  At drawn instants mid-run and
-at the end, every derived counter must equal its reference, and every
-packet reaching a host must carry the hop count its switch sends say.
+call.  The reference puts every frame's transmit completion and every
+frame's arrival at the instant a per-frame run would dispatch it (the
+delivery posted at the start, or at the completion on a per-frame link),
+and counts the events of a per-frame run from them.  Drawn schedules mix
+wire loss, probes whose INT stack outgrows their padding at the first
+switch, packets built with a small TTL (some expire in the pipeline),
+queues that fill and drop, and datagrams of two flows per sender for each
+host's sink.  At drawn instants mid-run, at the instants of drawn arrivals
+and at the end, every derived counter must equal its reference, and every
+packet reaching a host must carry the hop count its switch sends say.  Two
+mutants of the books must fail it: one never credits a booked arrival, one
+settles an arrival one frame early.  A run that drains its heap must end
+on its last event, as a per-frame run does, booked arrivals included.
 """
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -28,8 +40,10 @@ from hypothesis import strategies as st
 
 from repro.p4.headers import encode_probe_header
 from repro.p4.int_program import MAX_QDEPTH_REGISTER
-from repro.simnet.addressing import PORT_PROBE, PROTO_UDP
+from repro.simnet import flows
+from repro.simnet.addressing import PORT_IPERF, PORT_PROBE, PROTO_UDP
 from repro.simnet.engine import Simulator
+from repro.simnet.flows import UdpSink
 from repro.simnet.host import Host
 from repro.simnet.nic import Port
 from repro.simnet.packet import DEFAULT_TTL, FLAG_PROBE, Packet
@@ -52,25 +66,29 @@ op = st.tuples(
     st.lists(st.sampled_from(SIZES), min_size=1, max_size=12),
     st.sampled_from((None, *PROBE_SIZES)),              # the burst opens with a probe
     st.sampled_from(TTLS),                              # its data frames' TTL
+    st.integers(0, 1),                                  # which of the sender's flows
 )
 
 
 class _Reference:
     """The per-frame counts, kept by the wrappers."""
 
-    def __init__(self):
+    def __init__(self, sim):
+        self.sim = sim
         self.accepted = Counter()       # (node, port) -> frames the queue took
         self.sends = Counter()          # (node, port) -> send calls
         self.bytes = Counter()          # (node, port) -> bytes taken, at send size
         self.started = Counter()        # (node, port) -> frames started
         self.data_started = Counter()   # (node, port) -> non-probe frames started
-        self.arrivals = Counter()       # host -> on_ingress calls
+        self.completions = []           # each frame's transmit-completion instant
+        self.arrivals = []              # (instant, order, node, packet, size)
+        self.events = []                # instants of the schedule's own events
         self.forwards = Counter()       # packet id -> sends by a switch port
         self.mismatches = []
         self.reached = Counter()        # what the run exercised
 
     def install(self, mp):
-        send, start, ingress = Port.send, Port._start, Host.on_ingress
+        send, start, finish = Port.send, Port._start, Port._finish
 
         def counted_send(port, packet):
             key = (port.node.name, port.port_index)
@@ -95,22 +113,35 @@ class _Reference:
             start(port, packet)
             if port._egress is not None and packet.size_bytes != size:
                 self.reached["probe_grew"] += 1
+            self.completions.append(port._busy_until)
+            if not port.link.per_frame:
+                # Delivered at completion + propagation, posted now.
+                self.arrive(port, packet, port._busy_until + port.link.propagation_delay)
 
-        def counted_ingress(host, packet, in_port):
-            self.arrivals[host.name] += 1
-            if packet.dst_addr == host.addr:
-                want = self.forwards[packet.packet_id]
-                if packet.hop_count != want:
-                    self.mismatches.append(
-                        ("hop_count", host.sim.now, packet.packet_id, packet.hop_count, want)
-                    )
-                if packet.built_ttl != DEFAULT_TTL:
-                    self.reached["short_ttl_arrival"] += 1
-            return ingress(host, packet, in_port)
+        def counted_finish(port, packet):
+            lost = port.link.packets_lost
+            finish(port, packet)
+            if port.link.packets_lost == lost:
+                link = port.link
+                self.arrive(port, packet, self.sim.now + (link.propagation_delay + link.extra_delay))
 
         mp.setattr(Port, "send", counted_send)
         mp.setattr(Port, "_start", counted_start)
-        mp.setattr(Host, "on_ingress", counted_ingress)
+        mp.setattr(Port, "_finish", counted_finish)
+
+    def arrive(self, port, packet, at):
+        node = port._peer.node
+        self.arrivals.append((at, len(self.arrivals), node, packet, packet.size_bytes))
+        if not isinstance(node, Host) or packet.dst_addr != node.addr:
+            return
+        want = self.forwards[packet.packet_id]
+        if packet.hop_count != want:
+            self.mismatches.append(("hop_count", at, packet.packet_id, packet.hop_count, want))
+        if packet.built_ttl != DEFAULT_TTL:
+            self.reached["short_ttl_arrival"] += 1
+        sink = node._sinks.get(packet.dst_port)
+        if sink is not None and any(entry[2] is packet for entry in sink._book):
+            self.reached["booked_arrival"] += 1
 
     def compare(self, net):
         now = net.sim.now
@@ -141,24 +172,64 @@ class _Reference:
             )
             if got != want:
                 self.mismatches.append(("switch", now, name, got, want))
+        arrived = sorted(a for a in self.arrivals if a[0] <= now)
         for name, host in net.hosts.items():
-            if host.packets_received != self.arrivals[name]:
-                self.mismatches.append(
-                    ("host", now, name, host.packets_received, self.arrivals[name])
+            mine = [a for a in arrived if a[2] is host]
+            delivered = [
+                a for a in mine
+                if a[3].dst_addr == host.addr
+                and (a[3].protocol, a[3].dst_port) in host._handlers
+            ]
+            got = (host.packets_received, host.packets_delivered)
+            want = (len(mine), len(delivered))
+            if got != want:
+                self.mismatches.append(("host", now, name, got, want))
+            nbytes, npackets, first, last = {}, {}, {}, {}
+            for at, _order, _node, packet, size in delivered:
+                if packet.protocol == PROTO_UDP and packet.dst_port == PORT_IPERF:
+                    fid = packet.flow_id
+                    nbytes[fid] = nbytes.get(fid, 0) + size
+                    npackets[fid] = npackets.get(fid, 0) + 1
+                    first.setdefault(fid, at)
+                    last[fid] = at
+            sink = host._sinks[PORT_IPERF]
+            got = [
+                list(d.items()) for d in (
+                    sink.bytes_by_flow, sink.packets_by_flow,
+                    sink.first_arrival, sink.last_arrival,
                 )
+            ]
+            want = [list(d.items()) for d in (nbytes, npackets, first, last)]
+            if got != want:
+                self.mismatches.append(("sink", now, name, got, want))
+        # A per-frame run's events: the schedule's own, one per transmit
+        # completion and one per arrival, each at or before now.
+        events = (
+            sum(at <= now for at in self.events)
+            + sum(at <= now for at in self.completions)
+            + len(arrived)
+        )
+        if net.sim.events_executed != events:
+            self.mismatches.append(("events", now, net.sim.events_executed, events))
 
 
-def _run(case):
-    """Run ``case`` with the reference wrappers installed; return them."""
+def _run(case, arrival_checks=()):
+    """Run ``case`` with the reference wrappers installed; return them.
+    ``arrival_checks`` picks arrival instants (indices into the sorted
+    arrivals of a first run of the case) to compare at as well."""
     switches, attach, capacity, loss, slowpath, ops, checks = case
-    ref = _Reference()
+    edges = sorted(checks)
+    instants = sorted({a[0] for a in _run(case).arrivals}) if arrival_checks else ()
+    if instants:
+        edges = sorted({*edges, *(instants[i % len(instants)] for i in arrival_checks)})
     with pytest.MonkeyPatch.context() as mp:
         if slowpath:
             mp.setenv("REPRO_SLOWPATH", "1")
         else:
             mp.delenv("REPRO_SLOWPATH", raising=False)
-        ref.install(mp)
         sim = Simulator()
+        ref = _Reference(sim)
+        ref.install(mp)
         net = Network(
             sim, RandomStreams(3), clock_offset_std=0.0, clock_jitter_std=0.0,
             switch_service_jitter=0.15, default_queue_capacity=capacity,
@@ -176,14 +247,15 @@ def _run(case):
         assert (net.switch(names[0])._fast_ingress is None) == slowpath
         assert not any(node.observer for node in [*net.hosts.values(), *net.switches.values()])
         if loss:
+            # Every link but the last host's: its frames can still be booked.
             rng = np.random.default_rng(11)
-            for link in net.links.values():
+            for link in list(net.links.values())[:-1]:
                 link.set_loss(rate=loss, rng=rng)
         for host in hosts:
-            for port in (5, PORT_PROBE):
-                net.host(host).bind(PROTO_UDP, port, lambda p: None)
+            UdpSink(net.host(host), PORT_IPERF)
+            net.host(host).bind(PROTO_UDP, PORT_PROBE, lambda p: None)
 
-        def send(src_name, dst_name, sizes, probe_size, ttl):
+        def send(src_name, dst_name, sizes, probe_size, ttl, flow):
             src, dst = net.host(src_name), net.address_of(dst_name)
             for i, size in enumerate(sizes):
                 if probe_size is not None and i == 0:
@@ -193,25 +265,33 @@ def _run(case):
                     )
                 else:
                     packet = Packet(
-                        src.addr, dst, dst_port=5, size_bytes=size, ttl=ttl,
-                        created_at=sim.now,
+                        src.addr, dst, dst_port=PORT_IPERF, size_bytes=size, ttl=ttl,
+                        flow_id=flow, created_at=sim.now,
                     )
                 src.send(packet)
 
-        for sender, receiver, slot, sizes, probe_size, ttl in ops:
+        for sender, receiver, slot, sizes, probe_size, ttl, flow in ops:
             src = hosts[sender % len(hosts)]
             dst = hosts[receiver % len(hosts)]
             if dst == src:
                 dst = hosts[(receiver + 1) % len(hosts)]
-            sim.schedule_at(slot * SLOT, send, src, dst, sizes, probe_size, ttl)
-        for at in checks:
-            sim.schedule_at(at, ref.compare, net)
+            flow_id = 1 + 2 * hosts.index(src) + flow
+            sim.schedule_at(slot * SLOT, send, src, dst, sizes, probe_size, ttl, flow_id)
+            ref.events.append(slot * SLOT)
+        for at in edges:
+            sim.run(until=at)
+            ref.compare(net)
         sim.run()
         ref.compare(net)
+        # A per-frame run ends on its last event: an arrival, often.
+        last = max([*edges, *ref.events, *ref.completions, *(a[0] for a in ref.arrivals)])
+        if sim.now != last:
+            ref.mismatches.append(("clock", sim.now, last))
         ref.reached["wire_loss"] = sum(link.packets_lost for link in net.links.values())
         ref.reached["pipeline_drop"] = sum(
             sw.packets_dropped_pipeline for sw in net.switches.values()
         )
+        ref.reached["arrival_checks"] = len(set(edges) & {a[0] for a in ref.arrivals})
     return ref
 
 
@@ -223,32 +303,64 @@ def _run(case):
     slowpath=st.booleans(),
     ops=st.lists(op, min_size=1, max_size=20),
     checks=st.lists(st.floats(0.0, 0.012, allow_nan=False), max_size=6),
+    arrival_checks=st.lists(st.integers(0, 10_000), max_size=3),
 )
 @settings(max_examples=60, deadline=None)
 def test_counters_read_from_the_books_equal_per_frame_counts(
-    switches, attach, capacity, loss, slowpath, ops, checks
+    switches, attach, capacity, loss, slowpath, ops, checks, arrival_checks
 ):
-    ref = _run((switches, attach, capacity, loss, slowpath, ops, checks))
+    ref = _run((switches, attach, capacity, loss, slowpath, ops, checks), arrival_checks)
     assert ref.mismatches == []
+
+
+FIXED_OPS = [
+    (0, 1, 0, [1500] * 10, 44, 3, 0),
+    (1, 0, 2, [1200] * 6, 256, 2, 1),
+    (2, 1, 5, [300, 1500, 64], None, DEFAULT_TTL, 0),
+    (0, 2, 30, [1200] * 4, 44, 2, 1),
+    (0, 1, 60, [1500] * 8, None, DEFAULT_TTL, 1),
+    (1, 2, 80, [1500] * 6 + [300] * 3, None, DEFAULT_TTL, 0),
+    (0, 2, 90, [1200] * 4, None, DEFAULT_TTL, 1),
+    *((1, 0, slot, [64], None, 2, slot % 2) for slot in range(100, 400, 50)),
+    *((2, 1, slot, [64], 44, 3, 0) for slot in range(120, 400, 50)),
+]
+FIXED_CASE = (2, [0, 1, 0], 2, 0.2, False, FIXED_OPS, [0.0003, 0.0008, 0.002, 0.004, 0.009])
+FIXED_ARRIVALS = [0, 7, 19, 40]
 
 
 def test_the_property_reaches_the_cases_it_names():
     """One fixed case, so the generator's reach is not taken on faith:
     frames are lost on the wire, a probe outgrows its padding, short-TTL
-    packets both arrive and expire, a queue drops, and a mid-run check
-    finds frames waiting."""
-    ops = [
-        (0, 1, 0, [1500] * 10, 44, 3),
-        (1, 0, 2, [1200] * 6, 256, 2),
-        (2, 1, 5, [300, 1500, 64], None, DEFAULT_TTL),
-        (0, 2, 30, [1200] * 4, 44, 2),
-        *((1, 0, slot, [64], None, 2) for slot in range(100, 400, 50)),
-        *((2, 1, slot, [64], 44, 3) for slot in range(120, 400, 50)),
-    ]
-    ref = _run((2, [0, 1, 0], 2, 0.2, False, ops, [0.0003, 0.0008, 0.002, 0.004, 0.009]))
+    packets both arrive and expire, a queue drops, a mid-run check finds
+    frames waiting, datagrams are booked for a sink, and checks fall on
+    arrival instants."""
+    ref = _run(FIXED_CASE, FIXED_ARRIVALS)
     assert ref.mismatches == []
     for case in (
         "wire_loss", "probe_grew", "short_ttl_arrival", "pipeline_drop",
-        "queue_drop", "frames_waiting",
+        "queue_drop", "frames_waiting", "booked_arrival", "arrival_checks",
     ):
         assert ref.reached[case], case
+
+
+def _settle_without_credit(sink):
+    """Mutant: the due arrivals leave the book, and nothing counts them."""
+    book = sink._book
+    book.sort()
+    del book[:flows.bisect_right(book, (sink.host.sim.now, float("inf")))]
+
+
+def _one_frame_early(book, key):
+    """Mutant: settles the first arrival still in flight along with those due."""
+    return min(len(book), bisect_right(book, key) + 1)
+
+
+@pytest.mark.parametrize("mutant", ["no_arrival_credit", "settles_one_frame_early"])
+def test_the_property_fails_a_mutant_of_the_books(mutant):
+    with pytest.MonkeyPatch.context() as mp:
+        if mutant == "no_arrival_credit":
+            mp.setattr(UdpSink, "_settle", _settle_without_credit)
+        else:
+            mp.setattr(flows, "bisect_right", _one_frame_early)
+        ref = _run(FIXED_CASE, FIXED_ARRIVALS)
+    assert {m[0] for m in ref.mismatches} >= {"host", "sink"}, ref.mismatches[:3]

@@ -2,11 +2,14 @@
 loop it replaced.
 
 ``Simulator.run`` ends a window on a sentinel heap entry (``until``, or a
-``stop()``) instead of testing the heap top and a stop flag per event.  :class:`PeekingSimulator` keeps that earlier loop, test-local, as
-the reference.  Random programs run on both — and on the profiled loop —
-and must agree on the dispatch order, and on ``now``, ``events_executed``
-and ``pending_events()`` read from inside every handler (a sentinel is not
-an event) and after every call.  Programs put events at exactly ``until``
+``stop()``) instead of testing the heap top and a stop flag per event.
+:class:`PeekingSimulator` keeps that earlier loop, test-local, as the
+reference.  Random programs run on both — and on the profiled loop — and
+must agree on the dispatch order, and on ``now``, ``events_executed`` and
+``pending_events()`` read from inside every handler (a sentinel is not an
+event) and after every call.  No loop counts dispatches, so the reference
+also counts its own, one per event, and its derived ``events_executed``
+must equal that count at every read.  Programs put events at exactly ``until``
 and schedule more there from inside the run, stop with followers at the
 same instant (twice in one handler, too), cancel enough far-future handles
 from a handler to compact the heap mid-run, raise from a handler, and run
@@ -29,7 +32,12 @@ BURST = 80                  # far-future handles; cancelling them compacts
 class PeekingSimulator(Simulator):
     """The reference: one heap-top peek and one stop-flag test per event,
     no sentinel entries, and a heap scan before the clock jumps to
-    ``until``."""
+    ``until``.  It counts its dispatches as it makes them, in
+    ``events_counted``; ``events_executed`` is derived, and must equal it."""
+
+    def __init__(self):
+        super().__init__()
+        self.events_counted = 0
 
     def stop(self):
         self._stop_requested = True
@@ -55,7 +63,7 @@ class PeekingSimulator(Simulator):
                         continue
                     handle.fired = True
                 self._now = time
-                self._dispatched += 1
+                self.events_counted += 1
                 fn(*args)
         finally:
             self._running = False
@@ -87,8 +95,14 @@ def drive(sim, events, calls):
     window = {"until": None}
     burst = [sim.schedule_at(1000.0 + i, log.append, ("burst", i)) for i in range(BURST)]
 
+    def counted():
+        # The reference's derived count against the one it took per event.
+        if isinstance(sim, PeekingSimulator):
+            assert sim.events_executed == sim.events_counted
+        return sim.events_executed
+
     def seen(label):
-        log.append((label, sim.now, sim.events_executed, sim.pending_events()))
+        log.append((label, sim.now, counted(), sim.pending_events()))
 
     def child(label):
         seen(label)
@@ -131,7 +145,7 @@ def drive(sim, events, calls):
             outcome = "returned"
         except Boom as exc:
             outcome = f"raised {exc}"
-        log.append(("run", outcome, sim.now, sim.events_executed, sim.pending_events()))
+        log.append(("run", outcome, sim.now, counted(), sim.pending_events()))
     return log
 
 

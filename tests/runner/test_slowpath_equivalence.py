@@ -9,6 +9,7 @@ env var is read at network build time, so flipping it between serial
 in-process runs is enough.
 """
 
+import heapq
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from repro.p4.headers import HOP_RECORD_SIZE, encode_probe_header
 from repro.p4.int_program import MAX_QDEPTH_REGISTER
 from repro.runner import Runner, RunSpec
 from repro.simnet.addressing import PORT_PROBE, PROTO_UDP
+from repro.simnet.flows import UdpSink
 from repro.simnet.packet import FLAG_PROBE
 
 from .conftest import fig5_grid_specs
@@ -45,8 +47,9 @@ class TestSlowpathEquivalence:
 
     def test_fast_path_engages_by_default(self, monkeypatch):
         """Guard against silently testing slow-vs-slow: a default-built
-        switch carries compiled closures and its ports elide the completion
-        event of a frame nothing waits behind."""
+        switch carries compiled closures, its ports elide the completion
+        event of a frame nothing waits behind, and its port facing a host
+        books a datagram for the host's UdpSink instead of delivering it."""
         monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
         from repro.simnet.engine import Simulator
         from repro.simnet.random import RandomStreams
@@ -85,6 +88,24 @@ class TestSlowpathEquivalence:
         assert switch.program.probes_processed == 1
         assert len(probe.payload) == len(encode_probe_header(0)) + HOP_RECORD_SIZE
         assert probe.int_link_latency is None and probe.last_egress_ts is not None
+
+        # ... and the port facing a host books a datagram for its UdpSink:
+        # the hop leaves no delivery event on the heap, and the arrival is
+        # still counted once it is due.
+        monkeypatch.undo()
+        sim.run()
+        sink = UdpSink(net.host("h2"))
+        before = sim.events_executed
+        datagram = h1.new_packet(net.address_of("h2"), dst_port=sink.port, size_bytes=1000)
+        h1.send(datagram)
+        time, _seq, _handle, fn, args = heapq.heappop(sim._heap)
+        sim._now = time
+        fn(*args)
+        assert sim._heap == [] and [e[2] for e in sink._book] == [datagram]
+        sim.run()
+        assert sink.packets_by_flow == {datagram.flow_id: 1}
+        # Two elided completions, the switch hop and the booked arrival.
+        assert sim.events_executed == before + 4
 
 
 def _probe_dense_spec(label, **changes):

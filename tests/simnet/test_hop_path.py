@@ -9,7 +9,8 @@ The staged ``Switch.on_ingress``
 and ``Switch.on_egress`` are the oracle and the path of uncompiled programs,
 never a trampoline.  Whether a frame's transmit completion must be its own
 event is one flag per link, kept current by the link's setters and by
-arming a fault injector.
+arming a fault injector.  The hop routes by a per-destination slot that a
+route set after compile refreshes.
 """
 
 import heapq
@@ -174,3 +175,77 @@ class TestPerFrameFlag:
         link.set_degradation()
         link.set_up(True)
         assert link.per_frame
+
+
+class TestRouteSlot:
+    """The compiled hop takes its egress port from a per-destination slot
+    (``ExactMatchTable.resolved``), not from the entry.  A route set after
+    compile must reach the next frame, and a destination no entry holds
+    must still count a miss per frame."""
+
+    UNKNOWN = 999
+
+    def _run(self, monkeypatch, slowpath=False):
+        """h1 sends a frame to h2; h2's route is re-pointed at h3's port;
+        h1 sends to h2 again, then twice to an address no entry holds.
+        Returns the frames each switch port sent, the frames h2 and h3
+        took, the table's misses and the switch's pipeline drops."""
+        if slowpath:
+            monkeypatch.setenv("REPRO_SLOWPATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
+        sim = Simulator()
+        net = Network(sim, RandomStreams(0))
+        hosts = ("h1", "h2", "h3")
+        for host in hosts:
+            net.add_host(host)
+        net.add_switch("s01")
+        for host in hosts:
+            net.attach_host(host, "s01", fabric_rate_bps=mbps(20), delay=ms(10))
+        net.finalize()
+        switch = net.switch("s01")
+        assert (switch._fast_ingress is None) == slowpath
+        table = switch.program.forward_table
+        h1, h2, h3 = (net.host(name) for name in hosts)
+        toward_h3 = table.entries()[h3.addr][1]["port"]
+
+        def send(dst):
+            h1.send(h1.new_packet(dst, dst_port=5, size_bytes=500))
+
+        def repoint():
+            table.set_entry(h2.addr, "forward", port=toward_h3)
+
+        sim.schedule_at(0.0, send, h2.addr)
+        sim.schedule_at(0.1, repoint)
+        sim.schedule_at(0.2, send, h2.addr)
+        sim.schedule_at(0.3, send, self.UNKNOWN)
+        sim.schedule_at(0.4, send, self.UNKNOWN)
+        sim.run()
+        return (
+            [port.packets_sent for port in switch.ports],
+            (h2.packets_received, h3.packets_misrouted),
+            table.misses,
+            switch.packets_dropped_pipeline,
+        )
+
+    def _expected(self):
+        # The switch ports face h1, h2, h3 in that order: the first frame
+        # leaves toward h2, the re-pointed one toward h3.
+        return [0, 1, 1], (1, 1), 2, 2
+
+    @pytest.mark.parametrize("slowpath", [False, True], ids=["compiled", "staged"])
+    def test_a_route_set_after_compile_reaches_the_next_frame(self, monkeypatch, slowpath):
+        assert self._run(monkeypatch, slowpath) == self._expected()
+
+    def test_a_slot_never_refreshed_fails_it(self, monkeypatch):
+        """The same run with ``set_entry`` leaving the slot alone: the
+        re-pointed frame still leaves toward h2."""
+        from repro.p4.tables import ExactMatchTable
+
+        def stale_set_entry(table, key, action, **params):
+            table._entries[key] = (action, params)
+
+        monkeypatch.setattr(ExactMatchTable, "set_entry", stale_set_entry)
+        got = self._run(monkeypatch)
+        assert got != self._expected()
+        assert got[:2] == ([0, 2, 0], (2, 0))
