@@ -8,13 +8,34 @@ extends ordinary forwarding.
 
 from __future__ import annotations
 
+from typing import Any, Dict, Hashable
+
 from repro.errors import DataPlaneError
 from repro.p4.pipeline import P4Program, PipelineContext
+from repro.p4.tables import ExactMatchTable
 from repro.simnet.packet import FLAG_PROBE
 
-__all__ = ["PlainForwardingProgram", "FORWARD_TABLE"]
+__all__ = ["PlainForwardingProgram", "RouteTable", "FORWARD_TABLE"]
 
 FORWARD_TABLE = "ipv4_forward"
+
+
+class RouteTable(ExactMatchTable):
+    """The forwarding table with the compiled hop's route slots: ``routes``
+    maps a destination to the egress port the hop resolved from its entry.
+    Writing a destination's entry drops its slot."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
+        self.routes: Dict[Hashable, Any] = {}
+
+    def add_entry(self, key: Hashable, action: str, **params: Any) -> None:
+        super().add_entry(key, action, **params)
+        self.routes.pop(key, None)
+
+    def set_entry(self, key: Hashable, action: str, **params: Any) -> None:
+        super().set_entry(key, action, **params)
+        self.routes.pop(key, None)
 
 
 class PlainForwardingProgram(P4Program):
@@ -22,7 +43,7 @@ class PlainForwardingProgram(P4Program):
 
     def __init__(self) -> None:
         super().__init__()
-        self.forward_table = self.declare_table(FORWARD_TABLE, default_action="drop")
+        self.forward_table = self.tables[FORWARD_TABLE] = RouteTable(FORWARD_TABLE)
 
     def ingress(self, ctx: PipelineContext) -> None:
         # "routing" phase scope: TTL check + the ipv4_forward exact-match
@@ -45,12 +66,7 @@ class PlainForwardingProgram(P4Program):
 
     # Control-plane helper used by the routing module.
     def install_route(self, dst_addr: int, port_index: int) -> None:
-        table = self.forward_table
-        table.set_entry(dst_addr, "forward", port=port_index)
-        ports = self.switch.ports if self.switch is not None else ()
-        if 0 <= port_index < len(ports):
-            # Fill the compiled hop's route slot now, not on the first frame.
-            table.resolved[dst_addr] = ports[port_index]
+        self.forward_table.set_entry(dst_addr, "forward", port=port_index)
 
     # -- fast path ----------------------------------------------------------
 
@@ -65,19 +81,19 @@ class PlainForwardingProgram(P4Program):
         packet's hop count are reads of the ports' books and the TTL, so the
         hop writes none of them.
 
-        The route is a slot: the table's ``resolved`` dict maps a
-        destination to its egress :class:`~repro.simnet.nic.Port`, filled by
-        :meth:`install_route` or by the first frame to take a ``forward``
-        entry.  ``set_entry`` drops the destination's slot, so a route set
-        after compile reaches the next frame; a miss, or a drop entry, takes
-        the exact-match lookup every time, and each miss is counted.
+        The route is a slot: :attr:`RouteTable.routes` maps a destination
+        to its egress :class:`~repro.simnet.nic.Port`, filled by the first
+        frame to take its ``forward`` entry.  ``set_entry`` drops the
+        destination's slot, so a route set after compile reaches the next
+        frame; a miss, or a drop entry, takes the exact-match lookup every
+        time, and each miss is counted.
 
         One plain body and one phase-protocol body with the scopes of the
         staged ``Switch.on_ingress`` (p4_pipeline, then enqueue around the
         send); profiles name the closure after that handler."""
         table = self.forward_table
         entries = table._entries
-        routes = table.resolved
+        routes = table.routes
         switch = self.switch
         sim = switch.sim
         ports = switch.ports
@@ -85,14 +101,15 @@ class PlainForwardingProgram(P4Program):
 
         def route(dst):
             """The exact-match lookup behind an empty slot: the egress port,
-            or None to drop."""
+            now in the slot, or None to drop (a miss takes the table's
+            default action, drop)."""
             entry = entries.get(dst)
             if entry is None:
                 table.misses += 1
-                entry = table.default_action
             elif entry[0] == "forward":
-                routes[dst] = ports[entry[1]["port"]]
-            return ports[entry[1]["port"]] if entry[0] == "forward" else None
+                port = routes[dst] = ports[entry[1]["port"]]
+                return port
+            return None
 
         def hop(packet, in_port) -> None:
             prof = sim.profiler

@@ -27,20 +27,15 @@ class ExactMatchTable:
         # Misses only: a hit count is a switch's forward count, which the
         # switch's ports already keep.
         self.misses = 0
-        # What a data plane derived from an entry, by key (a compiled hop's
-        # egress port); writing a key's entry drops its value here.
-        self.resolved: Dict[Hashable, Any] = {}
 
     def add_entry(self, key: Hashable, action: str, **params: Any) -> None:
         if key in self._entries:
             raise DataPlaneError(f"table {self.name!r}: duplicate entry for key {key!r}")
         self._entries[key] = (action, params)
-        self.resolved.pop(key, None)
 
     def set_entry(self, key: Hashable, action: str, **params: Any) -> None:
         """Insert-or-update (control planes re-programming routes use this)."""
         self._entries[key] = (action, params)
-        self.resolved.pop(key, None)
 
     def lookup(self, key: Hashable) -> TableEntry:
         entry = self._entries.get(key)

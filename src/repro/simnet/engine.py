@@ -639,9 +639,9 @@ class Simulator:
             # The heap drained; the last arrivals booked for a sink, if any,
             # are the run's last events.
             for sink in self._sinks:
-                for arrival, _seq, _packet in sink._book:
-                    if arrival > self._now:
-                        self._now = arrival
+                last = sink.last_booked()
+                if last is not None and last > self._now:
+                    self._now = last
         if profiler is not None:
             # The profiled loop counted its dispatches; add the credits.
             profiler.events_total += self.events_executed - counted - executed

@@ -24,9 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import Counter
 from heapq import heappush
-from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
@@ -58,13 +56,9 @@ MSS = MTU - HEADER_OVERHEAD  # payload bytes per full segment
 _flow_ids = itertools.count(1)
 
 # UdpSink's arrival books: frames booked past those in flight before a
-# settle, and the fields a settle reads in C.
+# settle.
 _BOOK_BATCH = 64
 _INF = float("inf")
-_ARRIVAL = itemgetter(0)
-_PACKET = itemgetter(2)
-_FLOW_ID = attrgetter("flow_id")
-_SIZE = attrgetter("size_bytes")
 
 
 def reset_flow_ids() -> None:
@@ -253,30 +247,27 @@ class UdpSink:
         self._first.setdefault(fid, now)
         self._last[fid] = now
 
+    def last_booked(self) -> Optional[float]:
+        """The instant of the last arrival on the book, or None."""
+        return max(self._book)[0] if self._book else None
+
     def _settle(self) -> None:
-        """Count the booked arrivals at or before now as ``_on_packet``
-        would have, one batch at a time: the per-flow sums over distinct
-        ``(flow, size)`` pairs, the last arrival of each flow by one
-        ``dict.update``."""
+        """Count the booked arrivals at or before now, in arrival order,
+        as ``_on_packet`` would have at each one's instant."""
         book = self._book
         book.sort()  # one sender per single-homed host: already in order
         due = bisect_right(book, (self.host.sim._now, _INF))
-        self._settle_at = len(book) - due + _BOOK_BATCH
-        if not due:
-            return
-        arrived = book[:due]
+        nbytes, npackets, first, last = self._bytes, self._packets, self._first, self._last
+        for arrival, _seq, packet in book[:due]:
+            fid = packet.flow_id
+            nbytes[fid] = nbytes.get(fid, 0) + packet.size_bytes
+            npackets[fid] = npackets.get(fid, 0) + 1
+            if fid not in first:
+                first[fid] = arrival
+            last[fid] = arrival
         del book[:due]
         self.host._delivered += due
-        times = list(map(_ARRIVAL, arrived))
-        packets = list(map(_PACKET, arrived))
-        flows = list(map(_FLOW_ID, packets))
-        nbytes, npackets, first = self._bytes, self._packets, self._first
-        for (fid, size), n in Counter(zip(flows, map(_SIZE, packets))).items():
-            nbytes[fid] = nbytes.get(fid, 0) + size * n
-            npackets[fid] = npackets.get(fid, 0) + n
-            if fid not in first:
-                first[fid] = times[flows.index(fid)]
-        self._last.update(zip(flows, times))
+        self._settle_at = len(book) + _BOOK_BATCH
 
     def _unbook(self) -> None:
         """Post the booked arrivals still in flight as delivery events,

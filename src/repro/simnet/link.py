@@ -198,9 +198,6 @@ class Link:
             or self.impaired
             or self.extra_delay != 0.0
         )
-        for port in (self.port_a, self.port_b):
-            if port is not None:
-                port._refresh()
 
     def should_drop(self, packet) -> bool:
         """Fault check at transmission completion: True when this frame is

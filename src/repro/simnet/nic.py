@@ -30,11 +30,11 @@ link's ``per_frame`` flag says (see :class:`~repro.simnet.link.Link`):
 wire-loss draws and link state are then read at ``t1``, and a frame lost on
 the wire takes its bytes back.  The arrival case goes one step further: a
 UDP datagram leaving for a host whose destination port a
-:class:`~repro.simnet.flows.UdpSink` holds (the host unobserved, the run
-unprofiled) is not delivered by an event at all.  The port books it with
-the sink under the sequence number its delivery would have taken, and the
-sink's counters, the host's ``packets_delivered`` and ``events_executed``
-read the arrivals at or before now.  On a ``per_frame`` link every frame
+:class:`~repro.simnet.flows.UdpSink` holds (the host unobserved) is not
+delivered by an event at all.  The port books it with the sink under the
+sequence number its delivery would have taken, and the sink's counters, the
+host's ``packets_delivered`` and ``events_executed`` read the arrivals at or
+before now.  On a ``per_frame`` link every frame
 still has a delivery event of its own.
 
 **The hop.**  A frame's life is a short chain of frames: the engine pops the
@@ -111,12 +111,8 @@ class Port:
         self._jitter = node._service_factors if node.service_jitter != 0.0 else None
         # The arrival books' slots (Link.attach, Node._bind_ports): the peer
         # host's counting sinks by UDP port, or None, and its address.
-        # `_plain` says neither the link's per_frame flag nor the books
-        # apply: a frame's delivery is pushed as it starts, with no other
-        # test (see _refresh).
         self._sinks: Optional[dict] = None
         self._sink_addr: Optional[int] = None
-        self._plain = True
         # `_fold` is what a data frame's start does in place of the `_egress`
         # call: None makes the call for every frame; a register's value list
         # takes the frame's enq_depth as a max into cell `port_index`; an
@@ -160,12 +156,6 @@ class Port:
         self._deliver = peer.node.entry_points()[0]
         self._sinks = peer.node.arrival_sinks()
         self._sink_addr = peer.node.addr
-        self._refresh()
-
-    def _refresh(self) -> None:
-        """Recompute ``_plain`` after the link's per_frame flag or the
-        arrival-book slot changed (Link._update_flags, Node._bind_ports)."""
-        self._plain = not self.link.per_frame and self._sinks is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}[{self.port_index}] on {self.link.name}>"
@@ -223,6 +213,7 @@ class Port:
         queue = self.queue
         items = queue._items
         if not items:
+            self._completion_posted = False
             return
         packet = items.popleft()
         threshold = queue.threshold
@@ -279,44 +270,40 @@ class Port:
         # as post() pushes them, without the call: nothing here lies in the
         # past.
         t1 = self._busy_until = sim._now + tx_time
+        link = self.link
         sim._seq += 1
-        if self._plain:
-            heappush(
-                self._heap,
-                (t1 + self.link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
-            )
-        elif self.link.per_frame:
+        if link.per_frame:
             # Completion has semantics of its own: the frame is delivered,
             # or lost on the wire, by its own event at t1.
             self._completion_posted = True
             self._posted += 1
             heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (packet,)))
             return
-        elif (
-            packet.dst_port in self._sinks
+        if (
+            self._sinks is not None
+            and packet.dst_port in self._sinks
             and packet.dst_addr == self._sink_addr
             and packet.protocol == PROTO_UDP
-            and sim.profiler is None
         ):
             # A datagram for a counting sink: booked, not delivered.  It
             # keeps the sequence number its delivery would have taken.
             sink = self._sinks[packet.dst_port]
             book = sink._book
-            book.append((t1 + self.link.propagation_delay, sim._seq, packet))
+            book.append((t1 + link.propagation_delay, sim._seq, packet))
             if len(book) > sink._settle_at:
                 sink._settle()
         else:
             heappush(
                 self._heap,
-                (t1 + self.link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
+                (t1 + link.propagation_delay, sim._seq, None, self._deliver, (packet, self._peer)),
             )
         if self.queue._items:
-            # `_completion_posted` is False here: a frame starts on an idle
-            # serializer, or from the completion event that cleared it.
             self._completion_posted = True
             self._posted += 1
             sim._seq += 1
             heappush(self._heap, (t1, sim._seq, None, self._tx_complete_cb, (None,)))
+        else:
+            self._completion_posted = False
 
     def _tx_complete(self, packet: Optional[Packet]) -> None:
         # A None packet stands for a frame that was handed to the wire when
@@ -325,7 +312,6 @@ class Port:
         if prof is None:
             if packet is not None:
                 self._finish(packet)
-            self._completion_posted = False
             # Inlined _start_next.
             queue = self.queue
             items = queue._items
@@ -335,6 +321,8 @@ class Port:
                 if threshold is not None and len(items) == threshold - 1 and queue.on_threshold:
                     queue.on_threshold(len(items), "down")
                 self._start(packet)
+            else:
+                self._completion_posted = False
             return
         # Phase scopes (profiled runs only): propagate covers the frame
         # leaving the serializer (wire loss-check + delivery scheduling),
@@ -343,7 +331,6 @@ class Port:
         prof.phase_first("propagate")
         if packet is not None:
             self._finish(packet)
-        self._completion_posted = False
         prof.phase_next("dequeue")
         self._start_next()
         prof.phase_end()

@@ -169,7 +169,6 @@ class Node:
             if port._peer is not None:
                 port._peer._deliver = ingress
                 port._peer._sinks = sinks
-                port._peer._refresh()
 
     def on_ingress(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError

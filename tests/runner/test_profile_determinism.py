@@ -177,25 +177,26 @@ class TestPhaseTaxonomyGolden:
     """The profiler's phase taxonomy is a contract: which paths exist, how
     often each closes, and how every scope was opened (the overhead model's
     clock-read count).  Handlers may change *how* they account phases, never
-    *what* is accounted.  Recorded while the four hottest handlers still
-    carried hand-inlined accounting; the generic protocol matches it."""
+    *what* is accounted.  Re-recorded when a datagram reaching a counting
+    sink stopped being an event: only the ``Host.on_ingress`` count and its
+    ``demux`` / ``flow`` phases moved, by one per booked arrival."""
 
     GOLDEN = {
         "fig5": {
-            "phases": "3e9db3cc535f45cfa32cea49ed4471cd3989abc14e5c368f79f2cec60dd122eb",
-            "handlers": "8b74d154cec07daa4f85a2cbee34a0865fb448312dba761b7f405818c4240801",
-            "phase_firsts": 177687,
-            "phase_nexts": 177687,
-            "phase_pairs": 409693,
-            "clock_reads": 464012,
+            "phases": "03f35a7ea9eda0bd3e67438172227ffdf5f43a44bd316aecae6d82c97387800a",
+            "handlers": "c93cfd6a41d64e9e2eef1d217a12864bbe4cd3bf9118611662ec55af1d7bf5e4",
+            "phase_firsts": 163424,
+            "phase_nexts": 163424,
+            "phase_pairs": 381167,
+            "clock_reads": 435486,
         },
         "fig7": {
-            "phases": "4cc3599e6ab01809e15f11b07b908b536adbede7d5965dc105c64f19367fc40b",
-            "handlers": "00f94a88f9be31f8cb57f42041e559f7a515e668719b5811f3c270d8be7051e9",
-            "phase_firsts": 183694,
-            "phase_nexts": 183692,
-            "phase_pairs": 404690,
-            "clock_reads": 441994,
+            "phases": "11e8075377b79c8ef66ed9166fbe9b257c4dc1d8c96488a4f4455b4e80fb53c9",
+            "handlers": "1df5e67fc525f3cad17351a66db2dc7e0cf1a7301af481dcb90da08ceb36f45a",
+            "phase_firsts": 171066,
+            "phase_nexts": 171064,
+            "phase_pairs": 379434,
+            "clock_reads": 416738,
         },
     }
 

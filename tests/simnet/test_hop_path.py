@@ -84,12 +84,16 @@ class TestSlots:
 
 def _hop_calls(monkeypatch, drawn, flags=0):
     """The Python calls of one delivery dispatched by hand, after ``drawn``
-    service factors were taken from the switch's stream."""
+    service factors were taken from the switch's stream.  A first frame to
+    the same host, run through, fills the hop's route slot and takes the
+    first of those factors."""
     sim, net = _build(monkeypatch)
     switch = net.switch("s01")
-    for _ in range(drawn):
-        switch.service_time_factor()
     h1 = net.host("h1")
+    h1.send(h1.new_packet(net.address_of("h2"), dst_port=5, size_bytes=1200))
+    sim.run()
+    for _ in range(drawn - 1):
+        switch.service_time_factor()
     payload = encode_probe_header(0) if flags else None
     h1.send(h1.new_packet(
         net.address_of("h2"), dst_port=5, size_bytes=1200, flags=flags, payload=payload,
@@ -179,7 +183,7 @@ class TestPerFrameFlag:
 
 class TestRouteSlot:
     """The compiled hop takes its egress port from a per-destination slot
-    (``ExactMatchTable.resolved``), not from the entry.  A route set after
+    (``RouteTable.routes``), not from the entry.  A route set after
     compile must reach the next frame, and a destination no entry holds
     must still count a miss per frame."""
 
@@ -240,12 +244,10 @@ class TestRouteSlot:
     def test_a_slot_never_refreshed_fails_it(self, monkeypatch):
         """The same run with ``set_entry`` leaving the slot alone: the
         re-pointed frame still leaves toward h2."""
+        from repro.p4.forwarding import RouteTable
         from repro.p4.tables import ExactMatchTable
 
-        def stale_set_entry(table, key, action, **params):
-            table._entries[key] = (action, params)
-
-        monkeypatch.setattr(ExactMatchTable, "set_entry", stale_set_entry)
+        monkeypatch.setattr(RouteTable, "set_entry", ExactMatchTable.set_entry)
         got = self._run(monkeypatch)
         assert got != self._expected()
         assert got[:2] == ([0, 2, 0], (2, 0))
