@@ -311,11 +311,16 @@ _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.
 
 
 def count_ops(
-    fn: Callable[[], Any], counts: Optional[Dict[str, int]] = None
+    fn: Callable[[], Any],
+    counts: Optional[Dict[str, int]] = None,
+    calls: Optional[Dict[str, int]] = None,
 ) -> Dict[str, int]:
     """Call ``fn()`` and count the bytecodes it executes in each function
     of the ``repro`` package, keyed ``module:qualname``; code outside the
-    package is not counted.  Counts add into ``counts`` when given.
+    package is not counted.  Counts add into ``counts`` when given.  With
+    ``calls``, each function's Python calls (frames entered; a generator's
+    resumptions count too) add into it under the same keys: a layer whose
+    saving is calls, not bytecodes, shows there.
 
     Uses ``sys.settrace`` with per-opcode events, so the call runs many
     times slower; the previous trace function is restored afterwards.  The
@@ -332,6 +337,8 @@ def count_ops(
             name = names[code] = _function_name(code)
         if name is None:
             return None
+        if calls is not None:
+            calls[name] = calls.get(name, 0) + 1
         frame.f_trace_opcodes = True
 
         def on_event(frame, event, arg):

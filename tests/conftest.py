@@ -1,13 +1,15 @@
-"""Shared fixtures: simulators and small reference networks."""
+"""Shared fixtures: simulators, small networks and the session's cell cache."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.runner import ResultCache
 from repro.simnet.engine import Simulator
 from repro.simnet.random import RandomStreams
 from repro.simnet.topology import Network
 from repro.units import mbps, ms
+from tests import goldens
 
 
 @pytest.fixture
@@ -64,3 +66,11 @@ def quiet_network_factory(sim):
         )
 
     return make
+
+
+@pytest.fixture(scope="session")
+def cell_runner(tmp_path_factory):
+    """``cell_runner(observe=None)``: a serial Runner over one result cache
+    per session, so each distinct spec is simulated at most once.  Tests of
+    executor or cache semantics build their own Runner."""
+    return goldens.cell_runner_over(ResultCache(str(tmp_path_factory.mktemp("cells"))))

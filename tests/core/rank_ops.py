@@ -1,5 +1,5 @@
-"""Bytecodes per ``rank()`` and per ``ingest_probe()`` call on the fresh
-rank-golden stream, per function.
+"""Bytecodes and Python calls per ``rank()`` and per ``ingest_probe()`` call
+on the fresh rank-golden stream, per function.
 
     PYTHONPATH=src python -m tests.core.rank_ops [--out rank_ops.txt]
 
@@ -13,19 +13,24 @@ import argparse
 import platform
 import sys
 
-from tests.core.test_rank_golden import fresh_stream
+from tests.goldens import fresh_stream
 
 
-def table(counts, calls, call="rank()"):
-    """One line per function, most bytecodes first: total and per call."""
+def table(counts, frames, calls, call="rank()"):
+    """One line per function, most bytecodes first: its bytecodes and its
+    Python calls (``frames``), each in total and per ``call``."""
     lines = [
         f"python {platform.python_version()}; {calls} {call} calls",
-        f"{'bytecodes':>12}  {'per call':>9}  function",
+        f"{'bytecodes':>12}  {'per call':>9}  {'calls':>9}  {'per call':>9}  function",
     ]
+
+    def row(count, entered, name):
+        return (f"{count:>12}  {count / calls:>9.1f}  "
+                f"{entered:>9}  {entered / calls:>9.2f}  {name}")
+
     for name, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-        lines.append(f"{count:>12}  {count / calls:>9.1f}  {name}")
-    total = sum(counts.values())
-    lines.append(f"{total:>12}  {total / calls:>9.1f}  total")
+        lines.append(row(count, frames.get(name, 0), name))
+    lines.append(row(sum(counts.values()), sum(frames.values()), "total"))
     return "\n".join(lines) + "\n"
 
 
@@ -33,9 +38,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the table to this file")
     args = parser.parse_args(argv)
-    counts, ingest_counts = {}, {}
-    results, ingested, _quarantined = fresh_stream(counts, ingest_counts)
-    text = table(counts, len(results)) + "\n" + table(ingest_counts, ingested, "ingest_probe()")
+    counts, ingest_counts, frames, ingest_frames = {}, {}, {}, {}
+    results, ingested, _quarantined = fresh_stream(counts, ingest_counts, frames, ingest_frames)
+    text = (
+        table(counts, frames, len(results)) + "\n"
+        + table(ingest_counts, ingest_frames, ingested, "ingest_probe()")
+    )
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,11 +1,17 @@
-"""Dashboard renderer: self-containment, determinism, section content."""
+"""Dashboard renderer: self-containment, determinism, section content.
 
-import hashlib
+The two-run export's digest was recorded on the commit before run keys were
+computed once per label set, and the page's re-recorded when its tables
+became the text report's lines; both live in ``tests/goldens.json`` under
+``dashboard/two-run`` (runs in ``tests/goldens.py``).
+"""
+
 import re
 
 import pytest
 
 from repro.obs.dashboard import render_dashboard, write_dashboard
+from tests import goldens
 
 
 def _sample_records():
@@ -342,42 +348,12 @@ class TestWhatifSections:
         assert render_dashboard(records) == render_dashboard(records[::-1])
 
 
-# sha256 of the two-run export below, recorded on the commit before run
-# keys were computed once per label set, and of the page rendered from it,
-# re-recorded when the page's tables became the text report's lines.
-# Pinned to the toolchain like tests/obs/test_observed_export_golden.py: if
-# float formatting or the RNG streams move, re-record from a checkout of
-# that commit.
-TWO_RUN_EXPORT_SHA256 = "ebf63aa3a906499a0386fdb0f676368d7b2c8227851184f7972708f7540c2863"
-TWO_RUN_PAGE_SHA256 = "a20c2dcbbbf40ab7300490b3f694577c1510c91162e3f27cabfe43e0f420ae95"
-
-
 @pytest.mark.slow
-def test_two_run_page_matches_recorded_digest(tmp_path):
+def test_two_run_page_matches_recorded_digest(cell_runner):
     """Two fully observed runs in one file, read back and rendered: the run
     list, every per-run chart title and every sort by run key go through
-    the run-key code, and the page must come out byte for byte."""
-    from repro.edge.task import SizeClass
-    from repro.experiments.harness import ExperimentConfig, ExperimentScale, run_experiment
-    from repro.obs import Observability
-    from repro.obs.export import read_jsonl, write_jsonl
-
-    scale = ExperimentScale(
-        size_scale=0.05, total_tasks=6, mean_interarrival=0.4, time_scale=0.08
-    )
-    path = str(tmp_path / "two.jsonl")
-    for policy, seed in (("aware", 3), ("nearest", 4)):
-        obs = Observability(
-            run={"policy": policy, "seed": seed}, trace=True, sample_interval=0.1,
-            telquality=True, whatif=True,
-        )
-        run_experiment(
-            ExperimentConfig(scale=scale, seed=seed, size_class=SizeClass.S, policy=policy),
-            obs=obs,
-        )
-        write_jsonl(obs.snapshot_records(), path, append=policy != "aware")
-    with open(path, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == TWO_RUN_EXPORT_SHA256
-    page = render_dashboard(read_jsonl(path))
+    the run-key code, and the export and the page must come out byte for
+    byte (``dashboard/two-run`` in ``tests/goldens.json``)."""
+    values, page = goldens.CELLS["dashboard/two-run"](cell_runner)
     assert page.count("<code>{&quot;policy&quot;:") >= 2    # both runs listed
-    assert hashlib.sha256(page.encode()).hexdigest() == TWO_RUN_PAGE_SHA256
+    assert values == goldens.recorded("dashboard/two-run")

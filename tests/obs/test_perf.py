@@ -153,6 +153,19 @@ class TestCountOps:
         }
         assert all(count > 0 for count in counts.values())
 
+    def test_calls_count_frames_entered_beside_unchanged_bytecodes(self):
+        calls = {}
+        counts = count_ops(self._learn, calls=calls)
+        assert counts == count_ops(self._learn)
+        assert calls == {
+            "repro.core.topology_inference:InferredTopology.__init__": 1,
+            "repro.core.topology_inference:InferredTopology.observe_path": 1,
+            "repro.core.topology_inference:InferredTopology.path": 1,
+            "repro.core.topology_inference:InferredTopology._paths_from": 1,
+            "repro.telemetry.records:host_node": 4,
+            "repro.telemetry.records:switch_node": 1,
+        }
+
     def test_equal_work_equal_counts_and_accumulation(self):
         once = count_ops(self._learn)
         assert count_ops(self._learn) == once

@@ -1,19 +1,17 @@
 """The runner tests' shared grids.
 
 :func:`smoke_grid` is four cells (aware / nearest x class VS / S, seed 3,
-smoke scale); the ``observed_grid`` fixture runs them serially under one
-observe mapping the first time a test asks and hands every later caller the
-same results.  :func:`fig5_grid_specs` is the whole Fig. 5 grid at smoke
+smoke scale), which tests run serially through the session's
+``cell_runner`` (``tests/conftest.py``), so each observe mapping's grid is
+simulated once.  :func:`fig5_grid_specs` is the whole Fig. 5 grid at smoke
 scale, every size class x every policy.
 """
 
 from dataclasses import replace
 
-import pytest
-
 from repro.experiments.comparison import ALL_CLASSES, DEFAULT_POLICIES, FIG5_CONFIG
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
-from repro.runner import Runner, RunSpec, canonical_json, expand_grid
+from repro.runner import RunSpec, canonical_json, expand_grid
 
 
 def smoke_grid(labeled=False):
@@ -27,21 +25,6 @@ def smoke_grid(labeled=False):
         )) if labeled else spec
         for spec in cells
     ]
-
-
-@pytest.fixture(scope="session")
-def observed_grid():
-    """``observed_grid(observe=None, labeled=False)``: the serial results of
-    :func:`smoke_grid` under ``observe``, computed once per session."""
-    results = {}
-
-    def run(observe=None, labeled=False):
-        key = (canonical_json(observe or {}), labeled)
-        if key not in results:
-            results[key] = Runner(jobs=1, observe=observe).run(smoke_grid(labeled))
-        return results[key]
-
-    return run
 
 
 def fig5_grid_specs():

@@ -1,70 +1,30 @@
 """Profiling determinism: observing the engine must never perturb it.
 
-Tentpole acceptance tests for phase-level profiling: a profiled grid run
-(``--profile``, and ``--mem-profile`` on top) must produce payloads
-byte-identical to the unprofiled execution — the profile rides in result
-provenance only — and profiled runs stay byte-identical across serial,
-``jobs=4``, and cache-round-trip executions.
+The profile rides in result provenance.  The registry-wide checks (profiled
+payloads equal plain ones across serial, ``jobs=4`` and cached runs) live in
+``test_observer_determinism.py``; the phase taxonomy's digests and counts
+live in ``tests/goldens.json`` under ``profile-taxonomy/<figure>``.
 """
 
-import hashlib
 import json
 
 import pytest
 
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
-from repro.runner import ResultCache, Runner, RunSpec
-
-pytestmark = pytest.mark.slow
-
+from repro.runner import Runner, RunSpec
+from tests import goldens
 
 from .conftest import smoke_grid as _grid
+
+pytestmark = pytest.mark.slow
 
 PROFILE = {"profile": True}
 MEM_PROFILE = {"mem_profile": True}
 
 
-@pytest.fixture
-def plain_results(observed_grid):
-    return observed_grid()
-
-
-@pytest.fixture
-def profiled_results(observed_grid):
-    return observed_grid(PROFILE)
-
-
 class TestProfilingDeterminism:
-    def test_profiled_payloads_byte_identical_to_plain(
-        self, plain_results, profiled_results
-    ):
-        assert len(profiled_results) == len(plain_results) == 4
-        for plain, prof in zip(plain_results, profiled_results):
-            assert plain.payload_json() == prof.payload_json(), plain.spec.label()
-
-    def test_mem_profiled_payloads_byte_identical_to_plain(
-        self, plain_results, observed_grid
-    ):
-        mem = observed_grid(MEM_PROFILE)
-        for plain, prof in zip(plain_results, mem):
-            assert plain.payload_json() == prof.payload_json(), plain.spec.label()
-
-    def test_profiled_jobs4_byte_identical_to_serial(self, profiled_results):
-        parallel = Runner(jobs=4, observe=PROFILE).run(_grid())
-        for s, p in zip(profiled_results, parallel):
-            assert s.payload_json() == p.payload_json(), s.spec.label()
-
-    def test_profiled_cache_round_trip(self, tmp_path, profiled_results):
-        cache = ResultCache(str(tmp_path))
-        spec = _grid()[0]
-        first = Runner(jobs=1, cache=cache, observe=PROFILE).run([spec])[0]
-        hit = Runner(jobs=1, cache=cache, observe=PROFILE).run([spec])[0]
-        assert hit.from_cache
-        assert hit.payload_json() == first.payload_json()
-        assert hit.payload_json() == profiled_results[0].payload_json()
-
-    def test_profile_lives_in_provenance_not_payload(self, profiled_results):
-        for result in profiled_results:
+    def test_profile_lives_in_provenance_not_payload(self, cell_runner):
+        for result in cell_runner(PROFILE).run(_grid()):
             assert "_profile" not in json.loads(result.payload_json())
             profile = result.profile()
             assert profile is not None
@@ -84,7 +44,7 @@ class TestProfilingDeterminism:
         spec = _grid()[0].instrumented(MEM_PROFILE)
         assert spec.observers() == {"profile": True, "mem_profile": True}
 
-    def test_merged_summary_meets_attribution_floors(self, profiled_results):
+    def test_merged_summary_meets_attribution_floors(self, cell_runner):
         """Attribution floors asserted on a real smoke grid: the three
         hottest handlers are ≥90% phase-covered and the profiler's
         self-measured overhead stays bounded relative to profiled wall.
@@ -92,7 +52,7 @@ class TestProfilingDeterminism:
         handler bodies ~5-10x while the per-event accounting cost is fixed,
         so the fraction is structurally higher than it was against the old
         slow handlers."""
-        runner = Runner(jobs=1, observe=PROFILE)
+        runner = cell_runner(PROFILE)
         runner.run(_grid())
         summary = runner.profile_summary()
         assert summary is not None
@@ -107,8 +67,8 @@ class TestProfilingDeterminism:
             assert coverage[name] <= 1.05  # nesting invariant, clock noise
         assert summary["overhead"]["fraction_of_wall"] < 0.40
 
-    def test_mem_profile_memory_in_summary(self):
-        runner = Runner(jobs=1, observe=MEM_PROFILE)
+    def test_mem_profile_memory_in_summary(self, cell_runner):
+        runner = cell_runner(MEM_PROFILE)
         runner.run(_grid()[:1])
         summary = runner.profile_summary()
         memory = summary["memory"]
@@ -169,10 +129,6 @@ class TestCompiledProbePhases:
         assert fast_summary["overhead"]["fraction_of_wall"] < 0.40
 
 
-def _digest(mapping):
-    return hashlib.sha256(json.dumps(sorted(mapping.items())).encode()).hexdigest()
-
-
 class TestPhaseTaxonomyGolden:
     """The profiler's phase taxonomy is a contract: which paths exist, how
     often each closes, and how every scope was opened (the overhead model's
@@ -181,47 +137,8 @@ class TestPhaseTaxonomyGolden:
     sink stopped being an event: only the ``Host.on_ingress`` count and its
     ``demux`` / ``flow`` phases moved, by one per booked arrival."""
 
-    GOLDEN = {
-        "fig5": {
-            "phases": "03f35a7ea9eda0bd3e67438172227ffdf5f43a44bd316aecae6d82c97387800a",
-            "handlers": "c93cfd6a41d64e9e2eef1d217a12864bbe4cd3bf9118611662ec55af1d7bf5e4",
-            "phase_firsts": 163424,
-            "phase_nexts": 163424,
-            "phase_pairs": 381167,
-            "clock_reads": 435486,
-        },
-        "fig7": {
-            "phases": "11e8075377b79c8ef66ed9166fbe9b257c4dc1d8c96488a4f4455b4e80fb53c9",
-            "handlers": "1df5e67fc525f3cad17351a66db2dc7e0cf1a7301af481dcb90da08ceb36f45a",
-            "phase_firsts": 171066,
-            "phase_nexts": 171064,
-            "phase_pairs": 379434,
-            "clock_reads": 416738,
-        },
-    }
-
-    @pytest.mark.parametrize("figure", sorted(GOLDEN))
-    def test_phase_taxonomy_matches_golden(self, figure):
-        import dataclasses
-
-        from repro.edge.task import SizeClass
-        from repro.experiments.comparison import FIG5_CONFIG, FIG7_CONFIG
-        from repro.experiments.harness import run_experiment
-        from repro.simnet.engine import EngineProfiler
-
-        base, size_class = {
-            "fig5": (FIG5_CONFIG, SizeClass.VS), "fig7": (FIG7_CONFIG, SizeClass.M),
-        }[figure]
-        config = dataclasses.replace(base, scale=SMOKE_SCALE, seed=3, size_class=size_class)
-        prof = EngineProfiler()
-        run_experiment(config, profiler=prof)
-        summary = prof.summary()
-        got = {
-            "phases": _digest({p: s["count"] for p, s in summary["phases"].items()}),
-            "handlers": _digest({h: s["count"] for h, s in summary["by_type"].items()}),
-            "phase_firsts": prof.phase_firsts,
-            "phase_nexts": prof.phase_nexts,
-            "phase_pairs": summary["overhead"]["phase_pairs"],
-            "clock_reads": summary["overhead"]["clock_reads"],
-        }
-        assert got == self.GOLDEN[figure], sorted(summary["phases"])
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_phase_taxonomy_matches_golden(self, figure, cell_runner):
+        cell = f"profile-taxonomy/{figure}"
+        got, phases = goldens.CELLS[cell](cell_runner)
+        assert got == goldens.recorded(cell), phases

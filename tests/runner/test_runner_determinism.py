@@ -26,8 +26,8 @@ pytestmark = pytest.mark.slow
 
 
 @pytest.fixture
-def serial_results(observed_grid):
-    return observed_grid()
+def serial_results(cell_runner):
+    return cell_runner().run(_grid())
 
 
 class TestSerialVsParallel:

@@ -32,13 +32,11 @@ from .conftest import fig5_grid_specs
 pytestmark = pytest.mark.slow
 
 
-@pytest.fixture(scope="module")
-def fast_results():
-    return Runner(jobs=1).run(fig5_grid_specs())
-
-
 class TestSlowpathEquivalence:
-    def test_fig5_smoke_grid_byte_identical(self, fast_results, monkeypatch):
+    def test_fig5_smoke_grid_byte_identical(self, cell_runner, monkeypatch):
+        # Before the variable is set: the session's cache is keyed by spec
+        # alone, so it must only ever see runs on the default path.
+        fast_results = cell_runner().run(fig5_grid_specs())
         monkeypatch.setenv("REPRO_SLOWPATH", "1")
         slow = Runner(jobs=1).run(fig5_grid_specs())
         assert len(slow) == len(fast_results) == 12

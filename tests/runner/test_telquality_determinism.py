@@ -8,13 +8,15 @@ record placement, unperturbed outcomes) live in
 import pytest
 
 from repro.experiments.harness import SMOKE_SCALE, ExperimentConfig
-from repro.runner import Runner, RunSpec
+from repro.runner import RunSpec
+
+from .conftest import smoke_grid
 
 pytestmark = pytest.mark.slow
 
 
 class TestTelqualityDeterminism:
-    def test_profile_handler_counts_unchanged(self):
+    def test_profile_handler_counts_unchanged(self, cell_runner):
         """Per-event-type handler counts are identical with and without
         collection: the observatory schedules no event of its own.
 
@@ -24,10 +26,8 @@ class TestTelqualityDeterminism:
             ExperimentConfig(scale=SMOKE_SCALE, seed=3),
             obs_run={"policy": "aware"},
         )
-        plain = Runner(jobs=1, observe={"profile": True}).run([spec])[0]
-        observed = Runner(
-            jobs=1, observe={"profile": True, "telquality": True}
-        ).run([spec])[0]
+        [plain] = cell_runner({"profile": True}).run([spec])
+        [observed] = cell_runner({"profile": True, "telquality": True}).run([spec])
         plain_types = {
             name: stats["count"]
             for name, stats in plain.profile()["by_type"].items()
@@ -38,13 +38,13 @@ class TestTelqualityDeterminism:
         }
         assert plain_types == observed_types
 
-    def test_mesh_full_coverage_and_bins_sum_to_audit(self, observed_grid):
+    def test_mesh_full_coverage_and_bins_sum_to_audit(self, cell_runner):
         """Acceptance: 100% directed-port coverage under mesh on the default
         12-switch topology, and the error-vs-age bin counts sum to the
         decision-audit's accepted delay samples."""
         from repro.obs.audit import delay_error_stats
 
-        aware = observed_grid({"telquality": True})[0]
+        [aware] = cell_runner({"telquality": True}).run(smoke_grid()[:1])
         assert aware.spec.policy == "aware"
         records = aware.obs_records()
         (tq,) = [r for r in records if r["kind"] == "telquality"]

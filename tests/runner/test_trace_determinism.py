@@ -2,17 +2,15 @@
 
 The registry-wide checks (executor and cache byte-identity, hash stamping,
 channel placement, unperturbed outcomes) live in
-``test_observer_determinism.py``.  Here: span trees must be well-formed
+``test_observer_determinism.py``, with the check that a plain run carries
+no trace records.  Here: span trees must be well-formed
 (acyclic, parents present), and every completed task's segment durations
 must sum to its measured end-to-end delay.
 """
 
-import json
-
 import pytest
 
 from repro.obs.tracing import SEGMENT_NAMES
-from repro.runner import Runner
 
 from .conftest import smoke_grid
 
@@ -22,13 +20,8 @@ TRACED = {"trace": True}
 
 
 class TestTraceDeterminism:
-    def test_plain_run_has_no_trace_records(self, observed_grid):
-        result = observed_grid()[0]
-        assert result.trace_records() == []
-        assert "trace_records" not in json.loads(result.payload_json())
-
-    def test_runner_collects_trace_records(self):
-        runner = Runner(jobs=1, observe=TRACED)
+    def test_runner_collects_trace_records(self, cell_runner):
+        runner = cell_runner(TRACED)
         runner.run(smoke_grid()[:2])
         assert len(runner.trace_records) > 0
         assert all(r["kind"] == "span" for r in runner.trace_records)
@@ -37,8 +30,8 @@ class TestTraceDeterminism:
 
 class TestSpanTreeInvariants:
     @pytest.fixture(scope="class")
-    def spans(self, observed_grid):
-        return [r for res in observed_grid(TRACED) for r in res.trace_records()]
+    def spans(self, cell_runner):
+        return [r for res in cell_runner(TRACED).run(smoke_grid()) for r in res.trace_records()]
 
     def test_parent_links_complete_and_acyclic(self, spans):
         by_trace = {}

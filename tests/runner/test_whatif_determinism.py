@@ -10,15 +10,13 @@ the oracle at exactly zero regret.
 
 import pytest
 
-from repro.runner import Runner
-
 from .conftest import smoke_grid
 
 pytestmark = pytest.mark.slow
 
 
 class TestWhatifDeterminism:
-    def test_offline_replay_matches_exported_record(self, observed_grid):
+    def test_offline_replay_matches_exported_record(self, cell_runner):
         """Acceptance: re-walking the exported decision audits with the
         same engine reproduces the exported policy totals bit-exactly, the
         oracle sits at exactly zero regret, and the staleness bins sum to
@@ -26,7 +24,7 @@ class TestWhatifDeterminism:
         from repro.runner.spec import canonical_json
         from repro.obs.whatif import replay_decisions
 
-        for result in observed_grid({"whatif": True}):
+        for result in cell_runner({"whatif": True}).run(smoke_grid()):
             records = result.obs_records()
             (wi,) = [r for r in records if r["kind"] == "whatif"]
             assert wi["decisions"] == wi["replayed"] + wi["skipped"]
@@ -58,14 +56,11 @@ class TestWhatifDeterminism:
             )
             assert canonical_json(offline) == canonical_json(again)
 
-    def test_staleness_bins_reconcile_with_telquality(self):
+    def test_staleness_bins_reconcile_with_telquality(self, cell_runner):
         """Both observatories on one run gate the same decisions: the
         whatif record's delay-decision count equals the telquality
         attribution's."""
-        spec = smoke_grid()[0]
-        result = Runner(
-            jobs=1, observe={"telquality": True, "whatif": True}
-        ).run([spec])[0]
+        [result] = cell_runner({"telquality": True, "whatif": True}).run(smoke_grid()[:1])
         records = result.obs_records()
         (wi,) = [r for r in records if r["kind"] == "whatif"]
         (tq,) = [r for r in records if r["kind"] == "telquality"]

@@ -32,8 +32,13 @@ scope state (``_path``, ``_t0``, ``_stack``), its ``phases`` records or the
 ``phase_firsts`` / ``phase_nexts`` counters.  Hand-inlined copies of that
 accounting in the hottest handlers once made ``--profile`` ~10 % cheaper
 while saving no clock read, at the price of a third body per handler.
+
+**Byte contracts live in one manifest.**  No test file holds a sha256 (64
+hex digits): every digest is a line of ``tests/goldens.json``, which holds
+exactly the cells of the ``tests/goldens.py`` registry, in its own layout.
 """
 
+import json
 import pathlib
 import re
 import subprocess
@@ -43,6 +48,7 @@ import textwrap
 import pytest
 
 import repro
+from tests import goldens
 
 SRC = pathlib.Path(repro.__file__).parent
 SCANNED = sorted(
@@ -146,3 +152,20 @@ def test_no_policy_or_observer_imports_networkx():
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_no_test_file_holds_a_sha256_literal():
+    tests = pathlib.Path(goldens.__file__).parent
+    offenders = [
+        f"{path.relative_to(tests)}:{lineno}"
+        for path in sorted(tests.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"[0-9a-fA-F]{64}", line)
+    ]
+    assert not offenders, offenders
+
+
+def test_manifest_records_exactly_the_registered_cells():
+    text = goldens.MANIFEST.read_text(encoding="utf-8")
+    assert set(json.loads(text)) == set(goldens.CELLS)
+    assert text == goldens.manifest_text(json.loads(text))
