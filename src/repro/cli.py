@@ -13,7 +13,7 @@ Commands map one-to-one onto the experiment harnesses:
   tables plus charts and the profile's flamegraph), Chrome trace, and the
   profile's collapsed stacks;
 * ``cache``     — inspect, checksum-verify, or clear the on-disk run cache;
-* ``resume``    — continue an interrupted sweep from its ``--journal`` file.
+* ``resume``    — finish an interrupted sweep from its ``--journal`` file.
 
 Every experiment command executes its grid on :class:`repro.runner.Runner`:
 ``--jobs N`` fans runs out over supervised worker processes (results are
@@ -25,10 +25,12 @@ help text; a flag whose output the command cannot deliver is rejected.
 
 Resilience: ``--run-timeout`` bounds each run's wall clock (hung workers
 become structured failures), ``--retries`` re-runs crashed/timed-out cells
-on fresh workers with backoff, ``--journal PATH`` checkpoints per-run
-completion so ``--resume`` (or the ``resume`` command) restarts an
-interrupted sweep re-running only what's missing, and Ctrl-C exits with a
-summary after persisting everything already computed.
+on fresh workers with backoff, ``--journal PATH`` records the sweep's grid
+(and implies ``--cache``, which records what finished) so the same command
+again, or ``resume PATH``, finishes an interrupted sweep running only what
+the cache lacks, and Ctrl-C exits with a summary after persisting
+everything already computed.  With ``--obs-out``, the runner's retries and
+cache evictions are appended to the export.
 
 All output is plain text tables (`repro.experiments.report`); ``--out``
 additionally writes the report to a file.  ``--obs-out PATH`` (``compare``
@@ -166,15 +168,9 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--journal", type=str, default=None, metavar="PATH",
-        help="checkpoint per-run completion state to this JSONL journal so "
-             "an interrupted sweep can be resumed (see --resume and the "
-             "resume command)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="continue the sweep recorded in --journal: already-completed "
-             "runs are served from the cache, only missing/failed ones "
-             "re-run (implies --cache)",
+        help="record the sweep's grid in this JSONL file (implies --cache); "
+             "run the same command again, or the resume command, to finish "
+             "an interrupted sweep: cached runs are reused, the rest run",
     )
 
 
@@ -194,42 +190,22 @@ _DELIVERS = {
 
 def _runner_from_args(args: argparse.Namespace):
     """Build the Runner the command's grids execute on."""
-    from repro.errors import ExperimentError
     from repro.runner import DEFAULT_CACHE_DIR, ResultCache, RunJournal, Runner
 
     journal_path = getattr(args, "journal", None)
-    resume = getattr(args, "resume", False)
-    if resume and not journal_path:
-        raise ExperimentError("--resume requires --journal PATH")
-    journal = None
-    if journal_path:
-        journal = RunJournal(journal_path)
-        if journal.exists() and not resume:
-            raise ExperimentError(
-                f"journal {journal_path} already exists; pass --resume to "
-                f"continue that sweep, or remove the file to start fresh"
-            )
+    journal = RunJournal(journal_path) if journal_path else None
     cache = None
     cache_dir = getattr(args, "cache_dir", None)
-    # --resume implies --cache: completed cells are served from the cache,
-    # and without it every "done" journal entry would re-run anyway.
-    if getattr(args, "cache", False) or cache_dir or resume:
+    # --journal implies --cache: the cache is the record of what finished.
+    if getattr(args, "cache", False) or cache_dir or journal is not None:
         cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR)
     progress = None
-    if getattr(args, "jobs", 1) > 1 or cache is not None or journal is not None:
+    if getattr(args, "jobs", 1) > 1 or cache is not None:
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    runner_obs = None
-    if getattr(args, "obs_out", None):
-        # A hub for the runner's own resilience events (failures, retries,
-        # cache corruption); _finish_runner appends them to --obs-out.
-        from repro.obs import Observability
-
-        runner_obs = Observability()
     return Runner(
         jobs=getattr(args, "jobs", 1),
         cache=cache,
         progress=progress,
-        obs=runner_obs,
         observe=observers.from_args(args),
         run_timeout=getattr(args, "run_timeout", None),
         retries=getattr(args, "retries", 0),
@@ -237,15 +213,12 @@ def _runner_from_args(args: argparse.Namespace):
     )
 
 
-# Runner resilience event kinds that _finish_runner forwards to --obs-out.
-_RESILIENCE_EVENTS = {"runner_run_failed", "runner_run_retry", "cache_corrupt"}
-
-
 def _finish_runner(reporter: "_Reporter", args: argparse.Namespace, runner) -> None:
     """Flush a runner's accumulated instrumentation: write the --trace-out
-    span export and print the merged --profile summary.  With both
-    --profile and --obs-out, the merged summary also rides on the obs
-    export as one ``kind: "profile"`` record so ``report`` can show it."""
+    span export and print the merged --profile summary.  With --obs-out,
+    the runner's event log (retries, cache evictions) and, with --profile,
+    the merged summary as one ``kind: "profile"`` record also ride on the
+    obs export so ``report`` can show them."""
     from repro.obs.export import write_jsonl
 
     trace_out = getattr(args, "trace_out", None)
@@ -259,22 +232,16 @@ def _finish_runner(reporter: "_Reporter", args: argparse.Namespace, runner) -> N
     # Records append only to an obs export the command actually wrote.
     obs_out = getattr(args, "obs_out", None)
     obs_out = obs_out if obs_out and os.path.exists(obs_out) else None
-    if obs_out and runner.obs is not None:
-        # Forward the runner's own resilience events (failures, retries,
-        # cache corruption) so the report can surface them.  Appended only
-        # when present: a clean sweep's export is byte-stable against the
-        # pre-supervision format.
-        resilience = [
-            record
-            for record in runner.obs.events.snapshot()
-            if record.get("event") in _RESILIENCE_EVENTS
-        ]
-        if resilience:
-            write_jsonl(resilience, obs_out, append=True)
-            reporter.emit(
-                f"observability: {len(resilience)} runner resilience "
-                f"record(s) appended to {obs_out}"
-            )
+    # The runner's retries and cache evictions, appended only when there
+    # are any: a clean sweep's export is byte-stable against the
+    # pre-supervision format.
+    resilience = runner.events.snapshot()
+    if obs_out and resilience:
+        write_jsonl(resilience, obs_out, append=True)
+        reporter.emit(
+            f"observability: {len(resilience)} runner resilience "
+            f"record(s) appended to {obs_out}"
+        )
     summary = runner.profile_summary()
     if summary is not None:
         from repro.simnet.engine import render_profile
@@ -527,15 +494,14 @@ def cmd_resume(args: argparse.Namespace) -> int:
     )
 
     journal = RunJournal(args.journal)
-    state = journal.load(
+    specs = journal.load(
         on_warning=lambda msg: print(f"warning: {msg}", file=sys.stderr)
     )
-    print(f"journal {args.journal}: {state.summary()}")
-    if not state.order:
+    print(f"journal {args.journal}: {len(specs)} spec(s)")
+    if not specs:
         print("error: journal records no runs; nothing to resume",
               file=sys.stderr)
         return 2
-    specs = [state.specs[spec_hash] for spec_hash in state.order]
     cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     runner = Runner(
         jobs=args.jobs,
@@ -750,9 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "resume",
-        help="resume an interrupted sweep from its --journal file: "
-             "completed runs come from the cache, missing/failed ones "
-             "re-run",
+        help="finish an interrupted sweep from its --journal file: "
+             "cached runs are reused, the rest run",
     )
     p.add_argument("journal", help="JSONL journal written via --journal")
     p.add_argument("--jobs", type=int, default=1, metavar="N",

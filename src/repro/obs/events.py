@@ -35,9 +35,7 @@ EVENT_KINDS = {
     "node_quarantined": ("node", "age"),
     "node_unquarantined": ("node",),
     "alert":            ("rule", "series", "target", "value", "threshold", "state"),
-    # Runner resilience (emitted on the runner's own hub, wall-clock time):
-    "runner_run_failed": ("label", "spec_hash", "failure_kind", "error_type",
-                          "message", "attempts", "exit_signal"),
+    # Runner resilience (the Runner's own log, wall-clock time):
     "runner_run_retry":  ("spec_hash", "attempt", "failure_kind", "error_type",
                           "backoff_s"),
     "cache_corrupt":     ("spec_hash", "reason"),
@@ -153,26 +151,6 @@ class EventLog:
             rule=rule, series=series, target=target,
             value=value, threshold=threshold, state=state,
             **extra,
-        )
-
-    def runner_run_failed(
-        self,
-        *,
-        label: str,
-        spec_hash: str,
-        failure_kind: Optional[str],
-        error_type: Optional[str],
-        message: Optional[str],
-        attempts: int,
-        exit_signal: Optional[str],
-        **extra: Any,
-    ) -> None:
-        """One run exhausted its retries; fields mirror the failure envelope."""
-        self.emit(
-            "runner_run_failed",
-            label=label, spec_hash=spec_hash, failure_kind=failure_kind,
-            error_type=error_type, message=message, attempts=attempts,
-            exit_signal=exit_signal, **extra,
         )
 
     def runner_run_retry(

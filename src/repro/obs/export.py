@@ -206,12 +206,8 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         for name, count in sorted(event_counts.items()):
             lines.append(f"  {name:<18} {count}")
 
-    # Runner resilience: failure envelopes, retries, and cache corruption
-    # recorded by the supervision layer (see repro.runner.supervisor).
-    failed = [
-        r for r in records
-        if r.get("kind") == "event" and r.get("event") == "runner_run_failed"
-    ]
+    # Runner resilience: retries and cache evictions from the Runner's
+    # event log (see repro.runner.runner).
     retried = [
         r for r in records
         if r.get("kind") == "event" and r.get("event") == "runner_run_retry"
@@ -220,19 +216,8 @@ def render_obs_report(records: List[Dict[str, Any]]) -> str:
         r for r in records
         if r.get("kind") == "event" and r.get("event") == "cache_corrupt"
     ]
-    if failed or retried or corrupt:
+    if retried or corrupt:
         lines.append("runner resilience:")
-        if failed:
-            lines.append(f"  failed runs: {len(failed)}")
-            for r in failed:
-                signal_note = (
-                    f", signal {r['exit_signal']}" if r.get("exit_signal") else ""
-                )
-                lines.append(
-                    f"    {r.get('label', r.get('spec_hash', '?'))}: "
-                    f"{r.get('failure_kind', '?')}/{r.get('error_type', '?')} "
-                    f"after {r.get('attempts', '?')} attempt(s){signal_note}"
-                )
         if retried:
             by_failure: Dict[str, int] = {}
             for r in retried:

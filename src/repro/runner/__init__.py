@@ -6,14 +6,15 @@ The evaluation is a grid of independent simulation runs; this package turns
 * :mod:`repro.runner.spec` — :class:`RunSpec` / :class:`CalibrationSpec`,
   frozen, JSON-canonical, content-hashed;
 * :mod:`repro.runner.cache` — ``.runcache/<hash>.json`` content-addressed
-  result store;
+  result store, and the one record of which cells are done;
 * :mod:`repro.runner.runner` — :class:`Runner` (serial or supervised
   execution, deterministic either way) and :func:`expand_grid`;
 * :mod:`repro.runner.supervisor` — process-per-run supervision: per-run
   wall-clock timeouts, crash/timeout retry with backoff, failure
   envelopes, deterministic chaos injection for the harness's own tests;
-* :mod:`repro.runner.journal` — the ``--resume`` checkpoint journal
-  (atomic JSONL appends of per-spec completion state).
+* :mod:`repro.runner.journal` — the ``--journal`` file: the grid a sweep
+  was asked to run, rewritten atomically, so ``repro resume`` (or the same
+  command again) can finish an interrupted sweep from the cache.
 
 Every experiment driver in :mod:`repro.experiments` is a thin grid
 definition over this package.
@@ -28,7 +29,7 @@ from repro.runner.spec import (
     spec_from_dict,
 )
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.runner.journal import JournalState, RunJournal
+from repro.runner.journal import RunJournal
 from repro.runner.runner import (
     Runner,
     RunnerStats,
@@ -58,7 +59,6 @@ __all__ = [
     "execute_spec",
     "expand_grid",
     "RunJournal",
-    "JournalState",
     "Supervisor",
     "RunInterrupted",
     "RunsFailedError",

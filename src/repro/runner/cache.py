@@ -4,31 +4,30 @@ Each completed run is stored as ``<root>/<spec-hash>.json`` — the full
 :class:`~repro.runner.runner.RunResult` envelope, byte-for-byte — alongside
 a ``<spec-hash>.json.sha256`` sidecar holding the SHA-256 of those exact
 bytes.  The spec hash covers everything that can change the output
-(including fault-plan *contents* and calibration-curve knots), so a hit can
-be trusted blindly and a repeated sweep skips every already-computed cell.
+(including fault-plan *contents* and calibration-curve knots), so a repeated
+sweep skips every already-computed cell.  The cache is the one record of
+which cells are done: a sweep's journal holds only its grid.
 
-Crash safety is defense in depth:
+The cache owns the bytes and parses none of them; the Runner parses each
+hit once and treats an entry that is not its spec's envelope (misfiled, not
+a JSON object) as a miss, which its next ``put`` overwrites.
+
+Crash safety:
 
 * **writes** are atomic (temp file + ``os.replace``) for both the entry and
   its sidecar, so a killed sweep never leaves a truncated entry under a
   final name;
 * **reads** verify the stored bytes against the sidecar checksum; an entry
-  whose bytes don't hash to the recorded digest (bit rot, torn write from a
-  pre-sidecar writer, hand editing) is **evicted** — deleted with a warning
-  through ``on_corrupt`` — and reported as a miss so the run recomputes;
-* entries written before sidecars existed (no ``.sha256`` file) fall back
-  to JSON-parse + filed-under-the-right-hash validation, the original
-  contract; failures there also evict.
-
-A misfiled-but-intact entry (valid envelope naming a different hash) is a
-plain miss, not corruption: the bytes are fine, they're just the answer to
-a different question.
+  whose bytes don't hash to the recorded digest (bit rot, hand editing) is
+  **evicted** — deleted with a warning through ``on_corrupt`` — and
+  reported as a miss so the run recomputes;
+* an entry without a sidecar is a plain miss and is left alone: a
+  concurrent ``put`` may be between its two writes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from typing import Any, Callable, Dict, List, Optional
@@ -38,6 +37,22 @@ __all__ = ["DEFAULT_CACHE_DIR", "ResultCache"]
 DEFAULT_CACHE_DIR = ".runcache"
 
 _SIDECAR_SUFFIX = ".sha256"
+
+
+def atomic_write(final_path: str, data: bytes) -> None:
+    """Write ``data`` to ``final_path`` through a temp file in the same
+    directory and ``os.replace``: readers see the old file or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(final_path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, final_path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -66,19 +81,6 @@ class ResultCache:
 
     # -- internal helpers --------------------------------------------------
 
-    def _atomic_write(self, final_path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, final_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def _evict(self, spec_hash: str, reason: str) -> None:
         """Delete a corrupt entry (and sidecar) and report it."""
         for path in (self.path(spec_hash), self.sidecar_path(spec_hash)):
@@ -90,38 +92,21 @@ class ResultCache:
         if self.on_corrupt is not None:
             self.on_corrupt(spec_hash, reason)
 
-    def _validate(self, spec_hash: str, data: bytes) -> Optional[str]:
-        """None if ``data`` is a trustworthy entry for ``spec_hash``; an
-        eviction reason if it is corrupt; ``"misfiled"`` (a plain miss, no
-        eviction) if intact but filed under the wrong hash."""
-        expected = self._read_sidecar(spec_hash)
-        if expected is not None:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected:
-                return (
-                    f"checksum mismatch (stored {expected[:12]}…, "
-                    f"actual {actual[:12]}…)"
-                )
-        # Structural validation: always required (a checksummed entry can
-        # still be misfiled — intact bytes filed under the wrong name);
-        # for legacy entries without a sidecar it is the only validation.
+    def _sidecar(self, spec_hash: str) -> Optional[str]:
+        """The digest the sidecar records, or None when there is none."""
         try:
-            envelope = json.loads(data)
-        except json.JSONDecodeError as exc:
-            return f"invalid JSON ({exc.msg} at char {exc.pos})"
-        if not isinstance(envelope, dict):
-            return "envelope is not a JSON object"
-        if envelope.get("spec_hash") != spec_hash:
-            return "misfiled"
-        return None
-
-    def _read_sidecar(self, spec_hash: str) -> Optional[str]:
-        try:
-            with open(self.sidecar_path(spec_hash), "r", encoding="ascii") as fh:
-                digest = fh.read().strip()
-        except (OSError, UnicodeDecodeError):
+            with open(self.sidecar_path(spec_hash), "rb") as fh:
+                return fh.read().decode("ascii", "replace").strip()
+        except OSError:
             return None
-        return digest if len(digest) == 64 else None
+
+    @staticmethod
+    def _mismatch(data: bytes, expected: str) -> Optional[str]:
+        """An eviction reason if ``data`` does not hash to ``expected``."""
+        actual = hashlib.sha256(data).hexdigest()
+        if actual == expected:
+            return None
+        return f"checksum mismatch (stored {expected[:12]}…, actual {actual[:12]}…)"
 
     # -- public API --------------------------------------------------------
 
@@ -131,20 +116,19 @@ class ResultCache:
         Returning the raw bytes (rather than a parsed object) is the cache's
         contract: a hit is byte-identical to what the original run wrote.
         Bytes are checksum-verified against the sidecar before being served;
-        a corrupt entry is evicted and reported as a miss."""
+        a corrupt entry is evicted and reported as a miss, an entry without
+        a sidecar is a miss and stays."""
         try:
             with open(self.path(spec_hash), "rb") as fh:
                 data = fh.read()
         except OSError:
             self.misses += 1
             return None
-        reason = self._validate(spec_hash, data)
-        if reason == "misfiled":
-            # Filed under the wrong name or hand-edited into a different
-            # (valid) envelope: not this spec's answer, but not garbage
-            # either — leave it alone and recompute.
+        expected = self._sidecar(spec_hash)
+        if expected is None:
             self.misses += 1
             return None
+        reason = self._mismatch(data, expected)
         if reason is not None:
             self._evict(spec_hash, reason)
             self.misses += 1
@@ -155,30 +139,25 @@ class ResultCache:
     def put(self, spec_hash: str, data: bytes) -> None:
         """Atomically store ``data`` (and its checksum) for ``spec_hash``.
 
-        The entry lands before the sidecar; a crash between the two leaves
-        an entry validated by the legacy JSON-parse path (or, if a stale
-        sidecar survives from an older entry, a checksum mismatch that
-        evicts and recomputes) — conservative either way, never a wrong
-        result served as a hit."""
+        The entry lands before the sidecar, and any stale sidecar is removed
+        first, so a crash between the two writes never pairs new bytes with
+        an old digest: it leaves an entry without a sidecar, a plain miss
+        that the next ``put`` overwrites."""
         os.makedirs(self.root, exist_ok=True)
-        # Remove any stale sidecar first so a crash after the entry write
-        # can't pair new bytes with an old digest.
         try:
             os.unlink(self.sidecar_path(spec_hash))
         except OSError:
             pass
-        self._atomic_write(self.path(spec_hash), data)
+        atomic_write(self.path(spec_hash), data)
         digest = hashlib.sha256(data).hexdigest()
-        self._atomic_write(
-            self.sidecar_path(spec_hash), (digest + "\n").encode("ascii")
-        )
+        atomic_write(self.sidecar_path(spec_hash), (digest + "\n").encode("ascii"))
 
     def verify(self) -> Dict[str, Any]:
         """Scan every entry, evicting corrupt ones.
 
         Returns ``{"checked": n, "ok": n, "evicted": [(hash, reason), ...],
-        "unverified": [hash, ...]}`` where ``unverified`` lists legacy
-        entries that passed structural validation but have no checksum."""
+        "unverified": [hash, ...]}`` where ``unverified`` lists entries
+        without a checksum sidecar (left in place)."""
         evicted: List[Any] = []
         unverified: List[str] = []
         checked = 0
@@ -191,12 +170,12 @@ class ResultCache:
                 self._evict(spec_hash, f"unreadable ({exc.__class__.__name__})")
                 evicted.append((spec_hash, "unreadable"))
                 continue
-            reason = self._validate(spec_hash, data)
-            if reason == "misfiled" or (
-                reason is None and self._read_sidecar(spec_hash) is None
-            ):
+            expected = self._sidecar(spec_hash)
+            if expected is None:
                 unverified.append(spec_hash)
-            elif reason is not None:
+                continue
+            reason = self._mismatch(data, expected)
+            if reason is not None:
                 self._evict(spec_hash, reason)
                 evicted.append((spec_hash, reason))
         return {

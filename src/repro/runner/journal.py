@@ -1,43 +1,32 @@
-"""Checkpointed sweep journal: atomic JSONL appends, tolerant replay.
+"""Sweep journal: the grid a sweep was asked to run, as JSONL.
 
-A :class:`RunJournal` records per-spec-hash completion state for one grid so
-an interrupted sweep (SIGKILL, power loss, Ctrl-C) can restart with
-``--resume`` and re-run only the missing or failed specs.  The file is
-plain JSONL — one record per line, discriminated by ``"record"``:
+A :class:`RunJournal` records what a sweep was asked to run so an
+interrupted sweep (SIGKILL, power loss, Ctrl-C) can be finished by running
+the same command again, or by ``repro resume PATH``.  It records nothing
+about completion: a cell is done when its result is in the cache, so the
+resumed grid serves every finished cell from there and runs the rest.
+One line per unique spec, in scheduling order::
 
-* ``{"record": "scheduled", "spec_hash": h, "spec": {...}}`` — a unique
-  spec entered the grid (written for every spec, cache hits included, so
-  the journal alone reconstructs the full grid);
-* ``{"record": "done", "spec_hash": h, "cached": bool}`` — the spec
-  completed and its result is in the cache;
-* ``{"record": "failed", "spec_hash": h, "failure": {...}}`` — the spec
-  exhausted its retries; the failure envelope is preserved;
-* ``{"record": "interrupted", "completed": n, "failed": m, "total": t}`` —
-  the sweep stopped on SIGINT with work outstanding.
+    {"record": "scheduled", "spec_hash": h, "spec": {...}}
 
-Appends are **atomic at the line level**: each record is a single
-``os.write`` to an ``O_APPEND`` descriptor, which POSIX guarantees is not
-interleaved with other appends and — for the crash case that matters here —
-either lands entirely or, if the process dies first, leaves at most one
-torn final line.  :meth:`RunJournal.load` therefore skips-and-warns on
-malformed lines instead of raising: a torn tail means "that record didn't
-happen", never "the journal is unusable".
-
-Replay is last-record-wins per spec hash: a spec that failed, then
-succeeded on a resumed pass, counts as done.
+:meth:`RunJournal.write` replaces the whole file at once (temp file +
+``os.replace``), so a crash leaves either the old grid or the new one.
+:meth:`RunJournal.load` still skips malformed lines with a warning, and it
+ignores the completion records (``done`` / ``failed`` / ``interrupted``)
+that journals written by earlier versions hold.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ExperimentError
+from repro.runner.cache import atomic_write
 from repro.runner.spec import canonical_json, spec_from_dict
 
-__all__ = ["JournalState", "RunJournal"]
+__all__ = ["RunJournal"]
 
 # spec_from_dict raises ExperimentError for unknown kinds and TypeError /
 # KeyError / ValueError for field drift between code versions; all mean
@@ -45,43 +34,8 @@ __all__ = ["JournalState", "RunJournal"]
 _SPEC_LOAD_ERRORS = (ExperimentError, TypeError, KeyError, ValueError)
 
 
-@dataclass
-class JournalState:
-    """Replayed view of a journal: the grid and each spec's latest status."""
-
-    specs: Dict[str, Any] = field(default_factory=dict)  # hash -> spec object
-    order: List[str] = field(default_factory=list)  # hashes, scheduling order
-    status: Dict[str, str] = field(default_factory=dict)  # "pending"|"done"|"failed"
-    cached: Dict[str, bool] = field(default_factory=dict)  # done-from-cache flag
-    failures: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    interrupted: bool = False
-    skipped_lines: int = 0
-
-    @property
-    def pending(self) -> List[str]:
-        """Hashes still needing a run (never finished, or last seen failed),
-        in scheduling order."""
-        return [
-            h for h in self.order if self.status.get(h, "pending") != "done"
-        ]
-
-    @property
-    def done(self) -> List[str]:
-        return [h for h in self.order if self.status.get(h) == "done"]
-
-    def summary(self) -> str:
-        done, failed = len(self.done), sum(
-            1 for h in self.order if self.status.get(h) == "failed"
-        )
-        pending = len(self.order) - done - failed
-        return (
-            f"{len(self.order)} spec(s): {done} done, {failed} failed, "
-            f"{pending} never ran"
-        )
-
-
 class RunJournal:
-    """Append-only JSONL completion journal for one sweep."""
+    """The JSONL grid of one sweep."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -89,55 +43,29 @@ class RunJournal:
     def exists(self) -> bool:
         return os.path.exists(self.path)
 
-    # -- writing -----------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = (canonical_json(record) + "\n").encode("utf-8")
+    def write(self, specs: Dict[str, Any]) -> None:
+        """Replace the journal with ``specs`` (spec hash -> spec, in
+        scheduling order)."""
+        data = "".join(
+            canonical_json({
+                "record": "scheduled", "spec_hash": spec_hash, "spec": spec.to_dict(),
+            }) + "\n"
+            for spec_hash, spec in specs.items()
+        ).encode("utf-8")
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line)  # single write: atomic under O_APPEND
-        finally:
-            os.close(fd)
+        atomic_write(self.path, data)
 
-    def scheduled(self, spec_hash: str, spec: Any) -> None:
-        self._append({
-            "record": "scheduled",
-            "spec_hash": spec_hash,
-            "spec": spec.to_dict(),
-        })
+    def load(self, *, on_warning: Optional[Callable[[str], None]] = None) -> List[Any]:
+        """The journal's specs, in scheduling order, each once.
 
-    def done(self, spec_hash: str, *, cached: bool = False) -> None:
-        self._append({"record": "done", "spec_hash": spec_hash, "cached": cached})
-
-    def failed(self, spec_hash: str, failure: Dict[str, Any]) -> None:
-        self._append({
-            "record": "failed",
-            "spec_hash": spec_hash,
-            "failure": failure,
-        })
-
-    def interrupted(self, *, completed: int, failed: int, total: int) -> None:
-        self._append({
-            "record": "interrupted",
-            "completed": completed,
-            "failed": failed,
-            "total": total,
-        })
-
-    # -- replay ------------------------------------------------------------
-
-    def load(self, *, on_warning: Optional[Callable[[str], None]] = None) -> JournalState:
-        """Replay the journal into a :class:`JournalState`.
-
-        Malformed lines (torn final append, stray bytes) are skipped with a
-        warning through ``on_warning`` — they mean the recorded operation
-        never completed, which resume handles by re-running the spec."""
+        Malformed lines (stray bytes, a torn line from an older appending
+        writer) and specs this code cannot rebuild are skipped with a
+        warning through ``on_warning``."""
         if not self.exists():
             raise ExperimentError(f"journal not found: {self.path}")
-        state = JournalState()
+        specs: Dict[str, Any] = {}
         warn = on_warning or (lambda _msg: None)
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -147,57 +75,28 @@ class RunJournal:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    state.skipped_lines += 1
                     warn(
                         f"{self.path}:{lineno}: skipping malformed journal "
                         f"line (torn append?)"
                     )
                     continue
                 if not isinstance(record, dict):
-                    state.skipped_lines += 1
                     warn(f"{self.path}:{lineno}: skipping non-object journal line")
                     continue
-                kind = record.get("record")
-                if kind == "scheduled":
-                    spec_hash = record.get("spec_hash")
-                    spec_dict = record.get("spec")
-                    if not isinstance(spec_hash, str) or not isinstance(spec_dict, dict):
-                        state.skipped_lines += 1
-                        warn(f"{self.path}:{lineno}: skipping bad scheduled record")
-                        continue
-                    try:
-                        spec = spec_from_dict(spec_dict)
-                    except _SPEC_LOAD_ERRORS as exc:
-                        state.skipped_lines += 1
-                        warn(
-                            f"{self.path}:{lineno}: skipping scheduled record "
-                            f"with unloadable spec ({exc})"
-                        )
-                        continue
-                    if spec_hash not in state.specs:
-                        state.order.append(spec_hash)
-                    state.specs[spec_hash] = spec
-                    state.status.setdefault(spec_hash, "pending")
-                elif kind == "done":
-                    spec_hash = record.get("spec_hash")
-                    if isinstance(spec_hash, str):
-                        state.status[spec_hash] = "done"
-                        state.cached[spec_hash] = bool(record.get("cached", False))
-                        state.failures.pop(spec_hash, None)
-                elif kind == "failed":
-                    spec_hash = record.get("spec_hash")
-                    if isinstance(spec_hash, str):
-                        state.status[spec_hash] = "failed"
-                        failure = record.get("failure")
-                        state.failures[spec_hash] = (
-                            failure if isinstance(failure, dict) else {}
-                        )
-                elif kind == "interrupted":
-                    state.interrupted = True
-                else:
-                    state.skipped_lines += 1
+                if record.get("record") != "scheduled":
+                    continue
+                spec_hash = record.get("spec_hash")
+                spec_dict = record.get("spec")
+                if not isinstance(spec_hash, str) or not isinstance(spec_dict, dict):
+                    warn(f"{self.path}:{lineno}: skipping bad scheduled record")
+                    continue
+                try:
+                    spec = spec_from_dict(spec_dict)
+                except _SPEC_LOAD_ERRORS as exc:
                     warn(
-                        f"{self.path}:{lineno}: skipping unknown journal "
-                        f"record {kind!r}"
+                        f"{self.path}:{lineno}: skipping scheduled record "
+                        f"with unloadable spec ({exc})"
                     )
-        return state
+                    continue
+                specs.setdefault(spec_hash, spec)
+        return list(specs.values())

@@ -17,12 +17,13 @@ or under the supervision layer (:mod:`repro.runner.supervisor`), with:
 * **content-addressed caching** — completed envelopes land in
   ``.runcache/<hash>.json`` (checksum-verified on read, see
   :mod:`repro.runner.cache`) the moment each run finishes, so a crash
-  never loses completed cells;
-* **checkpointed resume** — an optional :class:`~repro.runner.journal.
-  RunJournal` records per-spec completion state, letting ``--resume``
-  re-run only missing/failed cells;
-* **progress/ETA** — wall-clock progress lines via a callback plus metrics
-  and events on an optional :class:`repro.obs.Observability` hub.
+  never loses completed cells; the cache is the one record of what is done;
+* **resumable grids** — an optional :class:`~repro.runner.journal.
+  RunJournal` holds every spec the Runner was given, so ``repro resume``
+  (or the same command again) serves finished cells from the cache and
+  runs the rest;
+* **progress/ETA** — wall-clock progress lines via a callback, and an
+  :class:`~repro.obs.events.EventLog` of retries and cache evictions.
 
 Every experiment driver (comparison, fault scenarios, probing sweep,
 sensitivity, calibration, ECDF) is a thin grid definition over this module.
@@ -79,8 +80,7 @@ class RunResult:
     exports) — byte-identical across serial/parallel/cached executions of
     the same spec.  ``provenance`` records how this particular execution
     happened (code version, wall time, executor) and is excluded from
-    determinism comparisons.  ``raw`` holds the exact cached bytes when the
-    result came off disk.  ``failure``, when set, is the structured failure
+    determinism comparisons.  ``failure``, when set, is the structured failure
     envelope of a run that exhausted its retries (kind, exception type,
     traceback, attempt count, worker exit signal); failed results have an
     empty payload and are never cached."""
@@ -90,7 +90,6 @@ class RunResult:
     payload: Dict[str, Any]
     provenance: Dict[str, Any] = field(default_factory=dict)
     from_cache: bool = False
-    raw: Optional[bytes] = None
     failure: Optional[Dict[str, Any]] = None
 
     @property
@@ -123,7 +122,6 @@ class RunResult:
         envelope: Dict[str, Any],
         *,
         from_cache: bool = False,
-        raw: Optional[bytes] = None,
     ) -> "RunResult":
         return cls(
             spec=spec_from_dict(envelope["spec"]),
@@ -131,7 +129,6 @@ class RunResult:
             payload=envelope["payload"],
             provenance=dict(envelope.get("provenance", {})),
             from_cache=from_cache,
-            raw=raw,
             failure=envelope.get("failure"),
         )
 
@@ -345,8 +342,8 @@ class Runner:
       from each spec (supervised runs only), ``0`` disables deadlines;
     * ``retries`` — extra attempts after a crash/timeout/exception, with
       exponential backoff (``backoff_base`` doubling per attempt);
-    * ``journal`` — a :class:`~repro.runner.journal.RunJournal` recording
-      per-spec completion for ``--resume``;
+    * ``journal`` — a :class:`~repro.runner.journal.RunJournal` rewritten
+      with every unique spec given so far at the start of each ``run``;
     * ``on_failure`` — ``"raise"`` (default) raises :class:`RunsFailedError`
       after the whole grid has been attempted; ``"keep"`` returns failed
       results (with their ``failure`` envelopes) in place.
@@ -354,9 +351,10 @@ class Runner:
     ``cache`` (a :class:`ResultCache`) makes completed cells free on
     re-run; results are persisted the moment each run finishes, so crashes
     lose nothing completed.  ``progress`` receives one human line per
-    completed run including an ETA; ``obs`` (a
-    :class:`repro.obs.Observability`) additionally records runner metrics
-    and per-run events.  ``observe`` (``{observer: parameter}``, see
+    completed run including an ETA; ``events`` (an
+    :class:`~repro.obs.events.EventLog` on the Runner's wall clock) records
+    each retry (``runner_run_retry``) and cache eviction
+    (``cache_corrupt``).  ``observe`` (``{observer: parameter}``, see
     :mod:`repro.observers`) is stamped onto every spec a run is given."""
 
     def __init__(
@@ -365,7 +363,6 @@ class Runner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[Callable[[str], None]] = None,
-        obs: Optional[Any] = None,
         observe: Optional[Mapping[str, Any]] = None,
         run_timeout: Optional[float] = None,
         retries: int = 0,
@@ -388,7 +385,6 @@ class Runner:
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
-        self.obs = obs
         self.run_timeout = run_timeout
         self.retries = retries
         self.backoff_base = backoff_base
@@ -400,11 +396,13 @@ class Runner:
         self.observe = normalize(observe)
         self.trace_records: List[Dict[str, Any]] = []
         self.profiles: List[Dict[str, Any]] = []
-        if obs is not None:
-            started = time.monotonic()
-            clock = lambda: time.monotonic() - started  # noqa: E731
-            obs.metrics.bind_clock(clock)
-            obs.events.bind_clock(clock)
+        # Every unique spec given to a journaled run so far, in first-
+        # appearance order: the grid the journal holds.
+        self._grid: Dict[str, Any] = {}
+        from repro.obs.events import EventLog
+
+        started = time.monotonic()
+        self.events = EventLog(clock=lambda: time.monotonic() - started)
         if cache is not None and cache.on_corrupt is None:
             cache.on_corrupt = self._on_cache_corrupt
         self.stats = RunnerStats()
@@ -415,12 +413,12 @@ class Runner:
         """Execute every spec; results come back in spec order.
 
         Duplicate specs (same content hash) execute once and share their
-        result object.  Each completed run is cached and journaled the
-        moment it finishes.  On Ctrl-C, completed work stays persisted and
-        :class:`RunInterrupted` propagates with a resume summary; if any
-        run fails after its retries and ``on_failure == "raise"``,
-        :class:`RunsFailedError` is raised *after* the whole grid was
-        attempted."""
+        result object.  The journal is rewritten before any cell runs, and
+        each completed run is cached the moment it finishes.  On Ctrl-C,
+        completed work stays persisted and :class:`RunInterrupted`
+        propagates with a resume summary; if any run fails after its
+        retries and ``on_failure == "raise"``, :class:`RunsFailedError` is
+        raised *after* the whole grid was attempted."""
         started = time.monotonic()
         if self.observe:
             specs = [spec.instrumented(self.observe) for spec in specs]
@@ -440,21 +438,18 @@ class Runner:
         # included.
         if self.journal is not None:
             for spec_hash, spec in unique.items():
-                self.journal.scheduled(spec_hash, spec)
+                self._grid.setdefault(spec_hash, spec)
+            self.journal.write(self._grid)
 
         pending: List[str] = []
         done = 0
         for spec_hash, spec in unique.items():
-            cached = self.cache.get(spec_hash) if self.cache is not None else None
-            if cached is not None:
-                results[spec_hash] = RunResult.from_envelope(
-                    json.loads(cached), from_cache=True, raw=cached
-                )
+            envelope = self._cached_envelope(spec_hash)
+            if envelope is not None:
+                results[spec_hash] = RunResult.from_envelope(envelope, from_cache=True)
                 stats.cache_hits += 1
                 done += 1
-                if self.journal is not None:
-                    self.journal.done(spec_hash, cached=True)
-                self._report(spec, spec_hash, done, len(unique), started, cached=True)
+                self._report(spec, done, len(unique), started, cached=True)
             else:
                 pending.append(spec_hash)
 
@@ -481,8 +476,6 @@ class Runner:
                 stats.executed += 1
                 if self.cache is not None:
                     self.cache.put(spec_hash, result.to_json().encode("utf-8"))
-                if self.journal is not None:
-                    self.journal.done(spec_hash, cached=False)
             else:
                 result = RunResult(
                     spec=spec,
@@ -492,23 +485,10 @@ class Runner:
                     failure=failure,
                 )
                 stats.failed += 1
-                if self.journal is not None:
-                    self.journal.failed(spec_hash, failure or {})
-                if self.obs is not None:
-                    self.obs.metrics.counter("runner_failures_total").inc()
-                    self.obs.events.runner_run_failed(
-                        label=spec.label(),
-                        spec_hash=spec_hash[:12],
-                        failure_kind=(failure or {}).get("kind"),
-                        error_type=(failure or {}).get("error_type"),
-                        message=(failure or {}).get("message"),
-                        attempts=attempts,
-                        exit_signal=(failure or {}).get("signal"),
-                    )
             results[spec_hash] = result
             progress["done"] += 1
             self._report(
-                spec, spec_hash, progress["done"], len(unique), started,
+                spec, progress["done"], len(unique), started,
                 failed=result.failure is not None,
             )
 
@@ -520,12 +500,6 @@ class Runner:
             elif pending:
                 self._run_serial([(h, unique[h]) for h in pending], complete)
         except KeyboardInterrupt:
-            if self.journal is not None:
-                self.journal.interrupted(
-                    completed=stats.cache_hits + stats.executed,
-                    failed=stats.failed,
-                    total=len(unique),
-                )
             self.stats = stats
             raise RunInterrupted(
                 completed=stats.cache_hits + stats.executed,
@@ -536,8 +510,6 @@ class Runner:
 
         stats.wall_time_s = time.monotonic() - started
         self.stats = stats
-        if self.obs is not None:
-            self.obs.metrics.gauge("runner_wall_time_seconds").set(stats.wall_time_s)
 
         failures = [
             results[spec_hash]
@@ -674,15 +646,13 @@ class Runner:
         backoff_s: float,
     ) -> None:
         self.stats.retried += 1
-        if self.obs is not None:
-            self.obs.metrics.counter("runner_retries_total").inc()
-            self.obs.events.runner_run_retry(
-                spec_hash=spec_hash[:12],
-                attempt=attempt,
-                failure_kind=failure.get("kind"),
-                error_type=failure.get("error_type"),
-                backoff_s=round(backoff_s, 3),
-            )
+        self.events.runner_run_retry(
+            spec_hash=spec_hash[:12],
+            attempt=attempt,
+            failure_kind=failure.get("kind"),
+            error_type=failure.get("error_type"),
+            backoff_s=round(backoff_s, 3),
+        )
         if self.progress is not None:
             self.progress(
                 f"retry  {spec_hash[:12]} attempt {attempt} failed "
@@ -690,11 +660,23 @@ class Runner:
                 f"backing off {backoff_s:.1f}s"
             )
 
+    def _cached_envelope(self, spec_hash: str) -> Optional[Dict[str, Any]]:
+        """The cached envelope for ``spec_hash``, parsed once, or None.  An
+        entry that is not this spec's envelope (misfiled, not a JSON
+        object) is a miss, and the run's ``put`` overwrites it."""
+        data = self.cache.get(spec_hash) if self.cache is not None else None
+        if data is None:
+            return None
+        try:
+            envelope = json.loads(data)
+        except ValueError:
+            return None
+        if isinstance(envelope, dict) and envelope.get("spec_hash") == spec_hash:
+            return envelope
+        return None
+
     def _on_cache_corrupt(self, spec_hash: str, reason: str) -> None:
-        if self.obs is not None:
-            self.obs.events.cache_corrupt(
-                spec_hash=spec_hash[:12], reason=reason
-            )
+        self.events.cache_corrupt(spec_hash=spec_hash[:12], reason=reason)
         if self.progress is not None:
             self.progress(
                 f"warning: evicted corrupt cache entry {spec_hash[:12]} "
@@ -767,7 +749,6 @@ class Runner:
     def _report(
         self,
         spec: Any,
-        spec_hash: str,
         done: int,
         total: int,
         started: float,
@@ -775,25 +756,12 @@ class Runner:
         cached: bool = False,
         failed: bool = False,
     ) -> None:
+        if self.progress is None:
+            return
         elapsed = time.monotonic() - started
         eta = (elapsed / done) * (total - done) if done else 0.0
-        if self.obs is not None:
-            self.obs.metrics.counter("runner_runs_total").inc()
-            if cached:
-                self.obs.metrics.counter("runner_cache_hits_total").inc()
-            self.obs.metrics.gauge("runner_eta_seconds").set(eta)
-            if not failed:
-                self.obs.events.emit(
-                    "runner_run_completed",
-                    label=spec.label(),
-                    spec_hash=spec_hash[:12],
-                    cached=cached,
-                    done=done,
-                    total=total,
-                )
-        if self.progress is not None:
-            tag = "cache" if cached else ("FAIL" if failed else "run")
-            self.progress(
-                f"[{done}/{total}] {tag:<5} {spec.label()} "
-                f"({elapsed:.1f}s elapsed, eta {eta:.0f}s)"
-            )
+        tag = "cache" if cached else ("FAIL" if failed else "run")
+        self.progress(
+            f"[{done}/{total}] {tag:<5} {spec.label()} "
+            f"({elapsed:.1f}s elapsed, eta {eta:.0f}s)"
+        )

@@ -35,10 +35,6 @@ class TestEmission:
         log.alert(rule="queue_saturation", series="queue_depth_frac",
                   target="queue=s1[0]", value=0.95, threshold=0.9,
                   state="fire", time=1.0)
-        log.runner_run_failed(label="aware/VS seed=0", spec_hash="abc123",
-                              failure_kind="crash", error_type="WorkerCrash",
-                              message="worker died with SIGKILL", attempts=2,
-                              exit_signal="SIGKILL")
         log.runner_run_retry(spec_hash="abc123", attempt=1,
                              failure_kind="crash", error_type="WorkerCrash",
                              backoff_s=0.5)

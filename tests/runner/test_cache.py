@@ -1,16 +1,56 @@
-"""Content-addressed result cache: exact bytes, atomicity, invalidation."""
+"""Content-addressed result cache: exact bytes, atomicity, invalidation.
+
+The cache checks checksums and parses nothing; whether an intact entry is
+the envelope of the spec asked for is the Runner's check, tested here
+through a Runner whose executor is stubbed out."""
 
 import json
 import os
 
+from repro.runner import CalibrationSpec, Runner
 from repro.runner.cache import ResultCache
-from repro.runner.spec import canonical_json, content_hash
+from repro.runner.spec import canonical_json, content_hash, spec_from_dict
 
 
 def _envelope_bytes(spec_hash, payload=None):
     return canonical_json(
         {"spec_hash": spec_hash, "payload": payload or {"x": 1}}
     ).encode("utf-8")
+
+
+SPEC = CalibrationSpec(utilization=0.25, duration=6.0)
+
+
+def _stub_runner(monkeypatch, cache):
+    """A serial Runner over ``cache`` whose runs return a fixed payload and
+    are counted in the returned list."""
+    executed = []
+
+    def execute(spec_json):
+        spec = spec_from_dict(json.loads(spec_json))
+        executed.append(spec.content_hash())
+        return canonical_json({
+            "spec": spec.to_dict(), "spec_hash": spec.content_hash(),
+            "payload": {"x": 1}, "provenance": {},
+        })
+
+    monkeypatch.setattr("repro.runner.runner._execute_envelope_json", execute)
+    return Runner(jobs=1, cache=cache), executed
+
+
+def _recomputed_and_overwritten(monkeypatch, cache):
+    """Run SPEC twice over ``cache``: the first run must recompute and
+    overwrite the entry without evicting it, the second must be served
+    from it."""
+    runner, executed = _stub_runner(monkeypatch, cache)
+    [first] = runner.run([SPEC])
+    assert not first.from_cache and executed == [SPEC.content_hash()]
+    with open(cache.path(SPEC.content_hash()), "rb") as fh:
+        assert json.loads(fh.read())["spec_hash"] == SPEC.content_hash()
+    [second] = runner.run([SPEC])
+    assert second.from_cache and len(executed) == 1
+    assert cache.evictions == 0
+    return runner
 
 
 class TestCacheBasics:
@@ -58,18 +98,16 @@ class TestCacheIntegrity:
             fh.write("{truncated")
         assert cache.get(h) is None
 
-    def test_misfiled_entry_is_a_miss(self, tmp_path):
-        # An envelope stored under a hash it doesn't claim is not trusted.
+    def test_misfiled_entry_is_a_miss(self, monkeypatch, tmp_path):
+        # An envelope stored under a hash it doesn't claim is not served.
         cache = ResultCache(str(tmp_path))
-        wrong = "d" * 64
-        cache.put(wrong, _envelope_bytes("e" * 64))
-        assert cache.get(wrong) is None
+        cache.put(SPEC.content_hash(), _envelope_bytes("e" * 64))
+        _recomputed_and_overwritten(monkeypatch, cache)
 
-    def test_non_dict_entry_is_a_miss(self, tmp_path):
+    def test_non_dict_entry_is_a_miss(self, monkeypatch, tmp_path):
         cache = ResultCache(str(tmp_path))
-        h = "f" * 64
-        cache.put(h, b"[1,2,3]")
-        assert cache.get(h) is None
+        cache.put(SPEC.content_hash(), b"[1,2,3]")
+        _recomputed_and_overwritten(monkeypatch, cache)
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -134,23 +172,30 @@ class TestCrashSafety:
         assert cache.get(h) is None
         assert cache.evictions == 1 and len(corrupt) == 1
 
-    def test_legacy_entry_without_sidecar_still_served(self, tmp_path):
-        # Entries written before checksums existed fall back to the
-        # structural (JSON + spec_hash) validation.
-        cache = ResultCache(str(tmp_path))
+    def test_entry_without_sidecar_is_a_miss_not_evicted(self, tmp_path):
+        # A put between its entry and sidecar writes looks like this: the
+        # entry stays for that put to finish.
+        corrupt = []
+        cache = ResultCache(
+            str(tmp_path), on_corrupt=lambda h, r: corrupt.append((h, r))
+        )
         h = "d" * 64
         cache.put(h, _envelope_bytes(h))
         os.unlink(cache.sidecar_path(h))
-        assert cache.get(h) == _envelope_bytes(h)
+        assert cache.get(h) is None
+        assert cache.misses == 1 and cache.evictions == 0 and corrupt == []
+        assert os.path.exists(cache.path(h))
 
-    def test_misfiled_entry_not_evicted(self, tmp_path):
-        # Intact bytes under the wrong name: a miss, not corruption.
+    def test_misfiled_entry_not_evicted(self, monkeypatch, tmp_path):
+        # Intact bytes under the wrong name: the cache serves them (it
+        # parses nothing), the Runner treats them as a miss, not corruption,
+        # and overwrites them.
         cache = ResultCache(str(tmp_path))
-        wrong = "e" * 64
-        cache.put(wrong, _envelope_bytes("f" * 64))
-        assert cache.get(wrong) is None
-        assert cache.evictions == 0
-        assert os.path.exists(cache.path(wrong))
+        misfiled = _envelope_bytes("f" * 64)
+        cache.put(SPEC.content_hash(), misfiled)
+        assert cache.get(SPEC.content_hash()) == misfiled
+        runner = _recomputed_and_overwritten(monkeypatch, cache)
+        assert runner.events.snapshot() == []
 
     def test_verify_scans_and_evicts(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -30,11 +30,15 @@ def _observe(name):
     return {name: 0.5 if name == "sample_interval" else True}
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_jobs4_matches_serial(name, cell_runner):
+def _grid(name):
     # A cell runs several times slower under tracemalloc, and its payload is
     # the plain one (golden observer-runner/mem_profile): one cell will do.
-    specs = smoke_grid()[:1] if name == "mem_profile" else smoke_grid()
+    return smoke_grid()[:1] if name == "mem_profile" else smoke_grid()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_jobs4_matches_serial(name, cell_runner):
+    specs = _grid(name)
     serial = cell_runner(_observe(name)).run(specs)
     parallel = Runner(jobs=4, observe=_observe(name)).run(specs)
     assert len(parallel) == len(serial) == len(specs)
@@ -66,7 +70,7 @@ def test_stamping_changes_hash_once(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_output_on_declared_channel(name, cell_runner):
     entry = REGISTRY[name]
-    for result in cell_runner(_observe(name)).run(smoke_grid()):
+    for result in cell_runner(_observe(name)).run(_grid(name)):
         assert {c for c in CHANNELS if c in result.payload} == (
             {entry.channel} & set(CHANNELS)
         )
@@ -94,8 +98,8 @@ def test_plain_run_carries_no_observer_output(cell_runner):
 @pytest.mark.parametrize("name", NAMES)
 def test_outcomes_unperturbed(name, cell_runner):
     entry = REGISTRY[name]
-    observed_results = cell_runner(_observe(name)).run(smoke_grid())
-    for observed, plain in zip(observed_results, cell_runner().run(smoke_grid())):
+    observed_results = cell_runner(_observe(name)).run(_grid(name))
+    for observed, plain in zip(observed_results, cell_runner().run(_grid(name))):
         observed_payload = json.loads(observed.payload_json())
         plain_payload = json.loads(plain.payload_json())
         observed_payload.pop(entry.channel, None)

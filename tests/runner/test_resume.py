@@ -2,7 +2,8 @@
 
 The acceptance contract: a grid that crashes mid-sweep and is resumed must
 export exactly the bytes an uninterrupted run would have — completed cells
-come off the cache, missing/failed cells re-run, nothing drifts.
+come off the cache, missing/failed cells re-run, nothing drifts.  The
+journal holds only the grid; the cache alone says which cells are done.
 """
 
 import json
@@ -50,18 +51,20 @@ class TestResumeByteIdentity:
 
         # Resume: rebuild the grid from the journal alone, chaos gone.
         monkeypatch.delenv("REPRO_CHAOS")
-        state = journal.load()
-        assert [s.content_hash() for s in specs] == state.order
-        assert len(state.pending) == 1
+        grid = journal.load()
+        hashes = [s.content_hash() for s in specs]
+        assert [s.content_hash() for s in grid] == hashes
+        assert [h for h in hashes if h not in cache.entries()] == [hashes[1]]
         resumed = Runner(
             jobs=1, cache=cache, journal=journal, on_failure="keep"
         )
-        final = resumed.run([state.specs[h] for h in state.order])
+        final = resumed.run(grid)
         assert all(r.ok for r in final)
         assert resumed.stats.cache_hits == 3 and resumed.stats.executed == 1
         assert [r.payload_json() for r in final] == reference
-        # The journal now records the whole grid as done.
-        assert journal.load().pending == []
+        # The cache now holds the whole grid; the journal still holds it.
+        assert cache.entries() == sorted(hashes)
+        assert journal.load() == grid
 
 
 class TestResumeCli:
@@ -97,26 +100,35 @@ class TestResumeCli:
         assert records[0]["spec_hash"] != records[1]["spec_hash"]
         assert all("calibration" in r["payload"] for r in records)
 
-    def test_existing_journal_requires_resume_flag(self, tmp_path, capsys):
-        journal = str(tmp_path / "calib.journal")
-        cache_dir = str(tmp_path / "cache")
-        argv = [
-            "calibrate", "--levels", "0.2", "--duration", "6",
-            "--journal", journal, "--cache-dir", cache_dir,
-        ]
-        assert main(argv) == 0
-        capsys.readouterr()
-        # Same command again: refuse to silently clobber the sweep...
-        assert main(argv) == 2
-        assert "--resume" in capsys.readouterr().err
-        # ...but --resume picks it straight up (everything cached).
-        assert main(argv + ["--resume"]) == 0
-
-    def test_resume_flag_requires_journal(self, capsys):
+    def test_journal_without_cache_resumes_from_cache(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # --journal implies --cache: every cell the sweep finished is served
+        # from the default cache on resume, none runs again.
+        monkeypatch.chdir(tmp_path)
         assert main([
-            "calibrate", "--levels", "0.2", "--duration", "6", "--resume",
-        ]) == 2
-        assert "--journal" in capsys.readouterr().err
+            "calibrate", "--levels", "0.1", "0.2", "--duration", "6",
+            "--journal", "j.journal",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["resume", "j.journal"]) == 0
+        assert "2 from cache, 0 executed, 0 failed" in capsys.readouterr().out
+
+    def test_second_resume_leaves_journal_byte_identical(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["calibrate", "--levels", "0.2", "--duration", "6",
+                "--journal", "j.journal"]
+        assert main(argv) == 0
+        first = (tmp_path / "j.journal").read_bytes()
+        # The same command again is the resume: nothing runs.
+        assert main(argv) == 0
+        assert "] cache " in capsys.readouterr().err
+        assert main(["resume", "j.journal"]) == 0
+        assert main(["resume", "j.journal"]) == 0
+        assert "1 from cache, 0 executed" in capsys.readouterr().out
+        assert (tmp_path / "j.journal").read_bytes() == first
 
     def test_resume_command_rejects_empty_journal(self, tmp_path, capsys):
         path = tmp_path / "empty.journal"
@@ -129,7 +141,8 @@ class TestObserveMigration:
     """Spec hashes moved once, when six per-observer spec fields became one
     ``observe`` field.  A journal written before that resumes by re-running:
     its records hit the journal's unloadable-spec warning (no traceback),
-    and the old cache entries are plain misses."""
+    and the old cache entries are plain misses.  The re-run rewrites the
+    journal with today's specs, so only the first load warns."""
 
     def test_old_six_field_journal_resumes_by_rerunning(self, tmp_path, capsys):
         from repro.runner import canonical_json, content_hash
@@ -158,13 +171,13 @@ class TestObserveMigration:
         capsys.readouterr()
 
         warnings = []
-        state = RunJournal(str(journal)).load(on_warning=warnings.append)
-        assert state.order == [] and len(warnings) == 3
+        assert RunJournal(str(journal)).load(on_warning=warnings.append) == []
+        assert len(warnings) == 3
         assert all("unloadable spec" in w for w in warnings)
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0
         err = capsys.readouterr().err
         assert err.count("] run ") == 3 and "Traceback" not in err
         assert main(["resume", str(journal), "--cache-dir", str(cache_dir)]) == 0
         captured = capsys.readouterr()
         assert "3 from cache, 0 executed, 0 failed" in captured.out
-        assert captured.err.count("unloadable spec") == 3
+        assert "unloadable spec" not in captured.err

@@ -53,7 +53,7 @@ class TestCacheSemantics:
             disk = fh.read()
         second = Runner(jobs=1, cache=cache).run([spec])[0]
         assert second.from_cache
-        assert second.raw == disk
+        assert second.to_json().encode("utf-8") == disk
         assert second.payload_json() == first.payload_json()
         assert second.payload_json() == serial_results[0].payload_json()
 
@@ -105,17 +105,6 @@ class TestRunnerMechanics:
         Runner(jobs=1, progress=lines.append).run(_grid()[:2])
         assert len(lines) == 2
         assert "[2/2]" in lines[1] and "eta" in lines[1]
-
-    def test_obs_hub_records_runner_metrics(self):
-        from repro.obs import Observability
-
-        obs = Observability(run={"component": "runner"})
-        Runner(jobs=1, obs=obs).run(_grid()[:1])
-        snapshot = {
-            (r.get("name"), r.get("value"))
-            for r in obs.metrics.snapshot()
-        }
-        assert ("runner_runs_total", 1) in snapshot
 
 
 class TestCalibrationSpecs:

@@ -144,6 +144,10 @@ class TestSerialResilience:
         assert result.provenance["executor"] == "serial"
         assert result.provenance["attempts"] == 2
         assert runner.stats.retried == 1
+        # The retry lands in the Runner's event log, which --obs-out appends.
+        [event] = runner.events.snapshot()
+        assert event["event"] == "runner_run_retry"
+        assert event["attempt"] == 1 and event["error_type"] == "ValueError"
 
     def test_exhausted_retries_keep_failure_envelope(self, monkeypatch):
         def always_broken(spec_json):
@@ -181,9 +185,7 @@ class TestSerialResilience:
         exc = excinfo.value
         assert exc.completed == 1 and exc.total == 2
         assert exc.journal_path == journal.path
-        # Completed cell is on disk; the journal knows exactly what's left.
+        # Completed cell is in the cache, the journal holds the whole grid:
+        # what's left is the grid minus the cache.
         assert cache.entries() == [first.content_hash()]
-        state = journal.load()
-        assert state.interrupted is True
-        assert state.status[first.content_hash()] == "done"
-        assert state.pending == [second.content_hash()]
+        assert journal.load() == [first, second]
